@@ -16,7 +16,7 @@ from .layering import LayeredGraph, build_layered, default_height, pull_back
 from .oracle import (InfeasibleInstance, OracleBudget, junction_opt,
                      lp_lower_bound, offline_opt, offline_opt_prize,
                      ss_offline_opt)
-from .rounding import Assignment, ThresholdDraw, assign, draw_thresholds, scale
+from .rounding import Assignment, ThresholdDraw, draw_thresholds, scale
 from .single_sink import GreedySingleSink, GroupSteinerGreedy
 
 __version__ = "0.1.0"

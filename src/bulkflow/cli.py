@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (one online run), ``oracle`` (exact baselines for an
 instance), ``generate`` (reproducible instances), ``experiment`` (a suite of
-runs to CSV). Exit codes: 0 success, 2 infeasible/bad input, 3 budget
-refusal.
+runs to CSV). Exit codes: 0 success, 2 infeasible/bad input or invalid run
+parameters, 3 budget refusal.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import BudgetExceeded, InstanceError
 from .generate import generate
-from .harness import RunConfig, run_experiment
+from .harness import OnlinePipeline, RunConfig, run_experiment
 from .instance import dump_instance, load_instance
 from .oracle import (InfeasibleInstance, junction_opt, lp_lower_bound,
                      offline_opt, offline_opt_prize)
@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--h", type=int, default=None)
     run_p.add_argument("--kappa", type=float, default=None)
     run_p.add_argument("--dmax", type=float, default=0.05)
-    run_p.add_argument("--ss-alg", default="greedy")
     run_p.add_argument("--oracle", action="store_true")
     run_p.add_argument("-o", "--out", default=None,
                        help="write the run report CSV here (default stdout)")
@@ -80,19 +79,11 @@ def _parse_params(text: str) -> dict:
 
 
 def _cmd_run(args) -> int:
-    from .harness import OnlinePipeline
-
     instance = load_instance(args.instance)
     config = RunConfig(mode=args.mode, seed=args.seed, h=args.h,
-                       kappa=args.kappa, dmax=args.dmax, ss_alg=args.ss_alg,
-                       oracle=args.oracle)
-    import time as _time
-    started = _time.perf_counter()
+                       kappa=args.kappa, dmax=args.dmax, oracle=args.oracle)
     pipeline = OnlinePipeline(instance, config)
-    for pair in instance.pairs:
-        pipeline.process(pair)
-    report = pipeline.finish()
-    report.wall_ms = (_time.perf_counter() - started) * 1000.0
+    report = pipeline.run()
     csv_text = report.to_csv()
     if args.out:
         Path(args.out).write_text(csv_text)

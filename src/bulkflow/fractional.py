@@ -420,21 +420,25 @@ class CompositeSolver:
 
         Cheap enough to run after every arrival: touches only the pair's own
         flows (capacity bounds, conservation at the recorded value, coverage).
+        The checks are explicit raises, so they stay on under ``python -O``.
         """
         pair = self.pairs[pair_index]
-        if completed:
-            assert self.z_total(pair_index) >= 1.0 - flow_tol, \
-                f"pair {pair_index} covered only {self.z_total(pair_index)}"
+        if completed and not self.z_total(pair_index) >= 1.0 - flow_tol:
+            raise AssertionError(
+                f"pair {pair_index} covered only {self.z_total(pair_index)}")
         for rid in self.eligible[pair_index]:
             spec = self.root_by_id[rid]
             zv = self.z[(pair_index, rid)]
-            assert -1e-12 <= zv <= VAR_CAP + 1e-9, f"z[{pair_index},{rid}]={zv}"
+            if not -1e-12 <= zv <= VAR_CAP + 1e-9:
+                raise AssertionError(f"z[{pair_index},{rid}]={zv}")
             for flows, xs, side in ((self.fS, self.x_up, self.up),
                                     (self.fT, self.x_down, self.down)):
                 for e, f in flows[(rid, pair_index)].items():
-                    assert f <= xs[rid][e] + flow_tol, \
-                        f"flow {f} above capacity {xs[rid][e]} on edge {e}"
-                    assert f >= -1e-12
+                    if not f <= xs[rid][e] + flow_tol:
+                        raise AssertionError(f"flow {f} above capacity "
+                                             f"{xs[rid][e]} on edge {e}")
+                    if not f >= -1e-12:
+                        raise AssertionError(f"negative flow {f} on edge {e}")
             self._check_flow_value(self.up.graph, self.fS[(rid, pair_index)],
                                    pair.up_source, spec.up_vertex, zv, flow_tol)
             self._check_flow_value(self.down.graph, self.fT[(rid, pair_index)],
@@ -472,5 +476,6 @@ class CompositeSolver:
             balance[graph.head[e]] = balance.get(graph.head[e], 0.0) + f
         for v, b in balance.items():
             expected = -value if v == source else value if v == sink else 0.0
-            assert abs(b - expected) <= tol, \
-                f"conservation violated at {v}: {b} vs {expected}"
+            if not abs(b - expected) <= tol:
+                raise AssertionError(
+                    f"conservation violated at {v}: {b} vs {expected}")

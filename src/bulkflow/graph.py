@@ -9,6 +9,7 @@ share one purchase: buying either arc makes both usable.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -53,8 +54,9 @@ class TerminalPair:
     def __post_init__(self):
         if self.demand != 1:
             raise GraphError(f"pair {self.index}: only unit demands are supported")
-        if self.penalty is not None and self.penalty < 0:
-            raise GraphError(f"pair {self.index}: negative penalty {self.penalty}")
+        if self.penalty is not None and not 0 <= self.penalty < math.inf:
+            raise GraphError(f"pair {self.index}: penalty {self.penalty} is "
+                             "negative or not finite")
 
 
 class TwoMetricGraph:
@@ -92,8 +94,9 @@ class TwoMetricGraph:
             raise GraphError("graph is frozen")
         if not (0 <= tail < self.n and 0 <= head < self.n):
             raise GraphError(f"arc ({tail},{head}) out of range for n={self.n}")
-        if c < 0 or l < 0:
-            raise GraphError(f"arc ({tail},{head}) has negative cost or length")
+        if not (0 <= c < math.inf and 0 <= l < math.inf):
+            raise GraphError(f"arc ({tail},{head}) has a negative or non-finite "
+                             f"cost or length ({c}, {l})")
         e = len(self.tail)
         self.tail.append(tail)
         self.head.append(head)
@@ -216,8 +219,8 @@ def split_node_weights(n: int, node_c: Sequence[float], node_l: Sequence[float],
     if len(node_c) != n or len(node_l) != n:
         raise GraphError("node weight arrays must have length n")
     for v in range(n):
-        if node_c[v] < 0 or node_l[v] < 0:
-            raise GraphError(f"vertex {v} has a negative weight")
+        if not (0 <= node_c[v] < math.inf and 0 <= node_l[v] < math.inf):
+            raise GraphError(f"vertex {v} has a negative or non-finite weight")
     g = TwoMetricGraph(2 * n, directed=True)
     v_in = [2 * v for v in range(n)]
     v_out = [2 * v + 1 for v in range(n)]

@@ -27,13 +27,16 @@ from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
 from .instance import Instance, load_instance
 from .junction import JunctionForest, build_junction_forest, pull_forest_ledger
 from .layering import LayeredGraph, build_layered, default_height, pull_back
-from .oracle import (DEFAULT_BUDGET, InfeasibleInstance, OracleBudget,
-                     junction_opt, offline_opt, offline_opt_prize)
+from .oracle import (InfeasibleInstance, junction_opt, offline_opt,
+                     offline_opt_prize)
 from .prize import augment, settle
 from .rounding import Assignment, choose_root, draw_thresholds
 from .single_sink import GreedySingleSink
 
 MODES = ("edge", "node", "directed", "prize")
+
+# guess doublings allowed before a run is declared unstable
+MAX_EPOCHS = 60
 
 
 def default_kappa(n: int) -> float:
@@ -48,18 +51,18 @@ class RunConfig:
     h: Optional[int] = None
     kappa: Optional[float] = None
     dmax: float = 0.05
-    ss_alg: str = "greedy"
     oracle: bool = False
-    max_epochs: int = 60
-    max_steps: int = 10 ** 6
-    node_budget: int = 10 ** 6
-    oracle_budget: OracleBudget = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise InstanceError(f"unknown mode {self.mode!r}")
-        if self.ss_alg != "greedy":
-            raise InstanceError(f"unknown single-sink algorithm {self.ss_alg!r}")
+        if self.h is not None and not self.h >= 1:
+            raise InstanceError(f"h must be >= 1, got {self.h}")
+        for name in ("kappa", "dmax"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise InstanceError(f"{name} must be finite and > 0, "
+                                    f"got {value}")
 
 
 @dataclass
@@ -138,6 +141,7 @@ class OnlinePipeline:
     """One online run over a fixed arrival order."""
 
     def __init__(self, instance: Instance, config: RunConfig):
+        self._started = time.perf_counter()
         self.instance = instance
         self.config = config
         self.base = instance.graph
@@ -193,8 +197,7 @@ class OnlinePipeline:
             h = config.h if config.h is not None else 2
             sources = [p.s for p in self.instance.pairs]
             sinks = [p.t for p in self.instance.pairs]
-            self.forest = build_junction_forest(base, self.k, h, sources, sinks,
-                                                node_budget=config.node_budget)
+            self.forest = build_junction_forest(base, self.k, h, sources, sinks)
             self.h = h
             self.solver_up = self.forest.graph
             self.solver_down = self.forest.graph
@@ -223,23 +226,21 @@ class OnlinePipeline:
                         down_sink=self.down_layer.vertex(pair.t, self.h),
                         penalty=pair.penalty)
 
-    def _up_instance(self, root_id: int) -> GreedySingleSink:
-        if root_id not in self.up_ss:
-            if self.mode == "directed":
-                g, root = self.forest.graph, self.forest.up_root[root_id]
+    def _single_sink(self, side: str, root_id: int) -> GreedySingleSink:
+        """The root's single-sink ("up") or single-source ("down") instance."""
+        instances = self.up_ss if side == "up" else self.down_ss
+        if root_id not in instances:
+            root = self.roots[root_id]
+            if self.forest is not None:
+                g = self.forest.graph
             else:
-                g, root = self.up_layer.graph, self.up_layer.vertex(root_id, 0)
-            self.up_ss[root_id] = GreedySingleSink(g, root, "sink")
-        return self.up_ss[root_id]
-
-    def _down_instance(self, root_id: int) -> GreedySingleSink:
-        if root_id not in self.down_ss:
-            if self.mode == "directed":
-                g, root = self.forest.graph, self.forest.down_root[root_id]
+                g = (self.up_layer if side == "up" else self.down_layer).graph
+            if side == "up":
+                instances[root_id] = GreedySingleSink(g, root.up_vertex, "sink")
             else:
-                g, root = self.down_layer.graph, self.down_layer.vertex(root_id, 0)
-            self.down_ss[root_id] = GreedySingleSink(g, root, "source")
-        return self.down_ss[root_id]
+                instances[root_id] = GreedySingleSink(g, root.down_vertex,
+                                                      "source")
+        return instances[root_id]
 
     # ------------------------------------------------------------------
     # epochs
@@ -271,8 +272,7 @@ class OnlinePipeline:
         return lambda e: owner.get(e) is None or owner.get(e) == pair_index
 
     def _fresh_solver(self) -> CompositeSolver:
-        cfg = SolverConfig(kappa=self.kappa, dmax=self.config.dmax,
-                           max_steps=self.config.max_steps)
+        cfg = SolverConfig(kappa=self.kappa, dmax=self.config.dmax)
         return CompositeSolver(self.solver_up, self.solver_down, self.roots,
                                self.n_scale, self.lam, cfg,
                                up_owner=self.up_owner, down_owner=self.down_owner)
@@ -286,9 +286,9 @@ class OnlinePipeline:
         """Double the guess, restart the fractional state, replay history."""
         while True:
             self.epoch += 1
-            if self.epoch > self.config.max_epochs:
+            if self.epoch > MAX_EPOCHS:
                 raise RuntimeError("guess doubling did not stabilize "
-                                   f"within {self.config.max_epochs} epochs")
+                                   f"within {MAX_EPOCHS} epochs")
             self.lam *= 2.0
             self._start_epoch()
             replay_ok = True
@@ -297,8 +297,10 @@ class OnlinePipeline:
                 if outcome == ArrivalOutcome.EPOCH_OVERFLOW:
                     replay_ok = False
                     break
-                # reachability only improves as the guess grows
-                assert outcome == ArrivalOutcome.SATISFIED
+                if outcome != ArrivalOutcome.SATISFIED:
+                    # reachability only improves as the guess grows
+                    raise RuntimeError(f"replay of pair {old.index} ended "
+                                       f"{outcome} at guess {self.lam}")
             if replay_ok:
                 return
 
@@ -329,10 +331,10 @@ class OnlinePipeline:
 
     def _dispatch_assigned(self, pair: TerminalPair, spec: PairSpec,
                            root_id: int) -> None:
-        up_path = self._up_instance(root_id).on_terminal(spec.up_source,
-                                                         pair_index=pair.index)
-        down_path = self._down_instance(root_id).on_terminal(spec.down_sink,
-                                                             pair_index=pair.index)
+        self._single_sink("up", root_id).on_terminal(spec.up_source,
+                                                     pair_index=pair.index)
+        self._single_sink("down", root_id).on_terminal(spec.down_sink,
+                                                       pair_index=pair.index)
         if self.mode == "directed":
             link = self.forest.root_link_arc[root_id]
             self.forest_extra[pair.index] = (link,)
@@ -352,8 +354,9 @@ class OnlinePipeline:
                       root: Optional[int]) -> float:
         """What serving the pair as decided would cost right now."""
         if label == Assignment.ASSIGNED:
-            return (self._up_instance(root).marginal_cost(spec.up_source)
-                    + self._down_instance(root).marginal_cost(spec.down_sink))
+            return (self._single_sink("up", root).marginal_cost(spec.up_source)
+                    + self._single_sink("down", root).marginal_cost(
+                        spec.down_sink))
         try:
             _, cost = shortest_path(self.base,
                                     lambda e: self.base.c[e] + self.base.l[e],
@@ -451,33 +454,19 @@ class OnlinePipeline:
 
     def _final_ledger(self) -> SolutionLedger:
         final = SolutionLedger()
+        merged_up = self._merge_side_ledgers(self.up_ss)
+        merged_down = self._merge_side_ledgers(self.down_ss)
         if self.mode == "directed":
-            h_ledger = SolutionLedger()
-            merged_up = self._merge_side_ledgers(self.up_ss)
-            merged_down = self._merge_side_ledgers(self.down_ss)
-            h_ledger.bought = set(merged_up.bought) | set(merged_down.bought)
-            for pair_index, up_path in merged_up.paths.items():
-                link = self.forest_extra.get(pair_index, ())
-                for a in link:
-                    h_ledger.bought.add(self.forest.graph.purchase_key(a))
-                down_path = merged_down.paths.get(pair_index, ())
-                h_ledger.paths[pair_index] = tuple(up_path) + link + tuple(down_path)
-            self.h_ledger = h_ledger
-            committed_cost = solution_cost(self.forest.graph, h_ledger)[2]
-            base_ledger = pull_forest_ledger(self.forest, h_ledger)
+            self.h_ledger = _join_sides(merged_up, merged_down,
+                                        self.forest.graph, self.forest_extra)
+            committed_cost = solution_cost(self.forest.graph, self.h_ledger)[2]
+            base_ledger = pull_forest_ledger(self.forest, self.h_ledger)
         else:
-            merged_up = self._merge_side_ledgers(self.up_ss)
-            merged_down = self._merge_side_ledgers(self.down_ss)
             committed_cost = (solution_cost(self.up_layer.graph, merged_up)[2]
                               + solution_cost(self.down_layer.graph,
                                               merged_down)[2])
-            pulled_up = pull_back(self.up_layer, merged_up)
-            pulled_down = pull_back(self.down_layer, merged_down)
-            base_ledger = SolutionLedger()
-            base_ledger.bought = set(pulled_up.bought) | set(pulled_down.bought)
-            for pair_index, up_path in pulled_up.paths.items():
-                down_path = pulled_down.paths.get(pair_index, ())
-                base_ledger.paths[pair_index] = tuple(up_path) + tuple(down_path)
+            base_ledger = _join_sides(pull_back(self.up_layer, merged_up),
+                                      pull_back(self.down_layer, merged_down))
         pulled_cost = solution_cost(self.base, base_ledger)[2]
         if pulled_cost > committed_cost + 1e-9:
             raise AssertionError(
@@ -491,6 +480,17 @@ class OnlinePipeline:
         final.buy_cost = buy
         final.length_cost = length
         return final
+
+    def run(self) -> RunReport:
+        """Process every pair in arrival order, then report.
+
+        ``wall_ms`` counts from the start of the pipeline's construction.
+        """
+        for pair in self.instance.pairs:
+            self.process(pair)
+        report = self.finish()
+        report.wall_ms = (time.perf_counter() - self._started) * 1000.0
+        return report
 
     def finish(self) -> RunReport:
         ledger = self._final_ledger()
@@ -515,31 +515,40 @@ class OnlinePipeline:
         pairs = self.instance.pairs
         try:
             if self.mode == "prize" and any(p.penalty is not None for p in pairs):
-                report.opt = offline_opt_prize(self.base, pairs,
-                                               self.config.oracle_budget)
+                report.opt = offline_opt_prize(self.base, pairs)
             else:
-                report.opt, _ = offline_opt(self.base, pairs,
-                                            self.config.oracle_budget)
+                report.opt, _ = offline_opt(self.base, pairs)
         except (BudgetExceeded, InfeasibleInstance):
             report.opt = None
         try:
-            report.junction_opt_value = junction_opt(self.base, pairs,
-                                                     self.config.oracle_budget)
+            report.junction_opt_value = junction_opt(self.base, pairs)
         except (BudgetExceeded, InfeasibleInstance):
             report.junction_opt_value = None
         if report.opt is not None and report.opt > 1e-12:
             report.ratio = report.online_total / report.opt
 
 
+def _join_sides(up: SolutionLedger, down: SolutionLedger,
+                graph: Optional[TwoMetricGraph] = None,
+                links: Optional[Dict[int, Tuple[int, ...]]] = None) -> SolutionLedger:
+    """One ledger holding both sides' purchases; each pair's path is its up
+    path, then its root-link arcs in ``links`` (bought on ``graph``), then
+    its down path."""
+    links = links or {}
+    joined = SolutionLedger()
+    joined.bought = set(up.bought) | set(down.bought)
+    for pair_index, up_path in up.paths.items():
+        link = links.get(pair_index, ())
+        for a in link:
+            joined.bought.add(graph.purchase_key(a))
+        down_path = down.paths.get(pair_index, ())
+        joined.paths[pair_index] = tuple(up_path) + link + tuple(down_path)
+    return joined
+
+
 def run_online(instance: Instance, config: RunConfig) -> RunReport:
     """Run the full online pipeline over the instance's arrival order."""
-    started = time.perf_counter()
-    pipeline = OnlinePipeline(instance, config)
-    for pair in instance.pairs:
-        pipeline.process(pair)
-    report = pipeline.finish()
-    report.wall_ms = (time.perf_counter() - started) * 1000.0
-    return report
+    return OnlinePipeline(instance, config).run()
 
 
 EXPERIMENT_COLUMNS = ("instance", "n", "k", "mode", "online_total", "opt",
@@ -579,12 +588,11 @@ def _experiment_row(suite_dir: Path, entry: dict) -> Tuple[str, Optional[float],
     return row, report.ratio, None
 
 
-def run_experiment(suite_path: str, out_path: str,
-                   workers: int = 1) -> Dict[str, float]:
+def run_experiment(suite_path: str, out_path: str) -> Dict[str, float]:
     """Run a suite file and write one CSV row per run plus a summary.
 
-    Runs may fan out across worker threads; rows are written in suite order
-    either way, so the output is deterministic up to the wall_ms column.
+    Rows are written in suite order, so the output is deterministic up to
+    the wall_ms column.
     """
     suite_file = Path(suite_path)
     try:
@@ -592,15 +600,7 @@ def run_experiment(suite_path: str, out_path: str,
     except (OSError, json.JSONDecodeError) as exc:
         raise InstanceError(f"cannot read suite {suite_path}: {exc}") from exc
     entries = suite.get("runs", [])
-    if workers > 1 and len(entries) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda entry: _experiment_row(suite_file.parent, entry),
-                entries))
-    else:
-        results = [_experiment_row(suite_file.parent, entry)
-                   for entry in entries]
+    results = [_experiment_row(suite_file.parent, entry) for entry in entries]
     rows = [",".join(EXPERIMENT_COLUMNS)]
     ratios: List[float] = []
     failures: List[str] = []

@@ -11,12 +11,12 @@ makes lengths collapse into one dangling arc per terminal attachment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded
 from .graph import GraphError, SolutionLedger, TwoMetricGraph
-from .layering import LayeredGraph, build_layered
+from .layering import LayeredGraph, build_layered, pull_back
 from .single_sink import GroupSteinerInstance
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -27,9 +27,10 @@ class JunctionForest:
     """The preprocessed graph: tuple trees, root links, terminal hookups.
 
     ``layered_edge[a]`` records, per forest arc, which layered edge it
-    inherits (side, edge id) so solutions can be pulled back to the base
+    inherits (side, edge id), and ``back_path[a]`` that edge's base-graph
+    arc sequence, so ``layering.pull_back`` maps forest solutions to the base
     graph; zero-cost structural arcs (root links, terminal hookups) map to
-    nothing.
+    nothing and have an empty back path.
     """
 
     base: TwoMetricGraph
@@ -44,12 +45,17 @@ class JunctionForest:
     sink_vertex: Dict[int, int]
     tuple_of: Dict[int, Tuple[str, int, Tuple[int, ...]]]
     root_link_arc: Dict[int, int]
+    back_path: List[Tuple[int, ...]] = field(init=False)
 
     def is_root_link(self, arc: int) -> bool:
         return arc in self._root_link_set
 
     def __post_init__(self):
         self._root_link_set = set(self.root_link_arc.values())
+        layers = {"up": self.up_layer, "down": self.down_layer}
+        self.back_path = [() if inherit is None
+                          else layers[inherit[0]].back_path[inherit[1]]
+                          for inherit in self.layered_edge]
 
 
 def _tuple_count(n: int, h: int) -> int:
@@ -178,32 +184,11 @@ def pull_forest_ledger(forest: JunctionForest,
                        ledger: SolutionLedger) -> SolutionLedger:
     """Map a forest ledger down to the base graph (never more expensive).
 
-    Forest arcs first resolve to their layered edges, those to their
-    remembered base paths; structural zero-cost arcs vanish. Shared base
-    arcs collapse into one purchase.
+    Each forest arc stands for its inherited layered edge's base path;
+    structural zero-cost arcs vanish. Shared base arcs collapse into one
+    purchase.
     """
-    layers = {"up": forest.up_layer, "down": forest.down_layer}
-    out = SolutionLedger()
-    for a in ledger.bought:
-        inherit = forest.layered_edge[a]
-        if inherit is None:
-            continue
-        side, le = inherit
-        for e in layers[side].back_path[le]:
-            out.buy(forest.base, e)
-    for pair_index, path in ledger.paths.items():
-        base_path: List[int] = []
-        for a in path:
-            inherit = forest.layered_edge[a]
-            if inherit is None:
-                continue
-            side, le = inherit
-            base_path.extend(layers[side].back_path[le])
-        for e in base_path:
-            out.buy(forest.base, e)
-            out.length_cost += forest.base.l[e]
-        out.paths[pair_index] = tuple(base_path)
-    return out
+    return pull_back(forest, ledger)
 
 
 @dataclass
@@ -331,14 +316,6 @@ def map_to_gst(forest: JunctionForest, side: str, root: int,
                           junction=junction, instance=instance,
                           dangling=dangling, tree_arc_id=tree_arc_id,
                           infeasible_terminals=infeasible)
-
-
-def map_back(sub: GstSubInstance, connections: Dict[int, int]) -> SolutionLedger:
-    """Base-graph ledger of a group Steiner solution (never more expensive)."""
-    for gid, members in sub.instance.groups.items():
-        if members and gid not in connections:
-            raise GraphError(f"group {gid} left disconnected")
-    return sub.to_base_ledger(connections)
 
 
 def root_links_on_path(forest: JunctionForest, path: Sequence[int]) -> int:

@@ -133,7 +133,8 @@ def pull_back(layered: LayeredGraph, ledger: SolutionLedger) -> SolutionLedger:
     Every layer edge is replaced by its remembered base path. The result is
     never more expensive: lengths transfer exactly, layer buy costs include
     the blended length surcharge, and overlapping back paths share one
-    purchase.
+    purchase. Any expansion with ``base``, ``graph`` and a per-arc
+    ``back_path`` works, the junction forest included.
     """
     out = SolutionLedger()
     for le in ledger.bought:

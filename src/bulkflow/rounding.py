@@ -137,14 +137,6 @@ def choose_root(state: CompositeSolver, draw: ThresholdDraw,
     return (Assignment.ASSIGNED, best_root)
 
 
-def assign(state: CompositeSolver, draw: ThresholdDraw, pair_index: int,
-           assignment: Assignment) -> Tuple[str, Optional[int]]:
-    """Round one pair's assignment and record it (immutable afterwards)."""
-    outcome = choose_root(state, draw, pair_index)
-    assignment.record(pair_index, *outcome)
-    return outcome
-
-
 def scaled_min_cut(state: CompositeSolver, draw: ThresholdDraw,
                    pair_index: int, root_id: int, side: str) -> float:
     """Max-flow value under the scaled flow capacities for one pair and root.

@@ -248,8 +248,7 @@ def test_acceptance_5_directed_reduction():
         for pair in inst.pairs:
             pipeline.process(pair)
         pipeline.finish()
-        if pipeline.h_ledger is None:
-            continue
+        assert pipeline.h_ledger is not None
         for pair_index, path in pipeline.h_ledger.paths.items():
             if path:
                 assert root_links_on_path(pipeline.forest, path) == 1

@@ -1,7 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import bulkflow
 
 from bulkflow.fractional import (ArrivalOutcome, CompositeSolver, PairSpec,
                                  RootSpec, SolverConfig)
@@ -209,6 +216,43 @@ class TestOnArrival:
         solver = CompositeSolver(up, down, roots, 10, 1.0, cfg)
         with pytest.raises(RuntimeError):
             solver.on_arrival(pair)
+
+
+def test_check_pair_raises_under_python_optimize():
+    script = textwrap.dedent('''
+        import sys
+        from bulkflow.fractional import (ArrivalOutcome, CompositeSolver,
+                                         PairSpec, RootSpec, SolverConfig)
+        from bulkflow.graph import TwoMetricGraph
+
+        up = TwoMetricGraph(4)
+        for i in range(3):
+            up.add_arc(i, i + 1, 0.01, 0.2)
+        down = TwoMetricGraph(2)
+        down.add_arc(0, 1, 0.01, 0.0)
+        solver = CompositeSolver(up.freeze(), down.freeze(),
+                                 [RootSpec(0, up_vertex=3, down_vertex=0)],
+                                 10, 1.0, SolverConfig(kappa=1e9, dmax=0.3))
+        pair = PairSpec(index=0, up_source=0, down_sink=1)
+        if solver.on_arrival(pair) != ArrivalOutcome.SATISFIED:
+            sys.exit("arrival not satisfied")
+        solver.check_pair(0)
+        flows = solver.fS[(0, 0)]
+        e = next(iter(flows))
+        flows[e] = solver.x_up[0][e] + 1.0  # flow above its capacity
+        try:
+            solver.check_pair(0)
+        except AssertionError as exc:
+            print(sys.flags.optimize, exc)
+            sys.exit(0)
+        sys.exit("corrupted state passed check_pair")
+    ''')
+    src = str(Path(bulkflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("1 flow ")
 
 
 class TestSinglePathCalibration:

@@ -1,12 +1,56 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bulkflow.errors import InstanceError
+from bulkflow.generate import grid, with_penalties
 from bulkflow.graph import (CableType, GraphError, SolutionLedger,
-                            TwoMetricGraph, Unreachable, expand_cables,
-                            shortest_path, solution_cost, split_node_weights)
+                            TerminalPair, TwoMetricGraph, Unreachable,
+                            expand_cables, shortest_path, solution_cost,
+                            split_node_weights)
+from bulkflow.instance import load_instance
 from helpers import brute_min_node_cost_path, build_graph
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_add_arc_refuses_cost_and_length(self, bad):
+        g = TwoMetricGraph(2)
+        with pytest.raises(GraphError):
+            g.add_arc(0, 1, bad, 1.0)
+        with pytest.raises(GraphError):
+            g.add_arc(0, 1, 1.0, bad)
+        assert g.m == 0
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_node_split_refuses_weights(self, bad):
+        with pytest.raises(GraphError):
+            split_node_weights(2, [1.0, bad], [0.0, 0.0], [(0, 1)])
+        with pytest.raises(GraphError):
+            split_node_weights(2, [1.0, 1.0], [bad, 0.0], [(0, 1)])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_terminal_pair_refuses_penalty(self, bad):
+        with pytest.raises(GraphError):
+            TerminalPair(index=0, s=0, t=1, penalty=bad)
+
+    @pytest.mark.parametrize("field", ["c", "l"])
+    def test_load_instance_refuses_nan_edge(self, field):
+        data = grid(2, 2, k=2, seed=1)
+        data["edges"][1][field] = math.nan
+        with pytest.raises(InstanceError):
+            load_instance(data)
+
+    def test_load_instance_refuses_nan_penalty(self):
+        data = with_penalties(grid(2, 2, k=2, seed=1), 1)
+        data["pairs"][0]["q"] = math.nan
+        with pytest.raises(InstanceError):
+            load_instance(data)
 
 
 class TestExpandCables:

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import math
 import subprocess
 import sys
 
@@ -98,11 +100,11 @@ class TestRunOnline:
             pipeline.process(pair)
         report = pipeline.finish()
         assert pipeline.forest is not None
-        if pipeline.h_ledger is not None:
-            from bulkflow.junction import root_links_on_path
-            for pair_index, path in pipeline.h_ledger.paths.items():
-                if path:
-                    assert root_links_on_path(pipeline.forest, path) == 1
+        assert pipeline.h_ledger is not None
+        from bulkflow.junction import root_links_on_path
+        for pair_index, path in pipeline.h_ledger.paths.items():
+            if path:
+                assert root_links_on_path(pipeline.forest, path) == 1
         assert report.online_total > 0
 
     def test_directed_mode_requires_directed_graph(self):
@@ -113,6 +115,20 @@ class TestRunOnline:
     def test_default_kappa_formula(self):
         assert default_kappa(16) == pytest.approx(64 * 4 ** 3)
         assert default_kappa(20) == pytest.approx(64 * 5 ** 3)
+
+
+class TestRunConfig:
+    def test_fields_are_the_six_run_settings(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "mode", "seed", "h", "kappa", "dmax", "oracle"]
+
+    @pytest.mark.parametrize("setting", [
+        {"dmax": 0.0}, {"dmax": -0.1}, {"dmax": math.nan}, {"dmax": math.inf},
+        {"kappa": 0.0}, {"kappa": -1.0}, {"kappa": math.nan},
+        {"kappa": math.inf}, {"h": 0}, {"h": -2}])
+    def test_invalid_settings_refused(self, setting):
+        with pytest.raises(InstanceError):
+            RunConfig(mode="edge", **setting)
 
 
 class TestGenerators:
@@ -239,6 +255,60 @@ class TestCli:
         result = self._cli("run", "--instance", str(bad), "--mode", "edge",
                            "--seed", "0")
         assert result.returncode == 2
+
+    def test_run_report_file_matches_run_online(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        dump_instance(grid(2, 2, k=2, seed=1), inst)
+        out_csv = tmp_path / "run.csv"
+        result = self._cli("run", "--instance", str(inst), "--mode", "edge",
+                           "--seed", "3", "--oracle", "-o", str(out_csv))
+        assert result.returncode == 0, result.stderr
+        report = run_online(load_instance(str(inst)),
+                            RunConfig(mode="edge", seed=3, oracle=True))
+        assert out_csv.read_bytes() == report.to_csv().encode()
+
+    def test_dump_layered_and_dump_forest_write_json(self, tmp_path):
+        inst = tmp_path / "grid.json"
+        dump_instance(grid(2, 2, k=2, seed=1), inst)
+        layered = tmp_path / "layered.json"
+        result = self._cli("run", "--instance", str(inst), "--mode", "edge",
+                           "-o", str(tmp_path / "edge.csv"),
+                           "--dump-layered", str(layered))
+        assert result.returncode == 0, result.stderr
+        rows = json.loads(layered.read_text())
+        assert rows and {"id", "tail", "head", "c", "l",
+                         "back_path"} <= set(rows[0])
+
+        inst = tmp_path / "digraph.json"
+        dump_instance(random_digraph(4, 9, 2, seed=7), inst)
+        forest = tmp_path / "forest.json"
+        result = self._cli("run", "--instance", str(inst), "--mode",
+                           "directed", "--h", "2", "--dmax", "0.4",
+                           "-o", str(tmp_path / "directed.csv"),
+                           "--dump-forest", str(forest))
+        assert result.returncode == 0, result.stderr
+        rows = json.loads(forest.read_text())
+        assert rows and {"id", "tail", "head", "c", "l"} <= set(rows[0])
+
+    @pytest.mark.parametrize("flag", [("--dmax", "0"), ("--h", "0"),
+                                      ("--kappa", "-1"), ("--dmax", "nan"),
+                                      ("--kappa", "inf")])
+    def test_invalid_run_parameters_exit_code_2(self, tmp_path, flag):
+        inst = tmp_path / "inst.json"
+        dump_instance(grid(2, 2, k=2, seed=1), inst)
+        result = self._cli("run", "--instance", str(inst), "--mode", "edge",
+                           *flag)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    def test_non_finite_instance_exit_code_2(self, tmp_path):
+        data = grid(2, 2, k=2, seed=1)
+        data["edges"][0]["c"] = math.nan
+        inst = tmp_path / "nan.json"
+        inst.write_text(json.dumps(data))
+        result = self._cli("run", "--instance", str(inst), "--mode", "edge")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
     def test_budget_refusal_exit_code_3(self, tmp_path):
         inst = tmp_path / "big.json"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bulkflow.fractional import PairSpec, RootSpec
-from bulkflow.rounding import (Assignment, ThresholdDraw, assign, choose_root,
+from bulkflow.rounding import (Assignment, ThresholdDraw, choose_root,
                                draw_thresholds, scale, scaled_min_cut,
                                threshold_interval)
 from helpers import build_graph
@@ -114,7 +114,7 @@ class TestAssign:
         solver.z[(0, 1)] = 0.5
         draw = ThresholdDraw(tau={1: 0.2, 2: 0.2}, seed=0, lo=0, hi=1)
         log = Assignment()
-        assign(solver, draw, 0, log)
+        log.record(0, *choose_root(solver, draw, 0))
         assert log.get(0) == (Assignment.ASSIGNED, 1)
         with pytest.raises(ValueError):
             log.record(0, Assignment.FALLBACK, None)
