@@ -79,6 +79,10 @@ def _parse_params(text: str) -> dict:
 
 
 def _cmd_run(args) -> int:
+    if args.dump_forest and args.mode != "directed":
+        raise InstanceError("forest dump requires directed mode")
+    if args.dump_layered and args.mode == "directed":
+        raise InstanceError("no layered graph in directed mode")
     instance = load_instance(args.instance)
     config = RunConfig(mode=args.mode, seed=args.seed, h=args.h,
                        kappa=args.kappa, dmax=args.dmax, oracle=args.oracle)
@@ -95,14 +99,10 @@ def _cmd_run(args) -> int:
         Path(args.lp_trace).write_text(report.lp_trace_csv())
     if args.dump_layered:
         from .layering import dump_layered_edges
-        if pipeline.up_layer is None:
-            raise InstanceError("no layered graph in this mode")
         Path(args.dump_layered).write_text(
             json.dumps(dump_layered_edges(pipeline.up_layer), indent=2))
     if args.dump_forest:
         from .junction import dump_forest_edges
-        if pipeline.forest is None:
-            raise InstanceError("forest dump requires directed mode")
         Path(args.dump_forest).write_text(
             json.dumps(dump_forest_edges(pipeline.forest), indent=2))
     return EXIT_OK

@@ -123,6 +123,7 @@ class _Residual:
         a = slot >> 1
         return self.net.cost[a] if slot % 2 == 0 else -self.net.cost[a]
 
+    # apart from graph.shortest_paths: reduced costs on residual slots, hot path
     def shortest_path(self, source: int,
                       sink: int) -> Optional[Tuple[List[int], float]]:
         """Dijkstra on reduced costs; returns (slot path, true unit cost)."""

@@ -38,7 +38,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .flows import FlowNetwork, max_delta
-from .graph import TwoMetricGraph, reachable_from, reaches, shortest_path
+from .graph import TwoMetricGraph, reaches, shortest_path, shortest_paths
 
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
@@ -199,20 +199,20 @@ class CompositeSolver:
         if pair.index in self.pairs:
             raise ValueError(f"pair {pair.index} already processed")
         self.pairs[pair.index] = pair
-        up_reach = reachable_from(self.up.graph, pair.up_source,
-                                  self.up.allowed_fn(pair.index))
+        # one hop-count search gives up-side reachability and every seed path;
+        # the down side searches forward per root to keep its tie-break
+        up_paths = shortest_paths(self.up.graph, lambda e: 1.0, pair.up_source,
+                                  allowed=self.up.allowed_fn(pair.index))
         down_reach = reaches(self.down.graph, pair.down_sink,
                              self.down.allowed_fn(pair.index))
         eligible: List[int] = []
         for spec in self.roots:
-            if spec.up_vertex in up_reach and spec.down_vertex in down_reach:
+            if spec.up_vertex in up_paths and spec.down_vertex in down_reach:
                 eligible.append(spec.root_id)
         self.eligible[pair.index] = eligible
         for rid in eligible:
             spec = self.root_by_id[rid]
-            up_path, _ = shortest_path(self.up.graph, lambda e: 1.0,
-                                       pair.up_source, spec.up_vertex,
-                                       self.up.allowed_fn(pair.index))
+            up_path = up_paths[spec.up_vertex][0]
             down_path, _ = shortest_path(self.down.graph, lambda e: 1.0,
                                          spec.down_vertex, pair.down_sink,
                                          self.down.allowed_fn(pair.index))
@@ -447,24 +447,14 @@ class CompositeSolver:
 
     def check_invariants(self, completed_pairs: Sequence[int],
                          flow_tol: float = 1e-7) -> None:
-        """Assert every structural LP invariant; raises AssertionError."""
+        """Check every structural LP invariant; explicit raises survive -O."""
         for xs, side in ((self.x_up, self.up), (self.x_down, self.down)):
             for rid, arr in xs.items():
                 for e in range(side.graph.m):
-                    if side.alive[e]:
-                        assert -1e-12 <= arr[e] <= VAR_CAP + 1e-9, \
-                            f"x[{rid}][{e}]={arr[e]} out of range"
-        for (pi, rid), zv in self.z.items():
-            assert -1e-12 <= zv <= VAR_CAP + 1e-9, f"z[{pi},{rid}]={zv}"
-        for flows, xs, side in ((self.fS, self.x_up, self.up),
-                                (self.fT, self.x_down, self.down)):
-            for (rid, pi), fdict in flows.items():
-                for e, f in fdict.items():
-                    assert f <= xs[rid][e] + flow_tol, \
-                        f"flow {f} above capacity {xs[rid][e]} on edge {e}"
-                    assert f >= -1e-12
-        for pi in completed_pairs:
-            self.check_pair(pi, flow_tol)
+                    if side.alive[e] and not -1e-12 <= arr[e] <= VAR_CAP + 1e-9:
+                        raise AssertionError(f"x[{rid}][{e}]={arr[e]} out of range")
+        for pi in self.pairs:
+            self.check_pair(pi, flow_tol, completed=pi in completed_pairs)
 
     @staticmethod
     def _check_flow_value(graph: TwoMetricGraph, flow: Dict[int, float],

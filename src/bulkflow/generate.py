@@ -7,7 +7,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InstanceError
-from .graph import TwoMetricGraph, Unreachable, shortest_path
+from .graph import TwoMetricGraph, Unreachable, shortest_path, shortest_paths
 from .instance import load_instance
 
 
@@ -135,7 +135,6 @@ def _greedy_dispatch_cost(graph: TwoMetricGraph, pairs: Sequence[dict]) -> float
     """
     bought: Set[int] = set()
     total = 0.0
-    roots = range(graph.n)
 
     def marginal(e: int) -> float:
         if graph.purchase_key(e) in bought:
@@ -144,9 +143,10 @@ def _greedy_dispatch_cost(graph: TwoMetricGraph, pairs: Sequence[dict]) -> float
 
     for pr in pairs:
         best: Optional[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = None
-        for r in roots:
+        # every vertex is a candidate root; one search reaches them all
+        up = shortest_paths(graph, marginal, pr["s"])
+        for r, (up_path, up_cost) in sorted(up.items()):
             try:
-                up_path, up_cost = shortest_path(graph, marginal, pr["s"], r)
                 down_path, down_cost = shortest_path(graph, marginal, r, pr["t"])
             except Unreachable:
                 continue

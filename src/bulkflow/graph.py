@@ -263,31 +263,30 @@ def solution_cost(graph: TwoMetricGraph,
     return buy, length, buy + length
 
 
-def shortest_path(graph: TwoMetricGraph, weight: Callable[[int], float],
-                  start: int, goal: int,
-                  allowed: Optional[Callable[[int], bool]] = None) -> Tuple[Tuple[int, ...], float]:
-    """Minimum-weight path from ``start`` to ``goal`` under per-arc weights.
+def shortest_paths(graph: TwoMetricGraph, weight: Callable[[int], float],
+                   start: int, goal: Optional[int] = None,
+                   allowed: Optional[Callable[[int], bool]] = None) -> Dict[int, Tuple[Tuple[int, ...], float]]:
+    """Minimum-weight paths from ``start``: ``{vertex: (arc-id path, weight)}``.
 
-    Ties are broken deterministically by the smallest lexicographic arc-id
-    sequence (among simple paths). Weights must be nonnegative. ``allowed``
-    optionally filters usable arcs. Raises ``Unreachable`` when no path
-    exists; ``start == goal`` yields the empty path at weight 0.
+    Covers every vertex reachable along ``allowed`` arcs (``start`` itself
+    with the empty path at weight 0), or stops once ``goal`` is settled.
+    Ties go to the smallest lexicographic arc-id sequence (among simple
+    paths), so each entry equals the point-to-point answer. Weights must be
+    nonnegative.
     """
-    if not (0 <= start < graph.n and 0 <= goal < graph.n):
+    if not (0 <= start < graph.n and (goal is None or 0 <= goal < graph.n)):
         raise GraphError("endpoints outside graph")
-    if start == goal:
-        return (), 0.0
     # heap entries carry the full arc-id tuple so equal-weight paths settle
     # in lexicographic order; graphs here are small enough for this to be cheap
     heap: List[Tuple[float, Tuple[int, ...], int]] = [(0.0, (), start)]
-    settled: Set[int] = set()
+    settled: Dict[int, Tuple[Tuple[int, ...], float]] = {}
     while heap:
         dist, path, v = heapq.heappop(heap)
         if v in settled:
             continue
+        settled[v] = (path, dist)
         if v == goal:
-            return path, dist
-        settled.add(v)
+            break
         for e in graph.out_arcs[v]:
             if allowed is not None and not allowed(e):
                 continue
@@ -297,7 +296,17 @@ def shortest_path(graph: TwoMetricGraph, weight: Callable[[int], float],
             u = graph.head[e]
             if u not in settled:
                 heapq.heappush(heap, (dist + w, path + (e,), u))
-    raise Unreachable(f"no path from {start} to {goal}")
+    return settled
+
+
+def shortest_path(graph: TwoMetricGraph, weight: Callable[[int], float],
+                  start: int, goal: int,
+                  allowed: Optional[Callable[[int], bool]] = None) -> Tuple[Tuple[int, ...], float]:
+    """The ``shortest_paths`` entry for ``goal``; raises ``Unreachable``."""
+    found = shortest_paths(graph, weight, start, goal, allowed).get(goal)
+    if found is None:
+        raise Unreachable(f"no path from {start} to {goal}")
+    return found
 
 
 def reachable_from(graph: TwoMetricGraph, start: int,

@@ -23,7 +23,7 @@ from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
                          SolverConfig)
 from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
                     Unreachable, reachable_from, reaches, shortest_path,
-                    solution_cost)
+                    shortest_paths, solution_cost)
 from .instance import Instance, load_instance
 from .junction import JunctionForest, build_junction_forest, pull_forest_ledger
 from .layering import LayeredGraph, build_layered, default_height, pull_back
@@ -247,12 +247,13 @@ class OnlinePipeline:
 
     def _initial_guess(self, spec: PairSpec) -> float:
         best = math.inf
+        up = shortest_paths(
+            self.solver_up, lambda e: self.solver_up.c[e] + self.solver_up.l[e],
+            spec.up_source, allowed=self._owner_filter(self.up_owner, spec.index))
         for root in self.roots:
+            if root.up_vertex not in up:
+                continue
             try:
-                _, up_cost = shortest_path(
-                    self.solver_up, lambda e: self.solver_up.c[e] + self.solver_up.l[e],
-                    spec.up_source, root.up_vertex,
-                    allowed=self._owner_filter(self.up_owner, spec.index))
                 _, down_cost = shortest_path(
                     self.solver_down,
                     lambda e: self.solver_down.c[e] + self.solver_down.l[e],
@@ -260,7 +261,7 @@ class OnlinePipeline:
                     allowed=self._owner_filter(self.down_owner, spec.index))
             except Unreachable:
                 continue
-            best = min(best, up_cost + down_cost)
+            best = min(best, up[root.up_vertex][1] + down_cost)
         if not math.isfinite(best) or best <= 0:
             return 1.0
         return best
@@ -287,8 +288,9 @@ class OnlinePipeline:
         while True:
             self.epoch += 1
             if self.epoch > MAX_EPOCHS:
-                raise RuntimeError("guess doubling did not stabilize "
-                                   f"within {MAX_EPOCHS} epochs")
+                raise InstanceError(
+                    f"guess doubling did not stabilize within {MAX_EPOCHS} "
+                    f"epochs; kappa={self.kappa} is too small for this instance")
             self.lam *= 2.0
             self._start_epoch()
             replay_ok = True

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from .errors import InstanceError
-from .graph import GraphError, TerminalPair, TwoMetricGraph, split_node_weights
+from .graph import TerminalPair, TwoMetricGraph, split_node_weights
 
 MODES = ("edge", "node", "prize")
 
@@ -59,7 +59,7 @@ def load_instance(source: Union[str, Path, dict], name: str = "") -> Instance:
         data = source
     try:
         return _parse(data, name)
-    except (KeyError, TypeError, GraphError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"bad instance {name or '<dict>'}: {exc}") from exc
 
 

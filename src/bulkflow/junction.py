@@ -134,7 +134,8 @@ def build_junction_forest(base: TwoMetricGraph, k: int, h: int,
     def add(tail: int, head: int, c: float, l: float,
             inherit: Optional[Tuple[str, int]]) -> int:
         a = g.add_arc(tail, head, c, l)
-        assert a == len(layered_edge)
+        if a != len(layered_edge):
+            raise GraphError(f"forest arc {a} out of step with its provenance")
         layered_edge.append(inherit)
         return a
 

@@ -15,8 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .graph import (GraphError, SolutionLedger, TwoMetricGraph, Unreachable,
-                    shortest_path)
+from .graph import GraphError, SolutionLedger, TwoMetricGraph, shortest_paths
 
 # blended layer weights are clamped here before they can overflow; never
 # reached at desk scale
@@ -86,15 +85,13 @@ def _build_up(base: TwoMetricGraph, k: int, h: int) -> LayeredGraph:
         weight = lambda e, f=factor: _blend_weight(base.c[e], base.l[e], f)
         for u in range(n):
             # one Dijkstra per (source, level); paths reused for every head v
-            for v in range(n):
-                try:
-                    path, cost = shortest_path(base, weight, u, v)
-                except Unreachable:
-                    continue
+            found = shortest_paths(base, weight, u)
+            for v, (path, cost) in sorted(found.items()):
                 length = sum(base.l[e] for e in path)
                 le = layered.add_arc(level * n + u, (level - 1) * n + v,
                                      min(cost, WEIGHT_CAP), length)
-                assert le == len(back)
+                if le != len(back):
+                    raise GraphError(f"layer arc {le} out of step with back paths")
                 back.append(path)
     return LayeredGraph("up", h, k, base, layered.freeze(), back)
 
@@ -122,7 +119,8 @@ def build_layered(base: TwoMetricGraph, k: int, h: int,
     for e in range(rev_up.graph.m):
         tail, head = rev_up.graph.tail[e], rev_up.graph.head[e]
         le = layered.add_arc(head, tail, rev_up.graph.c[e], rev_up.graph.l[e])
-        assert le == len(back)
+        if le != len(back):
+            raise GraphError(f"layer arc {le} out of step with back paths")
         back.append(tuple(reversed(rev_up.back_path[e])))
     return LayeredGraph("down", h, k, base, layered.freeze(), back)
 

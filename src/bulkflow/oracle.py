@@ -114,6 +114,7 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     return best_value, best_ledger
 
 
+# apart from graph.shortest_paths: independent ground truth, own sum order
 def _multi_weight_dijkstra(graph: TwoMetricGraph, seeds: Dict[int, float],
                            load: int) -> List[float]:
     """Closure of tentative labels under per-arc weight ``c + load * l``."""

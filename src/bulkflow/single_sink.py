@@ -33,7 +33,6 @@ class GreedySingleSink:
         self.root = root
         self.direction = direction
         self.ledger = SolutionLedger()
-        self._served: Dict[int, Tuple[int, ...]] = {}
 
     def _marginal_weight(self, e: int) -> float:
         if self.graph.purchase_key(e) in self.ledger.bought:
@@ -57,9 +56,8 @@ class GreedySingleSink:
         else:
             start, goal = self.root, terminal
         path, _ = shortest_path(self.graph, self._marginal_weight, start, goal)
-        key = pair_index if pair_index is not None else len(self._served)
+        key = pair_index if pair_index is not None else len(self.ledger.paths)
         self.ledger.add_path(self.graph, key, path)
-        self._served[key] = path
         return path
 
     def cost(self) -> Tuple[float, float]:

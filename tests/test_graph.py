@@ -8,8 +8,8 @@ from bulkflow.errors import InstanceError
 from bulkflow.generate import grid, with_penalties
 from bulkflow.graph import (CableType, GraphError, SolutionLedger,
                             TerminalPair, TwoMetricGraph, Unreachable,
-                            expand_cables, shortest_path, solution_cost,
-                            split_node_weights)
+                            expand_cables, shortest_path, shortest_paths,
+                            solution_cost, split_node_weights)
 from bulkflow.instance import load_instance
 from helpers import brute_min_node_cost_path, build_graph
 
@@ -43,6 +43,17 @@ class TestNonFiniteInput:
     def test_load_instance_refuses_nan_edge(self, field):
         data = grid(2, 2, k=2, seed=1)
         data["edges"][1][field] = math.nan
+        with pytest.raises(InstanceError):
+            load_instance(data)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["edges"][0].update(c="abc"),
+        lambda d: d.update(n="x"),
+        lambda d: d.update(n=math.inf),
+    ], ids=["edge-c", "n", "n-inf"])
+    def test_load_instance_refuses_non_numeric_fields(self, edit):
+        data = grid(2, 2, k=2, seed=1)
+        edit(data)
         with pytest.raises(InstanceError):
             load_instance(data)
 
@@ -239,3 +250,64 @@ class TestShortestPath:
         g = build_graph(2, [(0, 1, 1, 0)])
         with pytest.raises(GraphError):
             shortest_path(g, lambda e: -1.0, 0, 1)
+
+
+def _tie_break_graph():
+    g = TwoMetricGraph(4, directed=True)
+    g.add_arc(0, 1, 1, 0)
+    g.add_arc(1, 3, 1, 0)
+    g.add_arc(0, 2, 1, 0)
+    g.add_arc(2, 3, 1, 0)
+    return g.freeze()
+
+
+def _tie_heavy_graph(rng):
+    """Small multigraph with weights in {0, 1, 2}: zero arcs and many ties."""
+    n = rng.randint(2, 6)
+    g = TwoMetricGraph(n, directed=True)
+    for _ in range(rng.randint(1, 12)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            g.add_arc(u, v, rng.choice([0.0, 1.0, 2.0]), 0.0)
+    return g.freeze()
+
+
+def _brute_best_paths(g, start):
+    """(weight, arc-id path) minimum over all simple paths, per vertex."""
+    best = {}
+
+    def walk(v, seen, path, w):
+        best[v] = min(best.get(v, (w, path)), (w, path))
+        for e in g.out_arcs[v]:
+            if g.head[e] not in seen:
+                walk(g.head[e], seen | {g.head[e]}, path + (e,), w + g.c[e])
+
+    walk(start, {start}, (), 0.0)
+    return best
+
+
+class TestShortestPaths:
+    def test_matches_point_to_point_and_brute_force(self):
+        rng = random.Random(11)
+        graphs = [_tie_break_graph()] + [_tie_heavy_graph(rng)
+                                         for _ in range(150)]
+        for g in graphs:
+            weight = lambda e: g.c[e]
+            for s in range(g.n):
+                found = shortest_paths(g, weight, s)
+                # integer weights: sums are exact, ties are real ties
+                brute = _brute_best_paths(g, s)
+                assert {v: (w, p) for v, (p, w) in found.items()} == brute
+                for v in range(g.n):
+                    if v in found:
+                        assert shortest_path(g, weight, s, v) == found[v]
+                    else:
+                        with pytest.raises(Unreachable):
+                            shortest_path(g, weight, s, v)
+
+    def test_goal_stops_early_and_allowed_filters(self):
+        g = _tie_break_graph()
+        assert shortest_paths(g, lambda e: g.c[e], 0, goal=1) == {
+            0: ((), 0.0), 1: ((0,), 1.0)}
+        found = shortest_paths(g, lambda e: g.c[e], 0, allowed=lambda e: e != 0)
+        assert found == {0: ((), 0.0), 2: ((2,), 1.0), 3: ((2, 3), 2.0)}

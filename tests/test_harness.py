@@ -278,6 +278,14 @@ class TestCli:
         rows = json.loads(layered.read_text())
         assert rows and {"id", "tail", "head", "c", "l",
                          "back_path"} <= set(rows[0])
+        # the forest dump needs directed mode: refused before any output
+        result = self._cli("run", "--instance", str(inst), "--mode", "edge",
+                           "-o", str(tmp_path / "refused-edge.csv"),
+                           "--dump-forest", str(tmp_path / "no-forest.json"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "refused-edge.csv").exists()
+        assert not (tmp_path / "no-forest.json").exists()
 
         inst = tmp_path / "digraph.json"
         dump_instance(random_digraph(4, 9, 2, seed=7), inst)
@@ -289,10 +297,20 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         rows = json.loads(forest.read_text())
         assert rows and {"id", "tail", "head", "c", "l"} <= set(rows[0])
+        # directed mode has no layered graph: refused before any output
+        result = self._cli("run", "--instance", str(inst), "--mode",
+                           "directed", "--h", "2", "--dmax", "0.4",
+                           "-o", str(tmp_path / "refused-directed.csv"),
+                           "--dump-layered", str(tmp_path / "no-layers.json"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "refused-directed.csv").exists()
+        assert not (tmp_path / "no-layers.json").exists()
 
     @pytest.mark.parametrize("flag", [("--dmax", "0"), ("--h", "0"),
                                       ("--kappa", "-1"), ("--dmax", "nan"),
-                                      ("--kappa", "inf")])
+                                      ("--kappa", "inf"),
+                                      ("--kappa", "1e-300")])
     def test_invalid_run_parameters_exit_code_2(self, tmp_path, flag):
         inst = tmp_path / "inst.json"
         dump_instance(grid(2, 2, k=2, seed=1), inst)
@@ -305,6 +323,19 @@ class TestCli:
         data = grid(2, 2, k=2, seed=1)
         data["edges"][0]["c"] = math.nan
         inst = tmp_path / "nan.json"
+        inst.write_text(json.dumps(data))
+        result = self._cli("run", "--instance", str(inst), "--mode", "edge")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("field", ["c", "n"])
+    def test_non_numeric_instance_exit_code_2(self, tmp_path, field):
+        data = grid(2, 2, k=2, seed=1)
+        if field == "c":
+            data["edges"][0]["c"] = "abc"
+        else:
+            data["n"] = "x"
+        inst = tmp_path / "text.json"
         inst.write_text(json.dumps(data))
         result = self._cli("run", "--instance", str(inst), "--mode", "edge")
         assert result.returncode == 2

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from bulkflow.graph import GraphError, SolutionLedger, solution_cost
-from bulkflow.layering import (build_layered, default_height,
+from bulkflow import layering
+from bulkflow.generate import grid
+from bulkflow.graph import (GraphError, SolutionLedger, Unreachable,
+                            shortest_path, solution_cost, split_node_weights)
+from bulkflow.instance import load_instance
+from bulkflow.layering import (WEIGHT_CAP, build_layered, default_height,
                                dump_layered_edges, pull_back)
 from helpers import build_graph, random_two_metric
 
@@ -98,6 +102,76 @@ class TestBuildLayered:
             build_layered(g, k=1, h=0)
         with pytest.raises(GraphError):
             build_layered(g, k=0, h=1)
+
+
+def _reference_up_arcs(base, k, h):
+    """Up arcs built with one point-to-point search per (level, u, v)."""
+    n, arcs = base.n, []
+    for level in range(h, 0, -1):
+        factor = float(k) ** (1.0 - level / h)
+        for u in range(n):
+            for v in range(n):
+                try:
+                    path, cost = shortest_path(
+                        base, lambda e: min(base.c[e] + factor * base.l[e],
+                                            WEIGHT_CAP), u, v)
+                except Unreachable:
+                    continue
+                arcs.append((level * n + u, (level - 1) * n + v,
+                             min(cost, WEIGHT_CAP),
+                             sum(base.l[e] for e in path), path))
+    return arcs
+
+
+def _reference_arcs(base, k, h, direction):
+    if direction == "up":
+        return _reference_up_arcs(base, k, h)
+    return [(head, tail, c, l, tuple(reversed(path))) for tail, head, c, l, path
+            in _reference_up_arcs(base.reversed_view(), k, h)]
+
+
+def _layered_arcs(layered):
+    g = layered.graph
+    return [(g.tail[e], g.head[e], g.c[e], g.l[e], layered.back_path[e])
+            for e in range(g.m)]
+
+
+def _split_grid():
+    rng = random.Random(5)
+    n = 6
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+    node_c = [rng.choice([0.0, 0.5, 1.0]) for _ in range(n)]
+    node_l = [rng.choice([0.0, 0.25]) for _ in range(n)]
+    return split_node_weights(n, node_c, node_l, edges)[0]
+
+
+class TestSingleSourceLayering:
+    @pytest.mark.parametrize("base_name", ["grid", "split"])
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_equals_point_to_point_reference(self, base_name, direction):
+        base = (load_instance(grid(2, 3, k=3, seed=4)).graph
+                if base_name == "grid" else _split_grid())
+        for k, h in ((3, 1), (3, 3), (5, 2)):
+            layered = build_layered(base, k=k, h=h, direction=direction)
+            # exact equality: same arcs in the same order, bit-equal c and l
+            assert _layered_arcs(layered) == _reference_arcs(base, k, h,
+                                                             direction)
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_one_search_per_source_and_level(self, monkeypatch, direction):
+        calls = []
+        kernel = layering.shortest_paths
+
+        def counting(graph, weight, start, *args, **kwargs):
+            calls.append(start)
+            return kernel(graph, weight, start, *args, **kwargs)
+
+        monkeypatch.setattr(layering, "shortest_paths", counting)
+        base = load_instance(grid(2, 3, k=3, seed=4)).graph
+        h = 3
+        build_layered(base, k=3, h=h, direction=direction)
+        assert len(calls) == h * base.n
+        assert sorted(calls) == sorted(list(range(base.n)) * h)
 
 
 class TestPullBack:
