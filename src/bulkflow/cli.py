@@ -74,7 +74,11 @@ def _parse_params(text: str) -> dict:
             if "=" not in chunk:
                 raise InstanceError(f"bad --params chunk {chunk!r}")
             key, value = chunk.split("=", 1)
-            params[key.strip()] = float(value)
+            try:
+                params[key.strip()] = int(float(value))
+            except (ValueError, OverflowError):
+                raise InstanceError(f"--params {chunk!r}: not a finite "
+                                    f"number") from None
     return params
 
 

@@ -43,6 +43,7 @@ from .graph import TwoMetricGraph, reaches, shortest_path, shortest_paths
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
 INIT_EXPONENT = 5  # starting value of every variable is n ** -INIT_EXPONENT
+MAX_STEPS = 10 ** 6  # growth steps per arrival before it counts as stuck
 
 
 class ArrivalOutcome(Enum):
@@ -75,7 +76,6 @@ class PairSpec:
 class SolverConfig:
     kappa: float
     dmax: float = 0.05
-    max_steps: int = 10 ** 6
 
 
 @dataclass
@@ -87,16 +87,37 @@ class ArrivalStats:
 
 
 class _Side:
-    """Per-direction epoch view: rescaled metrics, pruning, ownership."""
+    """Per-direction epoch view (rescaled metrics, pruning, ownership) and
+    that side's LP variables: capacities ``x`` and flows."""
 
     def __init__(self, graph: TwoMetricGraph, guess: float,
-                 owner: Optional[Dict[int, int]]):
+                 owner: Optional[Dict[int, int]], root_ids: Sequence[int],
+                 v0: float, upward: bool):
         self.graph = graph
         self.owner = owner or {}
+        self.upward = upward
         self.c = [graph.c[e] / guess for e in range(graph.m)]
         self.l = [graph.l[e] / guess for e in range(graph.m)]
         self.alive = [self.c[e] <= 1.0 + 1e-12 and self.l[e] <= 1.0 + 1e-12
                       for e in range(graph.m)]
+        # per-root capacity variables, dense over edge ids (0.0 where pruned)
+        self.x: Dict[int, List[float]] = {
+            rid: [v0 if alive else 0.0 for alive in self.alive]
+            for rid in root_ids}
+        # sparse per (root, pair) flows
+        self.flow: Dict[Tuple[int, int], Dict[int, float]] = {}
+
+    def ends(self, pair: PairSpec, spec: RootSpec) -> Tuple[int, int]:
+        """(source, sink) of the pair's routing through a root on this side:
+        source to root upstairs, root to sink downstairs."""
+        if self.upward:
+            return pair.up_source, spec.up_vertex
+        return spec.down_vertex, pair.down_sink
+
+    def tight(self, root_id: int, pair_index: int) -> Set[int]:
+        """Edges whose capacity variable is met by this pair's flow."""
+        return {e for e, f in self.flow.get((root_id, pair_index), {}).items()
+                if self.x[root_id][e] <= f + TIGHT_TOL}
 
     def usable(self, e: int, pair_index: int) -> bool:
         if not self.alive[e]:
@@ -106,6 +127,26 @@ class _Side:
 
     def allowed_fn(self, pair_index: int):
         return lambda e: self.usable(e, pair_index)
+
+
+@dataclass(frozen=True)
+class RootStep:
+    """One root's share of a growth step; per-side tuples follow ``sides``."""
+
+    delta: float
+    grow: Tuple[Dict[int, float], ...]  # flow rate per edge
+    tight: Tuple[Set[int], ...]
+
+
+@dataclass(frozen=True)
+class GrowthStep:
+    """A staged growth step; ``CompositeSolver.apply`` commits it."""
+
+    pair: int
+    dt: float
+    solutions: Dict[int, RootStep]
+    staged_x: List[Tuple[_Side, int, int, float]]  # (side, root, edge, new x)
+    d_obj: float
 
 
 class CompositeSolver:
@@ -125,24 +166,15 @@ class CompositeSolver:
             raise ValueError("guess must be positive")
         if n_scale < 2:
             raise ValueError("n_scale must be at least 2")
-        self.guess = guess
         self.config = config
-        self.n_scale = n_scale
         self.v0 = float(n_scale) ** (-INIT_EXPONENT)
-        self.up = _Side(up, guess, up_owner)
-        self.down = _Side(down, guess, down_owner)
         self.roots = list(roots)
         self.root_by_id = {r.root_id: r for r in self.roots}
-        # per-root capacity variables, dense over edge ids (0.0 where pruned)
-        self.x_up: Dict[int, List[float]] = {
-            r.root_id: [self.v0 if self.up.alive[e] else 0.0
-                        for e in range(up.m)] for r in self.roots}
-        self.x_down: Dict[int, List[float]] = {
-            r.root_id: [self.v0 if self.down.alive[e] else 0.0
-                        for e in range(down.m)] for r in self.roots}
-        # sparse per (root, pair) flows
-        self.fS: Dict[Tuple[int, int], Dict[int, float]] = {}
-        self.fT: Dict[Tuple[int, int], Dict[int, float]] = {}
+        self.up = _Side(up, guess, up_owner, self.root_by_id, self.v0,
+                        upward=True)
+        self.down = _Side(down, guess, down_owner, self.root_by_id, self.v0,
+                          upward=False)
+        self.sides = (self.up, self.down)
         self.z: Dict[Tuple[int, int], float] = {}
         self.eligible: Dict[int, List[int]] = {}
         self.pairs: Dict[int, PairSpec] = {}
@@ -154,7 +186,7 @@ class CompositeSolver:
 
     def _base_objective(self) -> float:
         total = 0.0
-        for side in (self.up, self.down):
+        for side in self.sides:
             alive_cost = sum(side.c[e] for e in range(side.graph.m)
                              if side.alive[e])
             total += alive_cost * self.v0 * len(self.roots)
@@ -163,13 +195,12 @@ class CompositeSolver:
     def lp_objective(self) -> float:
         """Exact recomputation of the composite objective (rescaled units)."""
         total = 0.0
-        for xs, side in ((self.x_up, self.up), (self.x_down, self.down)):
-            for arr in xs.values():
+        for side in self.sides:
+            for arr in side.x.values():
                 for e in range(side.graph.m):
                     if side.alive[e]:
                         total += side.c[e] * arr[e]
-        for flows, side in ((self.fS, self.up), (self.fT, self.down)):
-            for fdict in flows.values():
+            for fdict in side.flow.values():
                 for e, f in fdict.items():
                     total += side.l[e] * f
         return total
@@ -181,10 +212,6 @@ class CompositeSolver:
     def z_total(self, pair_index: int) -> float:
         return sum(self.z.get((pair_index, r), 0.0)
                    for r in self.eligible.get(pair_index, ()))
-
-    def z_values(self, pair_index: int) -> Dict[int, float]:
-        return {r: self.z.get((pair_index, r), 0.0)
-                for r in self.eligible.get(pair_index, ())}
 
     # ------------------------------------------------------------------
     # arrival processing
@@ -205,44 +232,31 @@ class CompositeSolver:
                                   allowed=self.up.allowed_fn(pair.index))
         down_reach = reaches(self.down.graph, pair.down_sink,
                              self.down.allowed_fn(pair.index))
-        eligible: List[int] = []
-        for spec in self.roots:
-            if spec.up_vertex in up_paths and spec.down_vertex in down_reach:
-                eligible.append(spec.root_id)
+        eligible = [spec.root_id for spec in self.roots
+                    if spec.up_vertex in up_paths and spec.down_vertex in down_reach]
         self.eligible[pair.index] = eligible
         for rid in eligible:
             spec = self.root_by_id[rid]
-            up_path = up_paths[spec.up_vertex][0]
             down_path, _ = shortest_path(self.down.graph, lambda e: 1.0,
-                                         spec.down_vertex, pair.down_sink,
+                                         *self.down.ends(pair, spec),
                                          self.down.allowed_fn(pair.index))
             self.z[(pair.index, rid)] = self.v0
-            fs: Dict[int, float] = {}
-            for e in up_path:
-                fs[e] = fs.get(e, 0.0) + self.v0
-                self._objective += self.up.l[e] * self.v0
-            ft: Dict[int, float] = {}
-            for e in down_path:
-                ft[e] = ft.get(e, 0.0) + self.v0
-                self._objective += self.down.l[e] * self.v0
-            self.fS[(rid, pair.index)] = fs
-            self.fT[(rid, pair.index)] = ft
-            # seeding at x's initial value can only create exact tightness
-            for e, f in fs.items():
-                if f > self.x_up[rid][e] + TIGHT_TOL:
-                    raise AssertionError("seed flow exceeded capacity variable")
-            for e, f in ft.items():
-                if f > self.x_down[rid][e] + TIGHT_TOL:
+            for side, path in ((self.up, up_paths[spec.up_vertex][0]),
+                               (self.down, down_path)):
+                flow: Dict[int, float] = {}
+                for e in path:
+                    flow[e] = flow.get(e, 0.0) + self.v0
+                    self._objective += side.l[e] * self.v0
+                side.flow[(rid, pair.index)] = flow
+                # seeding at x's initial value can only create exact tightness
+                x = side.x[rid]
+                if any(f > x[e] + TIGHT_TOL for e, f in flow.items()):
                     raise AssertionError("seed flow exceeded capacity variable")
         return eligible
 
-    def tight_edges(self, pair_index: int, root_id: int) -> Tuple[Set[int], Set[int]]:
+    def tight_edges(self, pair_index: int, root_id: int) -> Tuple[Set[int], ...]:
         """Edges whose capacity variable is met by this pair's flow, per side."""
-        up_tight = {e for e, f in self.fS.get((root_id, pair_index), {}).items()
-                    if self.x_up[root_id][e] <= f + TIGHT_TOL}
-        down_tight = {e for e, f in self.fT.get((root_id, pair_index), {}).items()
-                      if self.x_down[root_id][e] <= f + TIGHT_TOL}
-        return up_tight, down_tight
+        return tuple(side.tight(root_id, pair_index) for side in self.sides)
 
     def _growth_factor(self, c: float, dt: float) -> float:
         """Multiplier ``exp(dt/c)``; zero or negligible costs grow unboundedly.
@@ -255,8 +269,7 @@ class CompositeSolver:
             return math.inf
         return math.exp(dt / c)
 
-    def _aux_network(self, side: _Side, x: List[float],
-                     flows: Dict[int, float], tight: Set[int], dt: float,
+    def _aux_network(self, side: _Side, rid: int, tight: Set[int], dt: float,
                      pair_index: int) -> Tuple[FlowNetwork, List[int]]:
         """Rate network with integrated step capacities.
 
@@ -265,6 +278,8 @@ class CompositeSolver:
         capacity is that integral divided by ``dt``. Currently tight edges
         have no headroom and ride from the start.
         """
+        x = side.x[rid]
+        flows = side.flow.get((rid, pair_index), {})
         net = FlowNetwork(side.graph.n)
         arc_map: List[int] = []
         for e in range(side.graph.m):
@@ -280,44 +295,38 @@ class CompositeSolver:
             arc_map.append(e)
         return net, arc_map
 
-    def _solve_root(self, pair: PairSpec, rid: int, dt: float):
+    def _solve_root(self, pair: PairSpec, rid: int, dt: float) -> RootStep:
         """Max joint growth rate and flow pattern for one root."""
         spec = self.root_by_id[rid]
-        budget = self.z[(pair.index, rid)]
-        up_tight, down_tight = self.tight_edges(pair.index, rid)
-        up_net, up_map = self._aux_network(
-            self.up, self.x_up[rid], self.fS.get((rid, pair.index), {}),
-            up_tight, dt, pair.index)
-        down_net, down_map = self._aux_network(
-            self.down, self.x_down[rid], self.fT.get((rid, pair.index), {}),
-            down_tight, dt, pair.index)
-        result = max_delta(up_net, pair.up_source, spec.up_vertex,
-                           down_net, spec.down_vertex, pair.down_sink, budget)
-        g_up = {up_map[a]: f for a, f in result.up.flow.items() if f > 0.0}
-        g_down = {down_map[a]: f for a, f in result.down.flow.items() if f > 0.0}
-        return result.delta, g_up, g_down, up_tight, down_tight
+        tight = self.tight_edges(pair.index, rid)
+        (up_net, up_map), (down_net, down_map) = (
+            self._aux_network(side, rid, side_tight, dt, pair.index)
+            for side, side_tight in zip(self.sides, tight))
+        result = max_delta(up_net, *self.up.ends(pair, spec),
+                           down_net, *self.down.ends(pair, spec),
+                           self.z[(pair.index, rid)])
+        grow = tuple({arc_map[a]: f for a, f in res.flow.items() if f > 0.0}
+                     for arc_map, res in ((up_map, result.up),
+                                          (down_map, result.down)))
+        return RootStep(result.delta, grow, tight)
 
-    def growth_step(self, pair_index: int, dt: Optional[float] = None,
-                    commit: bool = True):
-        """One discretized step of the continuous dynamics for an active pair.
+    def growth_step(self, pair_index: int, dt: Optional[float] = None) -> GrowthStep:
+        """Stage one discretized step of the continuous dynamics for a pair.
 
         The step length is the configured maximum unless the remaining
         coverage gap truncates it (rates are scaled down so coverage lands
-        exactly at 1). Returns the staged step; ``commit=False`` leaves the
-        state untouched.
+        exactly at 1). The state is left untouched; ``apply`` commits.
         """
         pair = self.pairs[pair_index]
         eligible = self.eligible[pair_index]
         dt0 = dt if dt is not None else self.config.dmax
-        solutions = {}
+        solutions: Dict[int, RootStep] = {}
         total_delta = 0.0
         for rid in eligible:
             if self.z[(pair_index, rid)] >= VAR_CAP - 1e-12:
                 continue  # this root is already fully selected
-            delta, g_up, g_down, up_tight, down_tight = self._solve_root(
-                pair, rid, dt0)
-            solutions[rid] = (delta, g_up, g_down, up_tight, down_tight)
-            total_delta += delta
+            solutions[rid] = self._solve_root(pair, rid, dt0)
+            total_delta += solutions[rid].delta
 
         dt_eff = dt0
         if dt is None:
@@ -325,21 +334,18 @@ class CompositeSolver:
             if total_delta > 1e-15:
                 dt_eff = min(dt_eff, gap / total_delta)
             for rid, sol in solutions.items():
-                if sol[0] > 1e-15:
+                if sol.delta > 1e-15:
                     dt_eff = min(dt_eff,
-                                 (VAR_CAP - self.z[(pair_index, rid)]) / sol[0])
+                                 (VAR_CAP - self.z[(pair_index, rid)]) / sol.delta)
             dt_eff = max(dt_eff, 1e-12)
 
         # stage: x rides to max(exp growth if tight, new flow level)
-        staged_x: List[Tuple[str, int, int, float]] = []
+        staged_x: List[Tuple[_Side, int, int, float]] = []
         d_obj = 0.0
-        for rid, (delta, g_up, g_down, up_tight, down_tight) in solutions.items():
-            for tag, xs, side, tight, g_side, flows in (
-                    ("up", self.x_up, self.up, up_tight, g_up, self.fS),
-                    ("down", self.x_down, self.down, down_tight, g_down,
-                     self.fT)):
-                arr = xs[rid]
-                f_now = flows.get((rid, pair_index), {})
+        for rid, sol in solutions.items():
+            for side, tight, g_side in zip(self.sides, sol.tight, sol.grow):
+                arr = side.x[rid]
+                f_now = side.flow.get((rid, pair_index), {})
                 touched = set(tight) | set(g_side)
                 for e in touched:
                     old = arr[e]
@@ -354,37 +360,28 @@ class CompositeSolver:
                         if side.c[e] <= 0:
                             new = VAR_CAP
                     if new > old:
-                        staged_x.append((tag, rid, e, new))
+                        staged_x.append((side, rid, e, new))
                         d_obj += side.c[e] * (new - old)
-            for e, g in g_up.items():
-                d_obj += self.up.l[e] * g * dt_eff
-            for e, g in g_down.items():
-                d_obj += self.down.l[e] * g * dt_eff
+            for side, g_side in zip(self.sides, sol.grow):
+                for e, g in g_side.items():
+                    d_obj += side.l[e] * g * dt_eff
+        return GrowthStep(pair_index, dt_eff, solutions, staged_x, d_obj)
 
-        step = {"dt": dt_eff, "solutions": solutions, "staged_x": staged_x,
-                "d_obj": d_obj, "pair": pair_index}
-        if commit:
-            self._apply(step)
-        return step
-
-    def _apply(self, step) -> None:
-        dt = step["dt"]
-        pair_index = step["pair"]
-        for tag, rid, e, new in step["staged_x"]:
-            arr = self.x_up[rid] if tag == "up" else self.x_down[rid]
+    def apply(self, step: GrowthStep) -> None:
+        """Commit a step staged by ``growth_step``."""
+        for side, rid, e, new in step.staged_x:
+            arr = side.x[rid]
             if new > arr[e]:
                 arr[e] = new
-        for rid, (delta, g_up, g_down, _ut, _dn) in step["solutions"].items():
-            fs = self.fS[(rid, pair_index)]
-            for e, g in g_up.items():
-                fs[e] = fs.get(e, 0.0) + g * dt
-            ft = self.fT[(rid, pair_index)]
-            for e, g in g_down.items():
-                ft[e] = ft.get(e, 0.0) + g * dt
+        for rid, sol in step.solutions.items():
+            for side, g_side in zip(self.sides, sol.grow):
+                flow = side.flow[(rid, step.pair)]
+                for e, g in g_side.items():
+                    flow[e] = flow.get(e, 0.0) + g * step.dt
             # dt is capped per root, so z stays at or below 1 up to float noise;
             # clamping would desynchronize z from its certifying flow value
-            self.z[(pair_index, rid)] += delta * dt
-        self._objective += step["d_obj"]
+            self.z[(step.pair, rid)] += sol.delta * step.dt
+        self._objective += step.d_obj
 
     def on_arrival(self, pair: PairSpec) -> ArrivalOutcome:
         """Process one arrival to completion, overflow, or infeasibility."""
@@ -398,14 +395,14 @@ class CompositeSolver:
         steps = 0
         while self.z_total(pair.index) < 1.0 - 1e-12:
             steps += 1
-            if steps > self.config.max_steps:
+            if steps > MAX_STEPS:
                 raise RuntimeError(
                     f"pair {pair.index}: no convergence within "
-                    f"{self.config.max_steps} steps (diagnostic failure)")
-            step = self.growth_step(pair.index, commit=False)
-            if self._objective + step["d_obj"] > self.config.kappa:
+                    f"{MAX_STEPS} steps (diagnostic failure)")
+            step = self.growth_step(pair.index)
+            if self._objective + step.d_obj > self.config.kappa:
                 return ArrivalOutcome.EPOCH_OVERFLOW
-            self._apply(step)
+            self.apply(step)
         self.arrival_log.append(ArrivalStats(pair.index, steps,
                                              self.z_total(pair.index),
                                              self._objective))
@@ -431,25 +428,23 @@ class CompositeSolver:
             zv = self.z[(pair_index, rid)]
             if not -1e-12 <= zv <= VAR_CAP + 1e-9:
                 raise AssertionError(f"z[{pair_index},{rid}]={zv}")
-            for flows, xs, side in ((self.fS, self.x_up, self.up),
-                                    (self.fT, self.x_down, self.down)):
-                for e, f in flows[(rid, pair_index)].items():
-                    if not f <= xs[rid][e] + flow_tol:
+            for side in self.sides:
+                x = side.x[rid]
+                flow = side.flow[(rid, pair_index)]
+                for e, f in flow.items():
+                    if not f <= x[e] + flow_tol:
                         raise AssertionError(f"flow {f} above capacity "
-                                             f"{xs[rid][e]} on edge {e}")
+                                             f"{x[e]} on edge {e}")
                     if not f >= -1e-12:
                         raise AssertionError(f"negative flow {f} on edge {e}")
-            self._check_flow_value(self.up.graph, self.fS[(rid, pair_index)],
-                                   pair.up_source, spec.up_vertex, zv, flow_tol)
-            self._check_flow_value(self.down.graph, self.fT[(rid, pair_index)],
-                                   spec.down_vertex, pair.down_sink, zv,
-                                   flow_tol)
+                self._check_flow_value(side.graph, flow,
+                                       *side.ends(pair, spec), zv, flow_tol)
 
     def check_invariants(self, completed_pairs: Sequence[int],
                          flow_tol: float = 1e-7) -> None:
         """Check every structural LP invariant; explicit raises survive -O."""
-        for xs, side in ((self.x_up, self.up), (self.x_down, self.down)):
-            for rid, arr in xs.items():
+        for side in self.sides:
+            for rid, arr in side.x.items():
                 for e in range(side.graph.m):
                     if side.alive[e] and not -1e-12 <= arr[e] <= VAR_CAP + 1e-9:
                         raise AssertionError(f"x[{rid}][{e}]={arr[e]} out of range")

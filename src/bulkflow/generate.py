@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -203,6 +204,16 @@ def generate(kind: str, params: Dict[str, float], seed: int) -> dict:
         raise InstanceError(f"unknown generator kind {kind!r}; "
                             f"options: {sorted(GENERATORS)}")
     fn = GENERATORS[kind]
+    # integer parameters only; the range tuples keep their defaults
+    signature = inspect.signature(fn).parameters.values()
+    names = [p.name for p in signature
+             if p.name != "seed" and p.annotation in ("int", "bool")]
+    missing = [p.name for p in signature if p.name in names
+               and p.default is p.empty and p.name not in params]
+    unknown = sorted(set(params) - set(names))
+    if unknown or missing:
+        raise InstanceError(f"{kind} takes parameters {names}; unknown: "
+                            f"{unknown}, missing: {missing}")
     int_params = {key: int(value) for key, value in params.items()}
     data = fn(seed=seed, **int_params)
     if prize:

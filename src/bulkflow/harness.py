@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,13 +57,16 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InstanceError(f"unknown mode {self.mode!r}")
-        if self.h is not None and not self.h >= 1:
-            raise InstanceError(f"h must be >= 1, got {self.h}")
+        if self.h is not None and not (isinstance(self.h, numbers.Integral)
+                                       and self.h >= 1):
+            raise InstanceError(f"h must be an integer >= 1, got {self.h!r}")
         for name in ("kappa", "dmax"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise InstanceError(f"{name} must be finite and > 0, "
-                                    f"got {value}")
+            if name == "kappa" and value is None:
+                continue
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise InstanceError(f"{name} must be a finite number > 0, "
+                                    f"got {value!r}")
 
 
 @dataclass

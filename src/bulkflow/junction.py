@@ -69,9 +69,7 @@ def _tuple_count(n: int, h: int) -> int:
 
 def build_junction_forest(base: TwoMetricGraph, k: int, h: int,
                           sources: Sequence[int], sinks: Sequence[int],
-                          node_budget: int = DEFAULT_NODE_BUDGET,
-                          up_layer: Optional[LayeredGraph] = None,
-                          down_layer: Optional[LayeredGraph] = None) -> JunctionForest:
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> JunctionForest:
     """Materialize the tuple-tree forest over the layered expansions.
 
     Refuses instances whose tuple-vertex count would exceed ``node_budget``
@@ -86,10 +84,8 @@ def build_junction_forest(base: TwoMetricGraph, k: int, h: int,
         raise BudgetExceeded(
             f"tuple-tree forest needs {required} vertices, over the budget "
             f"{node_budget}", required=required)
-    if up_layer is None:
-        up_layer = build_layered(base, k, h, "up")
-    if down_layer is None:
-        down_layer = build_layered(base, k, h, "down")
+    up_layer = build_layered(base, k, h, "up")
+    down_layer = build_layered(base, k, h, "down")
 
     # layered adjacency indexed by (tail base vertex @ level, head base vertex)
     up_edge_at: Dict[Tuple[int, int, int], int] = {}

@@ -30,7 +30,6 @@ class PenaltyAugmentation:
     down_owner: Dict[int, int]
     virtual_root: RootSpec
     up_arc_of_pair: Dict[int, int]
-    down_arc_of_pair: Dict[int, int]
 
 
 def augment(up_graph: TwoMetricGraph, down_graph: TwoMetricGraph,
@@ -43,7 +42,6 @@ def augment(up_graph: TwoMetricGraph, down_graph: TwoMetricGraph,
     up_owner: Dict[int, int] = {}
     down_owner: Dict[int, int] = {}
     up_arc_of_pair: Dict[int, int] = {}
-    down_arc_of_pair: Dict[int, int] = {}
     for pair in pairs:
         if pair.penalty is None:
             continue
@@ -56,14 +54,12 @@ def augment(up_graph: TwoMetricGraph, down_graph: TwoMetricGraph,
         up_owner[e_up] = pair.index
         down_owner[e_down] = pair.index
         up_arc_of_pair[pair.index] = e_up
-        down_arc_of_pair[pair.index] = e_down
     spec = RootSpec(root_id=VIRTUAL_ROOT_ID, up_vertex=virtual_up,
                     down_vertex=virtual_down, virtual=True)
     return PenaltyAugmentation(up_graph=up.freeze(), down_graph=down.freeze(),
                                up_owner=up_owner, down_owner=down_owner,
                                virtual_root=spec,
-                               up_arc_of_pair=up_arc_of_pair,
-                               down_arc_of_pair=down_arc_of_pair)
+                               up_arc_of_pair=up_arc_of_pair)
 
 
 def settle(penalty: Optional[float], outcome: str) -> float:

@@ -92,24 +92,20 @@ def draw_thresholds(roots: Sequence[int], n: int, seed: object) -> ThresholdDraw
     return ThresholdDraw(tau=tau, seed=seed, lo=lo, hi=hi)
 
 
+def _scaled_side(side, tau: Dict[int, float]):
+    """One side's capacities and flows divided by their root's threshold."""
+    x = {(rid, e): min(1.0, v / tau[rid])
+         for rid, arr in side.x.items()
+         for e, v in enumerate(arr) if side.alive[e]}
+    f = {(rid, pi, e): min(1.0, f / tau[rid])
+         for (rid, pi), fdict in side.flow.items() for e, f in fdict.items()}
+    return x, f
+
+
 def scale(state: CompositeSolver, draw: ThresholdDraw) -> ScaledSolution:
     """Materialize the scaled solution; pure function of (state, draw)."""
-    x_up: Dict[Tuple[int, int], float] = {}
-    x_down: Dict[Tuple[int, int], float] = {}
-    for rid, arr in state.x_up.items():
-        tau = draw.tau[rid]
-        for e, v in enumerate(arr):
-            if state.up.alive[e]:
-                x_up[(rid, e)] = min(1.0, v / tau)
-    for rid, arr in state.x_down.items():
-        tau = draw.tau[rid]
-        for e, v in enumerate(arr):
-            if state.down.alive[e]:
-                x_down[(rid, e)] = min(1.0, v / tau)
-    f_up = {(rid, pi, e): min(1.0, f / draw.tau[rid])
-            for (rid, pi), fdict in state.fS.items() for e, f in fdict.items()}
-    f_down = {(rid, pi, e): min(1.0, f / draw.tau[rid])
-              for (rid, pi), fdict in state.fT.items() for e, f in fdict.items()}
+    (x_up, f_up), (x_down, f_down) = (_scaled_side(side, draw.tau)
+                                      for side in state.sides)
     z_rounded = {(pi, rid): 1 if zv >= draw.tau[rid] else 0
                  for (pi, rid), zv in state.z.items()}
     return ScaledSolution(x_up, x_down, f_up, f_down, z_rounded)
@@ -144,17 +140,14 @@ def scaled_min_cut(state: CompositeSolver, draw: ThresholdDraw,
     For an assigned pair this certifies that the scaled inner solution still
     dominates a unit routing: the cut value must be (numerically) at least 1.
     """
-    pair = state.pairs[pair_index]
-    spec = state.root_by_id[root_id]
-    tau = draw.tau[root_id]
-    if side == "up":
-        graph, flows = state.up.graph, state.fS[(root_id, pair_index)]
-        source, sink = pair.up_source, spec.up_vertex
-    elif side == "down":
-        graph, flows = state.down.graph, state.fT[(root_id, pair_index)]
-        source, sink = spec.down_vertex, pair.down_sink
-    else:
+    by_name = {"up": state.up, "down": state.down}
+    if side not in by_name:
         raise ValueError(f"unknown side {side!r}")
+    record = by_name[side]
+    graph, flows = record.graph, record.flow[(root_id, pair_index)]
+    source, sink = record.ends(state.pairs[pair_index],
+                               state.root_by_id[root_id])
+    tau = draw.tau[root_id]
     net = FlowNetwork(graph.n)
     for e, f in flows.items():
         net.add_arc(graph.tail[e], graph.head[e], min(1.0, f / tau), 0.0)

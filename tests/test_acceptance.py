@@ -68,7 +68,7 @@ def test_acceptance_1_lp_feasibility_suite():
             arrivals_checked += 1
             state = (pipeline.epoch,
                      dict(pipeline.solver.z),
-                     {r: tuple(a) for r, a in pipeline.solver.x_up.items()})
+                     {r: tuple(a) for r, a in pipeline.solver.up.x.items()})
             if snapshot is not None and snapshot[0] == state[0]:
                 for key, old in snapshot[1].items():
                     assert state[1][key] >= old, "z decreased"
@@ -309,7 +309,9 @@ def test_acceptance_6_fractional_calibration():
     steps = 0
     while solver.z_total(0) < 1 - 1e-12 and steps < 5000:
         steps += 1
-        t += solver.growth_step(0)["dt"]
+        step = solver.growth_step(0)
+        solver.apply(step)
+        t += step.dt
         z = solver.z_total(0)
         expected = min(1.0, z0 * math.exp(t / L))
         deviation = abs(z - expected) / expected

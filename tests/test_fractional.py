@@ -10,6 +10,7 @@ import pytest
 
 import bulkflow
 
+from bulkflow import fractional
 from bulkflow.fractional import (ArrivalOutcome, CompositeSolver, PairSpec,
                                  RootSpec, SolverConfig)
 from bulkflow.graph import TwoMetricGraph
@@ -41,7 +42,7 @@ class TestEpochInit:
         up, down, roots, pair = single_path_instance()
         solver = make_solver(up, down, roots, n_scale=10)
         assert solver.v0 == pytest.approx(1e-5)
-        assert all(v == pytest.approx(1e-5) for v in solver.x_up[0])
+        assert all(v == pytest.approx(1e-5) for v in solver.up.x[0])
 
     def test_pruning_removes_expensive_edges(self):
         up = build_graph(3, [(0, 1, 3.0, 0.1), (1, 2, 0.5, 0.1)])
@@ -49,7 +50,7 @@ class TestEpochInit:
         solver = make_solver(up, down, [RootSpec(0, 2, 0)], guess=1.0)
         assert not solver.up.alive[0]  # c = 3 x the guess
         assert solver.up.alive[1]
-        assert solver.x_up[0][0] == 0.0
+        assert solver.up.x[0][0] == 0.0
 
     def test_initial_objective_is_small(self):
         up, down, roots, pair = single_path_instance()
@@ -79,8 +80,8 @@ class TestArrivalInit:
         assert solver.z[(0, 0)] == pytest.approx(solver.v0)
         # the seed flow follows the unique path, one unit of v0 per edge
         assert all(f == pytest.approx(solver.v0)
-                   for f in solver.fS[(0, 0)].values())
-        assert len(solver.fS[(0, 0)]) == 8
+                   for f in solver.up.flow[(0, 0)].values())
+        assert len(solver.up.flow[(0, 0)]) == 8
 
     def test_disconnected_root_excluded(self):
         up = build_graph(4, [(0, 1, 0.1, 0.1)])  # vertex 2 unreachable
@@ -114,26 +115,26 @@ class TestTightEdges:
 
     def test_source_side_tight(self):
         solver = self._state()
-        solver.x_up[0][0] = 0.5
-        solver.fS[(0, 0)][0] = 0.5
+        solver.up.x[0][0] = 0.5
+        solver.up.flow[(0, 0)][0] = 0.5
         up_tight, _ = solver.tight_edges(0, 0)
         assert up_tight == {0}
 
     def test_sink_side_tight(self):
         solver = self._state()
-        solver.x_up[0][0] = 0.5
-        solver.fS[(0, 0)][0] = 0.3
-        solver.x_down[0][0] = 0.5
-        solver.fT[(0, 0)][0] = 0.5
+        solver.up.x[0][0] = 0.5
+        solver.up.flow[(0, 0)][0] = 0.3
+        solver.down.x[0][0] = 0.5
+        solver.down.flow[(0, 0)][0] = 0.5
         up_tight, down_tight = solver.tight_edges(0, 0)
         assert up_tight == set() and down_tight == {0}
 
     def test_loose_everywhere(self):
         solver = self._state()
-        solver.x_up[0][0] = 0.5
-        solver.fS[(0, 0)][0] = 0.3
-        solver.fT[(0, 0)][0] = 0.2
-        solver.x_down[0][0] = 0.5
+        solver.up.x[0][0] = 0.5
+        solver.up.flow[(0, 0)][0] = 0.3
+        solver.down.flow[(0, 0)][0] = 0.2
+        solver.down.x[0][0] = 0.5
         up_tight, down_tight = solver.tight_edges(0, 0)
         assert up_tight == set() and down_tight == set()
 
@@ -144,10 +145,10 @@ class TestGrowthStep:
         down = build_graph(2, [(0, 1, 0.01, 0.0)])
         solver = make_solver(up, down, [RootSpec(0, 1, 0)])
         solver.arrival_init(PairSpec(0, 0, 1))
-        solver.x_up[0][0] = 0.1
-        solver.fS[(0, 0)][0] = 0.1  # tight at x = 0.1, c = 1
-        solver.growth_step(0, dt=math.log(2))
-        assert solver.x_up[0][0] == pytest.approx(0.2)
+        solver.up.x[0][0] = 0.1
+        solver.up.flow[(0, 0)][0] = 0.1  # tight at x = 0.1, c = 1
+        solver.apply(solver.growth_step(0, dt=math.log(2)))
+        assert solver.up.x[0][0] == pytest.approx(0.2)
 
     def test_zero_cost_tight_edge_jumps_to_one(self):
         up = build_graph(2, [(0, 1, 0.0, 0.1)])
@@ -155,8 +156,8 @@ class TestGrowthStep:
         solver = make_solver(up, down, [RootSpec(0, 1, 0)])
         solver.arrival_init(PairSpec(0, 0, 1))
         # the seed put flow at x's level, so the arc starts tight
-        solver.growth_step(0, dt=0.01)
-        assert solver.x_up[0][0] == 1.0
+        solver.apply(solver.growth_step(0, dt=0.01))
+        assert solver.up.x[0][0] == 1.0
 
     def test_blocked_roots_only_grow_x(self):
         up = build_graph(2, [(0, 1, 0.5, 0.5)])
@@ -165,12 +166,13 @@ class TestGrowthStep:
         solver.arrival_init(PairSpec(0, 0, 1))
         # zero out the budget by hand: positive lengths then give delta = 0
         solver.z[(0, 0)] = 0.0
-        solver.fS[(0, 0)][0] = solver.x_up[0][0]  # keep the edge tight
-        x_before = solver.x_up[0][0]
+        solver.up.flow[(0, 0)][0] = solver.up.x[0][0]  # keep the edge tight
+        x_before = solver.up.x[0][0]
         step = solver.growth_step(0, dt=0.05)
-        assert step["solutions"][0][0] == 0.0  # delta
+        solver.apply(step)
+        assert step.solutions[0].delta == 0.0
         assert solver.z[(0, 0)] == 0.0
-        assert solver.x_up[0][0] > x_before
+        assert solver.up.x[0][0] > x_before
 
     def test_flow_stays_within_capacity(self):
         rng = random.Random(1)
@@ -180,10 +182,35 @@ class TestGrowthStep:
         solver = make_solver(up, down, [RootSpec(0, 3, 0)])
         solver.arrival_init(PairSpec(0, 0, 1))
         for _ in range(60):
-            solver.growth_step(0)
+            solver.apply(solver.growth_step(0))
             if solver.z_total(0) >= 1 - 1e-12:
                 break
         solver.check_invariants([0] if solver.z_total(0) >= 1 - 1e-7 else [])
+
+
+    def test_growth_step_stages_and_apply_commits(self):
+        up = build_graph(4, [(0, 1, 0.3, 0.2), (1, 3, 0.4, 0.1),
+                             (0, 2, 0.2, 0.3), (2, 3, 0.1, 0.2)])
+        down = build_graph(2, [(0, 1, 0.05, 0.05)])
+        solver = make_solver(up, down, [RootSpec(0, 3, 0)])
+        solver.arrival_init(PairSpec(0, 0, 1))
+
+        def state():
+            return (dict(solver.z),
+                    [{k: dict(v) for k, v in side.flow.items()}
+                     for side in solver.sides],
+                    [{r: list(a) for r, a in side.x.items()}
+                     for side in solver.sides],
+                    solver.objective)
+
+        before = state()
+        step = solver.growth_step(0)
+        assert state() == before
+        assert step.pair == 0 and step.staged_x and step.d_obj > 0.0
+        solver.apply(step)
+        assert solver.objective == before[3] + step.d_obj
+        assert solver.z[(0, 0)] == before[0][(0, 0)] + (
+            step.solutions[0].delta * step.dt)
 
 
 class TestOnArrival:
@@ -210,10 +237,10 @@ class TestOnArrival:
         assert after >= before
         assert solver.objective == pytest.approx(after, rel=1e-9, abs=1e-12)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fractional, "MAX_STEPS", 2)
         up, down, roots, pair = single_path_instance(n_edges=3)
-        cfg = SolverConfig(kappa=BIG_KAPPA, dmax=0.05, max_steps=2)
-        solver = CompositeSolver(up, down, roots, 10, 1.0, cfg)
+        solver = make_solver(up, down, roots)
         with pytest.raises(RuntimeError):
             solver.on_arrival(pair)
 
@@ -237,9 +264,9 @@ def test_check_pair_raises_under_python_optimize():
         if solver.on_arrival(pair) != ArrivalOutcome.SATISFIED:
             sys.exit("arrival not satisfied")
         solver.check_pair(0)
-        flows = solver.fS[(0, 0)]
+        flows = solver.up.flow[(0, 0)]
         e = next(iter(flows))
-        flows[e] = solver.x_up[0][e] + 1.0  # flow above its capacity
+        flows[e] = solver.up.x[0][e] + 1.0  # flow above its capacity
         try:
             solver.check_pair(0)
         except AssertionError as exc:
@@ -270,7 +297,8 @@ class TestSinglePathCalibration:
         while solver.z_total(0) < 1 - 1e-12 and steps < 5000:
             steps += 1
             step = solver.growth_step(0)
-            t += step["dt"]
+            solver.apply(step)
+            t += step.dt
             z = solver.z_total(0)
             expected = min(1.0, z0 * math.exp(t / L))
             assert z == pytest.approx(expected, rel=0.05)
@@ -345,7 +373,7 @@ class TestDeterminism:
             solver = make_solver(up, down, roots, dmax=0.25)
             solver.on_arrival(PairSpec(0, 0, 1))
             solver.on_arrival(PairSpec(1, 1, 0))
-            return (dict(solver.z), {k: dict(v) for k, v in solver.fS.items()},
-                    {r: list(a) for r, a in solver.x_up.items()},
+            return (dict(solver.z), {k: dict(v) for k, v in solver.up.flow.items()},
+                    {r: list(a) for r, a in solver.up.x.items()},
                     solver.objective)
         assert run() == run()

@@ -125,7 +125,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("setting", [
         {"dmax": 0.0}, {"dmax": -0.1}, {"dmax": math.nan}, {"dmax": math.inf},
         {"kappa": 0.0}, {"kappa": -1.0}, {"kappa": math.nan},
-        {"kappa": math.inf}, {"h": 0}, {"h": -2}])
+        {"kappa": math.inf}, {"h": 0}, {"h": -2}, {"h": 2.5}, {"dmax": None},
+        {"kappa": "3"}, {"dmax": "0.1"}])
     def test_invalid_settings_refused(self, setting):
         with pytest.raises(InstanceError):
             RunConfig(mode="edge", **setting)
@@ -318,6 +319,17 @@ class TestCli:
                            *flag)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("params", ["rows=abc,cols=2,k=2",
+                                        "rows=2,cols=2,k=2,bogus=1",
+                                        "rows=2,cols=2"])
+    def test_bad_generate_params_exit_code_2(self, tmp_path, params):
+        out = tmp_path / "inst.json"
+        result = self._cli("generate", "--kind", "grid", "--params", params,
+                           "-o", str(out))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_non_finite_instance_exit_code_2(self, tmp_path):
         data = grid(2, 2, k=2, seed=1)

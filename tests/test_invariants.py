@@ -4,13 +4,16 @@ import math
 import random
 import time
 
-from bulkflow.generate import grid, random_digraph
+import pytest
+
+from bulkflow.generate import grid, random_digraph, with_penalties
 from bulkflow.graph import TerminalPair
 from bulkflow.harness import OnlinePipeline, RunConfig, run_online
 from bulkflow.instance import load_instance
 from bulkflow.oracle import (InfeasibleInstance, lp_lower_bound, offline_opt,
                              ss_offline_opt)
-from bulkflow.rounding import draw_thresholds, scale
+from bulkflow.rounding import (Assignment, draw_thresholds, scale,
+                               scaled_min_cut)
 from helpers import random_two_metric
 
 
@@ -47,6 +50,61 @@ def test_end_to_end_feasibility_thousand_runs():
     assert runs == 1000
     assert unserved == 0, f"{unserved} reachable pairs left unserved"
     print(f"\nfeasibility: 1000 runs, zero unserved pairs, {elapsed:.0f}s")
+
+
+def _node_grid():
+    data = grid(2, 2, k=3, seed=5)
+    data["mode"] = "node"
+    data["node_costs"] = [{"v": v, "c": 0.5 + 0.25 * v, "l": 0.1 * (v + 1)}
+                          for v in range(data["n"])]
+    return data
+
+
+DEFAULT_CONFIG_INSTANCES = {
+    "edge": lambda: grid(2, 2, k=3, seed=5),
+    "prize": lambda: with_penalties(grid(2, 2, k=3, seed=5), seed=5,
+                                    q_range=(0.3, 4.0)),
+    "directed": lambda: random_digraph(4, 9, 2, seed=3),
+    "node": _node_grid,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DEFAULT_CONFIG_INSTANCES))
+def test_default_configuration_invariants(mode):
+    """Every default of ``RunConfig``: LP invariants after each arrival."""
+
+    def run_checked():
+        inst = load_instance(DEFAULT_CONFIG_INSTANCES[mode]())
+        pipeline = OnlinePipeline(inst, RunConfig(mode=mode, seed=0))
+        snapshot = None
+        cuts = 0
+        for pair in inst.pairs:
+            record = pipeline.process(pair)
+            solver = pipeline.solver
+            if solver is None:
+                continue
+            solver.check_invariants([s.index for s in pipeline.arrived])
+            state = (pipeline.epoch, dict(solver.z),
+                     [{r: tuple(a) for r, a in side.x.items()}
+                      for side in solver.sides])
+            if snapshot is not None and snapshot[0] == state[0]:
+                for key, old in snapshot[1].items():
+                    assert state[1][key] >= old, "z decreased"
+                for old_side, new_side in zip(snapshot[2], state[2]):
+                    for r, old_arr in old_side.items():
+                        assert all(new >= old for new, old
+                                   in zip(new_side[r], old_arr)), "x decreased"
+            snapshot = state
+            if record.outcome == Assignment.ASSIGNED:
+                for side in ("up", "down"):
+                    cut = scaled_min_cut(solver, pipeline.draw, pair.index,
+                                         record.root, side)
+                    assert cut >= 1 - 1e-6, f"cut {cut} below 1 on {side}"
+                    cuts += 1
+        assert cuts > 0, "no pair was assigned to a root"
+        return pipeline.finish().to_csv()
+
+    assert run_checked() == run_checked()
 
 
 def test_lp_value_within_polylog_of_offline_opt():

@@ -62,7 +62,7 @@ class TestFractionalDiscard:
         assert z_discard > 0
         # fractional split contributes q * z_discard through the arc lengths
         arc = aug.up_arc_of_pair[0]
-        assert solver.fS[(VIRTUAL_ROOT_ID, 0)][arc] == pytest.approx(z_discard,
+        assert solver.up.flow[(VIRTUAL_ROOT_ID, 0)][arc] == pytest.approx(z_discard,
                                                                      abs=1e-7)
 
     def test_zero_penalty_discard_is_free_and_instant(self):

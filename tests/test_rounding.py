@@ -55,19 +55,19 @@ class TestScale:
     def test_scaling_formulas(self):
         solver = self._solved()
         draw = ThresholdDraw(tau={0: 0.2}, seed=0, lo=0.1, hi=0.3)
-        scaled = solver.x_up[0][0] / 0.2
+        scaled = solver.up.x[0][0] / 0.2
         image = scale(solver, draw)
         assert image.x_up[(0, 0)] == pytest.approx(min(1.0, scaled))
         for (rid, pi, e), v in image.f_up.items():
-            assert v == pytest.approx(min(1.0, solver.fS[(rid, pi)][e] / 0.2))
+            assert v == pytest.approx(min(1.0, solver.up.flow[(rid, pi)][e] / 0.2))
 
     def test_explicit_values(self):
         solver = self._solved()
-        solver.x_up[0][0] = 0.05
+        solver.up.x[0][0] = 0.05
         draw = ThresholdDraw(tau={0: 0.2}, seed=0, lo=0.1, hi=0.3)
         image = scale(solver, draw)
         assert image.x_up[(0, 0)] == pytest.approx(0.25)
-        solver.x_up[0][0] = 0.5
+        solver.up.x[0][0] = 0.5
         assert scale(solver, draw).x_up[(0, 0)] == 1.0
 
     def test_z_rounding_indicator(self):
