@@ -75,9 +75,10 @@ def _parse_params(text: str) -> dict:
                 raise InstanceError(f"bad --params chunk {chunk!r}")
             key, value = chunk.split("=", 1)
             try:
-                params[key.strip()] = int(float(value))
-            except (ValueError, OverflowError):
-                raise InstanceError(f"--params {chunk!r}: not a finite "
+                # generate() refuses values that are not integers
+                params[key.strip()] = float(value)
+            except ValueError:
+                raise InstanceError(f"--params {chunk!r}: not a "
                                     f"number") from None
     return params
 

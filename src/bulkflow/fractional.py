@@ -35,10 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .flows import FlowNetwork, max_delta
-from .graph import TwoMetricGraph, reaches, shortest_path, shortest_paths
+from .graph import (TwoMetricGraph, reachable_from, reaches, shortest_path,
+                    shortest_paths)
 
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
@@ -86,16 +87,55 @@ class ArrivalStats:
     objective: float
 
 
+@dataclass(frozen=True)
+class SideGraph:
+    """One side of the junction: its graph, its orientation and the owners
+    of its pair-private arcs.
+
+    Upstairs a pair routes from its source to the root, downstairs from the
+    root to its sink; the methods turn that into vertices, so that callers
+    can treat both sides alike.
+    """
+
+    graph: TwoMetricGraph
+    upward: bool
+    owner: Optional[Dict[int, int]] = None  # arc -> the one pair allowed on it
+
+    def root_vertex(self, root: RootSpec) -> int:
+        return root.up_vertex if self.upward else root.down_vertex
+
+    def terminal(self, pair: PairSpec) -> int:
+        return pair.up_source if self.upward else pair.down_sink
+
+    def ends(self, pair: PairSpec, root: RootSpec) -> Tuple[int, int]:
+        """(source, sink) of the pair's routing through a root on this side."""
+        if self.upward:
+            return pair.up_source, root.up_vertex
+        return root.down_vertex, pair.down_sink
+
+    def reach(self, pair: PairSpec) -> Set[int]:
+        """Vertices the pair's terminal reaches upstairs, or that reach it
+        downstairs, over the arcs the pair may use."""
+        search = reachable_from if self.upward else reaches
+        return search(self.graph, self.terminal(pair), self.allowed(pair.index))
+
+    def allowed(self, pair_index: int) -> Optional[Callable[[int], bool]]:
+        """Arc filter for one pair's searches; ``None`` without owners."""
+        if not self.owner:
+            return None
+        owner = self.owner
+        return lambda e: owner.get(e) is None or owner.get(e) == pair_index
+
+
 class _Side:
     """Per-direction epoch view (rescaled metrics, pruning, ownership) and
     that side's LP variables: capacities ``x`` and flows."""
 
-    def __init__(self, graph: TwoMetricGraph, guess: float,
-                 owner: Optional[Dict[int, int]], root_ids: Sequence[int],
-                 v0: float, upward: bool):
-        self.graph = graph
-        self.owner = owner or {}
-        self.upward = upward
+    def __init__(self, side_graph: SideGraph, guess: float,
+                 root_ids: Sequence[int], v0: float):
+        self.side_graph = side_graph
+        graph = self.graph = side_graph.graph
+        self.owner = side_graph.owner or {}
         self.c = [graph.c[e] / guess for e in range(graph.m)]
         self.l = [graph.l[e] / guess for e in range(graph.m)]
         self.alive = [self.c[e] <= 1.0 + 1e-12 and self.l[e] <= 1.0 + 1e-12
@@ -106,13 +146,6 @@ class _Side:
             for rid in root_ids}
         # sparse per (root, pair) flows
         self.flow: Dict[Tuple[int, int], Dict[int, float]] = {}
-
-    def ends(self, pair: PairSpec, spec: RootSpec) -> Tuple[int, int]:
-        """(source, sink) of the pair's routing through a root on this side:
-        source to root upstairs, root to sink downstairs."""
-        if self.upward:
-            return pair.up_source, spec.up_vertex
-        return spec.down_vertex, pair.down_sink
 
     def tight(self, root_id: int, pair_index: int) -> Set[int]:
         """Edges whose capacity variable is met by this pair's flow."""
@@ -157,11 +190,9 @@ class CompositeSolver:
     replaying the same arrivals in the same order is bit-reproducible.
     """
 
-    def __init__(self, up: TwoMetricGraph, down: TwoMetricGraph,
+    def __init__(self, up: SideGraph, down: SideGraph,
                  roots: Sequence[RootSpec], n_scale: int, guess: float,
-                 config: SolverConfig,
-                 up_owner: Optional[Dict[int, int]] = None,
-                 down_owner: Optional[Dict[int, int]] = None):
+                 config: SolverConfig):
         if guess <= 0:
             raise ValueError("guess must be positive")
         if n_scale < 2:
@@ -170,11 +201,9 @@ class CompositeSolver:
         self.v0 = float(n_scale) ** (-INIT_EXPONENT)
         self.roots = list(roots)
         self.root_by_id = {r.root_id: r for r in self.roots}
-        self.up = _Side(up, guess, up_owner, self.root_by_id, self.v0,
-                        upward=True)
-        self.down = _Side(down, guess, down_owner, self.root_by_id, self.v0,
-                          upward=False)
-        self.sides = (self.up, self.down)
+        self.sides = tuple(_Side(side_graph, guess, self.root_by_id, self.v0)
+                           for side_graph in (up, down))
+        self.up, self.down = self.sides
         self.z: Dict[Tuple[int, int], float] = {}
         self.eligible: Dict[int, List[int]] = {}
         self.pairs: Dict[int, PairSpec] = {}
@@ -238,7 +267,7 @@ class CompositeSolver:
         for rid in eligible:
             spec = self.root_by_id[rid]
             down_path, _ = shortest_path(self.down.graph, lambda e: 1.0,
-                                         *self.down.ends(pair, spec),
+                                         *self.down.side_graph.ends(pair, spec),
                                          self.down.allowed_fn(pair.index))
             self.z[(pair.index, rid)] = self.v0
             for side, path in ((self.up, up_paths[spec.up_vertex][0]),
@@ -302,8 +331,8 @@ class CompositeSolver:
         (up_net, up_map), (down_net, down_map) = (
             self._aux_network(side, rid, side_tight, dt, pair.index)
             for side, side_tight in zip(self.sides, tight))
-        result = max_delta(up_net, *self.up.ends(pair, spec),
-                           down_net, *self.down.ends(pair, spec),
+        result = max_delta(up_net, *self.up.side_graph.ends(pair, spec),
+                           down_net, *self.down.side_graph.ends(pair, spec),
                            self.z[(pair.index, rid)])
         grow = tuple({arc_map[a]: f for a, f in res.flow.items() if f > 0.0}
                      for arc_map, res in ((up_map, result.up),
@@ -438,7 +467,8 @@ class CompositeSolver:
                     if not f >= -1e-12:
                         raise AssertionError(f"negative flow {f} on edge {e}")
                 self._check_flow_value(side.graph, flow,
-                                       *side.ends(pair, spec), zv, flow_tol)
+                                       *side.side_graph.ends(pair, spec), zv,
+                                       flow_tol)
 
     def check_invariants(self, completed_pairs: Sequence[int],
                          flow_tol: float = 1e-7) -> None:

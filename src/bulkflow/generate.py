@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InstanceError
 from .graph import TwoMetricGraph, Unreachable, shortest_path, shortest_paths
-from .instance import load_instance
+from .instance import as_int, load_instance
 
 
 def _rand_pairs(rng: random.Random, n: int, k: int) -> List[dict]:
@@ -28,8 +28,8 @@ def random_digraph(n: int, m: int, k: int, seed: int,
                    l_range: Tuple[float, float] = (0.05, 1.0),
                    strongly_connected: bool = True) -> dict:
     """Random directed instance; a random cycle guarantees strong connectivity."""
-    if n < 2:
-        raise InstanceError("need n >= 2")
+    if n < 2 or k < 1:
+        raise InstanceError(f"need n >= 2 and k >= 1 pairs, got n={n}, k={k}")
     rng = random.Random(f"digraph:{seed}")
     arcs: List[Tuple[int, int]] = []
     seen: Set[Tuple[int, int]] = set()
@@ -61,8 +61,8 @@ def grid(rows: int, cols: int, k: int, seed: int,
          c_range: Tuple[float, float] = (0.2, 3.0),
          l_range: Tuple[float, float] = (0.05, 1.0)) -> dict:
     """Undirected grid instance with random weights and pairs."""
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise InstanceError("grid needs at least 2 vertices")
+    if rows < 1 or cols < 1 or rows * cols < 2 or k < 1:
+        raise InstanceError("grid needs at least 2 vertices and k >= 1 pairs")
     rng = random.Random(f"grid:{seed}")
     n = rows * cols
     edges = []
@@ -92,8 +92,8 @@ def star_of_paths(arms: int, arm_len: int, k: int, seed: int,
     Pairs connect endpoints of distinct arms, which forces junction routing
     through (or near) the hub.
     """
-    if arms < 2 or arm_len < 1:
-        raise InstanceError("need at least 2 arms of length >= 1")
+    if arms < 2 or arm_len < 1 or k < 1:
+        raise InstanceError("need at least 2 arms of length >= 1 and k >= 1 pairs")
     rng = random.Random(f"star:{seed}")
     n = 1 + arms * arm_len
     edges = []
@@ -198,8 +198,8 @@ GENERATORS = {
 def generate(kind: str, params: Dict[str, float], seed: int) -> dict:
     """Dispatch by kind; ``adversarial=1`` wraps the result, ``prize=1`` adds q."""
     params = dict(params)
-    adversarial = bool(params.pop("adversarial", 0))
-    prize = bool(params.pop("prize", 0))
+    adversarial = bool(as_int(params.pop("adversarial", 0), "adversarial"))
+    prize = bool(as_int(params.pop("prize", 0), "prize"))
     if kind not in GENERATORS:
         raise InstanceError(f"unknown generator kind {kind!r}; "
                             f"options: {sorted(GENERATORS)}")
@@ -214,7 +214,7 @@ def generate(kind: str, params: Dict[str, float], seed: int) -> dict:
     if unknown or missing:
         raise InstanceError(f"{kind} takes parameters {names}; unknown: "
                             f"{unknown}, missing: {missing}")
-    int_params = {key: int(value) for key, value in params.items()}
+    int_params = {key: as_int(value, key) for key, value in params.items()}
     data = fn(seed=seed, **int_params)
     if prize:
         data = with_penalties(data, seed)

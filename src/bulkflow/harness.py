@@ -15,16 +15,15 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import BudgetExceeded, InstanceError
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
-                         SolverConfig)
+                         SideGraph, SolverConfig)
 from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
-                    Unreachable, reachable_from, reaches, shortest_path,
-                    shortest_paths, solution_cost)
+                    Unreachable, shortest_path, shortest_paths, solution_cost)
 from .instance import Instance, load_instance
 from .junction import JunctionForest, build_junction_forest, pull_forest_ledger
 from .layering import LayeredGraph, build_layered, default_height, pull_back
@@ -141,6 +140,32 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+@dataclass
+class _PipelineSide:
+    """One side of the run: the graph the LP routes it in, the expansion its
+    purchases pull back through (layer or forest), and its per-root
+    single-sink (up) or single-source (down) instances, made on first use."""
+
+    side_graph: SideGraph
+    expansion: Union[LayeredGraph, JunctionForest]
+    single_sinks: Dict[int, GreedySingleSink] = field(default_factory=dict)
+
+    def single_sink(self, root: RootSpec) -> GreedySingleSink:
+        if root.root_id not in self.single_sinks:
+            self.single_sinks[root.root_id] = GreedySingleSink(
+                self.expansion.graph, self.side_graph.root_vertex(root),
+                "sink" if self.side_graph.upward else "source")
+        return self.single_sinks[root.root_id]
+
+    def merged_ledger(self) -> SolutionLedger:
+        merged = SolutionLedger()
+        for ss in self.single_sinks.values():
+            for key in ss.ledger.bought:
+                merged.bought.add(key)
+            merged.paths.update(ss.ledger.paths)
+        return merged
+
+
 class OnlinePipeline:
     """One online run over a fixed arrival order."""
 
@@ -163,18 +188,6 @@ class OnlinePipeline:
         self.up_layer: Optional[LayeredGraph] = None
         self.down_layer: Optional[LayeredGraph] = None
         self._setup_graphs()
-
-        self.pair_specs: Dict[int, PairSpec] = {
-            p.index: self._pair_spec(p) for p in instance.pairs}
-        if self.mode == "prize":
-            aug = augment(self.solver_up, self.solver_down,
-                          list(self.pair_specs.values()))
-            self.solver_up, self.solver_down = aug.up_graph, aug.down_graph
-            self.up_owner, self.down_owner = aug.up_owner, aug.down_owner
-            self.roots.append(aug.virtual_root)
-        else:
-            self.up_owner, self.down_owner = {}, {}
-
         self.root_ids = [r.root_id for r in self.roots]
         self.epoch = 0
         self.lam: Optional[float] = None
@@ -182,10 +195,7 @@ class OnlinePipeline:
         self.draw = None
         self.assignment = Assignment()
         self.arrived: List[PairSpec] = []
-        self.up_ss: Dict[int, GreedySingleSink] = {}
-        self.down_ss: Dict[int, GreedySingleSink] = {}
         self.fallback_ledger = SolutionLedger()
-        self.forest_extra: Dict[int, Tuple[int, ...]] = {}
         self.trivial_pairs: List[int] = []
         self.penalty_total = 0.0
         self.records: List[ArrivalRecord] = []
@@ -196,91 +206,67 @@ class OnlinePipeline:
     # setup
 
     def _setup_graphs(self) -> None:
-        base, config = self.base, self.config
+        """The two sides, the roots and where each pair enters the sides."""
+        base, config, pairs = self.base, self.config, self.instance.pairs
         if self.mode == "directed":
-            h = config.h if config.h is not None else 2
-            sources = [p.s for p in self.instance.pairs]
-            sinks = [p.t for p in self.instance.pairs]
-            self.forest = build_junction_forest(base, self.k, h, sources, sinks)
-            self.h = h
-            self.solver_up = self.forest.graph
-            self.solver_down = self.forest.graph
-            self.roots = [RootSpec(r, self.forest.up_root[r],
-                                   self.forest.down_root[r])
+            self.h = config.h if config.h is not None else 2
+            forest = self.forest = build_junction_forest(
+                base, self.k, self.h, [p.s for p in pairs], [p.t for p in pairs])
+            expansions = (forest, forest)
+            self.roots = [RootSpec(r, forest.up_root[r], forest.down_root[r])
                           for r in range(base.n)]
+            terminals = [(forest.source_vertex[p.s], forest.sink_vertex[p.t])
+                         for p in pairs]
         else:
-            h = config.h if config.h is not None else default_height(self.n_scale)
-            self.h = h
-            self.up_layer = build_layered(base, self.k, h, "up")
-            self.down_layer = build_layered(base, self.k, h, "down")
-            self.solver_up = self.up_layer.graph
-            self.solver_down = self.down_layer.graph
+            self.h = (config.h if config.h is not None
+                      else default_height(self.n_scale))
+            self.up_layer = build_layered(base, self.k, self.h, "up")
+            self.down_layer = build_layered(base, self.k, self.h, "down")
+            expansions = (self.up_layer, self.down_layer)
             self.roots = [RootSpec(r, self.up_layer.vertex(r, 0),
                                    self.down_layer.vertex(r, 0))
                           for r in range(base.n)]
-
-    def _pair_spec(self, pair: TerminalPair) -> PairSpec:
-        if self.mode == "directed":
-            return PairSpec(index=pair.index,
-                            up_source=self.forest.source_vertex[pair.s],
-                            down_sink=self.forest.sink_vertex[pair.t],
-                            penalty=pair.penalty)
-        return PairSpec(index=pair.index,
-                        up_source=self.up_layer.vertex(pair.s, self.h),
-                        down_sink=self.down_layer.vertex(pair.t, self.h),
-                        penalty=pair.penalty)
-
-    def _single_sink(self, side: str, root_id: int) -> GreedySingleSink:
-        """The root's single-sink ("up") or single-source ("down") instance."""
-        instances = self.up_ss if side == "up" else self.down_ss
-        if root_id not in instances:
-            root = self.roots[root_id]
-            if self.forest is not None:
-                g = self.forest.graph
-            else:
-                g = (self.up_layer if side == "up" else self.down_layer).graph
-            if side == "up":
-                instances[root_id] = GreedySingleSink(g, root.up_vertex, "sink")
-            else:
-                instances[root_id] = GreedySingleSink(g, root.down_vertex,
-                                                      "source")
-        return instances[root_id]
+            terminals = [(self.up_layer.vertex(p.s, self.h),
+                          self.down_layer.vertex(p.t, self.h)) for p in pairs]
+        self.pair_specs: Dict[int, PairSpec] = {
+            p.index: PairSpec(p.index, source, sink, penalty=p.penalty)
+            for p, (source, sink) in zip(pairs, terminals)}
+        up, down = expansions
+        side_graphs = (SideGraph(up.graph, upward=True),
+                       SideGraph(down.graph, upward=False))
+        if self.mode == "prize":
+            side_graphs, virtual_root = augment(
+                side_graphs, list(self.pair_specs.values()))
+            self.roots.append(virtual_root)
+        self.sides = tuple(map(_PipelineSide, side_graphs, expansions))
 
     # ------------------------------------------------------------------
     # epochs
 
     def _initial_guess(self, spec: PairSpec) -> float:
         best = math.inf
-        up = shortest_paths(
-            self.solver_up, lambda e: self.solver_up.c[e] + self.solver_up.l[e],
-            spec.up_source, allowed=self._owner_filter(self.up_owner, spec.index))
+        up, down = (side.side_graph for side in self.sides)
+        reached = shortest_paths(
+            up.graph, lambda e: up.graph.c[e] + up.graph.l[e],
+            up.terminal(spec), allowed=up.allowed(spec.index))
         for root in self.roots:
-            if root.up_vertex not in up:
+            if up.root_vertex(root) not in reached:
                 continue
             try:
                 _, down_cost = shortest_path(
-                    self.solver_down,
-                    lambda e: self.solver_down.c[e] + self.solver_down.l[e],
-                    root.down_vertex, spec.down_sink,
-                    allowed=self._owner_filter(self.down_owner, spec.index))
+                    down.graph, lambda e: down.graph.c[e] + down.graph.l[e],
+                    *down.ends(spec, root), allowed=down.allowed(spec.index))
             except Unreachable:
                 continue
-            best = min(best, up[root.up_vertex][1] + down_cost)
+            best = min(best, reached[up.root_vertex(root)][1] + down_cost)
         if not math.isfinite(best) or best <= 0:
             return 1.0
         return best
 
-    @staticmethod
-    def _owner_filter(owner: Dict[int, int], pair_index: int):
-        if not owner:
-            return None
-        return lambda e: owner.get(e) is None or owner.get(e) == pair_index
-
     def _fresh_solver(self) -> CompositeSolver:
         cfg = SolverConfig(kappa=self.kappa, dmax=self.config.dmax)
-        return CompositeSolver(self.solver_up, self.solver_down, self.roots,
-                               self.n_scale, self.lam, cfg,
-                               up_owner=self.up_owner, down_owner=self.down_owner)
+        return CompositeSolver(*(side.side_graph for side in self.sides),
+                               self.roots, self.n_scale, self.lam, cfg)
 
     def _start_epoch(self) -> None:
         self.solver = self._fresh_solver()
@@ -311,12 +297,10 @@ class OnlinePipeline:
                 return
 
     def _structurally_feasible(self, spec: PairSpec) -> bool:
-        up_reach = reachable_from(self.solver_up, spec.up_source,
-                                  self._owner_filter(self.up_owner, spec.index))
-        down_reach = reaches(self.solver_down, spec.down_sink,
-                             self._owner_filter(self.down_owner, spec.index))
-        return any(r.up_vertex in up_reach and r.down_vertex in down_reach
-                   for r in self.roots)
+        reach = [(side.side_graph, side.side_graph.reach(spec))
+                 for side in self.sides]
+        return any(all(side_graph.root_vertex(r) in seen
+                       for side_graph, seen in reach) for r in self.roots)
 
     def _absorb(self, spec: PairSpec) -> Tuple[ArrivalOutcome, int]:
         """Run the LP for one arrival, epoch-doubling as needed."""
@@ -337,13 +321,9 @@ class OnlinePipeline:
 
     def _dispatch_assigned(self, pair: TerminalPair, spec: PairSpec,
                            root_id: int) -> None:
-        self._single_sink("up", root_id).on_terminal(spec.up_source,
-                                                     pair_index=pair.index)
-        self._single_sink("down", root_id).on_terminal(spec.down_sink,
-                                                       pair_index=pair.index)
-        if self.mode == "directed":
-            link = self.forest.root_link_arc[root_id]
-            self.forest_extra[pair.index] = (link,)
+        for side in self.sides:
+            side.single_sink(self.roots[root_id]).on_terminal(
+                side.side_graph.terminal(spec), pair_index=pair.index)
 
     def _dispatch_fallback(self, pair: TerminalPair) -> bool:
         """Direct cheapest combined-metric path on the base graph."""
@@ -360,9 +340,8 @@ class OnlinePipeline:
                       root: Optional[int]) -> float:
         """What serving the pair as decided would cost right now."""
         if label == Assignment.ASSIGNED:
-            return (self._single_sink("up", root).marginal_cost(spec.up_source)
-                    + self._single_sink("down", root).marginal_cost(
-                        spec.down_sink))
+            return sum(side.single_sink(self.roots[root]).marginal_cost(
+                side.side_graph.terminal(spec)) for side in self.sides)
         try:
             _, cost = shortest_path(self.base,
                                     lambda e: self.base.c[e] + self.base.l[e],
@@ -373,10 +352,9 @@ class OnlinePipeline:
 
     def _current_spend(self) -> float:
         spend = self.penalty_total + self.fallback_ledger.total
-        for ss in self.up_ss.values():
-            spend += ss.ledger.total
-        for ss in self.down_ss.values():
-            spend += ss.ledger.total
+        for side in self.sides:
+            for ss in side.single_sinks.values():
+                spend += ss.ledger.total
         return spend
 
     def process(self, pair: TerminalPair) -> ArrivalRecord:
@@ -449,30 +427,23 @@ class OnlinePipeline:
     # ------------------------------------------------------------------
     # report
 
-    def _merge_side_ledgers(self, instances: Dict[int, GreedySingleSink]) -> SolutionLedger:
-        merged = SolutionLedger()
-        for ss in instances.values():
-            for key in ss.ledger.bought:
-                merged.bought.add(key)
-            for pair_index, path in ss.ledger.paths.items():
-                merged.paths[pair_index] = path
-        return merged
-
     def _final_ledger(self) -> SolutionLedger:
         final = SolutionLedger()
-        merged_up = self._merge_side_ledgers(self.up_ss)
-        merged_down = self._merge_side_ledgers(self.down_ss)
+        merged = [side.merged_ledger() for side in self.sides]
         if self.mode == "directed":
-            self.h_ledger = _join_sides(merged_up, merged_down,
-                                        self.forest.graph, self.forest_extra)
+            # an assigned pair's path crosses its root's link arc
+            links = {r.pair: (self.forest.root_link_arc[r.root],)
+                     for r in self.records if r.outcome == Assignment.ASSIGNED}
+            self.h_ledger = _join_sides(*merged, self.forest.graph, links)
             committed_cost = solution_cost(self.forest.graph, self.h_ledger)[2]
             base_ledger = pull_forest_ledger(self.forest, self.h_ledger)
         else:
-            committed_cost = (solution_cost(self.up_layer.graph, merged_up)[2]
-                              + solution_cost(self.down_layer.graph,
-                                              merged_down)[2])
-            base_ledger = _join_sides(pull_back(self.up_layer, merged_up),
-                                      pull_back(self.down_layer, merged_down))
+            committed_cost = sum(
+                solution_cost(side.expansion.graph, ledger)[2]
+                for side, ledger in zip(self.sides, merged))
+            base_ledger = _join_sides(*(pull_back(side.expansion, ledger)
+                                        for side, ledger in zip(self.sides,
+                                                                merged)))
         pulled_cost = solution_cost(self.base, base_ledger)[2]
         if pulled_cost > committed_cost + 1e-9:
             raise AssertionError(

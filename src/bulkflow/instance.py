@@ -19,6 +19,7 @@ for sinks. Demands other than 1 are rejected.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
@@ -63,11 +64,21 @@ def load_instance(source: Union[str, Path, dict], name: str = "") -> Instance:
         raise InstanceError(f"bad instance {name or '<dict>'}: {exc}") from exc
 
 
+def as_int(value: object, what: str) -> int:
+    """``value`` as an int: ints and integral floats pass; fractions, bools,
+    strings and non-finite numbers are refused."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise InstanceError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse(data: dict, name: str) -> Instance:
     mode = data.get("mode", "edge")
     if mode not in MODES:
         raise InstanceError(f"unknown mode {mode!r}")
-    n = int(data["n"])
+    n = as_int(data["n"], "n")
     if n < 1:
         raise InstanceError("n must be positive")
     directed = bool(data.get("directed", False))
@@ -75,12 +86,14 @@ def _parse(data: dict, name: str) -> Instance:
     raw_pairs = data.get("pairs", [])
 
     for ed in edges:
-        if not (0 <= int(ed["tail"]) < n and 0 <= int(ed["head"]) < n):
+        if not (0 <= as_int(ed["tail"], "tail") < n
+                and 0 <= as_int(ed["head"], "head") < n):
             raise InstanceError(f"edge endpoint out of range: {ed}")
     for pr in raw_pairs:
-        if not (0 <= int(pr["s"]) < n and 0 <= int(pr["t"]) < n):
+        if not (0 <= as_int(pr["s"], "s") < n
+                and 0 <= as_int(pr["t"], "t") < n):
             raise InstanceError(f"pair endpoint out of range: {pr}")
-        if int(pr.get("d", 1)) != 1:
+        if as_int(pr.get("d", 1), "d") != 1:
             raise InstanceError(f"pair demand must be 1, got {pr.get('d')}")
         if "q" in pr and mode != "prize":
             raise InstanceError("penalties are only allowed in prize mode")
@@ -93,7 +106,7 @@ def _parse(data: dict, name: str) -> Instance:
         node_l = [0.0] * n
         seen = set()
         for entry in costs:
-            v = int(entry["v"])
+            v = as_int(entry["v"], "v")
             if not 0 <= v < n or v in seen:
                 raise InstanceError(f"bad node_costs entry {entry}")
             seen.add(v)
@@ -114,7 +127,7 @@ def _parse(data: dict, name: str) -> Instance:
     for ed in edges:
         graph.add_edge(int(ed["tail"]), int(ed["head"]),
                        float(ed["c"]), float(ed["l"]),
-                       source=(int(ed.get("id", len(graph.tail))),))
+                       source=(as_int(ed.get("id", len(graph.tail)), "id"),))
     graph.freeze()
     pairs = []
     for i, pr in enumerate(raw_pairs):

@@ -10,56 +10,39 @@ special casing. The arcs are usable only by their own pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from .fractional import PairSpec, RootSpec
-from .graph import GraphError, TwoMetricGraph
+from .fractional import PairSpec, RootSpec, SideGraph
+from .graph import GraphError
 from .rounding import Assignment
 
 VIRTUAL_ROOT_ID = -1
 
 
-@dataclass
-class PenaltyAugmentation:
-    """Extended side graphs plus ownership of the per-pair penalty arcs."""
+def augment(sides: Sequence[SideGraph], pairs: Sequence[PairSpec]
+            ) -> Tuple[Tuple[SideGraph, ...], RootSpec]:
+    """Add the virtual root and the pair-private discard arcs to both sides.
 
-    up_graph: TwoMetricGraph
-    down_graph: TwoMetricGraph
-    up_owner: Dict[int, int]
-    down_owner: Dict[int, int]
-    virtual_root: RootSpec
-    up_arc_of_pair: Dict[int, int]
-
-
-def augment(up_graph: TwoMetricGraph, down_graph: TwoMetricGraph,
-            pairs: Sequence[PairSpec]) -> PenaltyAugmentation:
-    """Add the virtual root and the pair-private discard arcs to both sides."""
-    up = up_graph.unfrozen_copy(extra_vertices=1)
-    down = down_graph.unfrozen_copy(extra_vertices=1)
-    virtual_up = up.n - 1
-    virtual_down = down.n - 1
-    up_owner: Dict[int, int] = {}
-    down_owner: Dict[int, int] = {}
-    up_arc_of_pair: Dict[int, int] = {}
+    ``sides`` are in (up, down) order. Returns the augmented sides, which
+    own their discard arcs, and the virtual root: the new last vertex of
+    each side.
+    """
+    graphs = [side.graph.unfrozen_copy(extra_vertices=1) for side in sides]
+    virtual = RootSpec(VIRTUAL_ROOT_ID, *(graph.n - 1 for graph in graphs),
+                       virtual=True)
+    owners: Tuple[Dict[int, int], ...] = tuple({} for _ in sides)
     for pair in pairs:
         if pair.penalty is None:
             continue
         if pair.penalty < 0:
             raise GraphError(f"pair {pair.index}: negative penalty")
-        e_up = up.add_arc(pair.up_source, virtual_up, 0.0, pair.penalty / 2.0,
-                          source=("penalty", pair.index))
-        e_down = down.add_arc(virtual_down, pair.down_sink, 0.0,
+        for side, graph, owner in zip(sides, graphs, owners):
+            e = graph.add_arc(*side.ends(pair, virtual), 0.0,
                               pair.penalty / 2.0, source=("penalty", pair.index))
-        up_owner[e_up] = pair.index
-        down_owner[e_down] = pair.index
-        up_arc_of_pair[pair.index] = e_up
-    spec = RootSpec(root_id=VIRTUAL_ROOT_ID, up_vertex=virtual_up,
-                    down_vertex=virtual_down, virtual=True)
-    return PenaltyAugmentation(up_graph=up.freeze(), down_graph=down.freeze(),
-                               up_owner=up_owner, down_owner=down_owner,
-                               virtual_root=spec,
-                               up_arc_of_pair=up_arc_of_pair)
+            owner[e] = pair.index
+    augmented = tuple(SideGraph(graph.freeze(), side.upward, owner)
+                      for side, graph, owner in zip(sides, graphs, owners))
+    return augmented, virtual
 
 
 def settle(penalty: Optional[float], outcome: str) -> float:

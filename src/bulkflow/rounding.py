@@ -145,8 +145,8 @@ def scaled_min_cut(state: CompositeSolver, draw: ThresholdDraw,
         raise ValueError(f"unknown side {side!r}")
     record = by_name[side]
     graph, flows = record.graph, record.flow[(root_id, pair_index)]
-    source, sink = record.ends(state.pairs[pair_index],
-                               state.root_by_id[root_id])
+    source, sink = record.side_graph.ends(state.pairs[pair_index],
+                                          state.root_by_id[root_id])
     tau = draw.tau[root_id]
     net = FlowNetwork(graph.n)
     for e, f in flows.items():

@@ -1,11 +1,11 @@
-"""Pluggable online single-sink (and single-source) subalgorithms.
+"""Online single-sink (and single-source) subalgorithms.
 
-The multicommodity pipeline only needs *some* online algorithm per root that
-connects arriving terminals to it. The default plug-in augments greedily:
-each terminal takes the path minimizing marginal cost, where already-bought
-edges charge only their length. Sink instances route terminal -> root,
-source instances root -> terminal; both share the same residual-weight
-shortest-path core.
+The multicommodity pipeline builds one ``GreedySingleSink`` per root and
+side and uses its ``on_terminal``, ``marginal_cost`` and ``ledger``. It
+augments greedily: each terminal takes the path minimizing marginal cost,
+where already-bought edges charge only their length. Sink instances route
+terminal -> root, source instances root -> terminal; both share the same
+residual-weight shortest-path core.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import bulkflow
 
 from bulkflow import fractional
 from bulkflow.fractional import (ArrivalOutcome, CompositeSolver, PairSpec,
-                                 RootSpec, SolverConfig)
+                                 RootSpec, SideGraph, SolverConfig)
 from bulkflow.graph import TwoMetricGraph
 from helpers import build_graph
 
@@ -20,9 +20,12 @@ BIG_KAPPA = 1e9
 
 
 def make_solver(up, down, roots, n_scale=10, guess=1.0, kappa=BIG_KAPPA,
-                dmax=0.05, **kw):
+                dmax=0.05):
+    """A solver over two sides; bare graphs become sides without owners."""
+    if not isinstance(up, SideGraph):
+        up, down = SideGraph(up, upward=True), SideGraph(down, upward=False)
     cfg = SolverConfig(kappa=kappa, dmax=dmax)
-    return CompositeSolver(up, down, roots, n_scale, guess, cfg, **kw)
+    return CompositeSolver(up, down, roots, n_scale, guess, cfg)
 
 
 def single_path_instance(n_edges=8, c=0.01, l=0.75):
@@ -249,7 +252,8 @@ def test_check_pair_raises_under_python_optimize():
     script = textwrap.dedent('''
         import sys
         from bulkflow.fractional import (ArrivalOutcome, CompositeSolver,
-                                         PairSpec, RootSpec, SolverConfig)
+                                         PairSpec, RootSpec, SideGraph,
+                                         SolverConfig)
         from bulkflow.graph import TwoMetricGraph
 
         up = TwoMetricGraph(4)
@@ -257,7 +261,8 @@ def test_check_pair_raises_under_python_optimize():
             up.add_arc(i, i + 1, 0.01, 0.2)
         down = TwoMetricGraph(2)
         down.add_arc(0, 1, 0.01, 0.0)
-        solver = CompositeSolver(up.freeze(), down.freeze(),
+        solver = CompositeSolver(SideGraph(up.freeze(), upward=True),
+                                 SideGraph(down.freeze(), upward=False),
                                  [RootSpec(0, up_vertex=3, down_vertex=0)],
                                  10, 1.0, SolverConfig(kappa=1e9, dmax=0.3))
         pair = PairSpec(index=0, up_source=0, down_sink=1)

@@ -50,7 +50,13 @@ class TestNonFiniteInput:
         lambda d: d["edges"][0].update(c="abc"),
         lambda d: d.update(n="x"),
         lambda d: d.update(n=math.inf),
-    ], ids=["edge-c", "n", "n-inf"])
+        lambda d: d["pairs"][0].update(d=1.5),
+        lambda d: d.update(n=3.9),
+        lambda d: d["edges"][0].update(head=1.7),
+        lambda d: d["edges"][0].update(tail=True),
+        lambda d: d["edges"][0].update(id=1.5),
+    ], ids=["edge-c", "n", "n-inf", "d-fraction", "n-fraction",
+            "head-fraction", "tail-bool", "id-fraction"])
     def test_load_instance_refuses_non_numeric_fields(self, edit):
         data = grid(2, 2, k=2, seed=1)
         edit(data)

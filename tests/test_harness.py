@@ -322,7 +322,11 @@ class TestCli:
 
     @pytest.mark.parametrize("params", ["rows=abc,cols=2,k=2",
                                         "rows=2,cols=2,k=2,bogus=1",
-                                        "rows=2,cols=2"])
+                                        "rows=2,cols=2",
+                                        "rows=2.7,cols=2,k=2",
+                                        "rows=2,cols=2,k=nan",
+                                        "rows=2,cols=2,k=0",
+                                        "rows=2,cols=2,k=-1"])
     def test_bad_generate_params_exit_code_2(self, tmp_path, params):
         out = tmp_path / "inst.json"
         result = self._cli("generate", "--kind", "grid", "--params", params,
@@ -340,13 +344,16 @@ class TestCli:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("field", ["c", "n"])
+    @pytest.mark.parametrize("field", ["c", "n", "d", "n-fraction", "head",
+                                       "tail"])
     def test_non_numeric_instance_exit_code_2(self, tmp_path, field):
         data = grid(2, 2, k=2, seed=1)
-        if field == "c":
-            data["edges"][0]["c"] = "abc"
-        else:
-            data["n"] = "x"
+        {"c": lambda: data["edges"][0].update(c="abc"),
+         "n": lambda: data.update(n="x"),
+         "d": lambda: data["pairs"][0].update(d=1.5),
+         "n-fraction": lambda: data.update(n=3.9),
+         "head": lambda: data["edges"][0].update(head=1.7),
+         "tail": lambda: data["edges"][0].update(tail=True)}[field]()
         inst = tmp_path / "text.json"
         inst.write_text(json.dumps(data))
         result = self._cli("run", "--instance", str(inst), "--mode", "edge")

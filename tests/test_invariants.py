@@ -1,5 +1,6 @@
 """Cross-module property suites: empirical constants recorded, bounds loose."""
 
+import hashlib
 import math
 import random
 import time
@@ -68,6 +69,14 @@ DEFAULT_CONFIG_INSTANCES = {
     "node": _node_grid,
 }
 
+# sha256 of each mode's report; a refactor must leave these bytes alone
+DEFAULT_CONFIG_DIGESTS = {
+    "directed": "0cea5204ac969b3fb46b6089a1179443310f0749cf7bd2122529e4c4aa187f5c",
+    "edge": "9d60b08c75b3e51895ffeb19e8891331d214cf3657b9ea10efbb72dbde06b553",
+    "node": "7d012e43c4e22eee92711885eb7ec48f893bdf6c8c7c45a0972b41da38328058",
+    "prize": "a52124e4b0a0f79d2c3cf84c71e2ae0e693bb93d83d8a225e4dc3fea868cbf05",
+}
+
 
 @pytest.mark.parametrize("mode", sorted(DEFAULT_CONFIG_INSTANCES))
 def test_default_configuration_invariants(mode):
@@ -104,7 +113,10 @@ def test_default_configuration_invariants(mode):
         assert cuts > 0, "no pair was assigned to a root"
         return pipeline.finish().to_csv()
 
-    assert run_checked() == run_checked()
+    report = run_checked()
+    assert report == run_checked()
+    assert (hashlib.sha256(report.encode()).hexdigest()
+            == DEFAULT_CONFIG_DIGESTS[mode])
 
 
 def test_lp_value_within_polylog_of_offline_opt():

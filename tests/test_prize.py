@@ -1,6 +1,6 @@
 import pytest
 
-from bulkflow.fractional import ArrivalOutcome, PairSpec, RootSpec
+from bulkflow.fractional import ArrivalOutcome, PairSpec, RootSpec, SideGraph
 from bulkflow.generate import grid, with_penalties
 from bulkflow.graph import GraphError
 from bulkflow.harness import RunConfig, run_online
@@ -11,38 +11,53 @@ from helpers import build_graph
 from test_fractional import make_solver
 
 
+def two_sides(up, down):
+    return SideGraph(up, upward=True), SideGraph(down, upward=False)
+
+
+def private_arc(side, pair_index):
+    """The one arc of a side that only ``pair_index`` may use."""
+    arcs = [e for e, owner in side.owner.items() if owner == pair_index]
+    assert len(arcs) == 1
+    return arcs[0]
+
+
 class TestAugment:
     def test_adds_private_arcs_and_virtual_root(self):
         up = build_graph(2, [(0, 1, 1, 0.1)])
         down = build_graph(2, [(0, 1, 1, 0.1)])
         pairs = [PairSpec(0, up_source=0, down_sink=1, penalty=4.0),
                  PairSpec(1, up_source=0, down_sink=1, penalty=None)]
-        aug = augment(up, down, pairs)
-        assert aug.up_graph.n == 3 and aug.down_graph.n == 3
-        e_up = aug.up_arc_of_pair[0]
-        assert aug.up_graph.c[e_up] == 0.0
-        assert aug.up_graph.l[e_up] == pytest.approx(2.0)  # q / 2
-        assert aug.up_owner[e_up] == 0
-        assert 1 not in aug.up_arc_of_pair  # no penalty, no escape arc
-        assert aug.virtual_root.root_id == VIRTUAL_ROOT_ID
-        assert aug.virtual_root.virtual
+        sides, virtual = augment(two_sides(up, down), pairs)
+        assert [side.upward for side in sides] == [True, False]
+        assert [side.graph.n for side in sides] == [3, 3]
+        assert (virtual.up_vertex, virtual.down_vertex) == (2, 2)
+        # upstairs source -> virtual root, downstairs virtual root -> sink
+        for side, ends in zip(sides, [(0, 2), (2, 1)]):
+            e = private_arc(side, 0)
+            assert (side.graph.tail[e], side.graph.head[e]) == ends
+            assert side.graph.c[e] == 0.0
+            assert side.graph.l[e] == pytest.approx(2.0)  # q / 2
+            assert side.owner[e] == 0
+            assert 1 not in side.owner.values()  # no penalty, no escape arc
+        assert virtual.root_id == VIRTUAL_ROOT_ID
+        assert virtual.virtual
 
     def test_negative_penalty_rejected(self):
         up = build_graph(2, [(0, 1, 1, 0.1)])
         down = build_graph(2, [(0, 1, 1, 0.1)])
         with pytest.raises(GraphError):
-            augment(up, down, [PairSpec(0, 0, 1, penalty=-1.0)])
+            augment(two_sides(up, down), [PairSpec(0, 0, 1, penalty=-1.0)])
 
     def test_private_arc_unusable_by_other_pairs(self):
         up = build_graph(2, [(0, 1, 1, 0.1)])
         down = build_graph(2, [(0, 1, 1, 0.1)])
         pairs = [PairSpec(0, 0, 1, penalty=0.5), PairSpec(1, 0, 1, penalty=0.5)]
-        aug = augment(up, down, pairs)
-        solver = make_solver(aug.up_graph, aug.down_graph,
-                             [RootSpec(1, 1, 0), aug.virtual_root],
-                             up_owner=aug.up_owner, down_owner=aug.down_owner)
-        assert not solver.up.usable(aug.up_arc_of_pair[0], pair_index=1)
-        assert solver.up.usable(aug.up_arc_of_pair[0], pair_index=0)
+        sides, virtual = augment(two_sides(up, down), pairs)
+        solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual])
+        arc = private_arc(sides[0], 0)
+        assert not solver.up.usable(arc, pair_index=1)
+        assert solver.up.usable(arc, pair_index=0)
 
 
 class TestFractionalDiscard:
@@ -50,18 +65,15 @@ class TestFractionalDiscard:
         up = build_graph(2, [(0, 1, 0.6, 0.4)])
         down = build_graph(2, [(0, 1, 0.6, 0.4)])
         pairs = [PairSpec(0, 0, 1, penalty=0.8)]
-        aug = augment(up, down, pairs)
-        solver = make_solver(aug.up_graph, aug.down_graph,
-                             [RootSpec(1, 1, 0), aug.virtual_root],
-                             up_owner=aug.up_owner, down_owner=aug.down_owner,
-                             dmax=0.2)
+        sides, virtual = augment(two_sides(up, down), pairs)
+        solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual], dmax=0.2)
         assert solver.on_arrival(pairs[0]) == ArrivalOutcome.SATISFIED
         z_real = solver.z[(0, 1)]
         z_discard = solver.z[(0, VIRTUAL_ROOT_ID)]
         assert z_real + z_discard >= 1 - 1e-7
         assert z_discard > 0
         # fractional split contributes q * z_discard through the arc lengths
-        arc = aug.up_arc_of_pair[0]
+        arc = private_arc(sides[0], 0)
         assert solver.up.flow[(VIRTUAL_ROOT_ID, 0)][arc] == pytest.approx(z_discard,
                                                                      abs=1e-7)
 
@@ -69,10 +81,8 @@ class TestFractionalDiscard:
         up = build_graph(2, [(0, 1, 0.6, 0.4)])
         down = build_graph(2, [(0, 1, 0.6, 0.4)])
         pairs = [PairSpec(0, 0, 1, penalty=0.0)]
-        aug = augment(up, down, pairs)
-        solver = make_solver(aug.up_graph, aug.down_graph,
-                             [RootSpec(1, 1, 0), aug.virtual_root],
-                             up_owner=aug.up_owner, down_owner=aug.down_owner)
+        sides, virtual = augment(two_sides(up, down), pairs)
+        solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual])
         before = solver.lp_objective()
         assert solver.on_arrival(pairs[0]) == ArrivalOutcome.SATISFIED
         assert solver.z[(0, VIRTUAL_ROOT_ID)] >= 0.9
