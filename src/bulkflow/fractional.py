@@ -38,8 +38,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .flows import FlowNetwork, max_delta
-from .graph import (TwoMetricGraph, reachable_from, reaches, shortest_path,
-                    shortest_paths)
+from .graph import TwoMetricGraph, reachable_from, reaches, shortest_path
 
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
@@ -128,14 +127,13 @@ class SideGraph:
 
 
 class _Side:
-    """Per-direction epoch view (rescaled metrics, pruning, ownership) and
-    that side's LP variables: capacities ``x`` and flows."""
+    """Per-direction epoch view (rescaled metrics, pruning) and that side's
+    LP variables: capacities ``x``, flows and the arcs each flow may use."""
 
     def __init__(self, side_graph: SideGraph, guess: float,
                  root_ids: Sequence[int], v0: float):
         self.side_graph = side_graph
         graph = self.graph = side_graph.graph
-        self.owner = side_graph.owner or {}
         self.c = [graph.c[e] / guess for e in range(graph.m)]
         self.l = [graph.l[e] / guess for e in range(graph.m)]
         self.alive = [self.c[e] <= 1.0 + 1e-12 and self.l[e] <= 1.0 + 1e-12
@@ -144,22 +142,31 @@ class _Side:
         self.x: Dict[int, List[float]] = {
             rid: [v0 if alive else 0.0 for alive in self.alive]
             for rid in root_ids}
-        # sparse per (root, pair) flows
+        # sparse per (root, pair) flows, each confined to its funnel
         self.flow: Dict[Tuple[int, int], Dict[int, float]] = {}
+        self.funnels: Dict[Tuple[int, int], List[int]] = {}
 
     def tight(self, root_id: int, pair_index: int) -> Set[int]:
         """Edges whose capacity variable is met by this pair's flow."""
         return {e for e, f in self.flow.get((root_id, pair_index), {}).items()
                 if self.x[root_id][e] <= f + TIGHT_TOL}
 
-    def usable(self, e: int, pair_index: int) -> bool:
-        if not self.alive[e]:
-            return False
-        own = self.owner.get(e)
-        return own is None or own == pair_index
+    def funnel(self, pair: PairSpec, root: RootSpec) -> Optional[List[int]]:
+        """The arcs, in id order, the pair may route over through ``root``:
+        alive, admitted by ``SideGraph.allowed``, tail reached from the
+        source, head reaching the sink; ``None`` if the sink is unreachable."""
+        alive, allowed = self.alive, self.side_graph.allowed(pair.index)
 
-    def allowed_fn(self, pair_index: int):
-        return lambda e: self.usable(e, pair_index)
+        def usable(e: int) -> bool:
+            return alive[e] and (allowed is None or allowed(e))
+
+        source, sink = self.side_graph.ends(pair, root)
+        after = reachable_from(self.graph, source, usable)
+        if sink not in after:
+            return None
+        before = reaches(self.graph, sink, usable)
+        return sorted(e for v in after & before for e in self.graph.out_arcs[v]
+                      if self.graph.head[e] in before and usable(e))
 
 
 @dataclass(frozen=True)
@@ -248,37 +255,33 @@ class CompositeSolver:
     def arrival_init(self, pair: PairSpec) -> List[int]:
         """Register a pair: find eligible roots and seed all its variables.
 
-        The seed routes ``v0`` units along a hop-shortest path on each side
-        for every eligible root, so flows start equal to their ``z`` and the
-        inner LP is feasible from the first moment.
+        A root is eligible when the pair has a funnel through it on both
+        sides. The seed routes ``v0`` units along a hop-shortest path inside
+        each funnel, so flows start equal to their ``z`` and the inner LP is
+        feasible from the first moment.
         """
         if pair.index in self.pairs:
             raise ValueError(f"pair {pair.index} already processed")
         self.pairs[pair.index] = pair
-        # one hop-count search gives up-side reachability and every seed path;
-        # the down side searches forward per root to keep its tie-break
-        up_paths = shortest_paths(self.up.graph, lambda e: 1.0, pair.up_source,
-                                  allowed=self.up.allowed_fn(pair.index))
-        down_reach = reaches(self.down.graph, pair.down_sink,
-                             self.down.allowed_fn(pair.index))
-        eligible = [spec.root_id for spec in self.roots
-                    if spec.up_vertex in up_paths and spec.down_vertex in down_reach]
-        self.eligible[pair.index] = eligible
-        for rid in eligible:
-            spec = self.root_by_id[rid]
-            down_path, _ = shortest_path(self.down.graph, lambda e: 1.0,
-                                         *self.down.side_graph.ends(pair, spec),
-                                         self.down.allowed_fn(pair.index))
-            self.z[(pair.index, rid)] = self.v0
-            for side, path in ((self.up, up_paths[spec.up_vertex][0]),
-                               (self.down, down_path)):
-                flow: Dict[int, float] = {}
+        eligible = self.eligible[pair.index] = []
+        for spec in self.roots:
+            funnels = [side.funnel(pair, spec) for side in self.sides]
+            if any(funnel is None for funnel in funnels):
+                continue
+            eligible.append(spec.root_id)
+            self.z[(pair.index, spec.root_id)] = self.v0
+            for side, funnel in zip(self.sides, funnels):
+                side.funnels[(spec.root_id, pair.index)] = funnel
+                path, _ = shortest_path(side.graph, lambda e: 1.0,
+                                        *side.side_graph.ends(pair, spec),
+                                        set(funnel).__contains__)
+                # a shortest path is simple: each of its arcs carries v0 once
+                flow = dict.fromkeys(path, self.v0)
+                side.flow[(spec.root_id, pair.index)] = flow
                 for e in path:
-                    flow[e] = flow.get(e, 0.0) + self.v0
                     self._objective += side.l[e] * self.v0
-                side.flow[(rid, pair.index)] = flow
                 # seeding at x's initial value can only create exact tightness
-                x = side.x[rid]
+                x = side.x[spec.root_id]
                 if any(f > x[e] + TIGHT_TOL for e, f in flow.items()):
                     raise AssertionError("seed flow exceeded capacity variable")
         return eligible
@@ -299,8 +302,9 @@ class CompositeSolver:
         return math.exp(dt / c)
 
     def _aux_network(self, side: _Side, rid: int, tight: Set[int], dt: float,
-                     pair_index: int) -> Tuple[FlowNetwork, List[int]]:
-        """Rate network with integrated step capacities.
+                     pair_index: int) -> FlowNetwork:
+        """Rate network with integrated step capacities; network arc ``a`` is
+        funnel arc ``a``.
 
         An edge's admissible flow increment over ``dt`` is its current
         headroom plus the growth of ``x`` while riding the boundary; the rate
@@ -310,10 +314,7 @@ class CompositeSolver:
         x = side.x[rid]
         flows = side.flow.get((rid, pair_index), {})
         net = FlowNetwork(side.graph.n)
-        arc_map: List[int] = []
-        for e in range(side.graph.m):
-            if not side.usable(e, pair_index):
-                continue
+        for e in side.funnels[(rid, pair_index)]:
             grow = self._growth_factor(side.c[e], dt)
             if math.isinf(grow):
                 cap = math.inf
@@ -321,22 +322,20 @@ class CompositeSolver:
                 room = 0.0 if e in tight else max(0.0, x[e] - flows.get(e, 0.0))
                 cap = (room + x[e] * (grow - 1.0)) / dt
             net.add_arc(side.graph.tail[e], side.graph.head[e], cap, side.l[e])
-            arc_map.append(e)
-        return net, arc_map
+        return net
 
     def _solve_root(self, pair: PairSpec, rid: int, dt: float) -> RootStep:
         """Max joint growth rate and flow pattern for one root."""
         spec = self.root_by_id[rid]
         tight = self.tight_edges(pair.index, rid)
-        (up_net, up_map), (down_net, down_map) = (
-            self._aux_network(side, rid, side_tight, dt, pair.index)
-            for side, side_tight in zip(self.sides, tight))
+        up_net, down_net = (self._aux_network(side, rid, t, dt, pair.index)
+                            for side, t in zip(self.sides, tight))
         result = max_delta(up_net, *self.up.side_graph.ends(pair, spec),
                            down_net, *self.down.side_graph.ends(pair, spec),
                            self.z[(pair.index, rid)])
-        grow = tuple({arc_map[a]: f for a, f in res.flow.items() if f > 0.0}
-                     for arc_map, res in ((up_map, result.up),
-                                          (down_map, result.down)))
+        grow = tuple({side.funnels[(rid, pair.index)][a]: f
+                      for a, f in res.flow.items() if f > 0.0}
+                     for side, res in zip(self.sides, (result.up, result.down)))
         return RootStep(result.delta, grow, tight)
 
     def growth_step(self, pair_index: int, dt: Optional[float] = None) -> GrowthStep:

@@ -24,7 +24,7 @@ from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
                          SideGraph, SolverConfig)
 from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
                     Unreachable, shortest_path, shortest_paths, solution_cost)
-from .instance import Instance, load_instance
+from .instance import Instance, as_int, load_instance
 from .junction import JunctionForest, build_junction_forest, pull_forest_ledger
 from .layering import LayeredGraph, build_layered, default_height, pull_back
 from .oracle import (InfeasibleInstance, junction_opt, offline_opt,
@@ -160,8 +160,7 @@ class _PipelineSide:
     def merged_ledger(self) -> SolutionLedger:
         merged = SolutionLedger()
         for ss in self.single_sinks.values():
-            for key in ss.ledger.bought:
-                merged.bought.add(key)
+            merged.bought.update(ss.ledger.bought)
             merged.paths.update(ss.ledger.paths)
         return merged
 
@@ -244,6 +243,8 @@ class OnlinePipeline:
     # epochs
 
     def _initial_guess(self, spec: PairSpec) -> float:
+        """Cheapest ``c + l`` route through any root under the owner rule
+        alone: pruning depends on the guess this sets."""
         best = math.inf
         up, down = (side.side_graph for side in self.sides)
         reached = shortest_paths(
@@ -297,6 +298,9 @@ class OnlinePipeline:
                 return
 
     def _structurally_feasible(self, spec: PairSpec) -> bool:
+        """Whether some root is reachable on both sides under the owner rule
+        alone. Unlike the solver's funnels this ignores pruning, because it
+        asks whether a larger guess would help."""
         reach = [(side.side_graph, side.side_graph.reach(spec))
                  for side in self.sides]
         return any(all(side_graph.root_vertex(r) in seen
@@ -533,25 +537,25 @@ EXPERIMENT_COLUMNS = ("instance", "n", "k", "mode", "online_total", "opt",
                       "wall_ms")
 
 
-def _experiment_row(suite_dir: Path, entry: dict) -> Tuple[str, Optional[float], Optional[str]]:
-    """One suite run; returns (csv row, ratio, error message)."""
-    inst_path = entry["instance"]
-    if not Path(inst_path).is_absolute():
-        inst_path = str(suite_dir / inst_path)
-    name = Path(inst_path).stem
+def _experiment_row(suite_dir: Path, entry: object) -> Tuple[str, Optional[float], Optional[str]]:
+    """One suite run; returns (csv row, ratio, error message). A malformed
+    entry fails its own row only."""
+    name = mode = ""
     try:
+        mode = entry.get("mode", "")
+        inst_path = suite_dir / entry["instance"]  # absolute paths stay as is
+        name = inst_path.stem
         instance = load_instance(inst_path)
         config = RunConfig(
             mode=entry.get("mode", instance.mode),
-            seed=int(entry.get("seed", 0)),
+            seed=as_int(entry.get("seed", 0), "seed"),
             h=entry.get("h"),
             kappa=entry.get("kappa"),
             dmax=float(entry.get("dmax", 0.05)),
             oracle=bool(entry.get("oracle", True)))
         report = run_online(instance, config)
     except Exception as exc:  # noqa: BLE001 - suite must keep going
-        return (f"{name},,,{entry.get('mode', '')},,,,,,,", None,
-                f"{name}: {exc}")
+        return f"{name},,,{mode},,,,,,,", None, f"{name}: {exc}"
     k = max(1, instance.k)
     row = ",".join([
         name, str(instance.display_n), str(instance.k),
@@ -576,20 +580,17 @@ def run_experiment(suite_path: str, out_path: str) -> Dict[str, float]:
         suite = json.loads(suite_file.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InstanceError(f"cannot read suite {suite_path}: {exc}") from exc
-    entries = suite.get("runs", [])
+    entries = suite.get("runs", []) if isinstance(suite, dict) else None
+    if not isinstance(entries, list):
+        raise InstanceError(f"suite {suite_path}: expected an object with "
+                            f"a 'runs' list")
     results = [_experiment_row(suite_file.parent, entry) for entry in entries]
-    rows = [",".join(EXPERIMENT_COLUMNS)]
-    ratios: List[float] = []
-    failures: List[str] = []
-    for row, ratio, error in results:
-        rows.append(row)
-        if ratio is not None:
-            ratios.append(ratio)
-        if error is not None:
-            failures.append(error)
+    rows = [",".join(EXPERIMENT_COLUMNS)] + [row for row, _, _ in results]
     Path(out_path).write_text("\n".join(rows) + "\n")
-    summary: Dict[str, float] = {"runs": len(entries),
-                                 "failures": len(failures)}
+    ratios = [ratio for _, ratio, _ in results if ratio is not None]
+    summary: Dict[str, float] = {
+        "runs": len(entries),
+        "failures": sum(error is not None for _, _, error in results)}
     if ratios:
         summary["max_ratio"] = max(ratios)
         summary["geomean_ratio"] = math.exp(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -13,8 +14,9 @@ import bulkflow
 from bulkflow import fractional
 from bulkflow.fractional import (ArrivalOutcome, CompositeSolver, PairSpec,
                                  RootSpec, SideGraph, SolverConfig)
-from bulkflow.graph import TwoMetricGraph
-from helpers import build_graph
+from bulkflow.graph import TwoMetricGraph, shortest_path
+from bulkflow.junction import build_junction_forest
+from helpers import build_graph, random_two_metric
 
 BIG_KAPPA = 1e9
 
@@ -382,3 +384,96 @@ class TestDeterminism:
                     {r: list(a) for r, a in solver.up.x.items()},
                     solver.objective)
         assert run() == run()
+
+
+def tie_heavy_side(rng, n, upward):
+    """A random side graph with parallel arcs, many equal lengths, zero-cost
+    and zero-length arcs, arcs the unit guess prunes and pair-owned arcs."""
+    g = TwoMetricGraph(n, directed=True)
+    for _ in range(5 * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            g.add_arc(u, v, rng.choice([0.0, 0.25, 0.25, 2.0]),
+                      rng.choice([0.0, 0.5, 0.5, 1.5]))
+    owner = {e: rng.randrange(2) for e in range(g.m) if rng.random() < 0.2}
+    return SideGraph(g.freeze(), upward=upward, owner=owner)
+
+
+def usable_arcs(side, pair):
+    """Every arc the pair may use on a side, ignoring where it leads."""
+    allowed = side.side_graph.allowed(pair.index)
+    return [e for e in range(side.graph.m)
+            if side.alive[e] and (allowed is None or allowed(e))]
+
+
+class TestFunnel:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_funnel_network_matches_full_usable_network(self, seed):
+        rng = random.Random(seed)
+        n = 6
+        up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
+        roots = [RootSpec(r, r, r) for r in range(n)]
+        solver = make_solver(up, down, roots, dmax=0.2)
+        assert not all(solver.up.alive) and up.owner
+        compared = shrunk = 0
+        for index in range(2):
+            pair = PairSpec(index, rng.randrange(n), rng.randrange(n))
+            eligible = solver.arrival_init(pair)
+            for rid, side in itertools.product(eligible, solver.sides):
+                # the seed is the hop-shortest path over all usable arcs
+                usable = set(usable_arcs(side, pair)).__contains__
+                path, _ = shortest_path(side.graph, lambda e: 1.0,
+                                        *side.side_graph.ends(pair, roots[rid]),
+                                        usable)
+                assert side.flow[(rid, index)] == dict.fromkeys(path, solver.v0)
+            for _ in range(4):
+                if not eligible or solver.z_total(index) >= 1.0 - 1e-12:
+                    break
+                for rid in eligible:
+                    key = (rid, index)
+                    funnel_step = solver._solve_root(pair, rid, 0.2)
+                    funnels = [side.funnels[key] for side in solver.sides]
+                    try:
+                        for side in solver.sides:
+                            side.funnels[key] = usable_arcs(side, pair)
+                        full_step = solver._solve_root(pair, rid, 0.2)
+                    finally:
+                        for side, funnel in zip(solver.sides, funnels):
+                            side.funnels[key] = funnel
+                    # same delta and, mapped back to arc ids, the same flows
+                    assert funnel_step == full_step
+                    compared += 1
+                    shrunk += any(len(funnel) < len(usable_arcs(side, pair))
+                                  for side, funnel in zip(solver.sides,
+                                                          funnels))
+                solver.apply(solver.growth_step(index))
+        assert shrunk and compared
+
+    def test_directed_funnels_stay_in_their_root_tree(self):
+        g = random_two_metric(random.Random(3), 4, 8, ensure_cycle=True)
+        s, t = 0, 2
+        forest = build_junction_forest(g, k=1, h=2, sources=[s], sinks=[t])
+        sides = [SideGraph(forest.graph, upward=upward)
+                 for upward in (True, False)]
+        roots = [RootSpec(r, forest.up_root[r], forest.down_root[r])
+                 for r in range(g.n)]
+        solver = make_solver(*sides, roots, guess=1e3)
+        assert all(solver.up.alive)
+        source, sink = forest.source_vertex[s], forest.sink_vertex[t]
+        eligible = solver.arrival_init(PairSpec(0, source, sink))
+        assert eligible
+        graph = forest.graph
+        for rid in eligible:
+            up = solver.up.funnels[(rid, 0)]
+            down = solver.down.funnels[(rid, 0)]
+            # r's up tree plus the source's hookups into it, and the mirror
+            # image downstairs; never a root link, never another root's arc
+            for arcs, own, terminal, inner, outer in (
+                    (up, "up", source, graph.head, graph.tail),
+                    (down, "down", sink, graph.tail, graph.head)):
+                assert any(outer[a] == terminal for a in arcs)
+                for a in arcs:
+                    assert not forest.is_root_link(a)
+                    assert forest.tuple_of[inner[a]][:2] == (own, rid)
+                    assert (outer[a] == terminal
+                            or forest.tuple_of[outer[a]][:2] == (own, rid))

@@ -209,14 +209,26 @@ class TestExperiment(object):
         assert summary["max_ratio"] >= summary["geomean_ratio"] >= 1.0 - 1e-9
 
     def test_failures_recorded_and_continue(self, tmp_path):
+        dump_instance(grid(2, 2, k=1, seed=0), tmp_path / "g.json")
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"runs": [
             {"instance": "missing.json", "mode": "edge"},
+            {"mode": "edge"},  # no instance
+            "g.json",  # not an object
+            {"instance": "g.json", "mode": "edge", "seed": 1.7},
+            {"instance": "g.json", "mode": "edge", "h": 1, "dmax": 0.4,
+             "oracle": False},
         ]}))
         out = tmp_path / "out.csv"
         summary = run_experiment(str(suite), str(out))
-        assert summary["failures"] == 1
-        assert len(out.read_text().strip().splitlines()) == 2
+        assert summary["runs"] == 5 and summary["failures"] == 4
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 6
+        assert lines[1].startswith("missing,,,edge,")
+        assert lines[2] == ",,,edge,,,,,,,"
+        assert lines[3] == ",,,,,,,,,,"
+        assert lines[4] == "g,,,edge,,,,,,,"  # a fractional seed is refused
+        assert lines[5].startswith("g,4,1,edge,")
 
 
 class TestCli:
@@ -249,6 +261,18 @@ class TestCli:
         result = self._cli("run", "--instance", str(inst), "--mode", "edge",
                            "--seed", "0", "--h", "1")
         assert result.returncode == 0
+
+    @pytest.mark.parametrize("suite", [[{"instance": "g.json"}],
+                                       {"runs": "g.json"}],
+                             ids=["top-level-list", "runs-string"])
+    def test_malformed_suite_exit_code_2(self, tmp_path, suite):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(suite))
+        result = self._cli("experiment", "--suite", str(path),
+                           "-o", str(tmp_path / "out.csv"))
+        assert result.returncode == 2
+        assert "'runs' list" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_infeasible_input_exit_code_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -55,9 +55,14 @@ class TestAugment:
         pairs = [PairSpec(0, 0, 1, penalty=0.5), PairSpec(1, 0, 1, penalty=0.5)]
         sides, virtual = augment(two_sides(up, down), pairs)
         solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual])
+        for pair in pairs:
+            assert solver.on_arrival(pair) == ArrivalOutcome.SATISFIED
         arc = private_arc(sides[0], 0)
-        assert not solver.up.usable(arc, pair_index=1)
-        assert solver.up.usable(arc, pair_index=0)
+        assert arc in solver.up.funnels[(VIRTUAL_ROOT_ID, 0)]
+        others = [funnel for (_, pi), funnel in solver.up.funnels.items()
+                  if pi == 1]
+        assert len(others) == 2  # the real root and pair 1's own discard
+        assert all(arc not in funnel for funnel in others)
 
 
 class TestFractionalDiscard:
