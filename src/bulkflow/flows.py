@@ -7,6 +7,11 @@ available as an exact piecewise-linear function of the flow value. That
 curve answers "largest value whose cheapest routing costs at most z"
 directly, so ``max_delta`` needs one solve per side instead of a feasibility
 search.
+
+A network's residual topology (per-slot heads and signed costs, per-node
+slot lists) is built once, on its first solve, and kept until an arc is
+added; between solves only the capacities change (``set_capacities``), so a
+caller that solves the same arcs repeatedly builds nothing per solve.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 FEAS_TOL = 1e-9
 # residual capacities below this are treated as saturated
@@ -40,10 +45,27 @@ class FlowNetwork:
         self.head: List[int] = []
         self.capacity: List[float] = []
         self.cost: List[float] = []
+        self._topology: Optional[_Topology] = None
 
     @property
     def m(self) -> int:
         return len(self.tail)
+
+    def topology(self) -> _Topology:
+        """The residual topology, built on first use after an arc change."""
+        if self._topology is None:
+            self._topology = _Topology(self)
+        return self._topology
+
+    def set_capacities(self, capacity: Sequence[float]) -> None:
+        """Replace every arc's capacity at once; arcs and costs stay."""
+        if len(capacity) != len(self.tail):
+            raise FlowError(f"{len(capacity)} capacities for "
+                            f"{len(self.tail)} arcs")
+        capacity = list(map(float, capacity))
+        if any(cap < 0 for cap in capacity):
+            raise FlowError("negative capacity")
+        self.capacity = capacity
 
     def add_arc(self, tail: int, head: int, capacity: float, cost: float) -> int:
         if not (0 <= tail < self.n and 0 <= head < self.n):
@@ -57,6 +79,7 @@ class FlowNetwork:
         self.head.append(head)
         self.capacity.append(float(capacity))
         self.cost.append(float(cost))
+        self._topology = None
         return a
 
 
@@ -100,66 +123,80 @@ class FlowSegment:
     steps: Tuple[Tuple[int, int], ...]
 
 
-class _Residual:
-    """Residual graph over arc slots 2a (forward) and 2a+1 (reverse)."""
+class _Topology:
+    """Residual slots of a network: slot ``2a`` is arc ``a`` forward, slot
+    ``2a+1`` its reverse, with cost ``-cost[a]``; ``adj[v]`` lists the
+    forward slots of v's out-arcs, then the reverse slots of its in-arcs,
+    each in arc order."""
 
     def __init__(self, net: FlowNetwork):
-        self.net = net
-        self.res: List[float] = []
-        for a in range(net.m):
-            self.res.append(net.capacity[a])
-            self.res.append(0.0)
+        m = net.m
+        self.head: List[int] = [0] * (2 * m)
+        self.head[0::2] = net.head
+        self.head[1::2] = net.tail
+        self.cost: List[float] = [0.0] * (2 * m)
+        self.cost[0::2] = net.cost
+        self.cost[1::2] = [-c for c in net.cost]
         self.adj: List[List[int]] = [[] for _ in range(net.n)]
-        for a in range(net.m):
-            self.adj[net.tail[a]].append(2 * a)
-            self.adj[net.head[a]].append(2 * a + 1)
+        for a, v in enumerate(net.tail):
+            self.adj[v].append(2 * a)
+        for a, v in enumerate(net.head):
+            self.adj[v].append(2 * a + 1)
+
+
+class _Residual:
+    """Residual capacities and node potentials over a network's topology."""
+
+    def __init__(self, net: FlowNetwork):
+        self.n = net.n
+        topology = net.topology()
+        self.head, self.cost, self.adj = topology.head, topology.cost, topology.adj
+        self.res: List[float] = [0.0] * (2 * net.m)
+        self.res[0::2] = net.capacity
         self.potential = [0.0] * net.n
-
-    def slot_head(self, slot: int) -> int:
-        a = slot >> 1
-        return self.net.head[a] if slot % 2 == 0 else self.net.tail[a]
-
-    def slot_cost(self, slot: int) -> float:
-        a = slot >> 1
-        return self.net.cost[a] if slot % 2 == 0 else -self.net.cost[a]
 
     # apart from graph.shortest_paths: reduced costs on residual slots, hot path
     def shortest_path(self, source: int,
                       sink: int) -> Optional[Tuple[List[int], float]]:
         """Dijkstra on reduced costs; returns (slot path, true unit cost)."""
-        dist = [math.inf] * self.net.n
-        prev_slot = [-1] * self.net.n
+        head, cost, adj = self.head, self.cost, self.adj
+        res, potential = self.res, self.potential
+        heappop, heappush = heapq.heappop, heapq.heappush
+        inf = math.inf
+        dist = [inf] * self.n
+        prev_slot = [-1] * self.n
         dist[source] = 0.0
         heap = [(0.0, source)]
         while heap:
-            d, v = heapq.heappop(heap)
+            d, v = heappop(heap)
             if d > dist[v] + 1e-15:
                 continue
-            for slot in self.adj[v]:
-                if self.res[slot] <= EPS_CAP:
+            pot_v = potential[v]
+            for slot in adj[v]:
+                if res[slot] <= EPS_CAP:
                     continue
-                u = self.slot_head(slot)
-                rc = self.slot_cost(slot) + self.potential[v] - self.potential[u]
+                u = head[slot]
+                rc = (cost[slot] + pot_v) - potential[u]
                 if rc < 0.0:  # guard against float drift
                     rc = 0.0
                 nd = d + rc
                 if nd < dist[u] - 1e-15:
                     dist[u] = nd
                     prev_slot[u] = slot
-                    heapq.heappush(heap, (nd, u))
+                    heappush(heap, (nd, u))
         if not math.isfinite(dist[sink]):
             return None
-        for v in range(self.net.n):
-            if math.isfinite(dist[v]):
-                self.potential[v] += dist[v]
+        for v, d in enumerate(dist):
+            if d < inf:  # finite: dist is never nan or -inf
+                potential[v] += d
         path: List[int] = []
         v = sink
         while v != source:
             slot = prev_slot[v]
             path.append(slot)
-            v = self.net.tail[slot >> 1] if slot % 2 == 0 else self.net.head[slot >> 1]
+            v = head[slot ^ 1]
         path.reverse()
-        unit_cost = sum(self.slot_cost(s) for s in path)
+        unit_cost = sum(cost[s] for s in path)
         return path, unit_cost
 
     def augment(self, path: List[int], amount: float) -> None:
@@ -187,7 +224,7 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
         if found is None:
             break
         path, unit_cost = found
-        bottleneck = min(residual.res[s] for s in path)
+        bottleneck = min([residual.res[s] for s in path])
         amount = min(bottleneck, value_cap - total_value)
         if unit_cost > FEAS_TOL:
             amount = min(amount, (cost_cap - total_cost) / unit_cost)
@@ -196,7 +233,7 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
         if amount <= EPS_CAP:
             break
         residual.augment(path, amount)
-        steps = tuple((s >> 1, 1 if s % 2 == 0 else -1) for s in path)
+        steps = tuple([(s >> 1, 1 if s % 2 == 0 else -1) for s in path])
         segments.append(FlowSegment(amount, unit_cost, steps))
         total_value += amount
         total_cost += unit_cost * amount

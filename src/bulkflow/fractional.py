@@ -144,29 +144,71 @@ class _Side:
             for rid in root_ids}
         # sparse per (root, pair) flows, each confined to its funnel
         self.flow: Dict[Tuple[int, int], Dict[int, float]] = {}
-        self.funnels: Dict[Tuple[int, int], List[int]] = {}
+        self.funnels: Dict[Tuple[int, int], _Funnel] = {}
 
     def tight(self, root_id: int, pair_index: int) -> Set[int]:
         """Edges whose capacity variable is met by this pair's flow."""
         return {e for e, f in self.flow.get((root_id, pair_index), {}).items()
                 if self.x[root_id][e] <= f + TIGHT_TOL}
 
-    def funnel(self, pair: PairSpec, root: RootSpec) -> Optional[List[int]]:
-        """The arcs, in id order, the pair may route over through ``root``:
-        alive, admitted by ``SideGraph.allowed``, tail reached from the
-        source, head reaching the sink; ``None`` if the sink is unreachable."""
-        alive, allowed = self.alive, self.side_graph.allowed(pair.index)
+    def usable(self, pair_index: int) -> Callable[[int], bool]:
+        """Arc filter for one pair: alive and admitted by ``allowed``."""
+        alive, allowed = self.alive, self.side_graph.allowed(pair_index)
 
         def usable(e: int) -> bool:
             return alive[e] and (allowed is None or allowed(e))
 
-        source, sink = self.side_graph.ends(pair, root)
-        after = reachable_from(self.graph, source, usable)
-        if sink not in after:
+        return usable
+
+    def pair_reach(self, pair: PairSpec) -> Set[int]:
+        """Vertices the pair's source reaches upstairs, or that reach its
+        sink downstairs, over the arcs it may use; shared by all roots."""
+        search = reachable_from if self.side_graph.upward else reaches
+        return search(self.graph, self.side_graph.terminal(pair),
+                      self.usable(pair.index))
+
+    def funnel(self, pair: PairSpec, root: RootSpec,
+               near: Set[int]) -> Optional[List[int]]:
+        """The arcs, in id order, the pair may route over through ``root``:
+        usable, tail reached from the source, head reaching the sink; ``None``
+        if the sink is unreachable. ``near`` is ``pair_reach(pair)``."""
+        vertex = self.side_graph.root_vertex(root)
+        if vertex not in near:
             return None
-        before = reaches(self.graph, sink, usable)
+        usable = self.usable(pair.index)
+        if self.side_graph.upward:
+            after, before = near, reaches(self.graph, vertex, usable)
+        else:
+            after, before = reachable_from(self.graph, vertex, usable), near
         return sorted(e for v in after & before for e in self.graph.out_arcs[v]
                       if self.graph.head[e] in before and usable(e))
+
+
+def _growth_factor(c: float, dt: float) -> float:
+    """Multiplier ``exp(dt/c)``; zero or negligible costs grow unboundedly.
+
+    The exponent is cut off where ``exp`` would overflow; any factor that
+    large is indistinguishable from infinite capacity since variables top
+    out at 1.
+    """
+    if c <= 0 or dt / c > 700.0:
+        return math.inf
+    return math.exp(dt / c)
+
+
+class _Funnel:
+    """A funnel's arcs in id order and the flow network over them (network
+    arc ``a`` is funnel arc ``a``), built once per epoch: lengths and costs
+    are fixed within an epoch, so each step only resets capacities."""
+
+    def __init__(self, side: _Side, arcs: List[int], dmax: float):
+        self.arcs, self.dmax = arcs, dmax
+        graph = side.graph
+        self.net = FlowNetwork(graph.n)
+        for e in arcs:
+            self.net.add_arc(graph.tail[e], graph.head[e], 0.0, side.l[e])
+        # exp(dmax / c) of each arc: the growth over a full step
+        self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
 
 
 @dataclass(frozen=True)
@@ -264,14 +306,17 @@ class CompositeSolver:
             raise ValueError(f"pair {pair.index} already processed")
         self.pairs[pair.index] = pair
         eligible = self.eligible[pair.index] = []
+        nears = [side.pair_reach(pair) for side in self.sides]
         for spec in self.roots:
-            funnels = [side.funnel(pair, spec) for side in self.sides]
+            funnels = [side.funnel(pair, spec, near)
+                       for side, near in zip(self.sides, nears)]
             if any(funnel is None for funnel in funnels):
                 continue
             eligible.append(spec.root_id)
             self.z[(pair.index, spec.root_id)] = self.v0
             for side, funnel in zip(self.sides, funnels):
-                side.funnels[(spec.root_id, pair.index)] = funnel
+                side.funnels[(spec.root_id, pair.index)] = _Funnel(
+                    side, funnel, self.config.dmax)
                 path, _ = shortest_path(side.graph, lambda e: 1.0,
                                         *side.side_graph.ends(pair, spec),
                                         set(funnel).__contains__)
@@ -290,39 +335,30 @@ class CompositeSolver:
         """Edges whose capacity variable is met by this pair's flow, per side."""
         return tuple(side.tight(root_id, pair_index) for side in self.sides)
 
-    def _growth_factor(self, c: float, dt: float) -> float:
-        """Multiplier ``exp(dt/c)``; zero or negligible costs grow unboundedly.
-
-        The exponent is cut off where ``exp`` would overflow; any factor that
-        large is indistinguishable from infinite capacity since variables top
-        out at 1.
-        """
-        if c <= 0 or dt / c > 700.0:
-            return math.inf
-        return math.exp(dt / c)
-
     def _aux_network(self, side: _Side, rid: int, tight: Set[int], dt: float,
                      pair_index: int) -> FlowNetwork:
-        """Rate network with integrated step capacities; network arc ``a`` is
-        funnel arc ``a``.
+        """The funnel's network with this step's integrated rate capacities;
+        network arc ``a`` is funnel arc ``a``.
 
         An edge's admissible flow increment over ``dt`` is its current
         headroom plus the growth of ``x`` while riding the boundary; the rate
         capacity is that integral divided by ``dt``. Currently tight edges
         have no headroom and ride from the start.
         """
-        x = side.x[rid]
+        funnel = side.funnels[(rid, pair_index)]
+        x, c = side.x[rid], side.c
         flows = side.flow.get((rid, pair_index), {})
-        net = FlowNetwork(side.graph.n)
-        for e in side.funnels[(rid, pair_index)]:
-            grow = self._growth_factor(side.c[e], dt)
-            if math.isinf(grow):
-                cap = math.inf
+        full, inf = dt == funnel.dmax, math.inf
+        capacity = []
+        for e, full_growth in zip(funnel.arcs, funnel.full_growth):
+            grow = full_growth if full else _growth_factor(c[e], dt)
+            if grow == inf:
+                capacity.append(inf)
             else:
                 room = 0.0 if e in tight else max(0.0, x[e] - flows.get(e, 0.0))
-                cap = (room + x[e] * (grow - 1.0)) / dt
-            net.add_arc(side.graph.tail[e], side.graph.head[e], cap, side.l[e])
-        return net
+                capacity.append((room + x[e] * (grow - 1.0)) / dt)
+        funnel.net.set_capacities(capacity)
+        return funnel.net
 
     def _solve_root(self, pair: PairSpec, rid: int, dt: float) -> RootStep:
         """Max joint growth rate and flow pattern for one root."""
@@ -333,7 +369,7 @@ class CompositeSolver:
         result = max_delta(up_net, *self.up.side_graph.ends(pair, spec),
                            down_net, *self.down.side_graph.ends(pair, spec),
                            self.z[(pair.index, rid)])
-        grow = tuple({side.funnels[(rid, pair.index)][a]: f
+        grow = tuple({side.funnels[(rid, pair.index)].arcs[a]: f
                       for a, f in res.flow.items() if f > 0.0}
                      for side, res in zip(self.sides, (result.up, result.down)))
         return RootStep(result.delta, grow, tight)
@@ -379,7 +415,7 @@ class CompositeSolver:
                     old = arr[e]
                     new = old
                     if e in tight:
-                        grow = self._growth_factor(side.c[e], dt_eff)
+                        grow = _growth_factor(side.c[e], dt_eff)
                         new = VAR_CAP if math.isinf(grow) else min(VAR_CAP,
                                                                    old * grow)
                     f_new = f_now.get(e, 0.0) + g_side.get(e, 0.0) * dt_eff

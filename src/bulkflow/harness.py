@@ -56,16 +56,22 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InstanceError(f"unknown mode {self.mode!r}")
+        # bool is an Integral, but True is no height, cap or step length
         if self.h is not None and not (isinstance(self.h, numbers.Integral)
+                                       and not isinstance(self.h, bool)
                                        and self.h >= 1):
             raise InstanceError(f"h must be an integer >= 1, got {self.h!r}")
         for name in ("kappa", "dmax"):
             value = getattr(self, name)
             if name == "kappa" and value is None:
                 continue
-            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            if not (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and 0 < value < math.inf):
                 raise InstanceError(f"{name} must be a finite number > 0, "
                                     f"got {value!r}")
+        if not isinstance(self.oracle, bool):
+            raise InstanceError(f"oracle must be true or false, "
+                                f"got {self.oracle!r}")
 
 
 @dataclass
@@ -542,7 +548,11 @@ def _experiment_row(suite_dir: Path, entry: object) -> Tuple[str, Optional[float
     entry fails its own row only."""
     name = mode = ""
     try:
+        if not isinstance(entry, dict):
+            raise InstanceError(f"a run must be an object, got {entry!r}")
         mode = entry.get("mode", "")
+        if "instance" not in entry:
+            raise InstanceError("a run needs an 'instance'")
         inst_path = suite_dir / entry["instance"]  # absolute paths stay as is
         name = inst_path.stem
         instance = load_instance(inst_path)
@@ -551,11 +561,12 @@ def _experiment_row(suite_dir: Path, entry: object) -> Tuple[str, Optional[float
             seed=as_int(entry.get("seed", 0), "seed"),
             h=entry.get("h"),
             kappa=entry.get("kappa"),
-            dmax=float(entry.get("dmax", 0.05)),
-            oracle=bool(entry.get("oracle", True)))
+            dmax=entry.get("dmax", 0.05),
+            oracle=entry.get("oracle", True))
         report = run_online(instance, config)
     except Exception as exc:  # noqa: BLE001 - suite must keep going
-        return f"{name},,,{mode},,,,,,,", None, f"{name}: {exc}"
+        return (f"{name},,,{mode},,,,,,,", None,
+                f"{name}: {exc}" if name else str(exc))
     k = max(1, instance.k)
     row = ",".join([
         name, str(instance.display_n), str(instance.k),
@@ -569,11 +580,12 @@ def _experiment_row(suite_dir: Path, entry: object) -> Tuple[str, Optional[float
     return row, report.ratio, None
 
 
-def run_experiment(suite_path: str, out_path: str) -> Dict[str, float]:
+def run_experiment(suite_path: str, out_path: str) -> Dict[str, object]:
     """Run a suite file and write one CSV row per run plus a summary.
 
     Rows are written in suite order, so the output is deterministic up to
-    the wall_ms column.
+    the wall_ms column. The summary's ``errors`` lists each failed run's
+    message, in suite order.
     """
     suite_file = Path(suite_path)
     try:
@@ -588,9 +600,9 @@ def run_experiment(suite_path: str, out_path: str) -> Dict[str, float]:
     rows = [",".join(EXPERIMENT_COLUMNS)] + [row for row, _, _ in results]
     Path(out_path).write_text("\n".join(rows) + "\n")
     ratios = [ratio for _, ratio, _ in results if ratio is not None]
-    summary: Dict[str, float] = {
-        "runs": len(entries),
-        "failures": sum(error is not None for _, _, error in results)}
+    errors = [error for _, _, error in results if error is not None]
+    summary: Dict[str, object] = {
+        "runs": len(entries), "failures": len(errors), "errors": errors}
     if ratios:
         summary["max_ratio"] = max(ratios)
         summary["geomean_ratio"] = math.exp(

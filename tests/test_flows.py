@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from bulkflow.flows import (FlowError, FlowNetwork, InfeasibleFlow, max_delta,
-                            max_flow, min_cost_flow)
+from bulkflow.flows import (FlowError, FlowNetwork, InfeasibleFlow,
+                            cheapest_flow_curve, max_delta, max_flow,
+                            min_cost_flow)
 
 
 def linprog_min_cost(net: FlowNetwork, source: int, sink: int, target: float):
@@ -34,6 +35,73 @@ def random_network(rng: random.Random, max_arcs: int = 6):
         if u != v:
             net.add_arc(u, v, rng.uniform(0.2, 2.0), rng.uniform(0.0, 3.0))
     return net
+
+
+def tie_heavy_arcs(rng: random.Random, n: int, count: int):
+    """(tail, head, cost) triples with parallel arcs and many equal and zero
+    costs, so that shortest paths tie often."""
+    arcs = []
+    while len(arcs) < count:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.append((u, v, rng.choice([0.0, 0.0, 0.5, 1.0])))
+    return arcs
+
+
+def tie_heavy_capacities(rng: random.Random, count: int):
+    return [rng.choice([0.0, 0.25, 1.0, math.inf]) for _ in range(count)]
+
+
+def network(n: int, arcs, capacities) -> FlowNetwork:
+    net = FlowNetwork(n)
+    for (u, v, cost), cap in zip(arcs, capacities):
+        net.add_arc(u, v, cap, cost)
+    return net
+
+
+class TestCapacityReset:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reset_network_solves_like_a_fresh_one(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        arcs = tie_heavy_arcs(rng, n, 4 * n)
+        reused = network(n, arcs, [0.0] * len(arcs))
+        for _ in range(5):
+            capacities = tie_heavy_capacities(rng, len(arcs))
+            reused.set_capacities(capacities)
+            fresh = network(n, arcs, capacities)
+            budget = rng.choice([0.0, 0.5, 2.0, math.inf])
+            curves = [cheapest_flow_curve(net, 0, n - 1, value_cap=1.0,
+                                          cost_cap=budget)
+                      for net in (reused, fresh)]
+            # FlowSegment equality compares amount, unit cost and steps
+            assert curves[0] == curves[1]
+            assert reused.capacity == fresh.capacity
+
+    def test_add_arc_after_a_solve_rebuilds_the_topology(self):
+        net = FlowNetwork(3)
+        net.add_arc(0, 1, 1.0, 1.0)
+        net.add_arc(1, 2, 1.0, 1.0)
+        first = cheapest_flow_curve(net, 0, 2, value_cap=2.0)
+        assert [seg.unit_cost for seg in first] == [2.0]
+        net.add_arc(0, 2, 1.0, 0.5)
+        second = cheapest_flow_curve(net, 0, 2, value_cap=2.0)
+        assert [(seg.unit_cost, seg.steps) for seg in second] == [
+            (0.5, ((2, 1),)), (2.0, ((0, 1), (1, 1)))]
+
+    def test_reset_refuses_negative_and_wrong_length(self):
+        net = FlowNetwork(2)
+        net.add_arc(0, 1, 1.0, 1.0)
+        net.add_arc(1, 0, 1.0, 1.0)
+        with pytest.raises(FlowError):
+            net.set_capacities([1.0, -0.5])
+        with pytest.raises(FlowError):
+            net.set_capacities([1.0])
+        with pytest.raises(FlowError):
+            net.set_capacities([1.0, 1.0, 1.0])
+        assert net.capacity == [1.0, 1.0]  # a refused reset changes nothing
+        net.set_capacities([0.0, math.inf])
+        assert net.capacity == [0.0, math.inf]
 
 
 class TestMinCostFlow:

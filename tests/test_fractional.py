@@ -429,21 +429,23 @@ class TestFunnel:
             for _ in range(4):
                 if not eligible or solver.z_total(index) >= 1.0 - 1e-12:
                     break
-                for rid in eligible:
+                # the full step reads the cached growth factors, 0.07 not
+                for rid, dt in itertools.product(eligible, (0.2, 0.07)):
                     key = (rid, index)
-                    funnel_step = solver._solve_root(pair, rid, 0.2)
+                    funnel_step = solver._solve_root(pair, rid, dt)
                     funnels = [side.funnels[key] for side in solver.sides]
                     try:
                         for side in solver.sides:
-                            side.funnels[key] = usable_arcs(side, pair)
-                        full_step = solver._solve_root(pair, rid, 0.2)
+                            side.funnels[key] = fractional._Funnel(
+                                side, usable_arcs(side, pair), 0.2)
+                        full_step = solver._solve_root(pair, rid, dt)
                     finally:
                         for side, funnel in zip(solver.sides, funnels):
                             side.funnels[key] = funnel
                     # same delta and, mapped back to arc ids, the same flows
                     assert funnel_step == full_step
                     compared += 1
-                    shrunk += any(len(funnel) < len(usable_arcs(side, pair))
+                    shrunk += any(len(funnel.arcs) < len(usable_arcs(side, pair))
                                   for side, funnel in zip(solver.sides,
                                                           funnels))
                 solver.apply(solver.growth_step(index))
@@ -464,8 +466,8 @@ class TestFunnel:
         assert eligible
         graph = forest.graph
         for rid in eligible:
-            up = solver.up.funnels[(rid, 0)]
-            down = solver.down.funnels[(rid, 0)]
+            up = solver.up.funnels[(rid, 0)].arcs
+            down = solver.down.funnels[(rid, 0)].arcs
             # r's up tree plus the source's hookups into it, and the mirror
             # image downstairs; never a root link, never another root's arc
             for arcs, own, terminal, inner, outer in (
@@ -477,3 +479,47 @@ class TestFunnel:
                     assert forest.tuple_of[inner[a]][:2] == (own, rid)
                     assert (outer[a] == terminal
                             or forest.tuple_of[outer[a]][:2] == (own, rid))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_growth_factors_match_computed_ones(self, seed):
+        # a step of 0.07 reads exp(dt/c) from the funnel when dmax is 0.07
+        # and computes it when dmax is 0.2; both must give the same step
+        rng = random.Random(seed)
+        n = 6
+        up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
+        roots = [RootSpec(r, r, r) for r in range(n)]
+        solvers = [make_solver(up, down, roots, dmax=dmax)
+                   for dmax in (0.07, 0.2)]
+        compared = 0
+        for index in range(2):
+            pair = PairSpec(index, rng.randrange(n), rng.randrange(n))
+            for solver in solvers:
+                solver.arrival_init(pair)
+            for _ in range(3):
+                steps = [solver.growth_step(index, dt=0.07) for solver in solvers]
+                assert steps[0].solutions == steps[1].solutions
+                compared += len(steps[0].solutions)
+                for solver, step in zip(solvers, steps):
+                    solver.apply(step)
+        assert compared
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pair_terminal_searched_once_per_side(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        n = 6
+        up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
+        roots = [RootSpec(r, r, r) for r in range(n)]
+        solver = make_solver(up, down, roots, dmax=0.2)
+        calls = []
+        for name in ("reachable_from", "reaches"):
+            search = getattr(fractional, name)
+            monkeypatch.setattr(
+                fractional, name,
+                lambda *args, search=search: calls.append(args) or search(*args))
+        for index in range(2):
+            calls.clear()
+            solver.arrival_init(PairSpec(index, rng.randrange(n),
+                                         rng.randrange(n)))
+            # one search from each side's pair terminal, one per root and side
+            assert len(calls) <= 2 + 2 * len(roots)
+

@@ -126,7 +126,8 @@ class TestRunConfig:
         {"dmax": 0.0}, {"dmax": -0.1}, {"dmax": math.nan}, {"dmax": math.inf},
         {"kappa": 0.0}, {"kappa": -1.0}, {"kappa": math.nan},
         {"kappa": math.inf}, {"h": 0}, {"h": -2}, {"h": 2.5}, {"dmax": None},
-        {"kappa": "3"}, {"dmax": "0.1"}])
+        {"kappa": "3"}, {"dmax": "0.1"}, {"oracle": "false"}, {"oracle": 1},
+        {"oracle": None}, {"h": True}, {"kappa": True}, {"dmax": True}])
     def test_invalid_settings_refused(self, setting):
         with pytest.raises(InstanceError):
             RunConfig(mode="edge", **setting)
@@ -216,19 +217,34 @@ class TestExperiment(object):
             {"mode": "edge"},  # no instance
             "g.json",  # not an object
             {"instance": "g.json", "mode": "edge", "seed": 1.7},
+            # suite fields are not coerced: "false" is no bool, "0.4" no number
+            {"instance": "g.json", "mode": "edge", "h": 1, "dmax": 0.4,
+             "oracle": "false"},
+            {"instance": "g.json", "mode": "edge", "h": 1, "dmax": "0.4",
+             "oracle": False},
             {"instance": "g.json", "mode": "edge", "h": 1, "dmax": 0.4,
              "oracle": False},
         ]}))
         out = tmp_path / "out.csv"
         summary = run_experiment(str(suite), str(out))
-        assert summary["runs"] == 5 and summary["failures"] == 4
+        assert summary["runs"] == 7 and summary["failures"] == 6
         lines = out.read_text().strip().splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 8
         assert lines[1].startswith("missing,,,edge,")
         assert lines[2] == ",,,edge,,,,,,,"
         assert lines[3] == ",,,,,,,,,,"
         assert lines[4] == "g,,,edge,,,,,,,"  # a fractional seed is refused
-        assert lines[5].startswith("g,4,1,edge,")
+        assert lines[5] == lines[6] == "g,,,edge,,,,,,,"
+        assert lines[7].startswith("g,4,1,edge,")
+        # one message per failed run, in suite order
+        errors = summary["errors"]
+        assert len(errors) == 6
+        assert errors[0].startswith("missing: cannot read instance")
+        assert errors[1] == "a run needs an 'instance'"
+        assert errors[2] == "a run must be an object, got 'g.json'"
+        assert errors[3] == "g: seed must be an integer, got 1.7"
+        assert errors[4] == "g: oracle must be true or false, got 'false'"
+        assert errors[5] == "g: dmax must be a finite number > 0, got '0.4'"
 
 
 class TestCli:
@@ -395,8 +411,12 @@ class TestCli:
         dump_instance(grid(2, 2, k=1, seed=2), inst)
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"runs": [
-            {"instance": "g.json", "mode": "edge", "seed": 0}]}))
+            {"instance": "g.json", "mode": "edge", "seed": 0},
+            {"instance": "missing.json", "mode": "edge"}]}))
         out = tmp_path / "exp.csv"
         result = self._cli("experiment", "--suite", str(suite), "-o", str(out))
         assert result.returncode == 0
         assert out.exists()
+        summary = json.loads(result.stdout)
+        assert summary["failures"] == 1
+        assert [e.split(":")[0] for e in summary["errors"]] == ["missing"]

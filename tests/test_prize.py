@@ -58,8 +58,8 @@ class TestAugment:
         for pair in pairs:
             assert solver.on_arrival(pair) == ArrivalOutcome.SATISFIED
         arc = private_arc(sides[0], 0)
-        assert arc in solver.up.funnels[(VIRTUAL_ROOT_ID, 0)]
-        others = [funnel for (_, pi), funnel in solver.up.funnels.items()
+        assert arc in solver.up.funnels[(VIRTUAL_ROOT_ID, 0)].arcs
+        others = [funnel.arcs for (_, pi), funnel in solver.up.funnels.items()
                   if pi == 1]
         assert len(others) == 2  # the real root and pair 1's own discard
         assert all(arc not in funnel for funnel in others)
