@@ -17,8 +17,8 @@ from .errors import BudgetExceeded, InstanceError
 from .generate import generate
 from .harness import OnlinePipeline, RunConfig, run_experiment
 from .instance import dump_instance, load_instance
-from .oracle import (InfeasibleInstance, junction_opt, lp_lower_bound,
-                     offline_opt, offline_opt_prize)
+from .oracle import (InfeasibleInstance, exact_opt, junction_opt,
+                     lp_lower_bound)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -115,11 +115,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = load_instance(args.instance)
-    if instance.mode == "prize" and any(p.penalty is not None
-                                        for p in instance.pairs):
-        opt = offline_opt_prize(instance.graph, instance.pairs)
-    else:
-        opt, _ = offline_opt(instance.graph, instance.pairs)
+    opt = exact_opt(instance.graph, instance.pairs, instance.mode)
     junc = junction_opt(instance.graph, instance.pairs)
     lp_lb = lp_lower_bound(instance.graph, instance.pairs)
     print(json.dumps({"opt": opt, "junction_opt": junc, "lp_lb": lp_lb}))

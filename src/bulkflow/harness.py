@@ -27,8 +27,7 @@ from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
 from .instance import Instance, as_int, load_instance
 from .junction import JunctionForest, build_junction_forest, pull_forest_ledger
 from .layering import LayeredGraph, build_layered, default_height, pull_back
-from .oracle import (InfeasibleInstance, junction_opt, offline_opt,
-                     offline_opt_prize)
+from .oracle import InfeasibleInstance, exact_opt, junction_opt
 from .prize import augment, settle
 from .rounding import Assignment, choose_root, draw_thresholds
 from .single_sink import GreedySingleSink
@@ -56,7 +55,10 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InstanceError(f"unknown mode {self.mode!r}")
-        # bool is an Integral, but True is no height, cap or step length
+        # bool is an Integral, but True is no seed, height, cap or step length
+        if not (isinstance(self.seed, numbers.Integral)
+                and not isinstance(self.seed, bool)):
+            raise InstanceError(f"seed must be an integer, got {self.seed!r}")
         if self.h is not None and not (isinstance(self.h, numbers.Integral)
                                        and not isinstance(self.h, bool)
                                        and self.h >= 1):
@@ -501,10 +503,7 @@ class OnlinePipeline:
     def _attach_oracle(self, report: RunReport) -> None:
         pairs = self.instance.pairs
         try:
-            if self.mode == "prize" and any(p.penalty is not None for p in pairs):
-                report.opt = offline_opt_prize(self.base, pairs)
-            else:
-                report.opt, _ = offline_opt(self.base, pairs)
+            report.opt = exact_opt(self.base, pairs, self.mode)
         except (BudgetExceeded, InfeasibleInstance):
             report.opt = None
         try:

@@ -4,20 +4,24 @@ Three independent routes to ground truth:
 
 * ``offline_opt`` enumerates bought-edge subsets (branch and bound on the
   buy cost) and routes every pair on its shortest length-path inside the
-  subset.
+  subset. A connectivity prune skips every subtree whose upper set (chosen
+  plus undecided purchases) already cuts some pair off.
 * ``ss_offline_opt`` solves single-sink instances exactly with a
   terminal-subset dynamic program over collection points, which scales to
   graphs far beyond the subset-enumeration budget (layered expansions).
+  Its tables depend only on the terminal multiset, so ``junction_opt``
+  shares one per sub-multiset and direction across all roots and
+  assignments, and searches the assignments depth first on prefix sums.
 * ``lp_lower_bound`` solves the flow LP relaxation with an off-the-shelf LP
   solver.
 
-Budgets guard every exponential loop.
+The prunes and the shared tables skip work only: every value, ledger and
+float sum order is the plain search's. Budgets guard every exponential loop.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -27,7 +31,7 @@ from scipy.optimize import linprog
 
 from .errors import BudgetExceeded
 from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
-                    Unreachable, shortest_path)
+                    Unreachable, reachable_from, shortest_path)
 
 VALUE_TOL = 1e-9
 
@@ -51,11 +55,12 @@ def _purchase_keys(graph: TwoMetricGraph) -> List[int]:
     return sorted({graph.purchase_key(e) for e in range(graph.m)})
 
 
-def _route_in_subset(graph: TwoMetricGraph, chosen: Set[int], s: int,
+def _route_in_subset(graph: TwoMetricGraph, key_of: Sequence[int],
+                     chosen: Set[int], s: int,
                      t: int) -> Optional[Tuple[Tuple[int, ...], float]]:
-    allowed = lambda e: graph.purchase_key(e) in chosen
+    allowed = lambda e: key_of[e] in chosen
     try:
-        return shortest_path(graph, lambda e: graph.l[e], s, t, allowed=allowed)
+        return shortest_path(graph, graph.l.__getitem__, s, t, allowed=allowed)
     except Unreachable:
         return None
 
@@ -66,7 +71,9 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
 
     Inside a candidate subset the buying cost is already sunk, so each pair
     routes along its shortest length-path; the candidate's value uses only
-    the purchases those routes actually touch.
+    the purchases those routes actually touch. A subtree is skipped when its
+    upper set (chosen plus undecided purchases) already disconnects a pair:
+    no subset below it can route every pair.
     """
     keys = _purchase_keys(graph)
     if len(keys) > budget.max_edges:
@@ -77,15 +84,16 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     if not pairs:
         return 0.0, SolutionLedger()
 
+    key_of = [graph.purchase_key(e) for e in range(graph.m)]
     full = set(keys)
     for p in pairs:
-        if _route_in_subset(graph, full, p.s, p.t) is None:
+        if _route_in_subset(graph, key_of, full, p.s, p.t) is None:
             raise InfeasibleInstance(f"pair {p.index} ({p.s}->{p.t}) is unreachable")
 
     def evaluate(chosen: Set[int]) -> Optional[Tuple[float, SolutionLedger]]:
         ledger = SolutionLedger()
         for p in pairs:
-            routed = _route_in_subset(graph, chosen, p.s, p.t)
+            routed = _route_in_subset(graph, key_of, chosen, p.s, p.t)
             if routed is None:
                 return None
             ledger.add_path(graph, p.index, routed[0])
@@ -94,6 +102,15 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     best_value, best_ledger = evaluate(full)  # feasible seed bound
     # descending buy cost lets the accumulated-cost prune bite early
     order = sorted(keys, key=lambda key: (-graph.c[key], key))
+    sinks_of: Dict[int, Set[int]] = {}
+    for p in pairs:
+        sinks_of.setdefault(p.s, set()).add(p.t)
+    excluded: Set[int] = set()
+    in_upper = lambda e: key_of[e] not in excluded
+
+    def upper_connects() -> bool:
+        return all(sinks <= reachable_from(graph, s, in_upper)
+                   for s, sinks in sinks_of.items())
 
     def search(i: int, chosen: Set[int], buy_acc: float) -> None:
         nonlocal best_value, best_ledger
@@ -105,7 +122,11 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
                 best_value, best_ledger = result
             return
         key = order[i]
-        search(i + 1, chosen, buy_acc)  # exclude first: cheap subsets early
+        excluded.add(key)
+        if upper_connects():  # exclude first: cheap subsets early
+            search(i + 1, chosen, buy_acc)
+        excluded.discard(key)
+        # including keeps the parent's upper set, which connects every pair
         chosen.add(key)
         search(i + 1, chosen, buy_acc + graph.c[key])
         chosen.discard(key)
@@ -137,6 +158,43 @@ def _multi_weight_dijkstra(graph: TwoMetricGraph, seeds: Dict[int, float],
     return dist
 
 
+def _collection_costs(graph: TwoMetricGraph, terms: Tuple[int, ...],
+                      tables: Dict[Tuple[int, ...], List[float]]) -> List[float]:
+    """Per-vertex cost of collecting the sorted terminal multiset ``terms``.
+
+    The table depends only on the graph and the multiset, so every root and
+    every larger multiset containing ``terms`` shares the one in ``tables``.
+    """
+    found = tables.get(terms)
+    if found is not None:
+        return found
+    k = len(terms)
+    if k == 1:
+        costs = _multi_weight_dijkstra(graph, {terms[0]: 0.0}, load=1)
+    else:
+        full = (1 << k) - 1
+        merged = [math.inf] * graph.n
+        sub = (full - 1) & full
+        while sub:
+            comp = full ^ sub
+            if sub < comp:  # each split once
+                a = _collection_costs(graph, _pick(terms, sub), tables)
+                b = _collection_costs(graph, _pick(terms, comp), tables)
+                for v in range(graph.n):
+                    cand = a[v] + b[v]
+                    if cand < merged[v]:
+                        merged[v] = cand
+            sub = (sub - 1) & full
+        seeds = {v: merged[v] for v in range(graph.n) if math.isfinite(merged[v])}
+        costs = _multi_weight_dijkstra(graph, seeds, load=k)
+    tables[terms] = costs
+    return costs
+
+
+def _pick(terms: Tuple[int, ...], mask: int) -> Tuple[int, ...]:
+    return tuple(t for i, t in enumerate(terms) if mask >> i & 1)
+
+
 def ss_offline_opt(graph: TwoMetricGraph, terminals: Sequence[int], root: int,
                    direction: str = "sink",
                    budget: OracleBudget = DEFAULT_BUDGET) -> float:
@@ -153,37 +211,22 @@ def ss_offline_opt(graph: TwoMetricGraph, terminals: Sequence[int], root: int,
                               budget)
     if direction != "sink":
         raise GraphError(f"unknown direction {direction!r}")
-    terms = sorted(t for t in terminals if t != root)
+    return _rooted_cost(graph, tuple(sorted(terminals)), root, budget, {})
+
+
+def _rooted_cost(graph: TwoMetricGraph, terminals: Tuple[int, ...], root: int,
+                 budget: OracleBudget,
+                 tables: Dict[Tuple[int, ...], List[float]]) -> float:
+    """``ss_offline_opt`` toward ``root`` for sorted ``terminals``, reading
+    and filling the shared ``tables``."""
+    terms = tuple(t for t in terminals if t != root)
     if not terms:
         return 0.0
     if len(terms) > budget.max_ss_terminals:
         raise BudgetExceeded(
             f"{len(terms)} terminals exceed the DP budget {budget.max_ss_terminals}",
             required=len(terms))
-    k = len(terms)
-    full = (1 << k) - 1
-    # D[S] = per-vertex best cost of collecting terminal subset S there
-    D: List[Optional[List[float]]] = [None] * (full + 1)
-    for i, t in enumerate(terms):
-        D[1 << i] = _multi_weight_dijkstra(graph, {t: 0.0}, load=1)
-    for S in range(1, full + 1):
-        if D[S] is not None:
-            continue
-        load = bin(S).count("1")
-        merged = [math.inf] * graph.n
-        sub = (S - 1) & S
-        while sub:
-            comp = S ^ sub
-            if sub < comp:  # each split once
-                a, b = D[sub], D[comp]
-                for v in range(graph.n):
-                    cand = a[v] + b[v]
-                    if cand < merged[v]:
-                        merged[v] = cand
-            sub = (sub - 1) & S
-        seeds = {v: merged[v] for v in range(graph.n) if math.isfinite(merged[v])}
-        D[S] = _multi_weight_dijkstra(graph, seeds, load=load)
-    value = D[full][root]
+    value = _collection_costs(graph, terms, tables)[root]
     if not math.isfinite(value):
         raise InfeasibleInstance("some terminal cannot reach the root")
     return value
@@ -194,7 +237,9 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
                  roots: Optional[Sequence[int]] = None) -> float:
     """Best decomposition into per-root single-sink plus single-source solutions.
 
-    Enumerates every pair-to-root assignment; edge copies appearing in
+    Searches every pair-to-root assignment depth first: blocks of pairs in
+    the order of their lowest pair, each on its own root, with the partial
+    sum pruned once it reaches the best total. Edge copies appearing in
     several rooted solutions are deliberately paid once per solution.
     """
     pairs = [p for p in pairs if p.s != p.t]
@@ -204,40 +249,69 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
         raise BudgetExceeded(
             f"{len(pairs)} pairs exceed the junction budget {budget.max_pairs}",
             required=len(pairs))
-    root_list = list(roots) if roots is not None else list(range(graph.n))
+    # a root listed twice is one root: its pairs form one block
+    root_list = (list(dict.fromkeys(roots)) if roots is not None
+                 else list(range(graph.n)))
     if roots is None and graph.n > budget.max_vertices:
         raise BudgetExceeded(
             f"{graph.n} vertices exceed the junction budget {budget.max_vertices}",
             required=graph.n)
 
+    # every block's multisets are part of the all-pairs block's on its root,
+    # so the DP budget is checked once, whatever order the search takes
+    width = max((max(sum(p.s != r for p in pairs), sum(p.t != r for p in pairs))
+                 for r in root_list), default=0)
+    if width > budget.max_ss_terminals:
+        raise BudgetExceeded(
+            f"{width} terminals exceed the DP budget {budget.max_ss_terminals}",
+            required=width)
+
+    sides = {"sink": (graph, {}), "source": (graph.reversed_view(), {})}
     cache: Dict[Tuple[int, str, Tuple[int, ...]], float] = {}
 
     def rooted_cost(r: int, terminals: Tuple[int, ...], direction: str) -> float:
         key = (r, direction, terminals)
         if key not in cache:
+            side_graph, tables = sides[direction]
             try:
-                cache[key] = ss_offline_opt(graph, terminals, r, direction,
-                                            budget)
+                cache[key] = _rooted_cost(side_graph, terminals, r, budget,
+                                          tables)
             except InfeasibleInstance:
                 cache[key] = math.inf
         return cache[key]
 
     best = math.inf
-    for assignment in itertools.product(root_list, repeat=len(pairs)):
-        by_root: Dict[int, Tuple[List[int], List[int]]] = {}
-        for p, r in zip(pairs, assignment):
-            srcs, snks = by_root.setdefault(r, ([], []))
-            srcs.append(p.s)  # multiset: shared terminals pay length per pair
-            snks.append(p.t)
-        total = 0.0
-        for r, (srcs, snks) in by_root.items():
-            total += rooted_cost(r, tuple(sorted(srcs)), "sink")
-            if total >= best:
-                break
-            total += rooted_cost(r, tuple(sorted(snks)), "source")
-            if total >= best:
-                break
-        best = min(best, total)
+    used: Set[int] = set()
+
+    def place(left: Tuple[int, ...], partial: float) -> None:
+        """Blocks for the pairs ``left``: the lowest joins a subset of the
+        rest on an unused root; totals add sink then source block by block."""
+        nonlocal best
+        if not left:
+            best = min(best, partial)
+            return
+        rest = left[1:]
+        full = (1 << len(rest)) - 1
+        for mask in range(full, -1, -1):
+            block = (left[0],) + _pick(rest, mask)
+            others = _pick(rest, full ^ mask)
+            # multiset: shared terminals pay length per pair
+            srcs = tuple(sorted(pairs[i].s for i in block))
+            snks = tuple(sorted(pairs[i].t for i in block))
+            for r in root_list:
+                if r in used:
+                    continue
+                total = partial + rooted_cost(r, srcs, "sink")
+                if total >= best:
+                    continue
+                total += rooted_cost(r, snks, "source")
+                if total >= best:
+                    continue
+                used.add(r)
+                place(others, total)
+                used.discard(r)
+
+    place(tuple(range(len(pairs))), 0.0)
     if not math.isfinite(best):
         raise InfeasibleInstance("no junction assignment connects every pair")
     return best
@@ -264,6 +338,16 @@ def offline_opt_prize(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     if not math.isfinite(best):
         raise InfeasibleInstance("no feasible drop/route split")
     return best
+
+
+def exact_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
+              mode: str) -> float:
+    """The global optimum a run in ``mode`` is measured against: the
+    prize-collecting optimum when some pair may be dropped, else
+    ``offline_opt``."""
+    if mode == "prize" and any(p.penalty is not None for p in pairs):
+        return offline_opt_prize(graph, pairs)
+    return offline_opt(graph, pairs)[0]
 
 
 def lp_lower_bound(graph: TwoMetricGraph, pairs: Sequence[TerminalPair]) -> float:

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from bulkflow.graph import TwoMetricGraph
+from bulkflow.errors import BudgetExceeded
+from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
+                            TwoMetricGraph, Unreachable, shortest_path)
+from bulkflow.oracle import (DEFAULT_BUDGET, VALUE_TOL, InfeasibleInstance,
+                             OracleBudget, _multi_weight_dijkstra,
+                             _purchase_keys)
 
 
 def build_graph(n: int, arcs: Sequence[Tuple[int, int, float, float]],
@@ -74,4 +81,159 @@ def brute_min_node_cost_path(n: int, node_c: Sequence[float],
         cost = sum(node_c[v] for v in trail[1:-1])
         if best is None or cost < best:
             best = cost
+    return best
+
+
+# ----------------------------------------------------------------------
+# Reference oracles: the plain exhaustive searches the pruned ones in
+# ``bulkflow.oracle`` must match bit for bit (same floats, same ledgers).
+
+def _reference_route(graph: TwoMetricGraph, chosen: Set[int], s: int,
+                     t: int) -> Optional[Tuple[Tuple[int, ...], float]]:
+    allowed = lambda e: graph.purchase_key(e) in chosen
+    try:
+        return shortest_path(graph, lambda e: graph.l[e], s, t, allowed=allowed)
+    except Unreachable:
+        return None
+
+
+def reference_offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
+                          budget: OracleBudget = DEFAULT_BUDGET) -> Tuple[float, SolutionLedger]:
+    """Subset search that evaluates every leaf the buy-cost prune reaches."""
+    keys = _purchase_keys(graph)
+    if len(keys) > budget.max_edges:
+        raise BudgetExceeded(
+            f"{len(keys)} purchases exceed the subset budget {budget.max_edges}",
+            required=len(keys))
+    pairs = [p for p in pairs if p.s != p.t]
+    if not pairs:
+        return 0.0, SolutionLedger()
+
+    full = set(keys)
+    for p in pairs:
+        if _reference_route(graph, full, p.s, p.t) is None:
+            raise InfeasibleInstance(f"pair {p.index} ({p.s}->{p.t}) is unreachable")
+
+    def evaluate(chosen: Set[int]) -> Optional[Tuple[float, SolutionLedger]]:
+        ledger = SolutionLedger()
+        for p in pairs:
+            routed = _reference_route(graph, chosen, p.s, p.t)
+            if routed is None:
+                return None
+            ledger.add_path(graph, p.index, routed[0])
+        return ledger.total, ledger
+
+    best_value, best_ledger = evaluate(full)  # feasible seed bound
+    order = sorted(keys, key=lambda key: (-graph.c[key], key))
+
+    def search(i: int, chosen: Set[int], buy_acc: float) -> None:
+        nonlocal best_value, best_ledger
+        if buy_acc >= best_value - VALUE_TOL:
+            return
+        if i == len(order):
+            result = evaluate(chosen)
+            if result is not None and result[0] < best_value - VALUE_TOL:
+                best_value, best_ledger = result
+            return
+        key = order[i]
+        search(i + 1, chosen, buy_acc)  # exclude first: cheap subsets early
+        chosen.add(key)
+        search(i + 1, chosen, buy_acc + graph.c[key])
+        chosen.discard(key)
+
+    search(0, set(), 0.0)
+    return best_value, best_ledger
+
+
+def reference_ss_offline_opt(graph: TwoMetricGraph, terminals: Sequence[int],
+                             root: int, direction: str = "sink",
+                             budget: OracleBudget = DEFAULT_BUDGET) -> float:
+    """Terminal-subset DP with one private table per call."""
+    if direction == "source":
+        return reference_ss_offline_opt(graph.reversed_view(), terminals,
+                                        root, "sink", budget)
+    if direction != "sink":
+        raise GraphError(f"unknown direction {direction!r}")
+    terms = sorted(t for t in terminals if t != root)
+    if not terms:
+        return 0.0
+    if len(terms) > budget.max_ss_terminals:
+        raise BudgetExceeded(
+            f"{len(terms)} terminals exceed the DP budget {budget.max_ss_terminals}",
+            required=len(terms))
+    k = len(terms)
+    full = (1 << k) - 1
+    D: List[Optional[List[float]]] = [None] * (full + 1)
+    for i, t in enumerate(terms):
+        D[1 << i] = _multi_weight_dijkstra(graph, {t: 0.0}, load=1)
+    for S in range(1, full + 1):
+        if D[S] is not None:
+            continue
+        load = bin(S).count("1")
+        merged = [math.inf] * graph.n
+        sub = (S - 1) & S
+        while sub:
+            comp = S ^ sub
+            if sub < comp:  # each split once
+                a, b = D[sub], D[comp]
+                for v in range(graph.n):
+                    cand = a[v] + b[v]
+                    if cand < merged[v]:
+                        merged[v] = cand
+            sub = (sub - 1) & S
+        seeds = {v: merged[v] for v in range(graph.n) if math.isfinite(merged[v])}
+        D[S] = _multi_weight_dijkstra(graph, seeds, load=load)
+    value = D[full][root]
+    if not math.isfinite(value):
+        raise InfeasibleInstance("some terminal cannot reach the root")
+    return value
+
+
+def reference_junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
+                           budget: OracleBudget = DEFAULT_BUDGET,
+                           roots: Optional[Sequence[int]] = None) -> float:
+    """Every pair-to-root assignment in ``itertools.product`` order."""
+    pairs = [p for p in pairs if p.s != p.t]
+    if not pairs:
+        return 0.0
+    if len(pairs) > budget.max_pairs:
+        raise BudgetExceeded(
+            f"{len(pairs)} pairs exceed the junction budget {budget.max_pairs}",
+            required=len(pairs))
+    root_list = list(roots) if roots is not None else list(range(graph.n))
+    if roots is None and graph.n > budget.max_vertices:
+        raise BudgetExceeded(
+            f"{graph.n} vertices exceed the junction budget {budget.max_vertices}",
+            required=graph.n)
+
+    cache: Dict[Tuple[int, str, Tuple[int, ...]], float] = {}
+
+    def rooted_cost(r: int, terminals: Tuple[int, ...], direction: str) -> float:
+        key = (r, direction, terminals)
+        if key not in cache:
+            try:
+                cache[key] = reference_ss_offline_opt(graph, terminals, r,
+                                                      direction, budget)
+            except InfeasibleInstance:
+                cache[key] = math.inf
+        return cache[key]
+
+    best = math.inf
+    for assignment in itertools.product(root_list, repeat=len(pairs)):
+        by_root: Dict[int, Tuple[List[int], List[int]]] = {}
+        for p, r in zip(pairs, assignment):
+            srcs, snks = by_root.setdefault(r, ([], []))
+            srcs.append(p.s)
+            snks.append(p.t)
+        total = 0.0
+        for r, (srcs, snks) in by_root.items():
+            total += rooted_cost(r, tuple(sorted(srcs)), "sink")
+            if total >= best:
+                break
+            total += rooted_cost(r, tuple(sorted(snks)), "source")
+            if total >= best:
+                break
+        best = min(best, total)
+    if not math.isfinite(best):
+        raise InfeasibleInstance("no junction assignment connects every pair")
     return best

@@ -127,7 +127,8 @@ class TestRunConfig:
         {"kappa": 0.0}, {"kappa": -1.0}, {"kappa": math.nan},
         {"kappa": math.inf}, {"h": 0}, {"h": -2}, {"h": 2.5}, {"dmax": None},
         {"kappa": "3"}, {"dmax": "0.1"}, {"oracle": "false"}, {"oracle": 1},
-        {"oracle": None}, {"h": True}, {"kappa": True}, {"dmax": True}])
+        {"oracle": None}, {"h": True}, {"kappa": True}, {"dmax": True},
+        {"seed": "abc"}, {"seed": True}, {"seed": 1.5}])
     def test_invalid_settings_refused(self, setting):
         with pytest.raises(InstanceError):
             RunConfig(mode="edge", **setting)

@@ -119,6 +119,31 @@ def test_default_configuration_invariants(mode):
             == DEFAULT_CONFIG_DIGESTS[mode])
 
 
+ORACLE_PIN_RUNS = {
+    "edge": (lambda: grid(2, 3, k=4, seed=11), {"h": 1, "dmax": 0.4}),
+    "directed": (lambda: random_digraph(4, 9, 2, seed=3), {"h": 2, "dmax": 0.4}),
+    "prize": (lambda: with_penalties(grid(2, 3, k=3, seed=5), seed=5,
+                                     q_range=(0.3, 4.0)),
+              {"h": 1, "dmax": 0.4}),
+}
+
+# repr of (opt, junction_opt) of each run, as the unpruned searches gave them
+ORACLE_PINS = {
+    "directed": ("5.295985", "5.295985"),
+    "edge": ("9.711192", "10.053365"),
+    "prize": ("4.413032", "5.4047659999999995"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ORACLE_PIN_RUNS))
+def test_oracle_values_pinned(mode):
+    """The report's exact baselines keep their float bits."""
+    make, settings = ORACLE_PIN_RUNS[mode]
+    report = run_online(load_instance(make()),
+                        RunConfig(mode=mode, seed=0, oracle=True, **settings))
+    assert (repr(report.opt), repr(report.junction_opt_value)) == ORACLE_PINS[mode]
+
+
 def test_lp_value_within_polylog_of_offline_opt():
     """Fractional value stays under kappa and is recorded against opt."""
     worst = 0.0

@@ -3,12 +3,16 @@ import random
 
 import pytest
 
+from bulkflow import oracle
 from bulkflow.errors import BudgetExceeded
+from bulkflow.generate import random_digraph
 from bulkflow.graph import TerminalPair, TwoMetricGraph, solution_cost
-from bulkflow.oracle import (InfeasibleInstance, OracleBudget,
+from bulkflow.instance import load_instance
+from bulkflow.oracle import (InfeasibleInstance, OracleBudget, exact_opt,
                              junction_opt, lp_lower_bound, offline_opt,
                              offline_opt_prize, ss_offline_opt)
-from helpers import build_graph, random_two_metric
+from helpers import (build_graph, random_two_metric, reference_junction_opt,
+                     reference_offline_opt, reference_ss_offline_opt)
 
 
 def random_pairs(rng, n, k):
@@ -186,3 +190,158 @@ class TestPrizeOracle:
                  TerminalPair(1, 0, 2, penalty=2.0)]
         # route the cheap pair, drop the one that needs the pricey edge
         assert offline_opt_prize(g, pairs) == pytest.approx(1.1 + 2.0)
+
+
+def tie_heavy_graph(rng, n, m, directed):
+    """Zero lengths, repeated costs and parallel twins, so every tie-break
+    shows; the values are not dyadic, so a changed sum order shows too."""
+    g = TwoMetricGraph(n, directed=directed)
+    for _ in range(m):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v, rng.choice([0.0, 0.1, 0.7, 0.7, 1.3]),
+                   rng.choice([0.0, 0.3, 0.3, 0.1]))
+        if rng.random() < 0.25:
+            g.add_edge(u, v, 0.7, rng.choice([0.0, 0.3]))
+    return g.freeze()
+
+
+def outcome(fn, *args, **kwargs):
+    """A result, with ledgers as (value, bought, paths), or the refusal."""
+    try:
+        result = fn(*args, **kwargs)
+    except InfeasibleInstance:
+        return "infeasible"
+    if isinstance(result, tuple):
+        value, ledger = result
+        return value, ledger.bought, ledger.paths
+    return result
+
+
+def tie_heavy_cases(seed_base, count):
+    for seed in range(seed_base, seed_base + count):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        g = tie_heavy_graph(rng, n, rng.randint(n, 2 * n + 2),
+                            directed=seed % 2 == 0)
+        # endpoints drawn with repetition: s == t pairs, shared terminals
+        pairs = [TerminalPair(i, rng.randrange(n), rng.randrange(n))
+                 for i in range(rng.randint(1, 5))]
+        yield rng, g, pairs
+
+
+class TestPrunedSearchesMatchReference:
+    """The pruned searches return the unpruned ones' exact bits."""
+
+    def test_offline_opt_bit_equal_with_equal_ledgers(self):
+        outcomes = set()
+        for _rng, g, pairs in tie_heavy_cases(100, 120):
+            got = outcome(offline_opt, g, pairs)
+            assert got == outcome(reference_offline_opt, g, pairs)
+            outcomes.add(got == "infeasible")
+        assert outcomes == {True, False}
+
+    def test_junction_opt_bit_equal(self):
+        outcomes = set()
+        for rng, g, pairs in tie_heavy_cases(300, 120):
+            got = outcome(junction_opt, g, pairs)
+            assert got == outcome(reference_junction_opt, g, pairs)
+            roots = [rng.randrange(g.n) for _ in range(rng.randint(1, 3))]
+            assert (outcome(junction_opt, g, pairs, roots=roots)
+                    == outcome(reference_junction_opt, g, pairs, roots=roots))
+            outcomes.add(got == "infeasible")
+        assert outcomes == {True, False}
+
+    def test_junction_opt_dp_budget_refusal_is_order_free(self):
+        """A DP budget below the pair count: junction_opt refuses whenever
+        the product loop does, and where it does not refuse both give the
+        same bits. It checks the widest block (all pairs on one root) before
+        searching, so it may also refuse where the product loop's pruning
+        never built that block."""
+        def refused(fn, *args, **kwargs):
+            try:
+                return outcome(fn, *args, **kwargs)
+            except BudgetExceeded:
+                return "budget"
+
+        seen = set()
+        for rng, g, pairs in tie_heavy_cases(700, 200):
+            budget = OracleBudget(max_ss_terminals=rng.randint(1, 2))
+            roots = (None if rng.random() < 0.5 else
+                     [rng.randrange(g.n) for _ in range(rng.randint(1, 3))])
+            got = refused(junction_opt, g, pairs, budget, roots)
+            ref = refused(reference_junction_opt, g, pairs, budget, roots)
+            if ref == "budget" or got != "budget":
+                assert got == ref
+            seen.add(got == "budget")
+        assert seen == {True, False}
+        # the widest block is all three pairs on root 2; the product loop
+        # meets a two-terminal block on root 0 first and reports that
+        g = build_graph(3, [(1, 0, 0.5, 0.25), (0, 2, 2.0, 0.25),
+                            (0, 2, 1.0, 0.5), (2, 1, 1.0, 0.5)])
+        pairs = [TerminalPair(0, 0, 1), TerminalPair(1, 1, 2),
+                 TerminalPair(2, 1, 0)]
+        with pytest.raises(BudgetExceeded) as exc:
+            junction_opt(g, pairs, OracleBudget(max_ss_terminals=1))
+        assert exc.value.required == 3
+        wide_enough = OracleBudget(max_ss_terminals=3)
+        assert (junction_opt(g, pairs, wide_enough)
+                == reference_junction_opt(g, pairs, wide_enough) == 4.5)
+
+    def test_junction_opt_keeps_the_block_sum_order(self):
+        # random costs round differently when blocks are summed in another order
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(3, 6)
+            g = random_two_metric(rng, n, rng.randint(n, 2 * n),
+                                  directed=seed % 2 == 0, ensure_cycle=True)
+            pairs = [TerminalPair(i, rng.randrange(n), rng.randrange(n))
+                     for i in range(rng.randint(2, 5))]
+            assert junction_opt(g, pairs) == reference_junction_opt(g, pairs)
+
+    def test_ss_offline_opt_bit_equal_with_root_among_terminals(self):
+        for rng, g, _pairs in tie_heavy_cases(500, 80):
+            root = rng.randrange(g.n)
+            terms = [rng.randrange(g.n) for _ in range(rng.randint(1, 4))]
+            terms.append(root)
+            for direction in ("sink", "source"):
+                assert (outcome(ss_offline_opt, g, terms, root, direction)
+                        == outcome(reference_ss_offline_opt, g, terms, root,
+                                   direction))
+
+    def test_unreachable_pair_refused_by_both(self):
+        g = build_graph(4, [(0, 1, 1.0, 0.0), (1, 0, 1.0, 0.0),
+                            (2, 3, 0.0, 0.5)])
+        pairs = [TerminalPair(0, 0, 1), TerminalPair(1, 1, 1),
+                 TerminalPair(2, 0, 3)]
+        for fn in (offline_opt, reference_offline_opt, junction_opt,
+                   reference_junction_opt):
+            with pytest.raises(InfeasibleInstance):
+                fn(g, pairs)
+
+
+def test_oracle_work_is_bounded(monkeypatch):
+    """Disconnected subsets are skipped and DP tables are shared: on this
+    instance the unpruned searches make 5,241 route searches and 488
+    Dijkstra runs."""
+    calls = {"shortest_path": 0, "_multi_weight_dijkstra": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counted)
+    inst = load_instance(random_digraph(6, 12, 4, seed=3))
+    offline_opt(inst.graph, inst.pairs)
+    assert calls["shortest_path"] <= 1000
+    junction_opt(inst.graph, inst.pairs)
+    # one table per non-empty sub-multiset of the sources and of the sinks
+    k = len(inst.pairs)
+    assert calls["_multi_weight_dijkstra"] <= 2 * (2 ** k - 1)
+
+
+def test_exact_opt_dispatches_on_mode_and_penalties():
+    g = build_graph(2, [(0, 1, 10, 1)])
+    priced = [TerminalPair(0, 0, 1, penalty=3.0)]
+    assert exact_opt(g, priced, "prize") == offline_opt_prize(g, priced)
+    assert exact_opt(g, priced, "edge") == offline_opt(g, priced)[0]
+    plain = [TerminalPair(0, 0, 1)]
+    assert exact_opt(g, plain, "prize") == offline_opt(g, plain)[0]
