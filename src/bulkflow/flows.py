@@ -12,18 +12,44 @@ A network's residual topology (per-slot heads and signed costs, per-node
 slot lists) is built once, on its first solve, and kept until an arc is
 added; between solves only the capacities change (``set_capacities``), so a
 caller that solves the same arcs repeatedly builds nothing per solve.
+
+Each network also keeps the search trail of its latest solve and replays
+it. The residual Dijkstra reads capacities only through the test
+``res <= EPS_CAP``, so its result (path, unit cost, new potentials) is a
+function of the topology, the costs, which slots are open and the starting
+potentials. A solve starts with every reverse slot closed, every forward
+slot open except the arcs of capacity ``<= EPS_CAP``, and zero potentials;
+an augmentation by more than ``EPS_CAP`` opens the reverse of every path
+slot and closes exactly the path slots it leaves at ``<= EPS_CAP``. So the
+key ``(source, sink, arcs closed at start)`` names the first search's
+state, and the tuple of path slots the last augmentation closed names each
+later one. While the keys match the previous solve's, its recorded search
+is reused; at the first mismatch the potentials are restored from the last
+matched search and the Dijkstra runs live from there. Amounts, capacity
+tests and augmentations are always computed live, so a replayed solve
+returns the same segments, bit for bit, as a fresh network would. Only the
+latest trail is kept, and adding an arc drops it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 FEAS_TOL = 1e-9
 # residual capacities below this are treated as saturated
 EPS_CAP = 1e-12
+# residual Dijkstra: labels closer than this count as equal
+TIE_TOL = 1e-15
+
+# One recorded search: the key of the state it ran in, its slot path (None
+# if the sink was unreachable), unit cost and segment steps, and the
+# potentials of the topology's ``nodes`` after it.
+_Search = Tuple[tuple, Optional[List[int]], float,
+                Tuple[Tuple[int, int], ...], array]
 
 
 class FlowError(ValueError):
@@ -46,6 +72,8 @@ class FlowNetwork:
         self.capacity: List[float] = []
         self.cost: List[float] = []
         self._topology: Optional[_Topology] = None
+        # the searches of the latest solve, replayed by the next one
+        self._trail: List[_Search] = []
 
     @property
     def m(self) -> int:
@@ -63,23 +91,24 @@ class FlowNetwork:
             raise FlowError(f"{len(capacity)} capacities for "
                             f"{len(self.tail)} arcs")
         capacity = list(map(float, capacity))
-        if any(cap < 0 for cap in capacity):
-            raise FlowError("negative capacity")
+        if not all(cap >= 0 for cap in capacity):
+            raise FlowError("negative or NaN capacity")
         self.capacity = capacity
 
     def add_arc(self, tail: int, head: int, capacity: float, cost: float) -> int:
         if not (0 <= tail < self.n and 0 <= head < self.n):
             raise FlowError(f"arc ({tail},{head}) out of range")
-        if capacity < 0:
-            raise FlowError("negative capacity")
-        if cost < 0:
-            raise FlowError("negative unit cost")
+        if not capacity >= 0:
+            raise FlowError(f"capacity {capacity} is negative or NaN")
+        if not 0 <= cost < math.inf:
+            raise FlowError(f"unit cost {cost} is negative or not finite")
         a = len(self.tail)
         self.tail.append(tail)
         self.head.append(head)
         self.capacity.append(float(capacity))
         self.cost.append(float(cost))
         self._topology = None
+        self._trail = []
         return a
 
 
@@ -127,7 +156,8 @@ class _Topology:
     """Residual slots of a network: slot ``2a`` is arc ``a`` forward, slot
     ``2a+1`` its reverse, with cost ``-cost[a]``; ``adj[v]`` lists the
     forward slots of v's out-arcs, then the reverse slots of its in-arcs,
-    each in arc order."""
+    each in arc order. ``nodes`` lists the vertices that have a slot; a
+    search leaves the potential of every other vertex at zero."""
 
     def __init__(self, net: FlowNetwork):
         m = net.m
@@ -142,6 +172,7 @@ class _Topology:
             self.adj[v].append(2 * a)
         for a, v in enumerate(net.head):
             self.adj[v].append(2 * a + 1)
+        self.nodes: List[int] = [v for v, slots in enumerate(self.adj) if slots]
 
 
 class _Residual:
@@ -151,6 +182,7 @@ class _Residual:
         self.n = net.n
         topology = net.topology()
         self.head, self.cost, self.adj = topology.head, topology.cost, topology.adj
+        self.nodes = topology.nodes
         self.res: List[float] = [0.0] * (2 * net.m)
         self.res[0::2] = net.capacity
         self.potential = [0.0] * net.n
@@ -162,14 +194,14 @@ class _Residual:
         head, cost, adj = self.head, self.cost, self.adj
         res, potential = self.res, self.potential
         heappop, heappush = heapq.heappop, heapq.heappush
-        inf = math.inf
+        inf, tie = math.inf, TIE_TOL
         dist = [inf] * self.n
         prev_slot = [-1] * self.n
         dist[source] = 0.0
         heap = [(0.0, source)]
         while heap:
             d, v = heappop(heap)
-            if d > dist[v] + 1e-15:
+            if d > dist[v] + tie:
                 continue
             pot_v = potential[v]
             for slot in adj[v]:
@@ -180,7 +212,7 @@ class _Residual:
                 if rc < 0.0:  # guard against float drift
                     rc = 0.0
                 nd = d + rc
-                if nd < dist[u] - 1e-15:
+                if nd < dist[u] - tie:
                     dist[u] = nd
                     prev_slot[u] = slot
                     heappush(heap, (nd, u))
@@ -211,20 +243,44 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
     """Cheapest-flow segments in order of increasing unit cost.
 
     Augments until the flow value reaches ``value_cap``, the cumulative cost
-    reaches ``cost_cap``, or the sink becomes unreachable.
+    reaches ``cost_cap``, or the sink becomes unreachable. Searches whose
+    state matches the network's previous solve are replayed from its trail
+    (see the module docstring).
     """
     if source == sink:
         raise FlowError("source equals sink")
     residual = _Residual(net)
+    res, potential, nodes = residual.res, residual.potential, residual.nodes
+    previous = net._trail
+    trail: List[_Search] = []
+    key: tuple = (source, sink, tuple([a for a, cap in enumerate(net.capacity)
+                                      if cap <= EPS_CAP]))
     segments: List[FlowSegment] = []
     total_value = 0.0
     total_cost = 0.0
     while total_value < value_cap - EPS_CAP and total_cost < cost_cap - EPS_CAP:
-        found = residual.shortest_path(source, sink)
-        if found is None:
+        i = len(trail)
+        if i < len(previous) and previous[i][0] == key:
+            search = previous[i]
+        else:
+            if previous and trail:  # resume from the last replayed search
+                for v, pot in zip(nodes, trail[-1][4]):
+                    potential[v] = pot
+            previous = []
+            found = residual.shortest_path(source, sink)
+            if found is None:
+                search = (key, None, 0.0, (), array("d"))
+            else:
+                live_path, live_cost = found
+                search = (key, live_path, live_cost,
+                          tuple([(s >> 1, 1 if s % 2 == 0 else -1)
+                                 for s in live_path]),
+                          array("d", [potential[v] for v in nodes]))
+        trail.append(search)
+        _, path, unit_cost, steps, _ = search
+        if path is None:
             break
-        path, unit_cost = found
-        bottleneck = min([residual.res[s] for s in path])
+        bottleneck = min([res[s] for s in path])
         amount = min(bottleneck, value_cap - total_value)
         if unit_cost > FEAS_TOL:
             amount = min(amount, (cost_cap - total_cost) / unit_cost)
@@ -233,10 +289,11 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
         if amount <= EPS_CAP:
             break
         residual.augment(path, amount)
-        steps = tuple([(s >> 1, 1 if s % 2 == 0 else -1) for s in path])
+        key = tuple([s for s in path if res[s] <= EPS_CAP])
         segments.append(FlowSegment(amount, unit_cost, steps))
         total_value += amount
         total_cost += unit_cost * amount
+    net._trail = trail
     return segments
 
 
@@ -278,9 +335,11 @@ def min_cost_flow(net: FlowNetwork, source: int, sink: int,
 def max_flow(net: FlowNetwork, source: int, sink: int,
              value_cap: float = math.inf) -> FlowResult:
     """Maximum flow (cost-blind) up to ``value_cap``."""
-    zero_cost = FlowNetwork(net.n)
-    for a in range(net.m):
-        zero_cost.add_arc(net.tail[a], net.head[a], net.capacity[a], 0.0)
+    zero_cost = net
+    if any(c != 0.0 for c in net.cost):
+        zero_cost = FlowNetwork(net.n)
+        for a in range(net.m):
+            zero_cost.add_arc(net.tail[a], net.head[a], net.capacity[a], 0.0)
     segments = cheapest_flow_curve(zero_cost, source, sink, value_cap=value_cap)
     value = sum(s.amount for s in segments)
     flow, _ = _assemble(segments, value)

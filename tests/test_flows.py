@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from bulkflow.flows import (FlowError, FlowNetwork, InfeasibleFlow,
+import bulkflow.flows as flows
+from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, InfeasibleFlow,
                             cheapest_flow_curve, max_delta, max_flow,
                             min_cost_flow)
+from bulkflow.generate import grid
+from bulkflow.harness import RunConfig, run_online
+from bulkflow.instance import load_instance
 
 
 def linprog_min_cost(net: FlowNetwork, source: int, sink: int, target: float):
@@ -104,6 +108,178 @@ class TestCapacityReset:
         assert net.capacity == [0.0, math.inf]
 
 
+def curve_bits(net: FlowNetwork, source: int, sink: int, value_cap: float,
+               cost_cap: float):
+    """The curve's segments as exact bits, or the refusal it raised."""
+    try:
+        segments = cheapest_flow_curve(net, source, sink, value_cap=value_cap,
+                                       cost_cap=cost_cap)
+    except FlowError as exc:
+        return str(exc)
+    return [(seg.amount.hex(), seg.unit_cost.hex(), seg.steps)
+            for seg in segments]
+
+
+def replay_arcs(rng: random.Random, n: int, count: int):
+    """Tie-heavy arcs plus an exact parallel twin and a reverse of some."""
+    arcs = tie_heavy_arcs(rng, n, count)
+    for u, v, cost in list(arcs):
+        roll = rng.random()
+        if roll < 0.3:
+            arcs.append((u, v, cost))
+        elif roll < 0.6:
+            arcs.append((v, u, rng.choice([0.0, cost])))
+    return arcs
+
+
+# saturated, at the saturation threshold, just above it, and ordinary
+REPLAY_CAPACITIES = [0.0, EPS_CAP, 2 * EPS_CAP, 0.25, 0.5, 1.0,
+                     1.0 + EPS_CAP, math.inf]
+
+
+class TestReplay:
+    """A network that replays its previous solve's searches must return
+    the same bits as a freshly built network, solve after solve."""
+
+    def assert_solves_like_fresh(self, reused, n, arcs, capacities, source,
+                                 sink, value_cap, cost_cap):
+        reused.set_capacities(capacities)
+        fresh = network(n, arcs, capacities)
+        assert (curve_bits(reused, source, sink, value_cap, cost_cap)
+                == curve_bits(fresh, source, sink, value_cap, cost_cap))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_capacity_sequence_matches_fresh_networks(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        arcs = replay_arcs(rng, n, 3 * n)
+        reused = network(n, arcs, [0.0] * len(arcs))
+        capacities = [rng.choice(REPLAY_CAPACITIES) for _ in arcs]
+        for _ in range(20):
+            # change a few capacities at a time, mostly keeping which arcs
+            # are closed, so that replays match and then diverge
+            for a in rng.sample(range(len(arcs)), rng.randint(0, 3)):
+                if capacities[a] > EPS_CAP and rng.random() < 0.8:
+                    capacities[a] = rng.choice(REPLAY_CAPACITIES[2:])
+                else:
+                    capacities[a] = rng.choice(REPLAY_CAPACITIES)
+            source, sink = (0, n - 1) if rng.random() < 0.7 else rng.sample(
+                range(n), 2)
+            self.assert_solves_like_fresh(
+                reused, n, arcs, capacities, source, sink,
+                rng.choice([1.0, 0.5, 2.0, 3 * EPS_CAP, math.inf]),
+                rng.choice([0.0, 0.25, 1.0, 2.0, math.inf]))
+
+    def test_spread_costs_resume_from_replayed_potentials(self):
+        # reverse slots carry negative costs, so a live search after replayed
+        # ones finds the cheapest path only from the replayed potentials
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(5, 9)
+            arcs = []
+            while len(arcs) < 3 * n:
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    arcs.append((u, v, rng.choice([0.0, 0.5, 1.0, 2.0, 3.0,
+                                                   5.0])))
+            capacities = [rng.choice([0.25, 0.5, 1.0, 2.0]) for _ in arcs]
+            reused = network(n, arcs, capacities)
+            curve_bits(reused, 0, n - 1, 3.0, math.inf)
+            for _ in range(4):
+                capacities[rng.randrange(len(arcs))] = rng.choice(
+                    [0.25, 0.5, 1.0, 2.0])
+                self.assert_solves_like_fresh(reused, n, arcs, capacities, 0,
+                                              n - 1, 3.0, math.inf)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_alternating_ends_on_one_network(self, seed):
+        rng = random.Random(100 + seed)
+        n = rng.randint(3, 6)
+        arcs = replay_arcs(rng, n, 4 * n)
+        capacities = [rng.choice([0.25, 1.0, math.inf]) for _ in arcs]
+        reused = network(n, arcs, capacities)
+        for source, sink in [(0, n - 1), (n - 1, 0)] * 3:
+            self.assert_solves_like_fresh(reused, n, arcs, capacities, source,
+                                          sink, 1.0, math.inf)
+
+    @pytest.mark.parametrize("closed", [0.0, EPS_CAP])
+    def test_an_arc_closed_at_start_changes_the_first_key(self, closed):
+        # the first solve uses twin arc 0; the second closes it at the start
+        arcs = [(0, 1, 0.0), (0, 1, 0.0), (1, 2, 1.0)]
+        reused = network(3, arcs, [1.0, 1.0, 2.0])
+        assert curve_bits(reused, 0, 2, 2.0, math.inf) == [
+            ((1.0).hex(), (1.0).hex(), ((0, 1), (2, 1))),
+            ((1.0).hex(), (1.0).hex(), ((1, 1), (2, 1)))]
+        self.assert_solves_like_fresh(reused, 3, arcs, [closed, 1.0, 2.0],
+                                      0, 2, 2.0, math.inf)
+        self.assert_solves_like_fresh(reused, 3, arcs, [2 * EPS_CAP, 1.0, 2.0],
+                                      0, 2, 2.0, math.inf)
+
+    def test_a_different_saturated_arc_changes_the_next_key(self):
+        # both solves first take 0 -> 1 -> 2 on the free arcs 0 and 2; the
+        # first saturates arc 2 and stops, the second saturates arc 0 and
+        # goes on through the priced twin, arc 1
+        arcs = [(0, 1, 0.0), (0, 1, 1.0), (1, 2, 0.0)]
+        reused = network(3, arcs, [1.0, 1.0, 0.5])
+        assert len(curve_bits(reused, 0, 2, 2.0, math.inf)) == 1
+        self.assert_solves_like_fresh(reused, 3, arcs, [0.5, 1.0, 1.0],
+                                      0, 2, 2.0, math.inf)
+        assert len(curve_bits(reused, 0, 2, 2.0, math.inf)) == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_add_arc_after_a_solve_discards_the_trail(self, seed):
+        rng = random.Random(200 + seed)
+        n = rng.randint(3, 6)
+        arcs = replay_arcs(rng, n, 3 * n)
+        capacities = [rng.choice([0.25, 1.0, math.inf]) for _ in arcs]
+        reused = network(n, arcs, capacities)
+        curve_bits(reused, 0, n - 1, 2.0, math.inf)
+        for _ in range(3):
+            arcs.append((0, n - 1, rng.choice([0.0, 0.5])))
+            capacities.append(rng.choice([0.25, 1.0]))
+            reused.add_arc(0, n - 1, capacities[-1], arcs[-1][2])
+            self.assert_solves_like_fresh(reused, n, arcs, capacities, 0,
+                                          n - 1, 2.0, math.inf)
+
+    def test_replay_skips_most_searches_on_a_default_run(self, monkeypatch):
+        counts = {"searches": 0, "augmentations": 0}
+        search, curve = flows._Residual.shortest_path, flows.cheapest_flow_curve
+
+        def counted_search(self, source, sink):
+            counts["searches"] += 1
+            return search(self, source, sink)
+
+        def counted_curve(*args, **kwargs):
+            segments = curve(*args, **kwargs)
+            counts["augmentations"] += len(segments)
+            return segments
+
+        monkeypatch.setattr(flows._Residual, "shortest_path", counted_search)
+        monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
+        run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
+        # without replay every augmentation needs its own search
+        assert counts["augmentations"] == 2003
+        assert counts["searches"] * 10 < counts["augmentations"]
+
+
+class TestNonFiniteInput:
+    def test_nan_capacity_refused(self):
+        net = FlowNetwork(2)
+        with pytest.raises(FlowError):
+            net.add_arc(0, 1, math.nan, 1.0)
+        net.add_arc(0, 1, math.inf, 1.0)  # infinite capacity stays allowed
+        with pytest.raises(FlowError):
+            net.set_capacities([math.nan])
+        assert net.capacity == [math.inf] and net.m == 1
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_refused(self, cost):
+        net = FlowNetwork(2)
+        with pytest.raises(FlowError):
+            net.add_arc(0, 1, 1.0, cost)
+        assert net.m == 0
+
+
 class TestMinCostFlow:
     def test_zero_target(self):
         net = FlowNetwork(2)
@@ -173,6 +349,20 @@ class TestMaxFlow:
         with pytest.raises(FlowError):
             max_flow(net, 0, 1)
         assert max_flow(net, 0, 1, value_cap=3.0).value == pytest.approx(3.0)
+
+    def test_zero_cost_network_is_solved_in_place(self, monkeypatch):
+        rng = random.Random(4)
+        arcs = [(u, v, 0.0) for u, v, _ in tie_heavy_arcs(rng, 5, 12)]
+        capacities = [rng.choice([0.0, 0.25, 1.0]) for _ in arcs]
+        priced = network(5, [(u, v, 1.0) for u, v, _ in arcs], capacities)
+        expected = max_flow(priced, 0, 4)  # solved on a zero-cost copy
+        net = network(5, arcs, capacities)
+        copies = []
+        monkeypatch.setattr(FlowNetwork, "add_arc",
+                            lambda *args: copies.append(args))
+        result = max_flow(net, 0, 4)
+        assert copies == []
+        assert (result.value, result.flow) == (expected.value, expected.flow)
 
 
 class TestMaxDelta:
