@@ -10,8 +10,9 @@ search.
 
 A network's residual topology (per-slot heads and signed costs, per-node
 slot lists) is built once, on its first solve, and kept until an arc is
-added; between solves only the capacities change (``set_capacities``), so a
-caller that solves the same arcs repeatedly builds nothing per solve.
+added; between solves only the capacities change (``set_capacities`` for
+all arcs, ``update_capacities`` for some), so a caller that solves the same
+arcs repeatedly builds nothing per solve.
 
 Each network also keeps the search trail of its latest solve and replays
 it. The residual Dijkstra reads capacities only through the test
@@ -23,12 +24,13 @@ an augmentation by more than ``EPS_CAP`` opens the reverse of every path
 slot and closes exactly the path slots it leaves at ``<= EPS_CAP``. So the
 key ``(source, sink, arcs closed at start)`` names the first search's
 state, and the tuple of path slots the last augmentation closed names each
-later one. While the keys match the previous solve's, its recorded search
-is reused; at the first mismatch the potentials are restored from the last
-matched search and the Dijkstra runs live from there. Amounts, capacity
-tests and augmentations are always computed live, so a replayed solve
-returns the same segments, bit for bit, as a fresh network would. Only the
-latest trail is kept, and adding an arc drops it.
+later one; the arcs closed at start are kept as a tuple until a capacity
+change opens or closes one. While the keys match the previous solve's, its
+recorded search is reused; at the first mismatch the potentials are
+restored from the last matched search and the Dijkstra runs live from
+there. Amounts, capacity tests and augmentations are always computed live,
+so a replayed solve returns the same segments, bit for bit, as a fresh
+network would. Only the latest trail is kept, and adding an arc drops it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ class FlowNetwork:
         self._topology: Optional[_Topology] = None
         # the searches of the latest solve, replayed by the next one
         self._trail: List[_Search] = []
+        # arcs of capacity <= EPS_CAP, in id order; None until next needed
+        self._closed: Optional[Tuple[int, ...]] = None
 
     @property
     def m(self) -> int:
@@ -94,6 +98,30 @@ class FlowNetwork:
         if not all(cap >= 0 for cap in capacity):
             raise FlowError("negative or NaN capacity")
         self.capacity = capacity
+        self._closed = None
+
+    def update_capacities(self, changes: Sequence[Tuple[int, float]]) -> None:
+        """Set the capacity of each ``(arc, capacity)`` in ``changes``; the
+        other arcs keep theirs. A refused update changes nothing."""
+        m = len(self.tail)
+        for a, cap in changes:
+            if not 0 <= a < m:
+                raise FlowError(f"arc {a} out of range")
+            if not cap >= 0:
+                raise FlowError(f"capacity {cap} is negative or NaN")
+        capacity, closed = self.capacity, self._closed
+        for a, cap in changes:
+            if closed is not None and (capacity[a] <= EPS_CAP) != (cap <= EPS_CAP):
+                closed = None
+            capacity[a] = float(cap)
+        self._closed = closed
+
+    def closed_arcs(self) -> Tuple[int, ...]:
+        """The arcs of capacity ``<= EPS_CAP``, in id order."""
+        if self._closed is None:
+            self._closed = tuple([a for a, cap in enumerate(self.capacity)
+                                  if cap <= EPS_CAP])
+        return self._closed
 
     def add_arc(self, tail: int, head: int, capacity: float, cost: float) -> int:
         if not (0 <= tail < self.n and 0 <= head < self.n):
@@ -109,6 +137,7 @@ class FlowNetwork:
         self.cost.append(float(cost))
         self._topology = None
         self._trail = []
+        self._closed = None
         return a
 
 
@@ -231,11 +260,6 @@ class _Residual:
         unit_cost = sum(cost[s] for s in path)
         return path, unit_cost
 
-    def augment(self, path: List[int], amount: float) -> None:
-        for slot in path:
-            self.res[slot] -= amount
-            self.res[slot ^ 1] += amount
-
 
 def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
                         value_cap: float = math.inf,
@@ -253,8 +277,7 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
     res, potential, nodes = residual.res, residual.potential, residual.nodes
     previous = net._trail
     trail: List[_Search] = []
-    key: tuple = (source, sink, tuple([a for a, cap in enumerate(net.capacity)
-                                      if cap <= EPS_CAP]))
+    key: tuple = (source, sink, net.closed_arcs())
     segments: List[FlowSegment] = []
     total_value = 0.0
     total_cost = 0.0
@@ -280,15 +303,22 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
         _, path, unit_cost, steps, _ = search
         if path is None:
             break
-        bottleneck = min([res[s] for s in path])
-        amount = min(bottleneck, value_cap - total_value)
+        # "if b < a: a = b" is min(a, b) without the call; ties keep a
+        amount = min([res[s] for s in path])
+        rest = value_cap - total_value
+        if rest < amount:
+            amount = rest
         if unit_cost > FEAS_TOL:
-            amount = min(amount, (cost_cap - total_cost) / unit_cost)
+            rest = (cost_cap - total_cost) / unit_cost
+            if rest < amount:
+                amount = rest
         if not math.isfinite(amount):
             raise FlowError("flow value is unbounded; pass a finite value_cap")
         if amount <= EPS_CAP:
             break
-        residual.augment(path, amount)
+        for s in path:
+            res[s] -= amount
+            res[s ^ 1] += amount
         key = tuple([s for s in path if res[s] <= EPS_CAP])
         segments.append(FlowSegment(amount, unit_cost, steps))
         total_value += amount

@@ -25,6 +25,11 @@ its capacity stays exactly on it instead of oscillating across the
 tightness test. Steps have uniform length except the last one of an
 arrival, which is truncated to land coverage exactly at 1.
 
+The step state lives in each (root, pair, side)'s ``_Funnel``: its flow
+network holds the rate capacities of the last step for the whole arrival,
+and a step recomputes only the arcs the previous committed step touched
+(found tight or grew), since no other arc's ``x``, flow or tightness moved.
+
 All variables are nondecreasing within an epoch. An epoch aborts (without
 overshooting) once its objective would exceed ``kappa``; the caller then
 doubles its optimum guess and replays.
@@ -42,6 +47,19 @@ from .graph import TwoMetricGraph, reachable_from, reaches, shortest_path
 
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
+# an edge stays alive when its rescaled cost and length are within this of 1
+PRUNE_TOL = 1e-12
+# a z (per root, or summed over the roots) this close to 1 counts as full
+COVER_TOL = 1e-12
+# growth rates delta at or below this do not bound the step length
+RATE_TOL = 1e-15
+# the shortest step length, so that a step always advances
+MIN_DT = 1e-12
+# invariant checks: slack below 0 and above VAR_CAP for x, z and flows
+BELOW_ZERO_TOL = 1e-12
+ABOVE_CAP_TOL = 1e-9
+# invariant checks: flows against x and conservation at the recorded value
+FLOW_TOL = 1e-7
 INIT_EXPONENT = 5  # starting value of every variable is n ** -INIT_EXPONENT
 MAX_STEPS = 10 ** 6  # growth steps per arrival before it counts as stuck
 
@@ -136,8 +154,8 @@ class _Side:
         graph = self.graph = side_graph.graph
         self.c = [graph.c[e] / guess for e in range(graph.m)]
         self.l = [graph.l[e] / guess for e in range(graph.m)]
-        self.alive = [self.c[e] <= 1.0 + 1e-12 and self.l[e] <= 1.0 + 1e-12
-                      for e in range(graph.m)]
+        self.alive = [self.c[e] <= 1.0 + PRUNE_TOL
+                      and self.l[e] <= 1.0 + PRUNE_TOL for e in range(graph.m)]
         # per-root capacity variables, dense over edge ids (0.0 where pruned)
         self.x: Dict[int, List[float]] = {
             rid: [v0 if alive else 0.0 for alive in self.alive]
@@ -199,16 +217,28 @@ def _growth_factor(c: float, dt: float) -> float:
 class _Funnel:
     """A funnel's arcs in id order and the flow network over them (network
     arc ``a`` is funnel arc ``a``), built once per epoch: lengths and costs
-    are fixed within an epoch, so each step only resets capacities."""
+    are fixed within an epoch, so each step only updates capacities.
+
+    The network's capacities are the step state of the pair's arrival: the
+    rate capacities for a step of length ``dt`` (``None`` once another
+    pair's step may have changed ``x``). An arc's capacity depends only on
+    its own ``x``, flow, tightness and growth factor, and a committed step
+    changes ``x`` and the flow only on the edges it found tight or grew, so
+    ``dirty`` collects those edges (all of them at first) and the next step
+    recomputes only their arcs.
+    """
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float):
         self.arcs, self.dmax = arcs, dmax
+        self.index = {e: a for a, e in enumerate(arcs)}
         graph = side.graph
         self.net = FlowNetwork(graph.n)
         for e in arcs:
             self.net.add_arc(graph.tail[e], graph.head[e], 0.0, side.l[e])
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
+        self.dt: Optional[float] = dmax
+        self.dirty: Set[int] = set(arcs)
 
 
 @dataclass(frozen=True)
@@ -258,6 +288,8 @@ class CompositeSolver:
         self.pairs: Dict[int, PairSpec] = {}
         self.arrival_log: List[ArrivalStats] = []
         self._objective = self._base_objective()
+        # the pair whose funnels keep their step state (see _Funnel)
+        self._stepping: Optional[int] = None
 
     # ------------------------------------------------------------------
     # objective
@@ -335,6 +367,16 @@ class CompositeSolver:
         """Edges whose capacity variable is met by this pair's flow, per side."""
         return tuple(side.tight(root_id, pair_index) for side in self.sides)
 
+    def _hold_step_state(self, pair_index: int) -> None:
+        """Let ``pair_index``'s funnels keep step state; the previous pair's
+        recompute every arc when next solved, since this pair's steps change
+        the ``x`` they read."""
+        if pair_index != self._stepping:
+            for rid in self.eligible.get(self._stepping, ()):
+                for side in self.sides:
+                    side.funnels[(rid, self._stepping)].dt = None
+            self._stepping = pair_index
+
     def _aux_network(self, side: _Side, rid: int, tight: Set[int], dt: float,
                      pair_index: int) -> FlowNetwork:
         """The funnel's network with this step's integrated rate capacities;
@@ -343,21 +385,28 @@ class CompositeSolver:
         An edge's admissible flow increment over ``dt`` is its current
         headroom plus the growth of ``x`` while riding the boundary; the rate
         capacity is that integral divided by ``dt``. Currently tight edges
-        have no headroom and ride from the start.
+        have no headroom and ride from the start. Only the funnel's dirty
+        arcs are recomputed, all of them when ``dt`` changed.
         """
         funnel = side.funnels[(rid, pair_index)]
+        if dt != funnel.dt:
+            funnel.dt = dt
+            funnel.dirty = set(funnel.arcs)
         x, c = side.x[rid], side.c
         flows = side.flow.get((rid, pair_index), {})
+        index, full_growth = funnel.index, funnel.full_growth
         full, inf = dt == funnel.dmax, math.inf
-        capacity = []
-        for e, full_growth in zip(funnel.arcs, funnel.full_growth):
-            grow = full_growth if full else _growth_factor(c[e], dt)
+        changes = []
+        for e in funnel.dirty:
+            a = index[e]
+            grow = full_growth[a] if full else _growth_factor(c[e], dt)
             if grow == inf:
-                capacity.append(inf)
+                changes.append((a, inf))
             else:
                 room = 0.0 if e in tight else max(0.0, x[e] - flows.get(e, 0.0))
-                capacity.append((room + x[e] * (grow - 1.0)) / dt)
-        funnel.net.set_capacities(capacity)
+                changes.append((a, (room + x[e] * (grow - 1.0)) / dt))
+        funnel.net.update_capacities(changes)
+        funnel.dirty.clear()
         return funnel.net
 
     def _solve_root(self, pair: PairSpec, rid: int, dt: float) -> RootStep:
@@ -384,10 +433,11 @@ class CompositeSolver:
         pair = self.pairs[pair_index]
         eligible = self.eligible[pair_index]
         dt0 = dt if dt is not None else self.config.dmax
+        self._hold_step_state(pair_index)
         solutions: Dict[int, RootStep] = {}
         total_delta = 0.0
         for rid in eligible:
-            if self.z[(pair_index, rid)] >= VAR_CAP - 1e-12:
+            if self.z[(pair_index, rid)] >= VAR_CAP - COVER_TOL:
                 continue  # this root is already fully selected
             solutions[rid] = self._solve_root(pair, rid, dt0)
             total_delta += solutions[rid].delta
@@ -395,13 +445,13 @@ class CompositeSolver:
         dt_eff = dt0
         if dt is None:
             gap = 1.0 - self.z_total(pair_index)
-            if total_delta > 1e-15:
+            if total_delta > RATE_TOL:
                 dt_eff = min(dt_eff, gap / total_delta)
             for rid, sol in solutions.items():
-                if sol.delta > 1e-15:
+                if sol.delta > RATE_TOL:
                     dt_eff = min(dt_eff,
                                  (VAR_CAP - self.z[(pair_index, rid)]) / sol.delta)
-            dt_eff = max(dt_eff, 1e-12)
+            dt_eff = max(dt_eff, MIN_DT)
 
         # stage: x rides to max(exp growth if tight, new flow level)
         staged_x: List[Tuple[_Side, int, int, float]] = []
@@ -410,12 +460,15 @@ class CompositeSolver:
             for side, tight, g_side in zip(self.sides, sol.tight, sol.grow):
                 arr = side.x[rid]
                 f_now = side.flow.get((rid, pair_index), {})
+                funnel = side.funnels[(rid, pair_index)]
+                full = dt_eff == funnel.dmax
                 touched = set(tight) | set(g_side)
                 for e in touched:
                     old = arr[e]
                     new = old
                     if e in tight:
-                        grow = _growth_factor(side.c[e], dt_eff)
+                        grow = (funnel.full_growth[funnel.index[e]] if full
+                                else _growth_factor(side.c[e], dt_eff))
                         new = VAR_CAP if math.isinf(grow) else min(VAR_CAP,
                                                                    old * grow)
                     f_new = f_now.get(e, 0.0) + g_side.get(e, 0.0) * dt_eff
@@ -433,12 +486,16 @@ class CompositeSolver:
 
     def apply(self, step: GrowthStep) -> None:
         """Commit a step staged by ``growth_step``."""
+        self._hold_step_state(step.pair)
         for side, rid, e, new in step.staged_x:
             arr = side.x[rid]
             if new > arr[e]:
                 arr[e] = new
         for rid, sol in step.solutions.items():
-            for side, g_side in zip(self.sides, sol.grow):
+            for side, tight, g_side in zip(self.sides, sol.tight, sol.grow):
+                dirty = side.funnels[(rid, step.pair)].dirty
+                dirty.update(tight)
+                dirty.update(g_side)
                 flow = side.flow[(rid, step.pair)]
                 for e, g in g_side.items():
                     flow[e] = flow.get(e, 0.0) + g * step.dt
@@ -457,7 +514,7 @@ class CompositeSolver:
         if self._objective > self.config.kappa:
             return ArrivalOutcome.EPOCH_OVERFLOW
         steps = 0
-        while self.z_total(pair.index) < 1.0 - 1e-12:
+        while self.z_total(pair.index) < 1.0 - COVER_TOL:
             steps += 1
             if steps > MAX_STEPS:
                 raise RuntimeError(
@@ -475,7 +532,7 @@ class CompositeSolver:
     # ------------------------------------------------------------------
     # invariants
 
-    def check_pair(self, pair_index: int, flow_tol: float = 1e-7,
+    def check_pair(self, pair_index: int, flow_tol: float = FLOW_TOL,
                    completed: bool = True) -> None:
         """Verify one pair's LP invariants; raises AssertionError on violation.
 
@@ -490,7 +547,7 @@ class CompositeSolver:
         for rid in self.eligible[pair_index]:
             spec = self.root_by_id[rid]
             zv = self.z[(pair_index, rid)]
-            if not -1e-12 <= zv <= VAR_CAP + 1e-9:
+            if not -BELOW_ZERO_TOL <= zv <= VAR_CAP + ABOVE_CAP_TOL:
                 raise AssertionError(f"z[{pair_index},{rid}]={zv}")
             for side in self.sides:
                 x = side.x[rid]
@@ -499,19 +556,20 @@ class CompositeSolver:
                     if not f <= x[e] + flow_tol:
                         raise AssertionError(f"flow {f} above capacity "
                                              f"{x[e]} on edge {e}")
-                    if not f >= -1e-12:
+                    if not f >= -BELOW_ZERO_TOL:
                         raise AssertionError(f"negative flow {f} on edge {e}")
                 self._check_flow_value(side.graph, flow,
                                        *side.side_graph.ends(pair, spec), zv,
                                        flow_tol)
 
     def check_invariants(self, completed_pairs: Sequence[int],
-                         flow_tol: float = 1e-7) -> None:
+                         flow_tol: float = FLOW_TOL) -> None:
         """Check every structural LP invariant; explicit raises survive -O."""
         for side in self.sides:
             for rid, arr in side.x.items():
                 for e in range(side.graph.m):
-                    if side.alive[e] and not -1e-12 <= arr[e] <= VAR_CAP + 1e-9:
+                    if side.alive[e] and not (-BELOW_ZERO_TOL <= arr[e]
+                                              <= VAR_CAP + ABOVE_CAP_TOL):
                         raise AssertionError(f"x[{rid}][{e}]={arr[e]} out of range")
         for pi in self.pairs:
             self.check_pair(pi, flow_tol, completed=pi in completed_pairs)

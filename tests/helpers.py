@@ -8,6 +8,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from bulkflow.errors import BudgetExceeded
+from bulkflow.fractional import _growth_factor
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, shortest_path)
 from bulkflow.oracle import (DEFAULT_BUDGET, VALUE_TOL, InfeasibleInstance,
@@ -237,3 +238,25 @@ def reference_junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     if not math.isfinite(best):
         raise InfeasibleInstance("no junction assignment connects every pair")
     return best
+
+
+# ----------------------------------------------------------------------
+# Reference step capacities: every arc of a funnel recomputed from scratch,
+# as each growth step did before funnels kept their step state.
+
+def reference_step_capacities(side, rid: int, tight: Set[int], dt: float,
+                              pair_index: int) -> List[float]:
+    """The rate capacities of one funnel's network for a step of ``dt``."""
+    funnel = side.funnels[(rid, pair_index)]
+    x, c = side.x[rid], side.c
+    flows = side.flow.get((rid, pair_index), {})
+    full, inf = dt == funnel.dmax, math.inf
+    capacity = []
+    for e, full_growth in zip(funnel.arcs, funnel.full_growth):
+        grow = full_growth if full else _growth_factor(c[e], dt)
+        if grow == inf:
+            capacity.append(inf)
+        else:
+            room = 0.0 if e in tight else max(0.0, x[e] - flows.get(e, 0.0))
+            capacity.append((room + x[e] * (grow - 1.0)) / dt)
+    return capacity

@@ -262,6 +262,63 @@ class TestReplay:
         assert counts["searches"] * 10 < counts["augmentations"]
 
 
+class TestCapacityUpdate:
+    """``update_capacities`` changes some arcs in place; a network left by
+    any mix of updates and resets solves like a freshly built one."""
+
+    def test_update_refuses_bad_input_and_changes_nothing(self):
+        net = network(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 1.0])
+        for changes in ([(0, -0.5)], [(1, math.nan)], [(2, 1.0)],
+                        [(-1, 1.0)], [(0, 0.5), (1, -math.inf)]):
+            with pytest.raises(FlowError):
+                net.update_capacities(changes)
+            assert net.capacity == [1.0, 1.0]
+        net.update_capacities([(1, math.inf), (0, 0.0)])
+        assert net.capacity == [0.0, math.inf]
+        assert net.closed_arcs() == (0,)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mixed_resets_and_updates_solve_like_fresh(self, seed):
+        rng = random.Random(300 + seed)
+        n = rng.randint(3, 7)
+        arcs = replay_arcs(rng, n, 3 * n)
+        capacities = [rng.choice(REPLAY_CAPACITIES) for _ in arcs]
+        reused = network(n, arcs, capacities)
+        for _ in range(20):
+            if rng.random() < 0.2:
+                capacities = [rng.choice(REPLAY_CAPACITIES) for _ in arcs]
+                reused.set_capacities(capacities)
+            else:
+                changes = [(a, rng.choice(REPLAY_CAPACITIES))
+                           for a in rng.sample(range(len(arcs)),
+                                               rng.randint(0, 3))]
+                for a, cap in changes:
+                    capacities[a] = cap
+                reused.update_capacities(changes)
+            fresh = network(n, arcs, capacities)
+            assert reused.capacity == fresh.capacity
+            assert reused.closed_arcs() == fresh.closed_arcs()
+            value_cap = rng.choice([1.0, 2.0, 3 * EPS_CAP, math.inf])
+            cost_cap = rng.choice([0.0, 0.25, 1.0, math.inf])
+            assert (curve_bits(reused, 0, n - 1, value_cap, cost_cap)
+                    == curve_bits(fresh, 0, n - 1, value_cap, cost_cap))
+
+    @pytest.mark.parametrize("closed", [0.0, EPS_CAP])
+    @pytest.mark.parametrize("opened", [2 * EPS_CAP, 1.0])
+    def test_update_across_eps_cap_changes_the_first_key(self, closed, opened):
+        # twin free arcs 0 and 1: a solve takes arc 0 while it is open, so
+        # closing it, or opening it again, must change the replayed key
+        arcs = [(0, 1, 0.0), (0, 1, 0.0), (1, 2, 1.0)]
+        reused = network(3, arcs, [1.0, 1.0, 2.0])
+        curve_bits(reused, 0, 2, 2.0, math.inf)
+        for cap in (closed, opened, closed):
+            reused.update_capacities([(0, cap)])
+            fresh = network(3, arcs, [cap, 1.0, 2.0])
+            assert (curve_bits(reused, 0, 2, 2.0, math.inf)
+                    == curve_bits(fresh, 0, 2, 2.0, math.inf))
+            assert reused.closed_arcs() == ((0,) if cap <= EPS_CAP else ())
+
+
 class TestNonFiniteInput:
     def test_nan_capacity_refused(self):
         net = FlowNetwork(2)

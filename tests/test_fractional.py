@@ -12,11 +12,15 @@ import pytest
 import bulkflow
 
 from bulkflow import fractional
+from bulkflow.flows import FlowNetwork
 from bulkflow.fractional import (ArrivalOutcome, CompositeSolver, PairSpec,
                                  RootSpec, SideGraph, SolverConfig)
+from bulkflow.generate import grid, star_of_paths, with_penalties
 from bulkflow.graph import TwoMetricGraph, shortest_path
+from bulkflow.harness import RunConfig, run_online
+from bulkflow.instance import load_instance
 from bulkflow.junction import build_junction_forest
-from helpers import build_graph, random_two_metric
+from helpers import build_graph, random_two_metric, reference_step_capacities
 
 BIG_KAPPA = 1e9
 
@@ -523,3 +527,113 @@ class TestFunnel:
             # one search from each side's pair terminal, one per root and side
             assert len(calls) <= 2 + 2 * len(roots)
 
+
+def solver_state(solver):
+    """x, flows, z and objective, floats as exact bits."""
+    def bits(values):
+        return [v.hex() for v in values]
+    return ([{r: bits(a) for r, a in side.x.items()} for side in solver.sides],
+            [{k: sorted((e, f.hex()) for e, f in v.items())
+              for k, v in side.flow.items()} for side in solver.sides],
+            sorted((k, v.hex()) for k, v in solver.z.items()),
+            solver.objective.hex())
+
+
+def step_bits(solver, step):
+    """A staged step with its floats as bits and its sides as positions."""
+    return (step.pair, step.dt.hex(), step.solutions,
+            [(solver.sides.index(side), rid, e, new.hex())
+             for side, rid, e, new in step.staged_x], step.d_obj.hex())
+
+
+class TestStepState:
+    """Funnels keep their step capacities for the pair's arrival and a step
+    recomputes only the arcs the previous committed step touched."""
+
+    @pytest.mark.parametrize("mode, make", [
+        ("edge", lambda: grid(2, 2, k=3, seed=5)),
+        ("edge", lambda: star_of_paths(3, 2, k=4, seed=2)),
+        ("prize", lambda: with_penalties(grid(2, 2, k=3, seed=5), seed=5,
+                                         q_range=(0.3, 4.0))),
+    ])
+    def test_step_capacities_match_a_fresh_recomputation(self, mode, make,
+                                                         monkeypatch):
+        aux = CompositeSolver._aux_network
+        checked = []
+
+        def checked_aux(self, side, rid, tight, dt, pair_index):
+            net = aux(self, side, rid, tight, dt, pair_index)
+            expected = reference_step_capacities(side, rid, tight, dt,
+                                                 pair_index)
+            assert ([cap.hex() for cap in net.capacity]
+                    == [cap.hex() for cap in expected])
+            checked.append(len(net.capacity))
+            return net
+
+        monkeypatch.setattr(CompositeSolver, "_aux_network", checked_aux)
+        run_online(load_instance(make()), RunConfig(mode=mode))
+        assert len(checked) > 100
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mixed_steps_match_a_solver_that_recomputes_every_arc(self, seed):
+        rng = random.Random(seed)
+        if seed < 4:
+            n = 6
+            up = tie_heavy_side(rng, n, True)
+            down = tie_heavy_side(rng, n, False)
+            roots = [RootSpec(r, r, r) for r in range(n)]
+            ends = rng.randrange(n), rng.randrange(n)
+        else:  # one path, so every step's flow is bounded by x
+            up, down, roots, pair = single_path_instance(n_edges=3, c=0.3,
+                                                         l=0.2)
+            ends = pair.up_source, pair.down_sink
+        kept, fresh = (make_solver(up, down, roots, dmax=0.2) for _ in range(2))
+        # both pairs share their terminals, so each one's steps change the
+        # x that the other's funnels read
+        for index in range(2):
+            for solver in (kept, fresh):
+                solver.arrival_init(PairSpec(index, *ends))
+        # (pair, dt, applied): default steps, explicit steps of the default
+        # and other lengths, staged steps never applied, and steps for the
+        # first pair after the second pair's steps; the first pair's last
+        # step before them leaves no arc to recompute
+        plan = [(0, None, True), (0, 0.07, True), (0, None, False),
+                (0, 0.2, True), (0, 0.01, True), (0, 0.01, False),
+                (1, None, True), (1, 0.05, False), (1, 0.05, True),
+                (1, None, True), (0, 0.01, True), (0, 0.01, True),
+                (1, 0.2, True)]
+        for index, dt, apply in plan:
+            step = kept.growth_step(index, dt=dt)
+            if apply:
+                for side in fresh.sides:
+                    for funnel in side.funnels.values():
+                        funnel.dt = None  # recompute every arc
+                reference = fresh.growth_step(index, dt=dt)
+                assert step_bits(kept, step) == step_bits(fresh, reference)
+                kept.apply(step)
+                fresh.apply(reference)
+            assert solver_state(kept) == solver_state(fresh)
+
+    def test_step_recomputes_under_half_the_funnel_arcs(self, monkeypatch):
+        entries, arcs = [], []
+        update, reset = FlowNetwork.update_capacities, FlowNetwork.set_capacities
+        monkeypatch.setattr(
+            FlowNetwork, "update_capacities",
+            lambda net, changes: entries.append(len(changes)) or update(
+                net, changes))
+        monkeypatch.setattr(
+            FlowNetwork, "set_capacities",
+            lambda net, capacity: entries.append(len(capacity)) or reset(
+                net, capacity))
+        solve = fractional.max_delta
+
+        def counted_solve(up, *args):
+            arcs.append(up.m + args[2].m)
+            return solve(up, *args)
+
+        monkeypatch.setattr(fractional, "max_delta", counted_solve)
+        run_online(load_instance(star_of_paths(3, 2, k=6, seed=5)),
+                   RunConfig(mode="edge"))
+        # every step recomputed every funnel arc before; now a quarter of
+        # them (35,002 of 141,178 entries)
+        assert 2 * sum(entries) < sum(arcs)
