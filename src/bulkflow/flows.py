@@ -6,7 +6,10 @@ segments, which makes the cumulative cost curve of the cheapest flow
 available as an exact piecewise-linear function of the flow value. That
 curve answers "largest value whose cheapest routing costs at most z"
 directly, so ``max_delta`` needs one solve per side instead of a feasibility
-search.
+search. The curve caps each amount at the budget left over its unit cost,
+so the value reachable within the budget is the plain sum of the curve's
+amounts, and each augmenting path is walked once: one pass finds its
+bottleneck, augments it and collects the slots it closed.
 
 A network's residual topology (per-slot heads and signed costs, per-node
 slot lists) is built once, on its first solve, and kept until an arc is
@@ -261,6 +264,12 @@ class _Residual:
         return path, unit_cost
 
 
+def _check_ends(net: FlowNetwork, source: int, sink: int) -> None:
+    if not (0 <= source < net.n and 0 <= sink < net.n):
+        raise FlowError(f"source {source} or sink {sink} is not a node of "
+                        f"the {net.n}-node network")
+
+
 def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
                         value_cap: float = math.inf,
                         cost_cap: float = math.inf) -> List[FlowSegment]:
@@ -271,8 +280,10 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
     state matches the network's previous solve are replayed from its trail
     (see the module docstring).
     """
+    _check_ends(net, source, sink)
     if source == sink:
         raise FlowError("source equals sink")
+    inf, isfinite = math.inf, math.isfinite
     residual = _Residual(net)
     res, potential, nodes = residual.res, residual.potential, residual.nodes
     previous = net._trail
@@ -303,8 +314,11 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
         _, path, unit_cost, steps, _ = search
         if path is None:
             break
-        # "if b < a: a = b" is min(a, b) without the call; ties keep a
-        amount = min([res[s] for s in path])
+        # the bottleneck; "<" keeps the first minimum, as min() does
+        amount = inf
+        for s in path:
+            if res[s] < amount:
+                amount = res[s]
         rest = value_cap - total_value
         if rest < amount:
             amount = rest
@@ -312,14 +326,19 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
             rest = (cost_cap - total_cost) / unit_cost
             if rest < amount:
                 amount = rest
-        if not math.isfinite(amount):
+        if not isfinite(amount):
             raise FlowError("flow value is unbounded; pass a finite value_cap")
         if amount <= EPS_CAP:
             break
+        # a path is simple, so each slot's residual is final once updated:
+        # the slots left at <= EPS_CAP key the next search
+        closed = []
         for s in path:
-            res[s] -= amount
+            r = res[s] = res[s] - amount
             res[s ^ 1] += amount
-        key = tuple([s for s in path if res[s] <= EPS_CAP])
+            if r <= EPS_CAP:
+                closed.append(s)
+        key = tuple(closed)
         segments.append(FlowSegment(amount, unit_cost, steps))
         total_value += amount
         total_cost += unit_cost * amount
@@ -336,7 +355,9 @@ def _assemble(segments: List[FlowSegment],
     for seg in segments:
         if remaining <= EPS_CAP:
             break
-        take = min(seg.amount, remaining)
+        take = seg.amount
+        if remaining < take:
+            take = remaining
         for arc, direction in seg.steps:
             flow[arc] = flow.get(arc, 0.0) + direction * take
         cost += seg.unit_cost * take
@@ -349,9 +370,10 @@ def _assemble(segments: List[FlowSegment],
 def min_cost_flow(net: FlowNetwork, source: int, sink: int,
                   target_value: float) -> FlowResult:
     """Cheapest flow of exactly ``target_value``; raises when short of it."""
-    if target_value < 0:
-        raise FlowError("target value must be nonnegative")
+    if not target_value >= 0:
+        raise FlowError(f"target value {target_value} is negative or NaN")
     if target_value == 0:
+        _check_ends(net, source, sink)
         return FlowResult(0.0, {}, 0.0)
     segments = cheapest_flow_curve(net, source, sink, value_cap=target_value)
     achieved = sum(s.amount for s in segments)
@@ -394,29 +416,28 @@ def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
     returns the two certifying cheapest flows. Disconnected sides yield
     ``delta = 0`` with empty flows.
     """
-    if budget < 0:
-        raise FlowError("budget must be nonnegative")
+    if not budget >= 0:
+        raise FlowError(f"budget {budget} is negative or NaN")
     best = 1.0
     sides = []
     for net, s, t in ((up_net, up_source, up_sink),
                       (down_net, down_source, down_sink)):
         if s == t:  # a side that is already at its destination never binds
+            _check_ends(net, s, t)
             sides.append([])
             continue
         segments = cheapest_flow_curve(net, s, t, value_cap=1.0, cost_cap=budget)
+        # The curve caps each amount at (budget - cost so far) / unit_cost,
+        # so every segment fits the budget whole and the value reachable
+        # within it is the plain sum of the amounts. An explicit loop, not
+        # sum(), which compensates rounding from Python 3.12 on.
         reachable = 0.0
-        spent = 0.0
         for seg in segments:
-            take = seg.amount
-            if seg.unit_cost > FEAS_TOL:
-                take = min(take, (budget - spent) / seg.unit_cost)
-            if take <= 0:
-                break
-            reachable += take
-            spent += seg.unit_cost * take
-        best = min(best, reachable)
+            reachable += seg.amount
+        if reachable < best:
+            best = reachable
         sides.append(segments)
-    delta = max(0.0, best)
+    delta = best if best > 0.0 else 0.0
     up_flow, up_cost = _assemble(sides[0], delta)
     down_flow, down_cost = _assemble(sides[1], delta)
     return MaxDeltaResult(delta,

@@ -228,8 +228,10 @@ class _Funnel:
     recomputes only their arcs.
     """
 
-    def __init__(self, side: _Side, arcs: List[int], dmax: float):
+    def __init__(self, side: _Side, arcs: List[int], dmax: float,
+                 ends: Tuple[int, int]):
         self.arcs, self.dmax = arcs, dmax
+        self.ends = ends  # (source, sink) of the pair's routing
         self.index = {e: a for a, e in enumerate(arcs)}
         graph = side.graph
         self.net = FlowNetwork(graph.n)
@@ -347,10 +349,10 @@ class CompositeSolver:
             eligible.append(spec.root_id)
             self.z[(pair.index, spec.root_id)] = self.v0
             for side, funnel in zip(self.sides, funnels):
+                ends = side.side_graph.ends(pair, spec)
                 side.funnels[(spec.root_id, pair.index)] = _Funnel(
-                    side, funnel, self.config.dmax)
-                path, _ = shortest_path(side.graph, lambda e: 1.0,
-                                        *side.side_graph.ends(pair, spec),
+                    side, funnel, self.config.dmax, ends)
+                path, _ = shortest_path(side.graph, lambda e: 1.0, *ends,
                                         set(funnel).__contains__)
                 # a shortest path is simple: each of its arcs carries v0 once
                 flow = dict.fromkeys(path, self.v0)
@@ -393,7 +395,7 @@ class CompositeSolver:
             funnel.dt = dt
             funnel.dirty = set(funnel.arcs)
         x, c = side.x[rid], side.c
-        flows = side.flow.get((rid, pair_index), {})
+        flows_get = side.flow.get((rid, pair_index), {}).get
         index, full_growth = funnel.index, funnel.full_growth
         full, inf = dt == funnel.dmax, math.inf
         changes = []
@@ -403,7 +405,11 @@ class CompositeSolver:
             if grow == inf:
                 changes.append((a, inf))
             else:
-                room = 0.0 if e in tight else max(0.0, x[e] - flows.get(e, 0.0))
+                room = 0.0
+                if e not in tight:  # max(0.0, headroom), NaN included
+                    headroom = x[e] - flows_get(e, 0.0)
+                    if headroom > 0.0:
+                        room = headroom
                 changes.append((a, (room + x[e] * (grow - 1.0)) / dt))
         funnel.net.update_capacities(changes)
         funnel.dirty.clear()
@@ -411,17 +417,29 @@ class CompositeSolver:
 
     def _solve_root(self, pair: PairSpec, rid: int, dt: float) -> RootStep:
         """Max joint growth rate and flow pattern for one root."""
-        spec = self.root_by_id[rid]
-        tight = self.tight_edges(pair.index, rid)
-        up_net, down_net = (self._aux_network(side, rid, t, dt, pair.index)
-                            for side, t in zip(self.sides, tight))
-        result = max_delta(up_net, *self.up.side_graph.ends(pair, spec),
-                           down_net, *self.down.side_graph.ends(pair, spec),
+        key = (rid, pair.index)
+        up, down = self.sides
+        up_funnel, down_funnel = up.funnels[key], down.funnels[key]
+        up_tight = up.tight(rid, pair.index)
+        down_tight = down.tight(rid, pair.index)
+        up_net = self._aux_network(up, rid, up_tight, dt, pair.index)
+        down_net = self._aux_network(down, rid, down_tight, dt, pair.index)
+        up_source, up_sink = up_funnel.ends
+        down_source, down_sink = down_funnel.ends
+        result = max_delta(up_net, up_source, up_sink,
+                           down_net, down_source, down_sink,
                            self.z[(pair.index, rid)])
-        grow = tuple({side.funnels[(rid, pair.index)].arcs[a]: f
-                      for a, f in res.flow.items() if f > 0.0}
-                     for side, res in zip(self.sides, (result.up, result.down)))
-        return RootStep(result.delta, grow, tight)
+        # network arc a is funnel arc a: key the flow rates by edge id
+        arcs, up_grow = up_funnel.arcs, {}
+        for a, f in result.up.flow.items():
+            if f > 0.0:
+                up_grow[arcs[a]] = f
+        arcs, down_grow = down_funnel.arcs, {}
+        for a, f in result.down.flow.items():
+            if f > 0.0:
+                down_grow[arcs[a]] = f
+        return RootStep(result.delta, (up_grow, down_grow),
+                        (up_tight, down_tight))
 
     def growth_step(self, pair_index: int, dt: Optional[float] = None) -> GrowthStep:
         """Stage one discretized step of the continuous dynamics for a pair.
@@ -453,32 +471,40 @@ class CompositeSolver:
                                  (VAR_CAP - self.z[(pair_index, rid)]) / sol.delta)
             dt_eff = max(dt_eff, MIN_DT)
 
-        # stage: x rides to max(exp growth if tight, new flow level)
+        # stage: x rides to max(exp growth if tight, new flow level);
+        # "y if y < VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included
         staged_x: List[Tuple[_Side, int, int, float]] = []
         d_obj = 0.0
+        inf = math.inf
         for rid, sol in solutions.items():
+            key = (rid, pair_index)
             for side, tight, g_side in zip(self.sides, sol.tight, sol.grow):
-                arr = side.x[rid]
-                f_now = side.flow.get((rid, pair_index), {})
-                funnel = side.funnels[(rid, pair_index)]
+                arr, c = side.x[rid], side.c
+                flow_get = side.flow.get(key, {}).get
+                grow_get = g_side.get
+                funnel = side.funnels[key]
                 full = dt_eff == funnel.dmax
+                full_growth, index = funnel.full_growth, funnel.index
                 touched = set(tight) | set(g_side)
                 for e in touched:
                     old = arr[e]
                     new = old
                     if e in tight:
-                        grow = (funnel.full_growth[funnel.index[e]] if full
-                                else _growth_factor(side.c[e], dt_eff))
-                        new = VAR_CAP if math.isinf(grow) else min(VAR_CAP,
-                                                                   old * grow)
-                    f_new = f_now.get(e, 0.0) + g_side.get(e, 0.0) * dt_eff
+                        grow = (full_growth[index[e]] if full
+                                else _growth_factor(c[e], dt_eff))
+                        if grow == inf:
+                            new = VAR_CAP
+                        else:
+                            y = old * grow
+                            new = y if y < VAR_CAP else VAR_CAP
+                    f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt_eff
                     if f_new > new:
-                        new = min(VAR_CAP, f_new)
-                        if side.c[e] <= 0:
+                        new = f_new if f_new < VAR_CAP else VAR_CAP
+                        if c[e] <= 0:
                             new = VAR_CAP
                     if new > old:
                         staged_x.append((side, rid, e, new))
-                        d_obj += side.c[e] * (new - old)
+                        d_obj += c[e] * (new - old)
             for side, g_side in zip(self.sides, sol.grow):
                 for e, g in g_side.items():
                     d_obj += side.l[e] * g * dt_eff

@@ -11,6 +11,9 @@ from .errors import InstanceError
 from .graph import TwoMetricGraph, Unreachable, shortest_path, shortest_paths
 from .instance import as_int, load_instance
 
+# a cost must beat the best (or worst) so far by more than this to replace it
+COST_TIE_TOL = 1e-12
+
 
 def _rand_pairs(rng: random.Random, n: int, k: int) -> List[dict]:
     pairs = []
@@ -152,7 +155,7 @@ def _greedy_dispatch_cost(graph: TwoMetricGraph, pairs: Sequence[dict]) -> float
             except Unreachable:
                 continue
             cand = (up_cost + down_cost, up_path, down_path)
-            if best is None or cand[0] < best[0] - 1e-12:
+            if best is None or cand[0] < best[0] - COST_TIE_TOL:
                 best = cand
         if best is None:
             continue
@@ -179,7 +182,7 @@ def adversarial_order(data: dict, max_pairs: int = 6) -> dict:
     for perm in itertools.permutations(range(len(pairs))):
         cost = _greedy_dispatch_cost(instance.graph,
                                      [pairs[i] for i in perm])
-        if cost > worst_cost + 1e-12:
+        if cost > worst_cost + COST_TIE_TOL:
             worst_cost = cost
             worst = perm
     out = dict(data)

@@ -36,6 +36,13 @@ MODES = ("edge", "node", "directed", "prize")
 
 # guess doublings allowed before a run is declared unstable
 MAX_EPOCHS = 60
+# a discardable pair is dropped when serving it costs more than this above
+# its penalty
+PENALTY_TOL = 1e-12
+# the pull-back may not raise the committed cost by more than this
+PULL_BACK_TOL = 1e-9
+# the competitive ratio is reported only for optima above this
+MIN_RATIO_OPT = 1e-12
 
 
 def default_kappa(n: int) -> float:
@@ -411,7 +418,7 @@ class OnlinePipeline:
             tau = self.draw.tau[root]
         if pair.penalty is not None and label != Assignment.DROPPED:
             # never pay more than the discard price for a discardable pair
-            if self._serving_cost(pair, spec, label, root) > pair.penalty + 1e-12:
+            if self._serving_cost(pair, spec, label, root) > pair.penalty + PENALTY_TOL:
                 label, root = Assignment.DROPPED, None
         self.assignment.record(pair.index, label, root)
         if label == Assignment.ASSIGNED:
@@ -457,7 +464,7 @@ class OnlinePipeline:
                                         for side, ledger in zip(self.sides,
                                                                 merged)))
         pulled_cost = solution_cost(self.base, base_ledger)[2]
-        if pulled_cost > committed_cost + 1e-9:
+        if pulled_cost > committed_cost + PULL_BACK_TOL:
             raise AssertionError(
                 f"pull-back increased cost: {pulled_cost} > {committed_cost}")
         final.bought = set(base_ledger.bought) | set(self.fallback_ledger.bought)
@@ -510,7 +517,7 @@ class OnlinePipeline:
             report.junction_opt_value = junction_opt(self.base, pairs)
         except (BudgetExceeded, InfeasibleInstance):
             report.junction_opt_value = None
-        if report.opt is not None and report.opt > 1e-12:
+        if report.opt is not None and report.opt > MIN_RATIO_OPT:
             report.ratio = report.online_total / report.opt
 
 

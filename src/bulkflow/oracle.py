@@ -34,6 +34,8 @@ from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
                     Unreachable, reachable_from, shortest_path)
 
 VALUE_TOL = 1e-9
+# multi-weight Dijkstra: labels closer than this count as equal
+TIE_TOL = 1e-15
 
 
 class InfeasibleInstance(Exception):
@@ -147,12 +149,12 @@ def _multi_weight_dijkstra(graph: TwoMetricGraph, seeds: Dict[int, float],
             heapq.heappush(heap, (d, v))
     while heap:
         d, v = heapq.heappop(heap)
-        if d > dist[v] + 1e-15:
+        if d > dist[v] + TIE_TOL:
             continue
         for e in graph.out_arcs[v]:
             nd = d + graph.c[e] + load * graph.l[e]
             u = graph.head[e]
-            if nd < dist[u] - 1e-15:
+            if nd < dist[u] - TIE_TOL:
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
     return dist

@@ -18,6 +18,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from .flows import FlowNetwork, max_flow
 from .fractional import CompositeSolver
 
+# a collapsed threshold interval keeps this relative width above 1/(2n)
+MIN_REL_WIDTH = 1e-12
+
 
 @dataclass(frozen=True)
 class ThresholdDraw:
@@ -75,7 +78,7 @@ def threshold_interval(n: int) -> Tuple[float, float]:
         raise ValueError("need n >= 2")
     lo = 1.0 / (2.0 * n)
     hi = 1.0 / (3.0 * math.log2(n))
-    hi = max(lo * (1.0 + 1e-12), hi)
+    hi = max(lo * (1.0 + MIN_REL_WIDTH), hi)
     return lo, hi
 
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from bulkflow.errors import BudgetExceeded
+from bulkflow.flows import (EPS_CAP, FEAS_TOL, FlowError, FlowNetwork,
+                            FlowResult, FlowSegment, MaxDeltaResult,
+                            _Residual)
 from bulkflow.fractional import _growth_factor
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, shortest_path)
@@ -260,3 +264,133 @@ def reference_step_capacities(side, rid: int, tight: Set[int], dt: float,
             room = 0.0 if e in tight else max(0.0, x[e] - flows.get(e, 0.0))
             capacity.append((room + x[e] * (grow - 1.0)) / dt)
     return capacity
+
+
+# ----------------------------------------------------------------------
+# Reference joint solve: cheapest_flow_curve, _assemble and max_delta as
+# they were before the solve walked each augmenting path once (renamed,
+# otherwise verbatim), to compare the fused solve with bit for bit.
+
+def reference_curve(net: FlowNetwork, source: int, sink: int,
+                    value_cap: float = math.inf,
+                    cost_cap: float = math.inf) -> List[FlowSegment]:
+    """Cheapest-flow segments in order of increasing unit cost.
+
+    Augments until the flow value reaches ``value_cap``, the cumulative cost
+    reaches ``cost_cap``, or the sink becomes unreachable. Searches whose
+    state matches the network's previous solve are replayed from its trail
+    (see the ``bulkflow.flows`` docstring).
+    """
+    if source == sink:
+        raise FlowError("source equals sink")
+    residual = _Residual(net)
+    res, potential, nodes = residual.res, residual.potential, residual.nodes
+    previous = net._trail
+    trail: list = []
+    key: tuple = (source, sink, net.closed_arcs())
+    segments: List[FlowSegment] = []
+    total_value = 0.0
+    total_cost = 0.0
+    while total_value < value_cap - EPS_CAP and total_cost < cost_cap - EPS_CAP:
+        i = len(trail)
+        if i < len(previous) and previous[i][0] == key:
+            search = previous[i]
+        else:
+            if previous and trail:  # resume from the last replayed search
+                for v, pot in zip(nodes, trail[-1][4]):
+                    potential[v] = pot
+            previous = []
+            found = residual.shortest_path(source, sink)
+            if found is None:
+                search = (key, None, 0.0, (), array("d"))
+            else:
+                live_path, live_cost = found
+                search = (key, live_path, live_cost,
+                          tuple([(s >> 1, 1 if s % 2 == 0 else -1)
+                                 for s in live_path]),
+                          array("d", [potential[v] for v in nodes]))
+        trail.append(search)
+        _, path, unit_cost, steps, _ = search
+        if path is None:
+            break
+        # "if b < a: a = b" is min(a, b) without the call; ties keep a
+        amount = min([res[s] for s in path])
+        rest = value_cap - total_value
+        if rest < amount:
+            amount = rest
+        if unit_cost > FEAS_TOL:
+            rest = (cost_cap - total_cost) / unit_cost
+            if rest < amount:
+                amount = rest
+        if not math.isfinite(amount):
+            raise FlowError("flow value is unbounded; pass a finite value_cap")
+        if amount <= EPS_CAP:
+            break
+        for s in path:
+            res[s] -= amount
+            res[s ^ 1] += amount
+        key = tuple([s for s in path if res[s] <= EPS_CAP])
+        segments.append(FlowSegment(amount, unit_cost, steps))
+        total_value += amount
+        total_cost += unit_cost * amount
+    net._trail = trail
+    return segments
+
+
+def reference_assemble(segments: List[FlowSegment],
+                       value: float) -> Tuple[Dict[int, float], float]:
+    """Per-arc flows and cost of the cheapest flow of the given value."""
+    flow: Dict[int, float] = {}
+    cost = 0.0
+    remaining = value
+    for seg in segments:
+        if remaining <= EPS_CAP:
+            break
+        take = min(seg.amount, remaining)
+        for arc, direction in seg.steps:
+            flow[arc] = flow.get(arc, 0.0) + direction * take
+        cost += seg.unit_cost * take
+        remaining -= take
+    for arc in [a for a, f in flow.items() if abs(f) <= EPS_CAP]:
+        del flow[arc]
+    return flow, cost
+
+
+def reference_max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
+                        down_net: FlowNetwork, down_source: int,
+                        down_sink: int, budget: float) -> MaxDeltaResult:
+    """Largest common value routable on both sides within the length budget.
+
+    Finds the maximum ``delta`` in [0, 1] such that each network admits a
+    flow of value ``delta`` whose cheapest cost is at most ``budget``, and
+    returns the two certifying cheapest flows. Disconnected sides yield
+    ``delta = 0`` with empty flows.
+    """
+    if budget < 0:
+        raise FlowError("budget must be nonnegative")
+    best = 1.0
+    sides = []
+    for net, s, t in ((up_net, up_source, up_sink),
+                      (down_net, down_source, down_sink)):
+        if s == t:  # a side that is already at its destination never binds
+            sides.append([])
+            continue
+        segments = reference_curve(net, s, t, value_cap=1.0, cost_cap=budget)
+        reachable = 0.0
+        spent = 0.0
+        for seg in segments:
+            take = seg.amount
+            if seg.unit_cost > FEAS_TOL:
+                take = min(take, (budget - spent) / seg.unit_cost)
+            if take <= 0:
+                break
+            reachable += take
+            spent += seg.unit_cost * take
+        best = min(best, reachable)
+        sides.append(segments)
+    delta = max(0.0, best)
+    up_flow, up_cost = reference_assemble(sides[0], delta)
+    down_flow, down_cost = reference_assemble(sides[1], delta)
+    return MaxDeltaResult(delta,
+                          FlowResult(delta, up_flow, up_cost),
+                          FlowResult(delta, down_flow, down_cost))

@@ -1,17 +1,22 @@
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import bulkflow.flows as flows
+import bulkflow.fractional as fractional
 from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, InfeasibleFlow,
                             cheapest_flow_curve, max_delta, max_flow,
                             min_cost_flow)
 from bulkflow.generate import grid
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
+
+from helpers import reference_assemble, reference_curve, reference_max_delta
 
 
 def linprog_min_cost(net: FlowNetwork, source: int, sink: int, target: float):
@@ -337,6 +342,65 @@ class TestNonFiniteInput:
         assert net.m == 0
 
 
+class TestEndpoints:
+    """A source or sink outside ``[0, n)`` is refused, not wrapped around."""
+
+    def test_negative_ends_are_refused_not_looped(self):
+        # in a child process, since an unchecked -1 indexes the last node
+        # and the walk back to the source may never end; flows.py is loaded
+        # alone and the child's memory is capped, so a loop ends in a failure
+        code = "\n".join([
+            "import importlib.util, resource, sys",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
+            f"spec = importlib.util.spec_from_file_location('flows', "
+            f"{flows.__file__!r})",
+            "flows = sys.modules['flows'] = importlib.util.module_from_spec(spec)",
+            "spec.loader.exec_module(flows)",
+            "net = flows.FlowNetwork(3)",
+            "net.add_arc(0, 1, 1.0, 1.0)",
+            "net.add_arc(1, 2, 1.0, 1.0)",
+            "for call in (",
+            "        lambda: flows.cheapest_flow_curve(net, -1, 2, value_cap=1.0),",
+            "        lambda: flows.cheapest_flow_curve(net, 0, -1, value_cap=1.0),",
+            "        lambda: flows.max_delta(net, -1, 2, net, 0, 2, 1.0)):",
+            "    try:",
+            "        call()",
+            "    except flows.FlowError:",
+            "        print('refused')"])
+        try:
+            child = subprocess.run([sys.executable, "-c", code],
+                                   capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail("a solve with a negative end did not return")
+        assert child.stdout.split() == ["refused"] * 3, child.stderr
+
+    def test_out_of_range_ends_are_refused(self):
+        net = network(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 1.0])
+        other = network(2, [(0, 1, 1.0)], [1.0])
+        calls = [lambda: cheapest_flow_curve(net, 0, 3, value_cap=1.0),
+                 lambda: cheapest_flow_curve(net, 3, 0, value_cap=1.0),
+                 lambda: min_cost_flow(net, 0, 7, 0.5),
+                 lambda: min_cost_flow(net, 0, 7, 0.0),
+                 lambda: max_flow(net, 3, 0),
+                 lambda: max_delta(net, 0, 2, other, 0, 2, 1.0),
+                 lambda: max_delta(net, 0, 2, other, 5, 5, 1.0)]
+        for call in calls:
+            with pytest.raises(FlowError):
+                call()
+        # in range, the same networks still solve
+        assert max_delta(net, 0, 2, other, 1, 1, 1.0).delta == 0.5
+
+    def test_nan_budget_and_target_are_refused(self):
+        net = network(2, [(0, 1, 1.0)], [1.0])
+        other = network(2, [(0, 1, 1.0)], [1.0])
+        with pytest.raises(FlowError):
+            max_delta(net, 0, 1, other, 0, 1, math.nan)
+        with pytest.raises(FlowError):
+            min_cost_flow(net, 0, 1, math.nan)
+        with pytest.raises(FlowError):
+            max_delta(net, 0, 1, other, 0, 1, -1.0)
+
+
 class TestMinCostFlow:
     def test_zero_target(self):
         net = FlowNetwork(2)
@@ -496,3 +560,165 @@ class TestMaxDelta:
             grown = max_delta(bigger, 0, up.n - 1, down, 0, down.n - 1,
                               budget).delta
             assert grown >= base - 1e-9
+
+
+# free, at FEAS_TOL (no budget cap), just above it (capped) and ordinary
+FUSED_COSTS = [0.0, 0.0, flows.FEAS_TOL, math.nextafter(flows.FEAS_TOL, 1.0),
+               0.25, 0.5, 1.0, 1.0]
+FUSED_CAPACITIES = [0.0, EPS_CAP, 2 * EPS_CAP, 0.25, 0.5, 1.0, 1.5, math.inf]
+
+
+def flow_bits(result):
+    """A flow result as exact bits, its arcs in dict order."""
+    return (result.value.hex(), result.total_cost.hex(),
+            [(a, f.hex()) for a, f in result.flow.items()])
+
+
+def segment_bits(segments):
+    return [(seg.amount.hex(), seg.unit_cost.hex(), seg.steps)
+            for seg in segments]
+
+
+class TestFusedSolve:
+    """The solve that walks each augmenting path once returns the bits of
+    the solve that walked it four times (``helpers.reference_*``), on twin
+    networks driven through the same capacity changes, so that replayed and
+    live searches mix."""
+
+    @staticmethod
+    def twins(rng: random.Random, n: int):
+        # node n - 1 has no arcs: a sink there is disconnected
+        arcs = []
+        while len(arcs) < 3 * n:
+            u, v = rng.randrange(n - 1), rng.randrange(n - 1)
+            if u != v:
+                arcs.append((u, v, rng.choice(FUSED_COSTS)))
+        for u, v, cost in list(arcs):
+            if rng.random() < 0.3:  # exact parallel twins tie
+                arcs.append((u, v, cost))
+        capacities = [rng.choice(FUSED_CAPACITIES) for _ in arcs]
+        return network(n, arcs, capacities), network(n, arcs, capacities)
+
+    @staticmethod
+    def change_capacities(rng: random.Random, nets):
+        capacity = nets[0].capacity
+        if rng.random() < 0.2:
+            capacities = [rng.choice(FUSED_CAPACITIES) for _ in capacity]
+            for net in nets:
+                net.set_capacities(capacities)
+            return
+        # mostly keep which arcs are closed, so that replays match
+        changes = []
+        for a in rng.sample(range(len(capacity)), rng.randint(0, 3)):
+            if capacity[a] > EPS_CAP and rng.random() < 0.8:
+                changes.append((a, rng.choice(FUSED_CAPACITIES[2:])))
+            else:
+                changes.append((a, rng.choice(FUSED_CAPACITIES)))
+        for net in nets:
+            net.update_capacities(changes)
+
+    @staticmethod
+    def ends(rng: random.Random, n: int):
+        roll = rng.random()
+        if roll < 0.1:
+            return 1, 1  # already at its destination
+        if roll < 0.2:
+            return 0, n - 1  # disconnected
+        if roll < 0.9:
+            return 0, n - 2
+        return tuple(rng.sample(range(n - 1), 2))
+
+    def test_max_delta_matches_the_reference_bit_for_bit(self):
+        seen = dict.fromkeys(["zero", "one", "budget binds", "capacity binds"],
+                             0)
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(4, 8)
+            up_new, up_ref = self.twins(rng, n)
+            down_new, down_ref = self.twins(rng, n)
+            for _ in range(15):
+                self.change_capacities(rng, (up_new, up_ref))
+                self.change_capacities(rng, (down_new, down_ref))
+                up_ends, down_ends = self.ends(rng, n), self.ends(rng, n)
+                budget = rng.choice([0.0, 1e-10, rng.uniform(0.0, 0.5),
+                                     rng.uniform(0.0, 2.0), math.inf])
+                new = max_delta(up_new, *up_ends, down_new, *down_ends,
+                                budget)
+                ref = reference_max_delta(up_ref, *up_ends, down_ref,
+                                          *down_ends, budget)
+                assert new.delta.hex() == ref.delta.hex()
+                assert flow_bits(new.up) == flow_bits(ref.up)
+                assert flow_bits(new.down) == flow_bits(ref.down)
+                if new.delta in (0.0, 1.0):
+                    seen["zero" if new.delta == 0.0 else "one"] += 1
+                elif any(math.isclose(side.total_cost, budget)
+                         for side in (new.up, new.down)):
+                    seen["budget binds"] += 1
+                else:
+                    seen["capacity binds"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_curve_and_assembly_match_the_reference(self, seed):
+        rng = random.Random(1000 + seed)
+        n = rng.randint(4, 8)
+        new_net, ref_net = self.twins(rng, n)
+        for _ in range(15):
+            self.change_capacities(rng, (new_net, ref_net))
+            source, sink = rng.choice([(0, n - 2), (0, n - 1)] + [
+                tuple(rng.sample(range(n - 1), 2))])
+            value_cap = rng.choice([0.5, 1.0, 2.0, 3 * EPS_CAP, math.inf])
+            cost_cap = rng.choice([0.0, rng.uniform(0.0, 1.0), math.inf])
+            try:
+                segments = cheapest_flow_curve(new_net, source, sink,
+                                               value_cap, cost_cap)
+            except FlowError as exc:
+                with pytest.raises(FlowError, match=str(exc)):
+                    reference_curve(ref_net, source, sink, value_cap,
+                                    cost_cap)
+                continue
+            reference = reference_curve(ref_net, source, sink, value_cap,
+                                        cost_cap)
+            assert segment_bits(segments) == segment_bits(reference)
+            total = 0.0
+            for seg in segments:
+                total += seg.amount
+            for value in (0.0, total / 3, total / 2, total, total + 1.0):
+                flow, cost = flows._assemble(segments, value)
+                ref_flow, ref_cost = reference_assemble(segments, value)
+                assert cost.hex() == ref_cost.hex()
+                assert ([(a, f.hex()) for a, f in flow.items()]
+                        == [(a, f.hex()) for a, f in ref_flow.items()])
+
+    def test_one_curve_per_moving_side_and_one_segment_per_augmentation(
+            self, monkeypatch):
+        # the per-layer counters read these seams: flows.curves counts
+        # cheapest_flow_curve calls, flows.augmentations their segments
+        curves, solves, made = [], [], []
+        curve, solve, segment = (flows.cheapest_flow_curve, flows.max_delta,
+                                 flows.FlowSegment)
+
+        def counted_curve(net, source, sink, **caps):
+            segments = curve(net, source, sink, **caps)
+            curves.append((source, sink, len(segments)))
+            return segments
+
+        def counted_solve(*args):
+            before = len(curves)
+            result = solve(*args)
+            moving = (args[1] != args[2]) + (args[4] != args[5])
+            solves.append((len(curves) - before, moving))
+            return result
+
+        def counted_segment(*args):
+            made.append(args)
+            return segment(*args)
+
+        monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
+        monkeypatch.setattr(flows, "FlowSegment", counted_segment)
+        monkeypatch.setattr(fractional, "max_delta", counted_solve)
+        run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
+        assert solves and all(calls == moving for calls, moving in solves)
+        assert all(source != sink for source, sink, _ in curves)
+        # as many segments as before the fused solve, and none dropped
+        assert sum(count for _, _, count in curves) == len(made) == 2003

@@ -441,7 +441,8 @@ class TestFunnel:
                     try:
                         for side in solver.sides:
                             side.funnels[key] = fractional._Funnel(
-                                side, usable_arcs(side, pair), 0.2)
+                                side, usable_arcs(side, pair), 0.2,
+                                side.side_graph.ends(pair, roots[rid]))
                         full_step = solver._solve_root(pair, rid, dt)
                     finally:
                         for side, funnel in zip(solver.sides, funnels):
