@@ -5,9 +5,9 @@ from .flows import (FlowNetwork, FlowResult, InfeasibleFlow, max_delta,
                     max_flow, min_cost_flow)
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
                          SideGraph, SolverConfig)
-from .graph import (CableType, GraphError, SolutionLedger, TerminalPair,
-                    TwoMetricGraph, Unreachable, expand_cables, shortest_path,
-                    solution_cost, split_node_weights)
+from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
+                    Unreachable, shortest_path, solution_cost,
+                    split_node_weights)
 from .harness import RunConfig, RunReport, run_experiment, run_online
 from .instance import Instance, dump_instance, load_instance
 from .junction import (JunctionForest, build_junction_forest, map_to_gst,

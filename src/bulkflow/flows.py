@@ -13,9 +13,8 @@ bottleneck, augments it and collects the slots it closed.
 
 A network's residual topology (per-slot heads and signed costs, per-node
 slot lists) is built once, on its first solve, and kept until an arc is
-added; between solves only the capacities change (``set_capacities`` for
-all arcs, ``update_capacities`` for some), so a caller that solves the same
-arcs repeatedly builds nothing per solve.
+added; between solves only the capacities change (``update_capacities``),
+so a caller that solves the same arcs repeatedly builds nothing per solve.
 
 Each network also keeps the search trail of its latest solve and replays
 it. The residual Dijkstra reads capacities only through the test
@@ -91,17 +90,6 @@ class FlowNetwork:
         if self._topology is None:
             self._topology = _Topology(self)
         return self._topology
-
-    def set_capacities(self, capacity: Sequence[float]) -> None:
-        """Replace every arc's capacity at once; arcs and costs stay."""
-        if len(capacity) != len(self.tail):
-            raise FlowError(f"{len(capacity)} capacities for "
-                            f"{len(self.tail)} arcs")
-        capacity = list(map(float, capacity))
-        if not all(cap >= 0 for cap in capacity):
-            raise FlowError("negative or NaN capacity")
-        self.capacity = capacity
-        self._closed = None
 
     def update_capacities(self, changes: Sequence[Tuple[int, float]]) -> None:
         """Set the capacity of each ``(arc, capacity)`` in ``changes``; the
@@ -260,7 +248,9 @@ class _Residual:
             path.append(slot)
             v = head[slot ^ 1]
         path.reverse()
-        unit_cost = sum(cost[s] for s in path)
+        unit_cost = 0.0  # a loop, not sum(): see _amounts
+        for s in path:
+            unit_cost += cost[s]
         return path, unit_cost
 
 
@@ -367,6 +357,16 @@ def _assemble(segments: List[FlowSegment],
     return flow, cost
 
 
+def _amounts(segments: List[FlowSegment]) -> float:
+    """The segments' amounts summed left to right, rounding after each
+    addition, as ``graph.plain_sum`` does (this module imports nothing from
+    the package): ``sum()`` compensates float rounding from Python 3.12 on."""
+    total = 0
+    for seg in segments:
+        total += seg.amount
+    return total
+
+
 def min_cost_flow(net: FlowNetwork, source: int, sink: int,
                   target_value: float) -> FlowResult:
     """Cheapest flow of exactly ``target_value``; raises when short of it."""
@@ -376,7 +376,7 @@ def min_cost_flow(net: FlowNetwork, source: int, sink: int,
         _check_ends(net, source, sink)
         return FlowResult(0.0, {}, 0.0)
     segments = cheapest_flow_curve(net, source, sink, value_cap=target_value)
-    achieved = sum(s.amount for s in segments)
+    achieved = _amounts(segments)
     if achieved < target_value - FEAS_TOL:
         raise InfeasibleFlow(
             f"max flow {achieved} below requested {target_value}")
@@ -393,9 +393,11 @@ def max_flow(net: FlowNetwork, source: int, sink: int,
         for a in range(net.m):
             zero_cost.add_arc(net.tail[a], net.head[a], net.capacity[a], 0.0)
     segments = cheapest_flow_curve(zero_cost, source, sink, value_cap=value_cap)
-    value = sum(s.amount for s in segments)
+    value = _amounts(segments)
     flow, _ = _assemble(segments, value)
-    cost = sum(net.cost[a] * f for a, f in flow.items())
+    cost = 0  # a loop, not sum(): see _amounts
+    for a, f in flow.items():
+        cost += net.cost[a] * f
     return FlowResult(value, flow, cost)
 
 
@@ -429,8 +431,7 @@ def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
         segments = cheapest_flow_curve(net, s, t, value_cap=1.0, cost_cap=budget)
         # The curve caps each amount at (budget - cost so far) / unit_cost,
         # so every segment fits the budget whole and the value reachable
-        # within it is the plain sum of the amounts. An explicit loop, not
-        # sum(), which compensates rounding from Python 3.12 on.
+        # within it is the plain sum of the amounts (a loop: see _amounts).
         reachable = 0.0
         for seg in segments:
             reachable += seg.amount

@@ -22,11 +22,12 @@ flow (fill the remaining headroom, then ride the multiplicative growth of
 ``x``), so the flow-below-capacity invariant holds exactly at step
 boundaries without event-by-event time slicing, and an edge pushed against
 its capacity stays exactly on it instead of oscillating across the
-tightness test. Steps have uniform length except the last one of an
-arrival, which is truncated to land coverage exactly at 1.
+tightness test. Every step has the configured length ``dmax`` except the
+last one of an arrival, which is truncated to land coverage exactly at 1;
+the flow rates are always solved for a full step of ``dmax``.
 
 The step state lives in each (root, pair, side)'s ``_Funnel``: its flow
-network holds the rate capacities of the last step for the whole arrival,
+network holds the rate capacities of a full step for the whole arrival,
 and a step recomputes only the arcs the previous committed step touched
 (found tight or grew), since no other arc's ``x``, flow or tightness moved.
 
@@ -43,7 +44,8 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .flows import FlowNetwork, max_delta
-from .graph import TwoMetricGraph, reachable_from, reaches, shortest_path
+from .graph import (TwoMetricGraph, plain_sum, reachable_from, reaches,
+                    shortest_path)
 
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
@@ -220,17 +222,17 @@ class _Funnel:
     are fixed within an epoch, so each step only updates capacities.
 
     The network's capacities are the step state of the pair's arrival: the
-    rate capacities for a step of length ``dt`` (``None`` once another
-    pair's step may have changed ``x``). An arc's capacity depends only on
-    its own ``x``, flow, tightness and growth factor, and a committed step
-    changes ``x`` and the flow only on the edges it found tight or grew, so
-    ``dirty`` collects those edges (all of them at first) and the next step
-    recomputes only their arcs.
+    rate capacities for a full step of length ``dmax``. An arc's capacity
+    depends only on its own ``x``, flow, tightness and growth factor, and a
+    committed step changes ``x`` and the flow only on the edges it found
+    tight or grew, so ``dirty`` collects those edges and the next step
+    recomputes only their arcs. It holds every arc at first and again once
+    another pair's step may have changed ``x``.
     """
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float,
                  ends: Tuple[int, int]):
-        self.arcs, self.dmax = arcs, dmax
+        self.arcs = arcs
         self.ends = ends  # (source, sink) of the pair's routing
         self.index = {e: a for a, e in enumerate(arcs)}
         graph = side.graph
@@ -239,7 +241,6 @@ class _Funnel:
             self.net.add_arc(graph.tail[e], graph.head[e], 0.0, side.l[e])
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
-        self.dt: Optional[float] = dmax
         self.dirty: Set[int] = set(arcs)
 
 
@@ -299,8 +300,8 @@ class CompositeSolver:
     def _base_objective(self) -> float:
         total = 0.0
         for side in self.sides:
-            alive_cost = sum(side.c[e] for e in range(side.graph.m)
-                             if side.alive[e])
+            alive_cost = plain_sum(side.c[e] for e in range(side.graph.m)
+                                   if side.alive[e])
             total += alive_cost * self.v0 * len(self.roots)
         return total
 
@@ -322,8 +323,10 @@ class CompositeSolver:
         return self._objective
 
     def z_total(self, pair_index: int) -> float:
-        return sum(self.z.get((pair_index, r), 0.0)
-                   for r in self.eligible.get(pair_index, ()))
+        total = 0.0  # a loop, not sum(): see graph.plain_sum
+        for r in self.eligible.get(pair_index, ()):
+            total += self.z.get((pair_index, r), 0.0)
+        return total
 
     # ------------------------------------------------------------------
     # arrival processing
@@ -376,32 +379,29 @@ class CompositeSolver:
         if pair_index != self._stepping:
             for rid in self.eligible.get(self._stepping, ()):
                 for side in self.sides:
-                    side.funnels[(rid, self._stepping)].dt = None
+                    funnel = side.funnels[(rid, self._stepping)]
+                    funnel.dirty.update(funnel.arcs)
             self._stepping = pair_index
 
-    def _aux_network(self, side: _Side, rid: int, tight: Set[int], dt: float,
+    def _aux_network(self, side: _Side, rid: int, tight: Set[int],
                      pair_index: int) -> FlowNetwork:
-        """The funnel's network with this step's integrated rate capacities;
-        network arc ``a`` is funnel arc ``a``.
+        """The funnel's network with the integrated rate capacities of a full
+        step; network arc ``a`` is funnel arc ``a``.
 
-        An edge's admissible flow increment over ``dt`` is its current
+        An edge's admissible flow increment over ``dmax`` is its current
         headroom plus the growth of ``x`` while riding the boundary; the rate
-        capacity is that integral divided by ``dt``. Currently tight edges
+        capacity is that integral divided by ``dmax``. Currently tight edges
         have no headroom and ride from the start. Only the funnel's dirty
-        arcs are recomputed, all of them when ``dt`` changed.
+        arcs are recomputed.
         """
         funnel = side.funnels[(rid, pair_index)]
-        if dt != funnel.dt:
-            funnel.dt = dt
-            funnel.dirty = set(funnel.arcs)
-        x, c = side.x[rid], side.c
+        x, dmax, inf = side.x[rid], self.config.dmax, math.inf
         flows_get = side.flow.get((rid, pair_index), {}).get
         index, full_growth = funnel.index, funnel.full_growth
-        full, inf = dt == funnel.dmax, math.inf
         changes = []
         for e in funnel.dirty:
             a = index[e]
-            grow = full_growth[a] if full else _growth_factor(c[e], dt)
+            grow = full_growth[a]
             if grow == inf:
                 changes.append((a, inf))
             else:
@@ -410,20 +410,20 @@ class CompositeSolver:
                     headroom = x[e] - flows_get(e, 0.0)
                     if headroom > 0.0:
                         room = headroom
-                changes.append((a, (room + x[e] * (grow - 1.0)) / dt))
+                changes.append((a, (room + x[e] * (grow - 1.0)) / dmax))
         funnel.net.update_capacities(changes)
         funnel.dirty.clear()
         return funnel.net
 
-    def _solve_root(self, pair: PairSpec, rid: int, dt: float) -> RootStep:
+    def _solve_root(self, pair: PairSpec, rid: int) -> RootStep:
         """Max joint growth rate and flow pattern for one root."""
         key = (rid, pair.index)
         up, down = self.sides
         up_funnel, down_funnel = up.funnels[key], down.funnels[key]
         up_tight = up.tight(rid, pair.index)
         down_tight = down.tight(rid, pair.index)
-        up_net = self._aux_network(up, rid, up_tight, dt, pair.index)
-        down_net = self._aux_network(down, rid, down_tight, dt, pair.index)
+        up_net = self._aux_network(up, rid, up_tight, pair.index)
+        down_net = self._aux_network(down, rid, down_tight, pair.index)
         up_source, up_sink = up_funnel.ends
         down_source, down_sink = down_funnel.ends
         result = max_delta(up_net, up_source, up_sink,
@@ -441,7 +441,7 @@ class CompositeSolver:
         return RootStep(result.delta, (up_grow, down_grow),
                         (up_tight, down_tight))
 
-    def growth_step(self, pair_index: int, dt: Optional[float] = None) -> GrowthStep:
+    def growth_step(self, pair_index: int) -> GrowthStep:
         """Stage one discretized step of the continuous dynamics for a pair.
 
         The step length is the configured maximum unless the remaining
@@ -450,26 +450,26 @@ class CompositeSolver:
         """
         pair = self.pairs[pair_index]
         eligible = self.eligible[pair_index]
-        dt0 = dt if dt is not None else self.config.dmax
         self._hold_step_state(pair_index)
         solutions: Dict[int, RootStep] = {}
         total_delta = 0.0
         for rid in eligible:
             if self.z[(pair_index, rid)] >= VAR_CAP - COVER_TOL:
                 continue  # this root is already fully selected
-            solutions[rid] = self._solve_root(pair, rid, dt0)
+            solutions[rid] = self._solve_root(pair, rid)
             total_delta += solutions[rid].delta
 
-        dt_eff = dt0
-        if dt is None:
-            gap = 1.0 - self.z_total(pair_index)
-            if total_delta > RATE_TOL:
-                dt_eff = min(dt_eff, gap / total_delta)
-            for rid, sol in solutions.items():
-                if sol.delta > RATE_TOL:
-                    dt_eff = min(dt_eff,
-                                 (VAR_CAP - self.z[(pair_index, rid)]) / sol.delta)
-            dt_eff = max(dt_eff, MIN_DT)
+        dt = self.config.dmax
+        gap = 1.0 - self.z_total(pair_index)
+        if total_delta > RATE_TOL:
+            dt = min(dt, gap / total_delta)
+        for rid, sol in solutions.items():
+            if sol.delta > RATE_TOL:
+                dt = min(dt, (VAR_CAP - self.z[(pair_index, rid)])
+                         / sol.delta)
+        dt = max(dt, MIN_DT)
+        # a full step reads each funnel's cached exp(dmax / c)
+        full = dt == self.config.dmax
 
         # stage: x rides to max(exp growth if tight, new flow level);
         # "y if y < VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included
@@ -483,7 +483,6 @@ class CompositeSolver:
                 flow_get = side.flow.get(key, {}).get
                 grow_get = g_side.get
                 funnel = side.funnels[key]
-                full = dt_eff == funnel.dmax
                 full_growth, index = funnel.full_growth, funnel.index
                 touched = set(tight) | set(g_side)
                 for e in touched:
@@ -491,13 +490,13 @@ class CompositeSolver:
                     new = old
                     if e in tight:
                         grow = (full_growth[index[e]] if full
-                                else _growth_factor(c[e], dt_eff))
+                                else _growth_factor(c[e], dt))
                         if grow == inf:
                             new = VAR_CAP
                         else:
                             y = old * grow
                             new = y if y < VAR_CAP else VAR_CAP
-                    f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt_eff
+                    f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt
                     if f_new > new:
                         new = f_new if f_new < VAR_CAP else VAR_CAP
                         if c[e] <= 0:
@@ -507,8 +506,8 @@ class CompositeSolver:
                         d_obj += c[e] * (new - old)
             for side, g_side in zip(self.sides, sol.grow):
                 for e, g in g_side.items():
-                    d_obj += side.l[e] * g * dt_eff
-        return GrowthStep(pair_index, dt_eff, solutions, staged_x, d_obj)
+                    d_obj += side.l[e] * g * dt
+        return GrowthStep(pair_index, dt, solutions, staged_x, d_obj)
 
     def apply(self, step: GrowthStep) -> None:
         """Commit a step staged by ``growth_step``."""

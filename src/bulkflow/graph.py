@@ -11,7 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 COST_TOL = 1e-9
 
@@ -24,16 +25,14 @@ class Unreachable(Exception):
     """No path exists between the requested endpoints."""
 
 
-@dataclass(frozen=True)
-class CableType:
-    """One installable cable: fixed cost ``sigma`` plus ``delta`` per unit of load."""
-
-    sigma: float
-    delta: float
-
-    def __post_init__(self):
-        if self.sigma < 0 or self.delta < 0:
-            raise GraphError(f"cable type must be nonnegative, got {self}")
+def plain_sum(values: Iterable[float]) -> float:
+    """Left to right, rounding after each addition: what ``sum()`` gives up
+    to Python 3.11. From 3.12 on ``sum()`` compensates float rounding, which
+    would change the last bits of the reports; integer sums stay ints."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,6 @@ class TwoMetricGraph:
         self.l: List[float] = []
         # twin[e] = anti-parallel partner sharing the purchase, or -1
         self.twin: List[int] = []
-        # provenance of each arc (original edge id, cable index, ...) if any
-        self.source: List[Optional[tuple]] = []
         self.out_arcs: List[List[int]] = [[] for _ in range(n)]
         self.in_arcs: List[List[int]] = [[] for _ in range(n)]
         self._frozen = False
@@ -88,8 +85,7 @@ class TwoMetricGraph:
     def m(self) -> int:
         return len(self.tail)
 
-    def add_arc(self, tail: int, head: int, c: float, l: float,
-                source: Optional[tuple] = None) -> int:
+    def add_arc(self, tail: int, head: int, c: float, l: float) -> int:
         if self._frozen:
             raise GraphError("graph is frozen")
         if not (0 <= tail < self.n and 0 <= head < self.n):
@@ -103,18 +99,16 @@ class TwoMetricGraph:
         self.c.append(float(c))
         self.l.append(float(l))
         self.twin.append(-1)
-        self.source.append(source)
         self.out_arcs[tail].append(e)
         self.in_arcs[head].append(e)
         return e
 
-    def add_edge(self, u: int, v: int, c: float, l: float,
-                 source: Optional[tuple] = None) -> Tuple[int, ...]:
+    def add_edge(self, u: int, v: int, c: float, l: float) -> Tuple[int, ...]:
         """Add an edge, expanding to a twin arc pair when the graph is undirected."""
-        e = self.add_arc(u, v, c, l, source)
+        e = self.add_arc(u, v, c, l)
         if self.directed:
             return (e,)
-        f = self.add_arc(v, u, c, l, source)
+        f = self.add_arc(v, u, c, l)
         self.twin[e] = f
         self.twin[f] = e
         return (e, f)
@@ -132,8 +126,7 @@ class TwoMetricGraph:
         """New graph with every arc flipped; arc ids are preserved."""
         rev = TwoMetricGraph(self.n, directed=True)
         for e in range(self.m):
-            rev.add_arc(self.head[e], self.tail[e], self.c[e], self.l[e],
-                        self.source[e])
+            rev.add_arc(self.head[e], self.tail[e], self.c[e], self.l[e])
         rev.twin = list(self.twin)
         return rev.freeze()
 
@@ -141,8 +134,7 @@ class TwoMetricGraph:
         """Mutable copy, optionally with extra vertices appended."""
         g = TwoMetricGraph(self.n + extra_vertices, directed=self.directed)
         for e in range(self.m):
-            g.add_arc(self.tail[e], self.head[e], self.c[e], self.l[e],
-                      self.source[e])
+            g.add_arc(self.tail[e], self.head[e], self.c[e], self.l[e])
         g.twin = list(self.twin)
         return g
 
@@ -186,25 +178,6 @@ class SolutionLedger:
         self.paths[pair_index] = tuple(edges)
 
 
-def expand_cables(n: int, edges: Sequence[Tuple[int, int, Sequence[CableType]]],
-                  directed: bool = True) -> TwoMetricGraph:
-    """Translate per-edge cable menus into parallel two-metric edges.
-
-    Each cable type ``(sigma, delta)`` on an edge becomes its own parallel
-    copy with ``c = sigma`` and ``l = delta``; routing then picks the best
-    copy per load, which reproduces the piecewise-affine cost
-    ``min_cables(sigma + load * delta)`` exactly. Arc provenance records the
-    original edge index and cable index.
-    """
-    g = TwoMetricGraph(n, directed=directed)
-    for idx, (u, v, cables) in enumerate(edges):
-        if not cables:
-            raise GraphError(f"edge {idx} ({u},{v}) has an empty cable list")
-        for j, cab in enumerate(cables):
-            g.add_edge(u, v, cab.sigma, cab.delta, source=(idx, j))
-    return g.freeze()
-
-
 def split_node_weights(n: int, node_c: Sequence[float], node_l: Sequence[float],
                        edges: Sequence[Tuple[int, int]],
                        directed: bool = False) -> Tuple[TwoMetricGraph, Dict[str, List[int]]]:
@@ -225,11 +198,11 @@ def split_node_weights(n: int, node_c: Sequence[float], node_l: Sequence[float],
     v_in = [2 * v for v in range(n)]
     v_out = [2 * v + 1 for v in range(n)]
     for v in range(n):
-        g.add_arc(v_in[v], v_out[v], node_c[v], node_l[v], source=("node", v))
-    for idx, (u, v) in enumerate(edges):
-        g.add_arc(v_out[u], v_in[v], 0.0, 0.0, source=("edge", idx))
+        g.add_arc(v_in[v], v_out[v], node_c[v], node_l[v])
+    for u, v in edges:
+        g.add_arc(v_out[u], v_in[v], 0.0, 0.0)
         if not directed:
-            g.add_arc(v_out[v], v_in[u], 0.0, 0.0, source=("edge", idx))
+            g.add_arc(v_out[v], v_in[u], 0.0, 0.0)
     mapping = {"source_vertex": v_out, "sink_vertex": v_in}
     return g.freeze(), mapping
 

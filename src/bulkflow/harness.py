@@ -23,7 +23,8 @@ from .errors import BudgetExceeded, InstanceError
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
                          SideGraph, SolverConfig)
 from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
-                    Unreachable, shortest_path, shortest_paths, solution_cost)
+                    Unreachable, plain_sum, shortest_path, shortest_paths,
+                    solution_cost)
 from .instance import Instance, as_int, load_instance
 from .junction import JunctionForest, build_junction_forest, pull_forest_ledger
 from .layering import LayeredGraph, build_layered, default_height, pull_back
@@ -359,7 +360,7 @@ class OnlinePipeline:
                       root: Optional[int]) -> float:
         """What serving the pair as decided would cost right now."""
         if label == Assignment.ASSIGNED:
-            return sum(side.single_sink(self.roots[root]).marginal_cost(
+            return plain_sum(side.single_sink(self.roots[root]).marginal_cost(
                 side.side_graph.terminal(spec)) for side in self.sides)
         try:
             _, cost = shortest_path(self.base,
@@ -457,7 +458,7 @@ class OnlinePipeline:
             committed_cost = solution_cost(self.forest.graph, self.h_ledger)[2]
             base_ledger = pull_forest_ledger(self.forest, self.h_ledger)
         else:
-            committed_cost = sum(
+            committed_cost = plain_sum(
                 solution_cost(side.expansion.graph, ledger)[2]
                 for side, ledger in zip(self.sides, merged))
             base_ledger = _join_sides(*(pull_back(side.expansion, ledger)
@@ -612,5 +613,5 @@ def run_experiment(suite_path: str, out_path: str) -> Dict[str, object]:
     if ratios:
         summary["max_ratio"] = max(ratios)
         summary["geomean_ratio"] = math.exp(
-            sum(math.log(r) for r in ratios) / len(ratios))
+            plain_sum(math.log(r) for r in ratios) / len(ratios))
     return summary

@@ -22,7 +22,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 from .errors import InstanceError
 from .graph import TerminalPair, TwoMetricGraph, split_node_weights
@@ -40,7 +40,6 @@ class Instance:
     directed: bool
     display_n: int
     name: str = ""
-    raw: Optional[dict] = None
 
     @property
     def k(self) -> int:
@@ -121,13 +120,13 @@ def _parse(data: dict, name: str) -> Instance:
                  for i, pr in enumerate(raw_pairs)]
         # the split graph is always directed, whatever the input edges were
         return Instance(graph=graph, pairs=pairs, mode=mode, directed=True,
-                        display_n=n, name=name, raw=data)
+                        display_n=n, name=name)
 
     graph = TwoMetricGraph(n, directed=directed)
     for ed in edges:
+        as_int(ed.get("id", 0), "id")  # validated, though nothing reads it
         graph.add_edge(int(ed["tail"]), int(ed["head"]),
-                       float(ed["c"]), float(ed["l"]),
-                       source=(as_int(ed.get("id", len(graph.tail)), "id"),))
+                       float(ed["c"]), float(ed["l"]))
     graph.freeze()
     pairs = []
     for i, pr in enumerate(raw_pairs):
@@ -135,7 +134,7 @@ def _parse(data: dict, name: str) -> Instance:
         pairs.append(TerminalPair(index=i, s=int(pr["s"]), t=int(pr["t"]),
                                   penalty=penalty))
     return Instance(graph=graph, pairs=pairs, mode=mode, directed=directed,
-                    display_n=n, name=name, raw=data)
+                    display_n=n, name=name)
 
 
 def dump_instance(data: dict, path: Union[str, Path]) -> None:

@@ -15,7 +15,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .graph import GraphError, SolutionLedger, TwoMetricGraph, shortest_paths
+from .graph import (GraphError, SolutionLedger, TwoMetricGraph, plain_sum,
+                    shortest_paths)
 
 # blended layer weights are clamped here before they can overflow; never
 # reached at desk scale
@@ -87,7 +88,7 @@ def _build_up(base: TwoMetricGraph, k: int, h: int) -> LayeredGraph:
             # one Dijkstra per (source, level); paths reused for every head v
             found = shortest_paths(base, weight, u)
             for v, (path, cost) in sorted(found.items()):
-                length = sum(base.l[e] for e in path)
+                length = plain_sum(base.l[e] for e in path)
                 le = layered.add_arc(level * n + u, (level - 1) * n + v,
                                      min(cost, WEIGHT_CAP), length)
                 if le != len(back):

@@ -31,7 +31,7 @@ from scipy.optimize import linprog
 
 from .errors import BudgetExceeded
 from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
-                    Unreachable, reachable_from, shortest_path)
+                    Unreachable, plain_sum, reachable_from, shortest_path)
 
 VALUE_TOL = 1e-9
 # multi-weight Dijkstra: labels closer than this count as equal
@@ -329,7 +329,7 @@ def offline_opt_prize(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
         if any(p.penalty is None for p in dropped):
             continue
         kept = [p for i, p in enumerate(indexed) if not mask >> i & 1]
-        penalty = sum(p.penalty for p in dropped)
+        penalty = plain_sum(p.penalty for p in dropped)
         if penalty >= best:
             continue
         try:

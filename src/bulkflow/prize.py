@@ -38,7 +38,7 @@ def augment(sides: Sequence[SideGraph], pairs: Sequence[PairSpec]
             raise GraphError(f"pair {pair.index}: negative penalty")
         for side, graph, owner in zip(sides, graphs, owners):
             e = graph.add_arc(*side.ends(pair, virtual), 0.0,
-                              pair.penalty / 2.0, source=("penalty", pair.index))
+                              pair.penalty / 2.0)
             owner[e] = pair.index
     augmented = tuple(SideGraph(graph.freeze(), side.upward, owner)
                       for side, graph, owner in zip(sides, graphs, owners))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .graph import (GraphError, SolutionLedger, TwoMetricGraph,
+from .graph import (GraphError, SolutionLedger, TwoMetricGraph, plain_sum,
                     shortest_path)
 
 
@@ -114,8 +114,8 @@ class GroupSteinerGreedy:
         self.connections: Dict[int, int] = {}
 
     def residual_cost(self, v: int) -> float:
-        return sum(w for child, parent, w in self.instance.root_path(v)
-                   if (child, parent) not in self.bought)
+        return plain_sum(w for child, parent, w in self.instance.root_path(v)
+                         if (child, parent) not in self.bought)
 
     def on_group(self, group_id: int) -> int:
         """Connect one group; returns the chosen member vertex."""

@@ -254,12 +254,11 @@ def reference_step_capacities(side, rid: int, tight: Set[int], dt: float,
     funnel = side.funnels[(rid, pair_index)]
     x, c = side.x[rid], side.c
     flows = side.flow.get((rid, pair_index), {})
-    full, inf = dt == funnel.dmax, math.inf
     capacity = []
-    for e, full_growth in zip(funnel.arcs, funnel.full_growth):
-        grow = full_growth if full else _growth_factor(c[e], dt)
-        if grow == inf:
-            capacity.append(inf)
+    for e in funnel.arcs:
+        grow = _growth_factor(c[e], dt)
+        if grow == math.inf:
+            capacity.append(math.inf)
         else:
             room = 0.0 if e in tight else max(0.0, x[e] - flows.get(e, 0.0))
             capacity.append((room + x[e] * (grow - 1.0)) / dt)

@@ -152,20 +152,24 @@ class TestGrowthStep:
     def test_tight_edge_doubles_over_ln2(self):
         up = build_graph(2, [(0, 1, 1.0, 0.1)])
         down = build_graph(2, [(0, 1, 0.01, 0.0)])
-        solver = make_solver(up, down, [RootSpec(0, 1, 0)])
+        solver = make_solver(up, down, [RootSpec(0, 1, 0)], dmax=math.log(2))
         solver.arrival_init(PairSpec(0, 0, 1))
         solver.up.x[0][0] = 0.1
         solver.up.flow[(0, 0)][0] = 0.1  # tight at x = 0.1, c = 1
-        solver.apply(solver.growth_step(0, dt=math.log(2)))
+        step = solver.growth_step(0)
+        assert step.dt == math.log(2)  # a full, untruncated step
+        solver.apply(step)
         assert solver.up.x[0][0] == pytest.approx(0.2)
 
     def test_zero_cost_tight_edge_jumps_to_one(self):
         up = build_graph(2, [(0, 1, 0.0, 0.1)])
         down = build_graph(2, [(0, 1, 0.01, 0.0)])
-        solver = make_solver(up, down, [RootSpec(0, 1, 0)])
+        solver = make_solver(up, down, [RootSpec(0, 1, 0)], dmax=0.01)
         solver.arrival_init(PairSpec(0, 0, 1))
         # the seed put flow at x's level, so the arc starts tight
-        solver.apply(solver.growth_step(0, dt=0.01))
+        step = solver.growth_step(0)
+        assert step.dt == 0.01
+        solver.apply(step)
         assert solver.up.x[0][0] == 1.0
 
     def test_blocked_roots_only_grow_x(self):
@@ -177,7 +181,8 @@ class TestGrowthStep:
         solver.z[(0, 0)] = 0.0
         solver.up.flow[(0, 0)][0] = solver.up.x[0][0]  # keep the edge tight
         x_before = solver.up.x[0][0]
-        step = solver.growth_step(0, dt=0.05)
+        step = solver.growth_step(0)
+        assert step.dt == 0.05
         solver.apply(step)
         assert step.solutions[0].delta == 0.0
         assert solver.z[(0, 0)] == 0.0
@@ -433,17 +438,16 @@ class TestFunnel:
             for _ in range(4):
                 if not eligible or solver.z_total(index) >= 1.0 - 1e-12:
                     break
-                # the full step reads the cached growth factors, 0.07 not
-                for rid, dt in itertools.product(eligible, (0.2, 0.07)):
+                for rid in eligible:
                     key = (rid, index)
-                    funnel_step = solver._solve_root(pair, rid, dt)
+                    funnel_step = solver._solve_root(pair, rid)
                     funnels = [side.funnels[key] for side in solver.sides]
                     try:
                         for side in solver.sides:
                             side.funnels[key] = fractional._Funnel(
                                 side, usable_arcs(side, pair), 0.2,
                                 side.side_graph.ends(pair, roots[rid]))
-                        full_step = solver._solve_root(pair, rid, dt)
+                        full_step = solver._solve_root(pair, rid)
                     finally:
                         for side, funnel in zip(solver.sides, funnels):
                             side.funnels[key] = funnel
@@ -487,25 +491,25 @@ class TestFunnel:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cached_growth_factors_match_computed_ones(self, seed):
-        # a step of 0.07 reads exp(dt/c) from the funnel when dmax is 0.07
-        # and computes it when dmax is 0.2; both must give the same step
+        # full steps read exp(dmax / c) from the funnel instead of computing it
         rng = random.Random(seed)
         n = 6
         up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
         roots = [RootSpec(r, r, r) for r in range(n)]
-        solvers = [make_solver(up, down, roots, dmax=dmax)
-                   for dmax in (0.07, 0.2)]
         compared = 0
-        for index in range(2):
-            pair = PairSpec(index, rng.randrange(n), rng.randrange(n))
-            for solver in solvers:
-                solver.arrival_init(pair)
-            for _ in range(3):
-                steps = [solver.growth_step(index, dt=0.07) for solver in solvers]
-                assert steps[0].solutions == steps[1].solutions
-                compared += len(steps[0].solutions)
-                for solver, step in zip(solvers, steps):
-                    solver.apply(step)
+        for dmax in (0.07, 0.2):
+            solver = make_solver(up, down, roots, dmax=dmax)
+            for index in range(2):
+                solver.arrival_init(PairSpec(index, rng.randrange(n),
+                                             rng.randrange(n)))
+                for _ in range(3):
+                    solver.apply(solver.growth_step(index))
+            for side in solver.sides:
+                for funnel in side.funnels.values():
+                    assert ([g.hex() for g in funnel.full_growth]
+                            == [fractional._growth_factor(side.c[e], dmax).hex()
+                                for e in funnel.arcs])
+                    compared += len(funnel.arcs)
         assert compared
 
     @pytest.mark.parametrize("seed", range(4))
@@ -562,10 +566,10 @@ class TestStepState:
         aux = CompositeSolver._aux_network
         checked = []
 
-        def checked_aux(self, side, rid, tight, dt, pair_index):
-            net = aux(self, side, rid, tight, dt, pair_index)
-            expected = reference_step_capacities(side, rid, tight, dt,
-                                                 pair_index)
+        def checked_aux(self, side, rid, tight, pair_index):
+            net = aux(self, side, rid, tight, pair_index)
+            expected = reference_step_capacities(side, rid, tight,
+                                                 self.config.dmax, pair_index)
             assert ([cap.hex() for cap in net.capacity]
                     == [cap.hex() for cap in expected])
             checked.append(len(net.capacity))
@@ -594,22 +598,19 @@ class TestStepState:
         for index in range(2):
             for solver in (kept, fresh):
                 solver.arrival_init(PairSpec(index, *ends))
-        # (pair, dt, applied): default steps, explicit steps of the default
-        # and other lengths, staged steps never applied, and steps for the
-        # first pair after the second pair's steps; the first pair's last
+        # (pair, applied): steps, staged steps never applied, and steps for
+        # the first pair after the second pair's steps; the first pair's last
         # step before them leaves no arc to recompute
-        plan = [(0, None, True), (0, 0.07, True), (0, None, False),
-                (0, 0.2, True), (0, 0.01, True), (0, 0.01, False),
-                (1, None, True), (1, 0.05, False), (1, 0.05, True),
-                (1, None, True), (0, 0.01, True), (0, 0.01, True),
-                (1, 0.2, True)]
-        for index, dt, apply in plan:
-            step = kept.growth_step(index, dt=dt)
+        plan = [(0, True), (0, True), (0, False), (0, True), (0, True),
+                (0, False), (1, True), (1, False), (1, True), (1, True),
+                (0, True), (0, True), (1, True)]
+        for index, apply in plan:
+            step = kept.growth_step(index)
             if apply:
                 for side in fresh.sides:
                     for funnel in side.funnels.values():
-                        funnel.dt = None  # recompute every arc
-                reference = fresh.growth_step(index, dt=dt)
+                        funnel.dirty.update(funnel.arcs)  # recompute every arc
+                reference = fresh.growth_step(index)
                 assert step_bits(kept, step) == step_bits(fresh, reference)
                 kept.apply(step)
                 fresh.apply(reference)
@@ -617,15 +618,11 @@ class TestStepState:
 
     def test_step_recomputes_under_half_the_funnel_arcs(self, monkeypatch):
         entries, arcs = [], []
-        update, reset = FlowNetwork.update_capacities, FlowNetwork.set_capacities
+        update = FlowNetwork.update_capacities
         monkeypatch.setattr(
             FlowNetwork, "update_capacities",
             lambda net, changes: entries.append(len(changes)) or update(
                 net, changes))
-        monkeypatch.setattr(
-            FlowNetwork, "set_capacities",
-            lambda net, capacity: entries.append(len(capacity)) or reset(
-                net, capacity))
         solve = fractional.max_delta
 
         def counted_solve(up, *args):

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from bulkflow.errors import InstanceError
 from bulkflow.generate import grid, with_penalties
-from bulkflow.graph import (CableType, GraphError, SolutionLedger,
-                            TerminalPair, TwoMetricGraph, Unreachable,
-                            expand_cables, shortest_path, shortest_paths,
-                            solution_cost, split_node_weights)
+from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
+                            TwoMetricGraph, Unreachable, shortest_path,
+                            shortest_paths, solution_cost, split_node_weights)
 from bulkflow.instance import load_instance
 from helpers import brute_min_node_cost_path, build_graph
 
@@ -70,58 +69,6 @@ class TestNonFiniteInput:
             load_instance(data)
 
 
-class TestExpandCables:
-    def test_single_cable_identity(self):
-        g = expand_cables(2, [(0, 1, [CableType(5, 2)])])
-        assert g.m == 1
-        assert g.c[0] == 5 and g.l[0] == 2
-
-    def test_two_cables_two_parallel_edges(self):
-        g = expand_cables(2, [(0, 1, [CableType(1, 3), CableType(4, 1)])])
-        assert g.m == 2
-        assert {(g.c[e], g.l[e]) for e in range(2)} == {(1, 3), (4, 1)}
-        assert g.source[0] == (0, 0) and g.source[1] == (0, 1)
-
-    def test_load_three_routes_on_best_cable(self):
-        # independent oracle: enumerate sigma + load*delta over cable types
-        cables = [CableType(1, 3), CableType(4, 1)]
-        load = 3
-        oracle = min(c.sigma + load * c.delta for c in cables)
-        assert oracle == 7
-        g = expand_cables(2, [(0, 1, cables)])
-        best_copy = min(range(g.m), key=lambda e: g.c[e] + load * g.l[e])
-        ledger = SolutionLedger()
-        for i in range(load):
-            ledger.add_path(g, i, [best_copy])
-        assert solution_cost(g, ledger)[2] == pytest.approx(oracle)
-
-    def test_empty_cable_list_rejected(self):
-        with pytest.raises(GraphError):
-            expand_cables(2, [(0, 1, [])])
-
-    def test_routing_cost_matches_min_cable_assignment_exhaustive(self):
-        # exhaustively: for any fixed routing with integer loads, the best
-        # parallel-copy choice reproduces min-over-cables exactly
-        import itertools
-        catalog = [CableType(0, 2), CableType(1, 3), CableType(4, 1)]
-        menus = [list(combo) for size in (1, 2, 3)
-                 for combo in itertools.combinations(catalog, size)]
-        for n_edges in (1, 2):
-            for cable_lists in itertools.product(menus, repeat=n_edges):
-                for loads in itertools.product((1, 3), repeat=n_edges):
-                    direct = sum(min(c.sigma + loads[i] * c.delta for c in cl)
-                                 for i, cl in enumerate(cable_lists))
-                    g = expand_cables(
-                        n_edges + 1,
-                        [(i, i + 1, cl) for i, cl in enumerate(cable_lists)])
-                    per_edge = []
-                    for i in range(n_edges):
-                        copies = [e for e in range(g.m) if g.source[e][0] == i]
-                        per_edge.append(min(g.c[e] + loads[i] * g.l[e]
-                                            for e in copies))
-                    assert sum(per_edge) == pytest.approx(direct)
-
-
 class TestNodeSplit:
     def test_single_vertex(self):
         g, mapping = split_node_weights(1, [3.0], [1.0], [])
@@ -133,8 +80,10 @@ class TestNodeSplit:
         assert g.n == 4
         # 2 internal arcs + 2 connector arcs
         assert g.m == 4
-        connectors = [e for e in range(g.m) if g.source[e][0] == "edge"]
-        assert len(connectors) == 2
+        # the internal arcs come first, one per vertex
+        connectors = range(2, g.m)
+        assert all(g.tail[e] % 2 == 1 and g.head[e] % 2 == 0
+                   for e in connectors)
         assert all(g.c[e] == 0 and g.l[e] == 0 for e in connectors)
 
     def test_middle_vertex_cost_five(self):

@@ -1,12 +1,15 @@
 """Cross-module property suites: empirical constants recorded, bounds loose."""
 
 import hashlib
+import importlib
 import math
+import pkgutil
 import random
 import time
 
 import pytest
 
+import bulkflow
 from bulkflow.generate import grid, random_digraph, with_penalties
 from bulkflow.graph import TerminalPair
 from bulkflow.harness import OnlinePipeline, RunConfig, run_online
@@ -142,6 +145,41 @@ def test_oracle_values_pinned(mode):
     report = run_online(load_instance(make()),
                         RunConfig(mode=mode, seed=0, oracle=True, **settings))
     assert (repr(report.opt), repr(report.junction_opt_value)) == ORACLE_PINS[mode]
+
+
+def compensated_sum(values, start=0):
+    """``sum()`` as Python 3.12 computes it: floats with Neumaier's
+    compensated summation, integers exactly and kept as ints."""
+    total, compensation, floats = start, 0.0, isinstance(start, float)
+    for value in values:
+        if isinstance(value, float):
+            if not floats:
+                total, floats = float(total), True
+            t = total + value
+            if abs(total) >= abs(value):
+                compensation += (total - t) + value
+            else:
+                compensation += (value - t) + total
+            total = t
+        else:
+            total += value
+    if floats and compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_pins_hold_under_a_compensated_sum(monkeypatch):
+    """From Python 3.12 on ``sum()`` compensates float rounding; the
+    reports must not depend on which ``sum()`` the interpreter has."""
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1, 2, True]) == 4
+    for info in pkgutil.iter_modules(bulkflow.__path__):
+        module = importlib.import_module(f"bulkflow.{info.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    for mode in sorted(DEFAULT_CONFIG_INSTANCES):
+        test_default_configuration_invariants(mode)
+    for mode in sorted(ORACLE_PIN_RUNS):
+        test_oracle_values_pinned(mode)
 
 
 def test_lp_value_within_polylog_of_offline_opt():
