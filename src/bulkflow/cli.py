@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (one online run), ``oracle`` (exact baselines for an
 instance), ``generate`` (reproducible instances), ``experiment`` (a suite of
-runs to CSV). Exit codes: 0 success, 2 infeasible/bad input or invalid run
-parameters, 3 budget refusal.
+runs to CSV). Exit codes: 0 success, 2 infeasible/bad input, invalid run
+parameters or an output path that cannot be written, 3 budget refusal.
 """
 
 from __future__ import annotations
@@ -147,6 +147,12 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (InstanceError, InfeasibleInstance) as exc:
         print(f"infeasible or invalid input: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except OSError as exc:
+        # inputs are read through load_instance and run_experiment, which
+        # turn their OSError into InstanceError; what is left is a write
+        print(f"cannot write {exc.filename or 'output'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

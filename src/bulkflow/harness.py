@@ -1,13 +1,15 @@
 """End-to-end online pipeline: LP growth, rounding, dispatch, reporting.
 
-Per arrival: the fractional state absorbs the pair (doubling the optimum
-guess and replaying history whenever an epoch overflows its spend cap), the
-partial rounding picks a root or declines, and the pair is dispatched to
-that root's single-sink/single-source algorithms, to a direct fallback
-path, or to the penalty bucket. Purchases are irrevocable in layered (or
-forest) space; the report maps everything back to the base graph, where
-overlaps can only make the solution cheaper.
-"""
+Each arrival goes through one flow. The fractional state absorbs the pair
+(doubling the optimum guess and replaying history whenever an epoch
+overflows its spend cap). The partial rounding then decides a label and a
+root: assigned to a root, declined (fallback), or dropped for its penalty;
+a pair the LP cannot route at all is dropped if it has a penalty and
+declined otherwise. The pair is served once as decided, at the root's
+single-sink/single-source algorithms, on a direct base-graph path, or in
+the penalty bucket, and one ``ArrivalRecord`` is appended. Purchases are
+irrevocable in layered (or forest) space; the report maps everything back
+to the base graph, where overlaps can only make the solution cheaper."""
 
 from __future__ import annotations
 
@@ -208,14 +210,11 @@ class OnlinePipeline:
         self.lam: Optional[float] = None
         self.solver: Optional[CompositeSolver] = None
         self.draw = None
-        self.assignment = Assignment()
         self.arrived: List[PairSpec] = []
         self.fallback_ledger = SolutionLedger()
-        self.trivial_pairs: List[int] = []
         self.penalty_total = 0.0
         self.records: List[ArrivalRecord] = []
         self.h_ledger: Optional[SolutionLedger] = None
-        self._arrival_counter = 0
 
     # ------------------------------------------------------------------
     # setup
@@ -322,53 +321,33 @@ class OnlinePipeline:
         return any(all(side_graph.root_vertex(r) in seen
                        for side_graph, seen in reach) for r in self.roots)
 
-    def _absorb(self, spec: PairSpec) -> Tuple[ArrivalOutcome, int]:
+    def _absorb(self, spec: PairSpec) -> ArrivalOutcome:
         """Run the LP for one arrival, epoch-doubling as needed."""
         while True:
             outcome = self.solver.on_arrival(spec)
             if outcome == ArrivalOutcome.SATISFIED:
                 self.solver.check_pair(spec.index)
-                return outcome, self.solver.arrival_log[-1].steps
+                return outcome
             if outcome == ArrivalOutcome.LP_INFEASIBLE:
                 if self._structurally_feasible(spec):
                     self._advance_epoch()  # pruning artifact of a small guess
                     continue
-                return outcome, 0
+                return outcome
             self._advance_epoch()
 
     # ------------------------------------------------------------------
     # dispatch
 
-    def _dispatch_assigned(self, pair: TerminalPair, spec: PairSpec,
-                           root_id: int) -> None:
-        for side in self.sides:
-            side.single_sink(self.roots[root_id]).on_terminal(
-                side.side_graph.terminal(spec), pair_index=pair.index)
-
-    def _dispatch_fallback(self, pair: TerminalPair) -> bool:
-        """Direct cheapest combined-metric path on the base graph."""
+    def _fallback_route(self, pair: TerminalPair
+                        ) -> Optional[Tuple[Tuple[int, ...], float]]:
+        """Direct cheapest combined-metric path on the base graph and its
+        cost, or None if the base graph has none."""
         try:
-            path, _ = shortest_path(self.base,
-                                    lambda e: self.base.c[e] + self.base.l[e],
-                                    pair.s, pair.t)
+            return shortest_path(self.base,
+                                 lambda e: self.base.c[e] + self.base.l[e],
+                                 pair.s, pair.t)
         except Unreachable:
-            return False
-        self.fallback_ledger.add_path(self.base, pair.index, path)
-        return True
-
-    def _serving_cost(self, pair: TerminalPair, spec: PairSpec, label: str,
-                      root: Optional[int]) -> float:
-        """What serving the pair as decided would cost right now."""
-        if label == Assignment.ASSIGNED:
-            return plain_sum(side.single_sink(self.roots[root]).marginal_cost(
-                side.side_graph.terminal(spec)) for side in self.sides)
-        try:
-            _, cost = shortest_path(self.base,
-                                    lambda e: self.base.c[e] + self.base.l[e],
-                                    pair.s, pair.t)
-        except Unreachable:
-            return math.inf
-        return cost
+            return None
 
     def _current_spend(self) -> float:
         spend = self.penalty_total + self.fallback_ledger.total
@@ -377,13 +356,42 @@ class OnlinePipeline:
                 spend += ss.ledger.total
         return spend
 
+    def _serve(self, pair: TerminalPair, spec: PairSpec, label: str,
+               root: Optional[int]) -> str:
+        """Serve the pair as decided: at its root's single sinks, on a direct
+        base-graph path, or for its penalty. Returns the outcome label."""
+        # the base-graph search runs at most once per pair
+        route = self._fallback_route(pair) if label == Assignment.FALLBACK else None
+        if pair.penalty is not None and label != Assignment.DROPPED:
+            # never pay more than the discard price for a discardable pair
+            if label == Assignment.ASSIGNED:
+                cost = plain_sum(side.single_sink(self.roots[root]).marginal_cost(
+                    side.side_graph.terminal(spec)) for side in self.sides)
+            else:
+                cost = math.inf if route is None else route[1]
+            if cost > pair.penalty + PENALTY_TOL:
+                label = Assignment.DROPPED
+        if label == Assignment.ASSIGNED:
+            try:
+                for side in self.sides:
+                    side.single_sink(self.roots[root]).on_terminal(
+                        side.side_graph.terminal(spec), pair_index=pair.index)
+            except Unreachable:
+                # LP eligibility should prevent this; fall back defensively
+                label, route = Assignment.FALLBACK, self._fallback_route(pair)
+        if label == Assignment.DROPPED:
+            self.penalty_total += settle(pair.penalty, label)
+        elif label == Assignment.FALLBACK:
+            if route is None:
+                return "infeasible"  # no path in the base graph either
+            self.fallback_ledger.add_path(self.base, pair.index, route[0])
+        return label
+
     def process(self, pair: TerminalPair) -> ArrivalRecord:
-        arrival = self._arrival_counter
-        self._arrival_counter += 1
+        """Absorb one arrival, decide ``(label, root)``, serve it, record it."""
         if pair.s == pair.t:
-            self.trivial_pairs.append(pair.index)
-            record = ArrivalRecord(arrival, pair.index, "trivial", None,
-                                   self.epoch, self.lam or 0.0, 0, 0.0,
+            record = ArrivalRecord(len(self.records), pair.index, "trivial",
+                                   None, self.epoch, self.lam or 0.0, 0, 0.0,
                                    0.0, cumulative_spend=self._current_spend())
             self.records.append(record)
             return record
@@ -391,54 +399,21 @@ class OnlinePipeline:
         if self.solver is None:
             self.lam = self._initial_guess(spec)
             self._start_epoch()
-        outcome, steps = self._absorb(spec)
-        if outcome == ArrivalOutcome.LP_INFEASIBLE:
-            served = False
-            if pair.penalty is not None:
-                self.assignment.record(pair.index, Assignment.DROPPED, None)
-                self.penalty_total += pair.penalty
-                label = "dropped"
-                served = True
-            else:
-                served = self._dispatch_fallback(pair)
-                label = "fallback" if served else "infeasible"
-                self.assignment.record(pair.index, Assignment.FALLBACK
-                                       if served else "infeasible", None)
-            record = ArrivalRecord(arrival, pair.index, label, None, self.epoch,
-                                   self.lam, 0, 0.0, self.solver.objective,
-                                   cumulative_spend=self._current_spend())
-            self.records.append(record)
-            return record
-
-        self.arrived.append(spec)
-        label, root = choose_root(self.solver, self.draw, pair.index)
-        z_value = 0.0
-        tau = 0.0
-        if root is not None:
-            z_value = self.solver.z.get((pair.index, root), 0.0)
-            tau = self.draw.tau[root]
-        if pair.penalty is not None and label != Assignment.DROPPED:
-            # never pay more than the discard price for a discardable pair
-            if self._serving_cost(pair, spec, label, root) > pair.penalty + PENALTY_TOL:
-                label, root = Assignment.DROPPED, None
-        self.assignment.record(pair.index, label, root)
-        if label == Assignment.ASSIGNED:
-            try:
-                self._dispatch_assigned(pair, spec, root)
-            except Unreachable:
-                # LP eligibility should prevent this; fall back defensively
-                label = ("fallback" if self._dispatch_fallback(pair)
-                         else "infeasible")
-                root = None
-        elif label == Assignment.DROPPED:
-            self.penalty_total += settle(pair.penalty, label)
+        z_value = tau = 0.0
+        if self._absorb(spec) == ArrivalOutcome.LP_INFEASIBLE:
+            label, root = (Assignment.FALLBACK if pair.penalty is None
+                           else Assignment.DROPPED), None
         else:
-            if not self._dispatch_fallback(pair):
-                label = "infeasible"  # reachable via LP but not in base: impossible
+            self.arrived.append(spec)
+            label, root = choose_root(self.solver, self.draw, pair.index)
+            if root is not None:
+                z_value = self.solver.z.get((pair.index, root), 0.0)
+                tau = self.draw.tau[root]
+        label = self._serve(pair, spec, label, root)
         stats = self.solver.arrival_log[-1]
-        record = ArrivalRecord(arrival, pair.index, label,
+        record = ArrivalRecord(len(self.records), pair.index, label,
                                root if label == Assignment.ASSIGNED else None,
-                               self.epoch, self.lam, steps, stats.z_total,
+                               self.epoch, self.lam, stats.steps, stats.z_total,
                                stats.objective, z_value=z_value, tau=tau,
                                cumulative_spend=self._current_spend())
         self.records.append(record)
@@ -471,11 +446,10 @@ class OnlinePipeline:
         final.bought = set(base_ledger.bought) | set(self.fallback_ledger.bought)
         final.paths = dict(base_ledger.paths)
         final.paths.update(self.fallback_ledger.paths)
-        for pair_index in self.trivial_pairs:
-            final.paths[pair_index] = ()
-        buy, length, _total = solution_cost(self.base, final)
-        final.buy_cost = buy
-        final.length_cost = length
+        for r in self.records:
+            if r.outcome == "trivial":
+                final.paths[r.pair] = ()
+        final.buy_cost, final.length_cost, _ = solution_cost(self.base, final)
         return final
 
     def run(self) -> RunReport:
@@ -491,17 +465,17 @@ class OnlinePipeline:
 
     def finish(self) -> RunReport:
         ledger = self._final_ledger()
-        buy, length, total = solution_cost(self.base, ledger)
         fallback_count = sum(1 for r in self.records if r.outcome == "fallback")
         infeasible_count = sum(1 for r in self.records
                                if r.outcome == "infeasible")
-        online_total = total + self.penalty_total
-        report = RunReport(arrivals=self.records, buy_cost=buy,
-                           length_cost=length, penalty_total=self.penalty_total,
+        report = RunReport(arrivals=self.records, buy_cost=ledger.buy_cost,
+                           length_cost=ledger.length_cost,
+                           penalty_total=self.penalty_total,
                            fallback_count=fallback_count,
                            infeasible_count=infeasible_count,
                            epochs=self.epoch + 1, ledger=ledger,
-                           online_total=online_total, h=self.h,
+                           online_total=ledger.total + self.penalty_total,
+                           h=self.h,
                            epsilon=(1.0 / self.h if self.mode == "directed"
                                     else None))
         if self.config.oracle:

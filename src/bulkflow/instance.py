@@ -85,6 +85,7 @@ def _parse(data: dict, name: str) -> Instance:
     raw_pairs = data.get("pairs", [])
 
     for ed in edges:
+        as_int(ed.get("id", 0), "id")  # validated, though nothing reads it
         if not (0 <= as_int(ed["tail"], "tail") < n
                 and 0 <= as_int(ed["head"], "head") < n):
             raise InstanceError(f"edge endpoint out of range: {ed}")
@@ -124,7 +125,6 @@ def _parse(data: dict, name: str) -> Instance:
 
     graph = TwoMetricGraph(n, directed=directed)
     for ed in edges:
-        as_int(ed.get("id", 0), "id")  # validated, though nothing reads it
         graph.add_edge(int(ed["tail"]), int(ed["head"]),
                        float(ed["c"]), float(ed["l"]))
     graph.freeze()

@@ -44,28 +44,11 @@ class ScaledSolution:
 
 
 class Assignment:
-    """Write-once map pair -> routing decision (online irrevocability)."""
+    """The outcome labels of a rounding decision."""
 
     ASSIGNED = "assigned"
     FALLBACK = "fallback"
     DROPPED = "dropped"
-
-    def __init__(self):
-        self._entries: Dict[int, Tuple[str, Optional[int]]] = {}
-
-    def record(self, pair_index: int, outcome: str, root: Optional[int]) -> None:
-        if pair_index in self._entries:
-            raise ValueError(f"pair {pair_index} already has an assignment")
-        self._entries[pair_index] = (outcome, root)
-
-    def get(self, pair_index: int) -> Tuple[str, Optional[int]]:
-        return self._entries[pair_index]
-
-    def __contains__(self, pair_index: int) -> bool:
-        return pair_index in self._entries
-
-    def items(self):
-        return self._entries.items()
 
 
 def threshold_interval(n: int) -> Tuple[float, float]:

@@ -62,6 +62,16 @@ class TestNonFiniteInput:
         with pytest.raises(InstanceError):
             load_instance(data)
 
+    def test_node_mode_refuses_fractional_edge_id(self):
+        data = grid(2, 2, k=2, seed=1)
+        data["mode"] = "node"
+        data["node_costs"] = [{"v": v, "c": 1.0, "l": 0.5}
+                              for v in range(data["n"])]
+        load_instance(data)
+        data["edges"][0]["id"] = 1.5
+        with pytest.raises(InstanceError, match="id must be an integer"):
+            load_instance(data)
+
     def test_load_instance_refuses_nan_penalty(self):
         data = with_penalties(grid(2, 2, k=2, seed=1), 1)
         data["pairs"][0]["q"] = math.nan
@@ -146,6 +156,17 @@ class TestSolutionCost:
         ledger.add_path(g, 1, [1])  # 1 -> 0 uses the twin arc
         buy, length, total = solution_cost(g, ledger)
         assert buy == 7 and length == 1.0
+
+    def test_second_path_for_a_pair_refused(self):
+        # online irrevocability: a pair's committed path is never replaced
+        g = build_graph(3, [(0, 1, 2, 1), (1, 2, 3, 4), (0, 2, 1, 1)])
+        ledger = SolutionLedger()
+        ledger.add_path(g, 0, [0, 1])
+        with pytest.raises(GraphError, match="already has a committed path"):
+            ledger.add_path(g, 0, [2])
+        assert ledger.paths == {0: (0, 1)}
+        assert ledger.bought == {0, 1}
+        assert (ledger.buy_cost, ledger.length_cost) == (5, 5)
 
     def test_unbought_path_edge_is_integrity_failure(self):
         g = build_graph(2, [(0, 1, 1, 1)])

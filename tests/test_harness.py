@@ -7,18 +7,40 @@ import sys
 
 import pytest
 
+from bulkflow import harness
 from bulkflow.errors import InstanceError
 from bulkflow.generate import (adversarial_order, generate, grid,
                                random_digraph, star_of_paths,
                                _greedy_dispatch_cost)
-from bulkflow.graph import solution_cost
+from bulkflow.graph import Unreachable, shortest_path, solution_cost
 from bulkflow.harness import (OnlinePipeline, RunConfig, default_kappa,
                               run_experiment, run_online)
 from bulkflow.instance import dump_instance, load_instance
+from bulkflow.prize import settle
+from bulkflow.rounding import Assignment
+from bulkflow.single_sink import GreedySingleSink
 
 
 def run(data, mode="edge", seed=0, **kw):
     return run_online(load_instance(data), RunConfig(mode=mode, seed=seed, **kw))
+
+
+def decide(monkeypatch, label, root=None):
+    """Make the rounding decide ``(label, root)`` for every pair."""
+    monkeypatch.setattr(harness, "choose_root", lambda *_: (label, root))
+
+
+def base_route(inst, pair):
+    return shortest_path(inst.graph, lambda e: inst.graph.c[e] + inst.graph.l[e],
+                         pair.s, pair.t)
+
+
+def prize_pair(penalty):
+    """One discardable pair on a 2x2 grid, with the given penalty."""
+    data = grid(2, 2, k=1, seed=4)
+    data["mode"] = "prize"
+    data["pairs"][0]["q"] = penalty
+    return data
 
 
 class TestRunOnline:
@@ -56,15 +78,18 @@ class TestRunOnline:
         spends = [a.cumulative_spend for a in report.arrivals]
         assert all(b >= a - 1e-9 for a, b in zip(spends, spends[1:]))
 
-    def test_fallback_cost_added_verbatim(self):
+    def test_fallback_cost_added_verbatim(self, monkeypatch):
+        # a declined plain pair gets the direct path at its own cost
+        decide(monkeypatch, Assignment.FALLBACK)
         data = grid(2, 2, k=1, seed=4)
         inst = load_instance(data)
-        report = run(data, kappa=None)
-        if report.fallback_count:
-            pair = inst.pairs[0]
-            path = report.ledger.paths[pair.index]
-            cost = sum(inst.graph.c[e] + inst.graph.l[e] for e in path)
-            assert report.online_total == pytest.approx(cost)
+        report = run(data)
+        pair = inst.pairs[0]
+        path, cost = base_route(inst, pair)
+        assert report.fallback_count == 1
+        assert report.ledger.paths[pair.index] == path
+        assert report.online_total == pytest.approx(cost, rel=1e-12)
+        assert report.penalty_total == 0.0
 
     def test_unreachable_pair_reported_run_continues(self):
         data = {"directed": True, "n": 3, "mode": "edge",
@@ -115,6 +140,82 @@ class TestRunOnline:
     def test_default_kappa_formula(self):
         assert default_kappa(16) == pytest.approx(64 * 4 ** 3)
         assert default_kappa(20) == pytest.approx(64 * 5 ** 3)
+
+
+class TestServing:
+    """Each branch of serving a pair, forced through the rounding decision
+    or the single sink."""
+
+    def test_cheap_fallback_served_after_one_base_search(self, monkeypatch):
+        # a fallback cheaper than the penalty is served, and the base
+        # graph is searched once for it
+        decide(monkeypatch, Assignment.FALLBACK)
+        inst = load_instance(prize_pair(1e6))
+        searched = []
+
+        def counting(graph, *args, **kw):
+            if graph is inst.graph:
+                searched.append(args[1:])
+            return shortest_path(graph, *args, **kw)
+
+        monkeypatch.setattr(harness, "shortest_path", counting)
+        report = run_online(inst, RunConfig(mode="prize"))
+        pair = inst.pairs[0]
+        assert [a.outcome for a in report.arrivals] == ["fallback"]
+        assert searched == [(pair.s, pair.t)]
+        path, cost = base_route(inst, pair)
+        assert report.ledger.paths[pair.index] == path
+        assert report.penalty_total == 0.0
+        assert report.online_total == pytest.approx(cost, rel=1e-12)
+
+    def test_dear_fallback_dropped_and_penalty_charged_once(self, monkeypatch):
+        # a fallback dearer than the penalty is dropped
+        decide(monkeypatch, Assignment.FALLBACK)
+        settled = []
+
+        def counting(penalty, outcome):
+            settled.append(outcome)
+            return settle(penalty, outcome)
+
+        monkeypatch.setattr(harness, "settle", counting)
+        report = run(prize_pair(0.001), mode="prize")
+        assert [a.outcome for a in report.arrivals] == ["dropped"]
+        assert report.arrivals[0].root is None
+        assert settled == [Assignment.DROPPED]
+        assert report.penalty_total == 0.001
+        assert report.online_total == 0.001
+        assert report.fallback_count == 0
+        assert report.ledger.paths == {}
+
+    def test_dear_assigned_quote_dropped(self, monkeypatch):
+        # an assigned root whose single sinks quote more than the
+        # penalty: the pair is dropped and nothing is bought for it
+        inst = load_instance(prize_pair(0.001))
+        decide(monkeypatch, Assignment.ASSIGNED, inst.pairs[0].s)
+        served = []
+        monkeypatch.setattr(GreedySingleSink, "on_terminal",
+                            lambda *args, **kw: served.append(args))
+        report = run_online(inst, RunConfig(mode="prize"))
+        assert [a.outcome for a in report.arrivals] == ["dropped"]
+        assert report.arrivals[0].root is None
+        assert served == []
+        assert report.penalty_total == 0.001
+        assert report.online_total == 0.001
+
+    def test_unreachable_single_sink_falls_back(self, monkeypatch):
+        # the defensive catch: a single sink that cannot serve the pair
+        def refuse(*_args, **_kw):
+            raise Unreachable("no path to the root")
+
+        monkeypatch.setattr(GreedySingleSink, "on_terminal", refuse)
+        data = grid(2, 2, k=1, seed=4)
+        inst = load_instance(data)
+        report = run(data)
+        assert [a.outcome for a in report.arrivals] == ["fallback"]
+        assert report.arrivals[0].root is None
+        assert report.to_csv().splitlines()[1].split(",")[2:4] == ["fallback", ""]
+        pair = inst.pairs[0]
+        assert report.ledger.paths[pair.index] == base_route(inst, pair)[0]
 
 
 class TestRunConfig:
@@ -399,6 +500,21 @@ class TestCli:
         inst.write_text(json.dumps(data))
         result = self._cli("run", "--instance", str(inst), "--mode", "edge")
         assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["run", "generate", "experiment"])
+    def test_unwritable_output_exit_code_2(self, tmp_path, command):
+        inst = tmp_path / "g.json"
+        dump_instance(grid(2, 2, k=1, seed=2), inst)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"runs": []}))
+        out = tmp_path / "missing" / "out"
+        args = {"run": ["--instance", str(inst), "--mode", "edge"],
+                "generate": ["--kind", "grid", "--params", "rows=2,cols=2,k=1"],
+                "experiment": ["--suite", str(suite)]}[command]
+        result = self._cli(command, *args, "-o", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"cannot write {out}")
         assert "Traceback" not in result.stderr
 
     def test_budget_refusal_exit_code_3(self, tmp_path):

@@ -80,6 +80,23 @@ DEFAULT_CONFIG_DIGESTS = {
     "prize": "a52124e4b0a0f79d2c3cf84c71e2ae0e693bb93d83d8a225e4dc3fea868cbf05",
 }
 
+# sha256 of each mode's (assignment trace, LP trace): the z_value, tau and
+# steps columns appear only there
+DEFAULT_CONFIG_TRACE_DIGESTS = {
+    "directed": ("e866173ddc1efac03dab10bc33afbaa89e4abca6fcd1e841f52f2a798d019f28",
+                 "9598e8594f7ec84ec50a69886d4e9267f360a5181101e58b3216bf05d3c086f2"),
+    "edge": ("da659c6f605d5113a5eb8d91d69ac0050e9fc6556b9d3e5a5446879aee6b25df",
+             "e3d6710ddb6c4edd507e5fb8d5605c1779659608f2c4833bb3d36db6c9d72768"),
+    "node": ("9178d220c6a6d90bb004da76cf933a58cd3be36e2dc2cf8a39eadf5363bb4538",
+             "ee0a85fafa77531b3ca34baa2818891425f16db27261d22bad841e2f44eace02"),
+    "prize": ("c562d1178b713ba3da1026c634dc00d07e5e7000aee2347012b84ccd3b40925a",
+              "359b9580cef7e5126731d3fe0cda3064de18cf977bca31865b97430deeaa0cd7"),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 @pytest.mark.parametrize("mode", sorted(DEFAULT_CONFIG_INSTANCES))
 def test_default_configuration_invariants(mode):
@@ -114,12 +131,15 @@ def test_default_configuration_invariants(mode):
                     assert cut >= 1 - 1e-6, f"cut {cut} below 1 on {side}"
                     cuts += 1
         assert cuts > 0, "no pair was assigned to a root"
-        return pipeline.finish().to_csv()
+        report = pipeline.finish()
+        return (report.to_csv(), report.assignment_trace_csv(),
+                report.lp_trace_csv())
 
-    report = run_checked()
-    assert report == run_checked()
-    assert (hashlib.sha256(report.encode()).hexdigest()
-            == DEFAULT_CONFIG_DIGESTS[mode])
+    report, assignment_trace, lp_trace = run_checked()
+    assert (report, assignment_trace, lp_trace) == run_checked()
+    assert _sha256(report) == DEFAULT_CONFIG_DIGESTS[mode]
+    assert ((_sha256(assignment_trace), _sha256(lp_trace))
+            == DEFAULT_CONFIG_TRACE_DIGESTS[mode])
 
 
 ORACLE_PIN_RUNS = {

@@ -109,16 +109,6 @@ class TestAssign:
         draw = ThresholdDraw(tau={1: 0.2, 2: 0.2}, seed=0, lo=0, hi=1)
         assert choose_root(solver, draw, 0) == (Assignment.ASSIGNED, 1)
 
-    def test_assign_records_write_once(self):
-        solver = self._two_root_state()
-        solver.z[(0, 1)] = 0.5
-        draw = ThresholdDraw(tau={1: 0.2, 2: 0.2}, seed=0, lo=0, hi=1)
-        log = Assignment()
-        log.record(0, *choose_root(solver, draw, 0))
-        assert log.get(0) == (Assignment.ASSIGNED, 1)
-        with pytest.raises(ValueError):
-            log.record(0, Assignment.FALLBACK, None)
-
 
 class TestDomination:
     def test_assigned_pairs_scaled_mincut_at_least_one(self):
