@@ -342,6 +342,8 @@ def _assemble(segments: List[FlowSegment],
     flow: Dict[int, float] = {}
     cost = 0.0
     remaining = value
+    # each take exceeds EPS_CAP: only an arc crossed backwards can cancel
+    crossed_back: List[int] = []
     for seg in segments:
         if remaining <= EPS_CAP:
             break
@@ -350,10 +352,13 @@ def _assemble(segments: List[FlowSegment],
             take = remaining
         for arc, direction in seg.steps:
             flow[arc] = flow.get(arc, 0.0) + direction * take
+            if direction < 0:
+                crossed_back.append(arc)
         cost += seg.unit_cost * take
         remaining -= take
-    for arc in [a for a, f in flow.items() if abs(f) <= EPS_CAP]:
-        del flow[arc]
+    for arc in crossed_back:
+        if arc in flow and abs(flow[arc]) <= EPS_CAP:
+            del flow[arc]
     return flow, cost
 
 

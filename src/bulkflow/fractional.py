@@ -368,10 +368,6 @@ class CompositeSolver:
                     raise AssertionError("seed flow exceeded capacity variable")
         return eligible
 
-    def tight_edges(self, pair_index: int, root_id: int) -> Tuple[Set[int], ...]:
-        """Edges whose capacity variable is met by this pair's flow, per side."""
-        return tuple(side.tight(root_id, pair_index) for side in self.sides)
-
     def _hold_step_state(self, pair_index: int) -> None:
         """Let ``pair_index``'s funnels keep step state; the previous pair's
         recompute every arc when next solved, since this pair's steps change

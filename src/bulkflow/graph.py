@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-COST_TOL = 1e-9
-
 
 class GraphError(ValueError):
     """Invalid graph input or a ledger integrity violation."""

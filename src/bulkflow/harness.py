@@ -99,7 +99,6 @@ class ArrivalRecord:
     lp_obj: float
     z_value: float = 0.0
     tau: float = 0.0
-    cumulative_spend: float = 0.0
 
 
 @dataclass
@@ -198,8 +197,11 @@ class OnlinePipeline:
         self.mode = config.mode
         if self.mode == "directed" and not instance.directed:
             raise InstanceError("directed mode requires a directed instance")
-        if self.mode == "prize" and instance.mode != "prize":
-            raise InstanceError("prize mode requires a prize instance")
+        if (self.mode == "prize") != (instance.mode == "prize"):
+            # only prize mode gives the LP a discard root to price penalties
+            raise InstanceError(f"mode {self.mode!r} cannot run a "
+                                f"{instance.mode!r} instance: prize instances "
+                                f"run only in prize mode and vice versa")
 
         self.forest: Optional[JunctionForest] = None
         self.up_layer: Optional[LayeredGraph] = None
@@ -209,7 +211,7 @@ class OnlinePipeline:
         self.epoch = 0
         self.lam: Optional[float] = None
         self.solver: Optional[CompositeSolver] = None
-        self.draw = None
+        self.tau: Dict[int, float] = {}
         self.arrived: List[PairSpec] = []
         self.fallback_ledger = SolutionLedger()
         self.penalty_total = 0.0
@@ -286,8 +288,8 @@ class OnlinePipeline:
 
     def _start_epoch(self) -> None:
         self.solver = self._fresh_solver()
-        self.draw = draw_thresholds(self.root_ids, self.n_scale,
-                                    f"{self.config.seed}:{self.epoch}")
+        self.tau = draw_thresholds(self.root_ids, self.n_scale,
+                                   f"{self.config.seed}:{self.epoch}")
 
     def _advance_epoch(self) -> None:
         """Double the guess, restart the fractional state, replay history."""
@@ -349,13 +351,6 @@ class OnlinePipeline:
         except Unreachable:
             return None
 
-    def _current_spend(self) -> float:
-        spend = self.penalty_total + self.fallback_ledger.total
-        for side in self.sides:
-            for ss in side.single_sinks.values():
-                spend += ss.ledger.total
-        return spend
-
     def _serve(self, pair: TerminalPair, spec: PairSpec, label: str,
                root: Optional[int]) -> str:
         """Serve the pair as decided: at its root's single sinks, on a direct
@@ -392,7 +387,7 @@ class OnlinePipeline:
         if pair.s == pair.t:
             record = ArrivalRecord(len(self.records), pair.index, "trivial",
                                    None, self.epoch, self.lam or 0.0, 0, 0.0,
-                                   0.0, cumulative_spend=self._current_spend())
+                                   0.0)
             self.records.append(record)
             return record
         spec = self.pair_specs[pair.index]
@@ -405,17 +400,16 @@ class OnlinePipeline:
                            else Assignment.DROPPED), None
         else:
             self.arrived.append(spec)
-            label, root = choose_root(self.solver, self.draw, pair.index)
+            label, root = choose_root(self.solver, self.tau, pair.index)
             if root is not None:
                 z_value = self.solver.z.get((pair.index, root), 0.0)
-                tau = self.draw.tau[root]
+                tau = self.tau[root]
         label = self._serve(pair, spec, label, root)
         stats = self.solver.arrival_log[-1]
         record = ArrivalRecord(len(self.records), pair.index, label,
                                root if label == Assignment.ASSIGNED else None,
                                self.epoch, self.lam, stats.steps, stats.z_total,
-                               stats.objective, z_value=z_value, tau=tau,
-                               cumulative_spend=self._current_spend())
+                               stats.objective, z_value=z_value, tau=tau)
         self.records.append(record)
         return record
 

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .errors import BudgetExceeded
 from .graph import GraphError, SolutionLedger, TwoMetricGraph
 from .layering import LayeredGraph, build_layered, pull_back
-from .single_sink import GroupSteinerInstance
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
@@ -189,6 +188,30 @@ def pull_forest_ledger(forest: JunctionForest,
 
 
 @dataclass
+class GroupSteinerInstance:
+    """Rooted tree with arc weights and leaf groups to be connected.
+
+    ``parent_arc[v]`` gives (parent vertex, weight) for every non-root
+    vertex; groups map a group id to its member vertices.
+    """
+
+    root: int
+    parent_arc: Dict[int, Tuple[int, float]]
+    groups: Dict[int, Tuple[int, ...]]
+
+    def root_path(self, v: int) -> List[Tuple[int, int, float]]:
+        """Arcs (child, parent, weight) from v up to the root."""
+        path = []
+        while v != self.root:
+            if v not in self.parent_arc:
+                raise GraphError(f"vertex {v} has no path to the root")
+            parent, w = self.parent_arc[v]
+            path.append((v, parent, w))
+            v = parent
+        return path
+
+
+@dataclass
 class GstSubInstance:
     """A single-sink sub-instance of the forest viewed as group Steiner.
 
@@ -234,9 +257,6 @@ class GstSubInstance:
                 path = tuple(reversed(tree_path)) + (hookup,)
             ledger.add_path(self.forest.graph, gid, path)
         return ledger
-
-    def to_base_ledger(self, connections: Dict[int, int]) -> SolutionLedger:
-        return pull_forest_ledger(self.forest, self.to_forest_ledger(connections))
 
 
 def map_to_gst(forest: JunctionForest, side: str, root: int,

@@ -1,18 +1,17 @@
 """Online partial rounding of the composite LP.
 
 Only the outer assignment variables are rounded: each root draws a uniform
-threshold once per epoch, a pair is assigned to a root whose ``z`` clears
-its threshold, and the inner capacity/flow variables are merely rescaled by
-``1/threshold`` (capped at 1). The rescaled flows still support a unit
-routing for every assigned pair, which is what the downstream single-sink
-algorithms rely on.
+threshold once per epoch and a pair is assigned to a root whose ``z`` clears
+its threshold. The inner capacity/flow variables are never rounded. Divided
+by the threshold (capped at 1) they still support a unit routing for every
+assigned pair, which ``scaled_min_cut`` certifies and the downstream
+single-sink algorithms rely on.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .flows import FlowNetwork, max_flow
@@ -20,27 +19,6 @@ from .fractional import CompositeSolver
 
 # a collapsed threshold interval keeps this relative width above 1/(2n)
 MIN_REL_WIDTH = 1e-12
-
-
-@dataclass(frozen=True)
-class ThresholdDraw:
-    """Per-root rounding thresholds, drawn once per epoch."""
-
-    tau: Dict[int, float]
-    seed: object
-    lo: float
-    hi: float
-
-
-@dataclass
-class ScaledSolution:
-    """Element-wise ``min(1, value / tau_root)`` image of the fractional state."""
-
-    x_up: Dict[Tuple[int, int], float]
-    x_down: Dict[Tuple[int, int], float]
-    f_up: Dict[Tuple[int, int, int], float]
-    f_down: Dict[Tuple[int, int, int], float]
-    z_rounded: Dict[Tuple[int, int], int]
 
 
 class Assignment:
@@ -65,39 +43,20 @@ def threshold_interval(n: int) -> Tuple[float, float]:
     return lo, hi
 
 
-def draw_thresholds(roots: Sequence[int], n: int, seed: object) -> ThresholdDraw:
-    """Independent uniform thresholds, one per root, deterministic in seed.
+def draw_thresholds(roots: Sequence[int], n: int,
+                    seed: object) -> Dict[int, float]:
+    """Independent uniform thresholds ``{root id: tau}``, deterministic in seed.
 
     Each root gets its own stream keyed by (seed, root id), so a root's
     threshold does not depend on which other roots exist; adding the
     prize-collecting virtual root leaves every real root's draw unchanged.
     """
     lo, hi = threshold_interval(n)
-    tau = {rid: random.Random(f"thresholds:{seed}:{rid}").uniform(lo, hi)
-           for rid in sorted(roots)}
-    return ThresholdDraw(tau=tau, seed=seed, lo=lo, hi=hi)
+    return {rid: random.Random(f"thresholds:{seed}:{rid}").uniform(lo, hi)
+            for rid in sorted(roots)}
 
 
-def _scaled_side(side, tau: Dict[int, float]):
-    """One side's capacities and flows divided by their root's threshold."""
-    x = {(rid, e): min(1.0, v / tau[rid])
-         for rid, arr in side.x.items()
-         for e, v in enumerate(arr) if side.alive[e]}
-    f = {(rid, pi, e): min(1.0, f / tau[rid])
-         for (rid, pi), fdict in side.flow.items() for e, f in fdict.items()}
-    return x, f
-
-
-def scale(state: CompositeSolver, draw: ThresholdDraw) -> ScaledSolution:
-    """Materialize the scaled solution; pure function of (state, draw)."""
-    (x_up, f_up), (x_down, f_down) = (_scaled_side(side, draw.tau)
-                                      for side in state.sides)
-    z_rounded = {(pi, rid): 1 if zv >= draw.tau[rid] else 0
-                 for (pi, rid), zv in state.z.items()}
-    return ScaledSolution(x_up, x_down, f_up, f_down, z_rounded)
-
-
-def choose_root(state: CompositeSolver, draw: ThresholdDraw,
+def choose_root(state: CompositeSolver, tau: Dict[int, float],
                 pair_index: int) -> Tuple[str, Optional[int]]:
     """The rounding decision for one pair, without recording it.
 
@@ -110,7 +69,7 @@ def choose_root(state: CompositeSolver, draw: ThresholdDraw,
     best_z = -1.0
     for rid in sorted(state.eligible.get(pair_index, ())):
         zv = state.z.get((pair_index, rid), 0.0)
-        if zv >= draw.tau[rid] and zv > best_z:
+        if zv >= tau[rid] and zv > best_z:
             best_root, best_z = rid, zv
     if best_root is None:
         return (Assignment.FALLBACK, None)
@@ -119,7 +78,7 @@ def choose_root(state: CompositeSolver, draw: ThresholdDraw,
     return (Assignment.ASSIGNED, best_root)
 
 
-def scaled_min_cut(state: CompositeSolver, draw: ThresholdDraw,
+def scaled_min_cut(state: CompositeSolver, tau: Dict[int, float],
                    pair_index: int, root_id: int, side: str) -> float:
     """Max-flow value under the scaled flow capacities for one pair and root.
 
@@ -133,10 +92,10 @@ def scaled_min_cut(state: CompositeSolver, draw: ThresholdDraw,
     graph, flows = record.graph, record.flow[(root_id, pair_index)]
     source, sink = record.side_graph.ends(state.pairs[pair_index],
                                           state.root_by_id[root_id])
-    tau = draw.tau[root_id]
     net = FlowNetwork(graph.n)
     for e, f in flows.items():
-        net.add_arc(graph.tail[e], graph.head[e], min(1.0, f / tau), 0.0)
+        net.add_arc(graph.tail[e], graph.head[e], min(1.0, f / tau[root_id]),
+                    0.0)
     if source == sink:
         return 1.0
     return max_flow(net, source, sink, value_cap=2.0).value

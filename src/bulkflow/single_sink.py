@@ -1,4 +1,4 @@
-"""Online single-sink (and single-source) subalgorithms.
+"""The online single-sink (and single-source) algorithm.
 
 The multicommodity pipeline builds one ``GreedySingleSink`` per root and
 side and uses its ``on_terminal``, ``marginal_cost`` and ``ledger``. It
@@ -6,15 +6,16 @@ augments greedily: each terminal takes the path minimizing marginal cost,
 where already-bought edges charge only their length. Sink instances route
 terminal -> root, source instances root -> terminal; both share the same
 residual-weight shortest-path core.
+
+On the junction forest each instance is a group Steiner instance on a tree
+(``junction.map_to_gst``), and this greedy is the online group Steiner greedy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Tuple
 
-from .graph import (GraphError, SolutionLedger, TwoMetricGraph, plain_sum,
-                    shortest_path)
+from .graph import GraphError, SolutionLedger, TwoMetricGraph, shortest_path
 
 
 class GreedySingleSink:
@@ -66,66 +67,3 @@ class GreedySingleSink:
         key = pair_index if pair_index is not None else len(self.ledger.paths)
         self.ledger.add_path(self.graph, key, path)
         return path
-
-    def cost(self) -> Tuple[float, float]:
-        return self.ledger.buy_cost, self.ledger.length_cost
-
-    @property
-    def bought(self) -> Set[int]:
-        return self.ledger.bought
-
-
-@dataclass
-class GroupSteinerInstance:
-    """Rooted tree with arc weights and leaf groups to be connected.
-
-    ``parent_arc[v]`` gives (parent vertex, weight) for every non-root
-    vertex; groups map a group id to its member vertices.
-    """
-
-    root: int
-    parent_arc: Dict[int, Tuple[int, float]]
-    groups: Dict[int, Tuple[int, ...]]
-
-    def root_path(self, v: int) -> List[Tuple[int, int, float]]:
-        """Arcs (child, parent, weight) from v up to the root."""
-        path = []
-        while v != self.root:
-            if v not in self.parent_arc:
-                raise GraphError(f"vertex {v} has no path to the root")
-            parent, w = self.parent_arc[v]
-            path.append((v, parent, w))
-            v = parent
-        return path
-
-
-class GroupSteinerGreedy:
-    """Online greedy for group connection on a tree.
-
-    Each arriving group buys the root path of its cheapest member, where
-    already-bought tree arcs cost nothing. Serves as the stand-in for an
-    online group Steiner tree algorithm behind the same interface.
-    """
-
-    def __init__(self, instance: GroupSteinerInstance):
-        self.instance = instance
-        self.bought: Set[Tuple[int, int]] = set()
-        self.total_weight = 0.0
-        self.connections: Dict[int, int] = {}
-
-    def residual_cost(self, v: int) -> float:
-        return plain_sum(w for child, parent, w in self.instance.root_path(v)
-                         if (child, parent) not in self.bought)
-
-    def on_group(self, group_id: int) -> int:
-        """Connect one group; returns the chosen member vertex."""
-        members = self.instance.groups.get(group_id, ())
-        if not members:
-            raise GraphError(f"group {group_id} is empty")
-        best = min(members, key=lambda v: (self.residual_cost(v), v))
-        for child, parent, w in self.instance.root_path(best):
-            if (child, parent) not in self.bought:
-                self.bought.add((child, parent))
-                self.total_weight += w
-        self.connections[group_id] = best
-        return best

@@ -126,8 +126,7 @@ class TestTightEdges:
         solver = self._state()
         solver.up.x[0][0] = 0.5
         solver.up.flow[(0, 0)][0] = 0.5
-        up_tight, _ = solver.tight_edges(0, 0)
-        assert up_tight == {0}
+        assert solver.up.tight(0, 0) == {0}
 
     def test_sink_side_tight(self):
         solver = self._state()
@@ -135,7 +134,7 @@ class TestTightEdges:
         solver.up.flow[(0, 0)][0] = 0.3
         solver.down.x[0][0] = 0.5
         solver.down.flow[(0, 0)][0] = 0.5
-        up_tight, down_tight = solver.tight_edges(0, 0)
+        up_tight, down_tight = solver.up.tight(0, 0), solver.down.tight(0, 0)
         assert up_tight == set() and down_tight == {0}
 
     def test_loose_everywhere(self):
@@ -144,7 +143,7 @@ class TestTightEdges:
         solver.up.flow[(0, 0)][0] = 0.3
         solver.down.flow[(0, 0)][0] = 0.2
         solver.down.x[0][0] = 0.5
-        up_tight, down_tight = solver.tight_edges(0, 0)
+        up_tight, down_tight = solver.up.tight(0, 0), solver.down.tight(0, 0)
         assert up_tight == set() and down_tight == set()
 
 

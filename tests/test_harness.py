@@ -10,7 +10,7 @@ import pytest
 from bulkflow import harness
 from bulkflow.errors import InstanceError
 from bulkflow.generate import (adversarial_order, generate, grid,
-                               random_digraph, star_of_paths,
+                               random_digraph, star_of_paths, with_penalties,
                                _greedy_dispatch_cost)
 from bulkflow.graph import Unreachable, shortest_path, solution_cost
 from bulkflow.harness import (OnlinePipeline, RunConfig, default_kappa,
@@ -72,12 +72,6 @@ class TestRunOnline:
         assert a.to_csv() == b.to_csv()
         assert a.assignment_trace_csv() == b.assignment_trace_csv()
 
-    def test_monotone_cumulative_spend(self):
-        data = grid(3, 3, k=4, seed=3)
-        report = run(data, h=1, dmax=0.3)
-        spends = [a.cumulative_spend for a in report.arrivals]
-        assert all(b >= a - 1e-9 for a, b in zip(spends, spends[1:]))
-
     def test_fallback_cost_added_verbatim(self, monkeypatch):
         # a declined plain pair gets the direct path at its own cost
         decide(monkeypatch, Assignment.FALLBACK)
@@ -136,6 +130,16 @@ class TestRunOnline:
         data = grid(2, 2, k=1, seed=0)
         with pytest.raises(InstanceError):
             run(data, mode="directed")
+
+    @pytest.mark.parametrize("mode, data", [
+        ("edge", with_penalties(grid(2, 3, k=4, seed=0), seed=0)),
+        ("directed", with_penalties(random_digraph(4, 9, 2, seed=7), seed=0)),
+        ("prize", grid(2, 2, k=1, seed=0))])
+    def test_prize_instance_and_prize_mode_go_together(self, mode, data):
+        # outside prize mode the LP has no discard root, so the penalties
+        # would be paid against an optimum that ignores them
+        with pytest.raises(InstanceError, match="prize"):
+            run(data, mode=mode, h=1, dmax=0.4)
 
     def test_default_kappa_formula(self):
         assert default_kappa(16) == pytest.approx(64 * 4 ** 3)
@@ -398,6 +402,21 @@ class TestCli:
         result = self._cli("run", "--instance", str(bad), "--mode", "edge",
                            "--seed", "0")
         assert result.returncode == 2
+
+    def test_prize_instance_outside_prize_mode_exit_code_2(self, tmp_path):
+        inst = tmp_path / "prize.json"
+        result = self._cli("generate", "--kind", "grid", "--params",
+                           "rows=2,cols=3,k=4,prize=1", "--seed", "0",
+                           "-o", str(inst))
+        assert result.returncode == 0, result.stderr
+        out_csv = tmp_path / "run.csv"
+        result = self._cli("run", "--instance", str(inst), "--mode", "edge",
+                           "--h", "1", "--dmax", "0.4", "--oracle",
+                           "-o", str(out_csv))
+        assert result.returncode == 2
+        assert "prize mode" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out_csv.exists()
 
     def test_run_report_file_matches_run_online(self, tmp_path):
         inst = tmp_path / "inst.json"

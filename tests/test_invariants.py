@@ -16,8 +16,7 @@ from bulkflow.harness import OnlinePipeline, RunConfig, run_online
 from bulkflow.instance import load_instance
 from bulkflow.oracle import (InfeasibleInstance, lp_lower_bound, offline_opt,
                              ss_offline_opt)
-from bulkflow.rounding import (Assignment, draw_thresholds, scale,
-                               scaled_min_cut)
+from bulkflow.rounding import Assignment, draw_thresholds, scaled_min_cut
 from helpers import random_two_metric
 
 
@@ -126,7 +125,7 @@ def test_default_configuration_invariants(mode):
             snapshot = state
             if record.outcome == Assignment.ASSIGNED:
                 for side in ("up", "down"):
-                    cut = scaled_min_cut(solver, pipeline.draw, pair.index,
+                    cut = scaled_min_cut(solver, pipeline.tau, pair.index,
                                          record.root, side)
                     assert cut >= 1 - 1e-6, f"cut {cut} below 1 on {side}"
                     cuts += 1
@@ -238,17 +237,18 @@ def test_expected_scaled_objective_blowup_recorded():
     n = pipeline.n_scale
     totals = []
     for seed in range(40):
-        draw = draw_thresholds(pipeline.root_ids, n, f"scale:{seed}")
-        image = scale(solver, draw)
+        tau = draw_thresholds(pipeline.root_ids, n, f"scale:{seed}")
+        # every variable divided by its root's threshold, capped at 1
         scaled = 0.0
-        for (rid, e), v in image.x_up.items():
-            scaled += solver.up.c[e] * v
-        for (rid, e), v in image.x_down.items():
-            scaled += solver.down.c[e] * v
-        for (rid, pi, e), v in image.f_up.items():
-            scaled += solver.up.l[e] * v
-        for (rid, pi, e), v in image.f_down.items():
-            scaled += solver.down.l[e] * v
+        for side in solver.sides:
+            for rid, x in side.x.items():
+                for e, v in enumerate(x):
+                    if side.alive[e]:
+                        scaled += side.c[e] * min(1.0, v / tau[rid])
+        for side in solver.sides:
+            for (rid, _), flow in side.flow.items():
+                for e, f in flow.items():
+                    scaled += side.l[e] * min(1.0, f / tau[rid])
         totals.append(scaled)
     blowup = (sum(totals) / len(totals)) / fractional
     constant = blowup / math.log2(n) ** 2

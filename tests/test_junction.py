@@ -9,7 +9,6 @@ from bulkflow.graph import (SolutionLedger, Unreachable, shortest_path,
 from bulkflow.junction import (build_junction_forest, map_to_gst,
                                pull_forest_ledger, root_links_on_path)
 from bulkflow.oracle import ss_offline_opt
-from bulkflow.single_sink import GroupSteinerGreedy
 from helpers import build_graph, random_two_metric
 
 
@@ -103,11 +102,11 @@ class TestGstMapping:
         g = cycle_graph(3)
         forest = build_junction_forest(g, k=1, h=2, sources=[0], sinks=[1])
         sub = map_to_gst(forest, "down", 0, terminals=[1])
-        greedy = GroupSteinerGreedy(sub.instance)
-        greedy.on_group(0)
-        h_total = solution_cost(forest.graph,
-                                sub.to_forest_ledger(greedy.connections))[2]
-        assert h_total == pytest.approx(greedy.total_weight)
+        assert sub.instance.groups[0]
+        for member in sub.instance.groups[0]:
+            h_total = solution_cost(forest.graph,
+                                    sub.to_forest_ledger({0: member}))[2]
+            assert h_total == pytest.approx(sub.solution_weight({0: member}))
 
     def test_map_back_never_costs_more(self):
         rng = random.Random(3)
@@ -119,7 +118,8 @@ class TestGstMapping:
                 continue
             member = rng.choice(sub.instance.groups[0])
             weight = sub.solution_weight({0: member})
-            base = sub.to_base_ledger({0: member})
+            base = pull_forest_ledger(forest,
+                                      sub.to_forest_ledger({0: member}))
             assert solution_cost(g, base)[2] <= weight + 1e-9
 
     def test_round_trip_single_path(self):
@@ -127,11 +127,12 @@ class TestGstMapping:
         g = build_graph(3, [(0, 1, 1, 0.5), (1, 2, 2, 0.25)])
         forest = build_junction_forest(g, k=1, h=2, sources=[0], sinks=[2])
         sub = map_to_gst(forest, "up", 2, terminals=[0])
-        greedy = GroupSteinerGreedy(sub.instance)
-        greedy.on_group(0)
-        base = sub.to_base_ledger(greedy.connections)
-        assert base.paths[0] == (0, 1)
-        assert solution_cost(g, base)[2] == pytest.approx(3.75)
+        assert sub.instance.groups[0]
+        for member in sub.instance.groups[0]:
+            base = pull_forest_ledger(forest,
+                                      sub.to_forest_ledger({0: member}))
+            assert base.paths[0] == (0, 1)
+            assert solution_cost(g, base)[2] == pytest.approx(3.75)
 
     def test_internal_junction_vertex(self):
         # map the subtree hanging below a level-1 tuple vertex

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bulkflow.fractional import PairSpec, RootSpec
-from bulkflow.rounding import (Assignment, ThresholdDraw, choose_root,
-                               draw_thresholds, scale, scaled_min_cut,
-                               threshold_interval)
+from bulkflow.rounding import (Assignment, choose_root, draw_thresholds,
+                               scaled_min_cut, threshold_interval)
 from helpers import build_graph
 from test_fractional import make_solver, single_path_instance
 
@@ -31,52 +30,18 @@ class TestThresholds:
     def test_draws_inside_interval(self, n, seed):
         draw = draw_thresholds([0, 1, 2], n, seed)
         lo, hi = threshold_interval(n)
-        assert all(lo <= t <= hi for t in draw.tau.values())
+        assert all(lo <= t <= hi for t in draw.values())
 
     def test_same_seed_identical(self):
         a = draw_thresholds([0, 1, 5], 16, "run:0")
         b = draw_thresholds([0, 1, 5], 16, "run:0")
-        assert a.tau == b.tau
+        assert a == b
 
     def test_per_root_streams_unaffected_by_extra_roots(self):
         base = draw_thresholds([0, 1, 2], 16, 7)
         extended = draw_thresholds([-1, 0, 1, 2], 16, 7)
         for rid in (0, 1, 2):
-            assert base.tau[rid] == extended.tau[rid]
-
-
-class TestScale:
-    def _solved(self):
-        up, down, roots, pair = single_path_instance(n_edges=3, l=0.2)
-        solver = make_solver(up, down, roots, dmax=0.3)
-        solver.on_arrival(pair)
-        return solver
-
-    def test_scaling_formulas(self):
-        solver = self._solved()
-        draw = ThresholdDraw(tau={0: 0.2}, seed=0, lo=0.1, hi=0.3)
-        scaled = solver.up.x[0][0] / 0.2
-        image = scale(solver, draw)
-        assert image.x_up[(0, 0)] == pytest.approx(min(1.0, scaled))
-        for (rid, pi, e), v in image.f_up.items():
-            assert v == pytest.approx(min(1.0, solver.up.flow[(rid, pi)][e] / 0.2))
-
-    def test_explicit_values(self):
-        solver = self._solved()
-        solver.up.x[0][0] = 0.05
-        draw = ThresholdDraw(tau={0: 0.2}, seed=0, lo=0.1, hi=0.3)
-        image = scale(solver, draw)
-        assert image.x_up[(0, 0)] == pytest.approx(0.25)
-        solver.up.x[0][0] = 0.5
-        assert scale(solver, draw).x_up[(0, 0)] == 1.0
-
-    def test_z_rounding_indicator(self):
-        solver = self._solved()
-        solver.z[(0, 0)] = 0.25
-        draw = ThresholdDraw(tau={0: 0.2}, seed=0, lo=0.1, hi=0.3)
-        assert scale(solver, draw).z_rounded[(0, 0)] == 1
-        draw2 = ThresholdDraw(tau={0: 0.3}, seed=0, lo=0.1, hi=0.3)
-        assert scale(solver, draw2).z_rounded[(0, 0)] == 0
+            assert base[rid] == extended[rid]
 
 
 class TestAssign:
@@ -92,22 +57,22 @@ class TestAssign:
         solver = self._two_root_state()
         solver.z[(0, 1)] = 0.25
         solver.z[(0, 2)] = 0.10
-        draw = ThresholdDraw(tau={1: 0.2, 2: 0.3}, seed=0, lo=0, hi=1)
-        assert choose_root(solver, draw, 0) == (Assignment.ASSIGNED, 1)
+        tau = {1: 0.2, 2: 0.3}
+        assert choose_root(solver, tau, 0) == (Assignment.ASSIGNED, 1)
 
     def test_all_below_threshold_falls_back(self):
         solver = self._two_root_state()
         solver.z[(0, 1)] = 0.01
         solver.z[(0, 2)] = 0.02
-        draw = ThresholdDraw(tau={1: 0.2, 2: 0.3}, seed=0, lo=0, hi=1)
-        assert choose_root(solver, draw, 0) == (Assignment.FALLBACK, None)
+        tau = {1: 0.2, 2: 0.3}
+        assert choose_root(solver, tau, 0) == (Assignment.FALLBACK, None)
 
     def test_tie_breaks_to_smaller_root(self):
         solver = self._two_root_state()
         solver.z[(0, 1)] = 0.25
         solver.z[(0, 2)] = 0.25
-        draw = ThresholdDraw(tau={1: 0.2, 2: 0.2}, seed=0, lo=0, hi=1)
-        assert choose_root(solver, draw, 0) == (Assignment.ASSIGNED, 1)
+        tau = {1: 0.2, 2: 0.2}
+        assert choose_root(solver, tau, 0) == (Assignment.ASSIGNED, 1)
 
 
 class TestDomination:
