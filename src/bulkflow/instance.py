@@ -73,16 +73,42 @@ def as_int(value: object, what: str) -> int:
     return int(value)
 
 
+def as_float(value: object, what: str) -> float:
+    """``value`` as a float: ints and floats pass; bools and strings are
+    refused (finiteness is checked where the value is used)."""
+    # int and float are tested before the slower ABC check
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, numbers.Real)):
+        raise InstanceError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _objects(entries: object, what: str) -> list:
+    """``entries`` as a list of JSON objects."""
+    entries = list(entries)
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InstanceError(f"each {what} entry must be an object, "
+                                f"got {entry!r}")
+    return entries
+
+
 def _parse(data: dict, name: str) -> Instance:
+    if not isinstance(data, dict):
+        raise InstanceError(f"an instance must be a JSON object, got "
+                            f"{type(data).__name__}")
     mode = data.get("mode", "edge")
     if mode not in MODES:
         raise InstanceError(f"unknown mode {mode!r}")
     n = as_int(data["n"], "n")
     if n < 1:
         raise InstanceError("n must be positive")
-    directed = bool(data.get("directed", False))
-    edges = data.get("edges", [])
-    raw_pairs = data.get("pairs", [])
+    directed = data.get("directed", False)
+    if not isinstance(directed, bool):
+        raise InstanceError(
+            f"directed must be true or false, got {directed!r}")
+    edges = _objects(data.get("edges", []), "edges")
+    raw_pairs = _objects(data.get("pairs", []), "pairs")
 
     for ed in edges:
         as_int(ed.get("id", 0), "id")  # validated, though nothing reads it
@@ -105,13 +131,13 @@ def _parse(data: dict, name: str) -> Instance:
         node_c = [0.0] * n
         node_l = [0.0] * n
         seen = set()
-        for entry in costs:
+        for entry in _objects(costs, "node_costs"):
             v = as_int(entry["v"], "v")
             if not 0 <= v < n or v in seen:
                 raise InstanceError(f"bad node_costs entry {entry}")
             seen.add(v)
-            node_c[v] = float(entry["c"])
-            node_l[v] = float(entry["l"])
+            node_c[v] = as_float(entry["c"], "c")
+            node_l[v] = as_float(entry["l"], "l")
         edge_list = [(int(ed["tail"]), int(ed["head"])) for ed in edges]
         graph, mapping = split_node_weights(n, node_c, node_l, edge_list,
                                             directed=directed)
@@ -126,11 +152,11 @@ def _parse(data: dict, name: str) -> Instance:
     graph = TwoMetricGraph(n, directed=directed)
     for ed in edges:
         graph.add_edge(int(ed["tail"]), int(ed["head"]),
-                       float(ed["c"]), float(ed["l"]))
+                       as_float(ed["c"], "c"), as_float(ed["l"], "l"))
     graph.freeze()
     pairs = []
     for i, pr in enumerate(raw_pairs):
-        penalty = float(pr["q"]) if "q" in pr else None
+        penalty = as_float(pr["q"], "q") if "q" in pr else None
         pairs.append(TerminalPair(index=i, s=int(pr["s"]), t=int(pr["t"]),
                                   penalty=penalty))
     return Instance(graph=graph, pairs=pairs, mode=mode, directed=directed,

@@ -57,28 +57,21 @@ class JunctionForest:
                           for inherit in self.layered_edge]
 
 
-def _tuple_count(n: int, h: int) -> int:
-    total = 0
-    power = 1
-    for _ in range(h + 1):
-        total += power
-        power *= n
-    return total
-
-
 def build_junction_forest(base: TwoMetricGraph, k: int, h: int,
                           sources: Sequence[int], sinks: Sequence[int],
                           node_budget: int = DEFAULT_NODE_BUDGET) -> JunctionForest:
     """Materialize the tuple-tree forest over the layered expansions.
 
     Refuses instances whose tuple-vertex count would exceed ``node_budget``
-    (the count is reported in the error). Terminal hookup arcs are added for
-    the given source and sink vertices only.
+    (the count is reported in the error). Vertices: the up tuples (root by
+    root, level by level, lexicographic within a level), the down tuples
+    alike, the sorted sources, the sorted sinks. Arcs: tree arcs in vertex
+    order, root links, then hookups for the given sources and sinks.
     """
     if h < 1:
         raise GraphError("height must be >= 1")
     n = base.n
-    required = 2 * n * _tuple_count(n, h)
+    required = 2 * n * sum(n ** i for i in range(h + 1))
     if required > node_budget:
         raise BudgetExceeded(
             f"tuple-tree forest needs {required} vertices, over the budget "
@@ -86,94 +79,62 @@ def build_junction_forest(base: TwoMetricGraph, k: int, h: int,
     up_layer = build_layered(base, k, h, "up")
     down_layer = build_layered(base, k, h, "down")
 
-    # layered adjacency indexed by (tail base vertex @ level, head base vertex)
-    up_edge_at: Dict[Tuple[int, int, int], int] = {}
-    for e in range(up_layer.graph.m):
-        t, hd = up_layer.graph.tail[e], up_layer.graph.head[e]
-        up_edge_at[(up_layer.base_vertex(t), up_layer.level_of(t),
-                    up_layer.base_vertex(hd))] = e
-    down_edge_at: Dict[Tuple[int, int, int], int] = {}
-    for e in range(down_layer.graph.m):
-        t, hd = down_layer.graph.tail[e], down_layer.graph.head[e]
-        down_edge_at[(down_layer.base_vertex(t), down_layer.level_of(t),
-                      down_layer.base_vertex(hd))] = e
-
-    ids: Dict[Tuple[str, int, Tuple[int, ...]], int] = {}
-    tuple_of: Dict[int, Tuple[str, int, Tuple[int, ...]]] = {}
-    counter = itertools.count()
-
-    def vertex_id(side: str, root: int, tup: Tuple[int, ...]) -> int:
-        key = (side, root, tup)
-        if key not in ids:
-            ids[key] = next(counter)
-            tuple_of[ids[key]] = key
-        return ids[key]
-
-    # enumerate all tuple vertices for both sides
-    for side in ("up", "down"):
+    tuples: List[Tuple[str, int, Tuple[int, ...]]] = []  # vertex id -> tuple
+    roots: Dict[str, Dict[int, int]] = {"up": {}, "down": {}}
+    leaves: Dict[Tuple[str, int], List[int]] = {}  # (side, last vertex) -> ids
+    # (tail, head, c, l, inherited layered edge) per forest arc, in id order
+    arcs: List[Tuple[int, int, float, float, Optional[Tuple[str, int]]]] = []
+    for side, layer in (("up", up_layer), ("down", down_layer)):
+        lg = layer.graph
+        edge_at = {ends: e for e, ends in enumerate(zip(lg.tail, lg.head))}
+        # a tuple inherits the layered edge between its parent's last vertex
+        # and its own; up arcs run child -> parent, down arcs the reverse
+        up = side == "up"
         for r in range(n):
-            level_tuples: List[List[Tuple[int, ...]]] = [[()]]
+            roots[side][r] = len(tuples)
+            # (signature, layer vertex of its last base vertex, vertex id)
+            level = [((), r, len(tuples))]
+            tuples.append((side, r, ()))
             for i in range(1, h + 1):
-                level_tuples.append([tup + (v,) for tup in level_tuples[i - 1]
-                                     for v in range(n)])
-            for tups in level_tuples:
-                for tup in tups:
-                    vertex_id(side, r, tup)
-    src_ids = {v: next(counter) for v in sorted(set(sources))}
-    snk_ids = {v: next(counter) for v in sorted(set(sinks))}
-    total_vertices = next(counter)
+                below = []
+                for tup, p_lv, pid in level:
+                    for v in range(n):
+                        vid, c_lv, child = len(tuples), i * n + v, tup + (v,)
+                        tuples.append((side, r, child))
+                        below.append((child, c_lv, vid))
+                        le = edge_at.get((c_lv, p_lv) if up else (p_lv, c_lv))
+                        if le is not None:
+                            ends = (vid, pid) if up else (pid, vid)
+                            arcs.append(ends + (lg.c[le], lg.l[le],
+                                                (side, le)))
+                level = below
+            for tup, _lv, vid in level:
+                leaves.setdefault((side, tup[-1]), []).append(vid)
 
-    g = TwoMetricGraph(total_vertices, directed=True)
-    layered_edge: List[Optional[Tuple[str, int]]] = []
+    src_ids = {v: vid for vid, v in enumerate(sorted(set(sources)),
+                                              len(tuples))}
+    snk_ids = {v: vid for vid, v in enumerate(sorted(set(sinks)),
+                                              len(tuples) + len(src_ids))}
+    up_root, down_root = roots["up"], roots["down"]
+    root_link_arc = {r: len(arcs) + r for r in range(n)}
+    arcs += [(up_root[r], down_root[r], 0.0, 0.0, None) for r in range(n)]
+    arcs += [(sid, leaf, 0.0, 0.0, None) for v, sid in src_ids.items()
+             for leaf in leaves.get(("up", v), ())]
+    arcs += [(leaf, tid, 0.0, 0.0, None) for v, tid in snk_ids.items()
+             for leaf in leaves.get(("down", v), ())]
 
-    def add(tail: int, head: int, c: float, l: float,
-            inherit: Optional[Tuple[str, int]]) -> int:
-        a = g.add_arc(tail, head, c, l)
-        if a != len(layered_edge):
+    g = TwoMetricGraph(len(tuples) + len(src_ids) + len(snk_ids),
+                       directed=True)
+    for a, (tail, head, c, l, _inherit) in enumerate(arcs):
+        if g.add_arc(tail, head, c, l) != a:
             raise GraphError(f"forest arc {a} out of step with its provenance")
-        layered_edge.append(inherit)
-        return a
-
-    up_root = {r: vertex_id("up", r, ()) for r in range(n)}
-    down_root = {r: vertex_id("down", r, ()) for r in range(n)}
-
-    for (side, r, tup), vid in ids.items():
-        i = len(tup)
-        if i == 0 or i > h:
-            continue
-        parent = ids[(side, r, tup[:-1])]
-        last_parent = tup[-2] if i >= 2 else r
-        child_v = tup[-1]
-        if side == "up":
-            le = up_edge_at.get((child_v, i, last_parent))
-            if le is not None:
-                add(vid, parent, up_layer.graph.c[le], up_layer.graph.l[le],
-                    ("up", le))
-        else:
-            le = down_edge_at.get((last_parent, i - 1, child_v))
-            if le is not None:
-                add(parent, vid, down_layer.graph.c[le], down_layer.graph.l[le],
-                    ("down", le))
-
-    root_link_arc = {}
-    for r in range(n):
-        root_link_arc[r] = add(up_root[r], down_root[r], 0.0, 0.0, None)
-
-    for v, sid in src_ids.items():
-        for (side, r, tup), vid in ids.items():
-            if side == "up" and len(tup) == h and tup[-1] == v:
-                add(sid, vid, 0.0, 0.0, None)
-    for v, tid in snk_ids.items():
-        for (side, r, tup), vid in ids.items():
-            if side == "down" and len(tup) == h and tup[-1] == v:
-                add(vid, tid, 0.0, 0.0, None)
-
-    forest = JunctionForest(base=base, up_layer=up_layer, down_layer=down_layer,
-                            h=h, graph=g.freeze(), layered_edge=layered_edge,
-                            up_root=up_root, down_root=down_root,
-                            source_vertex=src_ids, sink_vertex=snk_ids,
-                            tuple_of=tuple_of, root_link_arc=root_link_arc)
-    return forest
+    return JunctionForest(base=base, up_layer=up_layer, down_layer=down_layer,
+                          h=h, graph=g.freeze(),
+                          layered_edge=[arc[4] for arc in arcs],
+                          up_root=up_root, down_root=down_root,
+                          source_vertex=src_ids, sink_vertex=snk_ids,
+                          tuple_of=dict(enumerate(tuples)),
+                          root_link_arc=root_link_arc)
 
 
 def pull_forest_ledger(forest: JunctionForest,
@@ -182,7 +143,9 @@ def pull_forest_ledger(forest: JunctionForest,
 
     Each forest arc stands for its inherited layered edge's base path;
     structural zero-cost arcs vanish. Shared base arcs collapse into one
-    purchase.
+    purchase. This is ``layering.pull_back`` under its own name so that the
+    benchmark's tracer can time the forest pull-back apart from the
+    layered one.
     """
     return pull_back(forest, ledger)
 
@@ -244,18 +207,15 @@ class GstSubInstance:
         """Forest-graph ledger of a group Steiner solution (equal objective)."""
         ledger = SolutionLedger()
         for gid, member in connections.items():
-            terminal_index, leaf, hookup = self.dangling[member]
-            tree_path: List[int] = []
-            for child, parent, _w in self.instance.root_path(member):
-                if child in self.dangling:
-                    continue  # the dangling arc itself is the hookup
-                tree_path.append(self.tree_arc_id[(child, parent)])
-            if self.side == "up":
-                path = (hookup,) + tuple(tree_path)
-            else:
-                # down side: forest arcs run junction -> leaf -> terminal
-                path = tuple(reversed(tree_path)) + (hookup,)
-            ledger.add_path(self.forest.graph, gid, path)
+            hookup = self.dangling[member][2]
+            # hookup, then the tree arcs from the leaf to the junction: forest
+            # order on the up side, reversed on the down side
+            path = [hookup] + [self.tree_arc_id[(child, parent)]
+                               for child, parent, _w
+                               in self.instance.root_path(member)[1:]]
+            if self.side == "down":
+                path.reverse()
+            ledger.add_path(self.forest.graph, gid, tuple(path))
         return ledger
 
 
@@ -273,57 +233,56 @@ def map_to_gst(forest: JunctionForest, side: str, root: int,
     if side not in ("up", "down"):
         raise GraphError(f"unknown side {side!r}")
     g = forest.graph
-    junction = junction if junction is not None else (
-        forest.up_root[root] if side == "up" else forest.down_root[root])
-    j_side, j_root, j_tup = forest.tuple_of[junction]
-    if j_side != side or j_root != root:
+    # child arcs enter a tuple on the up side and leave it on the down side;
+    # hookups run terminal -> leaf up and leaf -> terminal down
+    if side == "up":
+        roots, terminal_vertex = forest.up_root, forest.source_vertex
+        child_arcs, child_end = g.in_arcs, g.tail
+        hook_arcs, leaf_end = g.out_arcs, g.head
+    else:
+        roots, terminal_vertex = forest.down_root, forest.sink_vertex
+        child_arcs, child_end = g.out_arcs, g.head
+        hook_arcs, leaf_end = g.in_arcs, g.tail
+    if root not in roots:
+        raise GraphError(f"root {root} is not a base vertex")
+    junction = roots[root] if junction is None else junction
+    if junction not in forest.tuple_of:
+        raise GraphError(f"junction {junction} is not a tuple vertex")
+    if forest.tuple_of[junction][:2] != (side, root):
         raise GraphError("junction vertex does not belong to the requested tree")
 
     parent_arc: Dict[int, Tuple[int, float]] = {}
     tree_arc_id: Dict[Tuple[int, int], int] = {}
     path_length: Dict[int, float] = {junction: 0.0}
-    leaves: Dict[int, List[int]] = {}
+    leaves: Set[int] = set()
 
-    # walk the subtree: tuple vertices extending the junction's signature
+    # walk the subtree; below a non-leaf tuple every child arc is a tree arc
     stack = [junction]
     while stack:
         v = stack.pop()
-        _s, _r, tup = forest.tuple_of[v]
-        if len(tup) == forest.h:
-            leaves[v] = []
+        if len(forest.tuple_of[v][2]) == forest.h:
+            leaves.add(v)
             continue
-        arcs = g.in_arcs[v] if side == "up" else g.out_arcs[v]
-        for a in arcs:
-            other = g.tail[a] if side == "up" else g.head[a]
-            if other not in forest.tuple_of:
-                continue
-            o_side, o_root, o_tup = forest.tuple_of[other]
-            if o_side != side or o_root != root or o_tup[:-1] != tup:
-                continue
-            parent_arc[other] = (v, g.c[a])
-            tree_arc_id[(other, v)] = a
-            path_length[other] = path_length[v] + g.l[a]
-            stack.append(other)
+        for a in child_arcs[v]:
+            child = child_end[a]
+            parent_arc[child] = (v, g.c[a])
+            tree_arc_id[(child, v)] = a
+            path_length[child] = path_length[v] + g.l[a]
+            stack.append(child)
 
     next_id = itertools.count(g.n)
     dangling: Dict[int, Tuple[int, int, int]] = {}
-    groups: Dict[int, List[int]] = {t: [] for t in range(len(terminals))}
+    groups: Dict[int, List[int]] = {}
     for ti, term in enumerate(terminals):
-        if side == "up":
-            tvert = forest.source_vertex.get(term)
-            hook_arcs = g.out_arcs[tvert] if tvert is not None else []
-            leaf_of = lambda a: g.head[a]
-        else:
-            tvert = forest.sink_vertex.get(term)
-            hook_arcs = g.in_arcs[tvert] if tvert is not None else []
-            leaf_of = lambda a: g.tail[a]
-        for a in hook_arcs:
-            leaf = leaf_of(a)
+        members = groups[ti] = []
+        tvert = terminal_vertex.get(term)
+        for a in hook_arcs[tvert] if tvert is not None else ():
+            leaf = leaf_end[a]
             if leaf in leaves:
                 d = next(next_id)
                 dangling[d] = (ti, leaf, a)
                 parent_arc[d] = (leaf, path_length[leaf])
-                groups[ti].append(d)
+                members.append(d)
 
     infeasible = tuple(t for t, members in groups.items() if not members)
     instance = GroupSteinerInstance(
@@ -340,29 +299,19 @@ def root_links_on_path(forest: JunctionForest, path: Sequence[int]) -> int:
     return sum(1 for a in path if forest.is_root_link(a))
 
 
-def forest_vertex_label(forest: JunctionForest, vertex: int) -> str:
-    if vertex in forest.tuple_of:
-        side, root, tup = forest.tuple_of[vertex]
-        suffix = ".".join(str(v) for v in tup)
-        return f"{side}:{root}|{suffix}" if suffix else f"{side}:{root}|"
-    for v, vid in forest.source_vertex.items():
-        if vid == vertex:
-            return f"src:{v}"
-    for v, vid in forest.sink_vertex.items():
-        if vid == vertex:
-            return f"snk:{v}"
-    return str(vertex)
-
-
 def dump_forest_edges(forest: JunctionForest) -> List[Dict]:
     """Debug dump of the forest in the standard edge JSON schema."""
+    label = {vid: f"{side}:{root}|" + ".".join(str(v) for v in tup)
+             for vid, (side, root, tup) in forest.tuple_of.items()}
+    label.update((vid, f"src:{v}") for v, vid in forest.source_vertex.items())
+    label.update((vid, f"snk:{v}") for v, vid in forest.sink_vertex.items())
     rows = []
     g = forest.graph
     for a in range(g.m):
         rows.append({
             "id": a,
-            "tail": forest_vertex_label(forest, g.tail[a]),
-            "head": forest_vertex_label(forest, g.head[a]),
+            "tail": label[g.tail[a]],
+            "head": label[g.head[a]],
             "c": g.c[a],
             "l": g.l[a],
         })

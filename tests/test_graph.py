@@ -54,13 +54,29 @@ class TestNonFiniteInput:
         lambda d: d["edges"][0].update(head=1.7),
         lambda d: d["edges"][0].update(tail=True),
         lambda d: d["edges"][0].update(id=1.5),
+        lambda d: d.update(directed="false"),
+        lambda d: d.update(directed=[0]),
+        lambda d: [1, 2],
+        lambda d: d.update(edges=[[0, 1]]),
+        lambda d: d.update(pairs=[[0, 3]]),
+        lambda d: d.update(mode="node", node_costs=[[0, 1.0, 0.5]]),
+        lambda d: d["edges"][0].update(c=True),
+        lambda d: d["edges"][0].update(l="0.5"),
+        lambda d: d.update(mode="prize", pairs=[{**d["pairs"][0], "q": "3"}]),
+        lambda d: d.update(mode="node",
+                           node_costs=[{"v": 0, "c": True, "l": 0.5}]),
+        lambda d: d.update(mode="node",
+                           node_costs=[{"v": 0, "c": 1.0, "l": "0.5"}]),
     ], ids=["edge-c", "n", "n-inf", "d-fraction", "n-fraction",
-            "head-fraction", "tail-bool", "id-fraction"])
+            "head-fraction", "tail-bool", "id-fraction", "directed-string",
+            "directed-list", "top-level-list", "edge-entry-list",
+            "pair-entry-list", "node-cost-entry-list", "c-bool", "l-string",
+            "q-string", "node-c-bool", "node-l-string"])
     def test_load_instance_refuses_non_numeric_fields(self, edit):
         data = grid(2, 2, k=2, seed=1)
-        edit(data)
+        replaced = edit(data)  # None when the edit works in place
         with pytest.raises(InstanceError):
-            load_instance(data)
+            load_instance(data if replaced is None else replaced)
 
     def test_node_mode_refuses_fractional_edge_id(self):
         data = grid(2, 2, k=2, seed=1)

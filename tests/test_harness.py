@@ -506,17 +506,34 @@ class TestCli:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("field", ["c", "n", "d", "n-fraction", "head",
-                                       "tail"])
+                                       "tail", "directed", "top-level",
+                                       "edge-entry", "pair-entry",
+                                       "node-cost-entry", "c-bool", "l",
+                                       "q", "node-c"])
     def test_non_numeric_instance_exit_code_2(self, tmp_path, field):
         data = grid(2, 2, k=2, seed=1)
-        {"c": lambda: data["edges"][0].update(c="abc"),
-         "n": lambda: data.update(n="x"),
-         "d": lambda: data["pairs"][0].update(d=1.5),
-         "n-fraction": lambda: data.update(n=3.9),
-         "head": lambda: data["edges"][0].update(head=1.7),
-         "tail": lambda: data["edges"][0].update(tail=True)}[field]()
+        replaced = {  # None when the edit works in place
+            "c": lambda: data["edges"][0].update(c="abc"),
+            "n": lambda: data.update(n="x"),
+            "d": lambda: data["pairs"][0].update(d=1.5),
+            "n-fraction": lambda: data.update(n=3.9),
+            "head": lambda: data["edges"][0].update(head=1.7),
+            "tail": lambda: data["edges"][0].update(tail=True),
+            "directed": lambda: data.update(directed="false"),
+            "top-level": lambda: [1, 2],
+            "edge-entry": lambda: data.update(edges=[[0, 1]]),
+            "pair-entry": lambda: data.update(pairs=[[0, 3]]),
+            "node-cost-entry": lambda: data.update(
+                mode="node", node_costs=[[0, 1.0, 0.5]]),
+            "c-bool": lambda: data["edges"][0].update(c=True),
+            "l": lambda: data["edges"][0].update(l="0.5"),
+            "q": lambda: data.update(
+                mode="prize", pairs=[{**data["pairs"][0], "q": "3"}]),
+            "node-c": lambda: data.update(
+                mode="node", node_costs=[{"v": 0, "c": True, "l": 0.5}]),
+        }[field]()
         inst = tmp_path / "text.json"
-        inst.write_text(json.dumps(data))
+        inst.write_text(json.dumps(data if replaced is None else replaced))
         result = self._cli("run", "--instance", str(inst), "--mode", "edge")
         assert result.returncode == 2
         assert "Traceback" not in result.stderr

@@ -1,15 +1,20 @@
 import itertools
 import random
+from operator import attrgetter
 
 import pytest
 
 from bulkflow.errors import BudgetExceeded
-from bulkflow.graph import (SolutionLedger, Unreachable, shortest_path,
-                            solution_cost)
-from bulkflow.junction import (build_junction_forest, map_to_gst,
-                               pull_forest_ledger, root_links_on_path)
+from bulkflow.generate import random_digraph
+from bulkflow.graph import (GraphError, SolutionLedger, Unreachable,
+                            shortest_path, solution_cost)
+from bulkflow.instance import load_instance
+from bulkflow.junction import (build_junction_forest, dump_forest_edges,
+                               map_to_gst, pull_forest_ledger,
+                               root_links_on_path)
 from bulkflow.oracle import ss_offline_opt
-from helpers import build_graph, random_two_metric
+from helpers import (build_graph, random_two_metric,
+                     reference_build_junction_forest, reference_map_to_gst)
 
 
 def cycle_graph(n=3, c=1.0, l=0.2):
@@ -203,3 +208,81 @@ class TestPullForestLedger:
         le = forest.layered_edge[twin[0]][1]
         assert pulled.buy_cost == pytest.approx(
             sum(g.c[e] for e in set(forest.up_layer.back_path[le])))
+
+
+FOREST_FIELDS = ("graph.n", "graph.tail", "graph.head", "graph.c", "graph.l",
+                 "layered_edge", "tuple_of", "up_root", "down_root",
+                 "source_vertex", "sink_vertex", "root_link_arc", "back_path")
+GST_FIELDS = ("junction", "instance.groups", "instance.parent_arc", "dangling",
+              "tree_arc_id", "infeasible_terminals")
+
+
+def differing(ours, theirs, fields):
+    """The dotted fields on which two objects differ (a short list keeps a
+    failure report fast; pytest's diff of large dicts is not)."""
+    return [name for name in fields
+            if attrgetter(name)(ours) != attrgetter(name)(theirs)]
+
+
+def seeded_forest_cases():
+    """Digraphs with n 2-5 and h 1-3, strongly and not strongly connected,
+    each with a repeated source and a repeated sink."""
+    for seed, (n, h, strong) in enumerate(itertools.product(
+            range(2, 6), range(1, 4), (True, False))):
+        data = random_digraph(n, 2 * n, 3, seed, strongly_connected=strong)
+        rng = random.Random(seed)
+        s, t = rng.randrange(n), rng.randrange(n)
+        yield (load_instance(data).graph, h, [s, rng.randrange(n), s],
+               [t, t, rng.randrange(n)])
+
+
+class TestReferenceEquivalence:
+    """The one-path-per-side builder and ``map_to_gst`` number and map
+    everything exactly as the side-by-side code before them did."""
+
+    def test_forests_and_group_steiner_views_match(self):
+        for g, h, sources, sinks in seeded_forest_cases():
+            forest = build_junction_forest(g, 2, h, sources, sinks)
+            ref = reference_build_junction_forest(g, 2, h, sources, sinks)
+            assert differing(forest, ref, FOREST_FIELDS) == []
+            level1 = [v for v, (_s, _r, tup) in forest.tuple_of.items()
+                      if len(tup) == 1]
+            for side, terminals in (("up", sources), ("down", sinks)):
+                terminals = terminals + [g.n - 1]
+                junctions = [(r, None) for r in range(g.n)] + [
+                    (forest.tuple_of[v][1], v) for v in level1
+                    if forest.tuple_of[v][0] == side]
+                for root, junction in junctions:
+                    sub = map_to_gst(forest, side, root, terminals, junction)
+                    want = reference_map_to_gst(ref, side, root, terminals,
+                                                junction)
+                    assert differing(sub, want, GST_FIELDS) == [], \
+                        (side, root, junction)
+
+
+class TestMapToGstRefusals:
+    def test_bad_junction_and_root_raise_graph_error(self):
+        g = cycle_graph(3)
+        forest = build_junction_forest(g, k=1, h=2, sources=[0], sinks=[2])
+        with pytest.raises(GraphError, match="not a tuple vertex"):
+            map_to_gst(forest, "up", 0, terminals=[0],
+                       junction=forest.source_vertex[0])
+        with pytest.raises(GraphError, match="not a tuple vertex"):
+            map_to_gst(forest, "down", 0, terminals=[2],
+                       junction=forest.graph.n)
+        for root in (3, -1):
+            with pytest.raises(GraphError, match="not a base vertex"):
+                map_to_gst(forest, "down", root, terminals=[2])
+
+
+def test_dump_labels_name_tuples_and_terminals():
+    g = cycle_graph(3)
+    forest = build_junction_forest(g, k=1, h=1, sources=[0], sinks=[2, 1])
+    rows = dump_forest_edges(forest)
+    assert [row["id"] for row in rows] == list(range(forest.graph.m))
+    labels = {row["tail"] for row in rows} | {row["head"] for row in rows}
+    assert {"src:0", "snk:1", "snk:2", "up:0|", "down:2|"} <= labels
+    link = rows[forest.root_link_arc[1]]
+    assert (link["tail"], link["head"]) == ("up:1|", "down:1|")
+    hookups = [row for row in rows if row["tail"] == "src:0"]
+    assert [row["head"] for row in hookups] == ["up:0|0", "up:1|0", "up:2|0"]
