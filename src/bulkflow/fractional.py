@@ -132,11 +132,12 @@ class SideGraph:
             return pair.up_source, root.up_vertex
         return root.down_vertex, pair.down_sink
 
-    def reach(self, pair: PairSpec) -> Set[int]:
+    def reach(self, pair: PairSpec,
+              allowed: Optional[Callable[[int], bool]]) -> Set[int]:
         """Vertices the pair's terminal reaches upstairs, or that reach it
-        downstairs, over the arcs the pair may use."""
+        downstairs, over the ``allowed`` arcs."""
         search = reachable_from if self.upward else reaches
-        return search(self.graph, self.terminal(pair), self.allowed(pair.index))
+        return search(self.graph, self.terminal(pair), allowed)
 
     def allowed(self, pair_index: int) -> Optional[Callable[[int], bool]]:
         """Arc filter for one pair's searches; ``None`` without owners."""
@@ -180,18 +181,11 @@ class _Side:
 
         return usable
 
-    def pair_reach(self, pair: PairSpec) -> Set[int]:
-        """Vertices the pair's source reaches upstairs, or that reach its
-        sink downstairs, over the arcs it may use; shared by all roots."""
-        search = reachable_from if self.side_graph.upward else reaches
-        return search(self.graph, self.side_graph.terminal(pair),
-                      self.usable(pair.index))
-
     def funnel(self, pair: PairSpec, root: RootSpec,
                near: Set[int]) -> Optional[List[int]]:
         """The arcs, in id order, the pair may route over through ``root``:
         usable, tail reached from the source, head reaching the sink; ``None``
-        if the sink is unreachable. ``near`` is ``pair_reach(pair)``."""
+        if the sink is unreachable. ``near`` is ``reach`` over usable arcs."""
         vertex = self.side_graph.root_vertex(root)
         if vertex not in near:
             return None
@@ -343,7 +337,8 @@ class CompositeSolver:
             raise ValueError(f"pair {pair.index} already processed")
         self.pairs[pair.index] = pair
         eligible = self.eligible[pair.index] = []
-        nears = [side.pair_reach(pair) for side in self.sides]
+        nears = [side.side_graph.reach(pair, side.usable(pair.index))
+                 for side in self.sides]
         for spec in self.roots:
             funnels = [side.funnel(pair, spec, near)
                        for side, near in zip(self.sides, nears)]

@@ -236,17 +236,21 @@ def solution_cost(graph: TwoMetricGraph,
 
 def shortest_paths(graph: TwoMetricGraph, weight: Callable[[int], float],
                    start: int, goal: Optional[int] = None,
-                   allowed: Optional[Callable[[int], bool]] = None) -> Dict[int, Tuple[Tuple[int, ...], float]]:
+                   allowed: Optional[Callable[[int], bool]] = None,
+                   backward: bool = False) -> Dict[int, Tuple[Tuple[int, ...], float]]:
     """Minimum-weight paths from ``start``: ``{vertex: (arc-id path, weight)}``.
 
     Covers every vertex reachable along ``allowed`` arcs (``start`` itself
     with the empty path at weight 0), or stops once ``goal`` is settled.
     Ties go to the smallest lexicographic arc-id sequence (among simple
     paths), so each entry equals the point-to-point answer. Weights must be
-    nonnegative.
+    nonnegative. ``backward`` walks against the arcs and finds paths into
+    ``start``, listed from its end as the search on ``reversed_view()`` does.
     """
     if not (0 <= start < graph.n and (goal is None or 0 <= goal < graph.n)):
         raise GraphError("endpoints outside graph")
+    arcs_at, far_end = ((graph.in_arcs, graph.tail) if backward
+                        else (graph.out_arcs, graph.head))
     # heap entries carry the full arc-id tuple so equal-weight paths settle
     # in lexicographic order; graphs here are small enough for this to be cheap
     heap: List[Tuple[float, Tuple[int, ...], int]] = [(0.0, (), start)]
@@ -258,13 +262,13 @@ def shortest_paths(graph: TwoMetricGraph, weight: Callable[[int], float],
         settled[v] = (path, dist)
         if v == goal:
             break
-        for e in graph.out_arcs[v]:
+        for e in arcs_at[v]:
             if allowed is not None and not allowed(e):
                 continue
             w = weight(e)
             if w < 0:
                 raise GraphError(f"negative weight on {graph.describe_arc(e)}")
-            u = graph.head[e]
+            u = far_end[e]
             if u not in settled:
                 heapq.heappush(heap, (dist + w, path + (e,), u))
     return settled
@@ -280,35 +284,30 @@ def shortest_path(graph: TwoMetricGraph, weight: Callable[[int], float],
     return found
 
 
-def reachable_from(graph: TwoMetricGraph, start: int,
-                   allowed: Optional[Callable[[int], bool]] = None) -> Set[int]:
-    """Vertices reachable from ``start`` along allowed arcs (including start)."""
+def _traverse(arcs_at: List[List[int]], far_end: List[int], start: int,
+              allowed: Optional[Callable[[int], bool]]) -> Set[int]:
+    """``start`` and every vertex met from it over allowed arcs."""
     seen = {start}
     stack = [start]
     while stack:
         v = stack.pop()
-        for e in graph.out_arcs[v]:
+        for e in arcs_at[v]:
             if allowed is not None and not allowed(e):
                 continue
-            u = graph.head[e]
+            u = far_end[e]
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
     return seen
+
+
+def reachable_from(graph: TwoMetricGraph, start: int,
+                   allowed: Optional[Callable[[int], bool]] = None) -> Set[int]:
+    """Vertices reachable from ``start`` along allowed arcs (including start)."""
+    return _traverse(graph.out_arcs, graph.head, start, allowed)
 
 
 def reaches(graph: TwoMetricGraph, goal: int,
             allowed: Optional[Callable[[int], bool]] = None) -> Set[int]:
     """Vertices that can reach ``goal`` along allowed arcs (including goal)."""
-    seen = {goal}
-    stack = [goal]
-    while stack:
-        v = stack.pop()
-        for e in graph.in_arcs[v]:
-            if allowed is not None and not allowed(e):
-                continue
-            u = graph.tail[e]
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+    return _traverse(graph.in_arcs, graph.tail, goal, allowed)

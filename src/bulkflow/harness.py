@@ -318,10 +318,11 @@ class OnlinePipeline:
         """Whether some root is reachable on both sides under the owner rule
         alone. Unlike the solver's funnels this ignores pruning, because it
         asks whether a larger guess would help."""
-        reach = [(side.side_graph, side.side_graph.reach(spec))
-                 for side in self.sides]
-        return any(all(side_graph.root_vertex(r) in seen
-                       for side_graph, seen in reach) for r in self.roots)
+        side_graphs = [side.side_graph for side in self.sides]
+        reach = [g.reach(spec, g.allowed(spec.index)) for g in side_graphs]
+        return any(all(g.root_vertex(r) in seen
+                       for g, seen in zip(side_graphs, reach))
+                   for r in self.roots)
 
     def _absorb(self, spec: PairSpec) -> ArrivalOutcome:
         """Run the LP for one arrival, epoch-doubling as needed."""

@@ -11,6 +11,7 @@ makes lengths collapse into one dangling arc per terminal attachment.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -19,6 +20,10 @@ from .graph import GraphError, SolutionLedger, TwoMetricGraph
 from .layering import LayeredGraph, build_layered, pull_back
 
 DEFAULT_NODE_BUDGET = 10 ** 6
+# tuple counts are exact up to this many digits, just under Python's default
+# limit for printing an int; a larger count is refused with 10**this as its
+# lower bound
+COUNT_DIGITS = 4299
 
 
 @dataclass
@@ -71,7 +76,13 @@ def build_junction_forest(base: TwoMetricGraph, k: int, h: int,
     if h < 1:
         raise GraphError("height must be >= 1")
     n = base.n
-    required = 2 * n * sum(n ** i for i in range(h + 1))
+    # 2n * (1 + n + ... + n**h) tuple vertices, in closed form so that any
+    # height is refused at once
+    if n > 1 and (h + 1) * math.log10(n) > COUNT_DIGITS:
+        raise BudgetExceeded(
+            f"tuple-tree forest needs more than 10**{COUNT_DIGITS} vertices, "
+            f"over the budget {node_budget}", required=10 ** COUNT_DIGITS)
+    required = 2 * n * (h + 1 if n == 1 else (n ** (h + 1) - 1) // (n - 1))
     if required > node_budget:
         raise BudgetExceeded(
             f"tuple-tree forest needs {required} vertices, over the budget "

@@ -6,6 +6,8 @@ packs the best ``u -> v`` route under the blended metric
 ``c_e + k**(1 - i/h) * l_e`` and remembers that route so solutions can be
 mapped back. The trade is an ``O(h * k**(1/h))`` cost factor for bounded hop
 count, which keeps the online LP's per-level accounting logarithmic.
+The down expansion's ``(v,i-1) -> (u,i)`` packs the best ``v -> u`` route;
+the same searches, run against the base arcs, find it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class LayeredGraph:
     ``graph`` holds the layer vertices and layer edges as an ordinary
     two-metric graph; layer vertex ids are ``level * base_n + v``. For the
     "up" direction edges run from level ``i`` to ``i-1`` (terminals enter at
-    level ``h``, roots sit at level 0); "down" is the mirror image.
+    level ``h``, roots sit at level 0); "down" edges run from ``i-1`` to ``i``.
     ``back_path[e]`` is the base-graph arc sequence a layer edge stands for,
     oriented tail-to-head in the base graph.
     """
@@ -77,7 +79,22 @@ def _blend_weight(c: float, l: float, factor: float) -> float:
     return w
 
 
-def _build_up(base: TwoMetricGraph, k: int, h: int) -> LayeredGraph:
+def build_layered(base: TwoMetricGraph, k: int, h: int,
+                  direction: str = "up") -> LayeredGraph:
+    """Build the ``(h+1)``-level expansion of ``base`` for ``k`` pairs.
+
+    One search per vertex ``u`` and level: from ``u`` up, into ``u`` (against
+    the arcs) down. The backward search walks ``in_arcs`` in id order, as a
+    search on ``base.reversed_view()`` walks ``out_arcs``, so down gets the
+    reversed graph's up arcs, flipped, in the same order and the same bits.
+    """
+    if h < 1:
+        raise GraphError("height must be >= 1")
+    if k < 1:
+        raise GraphError("pair count must be >= 1")
+    if direction not in ("up", "down"):
+        raise GraphError(f"unknown direction {direction!r}")
+    down = direction == "down"
     n = base.n
     layered = TwoMetricGraph((h + 1) * n, directed=True)
     back: List[Tuple[int, ...]] = []
@@ -85,45 +102,18 @@ def _build_up(base: TwoMetricGraph, k: int, h: int) -> LayeredGraph:
         factor = float(k) ** (1.0 - level / h)
         weight = lambda e, f=factor: _blend_weight(base.c[e], base.l[e], f)
         for u in range(n):
-            # one Dijkstra per (source, level); paths reused for every head v
-            found = shortest_paths(base, weight, u)
+            # one Dijkstra per (vertex, level); paths reused for every far end v
+            found = shortest_paths(base, weight, u, backward=down)
             for v, (path, cost) in sorted(found.items()):
                 length = plain_sum(base.l[e] for e in path)
-                le = layered.add_arc(level * n + u, (level - 1) * n + v,
-                                     min(cost, WEIGHT_CAP), length)
+                ends = (level * n + u, (level - 1) * n + v)
+                if down:  # path runs v -> u, listed from u's end
+                    ends, path = ends[::-1], path[::-1]
+                le = layered.add_arc(*ends, min(cost, WEIGHT_CAP), length)
                 if le != len(back):
                     raise GraphError(f"layer arc {le} out of step with back paths")
                 back.append(path)
-    return LayeredGraph("up", h, k, base, layered.freeze(), back)
-
-
-def build_layered(base: TwoMetricGraph, k: int, h: int,
-                  direction: str = "up") -> LayeredGraph:
-    """Build the ``(h+1)``-level expansion of ``base`` for ``k`` pairs.
-
-    The down graph is produced by reversing the base graph, building an up
-    graph, and flipping the result back, which keeps the two constructions
-    exactly symmetric.
-    """
-    if h < 1:
-        raise GraphError("height must be >= 1")
-    if k < 1:
-        raise GraphError("pair count must be >= 1")
-    if direction == "up":
-        return _build_up(base, k, h)
-    if direction != "down":
-        raise GraphError(f"unknown direction {direction!r}")
-    rev_up = _build_up(base.reversed_view(), k, h)
-    n = base.n
-    layered = TwoMetricGraph((h + 1) * n, directed=True)
-    back: List[Tuple[int, ...]] = []
-    for e in range(rev_up.graph.m):
-        tail, head = rev_up.graph.tail[e], rev_up.graph.head[e]
-        le = layered.add_arc(head, tail, rev_up.graph.c[e], rev_up.graph.l[e])
-        if le != len(back):
-            raise GraphError(f"layer arc {le} out of step with back paths")
-        back.append(tuple(reversed(rev_up.back_path[e])))
-    return LayeredGraph("down", h, k, base, layered.freeze(), back)
+    return LayeredGraph(direction, h, k, base, layered.freeze(), back)
 
 
 def pull_back(layered: LayeredGraph, ledger: SolutionLedger) -> SolutionLedger:

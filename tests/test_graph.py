@@ -278,6 +278,12 @@ def _brute_best_paths(g, start):
     return best
 
 
+def _assert_bit_equal(found, expected):
+    """Same vertices, same arc tuples and bit-equal weights."""
+    assert ({v: (p, w.hex()) for v, (p, w) in found.items()}
+            == {v: (p, w.hex()) for v, (p, w) in expected.items()})
+
+
 class TestShortestPaths:
     def test_matches_point_to_point_and_brute_force(self):
         rng = random.Random(11)
@@ -290,6 +296,9 @@ class TestShortestPaths:
                 # integer weights: sums are exact, ties are real ties
                 brute = _brute_best_paths(g, s)
                 assert {v: (w, p) for v, (p, w) in found.items()} == brute
+                # against the arcs: the search on the reversed copy, exactly
+                _assert_bit_equal(shortest_paths(g, weight, s, backward=True),
+                                  shortest_paths(g.reversed_view(), weight, s))
                 for v in range(g.n):
                     if v in found:
                         assert shortest_path(g, weight, s, v) == found[v]
@@ -303,3 +312,18 @@ class TestShortestPaths:
             0: ((), 0.0), 1: ((0,), 1.0)}
         found = shortest_paths(g, lambda e: g.c[e], 0, allowed=lambda e: e != 0)
         assert found == {0: ((), 0.0), 2: ((2,), 1.0), 3: ((2, 3), 2.0)}
+        # backward from 3: paths into 3, listed from 3's end
+        assert shortest_paths(g, lambda e: g.c[e], 3, goal=1,
+                              backward=True) == {3: ((), 0.0), 1: ((1,), 1.0)}
+        found = shortest_paths(g, lambda e: g.c[e], 3, backward=True,
+                               allowed=lambda e: e != 1)
+        assert found == {3: ((), 0.0), 2: ((3,), 1.0), 0: ((3, 2), 2.0)}
+        rev = g.reversed_view()
+        for goal in range(g.n):
+            for banned in range(-1, g.m):
+                _assert_bit_equal(
+                    shortest_paths(g, lambda e: g.c[e], 3, goal=goal,
+                                   allowed=lambda e: e != banned,
+                                   backward=True),
+                    shortest_paths(rev, lambda e: g.c[e], 3, goal=goal,
+                                   allowed=lambda e: e != banned))

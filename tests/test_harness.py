@@ -4,10 +4,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from bulkflow import harness
+from bulkflow import cli, harness
 from bulkflow.errors import InstanceError
 from bulkflow.generate import (adversarial_order, generate, grid,
                                random_digraph, star_of_paths, with_penalties,
@@ -558,6 +559,22 @@ class TestCli:
         dump_instance(random_digraph(9, 30, 2, seed=1), inst)
         result = self._cli("oracle", "--instance", str(inst))
         assert result.returncode == 3
+
+    @pytest.mark.parametrize("h", ["8000", "1000000"])
+    def test_large_directed_height_refused_at_once(self, tmp_path, capsys, h):
+        inst = tmp_path / "cycle.json"
+        dump_instance({"n": 4, "directed": True, "edges": [
+            {"id": v, "tail": v, "head": (v + 1) % 4, "c": 1.0, "l": 0.2}
+            for v in range(4)], "pairs": [{"s": 0, "t": 2}]}, inst)
+        start = time.perf_counter()
+        code = cli.main(["run", "--instance", str(inst), "--mode", "directed",
+                         "--h", h, "-o", str(tmp_path / "out.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget refusal: tuple-tree forest needs more "
+                              "than 10**4299 vertices")
+        assert "(required: 1" in err
 
     def test_experiment_subcommand(self, tmp_path):
         inst = tmp_path / "g.json"

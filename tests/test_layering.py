@@ -3,9 +3,10 @@ import random
 import pytest
 
 from bulkflow import layering
-from bulkflow.generate import grid
-from bulkflow.graph import (GraphError, SolutionLedger, Unreachable,
-                            shortest_path, solution_cost, split_node_weights)
+from bulkflow.generate import grid, random_digraph
+from bulkflow.graph import (GraphError, SolutionLedger, TwoMetricGraph,
+                            Unreachable, reachable_from, shortest_path,
+                            solution_cost, split_node_weights)
 from bulkflow.instance import load_instance
 from bulkflow.layering import (WEIGHT_CAP, build_layered, default_height,
                                dump_layered_edges, pull_back)
@@ -145,12 +146,35 @@ def _split_grid():
     return split_node_weights(n, node_c, node_l, edges)[0]
 
 
+def _tie_heavy_grid():
+    """Directed 3x4 grid, some steps both ways, with integer ``c`` and ``l``
+    of 0.5 or an integer: equal-weight paths abound."""
+    rng = random.Random(8)
+    g = TwoMetricGraph(12, directed=True)
+    for v in range(12):
+        for w in ([v + 1] if v % 4 < 3 else []) + ([v + 4] if v < 8 else []):
+            for tail, head in [(v, w), (w, v)][:rng.randint(1, 2)]:
+                g.add_arc(tail, head, rng.choice([0, 1, 2]),
+                          rng.choice([0.5, 0, 1]))
+    return g.freeze()
+
+
+BASES = {
+    "grid": lambda: load_instance(grid(2, 3, k=3, seed=4)).graph,
+    "split": _split_grid,
+    "digraph": lambda: load_instance(random_digraph(
+        6, 14, 3, 7, strongly_connected=False)).graph,
+    "ties": _tie_heavy_grid,
+}
+
+
 class TestSingleSourceLayering:
-    @pytest.mark.parametrize("base_name", ["grid", "split"])
+    @pytest.mark.parametrize("base_name", ["grid", "split", "digraph", "ties"])
     @pytest.mark.parametrize("direction", ["up", "down"])
     def test_equals_point_to_point_reference(self, base_name, direction):
-        base = (load_instance(grid(2, 3, k=3, seed=4)).graph
-                if base_name == "grid" else _split_grid())
+        base = BASES[base_name]()
+        if base_name == "digraph":  # not strongly connected: arcs go missing
+            assert len(reachable_from(base, base.n - 1)) < base.n
         for k, h in ((3, 1), (3, 3), (5, 2)):
             layered = build_layered(base, k=k, h=h, direction=direction)
             # exact equality: same arcs in the same order, bit-equal c and l
