@@ -12,7 +12,8 @@ from .harness import RunConfig, RunReport, run_experiment, run_online
 from .instance import Instance, dump_instance, load_instance
 from .junction import (JunctionForest, build_junction_forest, map_to_gst,
                        pull_forest_ledger)
-from .layering import LayeredGraph, build_layered, default_height, pull_back
+from .layering import (LayeredGraph, build_expansions, build_layered,
+                       default_height, pull_back)
 from .oracle import (InfeasibleInstance, OracleBudget, junction_opt,
                      lp_lower_bound, offline_opt, offline_opt_prize,
                      ss_offline_opt)

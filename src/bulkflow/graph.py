@@ -56,6 +56,16 @@ class TerminalPair:
                              "negative or not finite")
 
 
+def _check_arc(n: int, tail: int, head: int, c: float, l: float) -> None:
+    """Refuse an arc with an end outside ``0..n-1`` or a negative or
+    non-finite cost or length."""
+    if not (0 <= tail < n and 0 <= head < n):
+        raise GraphError(f"arc ({tail},{head}) out of range for n={n}")
+    if not (0 <= c < math.inf and 0 <= l < math.inf):
+        raise GraphError(f"arc ({tail},{head}) has a negative or non-finite "
+                         f"cost or length ({c}, {l})")
+
+
 class TwoMetricGraph:
     """Directed multigraph with buy cost ``c`` and length ``l`` per arc.
 
@@ -79,6 +89,37 @@ class TwoMetricGraph:
         self.in_arcs: List[List[int]] = [[] for _ in range(n)]
         self._frozen = False
 
+    @classmethod
+    def from_arcs(cls, n: int, tail: Sequence[int], head: Sequence[int],
+                  c: Sequence[float], l: Sequence[float]) -> "TwoMetricGraph":
+        """Frozen directed graph whose arc ``e`` is ``tail[e] -> head[e]``
+        with cost ``c[e]`` and length ``l[e]``.
+
+        The same graph as ``add_arc`` called in id order, built column by
+        column, and refusing what ``add_arc`` refuses."""
+        m = len(tail)
+        if not len(head) == len(c) == len(l) == m:
+            raise GraphError(f"arc columns differ in length: {m} tails, "
+                             f"{len(head)} heads, {len(c)} costs, "
+                             f"{len(l)} lengths")
+        g = cls(n, directed=True)
+        # whole-column checks in C; the first arc add_arc would refuse, if
+        # any, is found one by one. A NaN fails the sum test, and so does a
+        # sum that overflowed, which the per-arc pass then lets through.
+        if m and not (min(tail) >= 0 and max(tail) < n and min(head) >= 0
+                      and max(head) < n and sum(c) < math.inf
+                      and min(c) >= 0 and sum(l) < math.inf and min(l) >= 0):
+            for arc in zip(tail, head, c, l):
+                _check_arc(n, *arc)
+        g.tail, g.head = list(tail), list(head)
+        g.c, g.l = list(map(float, c)), list(map(float, l))
+        g.twin = [-1] * m
+        out_arcs, in_arcs = g.out_arcs, g.in_arcs
+        for e, (t, h) in enumerate(zip(tail, head)):
+            out_arcs[t].append(e)
+            in_arcs[h].append(e)
+        return g.freeze()
+
     @property
     def m(self) -> int:
         return len(self.tail)
@@ -86,11 +127,7 @@ class TwoMetricGraph:
     def add_arc(self, tail: int, head: int, c: float, l: float) -> int:
         if self._frozen:
             raise GraphError("graph is frozen")
-        if not (0 <= tail < self.n and 0 <= head < self.n):
-            raise GraphError(f"arc ({tail},{head}) out of range for n={self.n}")
-        if not (0 <= c < math.inf and 0 <= l < math.inf):
-            raise GraphError(f"arc ({tail},{head}) has a negative or non-finite "
-                             f"cost or length ({c}, {l})")
+        _check_arc(self.n, tail, head, c, l)
         e = len(self.tail)
         self.tail.append(tail)
         self.head.append(head)
@@ -122,11 +159,10 @@ class TwoMetricGraph:
 
     def reversed_view(self) -> "TwoMetricGraph":
         """New graph with every arc flipped; arc ids are preserved."""
-        rev = TwoMetricGraph(self.n, directed=True)
-        for e in range(self.m):
-            rev.add_arc(self.head[e], self.tail[e], self.c[e], self.l[e])
+        rev = TwoMetricGraph.from_arcs(self.n, self.head, self.tail, self.c,
+                                       self.l)
         rev.twin = list(self.twin)
-        return rev.freeze()
+        return rev
 
     def unfrozen_copy(self, extra_vertices: int = 0) -> "TwoMetricGraph":
         """Mutable copy, optionally with extra vertices appended."""

@@ -29,7 +29,8 @@ from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
                     solution_cost)
 from .instance import Instance, as_int, load_instance
 from .junction import JunctionForest, build_junction_forest, pull_forest_ledger
-from .layering import LayeredGraph, build_layered, default_height, pull_back
+from .layering import (LayeredGraph, build_expansions, default_height,
+                       pull_back)
 from .oracle import InfeasibleInstance, exact_opt, junction_opt
 from .prize import augment, settle
 from .rounding import Assignment, choose_root, draw_thresholds
@@ -236,8 +237,8 @@ class OnlinePipeline:
         else:
             self.h = (config.h if config.h is not None
                       else default_height(self.n_scale))
-            self.up_layer = build_layered(base, self.k, self.h, "up")
-            self.down_layer = build_layered(base, self.k, self.h, "down")
+            self.up_layer, self.down_layer = build_expansions(
+                base, self.k, self.h)
             expansions = (self.up_layer, self.down_layer)
             self.roots = [RootSpec(r, self.up_layer.vertex(r, 0),
                                    self.down_layer.vertex(r, 0))

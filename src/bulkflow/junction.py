@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded
 from .graph import GraphError, SolutionLedger, TwoMetricGraph
-from .layering import LayeredGraph, build_layered, pull_back
+from .layering import LayeredGraph, build_expansions, pull_back
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 # tuple counts are exact up to this many digits, just under Python's default
@@ -87,8 +87,7 @@ def build_junction_forest(base: TwoMetricGraph, k: int, h: int,
         raise BudgetExceeded(
             f"tuple-tree forest needs {required} vertices, over the budget "
             f"{node_budget}", required=required)
-    up_layer = build_layered(base, k, h, "up")
-    down_layer = build_layered(base, k, h, "down")
+    up_layer, down_layer = build_expansions(base, k, h)
 
     tuples: List[Tuple[str, int, Tuple[int, ...]]] = []  # vertex id -> tuple
     roots: Dict[str, Dict[int, int]] = {"up": {}, "down": {}}
@@ -134,14 +133,15 @@ def build_junction_forest(base: TwoMetricGraph, k: int, h: int,
     arcs += [(leaf, tid, 0.0, 0.0, None) for v, tid in snk_ids.items()
              for leaf in leaves.get(("down", v), ())]
 
-    g = TwoMetricGraph(len(tuples) + len(src_ids) + len(snk_ids),
-                       directed=True)
-    for a, (tail, head, c, l, _inherit) in enumerate(arcs):
-        if g.add_arc(tail, head, c, l) != a:
-            raise GraphError(f"forest arc {a} out of step with its provenance")
+    tail, head, c, l, layered_edge = ([arc[i] for arc in arcs]
+                                      for i in range(5))
+    g = TwoMetricGraph.from_arcs(len(tuples) + len(src_ids) + len(snk_ids),
+                                 tail, head, c, l)
+    if len(layered_edge) != g.m:
+        raise GraphError(f"{len(layered_edge)} inherited layered edges for "
+                         f"{g.m} forest arcs")
     return JunctionForest(base=base, up_layer=up_layer, down_layer=down_layer,
-                          h=h, graph=g.freeze(),
-                          layered_edge=[arc[4] for arc in arcs],
+                          h=h, graph=g, layered_edge=layered_edge,
                           up_root=up_root, down_root=down_root,
                           source_vertex=src_ids, sink_vertex=snk_ids,
                           tuple_of=dict(enumerate(tuples)),

@@ -7,7 +7,10 @@ packs the best ``u -> v`` route under the blended metric
 mapped back. The trade is an ``O(h * k**(1/h))`` cost factor for bounded hop
 count, which keeps the online LP's per-level accounting logarithmic.
 The down expansion's ``(v,i-1) -> (u,i)`` packs the best ``v -> u`` route;
-the same searches, run against the base arcs, find it.
+the same searches, run against the base arcs, find it. ``build_expansions``
+builds both; on an undirected base, where every arc has an anti-parallel
+twin with the same weights, the down expansion is the up one mirrored, with
+no search of its own, and bit-identical to the searched one.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .graph import (GraphError, SolutionLedger, TwoMetricGraph, plain_sum,
-                    shortest_paths)
+from .graph import GraphError, SolutionLedger, TwoMetricGraph, shortest_paths
 
 # blended layer weights are clamped here before they can overflow; never
 # reached at desk scale
@@ -87,6 +89,10 @@ def build_layered(base: TwoMetricGraph, k: int, h: int,
     the arcs) down. The backward search walks ``in_arcs`` in id order, as a
     search on ``base.reversed_view()`` walks ``out_arcs``, so down gets the
     reversed graph's up arcs, flipped, in the same order and the same bits.
+    Each level blends every arc's weight once, and each layer arc's length
+    is its route's lengths summed from the route's start, the order
+    ``plain_sum`` adds them in, taken from the search tree: a settled route
+    is its predecessor's settled route plus one arc.
     """
     if h < 1:
         raise GraphError("height must be >= 1")
@@ -95,25 +101,72 @@ def build_layered(base: TwoMetricGraph, k: int, h: int,
     if direction not in ("up", "down"):
         raise GraphError(f"unknown direction {direction!r}")
     down = direction == "down"
-    n = base.n
-    layered = TwoMetricGraph((h + 1) * n, directed=True)
+    n, base_l = base.n, base.l
+    # the end a route's last arc leaves from, seen from the search's start
+    near_end = base.head if down else base.tail
+    tails: List[int] = []
+    heads: List[int] = []
+    costs: List[float] = []
+    lengths: List[float] = []
     back: List[Tuple[int, ...]] = []
     for level in range(h, 0, -1):
         factor = float(k) ** (1.0 - level / h)
-        weight = lambda e, f=factor: _blend_weight(base.c[e], base.l[e], f)
+        weights = [_blend_weight(c, l, factor) for c, l in zip(base.c, base_l)]
         for u in range(n):
             # one Dijkstra per (vertex, level); paths reused for every far end v
-            found = shortest_paths(base, weight, u, backward=down)
+            found = shortest_paths(base, weights.__getitem__, u, backward=down)
+            length = {}
+            for v, (path, _) in found.items():  # settle order
+                length[v] = (length[near_end[path[-1]]] + base_l[path[-1]]
+                             if path else 0)
             for v, (path, cost) in sorted(found.items()):
-                length = plain_sum(base.l[e] for e in path)
                 ends = (level * n + u, (level - 1) * n + v)
                 if down:  # path runs v -> u, listed from u's end
                     ends, path = ends[::-1], path[::-1]
-                le = layered.add_arc(*ends, min(cost, WEIGHT_CAP), length)
-                if le != len(back):
-                    raise GraphError(f"layer arc {le} out of step with back paths")
+                tails.append(ends[0])
+                heads.append(ends[1])
+                costs.append(min(cost, WEIGHT_CAP))
+                lengths.append(length[v])
                 back.append(path)
-    return LayeredGraph(direction, h, k, base, layered.freeze(), back)
+    layered = TwoMetricGraph.from_arcs((h + 1) * n, tails, heads, costs,
+                                       lengths)
+    return LayeredGraph(direction, h, k, base, layered, back)
+
+
+def _twinned(base: TwoMetricGraph) -> bool:
+    """Whether every arc ``e`` of ``base`` has the twin ``e ^ 1``, running
+    the other way with the same cost and length, as ``add_edge`` makes an
+    undirected graph."""
+    tail, head, c, l, twin = base.tail, base.head, base.c, base.l, base.twin
+    return not base.directed and all(
+        twin[e] == e ^ 1 and tail[e] == head[e ^ 1] and head[e] == tail[e ^ 1]
+        and c[e] == c[e ^ 1] and l[e] == l[e ^ 1] for e in range(base.m))
+
+
+def build_expansions(base: TwoMetricGraph, k: int,
+                     h: int) -> Tuple[LayeredGraph, LayeredGraph]:
+    """The up and down expansions of ``base`` for ``k`` pairs at height ``h``.
+
+    The guard ``_twinned`` holds for the undirected graphs ``add_edge``
+    builds. There the down expansion is the up one mirrored: every layer
+    arc flipped with its ``c`` and ``l``, every back path reversed and
+    mapped to the twins. This is exact. Swapping every arc for its twin
+    ``e ^ 1`` turns the search into ``u`` against the arcs into the search
+    from ``u`` along them with the same weights, since each vertex's
+    ``in_arcs`` are the twins of its ``out_arcs``. The swap keeps the tie
+    order (the arc-id order of routes): two routes first differ at two arcs
+    into one vertex, and ``e < f`` gives ``e ^ 1 < f ^ 1`` unless ``f`` is
+    ``e``'s twin, which makes ``e`` a loop, and no search follows a loop.
+    So each search settles the swapped routes at the same weight bits, and
+    adds their lengths in the same order. Any other base, every directed
+    one among them, gets its own search against the arcs.
+    """
+    up = build_layered(base, k, h, "up")
+    if not _twinned(base):
+        return up, build_layered(base, k, h, "down")
+    twin = base.twin.__getitem__
+    back = [tuple(map(twin, reversed(path))) for path in up.back_path]
+    return up, LayeredGraph("down", h, k, base, up.graph.reversed_view(), back)
 
 
 def pull_back(layered: LayeredGraph, ledger: SolutionLedger) -> SolutionLedger:

@@ -14,10 +14,11 @@ from bulkflow.flows import (EPS_CAP, FEAS_TOL, FlowError, FlowNetwork,
                             _Residual)
 from bulkflow.fractional import _growth_factor
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
-                            TwoMetricGraph, Unreachable, shortest_path)
+                            TwoMetricGraph, Unreachable, plain_sum,
+                            shortest_path, shortest_paths)
 from bulkflow.junction import (DEFAULT_NODE_BUDGET, GroupSteinerInstance,
                                GstSubInstance, JunctionForest)
-from bulkflow.layering import build_layered
+from bulkflow.layering import WEIGHT_CAP, LayeredGraph, _blend_weight
 from bulkflow.oracle import (DEFAULT_BUDGET, VALUE_TOL, InfeasibleInstance,
                              OracleBudget, _multi_weight_dijkstra,
                              _purchase_keys)
@@ -273,6 +274,46 @@ def reference_step_capacities(side, rid: int, tight: Set[int], dt: float,
 # they were before the solve walked each augmenting path once (renamed,
 # otherwise verbatim), to compare the fused solve with bit for bit.
 
+def reference_build_layered(base: TwoMetricGraph, k: int, h: int,
+                            direction: str = "up") -> LayeredGraph:
+    """The layered builder as it was before the pair builder mirrored the
+    down expansion of undirected bases: one search per vertex and level in
+    each direction, the blended weight evaluated per relaxation, lengths
+    summed per path and arcs added one by one.
+
+    One search per vertex ``u`` and level: from ``u`` up, into ``u`` (against
+    the arcs) down. The backward search walks ``in_arcs`` in id order, as a
+    search on ``base.reversed_view()`` walks ``out_arcs``, so down gets the
+    reversed graph's up arcs, flipped, in the same order and the same bits.
+    """
+    if h < 1:
+        raise GraphError("height must be >= 1")
+    if k < 1:
+        raise GraphError("pair count must be >= 1")
+    if direction not in ("up", "down"):
+        raise GraphError(f"unknown direction {direction!r}")
+    down = direction == "down"
+    n = base.n
+    layered = TwoMetricGraph((h + 1) * n, directed=True)
+    back: List[Tuple[int, ...]] = []
+    for level in range(h, 0, -1):
+        factor = float(k) ** (1.0 - level / h)
+        weight = lambda e, f=factor: _blend_weight(base.c[e], base.l[e], f)
+        for u in range(n):
+            # one Dijkstra per (vertex, level); paths reused for every far end v
+            found = shortest_paths(base, weight, u, backward=down)
+            for v, (path, cost) in sorted(found.items()):
+                length = plain_sum(base.l[e] for e in path)
+                ends = (level * n + u, (level - 1) * n + v)
+                if down:  # path runs v -> u, listed from u's end
+                    ends, path = ends[::-1], path[::-1]
+                le = layered.add_arc(*ends, min(cost, WEIGHT_CAP), length)
+                if le != len(back):
+                    raise GraphError(f"layer arc {le} out of step with back paths")
+                back.append(path)
+    return LayeredGraph(direction, h, k, base, layered.freeze(), back)
+
+
 def _reference_tuple_count(n: int, h: int) -> int:
     total = 0
     power = 1
@@ -299,8 +340,8 @@ def reference_build_junction_forest(base: TwoMetricGraph, k: int, h: int,
         raise BudgetExceeded(
             f"tuple-tree forest needs {required} vertices, over the budget "
             f"{node_budget}", required=required)
-    up_layer = build_layered(base, k, h, "up")
-    down_layer = build_layered(base, k, h, "down")
+    up_layer = reference_build_layered(base, k, h, "up")
+    down_layer = reference_build_layered(base, k, h, "down")
 
     # layered adjacency indexed by (tail base vertex @ level, head base vertex)
     up_edge_at: Dict[Tuple[int, int, int], int] = {}

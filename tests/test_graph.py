@@ -95,6 +95,64 @@ class TestNonFiniteInput:
             load_instance(data)
 
 
+# (tail, head, c, l) that add_arc refuses on two vertices
+BAD_ARCS = [(-1, 0, 1.0, 1.0), (0, -1, 1.0, 1.0), (2, 0, 1.0, 1.0),
+            (0, 2, 1.0, 1.0), (0, 1, -1.0, 1.0), (0, 1, 1.0, -0.5)] + [
+    arc for bad in NON_FINITE for arc in ((0, 1, bad, 1.0), (0, 1, 1.0, bad))]
+
+
+def _columns(arcs):
+    return [list(column) for column in zip(*arcs)]
+
+
+class TestFromArcs:
+    @pytest.mark.parametrize("bad", BAD_ARCS)
+    def test_refuses_what_add_arc_refuses(self, bad):
+        with pytest.raises(GraphError):
+            TwoMetricGraph(2).add_arc(*bad)
+        # between good arcs, so that no check can stop at the first
+        arcs = [(0, 1, 2.0, 1.0), bad, (1, 0, 0.0, 3.0)]
+        with pytest.raises(GraphError):
+            TwoMetricGraph.from_arcs(2, *_columns(arcs))
+
+    def test_refuses_columns_of_unequal_length(self):
+        tail, head, c, l = _columns([(0, 1, 1.0, 1.0), (1, 0, 1.0, 1.0)])
+        for cut in range(4):
+            columns = [tail, head, c, l]
+            columns[cut] = columns[cut][:1]
+            with pytest.raises(GraphError):
+                TwoMetricGraph.from_arcs(2, *columns)
+
+    def test_accepts_what_add_arc_accepts(self):
+        rng = random.Random(4)
+        # parallel arcs, loops, int and float weights, zeros, and weights
+        # whose sum overflows to inf although each is finite
+        arcs = [(rng.randrange(5), rng.randrange(5), rng.choice([0, 1, 2.5]),
+                 rng.choice([0, 0.5, 3])) for _ in range(40)]
+        arcs += [(0, 1, 1e308, 1e308), (0, 1, 1e308, 1e308)]
+        g = TwoMetricGraph.from_arcs(5, *_columns(arcs))
+        ref = TwoMetricGraph(5)
+        for arc in arcs:
+            ref.add_arc(*arc)
+        for name in ("tail", "head", "twin", "out_arcs", "in_arcs"):
+            assert getattr(g, name) == getattr(ref, name)
+        for name in ("c", "l"):
+            assert ([(type(x), x.hex()) for x in getattr(g, name)]
+                    == [(type(x), x.hex()) for x in getattr(ref, name)])
+        assert g.directed
+        with pytest.raises(GraphError, match="frozen"):
+            g.add_arc(0, 1, 1.0, 1.0)
+        assert TwoMetricGraph.from_arcs(3, [], [], [], []).m == 0
+
+    def test_reversed_view_flips_every_arc(self):
+        g = build_graph(3, [(0, 1, 1, 2), (1, 2, 3, 0.5), (0, 1, 1, 1)],
+                        directed=False)
+        rev = g.reversed_view()
+        assert (rev.tail, rev.head, rev.c, rev.l, rev.twin) == (
+            g.head, g.tail, g.c, g.l, g.twin)
+        assert rev.out_arcs == g.in_arcs and rev.in_arcs == g.out_arcs
+
+
 class TestNodeSplit:
     def test_single_vertex(self):
         g, mapping = split_node_weights(1, [3.0], [1.0], [])

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from bulkflow import layering
-from bulkflow.generate import grid, random_digraph
+from bulkflow import graph, harness, layering
+from bulkflow.generate import grid, random_digraph, with_penalties
 from bulkflow.graph import (GraphError, SolutionLedger, TwoMetricGraph,
                             Unreachable, reachable_from, shortest_path,
                             solution_cost, split_node_weights)
+from bulkflow.harness import OnlinePipeline, RunConfig
 from bulkflow.instance import load_instance
-from bulkflow.layering import (WEIGHT_CAP, build_layered, default_height,
-                               dump_layered_edges, pull_back)
-from helpers import build_graph, random_two_metric
+from bulkflow.layering import (WEIGHT_CAP, build_expansions, build_layered,
+                               default_height, dump_layered_edges, pull_back)
+from helpers import build_graph, random_two_metric, reference_build_layered
 
 
 def find_layer_edge(layered, u, lu, v, lv):
@@ -96,6 +97,16 @@ class TestBuildLayered:
             back = down.back_path[e]
             if back:
                 assert g.tail[back[0]] == v and g.head[back[-1]] == u
+
+    def test_saturated_weight_warns_and_is_capped(self):
+        g = build_graph(2, [(0, 1, 1e17, 1e17)])
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            up, down = build_expansions(g, k=100, h=2)
+        # level 1 blends 1e17 + 100**0.5 * 1e17 > WEIGHT_CAP
+        assert up.graph.c[find_layer_edge(up, 0, 1, 1, 0)] == WEIGHT_CAP
+        assert down.graph.c[find_layer_edge(down, 0, 0, 1, 1)] == WEIGHT_CAP
+        # level 2 blends 1e17 + 1e17, under the cap
+        assert up.graph.c[find_layer_edge(up, 0, 2, 1, 1)] == 2e17
 
     def test_rejects_bad_parameters(self):
         g = build_graph(2, [(0, 1, 1, 1)])
@@ -196,6 +207,116 @@ class TestSingleSourceLayering:
         build_layered(base, k=3, h=h, direction=direction)
         assert len(calls) == h * base.n
         assert sorted(calls) == sorted(list(range(base.n)) * h)
+
+
+def _hex_expansion(layered):
+    """Everything a layered graph holds, floats as ``float.hex``."""
+    g = layered.graph
+    return (layered.direction, layered.h, layered.k, g.n, g.directed, g.tail,
+            g.head, [x.hex() for x in g.c], [x.hex() for x in g.l], g.twin,
+            g.out_arcs, g.in_arcs, layered.back_path)
+
+
+def _undirected_ties(rng, rows=4, cols=5):
+    """Undirected grid with ``c`` an integer in 0-3 and ``l`` 0.5 or an
+    integer in 0-2: equal-weight routes abound."""
+    g = TwoMetricGraph(rows * cols, directed=False)
+    for v in range(rows * cols):
+        for w in (([v + 1] if v % cols < cols - 1 else [])
+                  + ([v + cols] if v < (rows - 1) * cols else [])):
+            g.add_edge(v, w, rng.randint(0, 3), rng.choice([0.5, 0, 1, 2]))
+    return g.freeze()
+
+
+def _zeros_and_parallels():
+    """Undirected, with zero lengths, parallel edges and a loop."""
+    return build_graph(4, [(0, 1, 1, 0), (0, 1, 1, 0), (0, 1, 0.5, 0),
+                           (1, 2, 0, 0), (2, 3, 1, 0.5), (2, 3, 1, 0),
+                           (3, 0, 2, 0), (1, 1, 0, 0), (3, 1, 0, 1)],
+                       directed=False)
+
+
+def _bare_arcs_undirected():
+    """Undirected by flag, but built with ``add_arc``: no arc has a twin."""
+    g = TwoMetricGraph(4, directed=False)
+    for tail, head in [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (0, 3)]:
+        g.add_arc(tail, head, 1, 0.5)
+    return g.freeze()
+
+
+TIES = random.Random(12)
+PAIR_BASES = {
+    **{f"grid4x4-{s}": (lambda s=s: load_instance(grid(4, 4, k=2, seed=s))
+                        .graph) for s in range(3)},
+    **{f"grid3x5-{s}": (lambda s=s: load_instance(grid(3, 5, k=3, seed=s))
+                        .graph) for s in range(3)},
+    **{f"ties-{i}": (lambda g=_undirected_ties(TIES): g) for i in range(8)},
+    "zeros-parallels": _zeros_and_parallels,
+    "bare-arcs": _bare_arcs_undirected,
+    "digraph": BASES["digraph"],
+    "directed-ties": BASES["ties"],
+}
+MIRRORED = {name for name in PAIR_BASES
+            if name.startswith(("grid", "ties", "zeros"))}
+
+
+class TestBuildExpansions:
+    @pytest.mark.parametrize("name", sorted(PAIR_BASES))
+    def test_equals_reference_builder(self, name):
+        base = PAIR_BASES[name]()
+        assert layering._twinned(base) == (name in MIRRORED)
+        for h in (1, 2, 3):
+            up, down = build_expansions(base, k=3, h=h)
+            assert _hex_expansion(up) == _hex_expansion(
+                reference_build_layered(base, 3, h, "up"))
+            assert _hex_expansion(down) == _hex_expansion(
+                reference_build_layered(base, 3, h, "down"))
+
+    @pytest.mark.parametrize("column", ["c", "l"])
+    def test_twins_of_unequal_weight_take_the_search(self, column):
+        base = _zeros_and_parallels().unfrozen_copy()
+        getattr(base, column)[2] += 1  # arc 0 -> 1 of weight (0.5, 0)
+        base.freeze()
+        assert not layering._twinned(base)
+        for direction, layered in zip(("up", "down"),
+                                      build_expansions(base, k=3, h=2)):
+            assert _hex_expansion(layered) == _hex_expansion(
+                reference_build_layered(base, 3, 2, direction))
+
+
+@pytest.fixture
+def search_starts(monkeypatch):
+    """Starts of the ``graph.shortest_paths`` calls made while in use."""
+    starts = []
+    kernel = graph.shortest_paths
+
+    def counting(g, weight, start, *args, **kwargs):
+        starts.append(start)
+        return kernel(g, weight, start, *args, **kwargs)
+
+    for module in (graph, layering, harness):
+        monkeypatch.setattr(module, "shortest_paths", counting)
+    return starts
+
+
+class TestExpansionWork:
+    @pytest.mark.parametrize("data,mode,searches_per_level", [
+        (grid(3, 3, k=2, seed=1), "edge", 1),
+        (with_penalties(grid(3, 3, k=2, seed=1), 1), "prize", 1),
+        (random_digraph(6, 14, 2, 3), "edge", 2),
+        (random_digraph(4, 9, 2, 3), "directed", 2),
+    ])
+    def test_searches_while_constructing_a_pipeline(self, search_starts, data,
+                                                    mode, searches_per_level):
+        inst = load_instance(data)
+        h = 2
+        OnlinePipeline(inst, RunConfig(mode=mode, h=h))
+        n = inst.graph.n
+        # an undirected base mirrors its down expansion; a directed one
+        # searches against the arcs
+        assert len(search_starts) == searches_per_level * h * n
+        assert sorted(search_starts) == sorted(
+            list(range(n)) * searches_per_level * h)
 
 
 class TestPullBack:
