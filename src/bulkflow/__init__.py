@@ -4,7 +4,7 @@ from .errors import BudgetExceeded, InstanceError
 from .flows import (FlowNetwork, FlowResult, InfeasibleFlow, max_delta,
                     max_flow, min_cost_flow)
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
-                         SideGraph, SolverConfig)
+                         SideGraph)
 from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
                     Unreachable, shortest_path, solution_cost,
                     split_node_weights)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import BudgetExceeded, InstanceError
 from .generate import generate
-from .harness import OnlinePipeline, RunConfig, run_experiment
+from .harness import MODES, OnlinePipeline, RunConfig, run_experiment
 from .instance import dump_instance, load_instance
 from .oracle import (InfeasibleInstance, exact_opt, junction_opt,
                      lp_lower_bound)
@@ -31,8 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run the online pipeline on an instance")
     run_p.add_argument("--instance", required=True)
-    run_p.add_argument("--mode", required=True,
-                       choices=["edge", "node", "directed", "prize"])
+    run_p.add_argument("--mode", required=True, choices=MODES)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--h", type=int, default=None)
     run_p.add_argument("--kappa", type=float, default=None)

@@ -43,6 +43,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .graph import plain_sum
+
 FEAS_TOL = 1e-9
 # residual capacities below this are treated as saturated
 EPS_CAP = 1e-12
@@ -181,6 +183,7 @@ class _Topology:
 
     def __init__(self, net: FlowNetwork):
         m = net.m
+        self.n = net.n
         self.head: List[int] = [0] * (2 * m)
         self.head[0::2] = net.head
         self.head[1::2] = net.tail
@@ -194,25 +197,14 @@ class _Topology:
             self.adj[v].append(2 * a + 1)
         self.nodes: List[int] = [v for v, slots in enumerate(self.adj) if slots]
 
-
-class _Residual:
-    """Residual capacities and node potentials over a network's topology."""
-
-    def __init__(self, net: FlowNetwork):
-        self.n = net.n
-        topology = net.topology()
-        self.head, self.cost, self.adj = topology.head, topology.cost, topology.adj
-        self.nodes = topology.nodes
-        self.res: List[float] = [0.0] * (2 * net.m)
-        self.res[0::2] = net.capacity
-        self.potential = [0.0] * net.n
-
     # apart from graph.shortest_paths: reduced costs on residual slots, hot path
-    def shortest_path(self, source: int,
+    def shortest_path(self, res: List[float], potential: List[float],
+                      source: int,
                       sink: int) -> Optional[Tuple[List[int], float]]:
-        """Dijkstra on reduced costs; returns (slot path, true unit cost)."""
+        """Dijkstra on reduced costs over the slots with ``res > EPS_CAP``;
+        returns (slot path, true unit cost) and adds each reached vertex's
+        distance to its ``potential``."""
         head, cost, adj = self.head, self.cost, self.adj
-        res, potential = self.res, self.potential
         heappop, heappush = heapq.heappop, heapq.heappush
         inf, tie = math.inf, TIE_TOL
         dist = [inf] * self.n
@@ -248,7 +240,7 @@ class _Residual:
             path.append(slot)
             v = head[slot ^ 1]
         path.reverse()
-        unit_cost = 0.0  # a loop, not sum(): see _amounts
+        unit_cost = 0.0  # a loop, not sum(): see graph.plain_sum
         for s in path:
             unit_cost += cost[s]
         return path, unit_cost
@@ -274,8 +266,11 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
     if source == sink:
         raise FlowError("source equals sink")
     inf, isfinite = math.inf, math.isfinite
-    residual = _Residual(net)
-    res, potential, nodes = residual.res, residual.potential, residual.nodes
+    topology = net.topology()
+    nodes = topology.nodes
+    res: List[float] = [0.0] * (2 * net.m)
+    res[0::2] = net.capacity
+    potential = [0.0] * net.n
     previous = net._trail
     trail: List[_Search] = []
     key: tuple = (source, sink, net.closed_arcs())
@@ -291,7 +286,7 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
                 for v, pot in zip(nodes, trail[-1][4]):
                     potential[v] = pot
             previous = []
-            found = residual.shortest_path(source, sink)
+            found = topology.shortest_path(res, potential, source, sink)
             if found is None:
                 search = (key, None, 0.0, (), array("d"))
             else:
@@ -362,16 +357,6 @@ def _assemble(segments: List[FlowSegment],
     return flow, cost
 
 
-def _amounts(segments: List[FlowSegment]) -> float:
-    """The segments' amounts summed left to right, rounding after each
-    addition, as ``graph.plain_sum`` does (this module imports nothing from
-    the package): ``sum()`` compensates float rounding from Python 3.12 on."""
-    total = 0
-    for seg in segments:
-        total += seg.amount
-    return total
-
-
 def min_cost_flow(net: FlowNetwork, source: int, sink: int,
                   target_value: float) -> FlowResult:
     """Cheapest flow of exactly ``target_value``; raises when short of it."""
@@ -381,7 +366,7 @@ def min_cost_flow(net: FlowNetwork, source: int, sink: int,
         _check_ends(net, source, sink)
         return FlowResult(0.0, {}, 0.0)
     segments = cheapest_flow_curve(net, source, sink, value_cap=target_value)
-    achieved = _amounts(segments)
+    achieved = plain_sum(seg.amount for seg in segments)
     if achieved < target_value - FEAS_TOL:
         raise InfeasibleFlow(
             f"max flow {achieved} below requested {target_value}")
@@ -398,12 +383,10 @@ def max_flow(net: FlowNetwork, source: int, sink: int,
         for a in range(net.m):
             zero_cost.add_arc(net.tail[a], net.head[a], net.capacity[a], 0.0)
     segments = cheapest_flow_curve(zero_cost, source, sink, value_cap=value_cap)
-    value = _amounts(segments)
+    value = plain_sum(seg.amount for seg in segments)
     flow, _ = _assemble(segments, value)
-    cost = 0  # a loop, not sum(): see _amounts
-    for a, f in flow.items():
-        cost += net.cost[a] * f
-    return FlowResult(value, flow, cost)
+    return FlowResult(value, flow,
+                      plain_sum(net.cost[a] * f for a, f in flow.items()))
 
 
 @dataclass
@@ -436,7 +419,8 @@ def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
         segments = cheapest_flow_curve(net, s, t, value_cap=1.0, cost_cap=budget)
         # The curve caps each amount at (budget - cost so far) / unit_cost,
         # so every segment fits the budget whole and the value reachable
-        # within it is the plain sum of the amounts (a loop: see _amounts).
+        # within it is the plain sum of the amounts (a loop: see
+        # graph.plain_sum).
         reachable = 0.0
         for seg in segments:
             reachable += seg.amount

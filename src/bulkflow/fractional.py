@@ -93,12 +93,6 @@ class PairSpec:
 
 
 @dataclass
-class SolverConfig:
-    kappa: float
-    dmax: float = 0.05
-
-
-@dataclass
 class ArrivalStats:
     pair: int
     steps: int
@@ -268,12 +262,13 @@ class CompositeSolver:
 
     def __init__(self, up: SideGraph, down: SideGraph,
                  roots: Sequence[RootSpec], n_scale: int, guess: float,
-                 config: SolverConfig):
+                 kappa: float, dmax: float):
         if guess <= 0:
             raise ValueError("guess must be positive")
         if n_scale < 2:
             raise ValueError("n_scale must be at least 2")
-        self.config = config
+        self.kappa = kappa
+        self.dmax = dmax
         self.v0 = float(n_scale) ** (-INIT_EXPONENT)
         self.roots = list(roots)
         self.root_by_id = {r.root_id: r for r in self.roots}
@@ -349,7 +344,7 @@ class CompositeSolver:
             for side, funnel in zip(self.sides, funnels):
                 ends = side.side_graph.ends(pair, spec)
                 side.funnels[(spec.root_id, pair.index)] = _Funnel(
-                    side, funnel, self.config.dmax, ends)
+                    side, funnel, self.dmax, ends)
                 path, _ = shortest_path(side.graph, lambda e: 1.0, *ends,
                                         set(funnel).__contains__)
                 # a shortest path is simple: each of its arcs carries v0 once
@@ -386,7 +381,7 @@ class CompositeSolver:
         arcs are recomputed.
         """
         funnel = side.funnels[(rid, pair_index)]
-        x, dmax, inf = side.x[rid], self.config.dmax, math.inf
+        x, dmax, inf = side.x[rid], self.dmax, math.inf
         flows_get = side.flow.get((rid, pair_index), {}).get
         index, full_growth = funnel.index, funnel.full_growth
         changes = []
@@ -409,28 +404,24 @@ class CompositeSolver:
     def _solve_root(self, pair: PairSpec, rid: int) -> RootStep:
         """Max joint growth rate and flow pattern for one root."""
         key = (rid, pair.index)
-        up, down = self.sides
-        up_funnel, down_funnel = up.funnels[key], down.funnels[key]
-        up_tight = up.tight(rid, pair.index)
-        down_tight = down.tight(rid, pair.index)
-        up_net = self._aux_network(up, rid, up_tight, pair.index)
-        down_net = self._aux_network(down, rid, down_tight, pair.index)
-        up_source, up_sink = up_funnel.ends
-        down_source, down_sink = down_funnel.ends
-        result = max_delta(up_net, up_source, up_sink,
-                           down_net, down_source, down_sink,
-                           self.z[(pair.index, rid)])
-        # network arc a is funnel arc a: key the flow rates by edge id
-        arcs, up_grow = up_funnel.arcs, {}
-        for a, f in result.up.flow.items():
-            if f > 0.0:
-                up_grow[arcs[a]] = f
-        arcs, down_grow = down_funnel.arcs, {}
-        for a, f in result.down.flow.items():
-            if f > 0.0:
-                down_grow[arcs[a]] = f
-        return RootStep(result.delta, (up_grow, down_grow),
-                        (up_tight, down_tight))
+        funnels, tight, args = [], [], []
+        for side in self.sides:
+            funnel = side.funnels[key]
+            side_tight = side.tight(rid, pair.index)
+            funnels.append(funnel)
+            tight.append(side_tight)
+            args += (self._aux_network(side, rid, side_tight, pair.index),
+                     *funnel.ends)
+        result = max_delta(*args, self.z[(pair.index, rid)])
+        grow = []
+        for funnel, flow in zip(funnels, (result.up.flow, result.down.flow)):
+            # network arc a is funnel arc a: key the flow rates by edge id
+            arcs, rates = funnel.arcs, {}
+            for a, f in flow.items():
+                if f > 0.0:
+                    rates[arcs[a]] = f
+            grow.append(rates)
+        return RootStep(result.delta, tuple(grow), tuple(tight))
 
     def growth_step(self, pair_index: int) -> GrowthStep:
         """Stage one discretized step of the continuous dynamics for a pair.
@@ -450,7 +441,7 @@ class CompositeSolver:
             solutions[rid] = self._solve_root(pair, rid)
             total_delta += solutions[rid].delta
 
-        dt = self.config.dmax
+        dt = self.dmax
         gap = 1.0 - self.z_total(pair_index)
         if total_delta > RATE_TOL:
             dt = min(dt, gap / total_delta)
@@ -460,7 +451,7 @@ class CompositeSolver:
                          / sol.delta)
         dt = max(dt, MIN_DT)
         # a full step reads each funnel's cached exp(dmax / c)
-        full = dt == self.config.dmax
+        full = dt == self.dmax
 
         # stage: x rides to max(exp growth if tight, new flow level);
         # "y if y < VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included
@@ -527,7 +518,7 @@ class CompositeSolver:
             self.arrival_log.append(ArrivalStats(pair.index, 0, 0.0,
                                                  self._objective))
             return ArrivalOutcome.LP_INFEASIBLE
-        if self._objective > self.config.kappa:
+        if self._objective > self.kappa:
             return ArrivalOutcome.EPOCH_OVERFLOW
         steps = 0
         while self.z_total(pair.index) < 1.0 - COVER_TOL:
@@ -537,7 +528,7 @@ class CompositeSolver:
                     f"pair {pair.index}: no convergence within "
                     f"{MAX_STEPS} steps (diagnostic failure)")
             step = self.growth_step(pair.index)
-            if self._objective + step.d_obj > self.config.kappa:
+            if self._objective + step.d_obj > self.kappa:
                 return ArrivalOutcome.EPOCH_OVERFLOW
             self.apply(step)
         self.arrival_log.append(ArrivalStats(pair.index, steps,

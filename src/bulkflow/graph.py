@@ -164,14 +164,6 @@ class TwoMetricGraph:
         rev.twin = list(self.twin)
         return rev
 
-    def unfrozen_copy(self, extra_vertices: int = 0) -> "TwoMetricGraph":
-        """Mutable copy, optionally with extra vertices appended."""
-        g = TwoMetricGraph(self.n + extra_vertices, directed=self.directed)
-        for e in range(self.m):
-            g.add_arc(self.tail[e], self.head[e], self.c[e], self.l[e])
-        g.twin = list(self.twin)
-        return g
-
     def describe_arc(self, e: int) -> str:
         return (f"arc {e}: {self.tail[e]}->{self.head[e]} "
                 f"c={self.c[e]} l={self.l[e]}")

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import BudgetExceeded, InstanceError
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
-                         SideGraph, SolverConfig)
+                         SideGraph)
 from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
                     Unreachable, plain_sum, shortest_path, shortest_paths,
                     solution_cost)
@@ -282,13 +282,10 @@ class OnlinePipeline:
             return 1.0
         return best
 
-    def _fresh_solver(self) -> CompositeSolver:
-        cfg = SolverConfig(kappa=self.kappa, dmax=self.config.dmax)
-        return CompositeSolver(*(side.side_graph for side in self.sides),
-                               self.roots, self.n_scale, self.lam, cfg)
-
     def _start_epoch(self) -> None:
-        self.solver = self._fresh_solver()
+        self.solver = CompositeSolver(
+            *(side.side_graph for side in self.sides), self.roots,
+            self.n_scale, self.lam, self.kappa, self.config.dmax)
         self.tau = draw_thresholds(self.root_ids, self.n_scale,
                                    f"{self.config.seed}:{self.epoch}")
 

@@ -12,8 +12,8 @@ Three independent routes to ground truth:
   Its tables depend only on the terminal multiset, so ``junction_opt``
   shares one per sub-multiset and direction across all roots and
   assignments, and searches the assignments depth first on prefix sums.
-* ``lp_lower_bound`` solves the flow LP relaxation with an off-the-shelf LP
-  solver.
+* ``lp_lower_bound`` solves the flow LP relaxation, penalties priced in,
+  with an off-the-shelf LP solver.
 
 The prunes and the shared tables skip work only: every value, ledger and
 float sum order is the plain search's. Budgets guard every exponential loop.
@@ -357,6 +357,9 @@ def lp_lower_bound(graph: TwoMetricGraph, pairs: Sequence[TerminalPair]) -> floa
 
     One capacity variable per purchase, one flow per (pair, arc); every
     pair ships one unit from its source to its sink under ``flow <= capacity``.
+    A pair with a penalty ``q`` also gets a drop share ``y`` in [0, 1]: it
+    ships ``1 - y`` units and pays ``q * y``, so on prize instances the bound
+    stays below the prize-collecting optimum.
     """
     pairs = [p for p in pairs if p.s != p.t]
     if not pairs:
@@ -364,7 +367,9 @@ def lp_lower_bound(graph: TwoMetricGraph, pairs: Sequence[TerminalPair]) -> floa
     keys = _purchase_keys(graph)
     key_index = {key: i for i, key in enumerate(keys)}
     nk, m, np_ = len(keys), graph.m, len(pairs)
-    n_vars = nk + np_ * m  # x block then per-pair flow blocks
+    charged = [pi for pi, p in enumerate(pairs) if p.penalty is not None]
+    first_y = nk + np_ * m  # x block, per-pair flow blocks, then the y's
+    n_vars = first_y + len(charged)
 
     def fvar(pi: int, e: int) -> int:
         return nk + pi * m + e
@@ -384,6 +389,10 @@ def lp_lower_bound(graph: TwoMetricGraph, pairs: Sequence[TerminalPair]) -> floa
             a_eq[pi * graph.n + graph.head[e], fvar(pi, e)] -= 1.0
         b_eq[pi * graph.n + p.s] = 1.0
         b_eq[pi * graph.n + p.t] = -1.0
+    for y, pi in enumerate(charged, start=first_y):
+        cost[y] = pairs[pi].penalty
+        a_eq[pi * graph.n + pairs[pi].s, y] = 1.0
+        a_eq[pi * graph.n + pairs[pi].t, y] = -1.0
 
     a_ub = np.zeros((np_ * m, n_vars))
     for pi in range(np_):
@@ -393,8 +402,9 @@ def lp_lower_bound(graph: TwoMetricGraph, pairs: Sequence[TerminalPair]) -> floa
             a_ub[row, key_index[graph.purchase_key(e)]] = -1.0
     b_ub = np.zeros(np_ * m)
 
+    bounds = [(0, None)] * first_y + [(0, 1)] * len(charged)
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
+                  bounds=bounds, method="highs")
     if not res.success:
         raise InfeasibleInstance(f"LP relaxation infeasible: {res.message}")
     return float(res.fun)

@@ -10,10 +10,10 @@ special casing. The arcs are usable only by their own pair.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .fractional import PairSpec, RootSpec, SideGraph
-from .graph import GraphError
+from .graph import GraphError, TwoMetricGraph
 from .rounding import Assignment
 
 VIRTUAL_ROOT_ID = -1
@@ -25,24 +25,28 @@ def augment(sides: Sequence[SideGraph], pairs: Sequence[PairSpec]
 
     ``sides`` are in (up, down) order. Returns the augmented sides, which
     own their discard arcs, and the virtual root: the new last vertex of
-    each side.
+    each side. A side keeps its arcs, ids, ``twin`` and ``directed``; the
+    discard arcs follow in pair order.
     """
-    graphs = [side.graph.unfrozen_copy(extra_vertices=1) for side in sides]
-    virtual = RootSpec(VIRTUAL_ROOT_ID, *(graph.n - 1 for graph in graphs),
+    virtual = RootSpec(VIRTUAL_ROOT_ID, *(side.graph.n for side in sides),
                        virtual=True)
-    owners: Tuple[Dict[int, int], ...] = tuple({} for _ in sides)
-    for pair in pairs:
-        if pair.penalty is None:
-            continue
+    charged = [pair for pair in pairs if pair.penalty is not None]
+    for pair in charged:
         if pair.penalty < 0:
             raise GraphError(f"pair {pair.index}: negative penalty")
-        for side, graph, owner in zip(sides, graphs, owners):
-            e = graph.add_arc(*side.ends(pair, virtual), 0.0,
-                              pair.penalty / 2.0)
-            owner[e] = pair.index
-    augmented = tuple(SideGraph(graph.freeze(), side.upward, owner)
-                      for side, graph, owner in zip(sides, graphs, owners))
-    return augmented, virtual
+    lengths = [pair.penalty / 2.0 for pair in charged]
+    augmented = []
+    for side in sides:
+        g = side.graph
+        ends = [side.ends(pair, virtual) for pair in charged]
+        graph = TwoMetricGraph.from_arcs(
+            g.n + 1, g.tail + [s for s, _ in ends],
+            g.head + [t for _, t in ends], g.c + [0.0] * len(charged),
+            g.l + lengths)
+        graph.directed, graph.twin = g.directed, g.twin + [-1] * len(charged)
+        owner = {g.m + i: pair.index for i, pair in enumerate(charged)}
+        augmented.append(SideGraph(graph, side.upward, owner))
+    return tuple(augmented), virtual
 
 
 def settle(penalty: Optional[float], outcome: str) -> float:

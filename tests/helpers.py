@@ -10,9 +10,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from bulkflow.errors import BudgetExceeded
 from bulkflow.flows import (EPS_CAP, FEAS_TOL, FlowError, FlowNetwork,
-                            FlowResult, FlowSegment, MaxDeltaResult,
-                            _Residual)
-from bulkflow.fractional import _growth_factor
+                            FlowResult, FlowSegment, MaxDeltaResult)
+from bulkflow.fractional import (PairSpec, RootSpec, SideGraph,
+                                 _growth_factor)
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, plain_sum,
                             shortest_path, shortest_paths)
@@ -22,6 +22,7 @@ from bulkflow.layering import WEIGHT_CAP, LayeredGraph, _blend_weight
 from bulkflow.oracle import (DEFAULT_BUDGET, VALUE_TOL, InfeasibleInstance,
                              OracleBudget, _multi_weight_dijkstra,
                              _purchase_keys)
+from bulkflow.prize import VIRTUAL_ROOT_ID
 
 
 def build_graph(n: int, arcs: Sequence[Tuple[int, int, float, float]],
@@ -249,6 +250,38 @@ def reference_junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
 
 
 # ----------------------------------------------------------------------
+# Reference prize augmentation: each side copied arc by arc with
+# ``add_arc``, as ``augment`` did before it assembled sides with ``from_arcs``.
+
+def reference_augment(sides: Sequence[SideGraph], pairs: Sequence[PairSpec]
+                      ) -> Tuple[Tuple[SideGraph, ...], RootSpec]:
+    """``prize.augment`` on mutable copies of the sides: every side arc,
+    then each penalized pair's discard arc."""
+    graphs = []
+    for side in sides:
+        g = TwoMetricGraph(side.graph.n + 1, directed=side.graph.directed)
+        for e in range(side.graph.m):
+            g.add_arc(side.graph.tail[e], side.graph.head[e], side.graph.c[e],
+                      side.graph.l[e])
+        g.twin = list(side.graph.twin)
+        graphs.append(g)
+    virtual = RootSpec(VIRTUAL_ROOT_ID, *(graph.n - 1 for graph in graphs),
+                       virtual=True)
+    owners: Tuple[Dict[int, int], ...] = tuple({} for _ in sides)
+    for pair in pairs:
+        if pair.penalty is None:
+            continue
+        if pair.penalty < 0:
+            raise GraphError(f"pair {pair.index}: negative penalty")
+        for side, graph, owner in zip(sides, graphs, owners):
+            e = graph.add_arc(*side.ends(pair, virtual), 0.0,
+                              pair.penalty / 2.0)
+            owner[e] = pair.index
+    augmented = tuple(SideGraph(graph.freeze(), side.upward, owner)
+                      for side, graph, owner in zip(sides, graphs, owners))
+    return augmented, virtual
+
+
 # Reference step capacities: every arc of a funnel recomputed from scratch,
 # as each growth step did before funnels kept their step state.
 
@@ -521,8 +554,11 @@ def reference_curve(net: FlowNetwork, source: int, sink: int,
     """
     if source == sink:
         raise FlowError("source equals sink")
-    residual = _Residual(net)
-    res, potential, nodes = residual.res, residual.potential, residual.nodes
+    topology = net.topology()
+    nodes = topology.nodes
+    res = [0.0] * (2 * net.m)
+    res[0::2] = net.capacity
+    potential = [0.0] * net.n
     previous = net._trail
     trail: list = []
     key: tuple = (source, sink, net.closed_arcs())
@@ -538,7 +574,7 @@ def reference_curve(net: FlowNetwork, source: int, sink: int,
                 for v, pot in zip(nodes, trail[-1][4]):
                     potential[v] = pot
             previous = []
-            found = residual.shortest_path(source, sink)
+            found = topology.shortest_path(res, potential, source, sink)
             if found is None:
                 search = (key, None, 0.0, (), array("d"))
             else:

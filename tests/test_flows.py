@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import subprocess
 import sys
@@ -234,18 +235,18 @@ class TestReplay:
 
     def test_replay_skips_most_searches_on_a_default_run(self, monkeypatch):
         counts = {"searches": 0, "augmentations": 0}
-        search, curve = flows._Residual.shortest_path, flows.cheapest_flow_curve
+        search, curve = flows._Topology.shortest_path, flows.cheapest_flow_curve
 
-        def counted_search(self, source, sink):
+        def counted_search(self, *args):
             counts["searches"] += 1
-            return search(self, source, sink)
+            return search(self, *args)
 
         def counted_curve(*args, **kwargs):
             segments = curve(*args, **kwargs)
             counts["augmentations"] += len(segments)
             return segments
 
-        monkeypatch.setattr(flows._Residual, "shortest_path", counted_search)
+        monkeypatch.setattr(flows._Topology, "shortest_path", counted_search)
         monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
         # without replay every augmentation needs its own search
@@ -334,15 +335,16 @@ class TestEndpoints:
 
     def test_negative_ends_are_refused_not_looped(self):
         # in a child process, since an unchecked -1 indexes the last node
-        # and the walk back to the source may never end; flows.py is loaded
-        # alone and the child's memory is capped, so a loop ends in a failure
+        # and the walk back to the source may never end; flows.py and the
+        # graph.py it imports are loaded without the package's __init__
+        # (which imports scipy) and the child's memory is capped, so a loop
+        # ends in a failure
         code = "\n".join([
-            "import importlib.util, resource, sys",
+            "import resource, sys, types",
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
-            f"spec = importlib.util.spec_from_file_location('flows', "
-            f"{flows.__file__!r})",
-            "flows = sys.modules['flows'] = importlib.util.module_from_spec(spec)",
-            "spec.loader.exec_module(flows)",
+            "package = sys.modules['bulkflow'] = types.ModuleType('bulkflow')",
+            f"package.__path__ = [{os.path.dirname(flows.__file__)!r}]",
+            "import bulkflow.flows as flows",
             "net = flows.FlowNetwork(3)",
             "net.add_arc(0, 1, 1.0, 1.0)",
             "net.add_arc(1, 2, 1.0, 1.0)",

@@ -14,7 +14,7 @@ import bulkflow
 from bulkflow import fractional
 from bulkflow.flows import FlowNetwork
 from bulkflow.fractional import (ArrivalOutcome, CompositeSolver, PairSpec,
-                                 RootSpec, SideGraph, SolverConfig)
+                                 RootSpec, SideGraph)
 from bulkflow.generate import grid, star_of_paths, with_penalties
 from bulkflow.graph import TwoMetricGraph, shortest_path
 from bulkflow.harness import RunConfig, run_online
@@ -30,8 +30,7 @@ def make_solver(up, down, roots, n_scale=10, guess=1.0, kappa=BIG_KAPPA,
     """A solver over two sides; bare graphs become sides without owners."""
     if not isinstance(up, SideGraph):
         up, down = SideGraph(up, upward=True), SideGraph(down, upward=False)
-    cfg = SolverConfig(kappa=kappa, dmax=dmax)
-    return CompositeSolver(up, down, roots, n_scale, guess, cfg)
+    return CompositeSolver(up, down, roots, n_scale, guess, kappa, dmax)
 
 
 def single_path_instance(n_edges=8, c=0.01, l=0.75):
@@ -262,8 +261,7 @@ def test_check_pair_raises_under_python_optimize():
     script = textwrap.dedent('''
         import sys
         from bulkflow.fractional import (ArrivalOutcome, CompositeSolver,
-                                         PairSpec, RootSpec, SideGraph,
-                                         SolverConfig)
+                                         PairSpec, RootSpec, SideGraph)
         from bulkflow.graph import TwoMetricGraph
 
         up = TwoMetricGraph(4)
@@ -274,7 +272,7 @@ def test_check_pair_raises_under_python_optimize():
         solver = CompositeSolver(SideGraph(up.freeze(), upward=True),
                                  SideGraph(down.freeze(), upward=False),
                                  [RootSpec(0, up_vertex=3, down_vertex=0)],
-                                 10, 1.0, SolverConfig(kappa=1e9, dmax=0.3))
+                                 10, 1.0, 1e9, 0.3)
         pair = PairSpec(index=0, up_source=0, down_sink=1)
         if solver.on_arrival(pair) != ArrivalOutcome.SATISFIED:
             sys.exit("arrival not satisfied")
@@ -568,7 +566,7 @@ class TestStepState:
         def checked_aux(self, side, rid, tight, pair_index):
             net = aux(self, side, rid, tight, pair_index)
             expected = reference_step_capacities(side, rid, tight,
-                                                 self.config.dmax, pair_index)
+                                                 self.dmax, pair_index)
             assert ([cap.hex() for cap in net.capacity]
                     == [cap.hex() for cap in expected])
             checked.append(len(net.capacity))

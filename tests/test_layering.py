@@ -274,9 +274,8 @@ class TestBuildExpansions:
 
     @pytest.mark.parametrize("column", ["c", "l"])
     def test_twins_of_unequal_weight_take_the_search(self, column):
-        base = _zeros_and_parallels().unfrozen_copy()
-        getattr(base, column)[2] += 1  # arc 0 -> 1 of weight (0.5, 0)
-        base.freeze()
+        base = _zeros_and_parallels()  # a fresh graph: its columns are ours
+        getattr(base, column)[2] += 1  # arc 0 -> 1 of weight (1, 0)
         assert not layering._twinned(base)
         for direction, layered in zip(("up", "down"),
                                       build_expansions(base, k=3, h=2)):

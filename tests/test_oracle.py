@@ -1,11 +1,12 @@
+import json
 import math
 import random
 
 import pytest
 
-from bulkflow import oracle
+from bulkflow import cli, oracle
 from bulkflow.errors import BudgetExceeded
-from bulkflow.generate import random_digraph
+from bulkflow.generate import grid, random_digraph, with_penalties
 from bulkflow.graph import TerminalPair, TwoMetricGraph, solution_cost
 from bulkflow.instance import load_instance
 from bulkflow.oracle import (InfeasibleInstance, OracleBudget, exact_opt,
@@ -13,6 +14,28 @@ from bulkflow.oracle import (InfeasibleInstance, OracleBudget, exact_opt,
                              offline_opt_prize, ss_offline_opt)
 from helpers import (build_graph, random_two_metric, reference_junction_opt,
                      reference_offline_opt, reference_ss_offline_opt)
+from test_invariants import ORACLE_PIN_RUNS
+
+# repr of lp_lower_bound on the instances of the penalty-free oracle pin runs
+LP_PINS = {"directed": "5.295985", "edge": "8.794669500000001"}
+
+
+def small_instance(kind, seed):
+    """A seeded instance small enough for every exact oracle."""
+    if kind == "directed":
+        return load_instance(random_digraph(5, 9, 2, seed=seed))
+    if kind == "node":
+        data = grid(2, 2, k=3, seed=seed)
+        rng = random.Random(f"node:{seed}")
+        data["mode"] = "node"
+        data["node_costs"] = [{"v": v, "c": round(rng.uniform(0.2, 3.0), 6),
+                               "l": round(rng.uniform(0.05, 1.0), 6)}
+                              for v in range(data["n"])]
+        return load_instance(data)
+    data = grid(2, 3, k=3, seed=seed)
+    if kind == "prize":
+        data = with_penalties(data, seed=seed, q_range=(0.3, 4.0))
+    return load_instance(data)
 
 
 def random_pairs(rng, n, k):
@@ -171,6 +194,32 @@ class TestLpLowerBound:
     def test_no_pairs(self):
         g = build_graph(2, [(0, 1, 1, 1)])
         assert lp_lower_bound(g, []) == 0.0
+
+    @pytest.mark.parametrize("mode", sorted(LP_PINS))
+    def test_pinned(self, mode):
+        make, _ = ORACLE_PIN_RUNS[mode]
+        inst = load_instance(make())
+        assert repr(lp_lower_bound(inst.graph, inst.pairs)) == LP_PINS[mode]
+
+    @pytest.mark.parametrize("kind", ["edge", "node", "directed", "prize"])
+    def test_below_the_exact_and_junction_optima(self, kind):
+        for seed in range(6):
+            inst = small_instance(kind, seed)
+            assert inst.mode == ("edge" if kind == "directed" else kind)
+            lb = lp_lower_bound(inst.graph, inst.pairs)
+            opt = exact_opt(inst.graph, inst.pairs, inst.mode)
+            assert 0 <= lb <= opt + 1e-7
+            assert opt <= junction_opt(inst.graph, inst.pairs) + 1e-9
+
+    def test_prize_pair_pays_its_penalty_instead(self, tmp_path, capsys):
+        path = tmp_path / "prize.json"
+        path.write_text(json.dumps({
+            "n": 2, "mode": "prize",
+            "edges": [{"tail": 0, "head": 1, "c": 10, "l": 1}],
+            "pairs": [{"s": 0, "t": 1, "q": 1}]}))
+        assert cli.main(["oracle", "--instance", str(path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert (printed["opt"], printed["lp_lb"]) == (1.0, 1.0)
 
 
 class TestPrizeOracle:

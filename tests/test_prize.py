@@ -1,13 +1,15 @@
 import pytest
 
 from bulkflow.fractional import ArrivalOutcome, PairSpec, RootSpec, SideGraph
-from bulkflow.generate import grid, with_penalties
+from bulkflow.generate import grid, random_digraph, with_penalties
 from bulkflow.graph import GraphError
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
+from bulkflow.junction import build_junction_forest
+from bulkflow.layering import build_expansions
 from bulkflow.prize import VIRTUAL_ROOT_ID, augment, settle
 from bulkflow.rounding import Assignment
-from helpers import build_graph
+from helpers import build_graph, reference_augment
 from test_fractional import make_solver
 
 
@@ -22,7 +24,57 @@ def private_arc(side, pair_index):
     return arcs[0]
 
 
+def hex_graph(g):
+    """Everything a graph holds, floats as ``float.hex``."""
+    return (g.n, g.directed, g.tail, g.head, [x.hex() for x in g.c],
+            [x.hex() for x in g.l], g.twin, g.out_arcs, g.in_arcs)
+
+
+# penalties of the pairs, in arrival order; None has no discard arc
+PENALTIES = (1.5, None, 0.0, 0.3, 2.75)
+
+
+def layered_sides():
+    inst = load_instance(grid(2, 3, k=5, seed=4))
+    up, down = build_expansions(inst.graph, k=5, h=2)
+    ends = [(up.vertex(p.s, 2), down.vertex(p.t, 2)) for p in inst.pairs]
+    return two_sides(up.graph, down.graph), ends
+
+
+def forest_sides():
+    inst = load_instance(random_digraph(4, 8, 5, seed=2))
+    forest = build_junction_forest(inst.graph, 5, 2, [p.s for p in inst.pairs],
+                                   [p.t for p in inst.pairs])
+    ends = [(forest.source_vertex[p.s], forest.sink_vertex[p.t])
+            for p in inst.pairs]
+    return two_sides(forest.graph, forest.graph), ends
+
+
+def undirected_sides():
+    inst = load_instance(grid(2, 3, k=5, seed=6))
+    assert not inst.graph.directed and -1 not in inst.graph.twin
+    return (two_sides(inst.graph, inst.graph),
+            [(p.s, p.t) for p in inst.pairs])
+
+
 class TestAugment:
+    @pytest.mark.parametrize("make", [layered_sides, forest_sides,
+                                      undirected_sides])
+    @pytest.mark.parametrize("penalties", [PENALTIES, (None,) * 5])
+    def test_equals_the_add_arc_copy(self, make, penalties):
+        sides, ends = make()
+        pairs = [PairSpec(i, s, t, penalty=q)
+                 for i, ((s, t), q) in enumerate(zip(ends, penalties))]
+        before = [hex_graph(side.graph) for side in sides]
+        got, virtual = augment(sides, pairs)
+        expected, expected_virtual = reference_augment(sides, pairs)
+        assert virtual == expected_virtual
+        for side, reference in zip(got, expected):
+            assert hex_graph(side.graph) == hex_graph(reference.graph)
+            assert (side.upward, side.owner) == (reference.upward,
+                                                  reference.owner)
+        assert [hex_graph(side.graph) for side in sides] == before
+
     def test_adds_private_arcs_and_virtual_root(self):
         up = build_graph(2, [(0, 1, 1, 0.1)])
         down = build_graph(2, [(0, 1, 1, 0.1)])

