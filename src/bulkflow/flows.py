@@ -11,15 +11,19 @@ so the value reachable within the budget is the plain sum of the curve's
 amounts, and each augmenting path is walked once: one pass finds its
 bottleneck, augments it and collects the slots it closed.
 
-A network's residual topology (per-slot heads and signed costs, per-node
-slot lists) is built once, on its first solve, and kept until an arc is
-added; between solves only the capacities change (``update_capacities``),
-so a caller that solves the same arcs repeatedly builds nothing per solve.
+A network is built once from its arc columns; afterwards only its
+capacities change (``update_capacities``), so a caller that solves the same
+arcs repeatedly builds nothing per solve. Its residual slots are built with
+it, over its own node numbering: the nodes that end some arc, numbered
+``0..k-1`` in id order. The numbering keeps the id order, so the search's
+heap ties and adjacency order are those of the ids, and a search touches
+only the nodes of the network's arcs, however large the id range. A source
+or sink that ends no arc is unreachable.
 
 Each network also keeps the search trail of its latest solve and replays
 it. The residual Dijkstra reads capacities only through the test
 ``res <= EPS_CAP``, so its result (path, unit cost, new potentials) is a
-function of the topology, the costs, which slots are open and the starting
+function of the arcs, the costs, which slots are open and the starting
 potentials. A solve starts with every reverse slot closed, every forward
 slot open except the arcs of capacity ``<= EPS_CAP``, and zero potentials;
 an augmentation by more than ``EPS_CAP`` opens the reverse of every path
@@ -32,7 +36,7 @@ recorded search is reused; at the first mismatch the potentials are
 restored from the last matched search and the Dijkstra runs live from
 there. Amounts, capacity tests and augmentations are always computed live,
 so a replayed solve returns the same segments, bit for bit, as a fresh
-network would. Only the latest trail is kept, and adding an arc drops it.
+network would. Only the latest trail is kept.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ TIE_TOL = 1e-15
 
 # One recorded search: the key of the state it ran in, its slot path (None
 # if the sink was unreachable), unit cost and segment steps, and the
-# potentials of the topology's ``nodes`` after it.
+# potentials of the network's search nodes after it.
 _Search = Tuple[tuple, Optional[List[int]], float,
                 Tuple[Tuple[int, int], ...], array]
 
@@ -67,17 +71,51 @@ class InfeasibleFlow(Exception):
 
 
 class FlowNetwork:
-    """Directed network with nonnegative capacities (inf allowed) and unit costs."""
+    """Directed network with nonnegative capacities (inf allowed) and unit
+    costs, whose arc ``a`` is ``tail[a] -> head[a]``; only its capacities
+    change once it is built.
 
-    def __init__(self, n_nodes: int):
-        if n_nodes < 0:
+    Residual slot ``2a`` is arc ``a`` forward, slot ``2a+1`` its reverse,
+    with cost ``-cost[a]``. The search numbers the nodes that end some arc
+    ``0..k-1`` in id order (``_number``); ``_adj[i]`` lists the forward
+    slots of node i's out-arcs, then the reverse slots of its in-arcs, each
+    in arc order, and ``_head`` holds each slot's head by that number.
+    """
+
+    def __init__(self, n: int, tail: Sequence[int], head: Sequence[int],
+                 capacity: Sequence[float], cost: Sequence[float]):
+        if n < 0:
             raise FlowError("node count must be nonnegative")
-        self.n = n_nodes
-        self.tail: List[int] = []
-        self.head: List[int] = []
-        self.capacity: List[float] = []
-        self.cost: List[float] = []
-        self._topology: Optional[_Topology] = None
+        m = len(tail)
+        if not len(head) == len(capacity) == len(cost) == m:
+            raise FlowError(f"arc columns differ in length: {m} tails, "
+                            f"{len(head)} heads, {len(capacity)} capacities, "
+                            f"{len(cost)} costs")
+        for u, v, cap, c in zip(tail, head, capacity, cost):
+            if not (0 <= u < n and 0 <= v < n):
+                raise FlowError(f"arc ({u},{v}) out of range")
+            if not cap >= 0:
+                raise FlowError(f"capacity {cap} is negative or NaN")
+            if not 0 <= c < math.inf:
+                raise FlowError(f"unit cost {c} is negative or not finite")
+        self.n = n
+        self.tail: List[int] = list(tail)
+        self.head: List[int] = list(head)
+        self.capacity: List[float] = list(map(float, capacity))
+        self.cost: List[float] = list(map(float, cost))
+        ids = sorted({*tail, *head})
+        number = self._number = dict(zip(ids, range(len(ids))))
+        self._head: List[int] = [0] * (2 * m)
+        self._head[0::2] = [number[v] for v in head]
+        self._head[1::2] = [number[v] for v in tail]
+        self._cost: List[float] = [0.0] * (2 * m)
+        self._cost[0::2] = self.cost
+        self._cost[1::2] = [-c for c in self.cost]
+        self._adj: List[List[int]] = [[] for _ in ids]
+        for a, i in enumerate(self._head[1::2]):
+            self._adj[i].append(2 * a)
+        for a, i in enumerate(self._head[0::2]):
+            self._adj[i].append(2 * a + 1)
         # the searches of the latest solve, replayed by the next one
         self._trail: List[_Search] = []
         # arcs of capacity <= EPS_CAP, in id order; None until next needed
@@ -86,12 +124,6 @@ class FlowNetwork:
     @property
     def m(self) -> int:
         return len(self.tail)
-
-    def topology(self) -> _Topology:
-        """The residual topology, built on first use after an arc change."""
-        if self._topology is None:
-            self._topology = _Topology(self)
-        return self._topology
 
     def update_capacities(self, changes: Sequence[Tuple[int, float]]) -> None:
         """Set the capacity of each ``(arc, capacity)`` in ``changes``; the
@@ -116,22 +148,53 @@ class FlowNetwork:
                                   if cap <= EPS_CAP])
         return self._closed
 
-    def add_arc(self, tail: int, head: int, capacity: float, cost: float) -> int:
-        if not (0 <= tail < self.n and 0 <= head < self.n):
-            raise FlowError(f"arc ({tail},{head}) out of range")
-        if not capacity >= 0:
-            raise FlowError(f"capacity {capacity} is negative or NaN")
-        if not 0 <= cost < math.inf:
-            raise FlowError(f"unit cost {cost} is negative or not finite")
-        a = len(self.tail)
-        self.tail.append(tail)
-        self.head.append(head)
-        self.capacity.append(float(capacity))
-        self.cost.append(float(cost))
-        self._topology = None
-        self._trail = []
-        self._closed = None
-        return a
+    # apart from graph.shortest_paths: reduced costs on residual slots, hot path
+    def _shortest_path(self, res: List[float], potential: List[float],
+                       source: int,
+                       sink: int) -> Optional[Tuple[List[int], float]]:
+        """Dijkstra on reduced costs over the slots with ``res > EPS_CAP``,
+        between search nodes; returns (slot path, true unit cost) and adds
+        each reached node's distance to its ``potential``."""
+        head, cost, adj = self._head, self._cost, self._adj
+        heappop, heappush = heapq.heappop, heapq.heappush
+        inf, tie = math.inf, TIE_TOL
+        dist = [inf] * len(adj)
+        prev_slot = [-1] * len(adj)
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, v = heappop(heap)
+            if d > dist[v] + tie:
+                continue
+            pot_v = potential[v]
+            for slot in adj[v]:
+                if res[slot] <= EPS_CAP:
+                    continue
+                u = head[slot]
+                rc = (cost[slot] + pot_v) - potential[u]
+                if rc < 0.0:  # guard against float drift
+                    rc = 0.0
+                nd = d + rc
+                if nd < dist[u] - tie:
+                    dist[u] = nd
+                    prev_slot[u] = slot
+                    heappush(heap, (nd, u))
+        if not math.isfinite(dist[sink]):
+            return None
+        for v, d in enumerate(dist):
+            if d < inf:  # finite: dist is never nan or -inf
+                potential[v] += d
+        path: List[int] = []
+        v = sink
+        while v != source:
+            slot = prev_slot[v]
+            path.append(slot)
+            v = head[slot ^ 1]
+        path.reverse()
+        unit_cost = 0.0  # a loop, not sum(): see graph.plain_sum
+        for s in path:
+            unit_cost += cost[s]
+        return path, unit_cost
 
 
 @dataclass
@@ -174,78 +237,6 @@ class FlowSegment:
     steps: Tuple[Tuple[int, int], ...]
 
 
-class _Topology:
-    """Residual slots of a network: slot ``2a`` is arc ``a`` forward, slot
-    ``2a+1`` its reverse, with cost ``-cost[a]``; ``adj[v]`` lists the
-    forward slots of v's out-arcs, then the reverse slots of its in-arcs,
-    each in arc order. ``nodes`` lists the vertices that have a slot; a
-    search leaves the potential of every other vertex at zero."""
-
-    def __init__(self, net: FlowNetwork):
-        m = net.m
-        self.n = net.n
-        self.head: List[int] = [0] * (2 * m)
-        self.head[0::2] = net.head
-        self.head[1::2] = net.tail
-        self.cost: List[float] = [0.0] * (2 * m)
-        self.cost[0::2] = net.cost
-        self.cost[1::2] = [-c for c in net.cost]
-        self.adj: List[List[int]] = [[] for _ in range(net.n)]
-        for a, v in enumerate(net.tail):
-            self.adj[v].append(2 * a)
-        for a, v in enumerate(net.head):
-            self.adj[v].append(2 * a + 1)
-        self.nodes: List[int] = [v for v, slots in enumerate(self.adj) if slots]
-
-    # apart from graph.shortest_paths: reduced costs on residual slots, hot path
-    def shortest_path(self, res: List[float], potential: List[float],
-                      source: int,
-                      sink: int) -> Optional[Tuple[List[int], float]]:
-        """Dijkstra on reduced costs over the slots with ``res > EPS_CAP``;
-        returns (slot path, true unit cost) and adds each reached vertex's
-        distance to its ``potential``."""
-        head, cost, adj = self.head, self.cost, self.adj
-        heappop, heappush = heapq.heappop, heapq.heappush
-        inf, tie = math.inf, TIE_TOL
-        dist = [inf] * self.n
-        prev_slot = [-1] * self.n
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            d, v = heappop(heap)
-            if d > dist[v] + tie:
-                continue
-            pot_v = potential[v]
-            for slot in adj[v]:
-                if res[slot] <= EPS_CAP:
-                    continue
-                u = head[slot]
-                rc = (cost[slot] + pot_v) - potential[u]
-                if rc < 0.0:  # guard against float drift
-                    rc = 0.0
-                nd = d + rc
-                if nd < dist[u] - tie:
-                    dist[u] = nd
-                    prev_slot[u] = slot
-                    heappush(heap, (nd, u))
-        if not math.isfinite(dist[sink]):
-            return None
-        for v, d in enumerate(dist):
-            if d < inf:  # finite: dist is never nan or -inf
-                potential[v] += d
-        path: List[int] = []
-        v = sink
-        while v != source:
-            slot = prev_slot[v]
-            path.append(slot)
-            v = head[slot ^ 1]
-        path.reverse()
-        unit_cost = 0.0  # a loop, not sum(): see graph.plain_sum
-        for s in path:
-            unit_cost += cost[s]
-        return path, unit_cost
-
-
 def _check_ends(net: FlowNetwork, source: int, sink: int) -> None:
     if not (0 <= source < net.n and 0 <= sink < net.n):
         raise FlowError(f"source {source} or sink {sink} is not a node of "
@@ -265,12 +256,15 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
     _check_ends(net, source, sink)
     if source == sink:
         raise FlowError("source equals sink")
+    if not (value_cap >= 0 and cost_cap >= 0):
+        raise FlowError(f"value cap {value_cap} or cost cap {cost_cap} is "
+                        f"negative or NaN")
     inf, isfinite = math.inf, math.isfinite
-    topology = net.topology()
-    nodes = topology.nodes
+    # the ends as search nodes; None if an end touches no arc
+    start, end = net._number.get(source), net._number.get(sink)
     res: List[float] = [0.0] * (2 * net.m)
     res[0::2] = net.capacity
-    potential = [0.0] * net.n
+    potential = [0.0] * len(net._adj)
     previous = net._trail
     trail: List[_Search] = []
     key: tuple = (source, sink, net.closed_arcs())
@@ -283,10 +277,10 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
             search = previous[i]
         else:
             if previous and trail:  # resume from the last replayed search
-                for v, pot in zip(nodes, trail[-1][4]):
-                    potential[v] = pot
+                potential[:] = trail[-1][4]
             previous = []
-            found = topology.shortest_path(res, potential, source, sink)
+            found = (None if start is None or end is None
+                     else net._shortest_path(res, potential, start, end))
             if found is None:
                 search = (key, None, 0.0, (), array("d"))
             else:
@@ -294,7 +288,7 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
                 search = (key, live_path, live_cost,
                           tuple([(s >> 1, 1 if s % 2 == 0 else -1)
                                  for s in live_path]),
-                          array("d", [potential[v] for v in nodes]))
+                          array("d", potential))
         trail.append(search)
         _, path, unit_cost, steps, _ = search
         if path is None:
@@ -379,9 +373,8 @@ def max_flow(net: FlowNetwork, source: int, sink: int,
     """Maximum flow (cost-blind) up to ``value_cap``."""
     zero_cost = net
     if any(c != 0.0 for c in net.cost):
-        zero_cost = FlowNetwork(net.n)
-        for a in range(net.m):
-            zero_cost.add_arc(net.tail[a], net.head[a], net.capacity[a], 0.0)
+        zero_cost = FlowNetwork(net.n, net.tail, net.head, net.capacity,
+                                [0.0] * net.m)
     segments = cheapest_flow_curve(zero_cost, source, sink, value_cap=value_cap)
     value = plain_sum(seg.amount for seg in segments)
     flow, _ = _assemble(segments, value)

@@ -224,9 +224,9 @@ class _Funnel:
         self.ends = ends  # (source, sink) of the pair's routing
         self.index = {e: a for a, e in enumerate(arcs)}
         graph = side.graph
-        self.net = FlowNetwork(graph.n)
-        for e in arcs:
-            self.net.add_arc(graph.tail[e], graph.head[e], 0.0, side.l[e])
+        self.net = FlowNetwork(graph.n, [graph.tail[e] for e in arcs],
+                               [graph.head[e] for e in arcs],
+                               [0.0] * len(arcs), [side.l[e] for e in arcs])
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
         self.dirty: Set[int] = set(arcs)

@@ -92,10 +92,10 @@ def scaled_min_cut(state: CompositeSolver, tau: Dict[int, float],
     graph, flows = record.graph, record.flow[(root_id, pair_index)]
     source, sink = record.side_graph.ends(state.pairs[pair_index],
                                           state.root_by_id[root_id])
-    net = FlowNetwork(graph.n)
-    for e, f in flows.items():
-        net.add_arc(graph.tail[e], graph.head[e], min(1.0, f / tau[root_id]),
-                    0.0)
+    net = FlowNetwork(graph.n, [graph.tail[e] for e in flows],
+                      [graph.head[e] for e in flows],
+                      [min(1.0, f / tau[root_id]) for f in flows.values()],
+                      [0.0] * len(flows))
     if source == sink:
         return 1.0
     return max_flow(net, source, sink, value_cap=2.0).value

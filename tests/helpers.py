@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -9,8 +10,9 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from bulkflow.errors import BudgetExceeded
-from bulkflow.flows import (EPS_CAP, FEAS_TOL, FlowError, FlowNetwork,
-                            FlowResult, FlowSegment, MaxDeltaResult)
+from bulkflow.flows import (EPS_CAP, FEAS_TOL, TIE_TOL, FlowError,
+                            FlowNetwork, FlowResult, FlowSegment,
+                            MaxDeltaResult)
 from bulkflow.fractional import (PairSpec, RootSpec, SideGraph,
                                  _growth_factor)
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
@@ -542,6 +544,80 @@ def reference_map_to_gst(forest: JunctionForest, side: str, root: int,
                           infeasible_terminals=infeasible)
 
 
+class ReferenceTopology:
+    """The full-id residual search that ``flows`` numbered every network
+    by before each network numbered only the nodes its arcs touch.
+
+    Slot ``2a`` is arc ``a`` forward, slot ``2a+1`` its reverse, with cost
+    ``-cost[a]``; ``adj[v]`` lists the forward slots of v's out-arcs, then
+    the reverse slots of its in-arcs, each in arc order, for every id ``v``
+    of ``0..n-1``. ``nodes`` lists the vertices that have a slot; a search
+    leaves the potential of every other vertex at zero."""
+
+    def __init__(self, net: FlowNetwork):
+        m = net.m
+        self.n = net.n
+        self.head: List[int] = [0] * (2 * m)
+        self.head[0::2] = net.head
+        self.head[1::2] = net.tail
+        self.cost: List[float] = [0.0] * (2 * m)
+        self.cost[0::2] = net.cost
+        self.cost[1::2] = [-c for c in net.cost]
+        self.adj: List[List[int]] = [[] for _ in range(net.n)]
+        for a, v in enumerate(net.tail):
+            self.adj[v].append(2 * a)
+        for a, v in enumerate(net.head):
+            self.adj[v].append(2 * a + 1)
+        self.nodes: List[int] = [v for v, slots in enumerate(self.adj) if slots]
+
+    def shortest_path(self, res: List[float], potential: List[float],
+                      source: int,
+                      sink: int) -> Optional[Tuple[List[int], float]]:
+        """Dijkstra on reduced costs over the slots with ``res > EPS_CAP``;
+        returns (slot path, true unit cost) and adds each reached vertex's
+        distance to its ``potential``."""
+        head, cost, adj = self.head, self.cost, self.adj
+        heappop, heappush = heapq.heappop, heapq.heappush
+        inf, tie = math.inf, TIE_TOL
+        dist = [inf] * self.n
+        prev_slot = [-1] * self.n
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, v = heappop(heap)
+            if d > dist[v] + tie:
+                continue
+            pot_v = potential[v]
+            for slot in adj[v]:
+                if res[slot] <= EPS_CAP:
+                    continue
+                u = head[slot]
+                rc = (cost[slot] + pot_v) - potential[u]
+                if rc < 0.0:  # guard against float drift
+                    rc = 0.0
+                nd = d + rc
+                if nd < dist[u] - tie:
+                    dist[u] = nd
+                    prev_slot[u] = slot
+                    heappush(heap, (nd, u))
+        if not math.isfinite(dist[sink]):
+            return None
+        for v, d in enumerate(dist):
+            if d < inf:  # finite: dist is never nan or -inf
+                potential[v] += d
+        path: List[int] = []
+        v = sink
+        while v != source:
+            slot = prev_slot[v]
+            path.append(slot)
+            v = head[slot ^ 1]
+        path.reverse()
+        unit_cost = 0.0  # a loop, not sum(): see graph.plain_sum
+        for s in path:
+            unit_cost += cost[s]
+        return path, unit_cost
+
+
 def reference_curve(net: FlowNetwork, source: int, sink: int,
                     value_cap: float = math.inf,
                     cost_cap: float = math.inf) -> List[FlowSegment]:
@@ -554,7 +630,7 @@ def reference_curve(net: FlowNetwork, source: int, sink: int,
     """
     if source == sink:
         raise FlowError("source equals sink")
-    topology = net.topology()
+    topology = ReferenceTopology(net)
     nodes = topology.nodes
     res = [0.0] * (2 * net.m)
     res[0::2] = net.capacity

@@ -345,16 +345,11 @@ def test_acceptance_7_flow_engine_oracle_equivalence():
     assert checked == 100
 
     # closed forms on path networks
-    up = FlowNetwork(3)
-    up.add_arc(0, 1, 0.1, 2.0)
-    up.add_arc(1, 2, math.inf, 0.0)
-    down = FlowNetwork(2)
-    down.add_arc(0, 1, math.inf, 1.0)
+    up = FlowNetwork(3, [0, 1], [1, 2], [0.1, math.inf], [2.0, 0.0])
+    down = FlowNetwork(2, [0], [1], [math.inf], [1.0])
     assert abs(max_delta(up, 0, 2, down, 0, 1, 0.5).delta - 0.1) <= 1e-8
-    up2 = FlowNetwork(2)
-    up2.add_arc(0, 1, math.inf, 4.0)
-    down2 = FlowNetwork(2)
-    down2.add_arc(0, 1, math.inf, 1.0)
+    up2 = FlowNetwork(2, [0], [1], [math.inf], [4.0])
+    down2 = FlowNetwork(2, [0], [1], [math.inf], [1.0])
     assert abs(max_delta(up2, 0, 1, down2, 0, 1, 1.0).delta - 0.25) <= 1e-8
     assert max_delta(up2, 0, 1, down2, 0, 1, 0.0).delta == 0.0
     print("\nACCEPTANCE 7: PASS - 100 LP-oracle matches within 1e-7, "

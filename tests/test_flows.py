@@ -17,7 +17,8 @@ from bulkflow.generate import grid
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
 
-from helpers import reference_assemble, reference_curve, reference_max_delta
+from helpers import (ReferenceTopology, reference_assemble, reference_curve,
+                     reference_max_delta)
 
 
 def linprog_min_cost(net: FlowNetwork, source: int, sink: int, target: float):
@@ -39,12 +40,13 @@ def linprog_min_cost(net: FlowNetwork, source: int, sink: int, target: float):
 
 def random_network(rng: random.Random, max_arcs: int = 6):
     n = rng.randint(2, 4)
-    net = FlowNetwork(n)
+    arcs, capacities = [], []
     for _ in range(rng.randint(1, max_arcs)):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
-            net.add_arc(u, v, rng.uniform(0.2, 2.0), rng.uniform(0.0, 3.0))
-    return net
+            capacities.append(rng.uniform(0.2, 2.0))
+            arcs.append((u, v, rng.uniform(0.0, 3.0)))
+    return network(n, arcs, capacities)
 
 
 def tie_heavy_arcs(rng: random.Random, n: int, count: int):
@@ -63,10 +65,9 @@ def tie_heavy_capacities(rng: random.Random, count: int):
 
 
 def network(n: int, arcs, capacities) -> FlowNetwork:
-    net = FlowNetwork(n)
-    for (u, v, cost), cap in zip(arcs, capacities):
-        net.add_arc(u, v, cap, cost)
-    return net
+    """The network of ``(tail, head, cost)`` arcs with these capacities."""
+    return FlowNetwork(n, [u for u, _, _ in arcs], [v for _, v, _ in arcs],
+                       capacities, [cost for _, _, cost in arcs])
 
 
 class TestCapacityReset:
@@ -87,17 +88,6 @@ class TestCapacityReset:
             # FlowSegment equality compares amount, unit cost and steps
             assert curves[0] == curves[1]
             assert reused.capacity == fresh.capacity
-
-    def test_add_arc_after_a_solve_rebuilds_the_topology(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 1.0, 1.0)
-        net.add_arc(1, 2, 1.0, 1.0)
-        first = cheapest_flow_curve(net, 0, 2, value_cap=2.0)
-        assert [seg.unit_cost for seg in first] == [2.0]
-        net.add_arc(0, 2, 1.0, 0.5)
-        second = cheapest_flow_curve(net, 0, 2, value_cap=2.0)
-        assert [(seg.unit_cost, seg.steps) for seg in second] == [
-            (0.5, ((2, 1),)), (2.0, ((0, 1), (1, 1)))]
 
 
 def curve_bits(net: FlowNetwork, source: int, sink: int, value_cap: float,
@@ -218,24 +208,10 @@ class TestReplay:
                                       0, 2, 2.0, math.inf)
         assert len(curve_bits(reused, 0, 2, 2.0, math.inf)) == 2
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_add_arc_after_a_solve_discards_the_trail(self, seed):
-        rng = random.Random(200 + seed)
-        n = rng.randint(3, 6)
-        arcs = replay_arcs(rng, n, 3 * n)
-        capacities = [rng.choice([0.25, 1.0, math.inf]) for _ in arcs]
-        reused = network(n, arcs, capacities)
-        curve_bits(reused, 0, n - 1, 2.0, math.inf)
-        for _ in range(3):
-            arcs.append((0, n - 1, rng.choice([0.0, 0.5])))
-            capacities.append(rng.choice([0.25, 1.0]))
-            reused.add_arc(0, n - 1, capacities[-1], arcs[-1][2])
-            self.assert_solves_like_fresh(reused, n, arcs, capacities, 0,
-                                          n - 1, 2.0, math.inf)
-
     def test_replay_skips_most_searches_on_a_default_run(self, monkeypatch):
         counts = {"searches": 0, "augmentations": 0}
-        search, curve = flows._Topology.shortest_path, flows.cheapest_flow_curve
+        search = flows.FlowNetwork._shortest_path
+        curve = flows.cheapest_flow_curve
 
         def counted_search(self, *args):
             counts["searches"] += 1
@@ -246,7 +222,8 @@ class TestReplay:
             counts["augmentations"] += len(segments)
             return segments
 
-        monkeypatch.setattr(flows._Topology, "shortest_path", counted_search)
+        monkeypatch.setattr(flows.FlowNetwork, "_shortest_path",
+                            counted_search)
         monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
         # without replay every augmentation needs its own search
@@ -314,20 +291,53 @@ class TestCapacityUpdate:
 
 class TestNonFiniteInput:
     def test_nan_capacity_refused(self):
-        net = FlowNetwork(2)
         with pytest.raises(FlowError):
-            net.add_arc(0, 1, math.nan, 1.0)
-        net.add_arc(0, 1, math.inf, 1.0)  # infinite capacity stays allowed
+            network(2, [(0, 1, 1.0)], [math.nan])
+        # infinite capacity stays allowed
+        net = network(2, [(0, 1, 1.0)], [math.inf])
         with pytest.raises(FlowError):
             net.update_capacities([(0, math.nan)])
         assert net.capacity == [math.inf] and net.m == 1
 
     @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
     def test_non_finite_cost_refused(self, cost):
-        net = FlowNetwork(2)
         with pytest.raises(FlowError):
-            net.add_arc(0, 1, 1.0, cost)
-        assert net.m == 0
+            network(2, [(0, 1, 1.0), (0, 1, cost)], [1.0, 1.0])
+
+
+class TestConstruction:
+    """A network is built once from its arc columns and refuses a bad arc
+    anywhere in them."""
+
+    @pytest.mark.parametrize("tail,head", [(2, 1), (0, 2), (-1, 1), (0, -1)])
+    def test_out_of_range_ends_refused(self, tail, head):
+        with pytest.raises(FlowError, match="out of range"):
+            network(2, [(0, 1, 1.0), (tail, head, 1.0)], [1.0, 1.0])
+
+    def test_columns_of_unequal_length_refused(self):
+        for columns in (([0, 1], [1], [1.0], [1.0]),
+                        ([0], [1], [1.0, 1.0], [1.0]),
+                        ([0], [1], [1.0], [])):
+            with pytest.raises(FlowError, match="differ in length"):
+                FlowNetwork(3, *columns)
+        with pytest.raises(FlowError):
+            FlowNetwork(-1, [], [], [], [])
+
+    def test_columns_are_copied_as_floats(self):
+        tail, head, capacity, cost = [0, 1], [1, 2], [1, 2], [3, 0]
+        net = FlowNetwork(3, tail, head, capacity, cost)
+        net.update_capacities([(0, 0.5)])
+        assert capacity == [1, 2] and net.capacity == [0.5, 2.0]
+        assert [type(c) for c in net.capacity + net.cost] == [float] * 4
+        assert (net.n, net.m, net.tail, net.head) == (3, 2, tail, head)
+
+    def test_an_end_that_touches_no_arc_is_unreachable(self):
+        net = network(5, [(1, 3, 1.0)], [1.0])
+        assert cheapest_flow_curve(net, 1, 3) == [
+            flows.FlowSegment(1.0, 1.0, ((0, 1),))]
+        for source, sink in ((0, 3), (1, 4), (0, 4), (3, 1)):
+            assert cheapest_flow_curve(net, source, sink) == []
+            assert max_flow(net, source, sink).value == 0.0
 
 
 class TestEndpoints:
@@ -345,9 +355,7 @@ class TestEndpoints:
             "package = sys.modules['bulkflow'] = types.ModuleType('bulkflow')",
             f"package.__path__ = [{os.path.dirname(flows.__file__)!r}]",
             "import bulkflow.flows as flows",
-            "net = flows.FlowNetwork(3)",
-            "net.add_arc(0, 1, 1.0, 1.0)",
-            "net.add_arc(1, 2, 1.0, 1.0)",
+            "net = flows.FlowNetwork(3, [0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0])",
             "for call in (",
             "        lambda: flows.cheapest_flow_curve(net, -1, 2, value_cap=1.0),",
             "        lambda: flows.cheapest_flow_curve(net, 0, -1, value_cap=1.0),",
@@ -388,19 +396,26 @@ class TestEndpoints:
             min_cost_flow(net, 0, 1, math.nan)
         with pytest.raises(FlowError):
             max_delta(net, 0, 1, other, 0, 1, -1.0)
+        with pytest.raises(FlowError):
+            max_flow(net, 0, 1, value_cap=math.nan)
+        for caps in ({"value_cap": math.nan}, {"cost_cap": math.nan},
+                     {"value_cap": -1.0}, {"cost_cap": -1.0},
+                     {"value_cap": -math.inf}, {"cost_cap": -math.inf}):
+            with pytest.raises(FlowError, match="negative or NaN"):
+                cheapest_flow_curve(net, 0, 1, **caps)
+        # infinite caps stay allowed
+        assert len(cheapest_flow_curve(net, 0, 1, value_cap=math.inf,
+                                       cost_cap=math.inf)) == 1
 
 
 class TestMinCostFlow:
     def test_zero_target(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 1, 1)
+        net = network(2, [(0, 1, 1)], [1])
         result = min_cost_flow(net, 0, 1, 0)
         assert result.value == 0 and result.total_cost == 0
 
     def test_parallel_arc_split(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 1, 1)
-        net.add_arc(0, 1, 1, 5)
+        net = network(2, [(0, 1, 1), (0, 1, 5)], [1, 1])
         # oracle: enumerate split fractions f on the cheap arc
         oracle = min(f * 1 + (1.5 - f) * 5
                      for f in [x / 100 for x in range(0, 101)])
@@ -409,18 +424,16 @@ class TestMinCostFlow:
         result.validate(net, 0, 1)
 
     def test_infeasible_target(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, 1, 1)
+        net = network(2, [(0, 1, 1)], [1])
         with pytest.raises(InfeasibleFlow):
             min_cost_flow(net, 0, 1, 2)
 
     def test_negative_inputs_rejected(self):
-        net = FlowNetwork(2)
         with pytest.raises(FlowError):
-            net.add_arc(0, 1, -1, 0)
+            network(2, [(0, 1, 0)], [-1])
         with pytest.raises(FlowError):
-            net.add_arc(0, 1, 1, -1)
-        net.add_arc(0, 1, 1, 1)
+            network(2, [(0, 1, -1)], [1])
+        net = network(2, [(0, 1, 1)], [1])
         with pytest.raises(FlowError):
             min_cost_flow(net, 0, 1, -0.5)
 
@@ -448,14 +461,11 @@ class TestMinCostFlow:
 
 class TestMaxFlow:
     def test_simple_cut(self):
-        net = FlowNetwork(3)
-        net.add_arc(0, 1, 2, 0)
-        net.add_arc(1, 2, 1.5, 0)
+        net = network(3, [(0, 1, 0), (1, 2, 0)], [2, 1.5])
         assert max_flow(net, 0, 2).value == pytest.approx(1.5)
 
     def test_unbounded_guard(self):
-        net = FlowNetwork(2)
-        net.add_arc(0, 1, math.inf, 0)
+        net = network(2, [(0, 1, 0)], [math.inf])
         with pytest.raises(FlowError):
             max_flow(net, 0, 1)
         assert max_flow(net, 0, 1, value_cap=3.0).value == pytest.approx(3.0)
@@ -465,30 +475,31 @@ class TestMaxFlow:
         arcs = [(u, v, 0.0) for u, v, _ in tie_heavy_arcs(rng, 5, 12)]
         capacities = [rng.choice([0.0, 0.25, 1.0]) for _ in arcs]
         priced = network(5, [(u, v, 1.0) for u, v, _ in arcs], capacities)
-        expected = max_flow(priced, 0, 4)  # solved on a zero-cost copy
         net = network(5, arcs, capacities)
-        copies = []
-        monkeypatch.setattr(FlowNetwork, "add_arc",
-                            lambda *args: copies.append(args))
+        builds, init = [], FlowNetwork.__init__
+
+        def counted_init(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", counted_init)
+        expected = max_flow(priced, 0, 4)  # solved on a zero-cost copy
+        assert len(builds) == 1 and builds[0][4] == [0.0] * len(arcs)
+        builds.clear()
         result = max_flow(net, 0, 4)
-        assert copies == []
+        assert builds == []
         assert (result.value, result.flow) == (expected.value, expected.flow)
 
 
 class TestMaxDelta:
     def test_zero_budget_positive_lengths(self):
-        up = FlowNetwork(2)
-        up.add_arc(0, 1, math.inf, 1.0)
-        down = FlowNetwork(2)
-        down.add_arc(0, 1, math.inf, 0.5)
+        up = network(2, [(0, 1, 1.0)], [math.inf])
+        down = network(2, [(0, 1, 0.5)], [math.inf])
         assert max_delta(up, 0, 1, down, 0, 1, 0.0).delta == 0.0
 
     def test_capacity_bound_path(self):
-        up = FlowNetwork(3)
-        up.add_arc(0, 1, 0.1, 2.0)
-        up.add_arc(1, 2, math.inf, 0.0)
-        down = FlowNetwork(2)
-        down.add_arc(0, 1, math.inf, 1.0)
+        up = network(3, [(0, 1, 2.0), (1, 2, 0.0)], [0.1, math.inf])
+        down = network(2, [(0, 1, 1.0)], [math.inf])
         result = max_delta(up, 0, 2, down, 0, 1, 0.5)
         # up: min(cap 0.1, budget 0.5 / length 2); down: 0.5 / 1
         assert result.delta == pytest.approx(0.1, abs=1e-8)
@@ -496,26 +507,20 @@ class TestMaxDelta:
         result.down.validate(down, 0, 1)
 
     def test_budget_bound_both_sides(self):
-        up = FlowNetwork(2)
-        up.add_arc(0, 1, math.inf, 4.0)
-        down = FlowNetwork(2)
-        down.add_arc(0, 1, math.inf, 1.0)
+        up = network(2, [(0, 1, 4.0)], [math.inf])
+        down = network(2, [(0, 1, 1.0)], [math.inf])
         result = max_delta(up, 0, 1, down, 0, 1, 1.0)
         assert result.delta == pytest.approx(0.25, abs=1e-8)
 
     def test_disconnected_side_gives_zero(self):
-        up = FlowNetwork(3)
-        up.add_arc(0, 1, 1, 1)
-        down = FlowNetwork(2)
-        down.add_arc(0, 1, math.inf, 1)
+        up = network(3, [(0, 1, 1)], [1])
+        down = network(2, [(0, 1, 1)], [math.inf])
         result = max_delta(up, 0, 2, down, 0, 1, 5.0)
         assert result.delta == 0.0 and result.up.flow == {}
 
     def test_delta_capped_at_one(self):
-        up = FlowNetwork(2)
-        up.add_arc(0, 1, math.inf, 0.0)
-        down = FlowNetwork(2)
-        down.add_arc(0, 1, math.inf, 0.0)
+        up = network(2, [(0, 1, 0.0)], [math.inf])
+        down = network(2, [(0, 1, 0.0)], [math.inf])
         assert max_delta(up, 0, 1, down, 0, 1, 1.0).delta == pytest.approx(1.0)
 
     def test_budget_constraint_respected(self):
@@ -542,10 +547,8 @@ class TestMaxDelta:
             more = max_delta(up, 0, up.n - 1, down, 0, down.n - 1,
                              budget * 1.5).delta
             assert more >= base - 1e-9
-            bigger = FlowNetwork(up.n)
-            for a in range(up.m):
-                bigger.add_arc(up.tail[a], up.head[a], up.capacity[a] * 1.5,
-                               up.cost[a])
+            bigger = FlowNetwork(up.n, up.tail, up.head,
+                                 [cap * 1.5 for cap in up.capacity], up.cost)
             grown = max_delta(bigger, 0, up.n - 1, down, 0, down.n - 1,
                               budget).delta
             assert grown >= base - 1e-9
@@ -711,3 +714,85 @@ class TestFusedSolve:
         assert all(source != sink for source, sink, _ in curves)
         # as many segments as before the fused solve, and none dropped
         assert sum(count for _, _, count in curves) == len(made) == 2003
+
+
+def trail_bits(net: FlowNetwork):
+    """The network's search trail with its floats as exact bits."""
+    return [(key, path, unit_cost.hex(), steps, [p.hex() for p in potential])
+            for key, path, unit_cost, steps, potential in net._trail]
+
+
+class TestSparseIds:
+    """A network numbers only the nodes its arcs touch. Its solves return
+    the bits of the full-id search (``helpers.ReferenceTopology``), trail
+    potentials included, however sparse and scattered those nodes are in
+    the id range."""
+
+    def test_ties_take_out_arcs_before_reverse_slots(self):
+        # the second search reaches u from v at one cost both along arc 4
+        # (v -> u) and against arc 1 (u -> v, which the first path filled);
+        # v's out-arcs come first, as the full-id search lists them
+        s, u, v, t = 9000, 17, 4000, 123
+        arcs = [(s, u, 0.0), (u, v, 0.0), (v, t, 0.0), (s, v, 1.0),
+                (v, u, 0.0), (u, t, 1.0)]
+        capacities = [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]
+        expected = [flows.FlowSegment(1.0, 0.0, ((0, 1), (1, 1), (2, 1))),
+                    flows.FlowSegment(1.0, 2.0, ((3, 1), (4, 1), (5, 1)))]
+        assert cheapest_flow_curve(network(10 ** 4, arcs, capacities), s, t,
+                                   value_cap=2.0) == expected
+        assert reference_curve(network(10 ** 4, arcs, capacities), s, t,
+                               value_cap=2.0) == expected
+
+    def test_curve_and_trail_match_the_full_id_search(self):
+        n = 10 ** 4
+        seen = dict.fromkeys(["replayed", "resumed", "live", "untouched end"],
+                             0)
+        for seed in range(30):
+            rng = random.Random(5000 + seed)
+            ids = rng.sample(range(n), 8)  # scattered, not in id order
+            untouched = rng.sample(sorted(set(range(n)) - set(ids)), 2)
+            arcs = [(ids[u], ids[v], cost)
+                    for u, v, cost in replay_arcs(rng, 8, 20)]
+            capacities = [rng.choice(REPLAY_CAPACITIES) for _ in arcs]
+            new, ref = network(n, arcs, capacities), network(n, arcs,
+                                                              capacities)
+            # the search nodes are the touched ids, in id order
+            assert list(new._number) == ReferenceTopology(ref).nodes
+            for _ in range(15):
+                changes = []
+                for a in rng.sample(range(len(arcs)), rng.randint(0, 3)):
+                    if capacities[a] > EPS_CAP and rng.random() < 0.8:
+                        capacities[a] = rng.choice(REPLAY_CAPACITIES[2:])
+                    else:
+                        capacities[a] = rng.choice(REPLAY_CAPACITIES)
+                    changes.append((a, capacities[a]))
+                for net in (new, ref):
+                    net.update_capacities(changes)
+                roll = rng.random()
+                if roll < 0.1:
+                    source, sink = rng.choice([
+                        (ids[0], untouched[0]), (untouched[0], ids[1]),
+                        tuple(untouched)])
+                    seen["untouched end"] += 1
+                elif roll < 0.9:
+                    source, sink = ids[0], ids[1]
+                else:
+                    source, sink = rng.sample(ids, 2)
+                value_cap = rng.choice([1.0, 2.0, 3.0, 3 * EPS_CAP])
+                cost_cap = rng.choice([0.25, 1.0, math.inf])
+                previous = list(new._trail)
+                assert (segment_bits(cheapest_flow_curve(
+                    new, source, sink, value_cap, cost_cap))
+                        == segment_bits(reference_curve(
+                            ref, source, sink, value_cap, cost_cap)))
+                assert trail_bits(new) == trail_bits(ref)
+                reused = 0
+                while (reused < min(len(previous), len(new._trail))
+                       and new._trail[reused] is previous[reused]):
+                    reused += 1
+                if reused == 0:
+                    seen["live"] += 1
+                else:
+                    seen["replayed" if reused == len(new._trail)
+                         else "resumed"] += 1
+        assert min(seen.values()) >= 20, seen

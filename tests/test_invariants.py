@@ -141,6 +141,18 @@ def test_default_configuration_invariants(mode):
             == DEFAULT_CONFIG_TRACE_DIGESTS[mode])
 
 
+# sha256 of one directed run at h = 3, whose funnels are a few hundred arcs
+# of a forest of thousands of vertices
+DIRECTED_H3_DIGEST = (
+    "19a1fba53b124a5bef03ba8d8c54356b1155b48a68310849b218bc4e557ba35b")
+
+
+def test_directed_h3_report_pinned():
+    report = run_online(load_instance(random_digraph(8, 20, 3, seed=1)),
+                        RunConfig(mode="directed", h=3, dmax=0.4, seed=1))
+    assert _sha256(report.to_csv()) == DIRECTED_H3_DIGEST
+
+
 ORACLE_PIN_RUNS = {
     "edge": (lambda: grid(2, 3, k=4, seed=11), {"h": 1, "dmax": 0.4}),
     "directed": (lambda: random_digraph(4, 9, 2, seed=3), {"h": 2, "dmax": 0.4}),
@@ -199,6 +211,7 @@ def test_pins_hold_under_a_compensated_sum(monkeypatch):
         test_default_configuration_invariants(mode)
     for mode in sorted(ORACLE_PIN_RUNS):
         test_oracle_values_pinned(mode)
+    test_directed_h3_report_pinned()
 
 
 def test_lp_value_within_polylog_of_offline_opt():
