@@ -32,10 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the online pipeline on an instance")
     run_p.add_argument("--instance", required=True)
     run_p.add_argument("--mode", required=True, choices=MODES)
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=int, default=RunConfig.seed)
     run_p.add_argument("--h", type=int, default=None)
     run_p.add_argument("--kappa", type=float, default=None)
-    run_p.add_argument("--dmax", type=float, default=0.05)
+    run_p.add_argument("--dmax", type=float, default=RunConfig.dmax)
     run_p.add_argument("--oracle", action="store_true")
     run_p.add_argument("-o", "--out", default=None,
                        help="write the run report CSV here (default stdout)")

@@ -26,10 +26,13 @@ tightness test. Every step has the configured length ``dmax`` except the
 last one of an arrival, which is truncated to land coverage exactly at 1;
 the flow rates are always solved for a full step of ``dmax``.
 
-The step state lives in each (root, pair, side)'s ``_Funnel``: its flow
-network holds the rate capacities of a full step for the whole arrival,
-and a step recomputes only the arcs the previous committed step touched
-(found tight or grew), since no other arc's ``x``, flow or tightness moved.
+State layout: each side's ``_Side`` holds the capacities ``x`` per root;
+``CompositeSolver.routes[pair][root]`` is a ``_Route`` holding ``z`` and one
+``_Funnel`` per side (in ``sides`` order): the arcs the pair may use through
+the root, its flow on them and their flow network. The network holds the
+rate capacities of a full step for the whole arrival, and a step recomputes
+only the arcs the previous committed step touched (found tight or grew),
+since no other arc's ``x``, flow or tightness moved.
 
 All variables are nondecreasing within an epoch. An epoch aborts (without
 overshooting) once its objective would exceed ``kappa``; the caller then
@@ -143,7 +146,7 @@ class SideGraph:
 
 class _Side:
     """Per-direction epoch view (rescaled metrics, pruning) and that side's
-    LP variables: capacities ``x``, flows and the arcs each flow may use."""
+    capacity variables ``x``."""
 
     def __init__(self, side_graph: SideGraph, guess: float,
                  root_ids: Sequence[int], v0: float):
@@ -157,14 +160,6 @@ class _Side:
         self.x: Dict[int, List[float]] = {
             rid: [v0 if alive else 0.0 for alive in self.alive]
             for rid in root_ids}
-        # sparse per (root, pair) flows, each confined to its funnel
-        self.flow: Dict[Tuple[int, int], Dict[int, float]] = {}
-        self.funnels: Dict[Tuple[int, int], _Funnel] = {}
-
-    def tight(self, root_id: int, pair_index: int) -> Set[int]:
-        """Edges whose capacity variable is met by this pair's flow."""
-        return {e for e, f in self.flow.get((root_id, pair_index), {}).items()
-                if self.x[root_id][e] <= f + TIGHT_TOL}
 
     def usable(self, pair_index: int) -> Callable[[int], bool]:
         """Arc filter for one pair: alive and admitted by ``allowed``."""
@@ -205,9 +200,10 @@ def _growth_factor(c: float, dt: float) -> float:
 
 
 class _Funnel:
-    """A funnel's arcs in id order and the flow network over them (network
-    arc ``a`` is funnel arc ``a``), built once per epoch: lengths and costs
-    are fixed within an epoch, so each step only updates capacities.
+    """A pair's routing through one root on one side: the arcs it may use in
+    id order, its sparse flow on them, and the flow network over them
+    (network arc ``a`` is funnel arc ``a``), built once per epoch: lengths
+    and costs are fixed within an epoch, so each step only updates capacities.
 
     The network's capacities are the step state of the pair's arrival: the
     rate capacities for a full step of length ``dmax``. An arc's capacity
@@ -219,9 +215,10 @@ class _Funnel:
     """
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float,
-                 ends: Tuple[int, int]):
+                 ends: Tuple[int, int], flow: Dict[int, float]):
         self.arcs = arcs
         self.ends = ends  # (source, sink) of the pair's routing
+        self.flow = flow  # edge -> flow, confined to the arcs
         self.index = {e: a for a, e in enumerate(arcs)}
         graph = side.graph
         self.net = FlowNetwork(graph.n, [graph.tail[e] for e in arcs],
@@ -230,6 +227,19 @@ class _Funnel:
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
         self.dirty: Set[int] = set(arcs)
+
+    def tight(self, x: List[float]) -> Set[int]:
+        """Edges whose capacity variable in ``x`` is met by the flow."""
+        return {e for e, f in self.flow.items() if x[e] <= f + TIGHT_TOL}
+
+
+@dataclass
+class _Route:
+    """One pair's LP state for one root: its assignment ``z`` and its funnel
+    on each side, in ``sides`` order."""
+
+    z: float
+    funnels: Tuple[_Funnel, ...]
 
 
 @dataclass(frozen=True)
@@ -263,8 +273,10 @@ class CompositeSolver:
     def __init__(self, up: SideGraph, down: SideGraph,
                  roots: Sequence[RootSpec], n_scale: int, guess: float,
                  kappa: float, dmax: float):
-        if guess <= 0:
-            raise ValueError("guess must be positive")
+        for name, value in (("guess", guess), ("kappa", kappa), ("dmax", dmax)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {value!r}")
         if n_scale < 2:
             raise ValueError("n_scale must be at least 2")
         self.kappa = kappa
@@ -275,9 +287,8 @@ class CompositeSolver:
         self.sides = tuple(_Side(side_graph, guess, self.root_by_id, self.v0)
                            for side_graph in (up, down))
         self.up, self.down = self.sides
-        self.z: Dict[Tuple[int, int], float] = {}
-        self.eligible: Dict[int, List[int]] = {}
-        self.pairs: Dict[int, PairSpec] = {}
+        # pair -> root id -> route, pairs as registered, roots in roots order
+        self.routes: Dict[int, Dict[int, _Route]] = {}
         self.arrival_log: List[ArrivalStats] = []
         self._objective = self._base_objective()
         # the pair whose funnels keep their step state (see _Funnel)
@@ -297,14 +308,15 @@ class CompositeSolver:
     def lp_objective(self) -> float:
         """Exact recomputation of the composite objective (rescaled units)."""
         total = 0.0
-        for side in self.sides:
+        for i, side in enumerate(self.sides):
             for arr in side.x.values():
                 for e in range(side.graph.m):
                     if side.alive[e]:
                         total += side.c[e] * arr[e]
-            for fdict in side.flow.values():
-                for e, f in fdict.items():
-                    total += side.l[e] * f
+            for routes in self.routes.values():
+                for route in routes.values():
+                    for e, f in route.funnels[i].flow.items():
+                        total += side.l[e] * f
         return total
 
     @property
@@ -313,8 +325,8 @@ class CompositeSolver:
 
     def z_total(self, pair_index: int) -> float:
         total = 0.0  # a loop, not sum(): see graph.plain_sum
-        for r in self.eligible.get(pair_index, ()):
-            total += self.z.get((pair_index, r), 0.0)
+        for route in self.routes.get(pair_index, {}).values():
+            total += route.z
         return total
 
     # ------------------------------------------------------------------
@@ -328,49 +340,45 @@ class CompositeSolver:
         each funnel, so flows start equal to their ``z`` and the inner LP is
         feasible from the first moment.
         """
-        if pair.index in self.pairs:
+        if pair.index in self.routes:
             raise ValueError(f"pair {pair.index} already processed")
-        self.pairs[pair.index] = pair
-        eligible = self.eligible[pair.index] = []
+        routes = self.routes[pair.index] = {}
         nears = [side.side_graph.reach(pair, side.usable(pair.index))
                  for side in self.sides]
         for spec in self.roots:
-            funnels = [side.funnel(pair, spec, near)
-                       for side, near in zip(self.sides, nears)]
-            if any(funnel is None for funnel in funnels):
+            arcs = [side.funnel(pair, spec, near)
+                    for side, near in zip(self.sides, nears)]
+            if any(side_arcs is None for side_arcs in arcs):
                 continue
-            eligible.append(spec.root_id)
-            self.z[(pair.index, spec.root_id)] = self.v0
-            for side, funnel in zip(self.sides, funnels):
+            funnels = []
+            for side, side_arcs in zip(self.sides, arcs):
                 ends = side.side_graph.ends(pair, spec)
-                side.funnels[(spec.root_id, pair.index)] = _Funnel(
-                    side, funnel, self.dmax, ends)
                 path, _ = shortest_path(side.graph, lambda e: 1.0, *ends,
-                                        set(funnel).__contains__)
+                                        set(side_arcs).__contains__)
                 # a shortest path is simple: each of its arcs carries v0 once
                 flow = dict.fromkeys(path, self.v0)
-                side.flow[(spec.root_id, pair.index)] = flow
                 for e in path:
                     self._objective += side.l[e] * self.v0
                 # seeding at x's initial value can only create exact tightness
                 x = side.x[spec.root_id]
                 if any(f > x[e] + TIGHT_TOL for e, f in flow.items()):
                     raise AssertionError("seed flow exceeded capacity variable")
-        return eligible
+                funnels.append(_Funnel(side, side_arcs, self.dmax, ends, flow))
+            routes[spec.root_id] = _Route(self.v0, tuple(funnels))
+        return list(routes)
 
     def _hold_step_state(self, pair_index: int) -> None:
         """Let ``pair_index``'s funnels keep step state; the previous pair's
         recompute every arc when next solved, since this pair's steps change
         the ``x`` they read."""
         if pair_index != self._stepping:
-            for rid in self.eligible.get(self._stepping, ()):
-                for side in self.sides:
-                    funnel = side.funnels[(rid, self._stepping)]
+            for route in self.routes.get(self._stepping, {}).values():
+                for funnel in route.funnels:
                     funnel.dirty.update(funnel.arcs)
             self._stepping = pair_index
 
-    def _aux_network(self, side: _Side, rid: int, tight: Set[int],
-                     pair_index: int) -> FlowNetwork:
+    def _aux_network(self, side: _Side, rid: int, funnel: _Funnel,
+                     tight: Set[int]) -> FlowNetwork:
         """The funnel's network with the integrated rate capacities of a full
         step; network arc ``a`` is funnel arc ``a``.
 
@@ -380,9 +388,8 @@ class CompositeSolver:
         have no headroom and ride from the start. Only the funnel's dirty
         arcs are recomputed.
         """
-        funnel = side.funnels[(rid, pair_index)]
         x, dmax, inf = side.x[rid], self.dmax, math.inf
-        flows_get = side.flow.get((rid, pair_index), {}).get
+        flows_get = funnel.flow.get
         index, full_growth = funnel.index, funnel.full_growth
         changes = []
         for e in funnel.dirty:
@@ -401,20 +408,18 @@ class CompositeSolver:
         funnel.dirty.clear()
         return funnel.net
 
-    def _solve_root(self, pair: PairSpec, rid: int) -> RootStep:
+    def _solve_root(self, rid: int, route: _Route) -> RootStep:
         """Max joint growth rate and flow pattern for one root."""
-        key = (rid, pair.index)
-        funnels, tight, args = [], [], []
-        for side in self.sides:
-            funnel = side.funnels[key]
-            side_tight = side.tight(rid, pair.index)
-            funnels.append(funnel)
+        tight, args = [], []
+        for side, funnel in zip(self.sides, route.funnels):
+            side_tight = funnel.tight(side.x[rid])
             tight.append(side_tight)
-            args += (self._aux_network(side, rid, side_tight, pair.index),
+            args += (self._aux_network(side, rid, funnel, side_tight),
                      *funnel.ends)
-        result = max_delta(*args, self.z[(pair.index, rid)])
+        result = max_delta(*args, route.z)
         grow = []
-        for funnel, flow in zip(funnels, (result.up.flow, result.down.flow)):
+        for funnel, flow in zip(route.funnels,
+                                (result.up.flow, result.down.flow)):
             # network arc a is funnel arc a: key the flow rates by edge id
             arcs, rates = funnel.arcs, {}
             for a, f in flow.items():
@@ -430,15 +435,14 @@ class CompositeSolver:
         coverage gap truncates it (rates are scaled down so coverage lands
         exactly at 1). The state is left untouched; ``apply`` commits.
         """
-        pair = self.pairs[pair_index]
-        eligible = self.eligible[pair_index]
+        routes = self.routes[pair_index]
         self._hold_step_state(pair_index)
         solutions: Dict[int, RootStep] = {}
         total_delta = 0.0
-        for rid in eligible:
-            if self.z[(pair_index, rid)] >= VAR_CAP - COVER_TOL:
+        for rid, route in routes.items():
+            if route.z >= VAR_CAP - COVER_TOL:
                 continue  # this root is already fully selected
-            solutions[rid] = self._solve_root(pair, rid)
+            solutions[rid] = self._solve_root(rid, route)
             total_delta += solutions[rid].delta
 
         dt = self.dmax
@@ -447,8 +451,7 @@ class CompositeSolver:
             dt = min(dt, gap / total_delta)
         for rid, sol in solutions.items():
             if sol.delta > RATE_TOL:
-                dt = min(dt, (VAR_CAP - self.z[(pair_index, rid)])
-                         / sol.delta)
+                dt = min(dt, (VAR_CAP - routes[rid].z) / sol.delta)
         dt = max(dt, MIN_DT)
         # a full step reads each funnel's cached exp(dmax / c)
         full = dt == self.dmax
@@ -459,12 +462,11 @@ class CompositeSolver:
         d_obj = 0.0
         inf = math.inf
         for rid, sol in solutions.items():
-            key = (rid, pair_index)
-            for side, tight, g_side in zip(self.sides, sol.tight, sol.grow):
+            for side, funnel, tight, g_side in zip(
+                    self.sides, routes[rid].funnels, sol.tight, sol.grow):
                 arr, c = side.x[rid], side.c
-                flow_get = side.flow.get(key, {}).get
+                flow_get = funnel.flow.get
                 grow_get = g_side.get
-                funnel = side.funnels[key]
                 full_growth, index = funnel.full_growth, funnel.index
                 touched = set(tight) | set(g_side)
                 for e in touched:
@@ -498,17 +500,19 @@ class CompositeSolver:
             arr = side.x[rid]
             if new > arr[e]:
                 arr[e] = new
+        routes = self.routes[step.pair]
         for rid, sol in step.solutions.items():
-            for side, tight, g_side in zip(self.sides, sol.tight, sol.grow):
-                dirty = side.funnels[(rid, step.pair)].dirty
-                dirty.update(tight)
-                dirty.update(g_side)
-                flow = side.flow[(rid, step.pair)]
+            route = routes[rid]
+            for funnel, tight, g_side in zip(route.funnels, sol.tight,
+                                             sol.grow):
+                funnel.dirty.update(tight)
+                funnel.dirty.update(g_side)
+                flow = funnel.flow
                 for e, g in g_side.items():
                     flow[e] = flow.get(e, 0.0) + g * step.dt
             # dt is capped per root, so z stays at or below 1 up to float noise;
             # clamping would desynchronize z from its certifying flow value
-            self.z[(step.pair, rid)] += sol.delta * step.dt
+            route.z += sol.delta * step.dt
         self._objective += step.d_obj
 
     def on_arrival(self, pair: PairSpec) -> ArrivalOutcome:
@@ -539,38 +543,33 @@ class CompositeSolver:
     # ------------------------------------------------------------------
     # invariants
 
-    def check_pair(self, pair_index: int, flow_tol: float = FLOW_TOL,
-                   completed: bool = True) -> None:
+    def check_pair(self, pair_index: int, completed: bool = True) -> None:
         """Verify one pair's LP invariants; raises AssertionError on violation.
 
         Cheap enough to run after every arrival: touches only the pair's own
         flows (capacity bounds, conservation at the recorded value, coverage).
         The checks are explicit raises, so they stay on under ``python -O``.
         """
-        pair = self.pairs[pair_index]
-        if completed and not self.z_total(pair_index) >= 1.0 - flow_tol:
+        routes = self.routes[pair_index]
+        if completed and not self.z_total(pair_index) >= 1.0 - FLOW_TOL:
             raise AssertionError(
                 f"pair {pair_index} covered only {self.z_total(pair_index)}")
-        for rid in self.eligible[pair_index]:
-            spec = self.root_by_id[rid]
-            zv = self.z[(pair_index, rid)]
+        for rid, route in routes.items():
+            zv = route.z
             if not -BELOW_ZERO_TOL <= zv <= VAR_CAP + ABOVE_CAP_TOL:
                 raise AssertionError(f"z[{pair_index},{rid}]={zv}")
-            for side in self.sides:
+            for side, funnel in zip(self.sides, route.funnels):
                 x = side.x[rid]
-                flow = side.flow[(rid, pair_index)]
+                flow = funnel.flow
                 for e, f in flow.items():
-                    if not f <= x[e] + flow_tol:
+                    if not f <= x[e] + FLOW_TOL:
                         raise AssertionError(f"flow {f} above capacity "
                                              f"{x[e]} on edge {e}")
                     if not f >= -BELOW_ZERO_TOL:
                         raise AssertionError(f"negative flow {f} on edge {e}")
-                self._check_flow_value(side.graph, flow,
-                                       *side.side_graph.ends(pair, spec), zv,
-                                       flow_tol)
+                self._check_flow_value(side.graph, flow, *funnel.ends, zv)
 
-    def check_invariants(self, completed_pairs: Sequence[int],
-                         flow_tol: float = FLOW_TOL) -> None:
+    def check_invariants(self, completed_pairs: Sequence[int]) -> None:
         """Check every structural LP invariant; explicit raises survive -O."""
         for side in self.sides:
             for rid, arr in side.x.items():
@@ -578,19 +577,18 @@ class CompositeSolver:
                     if side.alive[e] and not (-BELOW_ZERO_TOL <= arr[e]
                                               <= VAR_CAP + ABOVE_CAP_TOL):
                         raise AssertionError(f"x[{rid}][{e}]={arr[e]} out of range")
-        for pi in self.pairs:
-            self.check_pair(pi, flow_tol, completed=pi in completed_pairs)
+        for pi in self.routes:
+            self.check_pair(pi, completed=pi in completed_pairs)
 
     @staticmethod
     def _check_flow_value(graph: TwoMetricGraph, flow: Dict[int, float],
-                          source: int, sink: int, value: float,
-                          tol: float) -> None:
+                          source: int, sink: int, value: float) -> None:
         balance: Dict[int, float] = {}
         for e, f in flow.items():
             balance[graph.tail[e]] = balance.get(graph.tail[e], 0.0) - f
             balance[graph.head[e]] = balance.get(graph.head[e], 0.0) + f
         for v, b in balance.items():
             expected = -value if v == source else value if v == sink else 0.0
-            if not abs(b - expected) <= tol:
+            if not abs(b - expected) <= FLOW_TOL:
                 raise AssertionError(
                     f"conservation violated at {v}: {b} vs {expected}")

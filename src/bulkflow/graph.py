@@ -241,6 +241,9 @@ def solution_cost(graph: TwoMetricGraph,
     ``l`` per traversal. Raises ``GraphError`` if a path references an arc
     whose purchase is missing or if a path is not a contiguous walk.
     """
+    # buy sums in the iteration order of ``ledger.bought``: for ids that
+    # collide in the set's hash table it follows insertion history, so equal
+    # sets built in different orders can differ in the last bits
     buy = 0.0
     for key in ledger.bought:
         if not (0 <= key < graph.m):

@@ -401,7 +401,8 @@ class OnlinePipeline:
             self.arrived.append(spec)
             label, root = choose_root(self.solver, self.tau, pair.index)
             if root is not None:
-                z_value = self.solver.z.get((pair.index, root), 0.0)
+                route = self.solver.routes[pair.index].get(root)
+                z_value = 0.0 if route is None else route.z
                 tau = self.tau[root]
         label = self._serve(pair, spec, label, root)
         stats = self.solver.arrival_log[-1]
@@ -532,10 +533,10 @@ def _experiment_row(suite_dir: Path, entry: object) -> Tuple[str, Optional[float
         instance = load_instance(inst_path)
         config = RunConfig(
             mode=entry.get("mode", instance.mode),
-            seed=as_int(entry.get("seed", 0), "seed"),
-            h=entry.get("h"),
+            seed=as_int(entry.get("seed", RunConfig.seed), "seed"),
+            h=None if entry.get("h") is None else as_int(entry["h"], "h"),
             kappa=entry.get("kappa"),
-            dmax=entry.get("dmax", 0.05),
+            dmax=entry.get("dmax", RunConfig.dmax),
             oracle=entry.get("oracle", True))
         report = run_online(instance, config)
     except Exception as exc:  # noqa: BLE001 - suite must keep going

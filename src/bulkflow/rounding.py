@@ -67,10 +67,9 @@ def choose_root(state: CompositeSolver, tau: Dict[int, float],
     """
     best_root: Optional[int] = None
     best_z = -1.0
-    for rid in sorted(state.eligible.get(pair_index, ())):
-        zv = state.z.get((pair_index, rid), 0.0)
-        if zv >= tau[rid] and zv > best_z:
-            best_root, best_z = rid, zv
+    for rid, route in sorted(state.routes.get(pair_index, {}).items()):
+        if route.z >= tau[rid] and route.z > best_z:
+            best_root, best_z = rid, route.z
     if best_root is None:
         return (Assignment.FALLBACK, None)
     if state.root_by_id[best_root].virtual:
@@ -85,13 +84,12 @@ def scaled_min_cut(state: CompositeSolver, tau: Dict[int, float],
     For an assigned pair this certifies that the scaled inner solution still
     dominates a unit routing: the cut value must be (numerically) at least 1.
     """
-    by_name = {"up": state.up, "down": state.down}
-    if side not in by_name:
+    positions = {"up": 0, "down": 1}
+    if side not in positions:
         raise ValueError(f"unknown side {side!r}")
-    record = by_name[side]
-    graph, flows = record.graph, record.flow[(root_id, pair_index)]
-    source, sink = record.side_graph.ends(state.pairs[pair_index],
-                                          state.root_by_id[root_id])
+    funnel = state.routes[pair_index][root_id].funnels[positions[side]]
+    graph, flows = state.sides[positions[side]].graph, funnel.flow
+    source, sink = funnel.ends
     net = FlowNetwork(graph.n, [graph.tail[e] for e in flows],
                       [graph.head[e] for e in flows],
                       [min(1.0, f / tau[root_id]) for f in flows.values()],

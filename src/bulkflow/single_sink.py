@@ -13,7 +13,7 @@ On the junction forest each instance is a group Steiner instance on a tree
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .graph import GraphError, SolutionLedger, TwoMetricGraph, shortest_path
 
@@ -50,10 +50,9 @@ class GreedySingleSink:
         """Cost serving this terminal would add right now (no commitment)."""
         return self._cheapest(terminal)[1]
 
-    def on_terminal(self, terminal: int,
-                    pair_index: Optional[int] = None) -> Tuple[int, ...]:
-        """Serve one terminal; buys the marginal-cheapest path and commits it."""
+    def on_terminal(self, terminal: int, pair_index: int) -> Tuple[int, ...]:
+        """Serve one terminal; buys the marginal-cheapest path and commits it
+        as ``pair_index``'s."""
         path, _ = self._cheapest(terminal)
-        key = pair_index if pair_index is not None else len(self.ledger.paths)
-        self.ledger.add_path(self.graph, key, path)
+        self.ledger.add_path(self.graph, pair_index, path)
         return path

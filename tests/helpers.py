@@ -284,15 +284,30 @@ def reference_augment(sides: Sequence[SideGraph], pairs: Sequence[PairSpec]
     return augmented, virtual
 
 
+# Composite solver state, read out of its routes for comparison.
+
+def z_values(solver):
+    """Every route's ``z``, keyed by (pair, root id)."""
+    return {(pi, rid): route.z for pi, routes in solver.routes.items()
+            for rid, route in routes.items()}
+
+
+def side_funnels(solver):
+    """(side, funnel) of every route, pairs as registered, roots in order."""
+    return [(side, funnel) for routes in solver.routes.values()
+            for route in routes.values()
+            for side, funnel in zip(solver.sides, route.funnels)]
+
+
 # Reference step capacities: every arc of a funnel recomputed from scratch,
 # as each growth step did before funnels kept their step state.
 
-def reference_step_capacities(side, rid: int, tight: Set[int], dt: float,
-                              pair_index: int) -> List[float]:
-    """The rate capacities of one funnel's network for a step of ``dt``."""
-    funnel = side.funnels[(rid, pair_index)]
+def reference_step_capacities(side, rid: int, funnel, tight: Set[int],
+                              dt: float) -> List[float]:
+    """The rate capacities of one funnel's network for a step of ``dt``;
+    ``funnel`` is the side's funnel of the route through root ``rid``."""
     x, c = side.x[rid], side.c
-    flows = side.flow.get((rid, pair_index), {})
+    flows = funnel.flow
     capacity = []
     for e in funnel.arcs:
         grow = _growth_factor(c[e], dt)

@@ -22,7 +22,7 @@ from bulkflow.layering import build_layered, pull_back
 from bulkflow.oracle import (OracleBudget, junction_opt, offline_opt,
                              ss_offline_opt)
 from bulkflow.rounding import Assignment, choose_root, draw_thresholds, scaled_min_cut
-from helpers import random_two_metric
+from helpers import random_two_metric, z_values
 from test_fractional import make_solver, single_path_instance
 from test_flows import linprog_min_cost, random_network
 
@@ -64,10 +64,10 @@ def test_acceptance_1_lp_feasibility_suite():
             if pipeline.solver is None:
                 continue
             completed = [s.index for s in pipeline.arrived]
-            pipeline.solver.check_invariants(completed, flow_tol=1e-7)
+            pipeline.solver.check_invariants(completed)
             arrivals_checked += 1
             state = (pipeline.epoch,
-                     dict(pipeline.solver.z),
+                     z_values(pipeline.solver),
                      {r: tuple(a) for r, a in pipeline.solver.up.x.items()})
             if snapshot is not None and snapshot[0] == state[0]:
                 for key, old in snapshot[1].items():

@@ -20,7 +20,8 @@ from bulkflow.graph import TwoMetricGraph, shortest_path
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
 from bulkflow.junction import build_junction_forest
-from helpers import build_graph, random_two_metric, reference_step_capacities
+from helpers import (build_graph, random_two_metric, reference_step_capacities,
+                     side_funnels, z_values)
 
 BIG_KAPPA = 1e9
 
@@ -78,6 +79,15 @@ class TestEpochInit:
         with pytest.raises(ValueError):
             make_solver(up, down, roots, guess=0.0)
 
+    @pytest.mark.parametrize("name", ["guess", "kappa", "dmax"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf,
+                                       -math.inf])
+    def test_rejects_non_finite_or_non_positive_settings(self, name, value):
+        # each must be finite and > 0, as RunConfig asks of kappa and dmax
+        up, down, roots, _ = single_path_instance()
+        with pytest.raises(ValueError, match=f"{name} must be a finite"):
+            make_solver(up, down, roots, **{name: value})
+
 
 class TestArrivalInit:
     def test_seeds_eligible_roots(self):
@@ -85,11 +95,12 @@ class TestArrivalInit:
         solver = make_solver(up, down, roots)
         eligible = solver.arrival_init(pair)
         assert eligible == [0]
-        assert solver.z[(0, 0)] == pytest.approx(solver.v0)
+        route = solver.routes[0][0]
+        assert route.z == pytest.approx(solver.v0)
         # the seed flow follows the unique path, one unit of v0 per edge
-        assert all(f == pytest.approx(solver.v0)
-                   for f in solver.up.flow[(0, 0)].values())
-        assert len(solver.up.flow[(0, 0)]) == 8
+        up_flow = route.funnels[0].flow
+        assert all(f == pytest.approx(solver.v0) for f in up_flow.values())
+        assert len(up_flow) == 8
 
     def test_disconnected_root_excluded(self):
         up = build_graph(4, [(0, 1, 0.1, 0.1)])  # vertex 2 unreachable
@@ -112,6 +123,18 @@ class TestArrivalInit:
         with pytest.raises(ValueError):
             solver.arrival_init(pair)
 
+    def test_pair_stays_registered_once_its_arrival_ran(self):
+        # routed or LP-infeasible, a second arrival of the pair is refused
+        up = build_graph(3, [(0, 1, 0.1, 0.1), (1, 2, 0.1, 0.1)])
+        down = build_graph(2, [(0, 1, 0.1, 0.1)])
+        solver = make_solver(up, down, [RootSpec(0, 1, 0)], dmax=0.3)
+        routed, stranded = PairSpec(0, 0, 1), PairSpec(1, 2, 1)
+        assert solver.on_arrival(routed) == ArrivalOutcome.SATISFIED
+        assert solver.on_arrival(stranded) == ArrivalOutcome.LP_INFEASIBLE
+        for pair in (routed, stranded):
+            with pytest.raises(ValueError, match="already processed"):
+                solver.on_arrival(pair)
+
 
 class TestTightEdges:
     def _state(self):
@@ -119,30 +142,32 @@ class TestTightEdges:
         down = build_graph(2, [(0, 1, 0.5, 0.1)])
         solver = make_solver(up, down, [RootSpec(0, 1, 0)])
         solver.arrival_init(PairSpec(0, 0, 1))
-        return solver
+        return solver, *solver.routes[0][0].funnels
 
     def test_source_side_tight(self):
-        solver = self._state()
+        solver, up, _ = self._state()
         solver.up.x[0][0] = 0.5
-        solver.up.flow[(0, 0)][0] = 0.5
-        assert solver.up.tight(0, 0) == {0}
+        up.flow[0] = 0.5
+        assert up.tight(solver.up.x[0]) == {0}
 
     def test_sink_side_tight(self):
-        solver = self._state()
+        solver, up, down = self._state()
         solver.up.x[0][0] = 0.5
-        solver.up.flow[(0, 0)][0] = 0.3
+        up.flow[0] = 0.3
         solver.down.x[0][0] = 0.5
-        solver.down.flow[(0, 0)][0] = 0.5
-        up_tight, down_tight = solver.up.tight(0, 0), solver.down.tight(0, 0)
+        down.flow[0] = 0.5
+        up_tight = up.tight(solver.up.x[0])
+        down_tight = down.tight(solver.down.x[0])
         assert up_tight == set() and down_tight == {0}
 
     def test_loose_everywhere(self):
-        solver = self._state()
+        solver, up, down = self._state()
         solver.up.x[0][0] = 0.5
-        solver.up.flow[(0, 0)][0] = 0.3
-        solver.down.flow[(0, 0)][0] = 0.2
+        up.flow[0] = 0.3
+        down.flow[0] = 0.2
         solver.down.x[0][0] = 0.5
-        up_tight, down_tight = solver.up.tight(0, 0), solver.down.tight(0, 0)
+        up_tight = up.tight(solver.up.x[0])
+        down_tight = down.tight(solver.down.x[0])
         assert up_tight == set() and down_tight == set()
 
 
@@ -153,7 +178,7 @@ class TestGrowthStep:
         solver = make_solver(up, down, [RootSpec(0, 1, 0)], dmax=math.log(2))
         solver.arrival_init(PairSpec(0, 0, 1))
         solver.up.x[0][0] = 0.1
-        solver.up.flow[(0, 0)][0] = 0.1  # tight at x = 0.1, c = 1
+        solver.routes[0][0].funnels[0].flow[0] = 0.1  # tight at x = 0.1, c = 1
         step = solver.growth_step(0)
         assert step.dt == math.log(2)  # a full, untruncated step
         solver.apply(step)
@@ -176,14 +201,15 @@ class TestGrowthStep:
         solver = make_solver(up, down, [RootSpec(0, 1, 0)])
         solver.arrival_init(PairSpec(0, 0, 1))
         # zero out the budget by hand: positive lengths then give delta = 0
-        solver.z[(0, 0)] = 0.0
-        solver.up.flow[(0, 0)][0] = solver.up.x[0][0]  # keep the edge tight
+        route = solver.routes[0][0]
+        route.z = 0.0
+        route.funnels[0].flow[0] = solver.up.x[0][0]  # keep the edge tight
         x_before = solver.up.x[0][0]
         step = solver.growth_step(0)
         assert step.dt == 0.05
         solver.apply(step)
         assert step.solutions[0].delta == 0.0
-        assert solver.z[(0, 0)] == 0.0
+        assert route.z == 0.0
         assert solver.up.x[0][0] > x_before
 
     def test_flow_stays_within_capacity(self):
@@ -208,9 +234,8 @@ class TestGrowthStep:
         solver.arrival_init(PairSpec(0, 0, 1))
 
         def state():
-            return (dict(solver.z),
-                    [{k: dict(v) for k, v in side.flow.items()}
-                     for side in solver.sides],
+            return (z_values(solver),
+                    [dict(funnel.flow) for _, funnel in side_funnels(solver)],
                     [{r: list(a) for r, a in side.x.items()}
                      for side in solver.sides],
                     solver.objective)
@@ -221,7 +246,7 @@ class TestGrowthStep:
         assert step.pair == 0 and step.staged_x and step.d_obj > 0.0
         solver.apply(step)
         assert solver.objective == before[3] + step.d_obj
-        assert solver.z[(0, 0)] == before[0][(0, 0)] + (
+        assert solver.routes[0][0].z == before[0][(0, 0)] + (
             step.solutions[0].delta * step.dt)
 
 
@@ -277,7 +302,7 @@ def test_check_pair_raises_under_python_optimize():
         if solver.on_arrival(pair) != ArrivalOutcome.SATISFIED:
             sys.exit("arrival not satisfied")
         solver.check_pair(0)
-        flows = solver.up.flow[(0, 0)]
+        flows = solver.routes[0][0].funnels[0].flow
         e = next(iter(flows))
         flows[e] = solver.up.x[0][e] + 1.0  # flow above its capacity
         try:
@@ -386,7 +411,9 @@ class TestDeterminism:
             solver = make_solver(up, down, roots, dmax=0.25)
             solver.on_arrival(PairSpec(0, 0, 1))
             solver.on_arrival(PairSpec(1, 1, 0))
-            return (dict(solver.z), {k: dict(v) for k, v in solver.up.flow.items()},
+            return (z_values(solver),
+                    [dict(funnel.flow) for side, funnel in side_funnels(solver)
+                     if side is solver.up],
                     {r: list(a) for r, a in solver.up.x.items()},
                     solver.objective)
         assert run() == run()
@@ -425,29 +452,30 @@ class TestFunnel:
         for index in range(2):
             pair = PairSpec(index, rng.randrange(n), rng.randrange(n))
             eligible = solver.arrival_init(pair)
-            for rid, side in itertools.product(eligible, solver.sides):
+            routes = solver.routes[index]
+            for rid, i in itertools.product(eligible, range(2)):
                 # the seed is the hop-shortest path over all usable arcs
+                side = solver.sides[i]
                 usable = set(usable_arcs(side, pair)).__contains__
                 path, _ = shortest_path(side.graph, lambda e: 1.0,
                                         *side.side_graph.ends(pair, roots[rid]),
                                         usable)
-                assert side.flow[(rid, index)] == dict.fromkeys(path, solver.v0)
+                assert (routes[rid].funnels[i].flow
+                        == dict.fromkeys(path, solver.v0))
             for _ in range(4):
                 if not eligible or solver.z_total(index) >= 1.0 - 1e-12:
                     break
-                for rid in eligible:
-                    key = (rid, index)
-                    funnel_step = solver._solve_root(pair, rid)
-                    funnels = [side.funnels[key] for side in solver.sides]
+                for rid, route in routes.items():
+                    funnel_step = solver._solve_root(rid, route)
+                    funnels = route.funnels
                     try:
-                        for side in solver.sides:
-                            side.funnels[key] = fractional._Funnel(
-                                side, usable_arcs(side, pair), 0.2,
-                                side.side_graph.ends(pair, roots[rid]))
-                        full_step = solver._solve_root(pair, rid)
+                        route.funnels = tuple(
+                            fractional._Funnel(side, usable_arcs(side, pair),
+                                               0.2, funnel.ends, funnel.flow)
+                            for side, funnel in zip(solver.sides, funnels))
+                        full_step = solver._solve_root(rid, route)
                     finally:
-                        for side, funnel in zip(solver.sides, funnels):
-                            side.funnels[key] = funnel
+                        route.funnels = funnels
                     # same delta and, mapped back to arc ids, the same flows
                     assert funnel_step == full_step
                     compared += 1
@@ -472,8 +500,7 @@ class TestFunnel:
         assert eligible
         graph = forest.graph
         for rid in eligible:
-            up = solver.up.funnels[(rid, 0)].arcs
-            down = solver.down.funnels[(rid, 0)].arcs
+            up, down = (funnel.arcs for funnel in solver.routes[0][rid].funnels)
             # r's up tree plus the source's hookups into it, and the mirror
             # image downstairs; never a root link, never another root's arc
             for arcs, own, terminal, inner, outer in (
@@ -501,12 +528,11 @@ class TestFunnel:
                                              rng.randrange(n)))
                 for _ in range(3):
                     solver.apply(solver.growth_step(index))
-            for side in solver.sides:
-                for funnel in side.funnels.values():
-                    assert ([g.hex() for g in funnel.full_growth]
-                            == [fractional._growth_factor(side.c[e], dmax).hex()
-                                for e in funnel.arcs])
-                    compared += len(funnel.arcs)
+            for side, funnel in side_funnels(solver):
+                assert ([g.hex() for g in funnel.full_growth]
+                        == [fractional._growth_factor(side.c[e], dmax).hex()
+                            for e in funnel.arcs])
+                compared += len(funnel.arcs)
         assert compared
 
     @pytest.mark.parametrize("seed", range(4))
@@ -535,9 +561,9 @@ def solver_state(solver):
     def bits(values):
         return [v.hex() for v in values]
     return ([{r: bits(a) for r, a in side.x.items()} for side in solver.sides],
-            [{k: sorted((e, f.hex()) for e, f in v.items())
-              for k, v in side.flow.items()} for side in solver.sides],
-            sorted((k, v.hex()) for k, v in solver.z.items()),
+            [sorted((e, f.hex()) for e, f in funnel.flow.items())
+             for _, funnel in side_funnels(solver)],
+            sorted((k, v.hex()) for k, v in z_values(solver).items()),
             solver.objective.hex())
 
 
@@ -563,10 +589,10 @@ class TestStepState:
         aux = CompositeSolver._aux_network
         checked = []
 
-        def checked_aux(self, side, rid, tight, pair_index):
-            net = aux(self, side, rid, tight, pair_index)
-            expected = reference_step_capacities(side, rid, tight,
-                                                 self.dmax, pair_index)
+        def checked_aux(self, side, rid, funnel, tight):
+            net = aux(self, side, rid, funnel, tight)
+            expected = reference_step_capacities(side, rid, funnel, tight,
+                                                 self.dmax)
             assert ([cap.hex() for cap in net.capacity]
                     == [cap.hex() for cap in expected])
             checked.append(len(net.capacity))
@@ -604,9 +630,8 @@ class TestStepState:
         for index, apply in plan:
             step = kept.growth_step(index)
             if apply:
-                for side in fresh.sides:
-                    for funnel in side.funnels.values():
-                        funnel.dirty.update(funnel.arcs)  # recompute every arc
+                for _, funnel in side_funnels(fresh):
+                    funnel.dirty.update(funnel.arcs)  # recompute every arc
                 reference = fresh.growth_step(index)
                 assert step_bits(kept, step) == step_bits(fresh, reference)
                 kept.apply(step)

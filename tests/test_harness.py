@@ -316,6 +316,27 @@ class TestExperiment(object):
         assert summary["runs"] == 2 and summary["failures"] == 0
         assert summary["max_ratio"] >= summary["geomean_ratio"] >= 1.0 - 1e-9
 
+    def test_integral_float_height_runs_and_defaults_are_run_config_s(
+            self, tmp_path):
+        # "h": 1.0 runs as "seed": 1.0 does; absent seed and dmax are
+        # RunConfig's defaults
+        dump_instance(grid(2, 2, k=2, seed=1), tmp_path / "g.json")
+        suite = tmp_path / "suite.json"
+        run = {"instance": "g.json", "mode": "edge", "oracle": False}
+        suite.write_text(json.dumps({"runs": [
+            dict(run, h=1.0, seed=1.0, dmax=0.4),
+            dict(run, h=1, seed=1, dmax=0.4),
+            dict(run, h=1),
+            dict(run, h=1, seed=RunConfig.seed, dmax=RunConfig.dmax),
+        ]}))
+        out = tmp_path / "out.csv"
+        summary = run_experiment(str(suite), str(out))
+        assert summary["failures"] == 0, summary["errors"]
+        # every column but wall_ms
+        rows = [line.rsplit(",", 1)[0]
+                for line in out.read_text().splitlines()[1:]]
+        assert rows[0] == rows[1] and rows[2] == rows[3]
+
     def test_failures_recorded_and_continue(self, tmp_path):
         dump_instance(grid(2, 2, k=1, seed=0), tmp_path / "g.json")
         suite = tmp_path / "suite.json"

@@ -17,7 +17,7 @@ from bulkflow.instance import load_instance
 from bulkflow.oracle import (InfeasibleInstance, lp_lower_bound, offline_opt,
                              ss_offline_opt)
 from bulkflow.rounding import Assignment, draw_thresholds, scaled_min_cut
-from helpers import random_two_metric
+from helpers import random_two_metric, z_values
 
 
 def test_end_to_end_feasibility_thousand_runs():
@@ -112,7 +112,7 @@ def test_default_configuration_invariants(mode):
             if solver is None:
                 continue
             solver.check_invariants([s.index for s in pipeline.arrived])
-            state = (pipeline.epoch, dict(solver.z),
+            state = (pipeline.epoch, z_values(solver),
                      [{r: tuple(a) for r, a in side.x.items()}
                       for side in solver.sides])
             if snapshot is not None and snapshot[0] == state[0]:
@@ -258,10 +258,11 @@ def test_expected_scaled_objective_blowup_recorded():
                 for e, v in enumerate(x):
                     if side.alive[e]:
                         scaled += side.c[e] * min(1.0, v / tau[rid])
-        for side in solver.sides:
-            for (rid, _), flow in side.flow.items():
-                for e, f in flow.items():
-                    scaled += side.l[e] * min(1.0, f / tau[rid])
+        for routes in solver.routes.values():
+            for rid, route in routes.items():
+                for side, funnel in zip(solver.sides, route.funnels):
+                    for e, f in funnel.flow.items():
+                        scaled += side.l[e] * min(1.0, f / tau[rid])
         totals.append(scaled)
     blowup = (sum(totals) / len(totals)) / fractional
     constant = blowup / math.log2(n) ** 2

@@ -110,9 +110,8 @@ class TestAugment:
         for pair in pairs:
             assert solver.on_arrival(pair) == ArrivalOutcome.SATISFIED
         arc = private_arc(sides[0], 0)
-        assert arc in solver.up.funnels[(VIRTUAL_ROOT_ID, 0)].arcs
-        others = [funnel.arcs for (_, pi), funnel in solver.up.funnels.items()
-                  if pi == 1]
+        assert arc in solver.routes[0][VIRTUAL_ROOT_ID].funnels[0].arcs
+        others = [route.funnels[0].arcs for route in solver.routes[1].values()]
         assert len(others) == 2  # the real root and pair 1's own discard
         assert all(arc not in funnel for funnel in others)
 
@@ -125,14 +124,14 @@ class TestFractionalDiscard:
         sides, virtual = augment(two_sides(up, down), pairs)
         solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual], dmax=0.2)
         assert solver.on_arrival(pairs[0]) == ArrivalOutcome.SATISFIED
-        z_real = solver.z[(0, 1)]
-        z_discard = solver.z[(0, VIRTUAL_ROOT_ID)]
+        z_real = solver.routes[0][1].z
+        z_discard = solver.routes[0][VIRTUAL_ROOT_ID].z
         assert z_real + z_discard >= 1 - 1e-7
         assert z_discard > 0
         # fractional split contributes q * z_discard through the arc lengths
         arc = private_arc(sides[0], 0)
-        assert solver.up.flow[(VIRTUAL_ROOT_ID, 0)][arc] == pytest.approx(z_discard,
-                                                                     abs=1e-7)
+        discard_flow = solver.routes[0][VIRTUAL_ROOT_ID].funnels[0].flow
+        assert discard_flow[arc] == pytest.approx(z_discard, abs=1e-7)
 
     def test_zero_penalty_discard_is_free_and_instant(self):
         up = build_graph(2, [(0, 1, 0.6, 0.4)])
@@ -142,7 +141,7 @@ class TestFractionalDiscard:
         solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual])
         before = solver.lp_objective()
         assert solver.on_arrival(pairs[0]) == ArrivalOutcome.SATISFIED
-        assert solver.z[(0, VIRTUAL_ROOT_ID)] >= 0.9
+        assert solver.routes[0][VIRTUAL_ROOT_ID].z >= 0.9
         assert solver.lp_objective() - before < 0.01
 
 

@@ -55,22 +55,22 @@ class TestAssign:
 
     def test_argmax_above_threshold_wins(self):
         solver = self._two_root_state()
-        solver.z[(0, 1)] = 0.25
-        solver.z[(0, 2)] = 0.10
+        solver.routes[0][1].z = 0.25
+        solver.routes[0][2].z = 0.10
         tau = {1: 0.2, 2: 0.3}
         assert choose_root(solver, tau, 0) == (Assignment.ASSIGNED, 1)
 
     def test_all_below_threshold_falls_back(self):
         solver = self._two_root_state()
-        solver.z[(0, 1)] = 0.01
-        solver.z[(0, 2)] = 0.02
+        solver.routes[0][1].z = 0.01
+        solver.routes[0][2].z = 0.02
         tau = {1: 0.2, 2: 0.3}
         assert choose_root(solver, tau, 0) == (Assignment.FALLBACK, None)
 
     def test_tie_breaks_to_smaller_root(self):
         solver = self._two_root_state()
-        solver.z[(0, 1)] = 0.25
-        solver.z[(0, 2)] = 0.25
+        solver.routes[0][1].z = 0.25
+        solver.routes[0][2].z = 0.25
         tau = {1: 0.2, 2: 0.2}
         assert choose_root(solver, tau, 0) == (Assignment.ASSIGNED, 1)
 
