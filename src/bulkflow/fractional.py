@@ -26,13 +26,22 @@ tightness test. Every step has the configured length ``dmax`` except the
 last one of an arrival, which is truncated to land coverage exactly at 1;
 the flow rates are always solved for a full step of ``dmax``.
 
+An epoch assumes its guess is at least the optimum, so a pair routed
+through a root pays at most one guess unit of rescaled ``c + l`` there. Its
+funnels are the distance ball that bound leaves: a root is eligible when
+``d(s, r_up) + d(r_down, t)`` is at most 1, and an up arc ``e`` stays when
+``d(s, tail) + c_e + l_e + d(head, r_up) + d(r_down, t)`` is at most 1, the
+down side mirrored (``BALL_TOL`` absorbs float rounding). A pair the ball
+cuts off is LP-infeasible at this guess; the caller doubles it, and a root
+eligible at one guess stays eligible at every larger one.
+
 State layout: each side's ``_Side`` holds the capacities ``x`` per root;
 ``CompositeSolver.routes[pair][root]`` is a ``_Route`` holding ``z`` and one
-``_Funnel`` per side (in ``sides`` order): the arcs the pair may use through
-the root, its flow on them and their flow network. The network holds the
-rate capacities of a full step for the whole arrival, and a step recomputes
-only the arcs the previous committed step touched (found tight or grew),
-since no other arc's ``x``, flow or tightness moved.
+``_Funnel`` per side (in ``sides`` order): the arcs of the ball the pair may
+use through the root, its flow on them and their flow network. The network
+holds the rate capacities of a full step for the whole arrival, and a step
+recomputes only the arcs the previous committed step touched (found tight or
+grew), since no other arc's ``x``, flow or tightness moved.
 
 All variables are nondecreasing within an epoch. An epoch aborts (without
 overshooting) once its objective would exceed ``kappa``; the caller then
@@ -47,13 +56,16 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .flows import FlowNetwork, max_delta
-from .graph import (TwoMetricGraph, plain_sum, reachable_from, reaches,
-                    shortest_path)
+from .graph import (TwoMetricGraph, Unreachable, plain_sum, reachable_from,
+                    reaches, shortest_path, shortest_paths)
 
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
 # an edge stays alive when its rescaled cost and length are within this of 1
 PRUNE_TOL = 1e-12
+# a route through a root stays in the ball when its rescaled c + l is within
+# this of 1: covers the rounding between the guess's and the ball's sums
+BALL_TOL = 1e-9
 # a z (per root, or summed over the roots) this close to 1 counts as full
 COVER_TOL = 1e-12
 # growth rates delta at or below this do not bound the step length
@@ -156,6 +168,8 @@ class _Side:
         self.l = [graph.l[e] / guess for e in range(graph.m)]
         self.alive = [self.c[e] <= 1.0 + PRUNE_TOL
                       and self.l[e] <= 1.0 + PRUNE_TOL for e in range(graph.m)]
+        # rescaled c + l of each arc: the metric of the distance ball
+        self.w = [c + l for c, l in zip(self.c, self.l)]
         # per-root capacity variables, dense over edge ids (0.0 where pruned)
         self.x: Dict[int, List[float]] = {
             rid: [v0 if alive else 0.0 for alive in self.alive]
@@ -170,21 +184,24 @@ class _Side:
 
         return usable
 
-    def funnel(self, pair: PairSpec, root: RootSpec,
-               near: Set[int]) -> Optional[List[int]]:
-        """The arcs, in id order, the pair may route over through ``root``:
-        usable, tail reached from the source, head reaching the sink; ``None``
-        if the sink is unreachable. ``near`` is ``reach`` over usable arcs."""
-        vertex = self.side_graph.root_vertex(root)
-        if vertex not in near:
-            return None
-        usable = self.usable(pair.index)
-        if self.side_graph.upward:
-            after, before = near, reaches(self.graph, vertex, usable)
-        else:
-            after, before = reachable_from(self.graph, vertex, usable), near
-        return sorted(e for v in after & before for e in self.graph.out_arcs[v]
-                      if self.graph.head[e] in before and usable(e))
+    def distances(self, vertex: int, usable: Callable[[int], bool],
+                  into: bool) -> Dict[int, float]:
+        """``c + l`` distance over usable arcs from ``vertex`` to each vertex
+        it reaches, or into ``vertex`` from each vertex reaching it."""
+        found = shortest_paths(self.graph, self.w.__getitem__, vertex,
+                               allowed=usable, backward=into)
+        return {v: d for v, (_, d) in found.items()}
+
+    def ball(self, before: Dict[int, float], after: Dict[int, float],
+             other: float, usable: Callable[[int], bool]) -> List[int]:
+        """The usable arcs, in id order, on a route within the ball: ``before``
+        holds distances from the side's source, ``after`` distances to its
+        sink and ``other`` the other side's distance through the root."""
+        graph, w, limit = self.graph, self.w, 1.0 + BALL_TOL
+        head = graph.head
+        return sorted(e for v, dv in before.items() for e in graph.out_arcs[v]
+                      if head[e] in after and usable(e)
+                      and dv + w[e] + after[head[e]] + other <= limit)
 
 
 def _growth_factor(c: float, dt: float) -> float:
@@ -335,26 +352,51 @@ class CompositeSolver:
     def arrival_init(self, pair: PairSpec) -> List[int]:
         """Register a pair: find eligible roots and seed all its variables.
 
-        A root is eligible when the pair has a funnel through it on both
-        sides. The seed routes ``v0`` units along a hop-shortest path inside
-        each funnel, so flows start equal to their ``z`` and the inner LP is
-        feasible from the first moment.
+        The funnels are the distance ball of the guess in rescaled ``c + l``.
+        One search from ``s`` upstairs and one into ``t`` downstairs price
+        the roots: ``r`` is eligible when ``d(s, r_up) + d(r_down, t)`` is at
+        most ``1 + BALL_TOL``. Only an eligible root gets a search into
+        ``r_up`` and one out of ``r_down``; its funnel on a side holds the
+        usable arcs on some route within the same bound. The seed routes
+        ``v0`` units along a hop-shortest path inside each funnel, so flows
+        start equal to their ``z`` and the inner LP is feasible from the
+        first moment.
         """
         if pair.index in self.routes:
             raise ValueError(f"pair {pair.index} already processed")
         routes = self.routes[pair.index] = {}
-        nears = [side.side_graph.reach(pair, side.usable(pair.index))
-                 for side in self.sides]
+        usable = [side.usable(pair.index) for side in self.sides]
+        # d(s, .) upstairs and d(., t) downstairs
+        near = [side.distances(side.side_graph.terminal(pair), use,
+                               into=not side.side_graph.upward)
+                for side, use in zip(self.sides, usable)]
         for spec in self.roots:
-            arcs = [side.funnel(pair, spec, near)
-                    for side, near in zip(self.sides, nears)]
-            if any(side_arcs is None for side_arcs in arcs):
+            vertices = [side.side_graph.root_vertex(spec)
+                        for side in self.sides]
+            if any(v not in dist for v, dist in zip(vertices, near)):
+                continue
+            to_root = [dist[v] for v, dist in zip(vertices, near)]
+            if to_root[0] + to_root[1] > 1.0 + BALL_TOL:
+                continue
+            balls = []
+            for i, (side, use) in enumerate(zip(self.sides, usable)):
+                upward = side.side_graph.upward
+                # d(., r_up) upstairs and d(r_down, .) downstairs
+                at_root = side.distances(vertices[i], use, into=upward)
+                before, after = ((near[i], at_root) if upward
+                                 else (at_root, near[i]))
+                arcs = side.ball(before, after, to_root[1 - i], use)
+                ends = side.side_graph.ends(pair, spec)
+                try:
+                    path, _ = shortest_path(side.graph, lambda e: 1.0, *ends,
+                                            set(arcs).__contains__)
+                except Unreachable:
+                    break  # rounding at the bound cut the cheapest route
+                balls.append((side, arcs, ends, path))
+            if len(balls) < len(self.sides):
                 continue
             funnels = []
-            for side, side_arcs in zip(self.sides, arcs):
-                ends = side.side_graph.ends(pair, spec)
-                path, _ = shortest_path(side.graph, lambda e: 1.0, *ends,
-                                        set(side_arcs).__contains__)
+            for side, arcs, ends, path in balls:
                 # a shortest path is simple: each of its arcs carries v0 once
                 flow = dict.fromkeys(path, self.v0)
                 for e in path:
@@ -363,7 +405,7 @@ class CompositeSolver:
                 x = side.x[spec.root_id]
                 if any(f > x[e] + TIGHT_TOL for e, f in flow.items()):
                     raise AssertionError("seed flow exceeded capacity variable")
-                funnels.append(_Funnel(side, side_arcs, self.dmax, ends, flow))
+                funnels.append(_Funnel(side, arcs, self.dmax, ends, flow))
             routes[spec.root_id] = _Route(self.v0, tuple(funnels))
         return list(routes)
 

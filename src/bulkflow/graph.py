@@ -241,11 +241,10 @@ def solution_cost(graph: TwoMetricGraph,
     ``l`` per traversal. Raises ``GraphError`` if a path references an arc
     whose purchase is missing or if a path is not a contiguous walk.
     """
-    # buy sums in the iteration order of ``ledger.bought``: for ids that
-    # collide in the set's hash table it follows insertion history, so equal
-    # sets built in different orders can differ in the last bits
+    # buy sums in key order: a set's iteration order follows its insertion
+    # history for colliding keys, and equal sets must give equal bits
     buy = 0.0
-    for key in ledger.bought:
+    for key in sorted(ledger.bought):
         if not (0 <= key < graph.m):
             raise GraphError(f"bought purchase key {key} outside graph")
         buy += graph.c[key]

@@ -306,7 +306,7 @@ class OnlinePipeline:
                     replay_ok = False
                     break
                 if outcome != ArrivalOutcome.SATISFIED:
-                    # reachability only improves as the guess grows
+                    # a root in the ball stays in it as the guess grows
                     raise RuntimeError(f"replay of pair {old.index} ended "
                                        f"{outcome} at guess {self.lam}")
             if replay_ok:
@@ -314,8 +314,8 @@ class OnlinePipeline:
 
     def _structurally_feasible(self, spec: PairSpec) -> bool:
         """Whether some root is reachable on both sides under the owner rule
-        alone. Unlike the solver's funnels this ignores pruning, because it
-        asks whether a larger guess would help."""
+        alone. Unlike the solver's distance balls this ignores the guess,
+        because it asks whether a larger guess would help."""
         side_graphs = [side.side_graph for side in self.sides]
         reach = [g.reach(spec, g.allowed(spec.index)) for g in side_graphs]
         return any(all(g.root_vertex(r) in seen

@@ -13,7 +13,7 @@ from bulkflow.errors import BudgetExceeded
 from bulkflow.flows import (EPS_CAP, FEAS_TOL, TIE_TOL, FlowError,
                             FlowNetwork, FlowResult, FlowSegment,
                             MaxDeltaResult)
-from bulkflow.fractional import (PairSpec, RootSpec, SideGraph,
+from bulkflow.fractional import (BALL_TOL, PairSpec, RootSpec, SideGraph,
                                  _growth_factor)
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, plain_sum,
@@ -297,6 +297,55 @@ def side_funnels(solver):
     return [(side, funnel) for routes in solver.routes.values()
             for route in routes.values()
             for side, funnel in zip(solver.sides, route.funnels)]
+
+
+# Reference distance ball: the funnel definition evaluated on all-pairs
+# distances from Floyd-Warshall, with none of the solver's searches.
+
+def _all_pairs_distances(graph: TwoMetricGraph, arcs: Sequence[int],
+                         weight: Sequence[float]) -> List[List[float]]:
+    """``d[u][v]``: least total ``weight`` of a walk from u to v over
+    ``arcs``, ``inf`` when v is out of reach."""
+    n = graph.n
+    d = [[0.0 if u == v else math.inf for v in range(n)] for u in range(n)]
+    for e in arcs:
+        u, v = graph.tail[e], graph.head[e]
+        d[u][v] = min(d[u][v], weight[e])
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if d[i][k] + d[k][j] < d[i][j]:
+            d[i][j] = d[i][k] + d[k][j]
+    return d
+
+
+def reference_ball(solver, pair: PairSpec) -> Dict[int, Tuple[List[int], ...]]:
+    """Eligible root id -> each side's funnel arcs in id order, in ``roots``
+    order: a root is eligible when ``d(s, r_up) + d(r_down, t)`` in rescaled
+    ``c + l`` over the pair's usable arcs is at most ``1 + BALL_TOL``, and a
+    usable arc stays when the cheapest route through it and the root is."""
+    limit = 1.0 + BALL_TOL
+    usable, dist = [], []
+    for side in solver.sides:
+        allowed = side.side_graph.allowed(pair.index)
+        arcs = [e for e in range(side.graph.m) if side.alive[e]
+                and (allowed is None or allowed(e))]
+        weight = [c + l for c, l in zip(side.c, side.l)]
+        usable.append((arcs, weight))
+        dist.append(_all_pairs_distances(side.graph, arcs, weight))
+    (up_arcs, up_w), (down_arcs, down_w) = usable
+    up, down = solver.up.graph, solver.down.graph
+    du, dd = dist
+    s, t = pair.up_source, pair.down_sink
+    ball = {}
+    for root in solver.roots:
+        ru, rd = root.up_vertex, root.down_vertex
+        if not du[s][ru] + dd[rd][t] <= limit:
+            continue
+        ball[root.root_id] = (
+            [e for e in up_arcs if du[s][up.tail[e]] + up_w[e]
+             + du[up.head[e]][ru] + dd[rd][t] <= limit],
+            [e for e in down_arcs if dd[rd][down.tail[e]] + down_w[e]
+             + dd[down.head[e]][t] + du[s][ru] <= limit])
+    return ball
 
 
 # Reference step capacities: every arc of a funnel recomputed from scratch,

@@ -227,7 +227,7 @@ class TestReplay:
         monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
         # without replay every augmentation needs its own search
-        assert counts["augmentations"] == 2003
+        assert counts["augmentations"] == 1439
         assert counts["searches"] * 10 < counts["augmentations"]
 
 
@@ -712,8 +712,8 @@ class TestFusedSolve:
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
         assert solves and all(calls == moving for calls, moving in solves)
         assert all(source != sink for source, sink, _ in curves)
-        # as many segments as before the fused solve, and none dropped
-        assert sum(count for _, _, count in curves) == len(made) == 2003
+        # one segment per augmentation, and none dropped
+        assert sum(count for _, _, count in curves) == len(made) == 1439
 
 
 def trail_bits(net: FlowNetwork):

@@ -20,8 +20,8 @@ from bulkflow.graph import TwoMetricGraph, shortest_path
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
 from bulkflow.junction import build_junction_forest
-from helpers import (build_graph, random_two_metric, reference_step_capacities,
-                     side_funnels, z_values)
+from helpers import (build_graph, random_two_metric, reference_ball,
+                     reference_step_capacities, side_funnels, z_values)
 
 BIG_KAPPA = 1e9
 
@@ -32,6 +32,15 @@ def make_solver(up, down, roots, n_scale=10, guess=1.0, kappa=BIG_KAPPA,
     if not isinstance(up, SideGraph):
         up, down = SideGraph(up, upward=True), SideGraph(down, upward=False)
     return CompositeSolver(up, down, roots, n_scale, guess, kappa, dmax)
+
+
+def route_cost(up, down, root, pair):
+    """``c + l`` of the pair's cheapest route through ``root``: the least
+    guess whose distance ball holds the root."""
+    def cost(g, start, goal):
+        return shortest_path(g, lambda e: g.c[e] + g.l[e], start, goal)[1]
+    return (cost(up, pair.up_source, root.up_vertex)
+            + cost(down, root.down_vertex, pair.down_sink))
 
 
 def single_path_instance(n_edges=8, c=0.01, l=0.75):
@@ -92,7 +101,8 @@ class TestEpochInit:
 class TestArrivalInit:
     def test_seeds_eligible_roots(self):
         up, down, roots, pair = single_path_instance()
-        solver = make_solver(up, down, roots)
+        solver = make_solver(up, down, roots,
+                             guess=route_cost(up, down, *roots, pair))
         eligible = solver.arrival_init(pair)
         assert eligible == [0]
         route = solver.routes[0][0]
@@ -109,6 +119,19 @@ class TestArrivalInit:
         solver = make_solver(up, down, roots)
         eligible = solver.arrival_init(PairSpec(0, up_source=0, down_sink=1))
         assert eligible == [0]
+
+    def test_root_whose_ball_rounding_drops_a_route_arc_is_skipped(self):
+        # d(s, r) sums the path from s, the arc test of arc 0 sums the rest
+        # of it from r: one rounds to the bound, the other one ulp above
+        a, b, c = 0.19150488850818106, 0.38358120866617673, 0.4249139038256424
+        assert (a + b) + c <= 1.0 + fractional.BALL_TOL < a + (c + b)
+        up = build_graph(4, [(0, 1, a, 0.0), (1, 2, b, 0.0), (2, 3, c, 0.0)])
+        down = build_graph(1, [])
+        root, pair = RootSpec(0, 3, 0), PairSpec(0, 0, 0)
+        assert make_solver(up, down, [root]).on_arrival(pair) == (
+            ArrivalOutcome.LP_INFEASIBLE)
+        doubled = make_solver(up, down, [root], guess=2.0)
+        assert doubled.arrival_init(pair) == [0]
 
     def test_no_roots_reports_infeasible(self):
         up = build_graph(3, [(0, 1, 0.1, 0.1)])
@@ -140,8 +163,10 @@ class TestTightEdges:
     def _state(self):
         up = build_graph(2, [(0, 1, 0.5, 0.1)])
         down = build_graph(2, [(0, 1, 0.5, 0.1)])
-        solver = make_solver(up, down, [RootSpec(0, 1, 0)])
-        solver.arrival_init(PairSpec(0, 0, 1))
+        root, pair = RootSpec(0, 1, 0), PairSpec(0, 0, 1)
+        solver = make_solver(up, down, [root],
+                             guess=route_cost(up, down, root, pair))
+        solver.arrival_init(pair)
         return solver, *solver.routes[0][0].funnels
 
     def test_source_side_tight(self):
@@ -175,12 +200,15 @@ class TestGrowthStep:
     def test_tight_edge_doubles_over_ln2(self):
         up = build_graph(2, [(0, 1, 1.0, 0.1)])
         down = build_graph(2, [(0, 1, 0.01, 0.0)])
-        solver = make_solver(up, down, [RootSpec(0, 1, 0)], dmax=math.log(2))
+        # a guess of 2 holds the 1.11 route and rescales the arc's c to 1/2,
+        # so x doubles over ln 2 in units of that cost
+        solver = make_solver(up, down, [RootSpec(0, 1, 0)], guess=2.0,
+                             dmax=math.log(2) / 2)
         solver.arrival_init(PairSpec(0, 0, 1))
         solver.up.x[0][0] = 0.1
-        solver.routes[0][0].funnels[0].flow[0] = 0.1  # tight at x = 0.1, c = 1
+        solver.routes[0][0].funnels[0].flow[0] = 0.1  # tight at x = 0.1
         step = solver.growth_step(0)
-        assert step.dt == math.log(2)  # a full, untruncated step
+        assert step.dt == math.log(2) / 2  # a full, untruncated step
         solver.apply(step)
         assert solver.up.x[0][0] == pytest.approx(0.2)
 
@@ -198,8 +226,10 @@ class TestGrowthStep:
     def test_blocked_roots_only_grow_x(self):
         up = build_graph(2, [(0, 1, 0.5, 0.5)])
         down = build_graph(2, [(0, 1, 0.01, 0.0)])
-        solver = make_solver(up, down, [RootSpec(0, 1, 0)])
-        solver.arrival_init(PairSpec(0, 0, 1))
+        root, pair = RootSpec(0, 1, 0), PairSpec(0, 0, 1)
+        solver = make_solver(up, down, [root],
+                             guess=route_cost(up, down, root, pair))
+        solver.arrival_init(pair)
         # zero out the budget by hand: positive lengths then give delta = 0
         route = solver.routes[0][0]
         route.z = 0.0
@@ -217,8 +247,10 @@ class TestGrowthStep:
         up = build_graph(4, [(0, 1, 0.3, 0.2), (1, 3, 0.4, 0.1),
                              (0, 2, 0.2, 0.3), (2, 3, 0.1, 0.2)])
         down = build_graph(2, [(0, 1, 0.05, 0.05)])
-        solver = make_solver(up, down, [RootSpec(0, 3, 0)])
+        # the routes cost 0.9 and 1.1, so a guess of 1.2 keeps both up paths
+        solver = make_solver(up, down, [RootSpec(0, 3, 0)], guess=1.2)
         solver.arrival_init(PairSpec(0, 0, 1))
+        assert solver.routes[0][0].funnels[0].arcs == [0, 1, 2, 3]
         for _ in range(60):
             solver.apply(solver.growth_step(0))
             if solver.z_total(0) >= 1 - 1e-12:
@@ -261,7 +293,8 @@ class TestOnArrival:
     def test_epoch_overflow_before_threshold_exceeded(self):
         up, down, roots, pair = single_path_instance(n_edges=4, c=0.4, l=0.4)
         kappa = 0.5
-        solver = make_solver(up, down, roots, kappa=kappa, dmax=0.2)
+        solver = make_solver(up, down, roots, kappa=kappa, dmax=0.2,
+                             guess=route_cost(up, down, *roots, pair))
         assert solver.on_arrival(pair) == ArrivalOutcome.EPOCH_OVERFLOW
         assert solver.objective <= kappa * (1 + 1e-6)
 
@@ -277,7 +310,8 @@ class TestOnArrival:
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(fractional, "MAX_STEPS", 2)
         up, down, roots, pair = single_path_instance(n_edges=3)
-        solver = make_solver(up, down, roots)
+        solver = make_solver(up, down, roots,
+                             guess=route_cost(up, down, *roots, pair))
         with pytest.raises(RuntimeError):
             solver.on_arrival(pair)
 
@@ -322,12 +356,16 @@ def test_check_pair_raises_under_python_optimize():
 
 class TestSinglePathCalibration:
     def test_z_tracks_closed_form_ode_within_5_percent(self):
-        # one source-root path of total length L, free down side: the
-        # coverage ODE is dz/dt = z / L starting from n**-5
+        # one source-root path of total rescaled length L, free down side:
+        # the coverage ODE is dz/dt = z / L starting from n**-5
         n_edges, l = 8, 0.75
         up, down, roots, pair = single_path_instance(n_edges=n_edges, l=l)
-        solver = make_solver(up, down, roots, n_scale=10, dmax=0.05)
-        L = n_edges * l
+        # the guess holds the route; steps of 0.05 / guess keep dt / L as
+        # at guess 1, which bounds the Euler error of the discrete steps
+        guess = route_cost(up, down, *roots, pair)
+        solver = make_solver(up, down, roots, n_scale=10, dmax=0.05 / guess,
+                             guess=guess)
+        L = n_edges * l / guess
         solver.arrival_init(pair)
         t = 0.0
         z0 = solver.v0
@@ -353,9 +391,12 @@ class TestPipelineShapes:
         down = build_layered(g, k=1, h=2, direction="down")
         roots = [RootSpec(r, up.vertex(r, 0), down.vertex(r, 0))
                  for r in range(4)]
-        solver = make_solver(up.graph, down.graph, roots)
-        eligible = solver.arrival_init(
-            PairSpec(0, up.vertex(0, 2), down.vertex(2, 2)))
+        pair = PairSpec(0, up.vertex(0, 2), down.vertex(2, 2))
+        # a guess at the dearest root's route holds every root in the ball
+        guess = max(route_cost(up.graph, down.graph, root, pair)
+                    for root in roots)
+        solver = make_solver(up.graph, down.graph, roots, guess=guess)
+        eligible = solver.arrival_init(pair)
         assert eligible == [0, 1, 2, 3]
 
     def test_cheap_pair_finishes_fast_with_tiny_spend(self):
@@ -442,6 +483,8 @@ def usable_arcs(side, pair):
 class TestFunnel:
     @pytest.mark.parametrize("seed", range(8))
     def test_funnel_network_matches_full_usable_network(self, seed):
+        # each funnel, and so its network, is the reference ball's arcs;
+        # c + l here are multiples of 1/4, so both sums are exact
         rng = random.Random(seed)
         n = 6
         up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
@@ -451,38 +494,21 @@ class TestFunnel:
         compared = shrunk = 0
         for index in range(2):
             pair = PairSpec(index, rng.randrange(n), rng.randrange(n))
+            ball = reference_ball(solver, pair)
             eligible = solver.arrival_init(pair)
+            assert eligible == list(ball)
             routes = solver.routes[index]
             for rid, i in itertools.product(eligible, range(2)):
-                # the seed is the hop-shortest path over all usable arcs
-                side = solver.sides[i]
-                usable = set(usable_arcs(side, pair)).__contains__
+                side, arcs = solver.sides[i], ball[rid][i]
+                funnel = routes[rid].funnels[i]
+                assert funnel.arcs == arcs
+                assert funnel.net.m == len(arcs)
+                # the seed is the hop-shortest path inside the ball
                 path, _ = shortest_path(side.graph, lambda e: 1.0,
-                                        *side.side_graph.ends(pair, roots[rid]),
-                                        usable)
-                assert (routes[rid].funnels[i].flow
-                        == dict.fromkeys(path, solver.v0))
-            for _ in range(4):
-                if not eligible or solver.z_total(index) >= 1.0 - 1e-12:
-                    break
-                for rid, route in routes.items():
-                    funnel_step = solver._solve_root(rid, route)
-                    funnels = route.funnels
-                    try:
-                        route.funnels = tuple(
-                            fractional._Funnel(side, usable_arcs(side, pair),
-                                               0.2, funnel.ends, funnel.flow)
-                            for side, funnel in zip(solver.sides, funnels))
-                        full_step = solver._solve_root(rid, route)
-                    finally:
-                        route.funnels = funnels
-                    # same delta and, mapped back to arc ids, the same flows
-                    assert funnel_step == full_step
-                    compared += 1
-                    shrunk += any(len(funnel.arcs) < len(usable_arcs(side, pair))
-                                  for side, funnel in zip(solver.sides,
-                                                          funnels))
-                solver.apply(solver.growth_step(index))
+                                        *funnel.ends, set(arcs).__contains__)
+                assert funnel.flow == dict.fromkeys(path, solver.v0)
+                compared += 1
+                shrunk += len(arcs) < len(usable_arcs(side, pair))
         assert shrunk and compared
 
     def test_directed_funnels_stay_in_their_root_tree(self):
@@ -543,17 +569,19 @@ class TestFunnel:
         roots = [RootSpec(r, r, r) for r in range(n)]
         solver = make_solver(up, down, roots, dmax=0.2)
         calls = []
-        for name in ("reachable_from", "reaches"):
-            search = getattr(fractional, name)
-            monkeypatch.setattr(
-                fractional, name,
-                lambda *args, search=search: calls.append(args) or search(*args))
+        search = fractional.shortest_paths
+        monkeypatch.setattr(
+            fractional, "shortest_paths",
+            lambda *args, **kwargs: calls.append(args) or search(*args,
+                                                                 **kwargs))
         for index in range(2):
             calls.clear()
-            solver.arrival_init(PairSpec(index, rng.randrange(n),
-                                         rng.randrange(n)))
-            # one search from each side's pair terminal, one per root and side
-            assert len(calls) <= 2 + 2 * len(roots)
+            pair = PairSpec(index, rng.randrange(n), rng.randrange(n))
+            passed = len(reference_ball(solver, pair))
+            solver.arrival_init(pair)
+            # one search from each side's pair terminal, then one per side
+            # for each root that passes the root test, and none for the rest
+            assert len(calls) <= 2 + 2 * passed
 
 
 def solver_state(solver):
@@ -611,16 +639,23 @@ class TestStepState:
             down = tie_heavy_side(rng, n, False)
             roots = [RootSpec(r, r, r) for r in range(n)]
             ends = rng.randrange(n), rng.randrange(n)
+            # at a guess of 1 some seeds' balls hold no root; at 3 every
+            # seed's balls hold several roots and their funnels many arcs
+            guess = 3.0
         else:  # one path, so every step's flow is bounded by x
             up, down, roots, pair = single_path_instance(n_edges=3, c=0.3,
                                                          l=0.2)
             ends = pair.up_source, pair.down_sink
-        kept, fresh = (make_solver(up, down, roots, dmax=0.2) for _ in range(2))
+            guess = route_cost(up, down, *roots, pair)
+        kept, fresh = (make_solver(up, down, roots, guess=guess,
+                                   dmax=0.2 / guess) for _ in range(2))
         # both pairs share their terminals, so each one's steps change the
         # x that the other's funnels read
         for index in range(2):
             for solver in (kept, fresh):
                 solver.arrival_init(PairSpec(index, *ends))
+        assert kept.routes[0] and kept.routes[1]
+        solved = set()
         # (pair, applied): steps, staged steps never applied, and steps for
         # the first pair after the second pair's steps; the first pair's last
         # step before them leaves no arc to recompute
@@ -634,9 +669,12 @@ class TestStepState:
                     funnel.dirty.update(funnel.arcs)  # recompute every arc
                 reference = fresh.growth_step(index)
                 assert step_bits(kept, step) == step_bits(fresh, reference)
+                if step.solutions:
+                    solved.add(index)
                 kept.apply(step)
                 fresh.apply(reference)
             assert solver_state(kept) == solver_state(fresh)
+        assert solved == {0, 1}  # both pairs' compared steps route flow
 
     def test_step_recomputes_under_half_the_funnel_arcs(self, monkeypatch):
         entries, arcs = [], []
@@ -652,8 +690,10 @@ class TestStepState:
             return solve(up, *args)
 
         monkeypatch.setattr(fractional, "max_delta", counted_solve)
-        run_online(load_instance(star_of_paths(3, 2, k=6, seed=5)),
+        # longer arms than the balls of smaller stars cut down to a few arcs
+        run_online(load_instance(star_of_paths(4, 3, k=6, seed=5)),
                    RunConfig(mode="edge"))
-        # every step recomputed every funnel arc before; now a quarter of
-        # them (35,002 of 141,178 entries)
+        assert sum(arcs) > 50 * len(arcs)  # the funnels stay large
+        # every step recomputed every funnel arc before; now under a third
+        # of them (96,211 of 339,533 entries)
         assert 2 * sum(entries) < sum(arcs)

@@ -269,6 +269,24 @@ class TestSolutionCost:
             ledger.add_path(g, pair, paths[pair])
         assert solution_cost(g, ledger) == pytest.approx((10.0, 12.0, 22.0))
 
+    def test_buy_bits_do_not_depend_on_purchase_order(self):
+        # ids 0 and 8 share a slot of an 8-slot set, so the two ledgers list
+        # {0, 1, 8} in different orders; 1 + 2**-53 + 2**-53 rounds to 1
+        # from the left but to 1 + 2**-52 with the small costs added first
+        tiny = 2.0 ** -53
+        g = build_graph(9, [(v, v + 1, 1.0 if v == 0 else tiny, 0.0)
+                            for v in range(8)] + [(0, 8, tiny, 0.0)])
+        ledgers = []
+        for order in ((0, 1, 8), (8, 1, 0)):
+            ledger = SolutionLedger()
+            for e in order:
+                ledger.buy(g, e)
+            ledgers.append(ledger)
+        assert list(ledgers[0].bought) != list(ledgers[1].bought)
+        first, second = (solution_cost(g, ledger) for ledger in ledgers)
+        assert [v.hex() for v in first] == [v.hex() for v in second]
+        assert first[0] == 1.0  # in key order: 1, then tiny twice
+
 
 class TestShortestPath:
     def test_start_equals_goal(self):

@@ -10,8 +10,10 @@ import time
 import pytest
 
 import bulkflow
+from bulkflow import flows
+from bulkflow.fractional import ArrivalOutcome, CompositeSolver
 from bulkflow.generate import grid, random_digraph, with_penalties
-from bulkflow.graph import TerminalPair
+from bulkflow.graph import TerminalPair, shortest_path, shortest_paths
 from bulkflow.harness import OnlinePipeline, RunConfig, run_online
 from bulkflow.instance import load_instance
 from bulkflow.oracle import (InfeasibleInstance, lp_lower_bound, offline_opt,
@@ -73,23 +75,23 @@ DEFAULT_CONFIG_INSTANCES = {
 
 # sha256 of each mode's report; a refactor must leave these bytes alone
 DEFAULT_CONFIG_DIGESTS = {
-    "directed": "0cea5204ac969b3fb46b6089a1179443310f0749cf7bd2122529e4c4aa187f5c",
-    "edge": "9d60b08c75b3e51895ffeb19e8891331d214cf3657b9ea10efbb72dbde06b553",
-    "node": "7d012e43c4e22eee92711885eb7ec48f893bdf6c8c7c45a0972b41da38328058",
-    "prize": "a52124e4b0a0f79d2c3cf84c71e2ae0e693bb93d83d8a225e4dc3fea868cbf05",
+    "directed": "5ebd32a81db3afb3070ebd71861a992e6bd6917f7979b91ee358476058beac2a",
+    "edge": "402a606280e9ea3cde22bd19cadb85a0d0eb73d58d4c37cf9986d4a081af9210",
+    "node": "68da0ec8a9c268c89934e5f084a415055bc61b43dadbd710f19470838f13798e",
+    "prize": "5fd2eab0323e26161971cd18bc28f082060c1f7aa1482dd2ad5a4e23e23ba893",
 }
 
 # sha256 of each mode's (assignment trace, LP trace): the z_value, tau and
 # steps columns appear only there
 DEFAULT_CONFIG_TRACE_DIGESTS = {
-    "directed": ("e866173ddc1efac03dab10bc33afbaa89e4abca6fcd1e841f52f2a798d019f28",
-                 "9598e8594f7ec84ec50a69886d4e9267f360a5181101e58b3216bf05d3c086f2"),
-    "edge": ("da659c6f605d5113a5eb8d91d69ac0050e9fc6556b9d3e5a5446879aee6b25df",
-             "e3d6710ddb6c4edd507e5fb8d5605c1779659608f2c4833bb3d36db6c9d72768"),
-    "node": ("9178d220c6a6d90bb004da76cf933a58cd3be36e2dc2cf8a39eadf5363bb4538",
-             "ee0a85fafa77531b3ca34baa2818891425f16db27261d22bad841e2f44eace02"),
-    "prize": ("c562d1178b713ba3da1026c634dc00d07e5e7000aee2347012b84ccd3b40925a",
-              "359b9580cef7e5126731d3fe0cda3064de18cf977bca31865b97430deeaa0cd7"),
+    "directed": ("4ac88a21aab746fb90075f8066205a3038ebf3feb655cc3fe7f7705c5558c5b9",
+                 "01dfafd9604113eccca65914e58e52ebe5ceeb30d0ccaccad93f02e93c115427"),
+    "edge": ("ba2394d3c19196b3410d536aeb76bbc1ed193b7d3935ddd4bb053d3e6e54f236",
+             "25c89fed45c2063b3409c93c352125cf99849d68adb5cf4e81bcaf8be784dbc9"),
+    "node": ("a72ad99f12747a6f57851e4ecaeabb519edc22c68c48b7790c861fb668115a70",
+             "253d756ab49084db75fefb054cafe6cff31446dfa3fbadfb34c0c0b273aae812"),
+    "prize": ("d3decafb4b4b5f9c07ae790c6e248d148f3f1923e4af6b41e848a92b818ea29d",
+              "e7fe9ae70dbab4f2b9c875f7e39088eb6c97ebc4f5e6dcea95f48a59919738f9"),
 }
 
 
@@ -141,10 +143,10 @@ def test_default_configuration_invariants(mode):
             == DEFAULT_CONFIG_TRACE_DIGESTS[mode])
 
 
-# sha256 of one directed run at h = 3, whose funnels are a few hundred arcs
-# of a forest of thousands of vertices
+# sha256 of one directed run at h = 3, whose funnels hold 4 to 24 arcs of
+# a forest of 9,364 vertices
 DIRECTED_H3_DIGEST = (
-    "19a1fba53b124a5bef03ba8d8c54356b1155b48a68310849b218bc4e557ba35b")
+    "573832538eafa172272cd570a91c46325823c7170242d8d5ac7a442c675a4500")
 
 
 def test_directed_h3_report_pinned():
@@ -212,6 +214,116 @@ def test_pins_hold_under_a_compensated_sum(monkeypatch):
     for mode in sorted(ORACLE_PIN_RUNS):
         test_oracle_values_pinned(mode)
     test_directed_h3_report_pinned()
+
+
+def _random_instance(mode, rng, seed):
+    """A small random instance for ``mode``."""
+    if mode == "directed":
+        n = rng.randint(4, 6)
+        return random_digraph(n, rng.randint(n + 2, 2 * n + 2),
+                              rng.randint(2, 3), seed=seed)
+    data = grid(2, rng.randint(2, 3), k=rng.randint(2, 4), seed=seed)
+    if mode == "prize":
+        return with_penalties(data, seed=seed, q_range=(0.3, 4.0))
+    if mode == "node":
+        data["mode"] = "node"
+        data["node_costs"] = [{"v": v, "c": rng.uniform(0.1, 1.0),
+                               "l": rng.uniform(0.0, 0.5)}
+                              for v in range(data["n"])]
+    return data
+
+
+def _cheapest_route(pipeline, spec):
+    """``c + l`` of the pair's cheapest route through any root under the
+    owner rule alone, ``inf`` if none."""
+    up, down = (side.side_graph for side in pipeline.sides)
+
+    def metric(graph):
+        return lambda e: graph.c[e] + graph.l[e]
+
+    from_s = shortest_paths(up.graph, metric(up.graph), spec.up_source,
+                            allowed=up.allowed(spec.index))
+    into_t = shortest_paths(down.graph, metric(down.graph), spec.down_sink,
+                            allowed=down.allowed(spec.index), backward=True)
+    return min((from_s[r.up_vertex][1] + into_t[r.down_vertex][1]
+                for r in pipeline.roots
+                if r.up_vertex in from_s and r.down_vertex in into_t),
+               default=math.inf)
+
+
+def _assert_cheapest_routes_in_funnels(solver):
+    """Each side's cheapest rescaled ``c + l`` path of each route lies in the
+    route's funnel."""
+    for pi, routes in solver.routes.items():
+        for route in routes.values():
+            for side, funnel in zip(solver.sides, route.funnels):
+                path, _ = shortest_path(
+                    side.graph, lambda e: side.c[e] + side.l[e],
+                    *funnel.ends, side.usable(pi))
+                assert set(path) <= set(funnel.arcs), (pi, path, funnel.arcs)
+
+
+@pytest.mark.parametrize("mode", sorted(DEFAULT_CONFIG_INSTANCES))
+def test_distance_ball_is_sound(mode):
+    """The ball keeps each pair's cheapest route through an eligible root,
+    every pair is eligible somewhere at its own initial guess, and a pair
+    whose cheapest route is dearer than the guess doubles it instead of
+    falling back."""
+    rng = random.Random(f"ball-{mode}")
+    doubled = 0
+    for i in range(12):
+        inst = load_instance(_random_instance(mode, rng, 900 + i))
+        pipeline = OnlinePipeline(inst, RunConfig(mode=mode, seed=i,
+                                                  dmax=0.4))
+        for pair in inst.pairs:
+            if pair.s == pair.t:
+                pipeline.process(pair)
+                continue
+            spec = pipeline.pair_specs[pair.index]
+            cost = _cheapest_route(pipeline, spec)
+            if cost < math.inf:
+                # as if it arrived first: never LP-infeasible at its guess
+                alone = CompositeSolver(
+                    *(side.side_graph for side in pipeline.sides),
+                    pipeline.roots, pipeline.n_scale,
+                    pipeline._initial_guess(spec), pipeline.kappa, 0.4)
+                assert alone.on_arrival(spec) != ArrivalOutcome.LP_INFEASIBLE
+            epoch, lam = pipeline.epoch, pipeline.lam
+            pipeline.process(pair)
+            if lam is not None and cost < math.inf and cost > lam * 1.000001:
+                assert pipeline.epoch > epoch
+                assert spec in pipeline.arrived  # routed by the LP
+                assert pipeline.lam * 1.000001 >= cost
+                doubled += 1
+            if pipeline.solver is not None:
+                _assert_cheapest_routes_in_funnels(pipeline.solver)
+    assert doubled, "no pair outgrew the guess"
+
+
+def test_default_size_grid_stays_sound_and_searches_little(monkeypatch):
+    """``grid(4,4,k=2,seed=3)`` at the default configuration: the LP
+    invariants hold, and the balls cut the live residual searches to under
+    a tenth of the reach-based funnels' 63,773."""
+    searches = []
+    search = flows.FlowNetwork._shortest_path
+
+    def counted(net, *args):
+        searches.append(None)
+        return search(net, *args)
+
+    monkeypatch.setattr(flows.FlowNetwork, "_shortest_path", counted)
+    inst = load_instance(grid(4, 4, k=2, seed=3))
+    pipeline = OnlinePipeline(inst, RunConfig(mode="edge"))
+    for pair in inst.pairs:
+        record = pipeline.process(pair)
+        pipeline.solver.check_invariants([s.index for s in pipeline.arrived])
+        if record.outcome == Assignment.ASSIGNED:
+            for side in ("up", "down"):
+                cut = scaled_min_cut(pipeline.solver, pipeline.tau,
+                                     pair.index, record.root, side)
+                assert cut >= 1 - 1e-6, f"cut {cut} below 1 on {side}"
+    assert pipeline.finish().fallback_count == 0
+    assert len(searches) < 6378
 
 
 def test_lp_value_within_polylog_of_offline_opt():

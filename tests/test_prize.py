@@ -106,7 +106,8 @@ class TestAugment:
         down = build_graph(2, [(0, 1, 1, 0.1)])
         pairs = [PairSpec(0, 0, 1, penalty=0.5), PairSpec(1, 0, 1, penalty=0.5)]
         sides, virtual = augment(two_sides(up, down), pairs)
-        solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual])
+        # a guess at the real root's 2.2 route holds it in the ball
+        solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual], guess=2.2)
         for pair in pairs:
             assert solver.on_arrival(pair) == ArrivalOutcome.SATISFIED
         arc = private_arc(sides[0], 0)
@@ -122,7 +123,9 @@ class TestFractionalDiscard:
         down = build_graph(2, [(0, 1, 0.6, 0.4)])
         pairs = [PairSpec(0, 0, 1, penalty=0.8)]
         sides, virtual = augment(two_sides(up, down), pairs)
-        solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual], dmax=0.2)
+        # a guess at the real root's 2.0 route holds it in the ball
+        solver = make_solver(*sides, [RootSpec(1, 1, 0), virtual], dmax=0.2,
+                             guess=2.0)
         assert solver.on_arrival(pairs[0]) == ArrivalOutcome.SATISFIED
         z_real = solver.routes[0][1].z
         z_discard = solver.routes[0][VIRTUAL_ROOT_ID].z

@@ -7,7 +7,7 @@ from bulkflow.fractional import PairSpec, RootSpec
 from bulkflow.rounding import (Assignment, choose_root, draw_thresholds,
                                scaled_min_cut, threshold_interval)
 from helpers import build_graph
-from test_fractional import make_solver, single_path_instance
+from test_fractional import make_solver, route_cost, single_path_instance
 
 
 class TestThresholds:
@@ -80,7 +80,8 @@ class TestDomination:
         # over many threshold draws, every assigned pair's scaled flows
         # still route a full unit on both sides
         up, down, roots, pair = single_path_instance(n_edges=4, l=0.3)
-        solver = make_solver(up, down, roots, dmax=0.25)
+        solver = make_solver(up, down, roots, dmax=0.25,
+                             guess=route_cost(up, down, *roots, pair))
         solver.on_arrival(pair)
         assigned = 0
         for seed in range(60):
