@@ -31,11 +31,15 @@ through a root pays at most one guess unit of rescaled ``c + l`` there. Its
 funnels are the distance ball that bound leaves: a root is eligible when
 ``d(s, r_up) + d(r_down, t)`` is at most 1, and an up arc ``e`` stays when
 ``d(s, tail) + c_e + l_e + d(head, r_up) + d(r_down, t)`` is at most 1, the
-down side mirrored (``BALL_TOL`` absorbs float rounding). A pair the ball
-cuts off is LP-infeasible at this guess; the caller doubles it, and a root
-eligible at one guess stays eligible at every larger one.
+down side mirrored (``BALL_TOL`` absorbs float rounding). The ball is the
+only pruning: distances run over every arc the pair's owner rule admits. A
+pair the ball cuts off, though it reaches some root, ends its arrival as
+``GUESS_TOO_SMALL``, and the caller doubles the guess; a root eligible at
+one guess stays eligible at every larger one. A pair that reaches no root
+is ``LP_INFEASIBLE`` at any guess.
 
-State layout: each side's ``_Side`` holds the capacities ``x`` per root;
+State layout: each side's ``_Side`` holds the capacities ``x`` per root over
+every arc, all starting at ``v0``;
 ``CompositeSolver.routes[pair][root]`` is a ``_Route`` holding ``z`` and one
 ``_Funnel`` per side (in ``sides`` order): the arcs of the ball the pair may
 use through the root, its flow on them and their flow network. The network
@@ -56,13 +60,11 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .flows import FlowNetwork, max_delta
-from .graph import (TwoMetricGraph, Unreachable, plain_sum, reachable_from,
-                    reaches, shortest_path, shortest_paths)
+from .graph import (TwoMetricGraph, Unreachable, plain_sum, shortest_path,
+                    shortest_paths)
 
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
-# an edge stays alive when its rescaled cost and length are within this of 1
-PRUNE_TOL = 1e-12
 # a route through a root stays in the ball when its rescaled c + l is within
 # this of 1: covers the rounding between the guess's and the ball's sums
 BALL_TOL = 1e-9
@@ -82,8 +84,14 @@ MAX_STEPS = 10 ** 6  # growth steps per arrival before it counts as stuck
 
 
 class ArrivalOutcome(Enum):
+    """How an arrival ended: covered; the epoch's spend cap would be passed;
+    some root is reachable but none within the guess's distance ball (both
+    ask the caller to double the guess); or no root is reachable on both
+    sides under the pair's owner rule, at any guess."""
+
     SATISFIED = "satisfied"
     EPOCH_OVERFLOW = "epoch_overflow"
+    GUESS_TOO_SMALL = "guess_too_small"
     LP_INFEASIBLE = "lp_infeasible"
 
 
@@ -141,13 +149,6 @@ class SideGraph:
             return pair.up_source, root.up_vertex
         return root.down_vertex, pair.down_sink
 
-    def reach(self, pair: PairSpec,
-              allowed: Optional[Callable[[int], bool]]) -> Set[int]:
-        """Vertices the pair's terminal reaches upstairs, or that reach it
-        downstairs, over the ``allowed`` arcs."""
-        search = reachable_from if self.upward else reaches
-        return search(self.graph, self.terminal(pair), allowed)
-
     def allowed(self, pair_index: int) -> Optional[Callable[[int], bool]]:
         """Arc filter for one pair's searches; ``None`` without owners."""
         if not self.owner:
@@ -157,8 +158,8 @@ class SideGraph:
 
 
 class _Side:
-    """Per-direction epoch view (rescaled metrics, pruning) and that side's
-    capacity variables ``x``."""
+    """Per-direction epoch view (metrics rescaled by the guess) and that
+    side's capacity variables ``x``."""
 
     def __init__(self, side_graph: SideGraph, guess: float,
                  root_ids: Sequence[int], v0: float):
@@ -166,41 +167,31 @@ class _Side:
         graph = self.graph = side_graph.graph
         self.c = [graph.c[e] / guess for e in range(graph.m)]
         self.l = [graph.l[e] / guess for e in range(graph.m)]
-        self.alive = [self.c[e] <= 1.0 + PRUNE_TOL
-                      and self.l[e] <= 1.0 + PRUNE_TOL for e in range(graph.m)]
         # rescaled c + l of each arc: the metric of the distance ball
         self.w = [c + l for c, l in zip(self.c, self.l)]
-        # per-root capacity variables, dense over edge ids (0.0 where pruned)
-        self.x: Dict[int, List[float]] = {
-            rid: [v0 if alive else 0.0 for alive in self.alive]
-            for rid in root_ids}
+        # per-root capacity variables, dense over edge ids
+        self.x: Dict[int, List[float]] = {rid: [v0] * graph.m
+                                          for rid in root_ids}
 
-    def usable(self, pair_index: int) -> Callable[[int], bool]:
-        """Arc filter for one pair: alive and admitted by ``allowed``."""
-        alive, allowed = self.alive, self.side_graph.allowed(pair_index)
-
-        def usable(e: int) -> bool:
-            return alive[e] and (allowed is None or allowed(e))
-
-        return usable
-
-    def distances(self, vertex: int, usable: Callable[[int], bool],
+    def distances(self, vertex: int, allowed: Optional[Callable[[int], bool]],
                   into: bool) -> Dict[int, float]:
-        """``c + l`` distance over usable arcs from ``vertex`` to each vertex
+        """``c + l`` distance over allowed arcs from ``vertex`` to each vertex
         it reaches, or into ``vertex`` from each vertex reaching it."""
         found = shortest_paths(self.graph, self.w.__getitem__, vertex,
-                               allowed=usable, backward=into)
+                               allowed=allowed, backward=into)
         return {v: d for v, (_, d) in found.items()}
 
     def ball(self, before: Dict[int, float], after: Dict[int, float],
-             other: float, usable: Callable[[int], bool]) -> List[int]:
-        """The usable arcs, in id order, on a route within the ball: ``before``
-        holds distances from the side's source, ``after`` distances to its
-        sink and ``other`` the other side's distance through the root."""
+             other: float, allowed: Optional[Callable[[int], bool]]
+             ) -> List[int]:
+        """The allowed arcs (every arc for ``None``), in id order, on a route
+        within the ball: ``before`` holds distances from the side's source,
+        ``after`` distances to its sink and ``other`` the other side's
+        distance through the root."""
         graph, w, limit = self.graph, self.w, 1.0 + BALL_TOL
         head = graph.head
         return sorted(e for v, dv in before.items() for e in graph.out_arcs[v]
-                      if head[e] in after and usable(e)
+                      if head[e] in after and (allowed is None or allowed(e))
                       and dv + w[e] + after[head[e]] + other <= limit)
 
 
@@ -317,9 +308,7 @@ class CompositeSolver:
     def _base_objective(self) -> float:
         total = 0.0
         for side in self.sides:
-            alive_cost = plain_sum(side.c[e] for e in range(side.graph.m)
-                                   if side.alive[e])
-            total += alive_cost * self.v0 * len(self.roots)
+            total += plain_sum(side.c) * self.v0 * len(self.roots)
         return total
 
     def lp_objective(self) -> float:
@@ -328,8 +317,7 @@ class CompositeSolver:
         for i, side in enumerate(self.sides):
             for arr in side.x.values():
                 for e in range(side.graph.m):
-                    if side.alive[e]:
-                        total += side.c[e] * arr[e]
+                    total += side.c[e] * arr[e]
             for routes in self.routes.values():
                 for route in routes.values():
                     for e, f in route.funnels[i].flow.items():
@@ -349,43 +337,50 @@ class CompositeSolver:
     # ------------------------------------------------------------------
     # arrival processing
 
-    def arrival_init(self, pair: PairSpec) -> List[int]:
+    def arrival_init(self, pair: PairSpec) -> Optional[List[int]]:
         """Register a pair: find eligible roots and seed all its variables.
 
         The funnels are the distance ball of the guess in rescaled ``c + l``.
-        One search from ``s`` upstairs and one into ``t`` downstairs price
-        the roots: ``r`` is eligible when ``d(s, r_up) + d(r_down, t)`` is at
-        most ``1 + BALL_TOL``. Only an eligible root gets a search into
-        ``r_up`` and one out of ``r_down``; its funnel on a side holds the
-        usable arcs on some route within the same bound. The seed routes
-        ``v0`` units along a hop-shortest path inside each funnel, so flows
-        start equal to their ``z`` and the inner LP is feasible from the
-        first moment.
+        One search from ``s`` upstairs and one into ``t`` downstairs, over
+        the arcs the pair's owner rule admits, price the roots: ``r`` is
+        eligible when ``d(s, r_up) + d(r_down, t)`` is at most
+        ``1 + BALL_TOL``. Only an eligible root gets a search into ``r_up``
+        and one out of ``r_down``; its funnel on a side holds the allowed
+        arcs on some route within the same bound. The seed routes ``v0``
+        units along a hop-shortest path inside each funnel, so flows start
+        equal to their ``z`` and the inner LP is feasible from the first
+        moment.
+
+        Returns the eligible root ids, or ``None`` when no root is reachable
+        on both sides at all (an empty list: some root is, but the ball holds
+        none).
         """
         if pair.index in self.routes:
             raise ValueError(f"pair {pair.index} already processed")
         routes = self.routes[pair.index] = {}
-        usable = [side.usable(pair.index) for side in self.sides]
+        allowed = [side.side_graph.allowed(pair.index) for side in self.sides]
         # d(s, .) upstairs and d(., t) downstairs
-        near = [side.distances(side.side_graph.terminal(pair), use,
+        near = [side.distances(side.side_graph.terminal(pair), allow,
                                into=not side.side_graph.upward)
-                for side, use in zip(self.sides, usable)]
+                for side, allow in zip(self.sides, allowed)]
+        reachable = False
         for spec in self.roots:
             vertices = [side.side_graph.root_vertex(spec)
                         for side in self.sides]
             if any(v not in dist for v, dist in zip(vertices, near)):
                 continue
+            reachable = True
             to_root = [dist[v] for v, dist in zip(vertices, near)]
             if to_root[0] + to_root[1] > 1.0 + BALL_TOL:
                 continue
             balls = []
-            for i, (side, use) in enumerate(zip(self.sides, usable)):
+            for i, (side, allow) in enumerate(zip(self.sides, allowed)):
                 upward = side.side_graph.upward
                 # d(., r_up) upstairs and d(r_down, .) downstairs
-                at_root = side.distances(vertices[i], use, into=upward)
+                at_root = side.distances(vertices[i], allow, into=upward)
                 before, after = ((near[i], at_root) if upward
                                  else (at_root, near[i]))
-                arcs = side.ball(before, after, to_root[1 - i], use)
+                arcs = side.ball(before, after, to_root[1 - i], allow)
                 ends = side.side_graph.ends(pair, spec)
                 try:
                     path, _ = shortest_path(side.graph, lambda e: 1.0, *ends,
@@ -407,7 +402,7 @@ class CompositeSolver:
                     raise AssertionError("seed flow exceeded capacity variable")
                 funnels.append(_Funnel(side, arcs, self.dmax, ends, flow))
             routes[spec.root_id] = _Route(self.v0, tuple(funnels))
-        return list(routes)
+        return list(routes) if reachable else None
 
     def _hold_step_state(self, pair_index: int) -> None:
         """Let ``pair_index``'s funnels keep step state; the previous pair's
@@ -558,12 +553,15 @@ class CompositeSolver:
         self._objective += step.d_obj
 
     def on_arrival(self, pair: PairSpec) -> ArrivalOutcome:
-        """Process one arrival to completion, overflow, or infeasibility."""
+        """Process one arrival to completion, overflow, a guess too small for
+        any root, or infeasibility."""
         eligible = self.arrival_init(pair)
-        if not eligible:
+        if eligible is None:
             self.arrival_log.append(ArrivalStats(pair.index, 0, 0.0,
                                                  self._objective))
             return ArrivalOutcome.LP_INFEASIBLE
+        if not eligible:
+            return ArrivalOutcome.GUESS_TOO_SMALL
         if self._objective > self.kappa:
             return ArrivalOutcome.EPOCH_OVERFLOW
         steps = 0
@@ -616,8 +614,7 @@ class CompositeSolver:
         for side in self.sides:
             for rid, arr in side.x.items():
                 for e in range(side.graph.m):
-                    if side.alive[e] and not (-BELOW_ZERO_TOL <= arr[e]
-                                              <= VAR_CAP + ABOVE_CAP_TOL):
+                    if not -BELOW_ZERO_TOL <= arr[e] <= VAR_CAP + ABOVE_CAP_TOL:
                         raise AssertionError(f"x[{rid}][{e}]={arr[e]} out of range")
         for pi in self.routes:
             self.check_pair(pi, completed=pi in completed_pairs)

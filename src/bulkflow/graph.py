@@ -339,5 +339,7 @@ def reachable_from(graph: TwoMetricGraph, start: int,
 
 def reaches(graph: TwoMetricGraph, goal: int,
             allowed: Optional[Callable[[int], bool]] = None) -> Set[int]:
-    """Vertices that can reach ``goal`` along allowed arcs (including goal)."""
+    """Vertices that can reach ``goal`` along allowed arcs (including goal).
+
+    Nothing in the package calls it; the benchmark's tracer wraps it."""
     return _traverse(graph.in_arcs, graph.tail, goal, allowed)

@@ -24,11 +24,10 @@ from typing import Dict, List, Optional, Tuple, Union
 from .errors import BudgetExceeded, InstanceError
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
                          SideGraph)
-from .graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
-                    Unreachable, plain_sum, shortest_path, shortest_paths,
-                    solution_cost)
+from .graph import (SolutionLedger, TerminalPair, Unreachable, plain_sum,
+                    shortest_path, shortest_paths, solution_cost)
 from .instance import Instance, as_int, load_instance
-from .junction import JunctionForest, build_junction_forest, pull_forest_ledger
+from .junction import JunctionForest, build_junction_forest
 from .layering import (LayeredGraph, build_expansions, default_height,
                        pull_back)
 from .oracle import InfeasibleInstance, exact_opt, junction_opt
@@ -217,7 +216,6 @@ class OnlinePipeline:
         self.fallback_ledger = SolutionLedger()
         self.penalty_total = 0.0
         self.records: List[ArrivalRecord] = []
-        self.h_ledger: Optional[SolutionLedger] = None
 
     # ------------------------------------------------------------------
     # setup
@@ -262,22 +260,22 @@ class OnlinePipeline:
 
     def _initial_guess(self, spec: PairSpec) -> float:
         """Cheapest ``c + l`` route through any root under the owner rule
-        alone: pruning depends on the guess this sets."""
-        best = math.inf
+        alone: the distance ball depends on the guess this sets."""
+
+        def near(g: SideGraph) -> Dict[int, Tuple[Tuple[int, ...], float]]:
+            # d(s, .) upstairs and d(., t) downstairs, as arrival_init has it
+            c, l = g.graph.c, g.graph.l
+            return shortest_paths(g.graph, lambda e: c[e] + l[e],
+                                  g.terminal(spec),
+                                  allowed=g.allowed(spec.index),
+                                  backward=not g.upward)
+
         up, down = (side.side_graph for side in self.sides)
-        reached = shortest_paths(
-            up.graph, lambda e: up.graph.c[e] + up.graph.l[e],
-            up.terminal(spec), allowed=up.allowed(spec.index))
-        for root in self.roots:
-            if up.root_vertex(root) not in reached:
-                continue
-            try:
-                _, down_cost = shortest_path(
-                    down.graph, lambda e: down.graph.c[e] + down.graph.l[e],
-                    *down.ends(spec, root), allowed=down.allowed(spec.index))
-            except Unreachable:
-                continue
-            best = min(best, reached[up.root_vertex(root)][1] + down_cost)
+        up_near, down_near = near(up), near(down)
+        best = min((up_near[up.root_vertex(r)][1]
+                    + down_near[down.root_vertex(r)][1] for r in self.roots
+                    if up.root_vertex(r) in up_near
+                    and down.root_vertex(r) in down_near), default=math.inf)
         if not math.isfinite(best) or best <= 0:
             return 1.0
         return best
@@ -312,16 +310,6 @@ class OnlinePipeline:
             if replay_ok:
                 return
 
-    def _structurally_feasible(self, spec: PairSpec) -> bool:
-        """Whether some root is reachable on both sides under the owner rule
-        alone. Unlike the solver's distance balls this ignores the guess,
-        because it asks whether a larger guess would help."""
-        side_graphs = [side.side_graph for side in self.sides]
-        reach = [g.reach(spec, g.allowed(spec.index)) for g in side_graphs]
-        return any(all(g.root_vertex(r) in seen
-                       for g, seen in zip(side_graphs, reach))
-                   for r in self.roots)
-
     def _absorb(self, spec: PairSpec) -> ArrivalOutcome:
         """Run the LP for one arrival, epoch-doubling as needed."""
         while True:
@@ -330,11 +318,8 @@ class OnlinePipeline:
                 self.solver.check_pair(spec.index)
                 return outcome
             if outcome == ArrivalOutcome.LP_INFEASIBLE:
-                if self._structurally_feasible(spec):
-                    self._advance_epoch()  # pruning artifact of a small guess
-                    continue
                 return outcome
-            self._advance_epoch()
+            self._advance_epoch()  # the spend cap or the ball was too small
 
     # ------------------------------------------------------------------
     # dispatch
@@ -417,22 +402,16 @@ class OnlinePipeline:
     # report
 
     def _final_ledger(self) -> SolutionLedger:
+        """Pull each side's purchases back to the base graph, then join them;
+        the root links of directed runs are structural arcs that map to no
+        base arc."""
         final = SolutionLedger()
         merged = [side.merged_ledger() for side in self.sides]
-        if self.mode == "directed":
-            # an assigned pair's path crosses its root's link arc
-            links = {r.pair: (self.forest.root_link_arc[r.root],)
-                     for r in self.records if r.outcome == Assignment.ASSIGNED}
-            self.h_ledger = _join_sides(*merged, self.forest.graph, links)
-            committed_cost = solution_cost(self.forest.graph, self.h_ledger)[2]
-            base_ledger = pull_forest_ledger(self.forest, self.h_ledger)
-        else:
-            committed_cost = plain_sum(
-                solution_cost(side.expansion.graph, ledger)[2]
-                for side, ledger in zip(self.sides, merged))
-            base_ledger = _join_sides(*(pull_back(side.expansion, ledger)
-                                        for side, ledger in zip(self.sides,
-                                                                merged)))
+        committed_cost = plain_sum(
+            solution_cost(side.expansion.graph, ledger)[2]
+            for side, ledger in zip(self.sides, merged))
+        base_ledger = _join_sides(*(pull_back(side.expansion, ledger)
+                                    for side, ledger in zip(self.sides, merged)))
         pulled_cost = solution_cost(self.base, base_ledger)[2]
         if pulled_cost > committed_cost + PULL_BACK_TOL:
             raise AssertionError(
@@ -490,21 +469,14 @@ class OnlinePipeline:
             report.ratio = report.online_total / report.opt
 
 
-def _join_sides(up: SolutionLedger, down: SolutionLedger,
-                graph: Optional[TwoMetricGraph] = None,
-                links: Optional[Dict[int, Tuple[int, ...]]] = None) -> SolutionLedger:
+def _join_sides(up: SolutionLedger, down: SolutionLedger) -> SolutionLedger:
     """One ledger holding both sides' purchases; each pair's path is its up
-    path, then its root-link arcs in ``links`` (bought on ``graph``), then
-    its down path."""
-    links = links or {}
+    path, then its down path."""
     joined = SolutionLedger()
     joined.bought = set(up.bought) | set(down.bought)
     for pair_index, up_path in up.paths.items():
-        link = links.get(pair_index, ())
-        for a in link:
-            joined.bought.add(graph.purchase_key(a))
-        down_path = down.paths.get(pair_index, ())
-        joined.paths[pair_index] = tuple(up_path) + link + tuple(down_path)
+        joined.paths[pair_index] = (tuple(up_path)
+                                    + tuple(down.paths.get(pair_index, ())))
     return joined
 
 

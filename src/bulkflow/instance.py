@@ -84,8 +84,10 @@ def as_float(value: object, what: str) -> float:
 
 
 def _objects(entries: object, what: str) -> list:
-    """``entries`` as a list of JSON objects."""
-    entries = list(entries)
+    """``entries``, which must be a list of JSON objects."""
+    if not isinstance(entries, list):
+        raise InstanceError(f"{what} must be a list of objects, got "
+                            f"{type(entries).__name__} {entries!r}")
     for entry in entries:
         if not isinstance(entry, dict):
             raise InstanceError(f"each {what} entry must be an object, "

@@ -154,9 +154,9 @@ def pull_forest_ledger(forest: JunctionForest,
 
     Each forest arc stands for its inherited layered edge's base path;
     structural zero-cost arcs vanish. Shared base arcs collapse into one
-    purchase. This is ``layering.pull_back`` under its own name so that the
-    benchmark's tracer can time the forest pull-back apart from the
-    layered one.
+    purchase. This is ``layering.pull_back`` under its own name; the
+    pipeline pulls every mode back through ``pull_back`` itself, and this
+    name stays for the benchmark's tracer, which wraps it.
     """
     return pull_back(forest, ledger)
 

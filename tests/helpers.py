@@ -19,7 +19,8 @@ from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, plain_sum,
                             shortest_path, shortest_paths)
 from bulkflow.junction import (DEFAULT_NODE_BUDGET, GroupSteinerInstance,
-                               GstSubInstance, JunctionForest)
+                               GstSubInstance, JunctionForest,
+                               root_links_on_path)
 from bulkflow.layering import WEIGHT_CAP, LayeredGraph, _blend_weight
 from bulkflow.oracle import (DEFAULT_BUDGET, VALUE_TOL, InfeasibleInstance,
                              OracleBudget, _multi_weight_dijkstra,
@@ -299,6 +300,27 @@ def side_funnels(solver):
             for side, funnel in zip(solver.sides, route.funnels)]
 
 
+def assert_forest_routes_cross_their_root(pipeline) -> int:
+    """Each assigned pair of a directed run: its up forest path ends at its
+    root's up tuple, its down path starts at the root's down tuple, and the
+    two joined by the root's link cross exactly one root link. Returns how
+    many pairs were checked."""
+    forest = pipeline.forest
+    graph = forest.graph
+    checked = 0
+    for record in pipeline.records:
+        if record.outcome != "assigned":
+            continue
+        up_path, down_path = (side.single_sinks[record.root].ledger
+                              .paths[record.pair] for side in pipeline.sides)
+        assert graph.head[up_path[-1]] == forest.up_root[record.root]
+        assert graph.tail[down_path[0]] == forest.down_root[record.root]
+        link = forest.root_link_arc[record.root]
+        assert root_links_on_path(forest, up_path + (link,) + down_path) == 1
+        checked += 1
+    return checked
+
+
 # Reference distance ball: the funnel definition evaluated on all-pairs
 # distances from Floyd-Warshall, with none of the solver's searches.
 
@@ -320,14 +342,15 @@ def _all_pairs_distances(graph: TwoMetricGraph, arcs: Sequence[int],
 def reference_ball(solver, pair: PairSpec) -> Dict[int, Tuple[List[int], ...]]:
     """Eligible root id -> each side's funnel arcs in id order, in ``roots``
     order: a root is eligible when ``d(s, r_up) + d(r_down, t)`` in rescaled
-    ``c + l`` over the pair's usable arcs is at most ``1 + BALL_TOL``, and a
-    usable arc stays when the cheapest route through it and the root is."""
+    ``c + l`` over the arcs the pair's owner rule admits is at most
+    ``1 + BALL_TOL``, and such an arc stays when the cheapest route through
+    it and the root is."""
     limit = 1.0 + BALL_TOL
     usable, dist = [], []
     for side in solver.sides:
         allowed = side.side_graph.allowed(pair.index)
-        arcs = [e for e in range(side.graph.m) if side.alive[e]
-                and (allowed is None or allowed(e))]
+        arcs = [e for e in range(side.graph.m)
+                if allowed is None or allowed(e)]
         weight = [c + l for c, l in zip(side.c, side.l)]
         usable.append((arcs, weight))
         dist.append(_all_pairs_distances(side.graph, arcs, weight))

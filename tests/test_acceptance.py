@@ -16,13 +16,13 @@ from bulkflow.generate import grid, random_digraph, star_of_paths, with_penaltie
 from bulkflow.graph import SolutionLedger, TerminalPair, solution_cost
 from bulkflow.harness import OnlinePipeline, RunConfig, run_online
 from bulkflow.instance import load_instance
-from bulkflow.junction import (build_junction_forest, map_to_gst,
-                               root_links_on_path)
+from bulkflow.junction import build_junction_forest, map_to_gst
 from bulkflow.layering import build_layered, pull_back
 from bulkflow.oracle import (OracleBudget, junction_opt, offline_opt,
                              ss_offline_opt)
 from bulkflow.rounding import Assignment, choose_root, draw_thresholds, scaled_min_cut
-from helpers import random_two_metric, z_values
+from helpers import (assert_forest_routes_cross_their_root,
+                     random_two_metric, z_values)
 from test_fractional import make_solver, route_cost, single_path_instance
 from test_flows import linprog_min_cost, random_network
 
@@ -252,11 +252,8 @@ def test_acceptance_5_directed_reduction():
         for pair in inst.pairs:
             pipeline.process(pair)
         pipeline.finish()
-        assert pipeline.h_ledger is not None
-        for pair_index, path in pipeline.h_ledger.paths.items():
-            if path:
-                assert root_links_on_path(pipeline.forest, path) == 1
-                routed += 1
+        routed += assert_forest_routes_cross_their_root(pipeline)
+    assert routed
 
     # (c) tree-instance optimum within 4 h k^(1/h) of the junction optimum
     factors = []

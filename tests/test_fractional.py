@@ -62,18 +62,26 @@ class TestEpochInit:
         assert solver.v0 == pytest.approx(1e-5)
         assert all(v == pytest.approx(1e-5) for v in solver.up.x[0])
 
-    def test_pruning_removes_expensive_edges(self):
+    def test_arc_dearer_than_the_guess_keeps_its_start_value(self):
+        # arc 0 costs 3 guesses: outside every ball, but still an LP variable
         up = build_graph(3, [(0, 1, 3.0, 0.1), (1, 2, 0.5, 0.1)])
         down = build_graph(2, [(0, 1, 0.1, 0.1)])
-        solver = make_solver(up, down, [RootSpec(0, 2, 0)], guess=1.0)
-        assert not solver.up.alive[0]  # c = 3 x the guess
-        assert solver.up.alive[1]
-        assert solver.up.x[0][0] == 0.0
+        roots = [RootSpec(0, 2, 0), RootSpec(1, 1, 0)]
+        solver = make_solver(up, down, roots, guess=1.0, dmax=0.2)
+        assert solver.on_arrival(PairSpec(0, 1, 1)) == ArrivalOutcome.SATISFIED
+        assert all(0 not in route.funnels[0].arcs
+                   for route in solver.routes[0].values())
+        assert [x[0] for x in solver.up.x.values()] == [solver.v0] * 2
+        # the objective charges c * v0 on it, as on every arc
+        assert solver.lp_objective() >= 2 * 3.0 * solver.v0
+        assert solver.objective == pytest.approx(solver.lp_objective(),
+                                                 rel=1e-12)
+        solver.check_invariants([0])
 
     def test_initial_objective_is_small(self):
         up, down, roots, pair = single_path_instance()
         solver = make_solver(up, down, roots, n_scale=10)
-        n_vars = sum(solver.up.alive) + sum(solver.down.alive)
+        n_vars = up.m + down.m
         assert solver.lp_objective() <= n_vars * solver.v0
         assert solver.objective == pytest.approx(solver.lp_objective())
 
@@ -128,10 +136,31 @@ class TestArrivalInit:
         up = build_graph(4, [(0, 1, a, 0.0), (1, 2, b, 0.0), (2, 3, c, 0.0)])
         down = build_graph(1, [])
         root, pair = RootSpec(0, 3, 0), PairSpec(0, 0, 0)
+        solver = make_solver(up, down, [root])
+        assert solver.arrival_init(pair) == []
         assert make_solver(up, down, [root]).on_arrival(pair) == (
-            ArrivalOutcome.LP_INFEASIBLE)
+            ArrivalOutcome.GUESS_TOO_SMALL)
         doubled = make_solver(up, down, [root], guess=2.0)
         assert doubled.arrival_init(pair) == [0]
+
+    def test_root_beyond_the_guess_differs_from_no_root(self):
+        # root 0 is reachable at c + l = 1.5, root 1 not at all
+        up = build_graph(4, [(0, 1, 0.5, 0.5), (1, 2, 0.25, 0.25)])
+        down = build_graph(1, [])
+        beyond, cut_off = RootSpec(0, 2, 0), RootSpec(1, 3, 0)
+        pair = PairSpec(0, 0, 0)
+        both = make_solver(up, down, [beyond, cut_off])
+        assert both.arrival_init(pair) == []
+        assert make_solver(up, down, [beyond, cut_off]).on_arrival(pair) == (
+            ArrivalOutcome.GUESS_TOO_SMALL)
+        stranded = make_solver(up, down, [cut_off])
+        assert stranded.arrival_init(pair) is None
+        assert make_solver(up, down, [cut_off]).on_arrival(pair) == (
+            ArrivalOutcome.LP_INFEASIBLE)
+        # a guess above the route's cost holds it
+        assert make_solver(up, down, [beyond, cut_off],
+                           guess=2.0).on_arrival(pair) == (
+            ArrivalOutcome.SATISFIED)
 
     def test_no_roots_reports_infeasible(self):
         up = build_graph(3, [(0, 1, 0.1, 0.1)])
@@ -462,7 +491,8 @@ class TestDeterminism:
 
 def tie_heavy_side(rng, n, upward):
     """A random side graph with parallel arcs, many equal lengths, zero-cost
-    and zero-length arcs, arcs the unit guess prunes and pair-owned arcs."""
+    and zero-length arcs, arcs dearer than the unit guess and pair-owned
+    arcs."""
     g = TwoMetricGraph(n, directed=True)
     for _ in range(5 * n):
         u, v = rng.randrange(n), rng.randrange(n)
@@ -474,10 +504,10 @@ def tie_heavy_side(rng, n, upward):
 
 
 def usable_arcs(side, pair):
-    """Every arc the pair may use on a side, ignoring where it leads."""
+    """Every arc the pair's owner rule admits on a side, ignoring where it
+    leads."""
     allowed = side.side_graph.allowed(pair.index)
-    return [e for e in range(side.graph.m)
-            if side.alive[e] and (allowed is None or allowed(e))]
+    return [e for e in range(side.graph.m) if allowed is None or allowed(e)]
 
 
 class TestFunnel:
@@ -490,7 +520,7 @@ class TestFunnel:
         up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
         roots = [RootSpec(r, r, r) for r in range(n)]
         solver = make_solver(up, down, roots, dmax=0.2)
-        assert not all(solver.up.alive) and up.owner
+        assert max(solver.up.w) > 1 and up.owner
         compared = shrunk = 0
         for index in range(2):
             pair = PairSpec(index, rng.randrange(n), rng.randrange(n))
@@ -520,7 +550,6 @@ class TestFunnel:
         roots = [RootSpec(r, forest.up_root[r], forest.down_root[r])
                  for r in range(g.n)]
         solver = make_solver(*sides, roots, guess=1e3)
-        assert all(solver.up.alive)
         source, sink = forest.source_vertex[s], forest.sink_vertex[t]
         eligible = solver.arrival_init(PairSpec(0, source, sink))
         assert eligible

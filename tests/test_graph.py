@@ -78,6 +78,20 @@ class TestNonFiniteInput:
         with pytest.raises(InstanceError):
             load_instance(data if replaced is None else replaced)
 
+    @pytest.mark.parametrize("data, block", [
+        ({"n": 2, "edges": {}}, "edges"),
+        ({"n": 2, "pairs": {}}, "pairs"),
+        ({"n": 2, "mode": "node", "node_costs": {}}, "node_costs"),
+        ({"n": 2, "edges": {"id": 0, "tail": 0, "head": 1, "c": 1, "l": 1}},
+         "edges"),
+    ], ids=["edges-object", "pairs-object", "node-costs-object",
+            "single-edge"])
+    def test_load_instance_refuses_a_block_that_is_not_a_list(self, data,
+                                                              block):
+        with pytest.raises(InstanceError,
+                           match=f"{block} must be a list of objects"):
+            load_instance(data)
+
     def test_node_mode_refuses_fractional_edge_id(self):
         data = grid(2, 2, k=2, seed=1)
         data["mode"] = "node"

@@ -20,6 +20,7 @@ from bulkflow.instance import dump_instance, load_instance
 from bulkflow.prize import settle
 from bulkflow.rounding import Assignment
 from bulkflow.single_sink import GreedySingleSink
+from helpers import assert_forest_routes_cross_their_root
 
 
 def run(data, mode="edge", seed=0, **kw):
@@ -120,11 +121,7 @@ class TestRunOnline:
             pipeline.process(pair)
         report = pipeline.finish()
         assert pipeline.forest is not None
-        assert pipeline.h_ledger is not None
-        from bulkflow.junction import root_links_on_path
-        for pair_index, path in pipeline.h_ledger.paths.items():
-            if path:
-                assert root_links_on_path(pipeline.forest, path) == 1
+        assert assert_forest_routes_cross_their_root(pipeline) > 0
         assert report.online_total > 0
 
     def test_directed_mode_requires_directed_graph(self):
@@ -531,7 +528,7 @@ class TestCli:
                                        "tail", "directed", "top-level",
                                        "edge-entry", "pair-entry",
                                        "node-cost-entry", "c-bool", "l",
-                                       "q", "node-c"])
+                                       "q", "node-c", "edges-object"])
     def test_non_numeric_instance_exit_code_2(self, tmp_path, field):
         data = grid(2, 2, k=2, seed=1)
         replaced = {  # None when the edit works in place
@@ -553,6 +550,7 @@ class TestCli:
                 mode="prize", pairs=[{**data["pairs"][0], "q": "3"}]),
             "node-c": lambda: data.update(
                 mode="node", node_costs=[{"v": 0, "c": True, "l": 0.5}]),
+            "edges-object": lambda: data.update(edges={}),
         }[field]()
         inst = tmp_path / "text.json"
         inst.write_text(json.dumps(data if replaced is None else replaced))
