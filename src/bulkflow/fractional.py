@@ -32,14 +32,16 @@ funnels are the distance ball that bound leaves: a root is eligible when
 ``d(s, r_up) + d(r_down, t)`` is at most 1, and an up arc ``e`` stays when
 ``d(s, tail) + c_e + l_e + d(head, r_up) + d(r_down, t)`` is at most 1, the
 down side mirrored (``BALL_TOL`` absorbs float rounding). The ball is the
-only pruning: distances run over every arc the pair's owner rule admits. A
-pair the ball cuts off, though it reaches some root, ends its arrival as
+only pruning: distances run over every arc the pair's owner rule admits,
+and an arc whose own rescaled ``c + l`` is above the bound lies in no ball,
+so its ``x`` stays 0 and the objective never charges it. A pair the ball
+cuts off, though it reaches some root, ends its arrival as
 ``GUESS_TOO_SMALL``, and the caller doubles the guess; a root eligible at
 one guess stays eligible at every larger one. A pair that reaches no root
 is ``LP_INFEASIBLE`` at any guess.
 
-State layout: each side's ``_Side`` holds the capacities ``x`` per root over
-every arc, all starting at ``v0``;
+State layout: each side's ``_Side`` holds the capacities ``x`` per root,
+starting at ``v0`` on every arc a ball can hold and at 0 on the rest;
 ``CompositeSolver.routes[pair][root]`` is a ``_Route`` holding ``z`` and one
 ``_Funnel`` per side (in ``sides`` order): the arcs of the ball the pair may
 use through the root, its flow on them and their flow network. The network
@@ -68,6 +70,7 @@ VAR_CAP = 1.0
 # a route through a root stays in the ball when its rescaled c + l is within
 # this of 1: covers the rounding between the guess's and the ball's sums
 BALL_TOL = 1e-9
+BALL_LIMIT = 1.0 + BALL_TOL
 # a z (per root, or summed over the roots) this close to 1 counts as full
 COVER_TOL = 1e-12
 # growth rates delta at or below this do not bound the step length
@@ -156,6 +159,16 @@ class SideGraph:
         owner = self.owner
         return lambda e: owner.get(e) is None or owner.get(e) == pair_index
 
+    def near(self, pair: PairSpec, weight: Callable[[int], float]
+             ) -> Dict[int, float]:
+        """``weight`` distance over the pair's allowed arcs from its source
+        to each vertex it reaches upstairs, or into its sink from each vertex
+        reaching it downstairs."""
+        found = shortest_paths(self.graph, weight, self.terminal(pair),
+                               allowed=self.allowed(pair.index),
+                               backward=not self.upward)
+        return {v: d for v, (_, d) in found.items()}
+
 
 class _Side:
     """Per-direction epoch view (metrics rescaled by the guess) and that
@@ -169,9 +182,11 @@ class _Side:
         self.l = [graph.l[e] / guess for e in range(graph.m)]
         # rescaled c + l of each arc: the metric of the distance ball
         self.w = [c + l for c, l in zip(self.c, self.l)]
-        # per-root capacity variables, dense over edge ids
-        self.x: Dict[int, List[float]] = {rid: [v0] * graph.m
-                                          for rid in root_ids}
+        # per-root capacity variables, dense over edge ids: an arc dearer
+        # than the ball's bound is on no funnel, and its x stays 0, so it
+        # spends nothing of the epoch's cap
+        start = [v0 if w <= BALL_LIMIT else 0.0 for w in self.w]
+        self.x: Dict[int, List[float]] = {rid: list(start) for rid in root_ids}
 
     def distances(self, vertex: int, allowed: Optional[Callable[[int], bool]],
                   into: bool) -> Dict[int, float]:
@@ -188,11 +203,11 @@ class _Side:
         within the ball: ``before`` holds distances from the side's source,
         ``after`` distances to its sink and ``other`` the other side's
         distance through the root."""
-        graph, w, limit = self.graph, self.w, 1.0 + BALL_TOL
+        graph, w = self.graph, self.w
         head = graph.head
         return sorted(e for v, dv in before.items() for e in graph.out_arcs[v]
                       if head[e] in after and (allowed is None or allowed(e))
-                      and dv + w[e] + after[head[e]] + other <= limit)
+                      and dv + w[e] + after[head[e]] + other <= BALL_LIMIT)
 
 
 def _growth_factor(c: float, dt: float) -> float:
@@ -308,7 +323,9 @@ class CompositeSolver:
     def _base_objective(self) -> float:
         total = 0.0
         for side in self.sides:
-            total += plain_sum(side.c) * self.v0 * len(self.roots)
+            in_ball = plain_sum(c for c, w in zip(side.c, side.w)
+                                if w <= BALL_LIMIT)
+            total += in_ball * self.v0 * len(self.roots)
         return total
 
     def lp_objective(self) -> float:
@@ -360,9 +377,8 @@ class CompositeSolver:
         routes = self.routes[pair.index] = {}
         allowed = [side.side_graph.allowed(pair.index) for side in self.sides]
         # d(s, .) upstairs and d(., t) downstairs
-        near = [side.distances(side.side_graph.terminal(pair), allow,
-                               into=not side.side_graph.upward)
-                for side, allow in zip(self.sides, allowed)]
+        near = [side.side_graph.near(pair, side.w.__getitem__)
+                for side in self.sides]
         reachable = False
         for spec in self.roots:
             vertices = [side.side_graph.root_vertex(spec)
@@ -371,7 +387,7 @@ class CompositeSolver:
                 continue
             reachable = True
             to_root = [dist[v] for v, dist in zip(vertices, near)]
-            if to_root[0] + to_root[1] > 1.0 + BALL_TOL:
+            if to_root[0] + to_root[1] > BALL_LIMIT:
                 continue
             balls = []
             for i, (side, allow) in enumerate(zip(self.sides, allowed)):

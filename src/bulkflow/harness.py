@@ -25,7 +25,7 @@ from .errors import BudgetExceeded, InstanceError
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
                          SideGraph)
 from .graph import (SolutionLedger, TerminalPair, Unreachable, plain_sum,
-                    shortest_path, shortest_paths, solution_cost)
+                    shortest_path, solution_cost)
 from .instance import Instance, as_int, load_instance
 from .junction import JunctionForest, build_junction_forest
 from .layering import (LayeredGraph, build_expansions, default_height,
@@ -262,18 +262,14 @@ class OnlinePipeline:
         """Cheapest ``c + l`` route through any root under the owner rule
         alone: the distance ball depends on the guess this sets."""
 
-        def near(g: SideGraph) -> Dict[int, Tuple[Tuple[int, ...], float]]:
-            # d(s, .) upstairs and d(., t) downstairs, as arrival_init has it
+        def near(g: SideGraph) -> Dict[int, float]:
             c, l = g.graph.c, g.graph.l
-            return shortest_paths(g.graph, lambda e: c[e] + l[e],
-                                  g.terminal(spec),
-                                  allowed=g.allowed(spec.index),
-                                  backward=not g.upward)
+            return g.near(spec, lambda e: c[e] + l[e])
 
         up, down = (side.side_graph for side in self.sides)
         up_near, down_near = near(up), near(down)
-        best = min((up_near[up.root_vertex(r)][1]
-                    + down_near[down.root_vertex(r)][1] for r in self.roots
+        best = min((up_near[up.root_vertex(r)]
+                    + down_near[down.root_vertex(r)] for r in self.roots
                     if up.root_vertex(r) in up_near
                     and down.root_vertex(r) in down_near), default=math.inf)
         if not math.isfinite(best) or best <= 0:

@@ -62,18 +62,21 @@ class TestEpochInit:
         assert solver.v0 == pytest.approx(1e-5)
         assert all(v == pytest.approx(1e-5) for v in solver.up.x[0])
 
-    def test_arc_dearer_than_the_guess_keeps_its_start_value(self):
-        # arc 0 costs 3 guesses: outside every ball, but still an LP variable
-        up = build_graph(3, [(0, 1, 3.0, 0.1), (1, 2, 0.5, 0.1)])
+    def test_pruning_removes_expensive_edges(self):
+        # arc 0 costs 3 guesses; arc 2's cost and length are each below the
+        # guess but sum above it: no ball can hold either, so their x is 0
+        up = build_graph(3, [(0, 1, 3.0, 0.1), (1, 2, 0.5, 0.1),
+                             (0, 2, 0.6, 0.6)])
         down = build_graph(2, [(0, 1, 0.1, 0.1)])
         roots = [RootSpec(0, 2, 0), RootSpec(1, 1, 0)]
         solver = make_solver(up, down, roots, guess=1.0, dmax=0.2)
+        v0 = solver.v0
+        assert list(solver.up.x.values()) == [[0.0, v0, 0.0]] * 2
+        # the base objective charges c * v0 on the arcs a ball can hold only
+        assert solver.objective == pytest.approx((0.5 + 0.1) * v0 * 2,
+                                                 rel=1e-12)
         assert solver.on_arrival(PairSpec(0, 1, 1)) == ArrivalOutcome.SATISFIED
-        assert all(0 not in route.funnels[0].arcs
-                   for route in solver.routes[0].values())
-        assert [x[0] for x in solver.up.x.values()] == [solver.v0] * 2
-        # the objective charges c * v0 on it, as on every arc
-        assert solver.lp_objective() >= 2 * 3.0 * solver.v0
+        assert [x[0] for x in solver.up.x.values()] == [0.0] * 2
         assert solver.objective == pytest.approx(solver.lp_objective(),
                                                  rel=1e-12)
         solver.check_invariants([0])

@@ -124,6 +124,25 @@ class TestRunOnline:
         assert assert_forest_routes_cross_their_root(pipeline) > 0
         assert report.online_total > 0
 
+    @pytest.mark.parametrize("mode", ["edge", "directed"])
+    def test_dear_edge_on_no_route_leaves_the_guess_alone(self, mode):
+        # a pendant vertex behind an edge far dearer than any route: its
+        # layer arcs lie in no ball, so they spend nothing of the epoch
+        data = (grid(2, 2, k=2, seed=1) if mode == "edge"
+                else random_digraph(6, 14, 2, seed=1))
+        data["n"] += 1
+        base = run(data, mode)
+        data["edges"].append({"id": len(data["edges"]), "tail": 0,
+                              "head": data["n"] - 1, "c": 1e6, "l": 1.0})
+        dear = run(data, mode)
+
+        def epochs(report):
+            return [(a.outcome, a.root, a.epoch, a.lam)
+                    for a in report.arrivals]
+
+        assert epochs(dear) == epochs(base)
+        assert dear.online_total == base.online_total
+
     def test_directed_mode_requires_directed_graph(self):
         data = grid(2, 2, k=1, seed=0)
         with pytest.raises(InstanceError):

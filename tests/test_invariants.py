@@ -75,23 +75,23 @@ DEFAULT_CONFIG_INSTANCES = {
 
 # sha256 of each mode's report; a refactor must leave these bytes alone
 DEFAULT_CONFIG_DIGESTS = {
-    "directed": "5305bb63b3e6908e6575fcaddf977066e604225fa7c41cde1493bb21b54e71d2",
-    "edge": "398641e6d7433b8460ffa69fdac0a781e6e2c92b7cb8529b1e541e253d4d5a25",
-    "node": "d697f645460d8207c566b7b0295f3a876fab099c88bbe20cb7749deb47ed0e2f",
-    "prize": "e3ec0fafc8de36a299670c7c8c24d338f448ef05921df7cc312d207631999b4d",
+    "directed": "0c947b4297f39b667119ff9e24a1a15d41dc813e4f7449b1ad89eb2813cd54ea",
+    "edge": "91376bfe356ae24565f54b5185a7c955fc8552d82c030c78bc87edd48d151009",
+    "node": "90200a3e5d96b95afd18d9ef7bcd8000a22ea0a0bf2bad33342f5e9493043e5e",
+    "prize": "00c1823ef66b7a9bf047e321726bfa2b5384bee4a58b3515ac88b697abb6eb2c",
 }
 
 # sha256 of each mode's (assignment trace, LP trace): the z_value, tau and
 # steps columns appear only there
 DEFAULT_CONFIG_TRACE_DIGESTS = {
     "directed": ("4ac88a21aab746fb90075f8066205a3038ebf3feb655cc3fe7f7705c5558c5b9",
-                 "6565690223f00ab972b54be316842aa454a9d8cd75778e268a1a14abe36b8324"),
+                 "c2a1d9d935187bc5eb57373b55b782f9754a6616ab8732354276cd46360d2a44"),
     "edge": ("ba2394d3c19196b3410d536aeb76bbc1ed193b7d3935ddd4bb053d3e6e54f236",
-             "e42f04adbc81f11937af86bf15d0af98b3745d3a679bf4e075d876932d28e55b"),
+             "15cb91ba69a16b357a6a74f35a45d3cbf5029610cf90ee989adecce7e9761bc5"),
     "node": ("a72ad99f12747a6f57851e4ecaeabb519edc22c68c48b7790c861fb668115a70",
-             "80626c01bed0a28afd5d350977e1979282bc7a6d5c5d5fa72d921c1cb7225db1"),
+             "ca3604dfa3fcaa6c0aac2dc791fbcd1abb956db09f9d6eadf835ad6bee494658"),
     "prize": ("d3decafb4b4b5f9c07ae790c6e248d148f3f1923e4af6b41e848a92b818ea29d",
-              "017a4ef7f8d6551d460f7ecc3a9e82fc4ba7a0cf371a87cfb1cb6bc9d796c8fb"),
+              "7de99029f69b799f1b21b54e36ff443929fb0ab8c776ca85217b699abc392548"),
 }
 
 
@@ -146,7 +146,7 @@ def test_default_configuration_invariants(mode):
 # sha256 of one directed run at h = 3, whose funnels hold 4 to 24 arcs of
 # a forest of 9,364 vertices
 DIRECTED_H3_DIGEST = (
-    "17ddf416b0a715bc14444b5c6a4b8653125ed7c4bad5e5b8471ca755ff106f17")
+    "fcddd47350c160440716749eb39a3062af95b3e746ec92c7ad350414526990e7")
 
 
 def test_directed_h3_report_pinned():

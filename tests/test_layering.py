@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bulkflow import graph, harness, layering
+from bulkflow import fractional, graph, layering
 from bulkflow.generate import grid, random_digraph, with_penalties
 from bulkflow.graph import (GraphError, SolutionLedger, TwoMetricGraph,
                             Unreachable, reachable_from, shortest_path,
@@ -293,7 +293,7 @@ def search_starts(monkeypatch):
         starts.append(start)
         return kernel(g, weight, start, *args, **kwargs)
 
-    for module in (graph, layering, harness):
+    for module in (graph, layering, fractional):
         monkeypatch.setattr(module, "shortest_paths", counting)
     return starts
 
