@@ -1,6 +1,6 @@
 """Online multicommodity buy-at-bulk network design toolkit."""
 
-from .errors import BudgetExceeded, InstanceError
+from .errors import BudgetExceeded, InstanceError, StepLimitExceeded
 from .flows import (FlowNetwork, FlowResult, InfeasibleFlow, max_delta,
                     max_flow, min_cost_flow)
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,

@@ -3,7 +3,9 @@
 Subcommands: ``run`` (one online run), ``oracle`` (exact baselines for an
 instance), ``generate`` (reproducible instances), ``experiment`` (a suite of
 runs to CSV). Exit codes: 0 success, 2 infeasible/bad input, invalid run
-parameters or an output path that cannot be written, 3 budget refusal.
+parameters or an output path that cannot be written, 3 budget refusal (an
+exponential construction or oracle, or an arrival past the growth-step
+cap).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceeded, InstanceError
+from .errors import BudgetExceeded, InstanceError, StepLimitExceeded
 from .generate import generate
 from .harness import MODES, OnlinePipeline, RunConfig, run_experiment
 from .instance import dump_instance, load_instance
@@ -143,6 +145,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc} (required: {exc.required})",
               file=sys.stderr)
+        return EXIT_BUDGET
+    except StepLimitExceeded as exc:
+        print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (InstanceError, InfeasibleInstance) as exc:
         print(f"infeasible or invalid input: {exc}", file=sys.stderr)

@@ -13,3 +13,13 @@ class BudgetExceeded(Exception):
 
 class InstanceError(ValueError):
     """Malformed or unsupported instance input."""
+
+
+class StepLimitExceeded(RuntimeError):
+    """An arrival was not covered within the solver's growth-step cap."""
+
+    def __init__(self, pair: int, cap: int):
+        super().__init__(f"pair {pair} was not covered within the cap of "
+                         f"{cap} growth steps")
+        self.pair = pair
+        self.cap = cap

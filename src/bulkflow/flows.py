@@ -12,9 +12,12 @@ amounts, and each augmenting path is walked once: one pass finds its
 bottleneck, augments it and collects the slots it closed.
 
 A network is built once from its arc columns; afterwards only its
-capacities change (``update_capacities``), so a caller that solves the same
-arcs repeatedly builds nothing per solve. Its residual slots are built with
-it, over its own node numbering: the nodes that end some arc, numbered
+capacities change (``update_capacities``, which checks each entry as it
+writes a copy and keeps the copy only once all have passed), so a caller
+that solves the same arcs repeatedly builds nothing per solve. Arcs may
+carry labels, which key the segments and flows a solve returns, so a
+caller whose arcs stand for other ids reads its flows without a rebuild.
+Its residual slots are built with it, over its own node numbering: the nodes that end some arc, numbered
 ``0..k-1`` in id order. The numbering keeps the id order, so the search's
 heap ties and adjacency order are those of the ids, and a search touches
 only the nodes of the network's arcs, however large the id range. A source
@@ -36,7 +39,8 @@ recorded search is reused; at the first mismatch the potentials are
 restored from the last matched search and the Dijkstra runs live from
 there. Amounts, capacity tests and augmentations are always computed live,
 so a replayed solve returns the same segments, bit for bit, as a fresh
-network would. Only the latest trail is kept.
+network would. Only the latest trail is kept, and a solve whose searches
+all replay allocates no potentials.
 """
 
 from __future__ import annotations
@@ -80,10 +84,15 @@ class FlowNetwork:
     ``0..k-1`` in id order (``_number``); ``_adj[i]`` lists the forward
     slots of node i's out-arcs, then the reverse slots of its in-arcs, each
     in arc order, and ``_head`` holds each slot's head by that number.
+
+    ``labels[a]`` names arc ``a`` in the segments and flows that solves
+    return (the arc index by default), so a caller whose arcs stand for
+    other ids gets its flows keyed by them.
     """
 
     def __init__(self, n: int, tail: Sequence[int], head: Sequence[int],
-                 capacity: Sequence[float], cost: Sequence[float]):
+                 capacity: Sequence[float], cost: Sequence[float],
+                 labels: Optional[Sequence[int]] = None):
         if n < 0:
             raise FlowError("node count must be nonnegative")
         m = len(tail)
@@ -91,6 +100,10 @@ class FlowNetwork:
             raise FlowError(f"arc columns differ in length: {m} tails, "
                             f"{len(head)} heads, {len(capacity)} capacities, "
                             f"{len(cost)} costs")
+        self.labels: List[int] = list(range(m) if labels is None else labels)
+        if not len(set(self.labels)) == len(self.labels) == m:
+            raise FlowError(f"{m} arcs need {m} distinct labels, got "
+                            f"{len(self.labels)}")
         for u, v, cap, c in zip(tail, head, capacity, cost):
             if not (0 <= u < n and 0 <= v < n):
                 raise FlowError(f"arc ({u},{v}) out of range")
@@ -125,20 +138,27 @@ class FlowNetwork:
     def m(self) -> int:
         return len(self.tail)
 
-    def update_capacities(self, changes: Sequence[Tuple[int, float]]) -> None:
-        """Set the capacity of each ``(arc, capacity)`` in ``changes``; the
-        other arcs keep theirs. A refused update changes nothing."""
-        m = len(self.tail)
-        for a, cap in changes:
+    def update_capacities(self, arcs: Sequence[int],
+                          capacities: Sequence[float]) -> None:
+        """Set the capacity of each arc in ``arcs`` to the one at the same
+        position of ``capacities``; the other arcs keep theirs. Each entry is
+        checked as it is written to a copy, which replaces the capacities
+        only once all have passed, so a refused update changes nothing."""
+        if len(arcs) != len(capacities):
+            raise FlowError(f"{len(arcs)} arcs but {len(capacities)} "
+                            f"capacities")
+        capacity, closed = self.capacity[:], self._closed
+        m = len(capacity)
+        for a, cap in zip(arcs, capacities):
             if not 0 <= a < m:
                 raise FlowError(f"arc {a} out of range")
             if not cap >= 0:
                 raise FlowError(f"capacity {cap} is negative or NaN")
-        capacity, closed = self.capacity, self._closed
-        for a, cap in changes:
+            # an arc that opens or closes changes the replay's first key
             if closed is not None and (capacity[a] <= EPS_CAP) != (cap <= EPS_CAP):
                 closed = None
             capacity[a] = float(cap)
+        self.capacity = capacity
         self._closed = closed
 
     def closed_arcs(self) -> Tuple[int, ...]:
@@ -197,7 +217,7 @@ class FlowNetwork:
         return path, unit_cost
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowResult:
     """A feasible flow: value, per-arc flow map, and its total cost."""
 
@@ -210,7 +230,9 @@ class FlowResult:
         """Assert conservation, capacity bounds, and cost consistency."""
         balance = [0.0] * net.n
         cost = 0.0
-        for a, f in self.flow.items():
+        arc = dict(zip(net.labels, range(net.m)))
+        for label, f in self.flow.items():
+            a = arc[label]
             if f < -tol or f > net.capacity[a] + tol:
                 raise FlowError(f"arc {a} flow {f} outside [0, {net.capacity[a]}]")
             balance[net.tail[a]] -= f
@@ -229,11 +251,11 @@ class FlowResult:
             raise FlowError(f"cost mismatch {cost} vs {self.total_cost}")
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowSegment:
     amount: float
     unit_cost: float
-    # (arc id, +1 forward / -1 reverse) steps of the augmenting path
+    # (arc label, +1 forward / -1 reverse) steps of the augmenting path
     steps: Tuple[Tuple[int, int], ...]
 
 
@@ -253,54 +275,67 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
     state matches the network's previous solve are replayed from its trail
     (see the module docstring).
     """
-    _check_ends(net, source, sink)
+    # the ends as search nodes; None if an end touches no arc
+    start, end = net._number.get(source), net._number.get(sink)
+    if start is None or end is None:
+        _check_ends(net, source, sink)
     if source == sink:
         raise FlowError("source equals sink")
     if not (value_cap >= 0 and cost_cap >= 0):
         raise FlowError(f"value cap {value_cap} or cost cap {cost_cap} is "
                         f"negative or NaN")
     inf, isfinite = math.inf, math.isfinite
-    # the ends as search nodes; None if an end touches no arc
-    start, end = net._number.get(source), net._number.get(sink)
-    res: List[float] = [0.0] * (2 * net.m)
-    res[0::2] = net.capacity
-    potential = [0.0] * len(net._adj)
-    previous = net._trail
+    capacity = net.capacity
+    res: List[float] = [0.0] * (2 * len(capacity))
+    res[0::2] = capacity
+    # allocated by the first live search: a replayed one needs none
+    potential: Optional[List[float]] = None
+    previous: Sequence[_Search] = net._trail
     trail: List[_Search] = []
-    key: tuple = (source, sink, net.closed_arcs())
+    closed_at_start = net._closed
+    key: tuple = (source, sink, net.closed_arcs() if closed_at_start is None
+                  else closed_at_start)
     segments: List[FlowSegment] = []
     total_value = 0.0
     total_cost = 0.0
-    while total_value < value_cap - EPS_CAP and total_cost < cost_cap - EPS_CAP:
+    value_limit, cost_limit = value_cap - EPS_CAP, cost_cap - EPS_CAP
+    replayable = len(previous)
+    while total_value < value_limit and total_cost < cost_limit:
         i = len(trail)
-        if i < len(previous) and previous[i][0] == key:
+        if i < replayable and previous[i][0] == key:
             search = previous[i]
         else:
-            if previous and trail:  # resume from the last replayed search
-                potential[:] = trail[-1][4]
-            previous = []
-            found = (None if start is None or end is None
-                     else net._shortest_path(res, potential, start, end))
+            replayable = 0
+            found = None
+            if start is not None and end is not None:
+                if potential is None:
+                    # resume from the last replayed search, or start at zero
+                    potential = (list(trail[-1][4]) if trail
+                                 else [0.0] * len(net._adj))
+                found = net._shortest_path(res, potential, start, end)
             if found is None:
                 search = (key, None, 0.0, (), array("d"))
             else:
                 live_path, live_cost = found
+                label = net.labels
                 search = (key, live_path, live_cost,
-                          tuple([(s >> 1, 1 if s % 2 == 0 else -1)
+                          tuple([(label[s >> 1], 1 if s % 2 == 0 else -1)
                                  for s in live_path]),
                           array("d", potential))
         trail.append(search)
-        _, path, unit_cost, steps, _ = search
+        path = search[1]
         if path is None:
             break
         # the bottleneck; "<" keeps the first minimum, as min() does
         amount = inf
         for s in path:
-            if res[s] < amount:
-                amount = res[s]
+            r = res[s]
+            if r < amount:
+                amount = r
         rest = value_cap - total_value
         if rest < amount:
             amount = rest
+        unit_cost = search[2]
         if unit_cost > FEAS_TOL:
             rest = (cost_cap - total_cost) / unit_cost
             if rest < amount:
@@ -318,7 +353,7 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
             if r <= EPS_CAP:
                 closed.append(s)
         key = tuple(closed)
-        segments.append(FlowSegment(amount, unit_cost, steps))
+        segments.append(FlowSegment(amount, unit_cost, search[3]))
         total_value += amount
         total_cost += unit_cost * amount
     net._trail = trail
@@ -327,8 +362,13 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
 
 def _assemble(segments: List[FlowSegment],
               value: float) -> Tuple[Dict[int, float], float]:
-    """Per-arc flows and cost of the cheapest flow of the given value."""
+    """Per-arc flows, keyed by arc label, and cost of the cheapest flow of
+    the given value. Every flow left is positive: a forward step adds more
+    than ``EPS_CAP``, and an arc crossed backwards holds exactly its
+    reverse slot's residual, which bounds each backward take, so it ends at
+    zero or above and is dropped at ``<= EPS_CAP``."""
     flow: Dict[int, float] = {}
+    get = flow.get
     cost = 0.0
     remaining = value
     # each take exceeds EPS_CAP: only an arc crossed backwards can cancel
@@ -340,8 +380,10 @@ def _assemble(segments: List[FlowSegment],
         if remaining < take:
             take = remaining
         for arc, direction in seg.steps:
-            flow[arc] = flow.get(arc, 0.0) + direction * take
-            if direction < 0:
+            if direction > 0:
+                flow[arc] = get(arc, 0.0) + take
+            else:
+                flow[arc] = get(arc, 0.0) - take
                 crossed_back.append(arc)
         cost += seg.unit_cost * take
         remaining -= take
@@ -374,15 +416,16 @@ def max_flow(net: FlowNetwork, source: int, sink: int,
     zero_cost = net
     if any(c != 0.0 for c in net.cost):
         zero_cost = FlowNetwork(net.n, net.tail, net.head, net.capacity,
-                                [0.0] * net.m)
+                                [0.0] * net.m, net.labels)
     segments = cheapest_flow_curve(zero_cost, source, sink, value_cap=value_cap)
     value = plain_sum(seg.amount for seg in segments)
     flow, _ = _assemble(segments, value)
+    cost = dict(zip(net.labels, net.cost))
     return FlowResult(value, flow,
-                      plain_sum(net.cost[a] * f for a, f in flow.items()))
+                      plain_sum(cost[a] * f for a, f in flow.items()))
 
 
-@dataclass
+@dataclass(slots=True)
 class MaxDeltaResult:
     delta: float
     up: FlowResult
@@ -396,8 +439,8 @@ def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
 
     Finds the maximum ``delta`` in [0, 1] such that each network admits a
     flow of value ``delta`` whose cheapest cost is at most ``budget``, and
-    returns the two certifying cheapest flows. Disconnected sides yield
-    ``delta = 0`` with empty flows.
+    returns the two certifying cheapest flows, keyed by arc label.
+    Disconnected sides yield ``delta = 0`` with empty flows.
     """
     if not budget >= 0:
         raise FlowError(f"budget {budget} is negative or NaN")

@@ -47,7 +47,19 @@ starting at ``v0`` on every arc a ball can hold and at 0 on the rest;
 use through the root, its flow on them and their flow network. The network
 holds the rate capacities of a full step for the whole arrival, and a step
 recomputes only the arcs the previous committed step touched (found tight or
-grew), since no other arc's ``x``, flow or tightness moved.
+grew), since no other arc's ``x``, flow or tightness moved. A side caches
+its unfiltered root distances for the epoch, so pairs share the ball
+searches of their roots (the owner rule of prize mode searches per pair).
+
+A step takes one pass per root side and stage: the tight set, the dirty
+capacities (checked by ``update_capacities`` before any is written), the
+joint solve, whose networks are labelled by edge id so its flows are the
+rates, and staging over ``tight | set(rates)``, the set that ``apply``
+hands to the funnel as its next dirty set. Staged entries carry the ``x``
+array itself. Every float comes from the same operations in the same order
+as a step that rebuilds each of these records, and the staging set's
+iteration order, which fixes the order of the ``d_obj`` sum, is that of
+``set(tight) | set(rates)``.
 
 All variables are nondecreasing within an epoch. An epoch aborts (without
 overshooting) once its objective would exceed ``kappa``; the caller then
@@ -61,7 +73,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .flows import FlowNetwork, max_delta
+from . import flows
+from .errors import StepLimitExceeded
+from .flows import FlowNetwork
 from .graph import (TwoMetricGraph, Unreachable, plain_sum, shortest_path,
                     shortest_paths)
 
@@ -187,14 +201,25 @@ class _Side:
         # spends nothing of the epoch's cap
         start = [v0 if w <= BALL_LIMIT else 0.0 for w in self.w]
         self.x: Dict[int, List[float]] = {rid: list(start) for rid in root_ids}
+        # (vertex, into) -> distances over every arc, shared by the epoch's
+        # pairs; read-only once stored
+        self._distances: Dict[Tuple[int, bool], Dict[int, float]] = {}
 
     def distances(self, vertex: int, allowed: Optional[Callable[[int], bool]],
                   into: bool) -> Dict[int, float]:
         """``c + l`` distance over allowed arcs from ``vertex`` to each vertex
-        it reaches, or into ``vertex`` from each vertex reaching it."""
+        it reaches, or into ``vertex`` from each vertex reaching it. Without
+        an arc filter the result depends only on the side's weights, so it
+        is searched once per epoch; callers must not change it."""
+        key = (vertex, into)
+        if allowed is None and key in self._distances:
+            return self._distances[key]
         found = shortest_paths(self.graph, self.w.__getitem__, vertex,
                                allowed=allowed, backward=into)
-        return {v: d for v, (_, d) in found.items()}
+        dist = {v: d for v, (_, d) in found.items()}
+        if allowed is None:
+            self._distances[key] = dist
+        return dist
 
     def ball(self, before: Dict[int, float], after: Dict[int, float],
              other: float, allowed: Optional[Callable[[int], bool]]
@@ -244,11 +269,15 @@ class _Funnel:
         self.flow = flow  # edge -> flow, confined to the arcs
         self.index = {e: a for a, e in enumerate(arcs)}
         graph = side.graph
+        # labelled by edge id, so solves return flows keyed by edge
         self.net = FlowNetwork(graph.n, [graph.tail[e] for e in arcs],
                                [graph.head[e] for e in arcs],
-                               [0.0] * len(arcs), [side.l[e] for e in arcs])
+                               [0.0] * len(arcs), [side.l[e] for e in arcs],
+                               arcs)
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
+        # replaced, never changed in place: a committed step hands over the
+        # set it staged from
         self.dirty: Set[int] = set(arcs)
 
     def tight(self, x: List[float]) -> Set[int]:
@@ -265,23 +294,25 @@ class _Route:
     funnels: Tuple[_Funnel, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RootStep:
     """One root's share of a growth step; per-side tuples follow ``sides``."""
 
     delta: float
     grow: Tuple[Dict[int, float], ...]  # flow rate per edge
     tight: Tuple[Set[int], ...]
+    # per side, the tight and grown edges staging visited; set by staging
+    touched: Tuple[Set[int], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GrowthStep:
     """A staged growth step; ``CompositeSolver.apply`` commits it."""
 
     pair: int
     dt: float
     solutions: Dict[int, RootStep]
-    staged_x: List[Tuple[_Side, int, int, float]]  # (side, root, edge, new x)
+    staged_x: List[Tuple[List[float], int, float]]  # (x array, edge, new x)
     d_obj: float
 
 
@@ -427,7 +458,7 @@ class CompositeSolver:
         if pair_index != self._stepping:
             for route in self.routes.get(self._stepping, {}).values():
                 for funnel in route.funnels:
-                    funnel.dirty.update(funnel.arcs)
+                    funnel.dirty = set(funnel.arcs)
             self._stepping = pair_index
 
     def _aux_network(self, side: _Side, rid: int, funnel: _Funnel,
@@ -439,54 +470,55 @@ class CompositeSolver:
         headroom plus the growth of ``x`` while riding the boundary; the rate
         capacity is that integral divided by ``dmax``. Currently tight edges
         have no headroom and ride from the start. Only the funnel's dirty
-        arcs are recomputed.
+        arcs are recomputed, and ``update_capacities`` checks them all before
+        it writes any.
         """
-        x, dmax, inf = side.x[rid], self.dmax, math.inf
-        flows_get = funnel.flow.get
-        index, full_growth = funnel.index, funnel.full_growth
-        changes = []
-        for e in funnel.dirty:
-            a = index[e]
-            grow = full_growth[a]
-            if grow == inf:
-                changes.append((a, inf))
-            else:
+        dirty = funnel.dirty
+        if dirty:
+            x, dmax, inf = side.x[rid], self.dmax, math.inf
+            flows_get = funnel.flow.get
+            index, full_growth = funnel.index, funnel.full_growth
+            arcs, caps = [], []
+            for e in dirty:
+                a = index[e]
+                arcs.append(a)
+                grow = full_growth[a]
+                if grow == inf:
+                    caps.append(inf)
+                    continue
+                xe = x[e]
                 room = 0.0
                 if e not in tight:  # max(0.0, headroom), NaN included
-                    headroom = x[e] - flows_get(e, 0.0)
+                    headroom = xe - flows_get(e, 0.0)
                     if headroom > 0.0:
                         room = headroom
-                changes.append((a, (room + x[e] * (grow - 1.0)) / dmax))
-        funnel.net.update_capacities(changes)
-        funnel.dirty.clear()
+                caps.append((room + xe * (grow - 1.0)) / dmax)
+            funnel.net.update_capacities(arcs, caps)
+            funnel.dirty = set()
         return funnel.net
 
     def _solve_root(self, rid: int, route: _Route) -> RootStep:
-        """Max joint growth rate and flow pattern for one root."""
-        tight, args = [], []
-        for side, funnel in zip(self.sides, route.funnels):
-            side_tight = funnel.tight(side.x[rid])
-            tight.append(side_tight)
-            args += (self._aux_network(side, rid, funnel, side_tight),
-                     *funnel.ends)
-        result = max_delta(*args, route.z)
-        grow = []
-        for funnel, flow in zip(route.funnels,
-                                (result.up.flow, result.down.flow)):
-            # network arc a is funnel arc a: key the flow rates by edge id
-            arcs, rates = funnel.arcs, {}
-            for a, f in flow.items():
-                if f > 0.0:
-                    rates[arcs[a]] = f
-            grow.append(rates)
-        return RootStep(result.delta, tuple(grow), tuple(tight))
+        """Max joint growth rate and flow pattern for one root; the funnel
+        networks are labelled by edge id, so the flows are the rates."""
+        up, down = self.sides
+        up_funnel, down_funnel = route.funnels
+        up_tight = up_funnel.tight(up.x[rid])
+        down_tight = down_funnel.tight(down.x[rid])
+        result = flows.max_delta(
+            self._aux_network(up, rid, up_funnel, up_tight), *up_funnel.ends,
+            self._aux_network(down, rid, down_funnel, down_tight),
+            *down_funnel.ends, route.z)
+        return RootStep(result.delta, (result.up.flow, result.down.flow),
+                        (up_tight, down_tight))
 
-    def growth_step(self, pair_index: int) -> GrowthStep:
+    def growth_step(self, pair_index: int,
+                    covered: Optional[float] = None) -> GrowthStep:
         """Stage one discretized step of the continuous dynamics for a pair.
 
         The step length is the configured maximum unless the remaining
         coverage gap truncates it (rates are scaled down so coverage lands
-        exactly at 1). The state is left untouched; ``apply`` commits.
+        exactly at 1). ``covered`` is the pair's ``z_total``, if the caller
+        has it. The state is left untouched; ``apply`` commits.
         """
         routes = self.routes[pair_index]
         self._hold_step_state(pair_index)
@@ -495,33 +527,45 @@ class CompositeSolver:
         for rid, route in routes.items():
             if route.z >= VAR_CAP - COVER_TOL:
                 continue  # this root is already fully selected
-            solutions[rid] = self._solve_root(rid, route)
-            total_delta += solutions[rid].delta
+            sol = solutions[rid] = self._solve_root(rid, route)
+            total_delta += sol.delta
 
+        # "if b < a: a = b" is a = min(a, b), and "if a < b: a = b" is
+        # a = max(a, b), NaN included
         dt = self.dmax
-        gap = 1.0 - self.z_total(pair_index)
+        if covered is None:
+            covered = self.z_total(pair_index)
         if total_delta > RATE_TOL:
-            dt = min(dt, gap / total_delta)
+            limit = (1.0 - covered) / total_delta
+            if limit < dt:
+                dt = limit
         for rid, sol in solutions.items():
             if sol.delta > RATE_TOL:
-                dt = min(dt, (VAR_CAP - routes[rid].z) / sol.delta)
-        dt = max(dt, MIN_DT)
+                limit = (VAR_CAP - routes[rid].z) / sol.delta
+                if limit < dt:
+                    dt = limit
+        if dt < MIN_DT:
+            dt = MIN_DT
         # a full step reads each funnel's cached exp(dmax / c)
         full = dt == self.dmax
 
         # stage: x rides to max(exp growth if tight, new flow level);
         # "y if y < VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included
-        staged_x: List[Tuple[_Side, int, int, float]] = []
+        staged_x: List[Tuple[List[float], int, float]] = []
         d_obj = 0.0
         inf = math.inf
+        sides = self.sides
         for rid, sol in solutions.items():
+            touched_sides = []
             for side, funnel, tight, g_side in zip(
-                    self.sides, routes[rid].funnels, sol.tight, sol.grow):
+                    sides, routes[rid].funnels, sol.tight, sol.grow):
                 arr, c = side.x[rid], side.c
                 flow_get = funnel.flow.get
                 grow_get = g_side.get
                 full_growth, index = funnel.full_growth, funnel.index
-                touched = set(tight) | set(g_side)
+                # the layout of set(tight) | set(g_side), whose iteration
+                # order is the order of the d_obj sum
+                touched = tight | set(g_side)
                 for e in touched:
                     old = arr[e]
                     new = old
@@ -539,38 +583,44 @@ class CompositeSolver:
                         if c[e] <= 0:
                             new = VAR_CAP
                     if new > old:
-                        staged_x.append((side, rid, e, new))
+                        staged_x.append((arr, e, new))
                         d_obj += c[e] * (new - old)
-            for side, g_side in zip(self.sides, sol.grow):
+                touched_sides.append(touched)
+            sol.touched = tuple(touched_sides)
+            for side, g_side in zip(sides, sol.grow):
+                l = side.l
                 for e, g in g_side.items():
-                    d_obj += side.l[e] * g * dt
+                    d_obj += l[e] * g * dt
         return GrowthStep(pair_index, dt, solutions, staged_x, d_obj)
 
     def apply(self, step: GrowthStep) -> None:
         """Commit a step staged by ``growth_step``."""
         self._hold_step_state(step.pair)
-        for side, rid, e, new in step.staged_x:
-            arr = side.x[rid]
+        for arr, e, new in step.staged_x:
             if new > arr[e]:
                 arr[e] = new
         routes = self.routes[step.pair]
+        dt = step.dt
         for rid, sol in step.solutions.items():
             route = routes[rid]
-            for funnel, tight, g_side in zip(route.funnels, sol.tight,
-                                             sol.grow):
-                funnel.dirty.update(tight)
-                funnel.dirty.update(g_side)
+            for funnel, touched, g_side in zip(route.funnels, sol.touched,
+                                               sol.grow):
+                # the staged edges are those whose x or flow may move
+                dirty = funnel.dirty
+                funnel.dirty = dirty | touched if dirty else touched
                 flow = funnel.flow
+                flow_get = flow.get
                 for e, g in g_side.items():
-                    flow[e] = flow.get(e, 0.0) + g * step.dt
+                    flow[e] = flow_get(e, 0.0) + g * dt
             # dt is capped per root, so z stays at or below 1 up to float noise;
             # clamping would desynchronize z from its certifying flow value
-            route.z += sol.delta * step.dt
+            route.z += sol.delta * dt
         self._objective += step.d_obj
 
     def on_arrival(self, pair: PairSpec) -> ArrivalOutcome:
         """Process one arrival to completion, overflow, a guess too small for
-        any root, or infeasibility."""
+        any root, or infeasibility; ``StepLimitExceeded`` once it takes more
+        than ``MAX_STEPS`` growth steps."""
         eligible = self.arrival_init(pair)
         if eligible is None:
             self.arrival_log.append(ArrivalStats(pair.index, 0, 0.0,
@@ -581,18 +631,17 @@ class CompositeSolver:
         if self._objective > self.kappa:
             return ArrivalOutcome.EPOCH_OVERFLOW
         steps = 0
-        while self.z_total(pair.index) < 1.0 - COVER_TOL:
+        covered = self.z_total(pair.index)
+        while covered < 1.0 - COVER_TOL:
             steps += 1
             if steps > MAX_STEPS:
-                raise RuntimeError(
-                    f"pair {pair.index}: no convergence within "
-                    f"{MAX_STEPS} steps (diagnostic failure)")
-            step = self.growth_step(pair.index)
+                raise StepLimitExceeded(pair.index, MAX_STEPS)
+            step = self.growth_step(pair.index, covered)
             if self._objective + step.d_obj > self.kappa:
                 return ArrivalOutcome.EPOCH_OVERFLOW
             self.apply(step)
-        self.arrival_log.append(ArrivalStats(pair.index, steps,
-                                             self.z_total(pair.index),
+            covered = self.z_total(pair.index)
+        self.arrival_log.append(ArrivalStats(pair.index, steps, covered,
                                              self._objective))
         return ArrivalOutcome.SATISFIED
 

@@ -83,6 +83,12 @@ def as_float(value: object, what: str) -> float:
     return float(value)
 
 
+def _missing(block: str, index: int, exc: KeyError) -> InstanceError:
+    """The error for a ``block`` entry that lacks the field ``exc`` names."""
+    return InstanceError(f"{block} entry {index} has no {exc.args[0]!r} "
+                         f"field")
+
+
 def _objects(entries: object, what: str) -> list:
     """``entries``, which must be a list of JSON objects."""
     if not isinstance(entries, list):
@@ -102,6 +108,8 @@ def _parse(data: dict, name: str) -> Instance:
     mode = data.get("mode", "edge")
     if mode not in MODES:
         raise InstanceError(f"unknown mode {mode!r}")
+    if "n" not in data:
+        raise InstanceError("the instance has no 'n' field")
     n = as_int(data["n"], "n")
     if n < 1:
         raise InstanceError("n must be positive")
@@ -112,14 +120,21 @@ def _parse(data: dict, name: str) -> Instance:
     edges = _objects(data.get("edges", []), "edges")
     raw_pairs = _objects(data.get("pairs", []), "pairs")
 
-    for ed in edges:
+    for i, ed in enumerate(edges):
         as_int(ed.get("id", 0), "id")  # validated, though nothing reads it
-        if not (0 <= as_int(ed["tail"], "tail") < n
-                and 0 <= as_int(ed["head"], "head") < n):
+        try:
+            tail, head = ed["tail"], ed["head"]
+        except KeyError as exc:
+            raise _missing("edges", i, exc) from None
+        if not (0 <= as_int(tail, "tail") < n
+                and 0 <= as_int(head, "head") < n):
             raise InstanceError(f"edge endpoint out of range: {ed}")
-    for pr in raw_pairs:
-        if not (0 <= as_int(pr["s"], "s") < n
-                and 0 <= as_int(pr["t"], "t") < n):
+    for i, pr in enumerate(raw_pairs):
+        try:
+            s, t = pr["s"], pr["t"]
+        except KeyError as exc:
+            raise _missing("pairs", i, exc) from None
+        if not (0 <= as_int(s, "s") < n and 0 <= as_int(t, "t") < n):
             raise InstanceError(f"pair endpoint out of range: {pr}")
         if as_int(pr.get("d", 1), "d") != 1:
             raise InstanceError(f"pair demand must be 1, got {pr.get('d')}")
@@ -133,13 +148,17 @@ def _parse(data: dict, name: str) -> Instance:
         node_c = [0.0] * n
         node_l = [0.0] * n
         seen = set()
-        for entry in _objects(costs, "node_costs"):
-            v = as_int(entry["v"], "v")
+        for i, entry in enumerate(_objects(costs, "node_costs")):
+            try:
+                v, c, l = entry["v"], entry["c"], entry["l"]
+            except KeyError as exc:
+                raise _missing("node_costs", i, exc) from None
+            v = as_int(v, "v")
             if not 0 <= v < n or v in seen:
                 raise InstanceError(f"bad node_costs entry {entry}")
             seen.add(v)
-            node_c[v] = as_float(entry["c"], "c")
-            node_l[v] = as_float(entry["l"], "l")
+            node_c[v] = as_float(c, "c")
+            node_l[v] = as_float(l, "l")
         edge_list = [(int(ed["tail"]), int(ed["head"])) for ed in edges]
         graph, mapping = split_node_weights(n, node_c, node_l, edge_list,
                                             directed=directed)
@@ -152,9 +171,13 @@ def _parse(data: dict, name: str) -> Instance:
                         display_n=n, name=name)
 
     graph = TwoMetricGraph(n, directed=directed)
-    for ed in edges:
+    for i, ed in enumerate(edges):
+        try:
+            c, l = ed["c"], ed["l"]
+        except KeyError as exc:
+            raise _missing("edges", i, exc) from None
         graph.add_edge(int(ed["tail"]), int(ed["head"]),
-                       as_float(ed["c"], "c"), as_float(ed["l"], "l"))
+                       as_float(c, "c"), as_float(l, "l"))
     graph.freeze()
     pairs = []
     for i, pr in enumerate(raw_pairs):

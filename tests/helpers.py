@@ -7,14 +7,18 @@ import itertools
 import math
 import random
 from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from bulkflow.errors import BudgetExceeded
 from bulkflow.flows import (EPS_CAP, FEAS_TOL, TIE_TOL, FlowError,
                             FlowNetwork, FlowResult, FlowSegment,
-                            MaxDeltaResult)
-from bulkflow.fractional import (BALL_TOL, PairSpec, RootSpec, SideGraph,
-                                 _growth_factor)
+                            MaxDeltaResult, _check_ends, _Search)
+from bulkflow.fractional import (BALL_TOL, COVER_TOL, MAX_STEPS, MIN_DT,
+                                 RATE_TOL, VAR_CAP, ArrivalOutcome,
+                                 ArrivalStats, CompositeSolver, PairSpec,
+                                 RootSpec, SideGraph, _Funnel, _growth_factor,
+                                 _Route, _Side)
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, plain_sum,
                             shortest_path, shortest_paths)
@@ -831,3 +835,367 @@ def reference_max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
     return MaxDeltaResult(delta,
                           FlowResult(delta, up_flow, up_cost),
                           FlowResult(delta, down_flow, down_cost))
+
+
+# ----------------------------------------------------------------------
+# Reference growth step: the solver's step, its arrival loop and the flow
+# calls they made before each root side took one checked pass per step,
+# with flows keyed by network arc and rebuilt by edge id (renamed,
+# otherwise verbatim). ``ReferenceStepSolver`` runs them on its own state.
+
+def reference_step_update_capacities(net: FlowNetwork,
+                                     changes: Sequence[Tuple[int, float]]
+                                     ) -> None:
+    """Set the capacity of each ``(arc, capacity)`` in ``changes``; the
+    other arcs keep theirs. A refused update changes nothing."""
+    m = len(net.tail)
+    for a, cap in changes:
+        if not 0 <= a < m:
+            raise FlowError(f"arc {a} out of range")
+        if not cap >= 0:
+            raise FlowError(f"capacity {cap} is negative or NaN")
+    capacity, closed = net.capacity, net._closed
+    for a, cap in changes:
+        if closed is not None and (capacity[a] <= EPS_CAP) != (cap <= EPS_CAP):
+            closed = None
+        capacity[a] = float(cap)
+    net._closed = closed
+
+
+def reference_step_curve(net: FlowNetwork, source: int, sink: int,
+                         value_cap: float = math.inf,
+                         cost_cap: float = math.inf) -> List[FlowSegment]:
+    """Cheapest-flow segments in order of increasing unit cost.
+
+    Augments until the flow value reaches ``value_cap``, the cumulative cost
+    reaches ``cost_cap``, or the sink becomes unreachable. Searches whose
+    state matches the network's previous solve are replayed from its trail
+    (see the ``bulkflow.flows`` docstring).
+    """
+    _check_ends(net, source, sink)
+    if source == sink:
+        raise FlowError("source equals sink")
+    if not (value_cap >= 0 and cost_cap >= 0):
+        raise FlowError(f"value cap {value_cap} or cost cap {cost_cap} is "
+                        f"negative or NaN")
+    inf, isfinite = math.inf, math.isfinite
+    # the ends as search nodes; None if an end touches no arc
+    start, end = net._number.get(source), net._number.get(sink)
+    res: List[float] = [0.0] * (2 * net.m)
+    res[0::2] = net.capacity
+    potential = [0.0] * len(net._adj)
+    previous = net._trail
+    trail: List[_Search] = []
+    key: tuple = (source, sink, net.closed_arcs())
+    segments: List[FlowSegment] = []
+    total_value = 0.0
+    total_cost = 0.0
+    while total_value < value_cap - EPS_CAP and total_cost < cost_cap - EPS_CAP:
+        i = len(trail)
+        if i < len(previous) and previous[i][0] == key:
+            search = previous[i]
+        else:
+            if previous and trail:  # resume from the last replayed search
+                potential[:] = trail[-1][4]
+            previous = []
+            found = (None if start is None or end is None
+                     else net._shortest_path(res, potential, start, end))
+            if found is None:
+                search = (key, None, 0.0, (), array("d"))
+            else:
+                live_path, live_cost = found
+                search = (key, live_path, live_cost,
+                          tuple([(s >> 1, 1 if s % 2 == 0 else -1)
+                                 for s in live_path]),
+                          array("d", potential))
+        trail.append(search)
+        _, path, unit_cost, steps, _ = search
+        if path is None:
+            break
+        # the bottleneck; "<" keeps the first minimum, as min() does
+        amount = inf
+        for s in path:
+            if res[s] < amount:
+                amount = res[s]
+        rest = value_cap - total_value
+        if rest < amount:
+            amount = rest
+        if unit_cost > FEAS_TOL:
+            rest = (cost_cap - total_cost) / unit_cost
+            if rest < amount:
+                amount = rest
+        if not isfinite(amount):
+            raise FlowError("flow value is unbounded; pass a finite value_cap")
+        if amount <= EPS_CAP:
+            break
+        # a path is simple, so each slot's residual is final once updated:
+        # the slots left at <= EPS_CAP key the next search
+        closed = []
+        for s in path:
+            r = res[s] = res[s] - amount
+            res[s ^ 1] += amount
+            if r <= EPS_CAP:
+                closed.append(s)
+        key = tuple(closed)
+        segments.append(FlowSegment(amount, unit_cost, steps))
+        total_value += amount
+        total_cost += unit_cost * amount
+    net._trail = trail
+    return segments
+
+
+def reference_step_assemble(segments: List[FlowSegment],
+                            value: float) -> Tuple[Dict[int, float], float]:
+    """Per-arc flows and cost of the cheapest flow of the given value."""
+    flow: Dict[int, float] = {}
+    cost = 0.0
+    remaining = value
+    # each take exceeds EPS_CAP: only an arc crossed backwards can cancel
+    crossed_back: List[int] = []
+    for seg in segments:
+        if remaining <= EPS_CAP:
+            break
+        take = seg.amount
+        if remaining < take:
+            take = remaining
+        for arc, direction in seg.steps:
+            flow[arc] = flow.get(arc, 0.0) + direction * take
+            if direction < 0:
+                crossed_back.append(arc)
+        cost += seg.unit_cost * take
+        remaining -= take
+    for arc in crossed_back:
+        if arc in flow and abs(flow[arc]) <= EPS_CAP:
+            del flow[arc]
+    return flow, cost
+
+
+def reference_step_max_delta(up_net: FlowNetwork, up_source: int,
+                             up_sink: int, down_net: FlowNetwork,
+                             down_source: int, down_sink: int,
+                             budget: float) -> MaxDeltaResult:
+    """Largest common value routable on both sides within the length budget.
+
+    Finds the maximum ``delta`` in [0, 1] such that each network admits a
+    flow of value ``delta`` whose cheapest cost is at most ``budget``, and
+    returns the two certifying cheapest flows. Disconnected sides yield
+    ``delta = 0`` with empty flows.
+    """
+    if not budget >= 0:
+        raise FlowError(f"budget {budget} is negative or NaN")
+    best = 1.0
+    sides = []
+    for net, s, t in ((up_net, up_source, up_sink),
+                      (down_net, down_source, down_sink)):
+        if s == t:  # a side that is already at its destination never binds
+            _check_ends(net, s, t)
+            sides.append([])
+            continue
+        segments = reference_step_curve(net, s, t, value_cap=1.0,
+                                        cost_cap=budget)
+        # The curve caps each amount at (budget - cost so far) / unit_cost,
+        # so every segment fits the budget whole and the value reachable
+        # within it is the plain sum of the amounts (a loop: see
+        # graph.plain_sum).
+        reachable = 0.0
+        for seg in segments:
+            reachable += seg.amount
+        if reachable < best:
+            best = reachable
+        sides.append(segments)
+    delta = best if best > 0.0 else 0.0
+    up_flow, up_cost = reference_step_assemble(sides[0], delta)
+    down_flow, down_cost = reference_step_assemble(sides[1], delta)
+    return MaxDeltaResult(delta,
+                          FlowResult(delta, up_flow, up_cost),
+                          FlowResult(delta, down_flow, down_cost))
+
+
+@dataclass(frozen=True)
+class ReferenceRootStep:
+    """One root's share of a growth step; per-side tuples follow ``sides``."""
+
+    delta: float
+    grow: Tuple[Dict[int, float], ...]  # flow rate per edge
+    tight: Tuple[Set[int], ...]
+
+
+@dataclass(frozen=True)
+class ReferenceGrowthStep:
+    """A staged growth step; ``ReferenceStepSolver.apply`` commits it."""
+
+    pair: int
+    dt: float
+    solutions: Dict[int, ReferenceRootStep]
+    staged_x: List[Tuple[_Side, int, int, float]]  # (side, root, edge, new x)
+    d_obj: float
+
+
+class ReferenceStepSolver(CompositeSolver):
+    """``CompositeSolver`` with the reference growth step and arrival loop."""
+
+    def _aux_network(self, side: _Side, rid: int, funnel: _Funnel,
+                     tight: Set[int]) -> FlowNetwork:
+        """The funnel's network with the integrated rate capacities of a full
+        step; network arc ``a`` is funnel arc ``a``.
+
+        An edge's admissible flow increment over ``dmax`` is its current
+        headroom plus the growth of ``x`` while riding the boundary; the rate
+        capacity is that integral divided by ``dmax``. Currently tight edges
+        have no headroom and ride from the start. Only the funnel's dirty
+        arcs are recomputed.
+        """
+        x, dmax, inf = side.x[rid], self.dmax, math.inf
+        flows_get = funnel.flow.get
+        index, full_growth = funnel.index, funnel.full_growth
+        changes = []
+        for e in funnel.dirty:
+            a = index[e]
+            grow = full_growth[a]
+            if grow == inf:
+                changes.append((a, inf))
+            else:
+                room = 0.0
+                if e not in tight:  # max(0.0, headroom), NaN included
+                    headroom = x[e] - flows_get(e, 0.0)
+                    if headroom > 0.0:
+                        room = headroom
+                changes.append((a, (room + x[e] * (grow - 1.0)) / dmax))
+        reference_step_update_capacities(funnel.net, changes)
+        funnel.dirty.clear()
+        return funnel.net
+
+    def _solve_root(self, rid: int, route: _Route) -> ReferenceRootStep:
+        """Max joint growth rate and flow pattern for one root."""
+        tight, args = [], []
+        for side, funnel in zip(self.sides, route.funnels):
+            side_tight = funnel.tight(side.x[rid])
+            tight.append(side_tight)
+            args += (self._aux_network(side, rid, funnel, side_tight),
+                     *funnel.ends)
+        result = reference_step_max_delta(*args, route.z)
+        grow = []
+        for funnel, flow in zip(route.funnels,
+                                (result.up.flow, result.down.flow)):
+            # network arc a is funnel arc a: key the flow rates by edge id
+            arcs, rates = funnel.arcs, {}
+            for a, f in flow.items():
+                if f > 0.0:
+                    rates[arcs[a]] = f
+            grow.append(rates)
+        return ReferenceRootStep(result.delta, tuple(grow), tuple(tight))
+
+    def growth_step(self, pair_index: int) -> ReferenceGrowthStep:
+        """Stage one discretized step of the continuous dynamics for a pair.
+
+        The step length is the configured maximum unless the remaining
+        coverage gap truncates it (rates are scaled down so coverage lands
+        exactly at 1). The state is left untouched; ``apply`` commits.
+        """
+        routes = self.routes[pair_index]
+        self._hold_step_state(pair_index)
+        solutions: Dict[int, ReferenceRootStep] = {}
+        total_delta = 0.0
+        for rid, route in routes.items():
+            if route.z >= VAR_CAP - COVER_TOL:
+                continue  # this root is already fully selected
+            solutions[rid] = self._solve_root(rid, route)
+            total_delta += solutions[rid].delta
+
+        dt = self.dmax
+        gap = 1.0 - self.z_total(pair_index)
+        if total_delta > RATE_TOL:
+            dt = min(dt, gap / total_delta)
+        for rid, sol in solutions.items():
+            if sol.delta > RATE_TOL:
+                dt = min(dt, (VAR_CAP - routes[rid].z) / sol.delta)
+        dt = max(dt, MIN_DT)
+        # a full step reads each funnel's cached exp(dmax / c)
+        full = dt == self.dmax
+
+        # stage: x rides to max(exp growth if tight, new flow level);
+        # "y if y < VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included
+        staged_x: List[Tuple[_Side, int, int, float]] = []
+        d_obj = 0.0
+        inf = math.inf
+        for rid, sol in solutions.items():
+            for side, funnel, tight, g_side in zip(
+                    self.sides, routes[rid].funnels, sol.tight, sol.grow):
+                arr, c = side.x[rid], side.c
+                flow_get = funnel.flow.get
+                grow_get = g_side.get
+                full_growth, index = funnel.full_growth, funnel.index
+                touched = set(tight) | set(g_side)
+                for e in touched:
+                    old = arr[e]
+                    new = old
+                    if e in tight:
+                        grow = (full_growth[index[e]] if full
+                                else _growth_factor(c[e], dt))
+                        if grow == inf:
+                            new = VAR_CAP
+                        else:
+                            y = old * grow
+                            new = y if y < VAR_CAP else VAR_CAP
+                    f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt
+                    if f_new > new:
+                        new = f_new if f_new < VAR_CAP else VAR_CAP
+                        if c[e] <= 0:
+                            new = VAR_CAP
+                    if new > old:
+                        staged_x.append((side, rid, e, new))
+                        d_obj += c[e] * (new - old)
+            for side, g_side in zip(self.sides, sol.grow):
+                for e, g in g_side.items():
+                    d_obj += side.l[e] * g * dt
+        return ReferenceGrowthStep(pair_index, dt, solutions, staged_x, d_obj)
+
+    def apply(self, step: ReferenceGrowthStep) -> None:
+        """Commit a step staged by ``growth_step``."""
+        self._hold_step_state(step.pair)
+        for side, rid, e, new in step.staged_x:
+            arr = side.x[rid]
+            if new > arr[e]:
+                arr[e] = new
+        routes = self.routes[step.pair]
+        for rid, sol in step.solutions.items():
+            route = routes[rid]
+            for funnel, tight, g_side in zip(route.funnels, sol.tight,
+                                             sol.grow):
+                funnel.dirty.update(tight)
+                funnel.dirty.update(g_side)
+                flow = funnel.flow
+                for e, g in g_side.items():
+                    flow[e] = flow.get(e, 0.0) + g * step.dt
+            # dt is capped per root, so z stays at or below 1 up to float noise;
+            # clamping would desynchronize z from its certifying flow value
+            route.z += sol.delta * step.dt
+        self._objective += step.d_obj
+
+    def on_arrival(self, pair: PairSpec) -> ArrivalOutcome:
+        """Process one arrival to completion, overflow, a guess too small for
+        any root, or infeasibility."""
+        eligible = self.arrival_init(pair)
+        if eligible is None:
+            self.arrival_log.append(ArrivalStats(pair.index, 0, 0.0,
+                                                 self._objective))
+            return ArrivalOutcome.LP_INFEASIBLE
+        if not eligible:
+            return ArrivalOutcome.GUESS_TOO_SMALL
+        if self._objective > self.kappa:
+            return ArrivalOutcome.EPOCH_OVERFLOW
+        steps = 0
+        while self.z_total(pair.index) < 1.0 - COVER_TOL:
+            steps += 1
+            if steps > MAX_STEPS:
+                raise RuntimeError(
+                    f"pair {pair.index}: no convergence within "
+                    f"{MAX_STEPS} steps (diagnostic failure)")
+            step = self.growth_step(pair.index)
+            if self._objective + step.d_obj > self.kappa:
+                return ArrivalOutcome.EPOCH_OVERFLOW
+            self.apply(step)
+        self.arrival_log.append(ArrivalStats(pair.index, steps,
+                                             self.z_total(pair.index),
+                                             self._objective))
+        return ArrivalOutcome.SATISFIED

@@ -9,7 +9,6 @@ import pytest
 from scipy.optimize import linprog
 
 import bulkflow.flows as flows
-import bulkflow.fractional as fractional
 from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, InfeasibleFlow,
                             cheapest_flow_curve, max_delta, max_flow,
                             min_cost_flow)
@@ -70,6 +69,11 @@ def network(n: int, arcs, capacities) -> FlowNetwork:
                        capacities, [cost for _, _, cost in arcs])
 
 
+def update(net: FlowNetwork, changes) -> None:
+    """Apply ``(arc, capacity)`` changes through ``update_capacities``."""
+    net.update_capacities([a for a, _ in changes], [cap for _, cap in changes])
+
+
 class TestCapacityReset:
     @pytest.mark.parametrize("seed", range(6))
     def test_reset_network_solves_like_a_fresh_one(self, seed):
@@ -79,7 +83,7 @@ class TestCapacityReset:
         reused = network(n, arcs, [0.0] * len(arcs))
         for _ in range(5):
             capacities = tie_heavy_capacities(rng, len(arcs))
-            reused.update_capacities(list(enumerate(capacities)))
+            reused.update_capacities(range(len(capacities)), capacities)
             fresh = network(n, arcs, capacities)
             budget = rng.choice([0.0, 0.5, 2.0, math.inf])
             curves = [cheapest_flow_curve(net, 0, n - 1, value_cap=1.0,
@@ -125,7 +129,7 @@ class TestReplay:
 
     def assert_solves_like_fresh(self, reused, n, arcs, capacities, source,
                                  sink, value_cap, cost_cap):
-        reused.update_capacities(list(enumerate(capacities)))
+        reused.update_capacities(range(len(capacities)), capacities)
         fresh = network(n, arcs, capacities)
         assert (curve_bits(reused, source, sink, value_cap, cost_cap)
                 == curve_bits(fresh, source, sink, value_cap, cost_cap))
@@ -241,9 +245,9 @@ class TestCapacityUpdate:
         for changes in ([(0, -0.5)], [(1, math.nan)], [(2, 1.0)],
                         [(-1, 1.0)], [(0, 0.5), (1, -math.inf)]):
             with pytest.raises(FlowError):
-                net.update_capacities(changes)
+                update(net, changes)
             assert net.capacity == [1.0, 1.0]
-        net.update_capacities([(1, math.inf), (0, 0.0)])
+        net.update_capacities([1, 0], [math.inf, 0.0])
         assert net.capacity == [0.0, math.inf]
         assert net.closed_arcs() == (0,)
 
@@ -257,14 +261,14 @@ class TestCapacityUpdate:
         for _ in range(20):
             if rng.random() < 0.2:
                 capacities = [rng.choice(REPLAY_CAPACITIES) for _ in arcs]
-                reused.update_capacities(list(enumerate(capacities)))
+                reused.update_capacities(range(len(capacities)), capacities)
             else:
                 changes = [(a, rng.choice(REPLAY_CAPACITIES))
                            for a in rng.sample(range(len(arcs)),
                                                rng.randint(0, 3))]
                 for a, cap in changes:
                     capacities[a] = cap
-                reused.update_capacities(changes)
+                update(reused, changes)
             fresh = network(n, arcs, capacities)
             assert reused.capacity == fresh.capacity
             assert reused.closed_arcs() == fresh.closed_arcs()
@@ -282,7 +286,7 @@ class TestCapacityUpdate:
         reused = network(3, arcs, [1.0, 1.0, 2.0])
         curve_bits(reused, 0, 2, 2.0, math.inf)
         for cap in (closed, opened, closed):
-            reused.update_capacities([(0, cap)])
+            reused.update_capacities([0], [cap])
             fresh = network(3, arcs, [cap, 1.0, 2.0])
             assert (curve_bits(reused, 0, 2, 2.0, math.inf)
                     == curve_bits(fresh, 0, 2, 2.0, math.inf))
@@ -296,7 +300,7 @@ class TestNonFiniteInput:
         # infinite capacity stays allowed
         net = network(2, [(0, 1, 1.0)], [math.inf])
         with pytest.raises(FlowError):
-            net.update_capacities([(0, math.nan)])
+            net.update_capacities([0], [math.nan])
         assert net.capacity == [math.inf] and net.m == 1
 
     @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
@@ -326,10 +330,42 @@ class TestConstruction:
     def test_columns_are_copied_as_floats(self):
         tail, head, capacity, cost = [0, 1], [1, 2], [1, 2], [3, 0]
         net = FlowNetwork(3, tail, head, capacity, cost)
-        net.update_capacities([(0, 0.5)])
+        net.update_capacities([0], [0.5])
         assert capacity == [1, 2] and net.capacity == [0.5, 2.0]
         assert [type(c) for c in net.capacity + net.cost] == [float] * 4
         assert (net.n, net.m, net.tail, net.head) == (3, 2, tail, head)
+
+    def test_labels_must_be_distinct_and_one_per_arc(self):
+        for labels in ([4, 4], [4], [4, 5, 6]):
+            with pytest.raises(FlowError, match="distinct labels"):
+                FlowNetwork(3, [0, 1], [1, 2], [1.0, 1.0], [1.0, 1.0], labels)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_labels_key_segments_and_flows(self, seed):
+        # a labelled network solves like the plain one, with each arc id
+        # replaced by its label and the flows in the same order
+        rng = random.Random(1500 + seed)
+        n = rng.randint(4, 7)
+        arcs = replay_arcs(rng, n, 3 * n)
+        capacities = [rng.choice(REPLAY_CAPACITIES[1:]) for _ in arcs]
+        labels = rng.sample(range(10 ** 4), len(arcs))
+        plain = network(n, arcs, capacities)
+        labelled = FlowNetwork(n, plain.tail, plain.head, capacities,
+                               plain.cost, labels)
+        for budget in (0.5, 0.5, 2.0):  # live, then replayed solves
+            ref = max_delta(plain, 0, n - 1, plain, 1, n - 2, budget)
+            new = max_delta(labelled, 0, n - 1, labelled, 1, n - 2, budget)
+            assert new.delta.hex() == ref.delta.hex()
+            for ref_side, new_side in ((ref.up, new.up), (ref.down, new.down)):
+                assert ([(labels[a], f.hex()) for a, f in ref_side.flow.items()]
+                        == [(a, f.hex()) for a, f in new_side.flow.items()])
+                assert new_side.total_cost.hex() == ref_side.total_cost.hex()
+            new.up.validate(labelled, 0, n - 1)
+            new.down.validate(labelled, 1, n - 2)
+        ref, new = max_flow(plain, 0, n - 1), max_flow(labelled, 0, n - 1)
+        assert ([(labels[a], f.hex()) for a, f in ref.flow.items()]
+                == [(a, f.hex()) for a, f in new.flow.items()])
+        assert (new.value, new.total_cost) == (ref.value, ref.total_cost)
 
     def test_an_end_that_touches_no_arc_is_unreachable(self):
         net = network(5, [(1, 3, 1.0)], [1.0])
@@ -597,7 +633,7 @@ class TestFusedSolve:
         if rng.random() < 0.2:
             capacities = [rng.choice(FUSED_CAPACITIES) for _ in capacity]
             for net in nets:
-                net.update_capacities(list(enumerate(capacities)))
+                net.update_capacities(range(len(capacities)), capacities)
             return
         # mostly keep which arcs are closed, so that replays match
         changes = []
@@ -607,7 +643,7 @@ class TestFusedSolve:
             else:
                 changes.append((a, rng.choice(FUSED_CAPACITIES)))
         for net in nets:
-            net.update_capacities(changes)
+            update(net, changes)
 
     @staticmethod
     def ends(rng: random.Random, n: int):
@@ -708,7 +744,7 @@ class TestFusedSolve:
 
         monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
         monkeypatch.setattr(flows, "FlowSegment", counted_segment)
-        monkeypatch.setattr(fractional, "max_delta", counted_solve)
+        monkeypatch.setattr(flows, "max_delta", counted_solve)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
         assert solves and all(calls == moving for calls, moving in solves)
         assert all(source != sink for source, sink, _ in curves)
@@ -767,7 +803,7 @@ class TestSparseIds:
                         capacities[a] = rng.choice(REPLAY_CAPACITIES)
                     changes.append((a, capacities[a]))
                 for net in (new, ref):
-                    net.update_capacities(changes)
+                    update(net, changes)
                 roll = rng.random()
                 if roll < 0.1:
                     source, sink = rng.choice([

@@ -11,27 +11,29 @@ import pytest
 
 import bulkflow
 
-from bulkflow import fractional
+from bulkflow import flows, fractional, harness
 from bulkflow.flows import FlowNetwork
 from bulkflow.fractional import (ArrivalOutcome, CompositeSolver, PairSpec,
                                  RootSpec, SideGraph)
-from bulkflow.generate import grid, star_of_paths, with_penalties
-from bulkflow.graph import TwoMetricGraph, shortest_path
-from bulkflow.harness import RunConfig, run_online
+from bulkflow.generate import (grid, random_digraph, star_of_paths,
+                               with_penalties)
+from bulkflow.graph import TwoMetricGraph, shortest_path, shortest_paths
+from bulkflow.harness import OnlinePipeline, RunConfig, run_online
 from bulkflow.instance import load_instance
 from bulkflow.junction import build_junction_forest
-from helpers import (build_graph, random_two_metric, reference_ball,
-                     reference_step_capacities, side_funnels, z_values)
+from helpers import (ReferenceStepSolver, build_graph, random_two_metric,
+                     reference_ball, reference_step_capacities, side_funnels,
+                     z_values)
 
 BIG_KAPPA = 1e9
 
 
 def make_solver(up, down, roots, n_scale=10, guess=1.0, kappa=BIG_KAPPA,
-                dmax=0.05):
+                dmax=0.05, cls=CompositeSolver):
     """A solver over two sides; bare graphs become sides without owners."""
     if not isinstance(up, SideGraph):
         up, down = SideGraph(up, upward=True), SideGraph(down, upward=False)
-    return CompositeSolver(up, down, roots, n_scale, guess, kappa, dmax)
+    return cls(up, down, roots, n_scale, guess, kappa, dmax)
 
 
 def route_cost(up, down, root, pair):
@@ -628,10 +630,13 @@ def solver_state(solver):
 
 
 def step_bits(solver, step):
-    """A staged step with its floats as bits and its sides as positions."""
+    """A staged step with its floats as bits and each staged x array as
+    its (side position, root)."""
+    owner = {id(arr): (i, rid) for i, side in enumerate(solver.sides)
+             for rid, arr in side.x.items()}
     return (step.pair, step.dt.hex(), step.solutions,
-            [(solver.sides.index(side), rid, e, new.hex())
-             for side, rid, e, new in step.staged_x], step.d_obj.hex())
+            [(*owner[id(arr)], e, new.hex()) for arr, e, new in step.staged_x],
+            step.d_obj.hex())
 
 
 class TestStepState:
@@ -713,15 +718,15 @@ class TestStepState:
         update = FlowNetwork.update_capacities
         monkeypatch.setattr(
             FlowNetwork, "update_capacities",
-            lambda net, changes: entries.append(len(changes)) or update(
-                net, changes))
-        solve = fractional.max_delta
+            lambda net, changed, capacities: entries.append(len(changed))
+            or update(net, changed, capacities))
+        solve = flows.max_delta
 
         def counted_solve(up, *args):
             arcs.append(up.m + args[2].m)
             return solve(up, *args)
 
-        monkeypatch.setattr(fractional, "max_delta", counted_solve)
+        monkeypatch.setattr(flows, "max_delta", counted_solve)
         # longer arms than the balls of smaller stars cut down to a few arcs
         run_online(load_instance(star_of_paths(4, 3, k=6, seed=5)),
                    RunConfig(mode="edge"))
@@ -729,3 +734,209 @@ class TestStepState:
         # every step recomputed every funnel arc before; now under a third
         # of them (96,211 of 339,533 entries)
         assert 2 * sum(entries) < sum(arcs)
+
+
+def step_record(solver, step):
+    """Every float of a staged step as bits, in the order it was made: its
+    length, each root's rate and per-side rates and tight sets (both in
+    iteration order), each staged x as (side position, root, edge, bits)
+    and ``d_obj``. Reads the staged x of both step layouts: (x array, edge,
+    new x) and (side, root, edge, new x)."""
+    owner = {id(arr): (i, rid) for i, side in enumerate(solver.sides)
+             for rid, arr in side.x.items()}
+    staged = []
+    for entry in step.staged_x:
+        if len(entry) == 3:
+            arr, e, new = entry
+            position = owner[id(arr)]
+        else:
+            side, rid, e, new = entry
+            position = (solver.sides.index(side), rid)
+        staged.append((*position, e, new.hex()))
+    roots = [(rid, sol.delta.hex(),
+              [[(e, f.hex()) for e, f in g.items()] for g in sol.grow],
+              [list(tight) for tight in sol.tight])
+             for rid, sol in step.solutions.items()]
+    return step.pair, step.dt.hex(), roots, staged, step.d_obj.hex()
+
+
+def _node_instance():
+    data = grid(2, 2, k=3, seed=5)
+    data["mode"] = "node"
+    data["node_costs"] = [{"v": v, "c": 0.5 + 0.25 * v, "l": 0.1 * (v + 1)}
+                          for v in range(data["n"])]
+    return data
+
+
+class TestStepMatchesReference:
+    """The growth step, its arrival loop and the flow calls they make give
+    the bits of ``helpers.ReferenceStepSolver``, the step as it was before
+    each root side took one checked pass, at every step and in the final
+    state."""
+
+    @staticmethod
+    def run(make, config, monkeypatch, solver_class):
+        steps, applied = [], []
+        stage, commit = solver_class.growth_step, solver_class.apply
+
+        def recorded_stage(self, *args):
+            step = stage(self, *args)
+            steps.append(step_record(self, step))
+            return step
+
+        def recorded_commit(self, step):
+            applied.append(len(steps) - 1)
+            return commit(self, step)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_class, "growth_step", recorded_stage)
+            patch.setattr(solver_class, "apply", recorded_commit)
+            patch.setattr(harness, "CompositeSolver", solver_class)
+            inst = load_instance(make())
+            pipeline = OnlinePipeline(inst, config)
+            for pair in inst.pairs:
+                pipeline.process(pair)
+            report = pipeline.finish()
+        return (steps, applied, solver_state(pipeline.solver),
+                (report.to_csv(), report.lp_trace_csv(),
+                 report.assignment_trace_csv()))
+
+    @pytest.mark.parametrize("mode, make, settings", [
+        ("edge", lambda: grid(2, 2, k=3, seed=5), {}),
+        ("edge", lambda: star_of_paths(3, 2, k=6, seed=109305), {}),
+        # a small spend cap: some epochs overflow on a staged step, which
+        # is never applied
+        ("edge", lambda: grid(2, 2, k=3, seed=5), {"kappa": 1.0}),
+        ("edge", lambda: star_of_paths(3, 2, k=6, seed=109305),
+         {"kappa": 1.0}),
+        ("node", _node_instance, {}),
+        ("directed", lambda: random_digraph(4, 9, 2, seed=3), {}),
+        ("directed", lambda: random_digraph(8, 20, 3, seed=1),
+         {"h": 3, "dmax": 0.4, "seed": 1}),
+        ("prize", lambda: with_penalties(grid(2, 2, k=3, seed=5), seed=5,
+                                         q_range=(0.3, 4.0)), {}),
+    ])
+    def test_pipeline_steps_match(self, mode, make, settings, monkeypatch):
+        config = RunConfig(mode=mode, **settings)
+        new = self.run(make, config, monkeypatch, CompositeSolver)
+        ref = self.run(make, config, monkeypatch, ReferenceStepSolver)
+        steps, applied, _, _ = new
+        assert len(steps) > 20
+        assert new == ref
+        if "kappa" in settings:
+            assert len(applied) < len(steps)
+        # truncated steps: the last one of each covered arrival
+        assert any(float.fromhex(dt) < config.dmax for _, dt, *_ in steps)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planned_steps_match(self, seed):
+        rng = random.Random(700 + seed)
+        n = 6
+        up = tie_heavy_side(rng, n, True)
+        down = tie_heavy_side(rng, n, False)
+        roots = [RootSpec(r, r, r) for r in range(n)]
+        ends = rng.randrange(n), rng.randrange(n)
+        dmax = rng.choice([0.05, 0.2, 0.5]) / 3.0
+        new, ref = (make_solver(up, down, roots, guess=3.0, dmax=dmax,
+                                cls=cls)
+                    for cls in (CompositeSolver, ReferenceStepSolver))
+        # both pairs share their terminals, so each one's steps change the
+        # x that the other's funnels read
+        for index in range(2):
+            for solver in (new, ref):
+                solver.arrival_init(PairSpec(index, *ends))
+        assert new.routes[0] and new.routes[1]
+        # (pair, applied): steps, staged steps never applied, switches
+        # between the pairs; then both pairs run until covered, so each
+        # ends with a truncated step
+        plan = [(0, True), (0, False), (0, True), (1, True), (1, False),
+                (0, False), (0, True), (1, True), (1, True), (0, True)]
+        plan += [(0, True)] * 400 + [(1, True)] * 400
+        truncated = 0
+        for index, apply in plan:
+            if apply and new.z_total(index) >= 1.0 - fractional.COVER_TOL:
+                continue
+            step, reference = new.growth_step(index), ref.growth_step(index)
+            assert step_record(new, step) == step_record(ref, reference)
+            if apply:
+                truncated += step.dt < dmax
+                new.apply(step)
+                ref.apply(reference)
+            assert solver_state(new) == solver_state(ref)
+        assert all(new.z_total(index) >= 1.0 - fractional.COVER_TOL
+                   for index in (0, 1))
+        assert truncated >= 2
+
+
+class TestBallDistanceCache:
+    """Without an owner filter, a side's distances into or out of a root
+    vertex are searched once per epoch and shared by its pairs."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: grid(2, 2, k=6, seed=1),
+        lambda: star_of_paths(3, 2, k=6, seed=109305),
+    ])
+    def test_cached_distances_equal_fresh_searches(self, make, monkeypatch):
+        distances = fractional._Side.distances
+        keys = []
+
+        def checked(self, vertex, allowed, into):
+            found = distances(self, vertex, allowed, into)
+            fresh = shortest_paths(self.graph, self.w.__getitem__, vertex,
+                                   allowed=allowed, backward=into)
+            assert ([(v, d.hex()) for v, d in found.items()]
+                    == [(v, d.hex()) for v, (_, d) in fresh.items()])
+            keys.append((id(self), vertex, into))
+            return found
+
+        monkeypatch.setattr(fractional._Side, "distances", checked)
+        run_online(load_instance(make()), RunConfig(mode="edge"))
+        assert len(keys) > 2 * len(set(keys))  # most lookups were cached
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_owner_filtered_balls_are_searched_per_pair(self, seed):
+        # pair-owned arcs make each pair's root distances its own: three
+        # pairs in one epoch, each with the reference ball's funnels
+        rng = random.Random(900 + seed)
+        n = 6
+        up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
+        roots = [RootSpec(r, r, r) for r in range(n)]
+        solver = make_solver(up, down, roots, guess=2.0, dmax=0.2)
+        for index in range(3):
+            pair = PairSpec(index, rng.randrange(n), rng.randrange(n))
+            ball = reference_ball(solver, pair)
+            assert solver.arrival_init(pair) == list(ball)
+            for rid, route in solver.routes[index].items():
+                assert [f.arcs for f in route.funnels] == list(ball[rid])
+
+    def test_ball_searches_once_per_root_and_epoch(self, monkeypatch):
+        counts = dict.fromkeys(["searches", "inits", "roots"], 0)
+        inside = []
+        search = fractional.shortest_paths
+        init, build = CompositeSolver.arrival_init, CompositeSolver.__init__
+
+        def counted_search(*args, **kwargs):
+            counts["searches"] += bool(inside)
+            return search(*args, **kwargs)
+
+        def counted_init(self, pair):
+            inside.append(pair)
+            counts["inits"] += 1
+            try:
+                return init(self, pair)
+            finally:
+                inside.pop()
+
+        def counted_build(self, *args):
+            build(self, *args)
+            counts["roots"] += len(self.roots)
+
+        monkeypatch.setattr(fractional, "shortest_paths", counted_search)
+        monkeypatch.setattr(CompositeSolver, "arrival_init", counted_init)
+        monkeypatch.setattr(CompositeSolver, "__init__", counted_build)
+        run_online(load_instance(star_of_paths(3, 2, k=6, seed=109305)),
+                   RunConfig(mode="edge"))
+        # two searches from the pair's terminals per arrival; the rest are
+        # root searches, at most one per root and side in each epoch
+        root_searches = counts["searches"] - 2 * counts["inits"]
+        assert 0 < root_searches <= 2 * counts["roots"]

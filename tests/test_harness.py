@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bulkflow import cli, harness
+from bulkflow import cli, fractional, harness
 from bulkflow.errors import InstanceError
 from bulkflow.generate import (adversarial_order, generate, grid,
                                random_digraph, star_of_paths, with_penalties,
@@ -597,6 +597,48 @@ class TestCli:
         dump_instance(random_digraph(9, 30, 2, seed=1), inst)
         result = self._cli("oracle", "--instance", str(inst))
         assert result.returncode == 3
+
+    def test_step_cap_exit_code_3(self, tmp_path, capsys, monkeypatch):
+        # a tiny dmax needs about 10**9 steps per arrival
+        monkeypatch.setattr(fractional, "MAX_STEPS", 100)
+        inst = tmp_path / "g.json"
+        dump_instance(grid(2, 2, k=2, seed=1), inst)
+        out = tmp_path / "out.csv"
+        code = cli.main(["run", "--instance", str(inst), "--mode", "edge",
+                         "--dmax", "1e-9", "-o", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "budget refusal: pair 0 was not covered within the cap of 100 "
+            "growth steps\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block, index, field", [
+        ("edges", 1, "tail"), ("edges", 0, "head"), ("edges", 2, "l"),
+        ("pairs", 1, "t"), ("node_costs", 2, "c")])
+    def test_missing_field_is_named_exit_code_2(self, tmp_path, capsys,
+                                                 block, index, field):
+        data = grid(2, 2, k=2, seed=1)
+        if block == "node_costs":
+            data["mode"] = "node"
+            data["node_costs"] = [{"v": v, "c": 1.0, "l": 0.5}
+                                  for v in range(data["n"])]
+        del data[block][index][field]
+        inst = tmp_path / "holes.json"
+        inst.write_text(json.dumps(data))
+        code = cli.main(["run", "--instance", str(inst), "--mode",
+                         data.get("mode", "edge")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"infeasible or invalid input: bad instance holes: {block} entry "
+            f"{index} has no '{field}' field\n")
+
+    def test_missing_node_count_is_named(self):
+        data = grid(2, 2, k=2, seed=1)
+        del data["n"]
+        with pytest.raises(InstanceError,
+                           match="^bad instance <dict>: the instance has no "
+                                 "'n' field$"):
+            load_instance(data)
 
     @pytest.mark.parametrize("h", ["8000", "1000000"])
     def test_large_directed_height_refused_at_once(self, tmp_path, capsys, h):

@@ -12,7 +12,8 @@ import pytest
 import bulkflow
 from bulkflow import flows
 from bulkflow.fractional import ArrivalOutcome, CompositeSolver
-from bulkflow.generate import grid, random_digraph, with_penalties
+from bulkflow.generate import (grid, random_digraph, star_of_paths,
+                               with_penalties)
 from bulkflow.graph import TerminalPair, shortest_path, shortest_paths
 from bulkflow.harness import OnlinePipeline, RunConfig, run_online
 from bulkflow.instance import load_instance
@@ -153,6 +154,21 @@ def test_directed_h3_report_pinned():
     report = run_online(load_instance(random_digraph(8, 20, 3, seed=1)),
                         RunConfig(mode="directed", h=3, dmax=0.4, seed=1))
     assert _sha256(report.to_csv()) == DIRECTED_H3_DIGEST
+
+
+# sha256 of the (report, LP trace) of a heavier default-config edge run:
+# 256 growth steps over sides of 147 arcs, one guess doubling and a replay
+STAR_DEFAULT_DIGESTS = (
+    "4e15ba84f2cc7e74deb0ea2b9600a0b7bfec61b5b049a3ece9858685d8fbf294",
+    "a3f99821342ce22e4f1ae69fdbe506461ad5fd2b104f09b57b42aab5727a2aab")
+
+
+def test_star_default_config_report_pinned():
+    report = run_online(load_instance(star_of_paths(3, 2, k=6, seed=109305)),
+                        RunConfig(mode="edge"))
+    assert report.epochs == 2
+    assert ((_sha256(report.to_csv()), _sha256(report.lp_trace_csv()))
+            == STAR_DEFAULT_DIGESTS)
 
 
 ORACLE_PIN_RUNS = {
