@@ -9,7 +9,10 @@ directly, so ``max_delta`` needs one solve per side instead of a feasibility
 search. The curve caps each amount at the budget left over its unit cost,
 so the value reachable within the budget is the plain sum of the curve's
 amounts, and each augmenting path is walked once: one pass finds its
-bottleneck, augments it and collects the slots it closed.
+bottleneck, augments it and collects the slots it closed. ``max_delta``
+returns its value and the two flows as plain dicts, which is all the
+growth step reads; ``min_cost_flow`` and ``max_flow`` return a
+``FlowResult``, whose ``validate`` checks capacities, conservation and cost.
 
 A network is built once from its arc columns; afterwards only its
 capacities change (``update_capacities``, which checks each entry as it
@@ -425,22 +428,16 @@ def max_flow(net: FlowNetwork, source: int, sink: int,
                       plain_sum(cost[a] * f for a, f in flow.items()))
 
 
-@dataclass(slots=True)
-class MaxDeltaResult:
-    delta: float
-    up: FlowResult
-    down: FlowResult
-
-
 def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
               down_net: FlowNetwork, down_source: int, down_sink: int,
-              budget: float) -> MaxDeltaResult:
+              budget: float) -> Tuple[float, Dict[int, float], Dict[int, float]]:
     """Largest common value routable on both sides within the length budget.
 
     Finds the maximum ``delta`` in [0, 1] such that each network admits a
     flow of value ``delta`` whose cheapest cost is at most ``budget``, and
-    returns the two certifying cheapest flows, keyed by arc label.
-    Disconnected sides yield ``delta = 0`` with empty flows.
+    returns ``(delta, up_flow, down_flow)``: the two certifying cheapest
+    flows, keyed by arc label. Disconnected sides yield ``delta = 0`` with
+    empty flows.
     """
     if not budget >= 0:
         raise FlowError(f"budget {budget} is negative or NaN")
@@ -464,8 +461,5 @@ def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
             best = reachable
         sides.append(segments)
     delta = best if best > 0.0 else 0.0
-    up_flow, up_cost = _assemble(sides[0], delta)
-    down_flow, down_cost = _assemble(sides[1], delta)
-    return MaxDeltaResult(delta,
-                          FlowResult(delta, up_flow, up_cost),
-                          FlowResult(delta, down_flow, down_cost))
+    return (delta, _assemble(sides[0], delta)[0],
+            _assemble(sides[1], delta)[0])

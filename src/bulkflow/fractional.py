@@ -47,7 +47,10 @@ starting at ``v0`` on every arc a ball can hold and at 0 on the rest;
 use through the root, its flow on them and their flow network. The network
 holds the rate capacities of a full step for the whole arrival, and a step
 recomputes only the arcs the previous committed step touched (found tight or
-grew), since no other arc's ``x``, flow or tightness moved. A side caches
+grew), since no other arc's ``x``, flow or tightness moved. Only the pair
+whose arrival is running steps: an arrival runs to its end before the next
+pair registers, so no other pair's step moves the ``x`` its funnels read,
+and ``apply`` refuses a step staged for an earlier pair. A side caches
 its unfiltered root distances for the epoch, so pairs share the ball
 searches of their roots (the owner rule of prize mode searches per pair).
 
@@ -257,9 +260,9 @@ class _Funnel:
     rate capacities for a full step of length ``dmax``. An arc's capacity
     depends only on its own ``x``, flow, tightness and growth factor, and a
     committed step changes ``x`` and the flow only on the edges it found
-    tight or grew, so ``dirty`` collects those edges and the next step
-    recomputes only their arcs. It holds every arc at first and again once
-    another pair's step may have changed ``x``.
+    tight or grew, so ``dirty`` holds those edges and the next step
+    recomputes only their arcs. It holds every arc at first; no other
+    pair steps while this one's arrival runs, so nothing else moves them.
     """
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float,
@@ -345,8 +348,8 @@ class CompositeSolver:
         self.routes: Dict[int, Dict[int, _Route]] = {}
         self.arrival_log: List[ArrivalStats] = []
         self._objective = self._base_objective()
-        # the pair whose funnels keep their step state (see _Funnel)
-        self._stepping: Optional[int] = None
+        # the pair arrival_init registered last: the only one that steps
+        self._arriving: Optional[int] = None
 
     # ------------------------------------------------------------------
     # objective
@@ -405,6 +408,7 @@ class CompositeSolver:
         """
         if pair.index in self.routes:
             raise ValueError(f"pair {pair.index} already processed")
+        self._arriving = pair.index
         routes = self.routes[pair.index] = {}
         allowed = [side.side_graph.allowed(pair.index) for side in self.sides]
         # d(s, .) upstairs and d(., t) downstairs
@@ -451,16 +455,6 @@ class CompositeSolver:
             routes[spec.root_id] = _Route(self.v0, tuple(funnels))
         return list(routes) if reachable else None
 
-    def _hold_step_state(self, pair_index: int) -> None:
-        """Let ``pair_index``'s funnels keep step state; the previous pair's
-        recompute every arc when next solved, since this pair's steps change
-        the ``x`` they read."""
-        if pair_index != self._stepping:
-            for route in self.routes.get(self._stepping, {}).values():
-                for funnel in route.funnels:
-                    funnel.dirty = set(funnel.arcs)
-            self._stepping = pair_index
-
     def _aux_network(self, side: _Side, rid: int, funnel: _Funnel,
                      tight: Set[int]) -> FlowNetwork:
         """The funnel's network with the integrated rate capacities of a full
@@ -504,24 +498,26 @@ class CompositeSolver:
         up_funnel, down_funnel = route.funnels
         up_tight = up_funnel.tight(up.x[rid])
         down_tight = down_funnel.tight(down.x[rid])
-        result = flows.max_delta(
+        delta, up_rates, down_rates = flows.max_delta(
             self._aux_network(up, rid, up_funnel, up_tight), *up_funnel.ends,
             self._aux_network(down, rid, down_funnel, down_tight),
             *down_funnel.ends, route.z)
-        return RootStep(result.delta, (result.up.flow, result.down.flow),
-                        (up_tight, down_tight))
+        return RootStep(delta, (up_rates, down_rates), (up_tight, down_tight))
 
-    def growth_step(self, pair_index: int,
-                    covered: Optional[float] = None) -> GrowthStep:
-        """Stage one discretized step of the continuous dynamics for a pair.
+    def growth_step(self, *, covered: Optional[float] = None) -> GrowthStep:
+        """Stage one discretized step of the continuous dynamics for the
+        arriving pair, the one ``arrival_init`` registered last.
 
         The step length is the configured maximum unless the remaining
         coverage gap truncates it (rates are scaled down so coverage lands
         exactly at 1). ``covered`` is the pair's ``z_total``, if the caller
-        has it. The state is left untouched; ``apply`` commits.
+        has it; it is keyword-only, so that a caller still passing a pair
+        index is refused. The state is left untouched; ``apply`` commits.
         """
+        pair_index = self._arriving
+        if pair_index is None:
+            raise ValueError("no pair has arrived")
         routes = self.routes[pair_index]
-        self._hold_step_state(pair_index)
         solutions: Dict[int, RootStep] = {}
         total_delta = 0.0
         for rid, route in routes.items():
@@ -594,8 +590,10 @@ class CompositeSolver:
         return GrowthStep(pair_index, dt, solutions, staged_x, d_obj)
 
     def apply(self, step: GrowthStep) -> None:
-        """Commit a step staged by ``growth_step``."""
-        self._hold_step_state(step.pair)
+        """Commit a step staged by ``growth_step`` for the arriving pair."""
+        if step.pair != self._arriving:
+            raise ValueError(f"step staged for pair {step.pair}, but pair "
+                             f"{self._arriving} is arriving")
         for arr, e, new in step.staged_x:
             if new > arr[e]:
                 arr[e] = new
@@ -605,9 +603,9 @@ class CompositeSolver:
             route = routes[rid]
             for funnel, touched, g_side in zip(route.funnels, sol.touched,
                                                sol.grow):
-                # the staged edges are those whose x or flow may move
-                dirty = funnel.dirty
-                funnel.dirty = dirty | touched if dirty else touched
+                # the staged edges are those whose x or flow may move; the
+                # solve emptied the dirty set
+                funnel.dirty = touched
                 flow = funnel.flow
                 flow_get = flow.get
                 for e, g in g_side.items():
@@ -636,7 +634,7 @@ class CompositeSolver:
             steps += 1
             if steps > MAX_STEPS:
                 raise StepLimitExceeded(pair.index, MAX_STEPS)
-            step = self.growth_step(pair.index, covered)
+            step = self.growth_step(covered=covered)
             if self._objective + step.d_obj > self.kappa:
                 return ArrivalOutcome.EPOCH_OVERFLOW
             self.apply(step)

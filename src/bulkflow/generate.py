@@ -13,6 +13,11 @@ from .instance import as_int, load_instance
 
 # a cost must beat the best (or worst) so far by more than this to replace it
 COST_TIE_TOL = 1e-12
+# every generator draws each edge's c and l uniformly from these ranges
+C_RANGE = (0.2, 3.0)
+L_RANGE = (0.05, 1.0)
+# the adversarial wrapper tries every order, so it takes at most this many pairs
+ADVERSARIAL_MAX_PAIRS = 6
 
 
 def _rand_pairs(rng: random.Random, n: int, k: int) -> List[dict]:
@@ -26,9 +31,14 @@ def _rand_pairs(rng: random.Random, n: int, k: int) -> List[dict]:
     return pairs
 
 
+def _edge(rng: random.Random, eid: int, u: int, v: int) -> dict:
+    """Edge ``eid`` from ``u`` to ``v``; ``c`` is drawn before ``l``."""
+    return {"id": eid, "tail": u, "head": v,
+            "c": round(rng.uniform(*C_RANGE), 6),
+            "l": round(rng.uniform(*L_RANGE), 6)}
+
+
 def random_digraph(n: int, m: int, k: int, seed: int,
-                   c_range: Tuple[float, float] = (0.2, 3.0),
-                   l_range: Tuple[float, float] = (0.05, 1.0),
                    strongly_connected: bool = True) -> dict:
     """Random directed instance; a random cycle guarantees strong connectivity."""
     if n < 2 or k < 1:
@@ -52,44 +62,30 @@ def random_digraph(n: int, m: int, k: int, seed: int,
             continue
         seen.add((u, v))
         arcs.append((u, v))
-    edges = [{"id": i, "tail": u, "head": v,
-              "c": round(rng.uniform(*c_range), 6),
-              "l": round(rng.uniform(*l_range), 6)}
-             for i, (u, v) in enumerate(arcs)]
+    edges = [_edge(rng, i, u, v) for i, (u, v) in enumerate(arcs)]
     return {"directed": True, "n": n, "mode": "edge", "edges": edges,
             "pairs": _rand_pairs(rng, n, k)}
 
 
-def grid(rows: int, cols: int, k: int, seed: int,
-         c_range: Tuple[float, float] = (0.2, 3.0),
-         l_range: Tuple[float, float] = (0.05, 1.0)) -> dict:
+def grid(rows: int, cols: int, k: int, seed: int) -> dict:
     """Undirected grid instance with random weights and pairs."""
     if rows < 1 or cols < 1 or rows * cols < 2 or k < 1:
         raise InstanceError("grid needs at least 2 vertices and k >= 1 pairs")
     rng = random.Random(f"grid:{seed}")
     n = rows * cols
-    edges = []
-    eid = 0
+    edges: List[dict] = []
     for i in range(rows):
         for j in range(cols):
             v = i * cols + j
             if j + 1 < cols:
-                edges.append({"id": eid, "tail": v, "head": v + 1,
-                              "c": round(rng.uniform(*c_range), 6),
-                              "l": round(rng.uniform(*l_range), 6)})
-                eid += 1
+                edges.append(_edge(rng, len(edges), v, v + 1))
             if i + 1 < rows:
-                edges.append({"id": eid, "tail": v, "head": v + cols,
-                              "c": round(rng.uniform(*c_range), 6),
-                              "l": round(rng.uniform(*l_range), 6)})
-                eid += 1
+                edges.append(_edge(rng, len(edges), v, v + cols))
     return {"directed": False, "n": n, "mode": "edge", "edges": edges,
             "pairs": _rand_pairs(rng, n, k)}
 
 
-def star_of_paths(arms: int, arm_len: int, k: int, seed: int,
-                  c_range: Tuple[float, float] = (0.2, 3.0),
-                  l_range: Tuple[float, float] = (0.05, 1.0)) -> dict:
+def star_of_paths(arms: int, arm_len: int, k: int, seed: int) -> dict:
     """Hub vertex 0 with ``arms`` paths of ``arm_len`` edges radiating out.
 
     Pairs connect endpoints of distinct arms, which forces junction routing
@@ -99,17 +95,13 @@ def star_of_paths(arms: int, arm_len: int, k: int, seed: int,
         raise InstanceError("need at least 2 arms of length >= 1 and k >= 1 pairs")
     rng = random.Random(f"star:{seed}")
     n = 1 + arms * arm_len
-    edges = []
-    eid = 0
+    edges: List[dict] = []
     tips = []
     for a in range(arms):
         prev = 0
         for step in range(arm_len):
             v = 1 + a * arm_len + step
-            edges.append({"id": eid, "tail": prev, "head": v,
-                          "c": round(rng.uniform(*c_range), 6),
-                          "l": round(rng.uniform(*l_range), 6)})
-            eid += 1
+            edges.append(_edge(rng, len(edges), prev, v))
             prev = v
         tips.append(prev)
     pairs = []
@@ -165,17 +157,17 @@ def _greedy_dispatch_cost(graph: TwoMetricGraph, pairs: Sequence[dict]) -> float
     return total
 
 
-def adversarial_order(data: dict, max_pairs: int = 6) -> dict:
+def adversarial_order(data: dict) -> dict:
     """Reorder arrivals to maximize the greedy dispatch cost (exhaustive).
 
     Deterministic: among equal-cost orders the lexicographically first
     permutation wins.
     """
     pairs = data.get("pairs", [])
-    if len(pairs) > max_pairs:
+    if len(pairs) > ADVERSARIAL_MAX_PAIRS:
         raise InstanceError(
             f"adversarial wrapper is exhaustive; {len(pairs)} pairs exceed "
-            f"the cap {max_pairs}")
+            f"the cap {ADVERSARIAL_MAX_PAIRS}")
     instance = load_instance(data)
     worst_cost = -1.0
     worst: Sequence[int] = tuple(range(len(pairs)))
@@ -198,27 +190,35 @@ GENERATORS = {
 }
 
 
+def _flag(value: object, what: str) -> bool:
+    """An on/off parameter: 0 or 1, as ``as_int`` reads it."""
+    flag = as_int(value, what)
+    if flag not in (0, 1):
+        raise InstanceError(f"{what} must be 0 or 1, got {value!r}")
+    return bool(flag)
+
+
 def generate(kind: str, params: Dict[str, float], seed: int) -> dict:
     """Dispatch by kind; ``adversarial=1`` wraps the result, ``prize=1`` adds q."""
     params = dict(params)
-    adversarial = bool(as_int(params.pop("adversarial", 0), "adversarial"))
-    prize = bool(as_int(params.pop("prize", 0), "prize"))
+    adversarial = _flag(params.pop("adversarial", 0), "adversarial")
+    prize = _flag(params.pop("prize", 0), "prize")
     if kind not in GENERATORS:
         raise InstanceError(f"unknown generator kind {kind!r}; "
                             f"options: {sorted(GENERATORS)}")
     fn = GENERATORS[kind]
-    # integer parameters only; the range tuples keep their defaults
     signature = inspect.signature(fn).parameters.values()
-    names = [p.name for p in signature
-             if p.name != "seed" and p.annotation in ("int", "bool")]
+    names = [p.name for p in signature if p.name != "seed"]
     missing = [p.name for p in signature if p.name in names
                and p.default is p.empty and p.name not in params]
     unknown = sorted(set(params) - set(names))
     if unknown or missing:
         raise InstanceError(f"{kind} takes parameters {names}; unknown: "
                             f"{unknown}, missing: {missing}")
-    int_params = {key: as_int(value, key) for key, value in params.items()}
-    data = fn(seed=seed, **int_params)
+    flags = {p.name for p in signature if p.annotation == "bool"}
+    data = fn(seed=seed, **{
+        key: _flag(value, key) if key in flags else as_int(value, key)
+        for key, value in params.items()})
     if prize:
         data = with_penalties(data, seed)
     if adversarial:

@@ -241,7 +241,9 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
 
     Searches every pair-to-root assignment depth first: blocks of pairs in
     the order of their lowest pair, each on its own root, with the partial
-    sum pruned once it reaches the best total. Edge copies appearing in
+    sum pruned once it reaches the best total. A pair with a penalty may
+    instead be dropped at its ``q``, so on prize instances the value is the
+    best split into dropped and routed pairs. Edge copies appearing in
     several rooted solutions are deliberately paid once per solution.
     """
     pairs = [p for p in pairs if p.s != p.t]
@@ -287,12 +289,16 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
 
     def place(left: Tuple[int, ...], partial: float) -> None:
         """Blocks for the pairs ``left``: the lowest joins a subset of the
-        rest on an unused root; totals add sink then source block by block."""
+        rest on an unused root, or is dropped at its penalty; totals add
+        sink then source block by block."""
         nonlocal best
         if not left:
             best = min(best, partial)
             return
         rest = left[1:]
+        penalty = pairs[left[0]].penalty
+        if penalty is not None and partial + penalty < best:
+            place(rest, partial + penalty)
         full = (1 << len(rest)) - 1
         for mask in range(full, -1, -1):
             block = (left[0],) + _pick(rest, mask)

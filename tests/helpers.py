@@ -12,8 +12,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from bulkflow.errors import BudgetExceeded
 from bulkflow.flows import (EPS_CAP, FEAS_TOL, TIE_TOL, FlowError,
-                            FlowNetwork, FlowResult, FlowSegment,
-                            MaxDeltaResult, _check_ends, _Search)
+                            FlowNetwork, FlowResult, FlowSegment, _check_ends,
+                            _Search)
 from bulkflow.fractional import (BALL_TOL, COVER_TOL, MAX_STEPS, MIN_DT,
                                  RATE_TOL, VAR_CAP, ArrivalOutcome,
                                  ArrivalStats, CompositeSolver, PairSpec,
@@ -797,6 +797,16 @@ def reference_assemble(segments: List[FlowSegment],
     return flow, cost
 
 
+@dataclass(slots=True)
+class MaxDeltaResult:
+    """What the reference joint solves return: ``delta`` and both sides'
+    flows with their value and cost."""
+
+    delta: float
+    up: FlowResult
+    down: FlowResult
+
+
 def reference_max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
                         down_net: FlowNetwork, down_source: int,
                         down_sink: int, budget: float) -> MaxDeltaResult:
@@ -1032,7 +1042,23 @@ class ReferenceGrowthStep:
 
 
 class ReferenceStepSolver(CompositeSolver):
-    """``CompositeSolver`` with the reference growth step and arrival loop."""
+    """``CompositeSolver`` with the reference growth step and arrival loop,
+    in which any registered pair may step."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # the pair whose funnels keep their step state (see _Funnel)
+        self._stepping: Optional[int] = None
+
+    def _hold_step_state(self, pair_index: int) -> None:
+        """Let ``pair_index``'s funnels keep step state; the previous pair's
+        recompute every arc when next solved, since this pair's steps change
+        the ``x`` they read."""
+        if pair_index != self._stepping:
+            for route in self.routes.get(self._stepping, {}).values():
+                for funnel in route.funnels:
+                    funnel.dirty = set(funnel.arcs)
+            self._stepping = pair_index
 
     def _aux_network(self, side: _Side, rid: int, funnel: _Funnel,
                      tight: Set[int]) -> FlowNetwork:

@@ -9,9 +9,9 @@ import pytest
 from scipy.optimize import linprog
 
 import bulkflow.flows as flows
-from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, InfeasibleFlow,
-                            cheapest_flow_curve, max_delta, max_flow,
-                            min_cost_flow)
+from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, FlowResult,
+                            InfeasibleFlow, cheapest_flow_curve, max_delta,
+                            max_flow, min_cost_flow)
 from bulkflow.generate import grid
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
@@ -72,6 +72,22 @@ def network(n: int, arcs, capacities) -> FlowNetwork:
 def update(net: FlowNetwork, changes) -> None:
     """Apply ``(arc, capacity)`` changes through ``update_capacities``."""
     net.update_capacities([a for a, _ in changes], [cap for _, cap in changes])
+
+
+def validate_rates(net: FlowNetwork, rates, source: int, sink: int,
+                   value: float) -> None:
+    """Check one side's ``max_delta`` flow, keyed by arc label, against the
+    arc capacities and for conservation at ``value``."""
+    arc = dict(zip(net.labels, range(net.m)))
+    cost = 0.0
+    for label, f in rates.items():
+        cost += net.cost[arc[label]] * f
+    FlowResult(value, rates, cost).validate(net, source, sink)
+
+
+def rate_bits(rates):
+    """A flow dict as exact bits, its arcs in key order."""
+    return [(a, f.hex()) for a, f in rates.items()]
 
 
 class TestCapacityReset:
@@ -355,13 +371,21 @@ class TestConstruction:
         for budget in (0.5, 0.5, 2.0):  # live, then replayed solves
             ref = max_delta(plain, 0, n - 1, plain, 1, n - 2, budget)
             new = max_delta(labelled, 0, n - 1, labelled, 1, n - 2, budget)
-            assert new.delta.hex() == ref.delta.hex()
-            for ref_side, new_side in ((ref.up, new.up), (ref.down, new.down)):
+            delta = new[0]
+            assert delta.hex() == ref[0].hex()
+            for ref_side, new_side in zip(ref[1:], new[1:]):
+                assert ([(labels[a], f.hex()) for a, f in ref_side.items()]
+                        == rate_bits(new_side))
+            validate_rates(labelled, new[1], 0, n - 1, delta)
+            validate_rates(labelled, new[2], 1, n - 2, delta)
+            # the labelled costs: min_cost_flow at the same value
+            for ends in ((0, n - 1), (1, n - 2)):
+                ref_side = min_cost_flow(plain, *ends, delta)
+                new_side = min_cost_flow(labelled, *ends, delta)
                 assert ([(labels[a], f.hex()) for a, f in ref_side.flow.items()]
-                        == [(a, f.hex()) for a, f in new_side.flow.items()])
+                        == rate_bits(new_side.flow))
                 assert new_side.total_cost.hex() == ref_side.total_cost.hex()
-            new.up.validate(labelled, 0, n - 1)
-            new.down.validate(labelled, 1, n - 2)
+                new_side.validate(labelled, *ends)
         ref, new = max_flow(plain, 0, n - 1), max_flow(labelled, 0, n - 1)
         assert ([(labels[a], f.hex()) for a, f in ref.flow.items()]
                 == [(a, f.hex()) for a, f in new.flow.items()])
@@ -421,7 +445,7 @@ class TestEndpoints:
             with pytest.raises(FlowError):
                 call()
         # in range, the same networks still solve
-        assert max_delta(net, 0, 2, other, 1, 1, 1.0).delta == 0.5
+        assert max_delta(net, 0, 2, other, 1, 1, 1.0)[0] == 0.5
 
     def test_nan_budget_and_target_are_refused(self):
         net = network(2, [(0, 1, 1.0)], [1.0])
@@ -531,33 +555,33 @@ class TestMaxDelta:
     def test_zero_budget_positive_lengths(self):
         up = network(2, [(0, 1, 1.0)], [math.inf])
         down = network(2, [(0, 1, 0.5)], [math.inf])
-        assert max_delta(up, 0, 1, down, 0, 1, 0.0).delta == 0.0
+        assert max_delta(up, 0, 1, down, 0, 1, 0.0)[0] == 0.0
 
     def test_capacity_bound_path(self):
         up = network(3, [(0, 1, 2.0), (1, 2, 0.0)], [0.1, math.inf])
         down = network(2, [(0, 1, 1.0)], [math.inf])
-        result = max_delta(up, 0, 2, down, 0, 1, 0.5)
+        delta, up_rates, down_rates = max_delta(up, 0, 2, down, 0, 1, 0.5)
         # up: min(cap 0.1, budget 0.5 / length 2); down: 0.5 / 1
-        assert result.delta == pytest.approx(0.1, abs=1e-8)
-        result.up.validate(up, 0, 2)
-        result.down.validate(down, 0, 1)
+        assert delta == pytest.approx(0.1, abs=1e-8)
+        validate_rates(up, up_rates, 0, 2, delta)
+        validate_rates(down, down_rates, 0, 1, delta)
 
     def test_budget_bound_both_sides(self):
         up = network(2, [(0, 1, 4.0)], [math.inf])
         down = network(2, [(0, 1, 1.0)], [math.inf])
-        result = max_delta(up, 0, 1, down, 0, 1, 1.0)
-        assert result.delta == pytest.approx(0.25, abs=1e-8)
+        delta, _, _ = max_delta(up, 0, 1, down, 0, 1, 1.0)
+        assert delta == pytest.approx(0.25, abs=1e-8)
 
     def test_disconnected_side_gives_zero(self):
         up = network(3, [(0, 1, 1)], [1])
         down = network(2, [(0, 1, 1)], [math.inf])
-        result = max_delta(up, 0, 2, down, 0, 1, 5.0)
-        assert result.delta == 0.0 and result.up.flow == {}
+        delta, up_rates, _ = max_delta(up, 0, 2, down, 0, 1, 5.0)
+        assert delta == 0.0 and up_rates == {}
 
     def test_delta_capped_at_one(self):
         up = network(2, [(0, 1, 0.0)], [math.inf])
         down = network(2, [(0, 1, 0.0)], [math.inf])
-        assert max_delta(up, 0, 1, down, 0, 1, 1.0).delta == pytest.approx(1.0)
+        assert max_delta(up, 0, 1, down, 0, 1, 1.0)[0] == pytest.approx(1.0)
 
     def test_budget_constraint_respected(self):
         rng = random.Random(5)
@@ -565,13 +589,14 @@ class TestMaxDelta:
             up = random_network(rng)
             down = random_network(rng)
             budget = rng.uniform(0, 2)
-            result = max_delta(up, 0, up.n - 1, down, 0, down.n - 1, budget)
-            up_len = sum(up.cost[a] * f for a, f in result.up.flow.items())
-            down_len = sum(down.cost[a] * f for a, f in result.down.flow.items())
+            delta, up_rates, down_rates = max_delta(up, 0, up.n - 1, down, 0,
+                                                    down.n - 1, budget)
+            up_len = sum(up.cost[a] * f for a, f in up_rates.items())
+            down_len = sum(down.cost[a] * f for a, f in down_rates.items())
             assert up_len <= budget + 1e-9
             assert down_len <= budget + 1e-9
-            result.up.validate(up, 0, up.n - 1)
-            result.down.validate(down, 0, down.n - 1)
+            validate_rates(up, up_rates, 0, up.n - 1, delta)
+            validate_rates(down, down_rates, 0, down.n - 1, delta)
 
     def test_monotone_in_budget_and_capacity(self):
         rng = random.Random(6)
@@ -579,14 +604,14 @@ class TestMaxDelta:
             up = random_network(rng)
             down = random_network(rng)
             budget = rng.uniform(0.1, 1.5)
-            base = max_delta(up, 0, up.n - 1, down, 0, down.n - 1, budget).delta
+            base = max_delta(up, 0, up.n - 1, down, 0, down.n - 1, budget)[0]
             more = max_delta(up, 0, up.n - 1, down, 0, down.n - 1,
-                             budget * 1.5).delta
+                             budget * 1.5)[0]
             assert more >= base - 1e-9
             bigger = FlowNetwork(up.n, up.tail, up.head,
                                  [cap * 1.5 for cap in up.capacity], up.cost)
             grown = max_delta(bigger, 0, up.n - 1, down, 0, down.n - 1,
-                              budget).delta
+                              budget)[0]
             assert grown >= base - 1e-9
 
 
@@ -594,12 +619,6 @@ class TestMaxDelta:
 FUSED_COSTS = [0.0, 0.0, flows.FEAS_TOL, math.nextafter(flows.FEAS_TOL, 1.0),
                0.25, 0.5, 1.0, 1.0]
 FUSED_CAPACITIES = [0.0, EPS_CAP, 2 * EPS_CAP, 0.25, 0.5, 1.0, 1.5, math.inf]
-
-
-def flow_bits(result):
-    """A flow result as exact bits, its arcs in dict order."""
-    return (result.value.hex(), result.total_cost.hex(),
-            [(a, f.hex()) for a, f in result.flow.items()])
 
 
 def segment_bits(segments):
@@ -670,17 +689,23 @@ class TestFusedSolve:
                 up_ends, down_ends = self.ends(rng, n), self.ends(rng, n)
                 budget = rng.choice([0.0, 1e-10, rng.uniform(0.0, 0.5),
                                      rng.uniform(0.0, 2.0), math.inf])
-                new = max_delta(up_new, *up_ends, down_new, *down_ends,
-                                budget)
+                delta, up_rates, down_rates = max_delta(
+                    up_new, *up_ends, down_new, *down_ends, budget)
                 ref = reference_max_delta(up_ref, *up_ends, down_ref,
                                           *down_ends, budget)
-                assert new.delta.hex() == ref.delta.hex()
-                assert flow_bits(new.up) == flow_bits(ref.up)
-                assert flow_bits(new.down) == flow_bits(ref.down)
-                if new.delta in (0.0, 1.0):
-                    seen["zero" if new.delta == 0.0 else "one"] += 1
+                assert delta.hex() == ref.delta.hex()
+                assert rate_bits(up_rates) == rate_bits(ref.up.flow)
+                assert rate_bits(down_rates) == rate_bits(ref.down.flow)
+                for net, rates, (s, t) in ((up_new, up_rates, up_ends),
+                                           (down_new, down_rates, down_ends)):
+                    if s == t:  # a side at its destination carries nothing
+                        assert rates == {}
+                    else:
+                        validate_rates(net, rates, s, t, delta)
+                if delta in (0.0, 1.0):
+                    seen["zero" if delta == 0.0 else "one"] += 1
                 elif any(math.isclose(side.total_cost, budget)
-                         for side in (new.up, new.down)):
+                         for side in (ref.up, ref.down)):
                     seen["budget binds"] += 1
                 else:
                     seen["capacity binds"] += 1

@@ -241,7 +241,7 @@ class TestGrowthStep:
         solver.arrival_init(PairSpec(0, 0, 1))
         solver.up.x[0][0] = 0.1
         solver.routes[0][0].funnels[0].flow[0] = 0.1  # tight at x = 0.1
-        step = solver.growth_step(0)
+        step = solver.growth_step()
         assert step.dt == math.log(2) / 2  # a full, untruncated step
         solver.apply(step)
         assert solver.up.x[0][0] == pytest.approx(0.2)
@@ -252,7 +252,7 @@ class TestGrowthStep:
         solver = make_solver(up, down, [RootSpec(0, 1, 0)], dmax=0.01)
         solver.arrival_init(PairSpec(0, 0, 1))
         # the seed put flow at x's level, so the arc starts tight
-        step = solver.growth_step(0)
+        step = solver.growth_step()
         assert step.dt == 0.01
         solver.apply(step)
         assert solver.up.x[0][0] == 1.0
@@ -269,7 +269,7 @@ class TestGrowthStep:
         route.z = 0.0
         route.funnels[0].flow[0] = solver.up.x[0][0]  # keep the edge tight
         x_before = solver.up.x[0][0]
-        step = solver.growth_step(0)
+        step = solver.growth_step()
         assert step.dt == 0.05
         solver.apply(step)
         assert step.solutions[0].delta == 0.0
@@ -286,7 +286,7 @@ class TestGrowthStep:
         solver.arrival_init(PairSpec(0, 0, 1))
         assert solver.routes[0][0].funnels[0].arcs == [0, 1, 2, 3]
         for _ in range(60):
-            solver.apply(solver.growth_step(0))
+            solver.apply(solver.growth_step())
             if solver.z_total(0) >= 1 - 1e-12:
                 break
         solver.check_invariants([0] if solver.z_total(0) >= 1 - 1e-7 else [])
@@ -307,7 +307,7 @@ class TestGrowthStep:
                     solver.objective)
 
         before = state()
-        step = solver.growth_step(0)
+        step = solver.growth_step()
         assert state() == before
         assert step.pair == 0 and step.staged_x and step.d_obj > 0.0
         solver.apply(step)
@@ -406,7 +406,7 @@ class TestSinglePathCalibration:
         steps = 0
         while solver.z_total(0) < 1 - 1e-12 and steps < 5000:
             steps += 1
-            step = solver.growth_step(0)
+            step = solver.growth_step()
             solver.apply(step)
             t += step.dt
             z = solver.z_total(0)
@@ -587,7 +587,7 @@ class TestFunnel:
                 solver.arrival_init(PairSpec(index, rng.randrange(n),
                                              rng.randrange(n)))
                 for _ in range(3):
-                    solver.apply(solver.growth_step(index))
+                    solver.apply(solver.growth_step())
             for side, funnel in side_funnels(solver):
                 assert ([g.hex() for g in funnel.full_growth]
                         == [fractional._growth_factor(side.c[e], dmax).hex()
@@ -686,32 +686,66 @@ class TestStepState:
             guess = route_cost(up, down, *roots, pair)
         kept, fresh = (make_solver(up, down, roots, guess=guess,
                                    dmax=0.2 / guess) for _ in range(2))
-        # both pairs share their terminals, so each one's steps change the
-        # x that the other's funnels read
+        solved, truncated = set(), 0
         for index in range(2):
             for solver in (kept, fresh):
                 solver.arrival_init(PairSpec(index, *ends))
-        assert kept.routes[0] and kept.routes[1]
-        solved = set()
-        # (pair, applied): steps, staged steps never applied, and steps for
-        # the first pair after the second pair's steps; the first pair's last
-        # step before them leaves no arc to recompute
-        plan = [(0, True), (0, True), (0, False), (0, True), (0, True),
-                (0, False), (1, True), (1, False), (1, True), (1, True),
-                (0, True), (0, True), (1, True)]
-        for index, apply in plan:
-            step = kept.growth_step(index)
-            if apply:
-                for _, funnel in side_funnels(fresh):
-                    funnel.dirty.update(funnel.arcs)  # recompute every arc
-                reference = fresh.growth_step(index)
-                assert step_bits(kept, step) == step_bits(fresh, reference)
-                if step.solutions:
-                    solved.add(index)
-                kept.apply(step)
-                fresh.apply(reference)
-            assert solver_state(kept) == solver_state(fresh)
+            assert kept.routes[index]
+            if index == 1:
+                # both pairs share their terminals, so pair 1's funnels read
+                # the x that pair 0's steps moved
+                assert any(kept.sides[i].x[rid][e] > kept.v0
+                           for rid, route in kept.routes[1].items()
+                           for i, funnel in enumerate(route.funnels)
+                           for e in funnel.arcs)
+            # applied steps, staged steps never applied, then steps until
+            # the pair is covered, the last one truncated
+            for apply in [True, True, False, True, True, False] + [True] * 400:
+                if kept.z_total(index) >= 1.0 - fractional.COVER_TOL:
+                    break
+                step = kept.growth_step()
+                if apply:
+                    for _, funnel in side_funnels(fresh):
+                        funnel.dirty = set(funnel.arcs)  # recompute every arc
+                    reference = fresh.growth_step()
+                    assert step_bits(kept, step) == step_bits(fresh, reference)
+                    if step.solutions:
+                        solved.add(index)
+                    truncated += step.dt < kept.dmax
+                    kept.apply(step)
+                    fresh.apply(reference)
+                assert solver_state(kept) == solver_state(fresh)
+            assert kept.z_total(index) >= 1.0 - fractional.COVER_TOL
         assert solved == {0, 1}  # both pairs' compared steps route flow
+        assert truncated >= 2
+
+    def test_a_step_staged_for_an_earlier_pair_is_refused(self):
+        rng = random.Random(3)
+        n = 6
+        up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
+        solver = make_solver(up, down, [RootSpec(r, r, r) for r in range(n)],
+                             guess=3.0)
+        solver.arrival_init(PairSpec(0, 0, 1))
+        solver.apply(solver.growth_step())
+        stale = solver.growth_step()
+        assert stale.solutions
+        solver.arrival_init(PairSpec(1, 0, 1))
+        before = solver_state(solver)
+        with pytest.raises(ValueError, match="staged for pair 0"):
+            solver.apply(stale)
+        assert solver_state(solver) == before
+        solver.apply(solver.growth_step())  # the arriving pair still steps
+
+    def test_growth_step_needs_an_arrival(self):
+        up = build_graph(2, [(0, 1, 1.0, 0.1)])
+        down = build_graph(2, [(0, 1, 0.01, 0.0)])
+        solver = make_solver(up, down, [RootSpec(0, 1, 0)])
+        with pytest.raises(ValueError, match="no pair has arrived"):
+            solver.growth_step()
+        solver.arrival_init(PairSpec(0, 0, 1))
+        with pytest.raises(TypeError):  # a pair index is no longer taken
+            solver.growth_step(0)
+        assert solver.growth_step().pair == 0
 
     def test_step_recomputes_under_half_the_funnel_arcs(self, monkeypatch):
         entries, arcs = [], []
@@ -779,8 +813,8 @@ class TestStepMatchesReference:
         steps, applied = [], []
         stage, commit = solver_class.growth_step, solver_class.apply
 
-        def recorded_stage(self, *args):
-            step = stage(self, *args)
+        def recorded_stage(self, *args, **kwargs):
+            step = stage(self, *args, **kwargs)
             steps.append(step_record(self, step))
             return step
 
@@ -840,31 +874,26 @@ class TestStepMatchesReference:
         new, ref = (make_solver(up, down, roots, guess=3.0, dmax=dmax,
                                 cls=cls)
                     for cls in (CompositeSolver, ReferenceStepSolver))
-        # both pairs share their terminals, so each one's steps change the
-        # x that the other's funnels read
+        truncated = 0
         for index in range(2):
+            # pair 1 shares pair 0's terminals, so its funnels read the x
+            # that pair 0's steps moved
             for solver in (new, ref):
                 solver.arrival_init(PairSpec(index, *ends))
-        assert new.routes[0] and new.routes[1]
-        # (pair, applied): steps, staged steps never applied, switches
-        # between the pairs; then both pairs run until covered, so each
-        # ends with a truncated step
-        plan = [(0, True), (0, False), (0, True), (1, True), (1, False),
-                (0, False), (0, True), (1, True), (1, True), (0, True)]
-        plan += [(0, True)] * 400 + [(1, True)] * 400
-        truncated = 0
-        for index, apply in plan:
-            if apply and new.z_total(index) >= 1.0 - fractional.COVER_TOL:
-                continue
-            step, reference = new.growth_step(index), ref.growth_step(index)
-            assert step_record(new, step) == step_record(ref, reference)
-            if apply:
-                truncated += step.dt < dmax
-                new.apply(step)
-                ref.apply(reference)
-            assert solver_state(new) == solver_state(ref)
-        assert all(new.z_total(index) >= 1.0 - fractional.COVER_TOL
-                   for index in (0, 1))
+            assert new.routes[index]
+            # applied steps, staged steps never applied, then steps until
+            # the pair is covered, the last one truncated
+            for apply in [True, False, True, False, True] + [True] * 400:
+                if new.z_total(index) >= 1.0 - fractional.COVER_TOL:
+                    break
+                step, reference = new.growth_step(), ref.growth_step(index)
+                assert step_record(new, step) == step_record(ref, reference)
+                if apply:
+                    truncated += step.dt < dmax
+                    new.apply(step)
+                    ref.apply(reference)
+                assert solver_state(new) == solver_state(ref)
+            assert new.z_total(index) >= 1.0 - fractional.COVER_TOL
         assert truncated >= 2
 
 

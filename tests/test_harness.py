@@ -525,14 +525,22 @@ class TestCli:
                                         "rows=2.7,cols=2,k=2",
                                         "rows=2,cols=2,k=nan",
                                         "rows=2,cols=2,k=0",
-                                        "rows=2,cols=2,k=-1"])
+                                        "rows=2,cols=2,k=-1",
+                                        # on/off parameters take 0 or 1 only
+                                        "rows=2,cols=2,k=2,prize=-1",
+                                        "rows=2,cols=2,k=2,adversarial=7",
+                                        "n=4,m=9,k=2,strongly_connected=2"])
     def test_bad_generate_params_exit_code_2(self, tmp_path, params):
         out = tmp_path / "inst.json"
-        result = self._cli("generate", "--kind", "grid", "--params", params,
+        kind = "random-digraph" if params.startswith("n=") else "grid"
+        result = self._cli("generate", "--kind", kind, "--params", params,
                            "-o", str(out))
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert not out.exists()
+        flag = params.rpartition(",")[2].partition("=")[0]
+        if flag in ("prize", "adversarial", "strongly_connected"):
+            assert f"{flag} must be 0 or 1" in result.stderr
 
     def test_non_finite_instance_exit_code_2(self, tmp_path):
         data = grid(2, 2, k=2, seed=1)

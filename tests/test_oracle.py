@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -176,6 +177,32 @@ class TestJunctionOpt:
             junction_opt(big, random_pairs(random.Random(4), 9, 2))
 
 
+    def test_prize_value_is_the_best_drop_set(self):
+        # every split into dropped pairs (paying q) and routed pairs (the
+        # junction optimum without penalties); some seeds drop a pair
+        dropping = 0
+        for seed in range(10):
+            inst = small_instance("prize", seed)
+            pairs = inst.pairs
+            best = math.inf
+            for mask in range(1 << len(pairs)):
+                dropped = [p.penalty for i, p in enumerate(pairs)
+                           if mask >> i & 1]
+                kept = [replace(p, penalty=None)
+                        for i, p in enumerate(pairs) if not mask >> i & 1]
+                try:
+                    value = junction_opt(inst.graph, kept)
+                except InfeasibleInstance:
+                    continue
+                best = min(best, sum(dropped) + value)
+            found = junction_opt(inst.graph, pairs)
+            assert abs(found - best) <= 1e-9
+            routed = junction_opt(inst.graph,
+                                  [replace(p, penalty=None) for p in pairs])
+            dropping += found < routed - 1e-9
+        assert dropping >= 3
+
+
 class TestLpLowerBound:
     def test_sandwiched_by_offline_opt(self):
         rng = random.Random(10)
@@ -220,6 +247,7 @@ class TestLpLowerBound:
         assert cli.main(["oracle", "--instance", str(path)]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert (printed["opt"], printed["lp_lb"]) == (1.0, 1.0)
+        assert printed["junction_opt"] == 1.0
 
 
 class TestPrizeOracle:
