@@ -12,7 +12,8 @@ amounts, and each augmenting path is walked once: one pass finds its
 bottleneck, augments it and collects the slots it closed. ``max_delta``
 returns its value and the two flows as plain dicts, which is all the
 growth step reads; ``min_cost_flow`` and ``max_flow`` return a
-``FlowResult``, whose ``validate`` checks capacities, conservation and cost.
+``FlowResult``, priced by one rule (the plain sum of ``cost * flow`` over its
+flow dict), whose ``validate`` checks capacities, conservation and cost.
 
 A network is built once from its arc columns; afterwards only its
 capacities change (``update_capacities``, which checks each entry as it
@@ -363,16 +364,14 @@ def cheapest_flow_curve(net: FlowNetwork, source: int, sink: int,
     return segments
 
 
-def _assemble(segments: List[FlowSegment],
-              value: float) -> Tuple[Dict[int, float], float]:
-    """Per-arc flows, keyed by arc label, and cost of the cheapest flow of
-    the given value. Every flow left is positive: a forward step adds more
+def _assemble(segments: List[FlowSegment], value: float) -> Dict[int, float]:
+    """Per-arc flows, keyed by arc label, of the cheapest flow of the given
+    value. Every flow left is positive: a forward step adds more
     than ``EPS_CAP``, and an arc crossed backwards holds exactly its
     reverse slot's residual, which bounds each backward take, so it ends at
     zero or above and is dropped at ``<= EPS_CAP``."""
     flow: Dict[int, float] = {}
     get = flow.get
-    cost = 0.0
     remaining = value
     # each take exceeds EPS_CAP: only an arc crossed backwards can cancel
     crossed_back: List[int] = []
@@ -388,12 +387,22 @@ def _assemble(segments: List[FlowSegment],
             else:
                 flow[arc] = get(arc, 0.0) - take
                 crossed_back.append(arc)
-        cost += seg.unit_cost * take
         remaining -= take
     for arc in crossed_back:
         if arc in flow and abs(flow[arc]) <= EPS_CAP:
             del flow[arc]
-    return flow, cost
+    return flow
+
+
+def _priced(net: FlowNetwork, value: float,
+            flow: Dict[int, float]) -> FlowResult:
+    """The flow with its cost: the plain sum of ``cost * flow`` over the
+    flow dict, in its order."""
+    cost = dict(zip(net.labels, net.cost))
+    total = 0.0  # a loop, not sum(): see graph.plain_sum
+    for a, f in flow.items():
+        total += cost[a] * f
+    return FlowResult(value, flow, total)
 
 
 def min_cost_flow(net: FlowNetwork, source: int, sink: int,
@@ -409,8 +418,7 @@ def min_cost_flow(net: FlowNetwork, source: int, sink: int,
     if achieved < target_value - FEAS_TOL:
         raise InfeasibleFlow(
             f"max flow {achieved} below requested {target_value}")
-    flow, cost = _assemble(segments, target_value)
-    return FlowResult(target_value, flow, cost)
+    return _priced(net, target_value, _assemble(segments, target_value))
 
 
 def max_flow(net: FlowNetwork, source: int, sink: int,
@@ -422,10 +430,7 @@ def max_flow(net: FlowNetwork, source: int, sink: int,
                                 [0.0] * net.m, net.labels)
     segments = cheapest_flow_curve(zero_cost, source, sink, value_cap=value_cap)
     value = plain_sum(seg.amount for seg in segments)
-    flow, _ = _assemble(segments, value)
-    cost = dict(zip(net.labels, net.cost))
-    return FlowResult(value, flow,
-                      plain_sum(cost[a] * f for a, f in flow.items()))
+    return _priced(net, value, _assemble(segments, value))
 
 
 def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
@@ -461,5 +466,4 @@ def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
             best = reachable
         sides.append(segments)
     delta = best if best > 0.0 else 0.0
-    return (delta, _assemble(sides[0], delta)[0],
-            _assemble(sides[1], delta)[0])
+    return delta, _assemble(sides[0], delta), _assemble(sides[1], delta)

@@ -49,24 +49,24 @@ holds the rate capacities of a full step for the whole arrival, and a step
 recomputes only the arcs the previous committed step touched (found tight or
 grew), since no other arc's ``x``, flow or tightness moved. Only the pair
 whose arrival is running steps: an arrival runs to its end before the next
-pair registers, so no other pair's step moves the ``x`` its funnels read,
-and ``apply`` refuses a step staged for an earlier pair. A side caches
-its unfiltered root distances for the epoch, so pairs share the ball
-searches of their roots (the owner rule of prize mode searches per pair).
+pair registers, so no other pair's step moves the ``x`` its funnels read.
+A side caches its unfiltered root distances for the epoch, so pairs share
+the ball searches of their roots and of their terminals (the owner rule of
+prize mode searches per pair).
 
-A step takes one pass per root side and stage: the tight set, the dirty
-capacities (checked by ``update_capacities`` before any is written), the
-joint solve, whose networks are labelled by edge id so its flows are the
-rates, and staging over ``tight | set(rates)``, the set that ``apply``
-hands to the funnel as its next dirty set. Staged entries carry the ``x``
-array itself. Every float comes from the same operations in the same order
-as a step that rebuilds each of these records, and the staging set's
-iteration order, which fixes the order of the ``d_obj`` sum, is that of
-``set(tight) | set(rates)``.
+A step solves every root first, since its length depends on every root's
+rate: per root side, the tight set, the dirty capacities (checked by
+``update_capacities`` before any is written) and the joint solve, whose
+networks are labelled by edge id so its flows are the rates. It then
+commits in place, per root and side: the grown ``x`` over
+``tight | set(rates)``, the set the funnel keeps as its next dirty set, then
+the flows, then ``z``. That set's iteration order fixes the order of the
+objective's sum.
 
-All variables are nondecreasing within an epoch. An epoch aborts (without
-overshooting) once its objective would exceed ``kappa``; the caller then
-doubles its optimum guess and replays.
+All variables are nondecreasing within an epoch. An epoch ends at the first
+step whose commit takes its objective past ``kappa``; the caller then
+doubles its optimum guess, starts a fresh solver and replays, and never
+reads the overflowed one again.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ MAX_STEPS = 10 ** 6  # growth steps per arrival before it counts as stuck
 
 
 class ArrivalOutcome(Enum):
-    """How an arrival ended: covered; the epoch's spend cap would be passed;
+    """How an arrival ended: covered; a step passed the epoch's spend cap;
     some root is reachable but none within the guess's distance ball (both
     ask the caller to double the guess); or no root is reachable on both
     sides under the pair's owner rule, at any guess."""
@@ -280,7 +280,7 @@ class _Funnel:
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
         # replaced, never changed in place: a committed step hands over the
-        # set it staged from
+        # set it wrote over
         self.dirty: Set[int] = set(arcs)
 
     def tight(self, x: List[float]) -> Set[int]:
@@ -295,28 +295,6 @@ class _Route:
 
     z: float
     funnels: Tuple[_Funnel, ...]
-
-
-@dataclass(slots=True)
-class RootStep:
-    """One root's share of a growth step; per-side tuples follow ``sides``."""
-
-    delta: float
-    grow: Tuple[Dict[int, float], ...]  # flow rate per edge
-    tight: Tuple[Set[int], ...]
-    # per side, the tight and grown edges staging visited; set by staging
-    touched: Tuple[Set[int], ...] = ()
-
-
-@dataclass(slots=True)
-class GrowthStep:
-    """A staged growth step; ``CompositeSolver.apply`` commits it."""
-
-    pair: int
-    dt: float
-    solutions: Dict[int, RootStep]
-    staged_x: List[Tuple[List[float], int, float]]  # (x array, edge, new x)
-    d_obj: float
 
 
 class CompositeSolver:
@@ -397,7 +375,9 @@ class CompositeSolver:
         eligible when ``d(s, r_up) + d(r_down, t)`` is at most
         ``1 + BALL_TOL``. Only an eligible root gets a search into ``r_up``
         and one out of ``r_down``; its funnel on a side holds the allowed
-        arcs on some route within the same bound. The seed routes ``v0``
+        arcs on some route within the same bound. Every search goes through
+        ``_Side.distances``, so without owners each is made once per epoch.
+        The seed routes ``v0``
         units along a hop-shortest path inside each funnel, so flows start
         equal to their ``z`` and the inner LP is feasible from the first
         moment.
@@ -412,8 +392,9 @@ class CompositeSolver:
         routes = self.routes[pair.index] = {}
         allowed = [side.side_graph.allowed(pair.index) for side in self.sides]
         # d(s, .) upstairs and d(., t) downstairs
-        near = [side.side_graph.near(pair, side.w.__getitem__)
-                for side in self.sides]
+        near = [side.distances(side.side_graph.terminal(pair), allow,
+                               into=not side.side_graph.upward)
+                for side, allow in zip(self.sides, allowed)]
         reachable = False
         for spec in self.roots:
             vertices = [side.side_graph.root_vertex(spec)
@@ -491,9 +472,12 @@ class CompositeSolver:
             funnel.dirty = set()
         return funnel.net
 
-    def _solve_root(self, rid: int, route: _Route) -> RootStep:
-        """Max joint growth rate and flow pattern for one root; the funnel
-        networks are labelled by edge id, so the flows are the rates."""
+    def _solve_root(self, rid: int, route: _Route
+                    ) -> Tuple[float, Tuple[Dict[int, float], ...],
+                               Tuple[Set[int], ...]]:
+        """Max joint growth rate, per-side flow rates and per-side tight
+        sets for one root; the funnel networks are labelled by edge id, so
+        the flows are the rates."""
         up, down = self.sides
         up_funnel, down_funnel = route.funnels
         up_tight = up_funnel.tight(up.x[rid])
@@ -502,29 +486,32 @@ class CompositeSolver:
             self._aux_network(up, rid, up_funnel, up_tight), *up_funnel.ends,
             self._aux_network(down, rid, down_funnel, down_tight),
             *down_funnel.ends, route.z)
-        return RootStep(delta, (up_rates, down_rates), (up_tight, down_tight))
+        return delta, (up_rates, down_rates), (up_tight, down_tight)
 
-    def growth_step(self, *, covered: Optional[float] = None) -> GrowthStep:
-        """Stage one discretized step of the continuous dynamics for the
-        arriving pair, the one ``arrival_init`` registered last.
+    def growth_step(self, *, covered: Optional[float] = None) -> float:
+        """Take one discretized step of the continuous dynamics for the
+        arriving pair, the one ``arrival_init`` registered last, and return
+        its length.
 
         The step length is the configured maximum unless the remaining
         coverage gap truncates it (rates are scaled down so coverage lands
         exactly at 1). ``covered`` is the pair's ``z_total``, if the caller
         has it; it is keyword-only, so that a caller still passing a pair
-        index is refused. The state is left untouched; ``apply`` commits.
+        index is refused. Every root is solved before any state moves, since
+        the length depends on every root's rate; the step is then committed.
         """
         pair_index = self._arriving
         if pair_index is None:
             raise ValueError("no pair has arrived")
         routes = self.routes[pair_index]
-        solutions: Dict[int, RootStep] = {}
+        solved = []
         total_delta = 0.0
         for rid, route in routes.items():
             if route.z >= VAR_CAP - COVER_TOL:
                 continue  # this root is already fully selected
-            sol = solutions[rid] = self._solve_root(rid, route)
-            total_delta += sol.delta
+            delta, rates, tight = self._solve_root(rid, route)
+            solved.append((rid, route, delta, rates, tight))
+            total_delta += delta
 
         # "if b < a: a = b" is a = min(a, b), and "if a < b: a = b" is
         # a = max(a, b), NaN included
@@ -535,9 +522,9 @@ class CompositeSolver:
             limit = (1.0 - covered) / total_delta
             if limit < dt:
                 dt = limit
-        for rid, sol in solutions.items():
-            if sol.delta > RATE_TOL:
-                limit = (VAR_CAP - routes[rid].z) / sol.delta
+        for _, route, delta, _, _ in solved:
+            if delta > RATE_TOL:
+                limit = (VAR_CAP - route.z) / delta
                 if limit < dt:
                     dt = limit
         if dt < MIN_DT:
@@ -545,27 +532,27 @@ class CompositeSolver:
         # a full step reads each funnel's cached exp(dmax / c)
         full = dt == self.dmax
 
-        # stage: x rides to max(exp growth if tight, new flow level);
-        # "y if y < VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included
-        staged_x: List[Tuple[List[float], int, float]] = []
+        # commit: x rides to max(exp growth if tight, new flow level);
+        # "y if y < VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included.
+        # Roots and sides share no x array or flow dict, so a write never
+        # moves a later read.
         d_obj = 0.0
         inf = math.inf
         sides = self.sides
-        for rid, sol in solutions.items():
-            touched_sides = []
-            for side, funnel, tight, g_side in zip(
-                    sides, routes[rid].funnels, sol.tight, sol.grow):
+        for rid, route, delta, rates, tight in solved:
+            for side, funnel, side_tight, g_side in zip(
+                    sides, route.funnels, tight, rates):
                 arr, c = side.x[rid], side.c
                 flow_get = funnel.flow.get
                 grow_get = g_side.get
                 full_growth, index = funnel.full_growth, funnel.index
                 # the layout of set(tight) | set(g_side), whose iteration
                 # order is the order of the d_obj sum
-                touched = tight | set(g_side)
+                touched = side_tight | set(g_side)
                 for e in touched:
                     old = arr[e]
                     new = old
-                    if e in tight:
+                    if e in side_tight:
                         grow = (full_growth[index[e]] if full
                                 else _growth_factor(c[e], dt))
                         if grow == inf:
@@ -579,41 +566,22 @@ class CompositeSolver:
                         if c[e] <= 0:
                             new = VAR_CAP
                     if new > old:
-                        staged_x.append((arr, e, new))
+                        arr[e] = new
                         d_obj += c[e] * (new - old)
-                touched_sides.append(touched)
-            sol.touched = tuple(touched_sides)
-            for side, g_side in zip(sides, sol.grow):
-                l = side.l
-                for e, g in g_side.items():
-                    d_obj += l[e] * g * dt
-        return GrowthStep(pair_index, dt, solutions, staged_x, d_obj)
-
-    def apply(self, step: GrowthStep) -> None:
-        """Commit a step staged by ``growth_step`` for the arriving pair."""
-        if step.pair != self._arriving:
-            raise ValueError(f"step staged for pair {step.pair}, but pair "
-                             f"{self._arriving} is arriving")
-        for arr, e, new in step.staged_x:
-            if new > arr[e]:
-                arr[e] = new
-        routes = self.routes[step.pair]
-        dt = step.dt
-        for rid, sol in step.solutions.items():
-            route = routes[rid]
-            for funnel, touched, g_side in zip(route.funnels, sol.touched,
-                                               sol.grow):
-                # the staged edges are those whose x or flow may move; the
-                # solve emptied the dirty set
+                # the edges whose x or flow may move; the solve emptied the
+                # dirty set
                 funnel.dirty = touched
-                flow = funnel.flow
+            for side, funnel, g_side in zip(sides, route.funnels, rates):
+                l, flow = side.l, funnel.flow
                 flow_get = flow.get
                 for e, g in g_side.items():
                     flow[e] = flow_get(e, 0.0) + g * dt
+                    d_obj += l[e] * g * dt
             # dt is capped per root, so z stays at or below 1 up to float noise;
             # clamping would desynchronize z from its certifying flow value
-            route.z += sol.delta * dt
-        self._objective += step.d_obj
+            route.z += delta * dt
+        self._objective += d_obj
+        return dt
 
     def on_arrival(self, pair: PairSpec) -> ArrivalOutcome:
         """Process one arrival to completion, overflow, a guess too small for
@@ -634,10 +602,9 @@ class CompositeSolver:
             steps += 1
             if steps > MAX_STEPS:
                 raise StepLimitExceeded(pair.index, MAX_STEPS)
-            step = self.growth_step(covered=covered)
-            if self._objective + step.d_obj > self.kappa:
+            self.growth_step(covered=covered)
+            if self._objective > self.kappa:
                 return ArrivalOutcome.EPOCH_OVERFLOW
-            self.apply(step)
             covered = self.z_total(pair.index)
         self.arrival_log.append(ArrivalStats(pair.index, steps, covered,
                                              self._objective))

@@ -235,8 +235,7 @@ def _rooted_cost(graph: TwoMetricGraph, terminals: Tuple[int, ...], root: int,
 
 
 def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
-                 budget: OracleBudget = DEFAULT_BUDGET,
-                 roots: Optional[Sequence[int]] = None) -> float:
+                 budget: OracleBudget = DEFAULT_BUDGET) -> float:
     """Best decomposition into per-root single-sink plus single-source solutions.
 
     Searches every pair-to-root assignment depth first: blocks of pairs in
@@ -253,10 +252,7 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
         raise BudgetExceeded(
             f"{len(pairs)} pairs exceed the junction budget {budget.max_pairs}",
             required=len(pairs))
-    # a root listed twice is one root: its pairs form one block
-    root_list = (list(dict.fromkeys(roots)) if roots is not None
-                 else list(range(graph.n)))
-    if roots is None and graph.n > budget.max_vertices:
+    if graph.n > budget.max_vertices:
         raise BudgetExceeded(
             f"{graph.n} vertices exceed the junction budget {budget.max_vertices}",
             required=graph.n)
@@ -264,7 +260,7 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     # every block's multisets are part of the all-pairs block's on its root,
     # so the DP budget is checked once, whatever order the search takes
     width = max((max(sum(p.s != r for p in pairs), sum(p.t != r for p in pairs))
-                 for r in root_list), default=0)
+                 for r in range(graph.n)), default=0)
     if width > budget.max_ss_terminals:
         raise BudgetExceeded(
             f"{width} terminals exceed the DP budget {budget.max_ss_terminals}",
@@ -306,7 +302,7 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
             # multiset: shared terminals pay length per pair
             srcs = tuple(sorted(pairs[i].s for i in block))
             snks = tuple(sorted(pairs[i].t for i in block))
-            for r in root_list:
+            for r in range(graph.n):
                 if r in used:
                     continue
                 total = partial + rooted_cost(r, srcs, "sink")

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from array import array
 from pathlib import Path
 
 import pytest
@@ -241,9 +242,7 @@ class TestGrowthStep:
         solver.arrival_init(PairSpec(0, 0, 1))
         solver.up.x[0][0] = 0.1
         solver.routes[0][0].funnels[0].flow[0] = 0.1  # tight at x = 0.1
-        step = solver.growth_step()
-        assert step.dt == math.log(2) / 2  # a full, untruncated step
-        solver.apply(step)
+        assert solver.growth_step() == math.log(2) / 2  # a full step
         assert solver.up.x[0][0] == pytest.approx(0.2)
 
     def test_zero_cost_tight_edge_jumps_to_one(self):
@@ -252,9 +251,7 @@ class TestGrowthStep:
         solver = make_solver(up, down, [RootSpec(0, 1, 0)], dmax=0.01)
         solver.arrival_init(PairSpec(0, 0, 1))
         # the seed put flow at x's level, so the arc starts tight
-        step = solver.growth_step()
-        assert step.dt == 0.01
-        solver.apply(step)
+        assert solver.growth_step() == 0.01
         assert solver.up.x[0][0] == 1.0
 
     def test_blocked_roots_only_grow_x(self):
@@ -269,11 +266,8 @@ class TestGrowthStep:
         route.z = 0.0
         route.funnels[0].flow[0] = solver.up.x[0][0]  # keep the edge tight
         x_before = solver.up.x[0][0]
-        step = solver.growth_step()
-        assert step.dt == 0.05
-        solver.apply(step)
-        assert step.solutions[0].delta == 0.0
-        assert route.z == 0.0
+        assert solver.growth_step() == 0.05
+        assert route.z == 0.0  # the rate was 0 over a full step
         assert solver.up.x[0][0] > x_before
 
     def test_flow_stays_within_capacity(self):
@@ -286,34 +280,28 @@ class TestGrowthStep:
         solver.arrival_init(PairSpec(0, 0, 1))
         assert solver.routes[0][0].funnels[0].arcs == [0, 1, 2, 3]
         for _ in range(60):
-            solver.apply(solver.growth_step())
+            solver.growth_step()
             if solver.z_total(0) >= 1 - 1e-12:
                 break
         solver.check_invariants([0] if solver.z_total(0) >= 1 - 1e-7 else [])
 
 
-    def test_growth_step_stages_and_apply_commits(self):
+    def test_growth_step_commits_and_returns_its_length(self):
         up = build_graph(4, [(0, 1, 0.3, 0.2), (1, 3, 0.4, 0.1),
                              (0, 2, 0.2, 0.3), (2, 3, 0.1, 0.2)])
         down = build_graph(2, [(0, 1, 0.05, 0.05)])
-        solver = make_solver(up, down, [RootSpec(0, 3, 0)])
-        solver.arrival_init(PairSpec(0, 0, 1))
-
-        def state():
-            return (z_values(solver),
-                    [dict(funnel.flow) for _, funnel in side_funnels(solver)],
-                    [{r: list(a) for r, a in side.x.items()}
-                     for side in solver.sides],
-                    solver.objective)
-
-        before = state()
-        step = solver.growth_step()
-        assert state() == before
-        assert step.pair == 0 and step.staged_x and step.d_obj > 0.0
-        solver.apply(step)
-        assert solver.objective == before[3] + step.d_obj
-        assert solver.routes[0][0].z == before[0][(0, 0)] + (
-            step.solutions[0].delta * step.dt)
+        solver, ref = (make_solver(up, down, [RootSpec(0, 3, 0)], cls=cls)
+                       for cls in (CompositeSolver, ReferenceStepSolver))
+        for s in (solver, ref):
+            s.arrival_init(PairSpec(0, 0, 1))
+        before = solver.objective
+        dt = solver.growth_step()
+        staged = ref.growth_step(0)
+        assert dt.hex() == staged.dt.hex() and staged.d_obj > 0.0
+        assert solver.objective == before + staged.d_obj
+        ref.apply(staged)
+        assert solver_state(solver) == solver_state(ref)
+        assert solver.routes[0][0].z > solver.v0
 
 
 class TestOnArrival:
@@ -325,12 +313,23 @@ class TestOnArrival:
         solver.check_invariants([0])
 
     def test_epoch_overflow_before_threshold_exceeded(self):
+        # the arrival overflows at the first step whose commit takes the
+        # objective past kappa, and not before: stepping a twin by hand
+        # until it passes kappa ends in the same state
         up, down, roots, pair = single_path_instance(n_edges=4, c=0.4, l=0.4)
         kappa = 0.5
-        solver = make_solver(up, down, roots, kappa=kappa, dmax=0.2,
-                             guess=route_cost(up, down, *roots, pair))
+        solver, twin = (make_solver(up, down, roots, kappa=kappa, dmax=0.2,
+                                    guess=route_cost(up, down, *roots, pair))
+                        for _ in range(2))
         assert solver.on_arrival(pair) == ArrivalOutcome.EPOCH_OVERFLOW
-        assert solver.objective <= kappa * (1 + 1e-6)
+        twin.arrival_init(pair)
+        steps = 0
+        while twin.objective <= kappa:
+            assert twin.z_total(0) < 1.0 - fractional.COVER_TOL
+            twin.growth_step()
+            steps += 1
+        assert steps > 1 and solver.objective > kappa
+        assert solver_state(solver) == solver_state(twin)
 
     def test_objective_monotone_and_exact(self):
         up, down, roots, pair = single_path_instance(n_edges=3, l=0.3)
@@ -406,9 +405,7 @@ class TestSinglePathCalibration:
         steps = 0
         while solver.z_total(0) < 1 - 1e-12 and steps < 5000:
             steps += 1
-            step = solver.growth_step()
-            solver.apply(step)
-            t += step.dt
+            t += solver.growth_step()
             z = solver.z_total(0)
             expected = min(1.0, z0 * math.exp(t / L))
             assert z == pytest.approx(expected, rel=0.05)
@@ -587,7 +584,7 @@ class TestFunnel:
                 solver.arrival_init(PairSpec(index, rng.randrange(n),
                                              rng.randrange(n)))
                 for _ in range(3):
-                    solver.apply(solver.growth_step())
+                    solver.growth_step()
             for side, funnel in side_funnels(solver):
                 assert ([g.hex() for g in funnel.full_growth]
                         == [fractional._growth_factor(side.c[e], dmax).hex()
@@ -619,24 +616,14 @@ class TestFunnel:
 
 
 def solver_state(solver):
-    """x, flows, z and objective, floats as exact bits."""
-    def bits(values):
-        return [v.hex() for v in values]
-    return ([{r: bits(a) for r, a in side.x.items()} for side in solver.sides],
+    """x, flows, z and objective, floats as exact bits; the dense x arrays
+    are packed as doubles, so that the state is cheap to take per step."""
+    return ([{r: array("d", a).tobytes() for r, a in side.x.items()}
+             for side in solver.sides],
             [sorted((e, f.hex()) for e, f in funnel.flow.items())
              for _, funnel in side_funnels(solver)],
             sorted((k, v.hex()) for k, v in z_values(solver).items()),
             solver.objective.hex())
-
-
-def step_bits(solver, step):
-    """A staged step with its floats as bits and each staged x array as
-    its (side position, root)."""
-    owner = {id(arr): (i, rid) for i, side in enumerate(solver.sides)
-             for rid, arr in side.x.items()}
-    return (step.pair, step.dt.hex(), step.solutions,
-            [(*owner[id(arr)], e, new.hex()) for arr, e, new in step.staged_x],
-            step.d_obj.hex())
 
 
 class TestStepState:
@@ -686,7 +673,7 @@ class TestStepState:
             guess = route_cost(up, down, *roots, pair)
         kept, fresh = (make_solver(up, down, roots, guess=guess,
                                    dmax=0.2 / guess) for _ in range(2))
-        solved, truncated = set(), 0
+        truncated = 0
         for index in range(2):
             for solver in (kept, fresh):
                 solver.arrival_init(PairSpec(index, *ends))
@@ -698,43 +685,18 @@ class TestStepState:
                            for rid, route in kept.routes[1].items()
                            for i, funnel in enumerate(route.funnels)
                            for e in funnel.arcs)
-            # applied steps, staged steps never applied, then steps until
-            # the pair is covered, the last one truncated
-            for apply in [True, True, False, True, True, False] + [True] * 400:
+            # steps until the pair is covered, the last one truncated
+            for _ in range(400):
                 if kept.z_total(index) >= 1.0 - fractional.COVER_TOL:
                     break
-                step = kept.growth_step()
-                if apply:
-                    for _, funnel in side_funnels(fresh):
-                        funnel.dirty = set(funnel.arcs)  # recompute every arc
-                    reference = fresh.growth_step()
-                    assert step_bits(kept, step) == step_bits(fresh, reference)
-                    if step.solutions:
-                        solved.add(index)
-                    truncated += step.dt < kept.dmax
-                    kept.apply(step)
-                    fresh.apply(reference)
+                for _, funnel in side_funnels(fresh):
+                    funnel.dirty = set(funnel.arcs)  # recompute every arc
+                dt = kept.growth_step()
+                assert dt.hex() == fresh.growth_step().hex()
+                truncated += dt < kept.dmax
                 assert solver_state(kept) == solver_state(fresh)
             assert kept.z_total(index) >= 1.0 - fractional.COVER_TOL
-        assert solved == {0, 1}  # both pairs' compared steps route flow
         assert truncated >= 2
-
-    def test_a_step_staged_for_an_earlier_pair_is_refused(self):
-        rng = random.Random(3)
-        n = 6
-        up, down = tie_heavy_side(rng, n, True), tie_heavy_side(rng, n, False)
-        solver = make_solver(up, down, [RootSpec(r, r, r) for r in range(n)],
-                             guess=3.0)
-        solver.arrival_init(PairSpec(0, 0, 1))
-        solver.apply(solver.growth_step())
-        stale = solver.growth_step()
-        assert stale.solutions
-        solver.arrival_init(PairSpec(1, 0, 1))
-        before = solver_state(solver)
-        with pytest.raises(ValueError, match="staged for pair 0"):
-            solver.apply(stale)
-        assert solver_state(solver) == before
-        solver.apply(solver.growth_step())  # the arriving pair still steps
 
     def test_growth_step_needs_an_arrival(self):
         up = build_graph(2, [(0, 1, 1.0, 0.1)])
@@ -745,7 +707,8 @@ class TestStepState:
         solver.arrival_init(PairSpec(0, 0, 1))
         with pytest.raises(TypeError):  # a pair index is no longer taken
             solver.growth_step(0)
-        assert solver.growth_step().pair == 0
+        # the ball at guess 1 holds no root: nothing truncates the step
+        assert solver.growth_step() == solver.dmax
 
     def test_step_recomputes_under_half_the_funnel_arcs(self, monkeypatch):
         entries, arcs = [], []
@@ -770,30 +733,6 @@ class TestStepState:
         assert 2 * sum(entries) < sum(arcs)
 
 
-def step_record(solver, step):
-    """Every float of a staged step as bits, in the order it was made: its
-    length, each root's rate and per-side rates and tight sets (both in
-    iteration order), each staged x as (side position, root, edge, bits)
-    and ``d_obj``. Reads the staged x of both step layouts: (x array, edge,
-    new x) and (side, root, edge, new x)."""
-    owner = {id(arr): (i, rid) for i, side in enumerate(solver.sides)
-             for rid, arr in side.x.items()}
-    staged = []
-    for entry in step.staged_x:
-        if len(entry) == 3:
-            arr, e, new = entry
-            position = owner[id(arr)]
-        else:
-            side, rid, e, new = entry
-            position = (solver.sides.index(side), rid)
-        staged.append((*position, e, new.hex()))
-    roots = [(rid, sol.delta.hex(),
-              [[(e, f.hex()) for e, f in g.items()] for g in sol.grow],
-              [list(tight) for tight in sol.tight])
-             for rid, sol in step.solutions.items()]
-    return step.pair, step.dt.hex(), roots, staged, step.d_obj.hex()
-
-
 def _node_instance():
     data = grid(2, 2, k=3, seed=5)
     data["mode"] = "node"
@@ -804,42 +743,60 @@ def _node_instance():
 
 class TestStepMatchesReference:
     """The growth step, its arrival loop and the flow calls they make give
-    the bits of ``helpers.ReferenceStepSolver``, the step as it was before
-    each root side took one checked pass, at every step and in the final
-    state."""
+    the bits of ``helpers.ReferenceStepSolver``, the step as it was staged
+    and then applied before each root side took one checked pass, at every
+    step and in the final state."""
 
     @staticmethod
     def run(make, config, monkeypatch, solver_class):
-        steps, applied = [], []
-        stage, commit = solver_class.growth_step, solver_class.apply
+        """Per step, its length as bits, the state it left and whether it
+        took the objective past ``kappa``; then the final state and the
+        reports. The reference stages a step and applies it unless it would
+        pass ``kappa``; a step it refuses keeps its ``d_obj`` in that last
+        place, with the state before it."""
+        steps = []
+        if solver_class is CompositeSolver:
+            step = solver_class.growth_step
 
-        def recorded_stage(self, *args, **kwargs):
-            step = stage(self, *args, **kwargs)
-            steps.append(step_record(self, step))
-            return step
+            def recorded_step(self, **kwargs):
+                dt = step(self, **kwargs)
+                steps.append((dt.hex(), solver_state(self),
+                              self.objective > self.kappa))
+                return dt
 
-        def recorded_commit(self, step):
-            applied.append(len(steps) - 1)
-            return commit(self, step)
+            patches = {"growth_step": recorded_step}
+        else:
+            stage, commit = solver_class.growth_step, solver_class.apply
 
+            def recorded_stage(self, pair_index):
+                staged = stage(self, pair_index)
+                steps.append((staged.dt.hex(), solver_state(self),
+                              staged.d_obj))
+                return staged
+
+            def recorded_commit(self, staged):
+                commit(self, staged)
+                steps[-1] = (staged.dt.hex(), solver_state(self), False)
+
+            patches = {"growth_step": recorded_stage, "apply": recorded_commit}
         with monkeypatch.context() as patch:
-            patch.setattr(solver_class, "growth_step", recorded_stage)
-            patch.setattr(solver_class, "apply", recorded_commit)
+            for name, method in patches.items():
+                patch.setattr(solver_class, name, method)
             patch.setattr(harness, "CompositeSolver", solver_class)
             inst = load_instance(make())
             pipeline = OnlinePipeline(inst, config)
             for pair in inst.pairs:
                 pipeline.process(pair)
             report = pipeline.finish()
-        return (steps, applied, solver_state(pipeline.solver),
+        return (steps, solver_state(pipeline.solver),
                 (report.to_csv(), report.lp_trace_csv(),
                  report.assignment_trace_csv()))
 
     @pytest.mark.parametrize("mode, make, settings", [
         ("edge", lambda: grid(2, 2, k=3, seed=5), {}),
         ("edge", lambda: star_of_paths(3, 2, k=6, seed=109305), {}),
-        # a small spend cap: some epochs overflow on a staged step, which
-        # is never applied
+        # a small spend cap: some epochs overflow on a step, which the
+        # reference refuses and the solver commits past kappa
         ("edge", lambda: grid(2, 2, k=3, seed=5), {"kappa": 1.0}),
         ("edge", lambda: star_of_paths(3, 2, k=6, seed=109305),
          {"kappa": 1.0}),
@@ -854,13 +811,25 @@ class TestStepMatchesReference:
         config = RunConfig(mode=mode, **settings)
         new = self.run(make, config, monkeypatch, CompositeSolver)
         ref = self.run(make, config, monkeypatch, ReferenceStepSolver)
-        steps, applied, _, _ = new
-        assert len(steps) > 20
-        assert new == ref
-        if "kappa" in settings:
-            assert len(applied) < len(steps)
+        steps, ref_steps = new[0], ref[0]
+        assert len(steps) == len(ref_steps) > 20
+        overflows = 0
+        for (dt, state, over), (ref_dt, ref_state, refused) in zip(steps,
+                                                                    ref_steps):
+            assert dt == ref_dt
+            if over:
+                # committed where the reference refused: the objective is
+                # the reference's plus the refused step's d_obj, bit for bit
+                overflows += 1
+                assert isinstance(refused, float)
+                assert state[3] == (float.fromhex(ref_state[3])
+                                    + refused).hex()
+            else:
+                assert refused is False and state == ref_state
+        assert new[1:] == ref[1:]  # the final state and the reports
+        assert bool(overflows) == ("kappa" in settings)
         # truncated steps: the last one of each covered arrival
-        assert any(float.fromhex(dt) < config.dmax for _, dt, *_ in steps)
+        assert any(float.fromhex(dt) < config.dmax for dt, *_ in steps)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_planned_steps_match(self, seed):
@@ -881,17 +850,14 @@ class TestStepMatchesReference:
             for solver in (new, ref):
                 solver.arrival_init(PairSpec(index, *ends))
             assert new.routes[index]
-            # applied steps, staged steps never applied, then steps until
-            # the pair is covered, the last one truncated
-            for apply in [True, False, True, False, True] + [True] * 400:
+            # steps until the pair is covered, the last one truncated
+            for _ in range(400):
                 if new.z_total(index) >= 1.0 - fractional.COVER_TOL:
                     break
-                step, reference = new.growth_step(), ref.growth_step(index)
-                assert step_record(new, step) == step_record(ref, reference)
-                if apply:
-                    truncated += step.dt < dmax
-                    new.apply(step)
-                    ref.apply(reference)
+                dt, reference = new.growth_step(), ref.growth_step(index)
+                assert dt.hex() == reference.dt.hex()
+                ref.apply(reference)
+                truncated += dt < dmax
                 assert solver_state(new) == solver_state(ref)
             assert new.z_total(index) >= 1.0 - fractional.COVER_TOL
         assert truncated >= 2
@@ -939,33 +905,30 @@ class TestBallDistanceCache:
                 assert [f.arcs for f in route.funnels] == list(ball[rid])
 
     def test_ball_searches_once_per_root_and_epoch(self, monkeypatch):
-        counts = dict.fromkeys(["searches", "inits", "roots"], 0)
-        inside = []
+        # every ball search, from a pair's terminal or at a root, goes
+        # through the epoch cache: at most one per side, vertex and
+        # direction in each epoch, however many pairs arrive
+        searches, inits = [], []
         search = fractional.shortest_paths
-        init, build = CompositeSolver.arrival_init, CompositeSolver.__init__
+        init = CompositeSolver.arrival_init
 
-        def counted_search(*args, **kwargs):
-            counts["searches"] += bool(inside)
-            return search(*args, **kwargs)
+        def counted_search(graph, weight, vertex, **kwargs):
+            if inits:
+                solver, made = inits[-1]
+                inits[-1] = solver, made + 1
+                searches.append((id(solver), id(graph), vertex,
+                                 kwargs["backward"]))
+            return search(graph, weight, vertex, **kwargs)
 
         def counted_init(self, pair):
-            inside.append(pair)
-            counts["inits"] += 1
-            try:
-                return init(self, pair)
-            finally:
-                inside.pop()
-
-        def counted_build(self, *args):
-            build(self, *args)
-            counts["roots"] += len(self.roots)
+            inits.append((self, 0))
+            return init(self, pair)
 
         monkeypatch.setattr(fractional, "shortest_paths", counted_search)
         monkeypatch.setattr(CompositeSolver, "arrival_init", counted_init)
-        monkeypatch.setattr(CompositeSolver, "__init__", counted_build)
         run_online(load_instance(star_of_paths(3, 2, k=6, seed=109305)),
                    RunConfig(mode="edge"))
-        # two searches from the pair's terminals per arrival; the rest are
-        # root searches, at most one per root and side in each epoch
-        root_searches = counts["searches"] - 2 * counts["inits"]
-        assert 0 < root_searches <= 2 * counts["roots"]
+        assert searches and len(searches) == len(set(searches))
+        # a pair whose terminals an earlier pair of the epoch shares, and
+        # whose roots it searched, searches nothing
+        assert any(made == 0 for _, made in inits)

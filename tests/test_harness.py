@@ -143,6 +143,42 @@ class TestRunOnline:
         assert epochs(dear) == epochs(base)
         assert dear.online_total == base.online_total
 
+    def test_an_overflowed_epoch_is_never_read_again(self, monkeypatch):
+        # the solver of an epoch that overflowed is dropped: the pipeline
+        # restarts from a fresh one, so the overflowing step may leave its
+        # state past the spend cap
+        overflowed, late = [], []
+        on_arrival, choose = (fractional.CompositeSolver.on_arrival,
+                              harness.choose_root)
+
+        def dropped(solver):
+            return any(solver is old for old in overflowed)
+
+        def recorded_arrival(solver, pair):
+            if dropped(solver):
+                late.append(("on_arrival", pair.index))
+            outcome = on_arrival(solver, pair)
+            if outcome == fractional.ArrivalOutcome.EPOCH_OVERFLOW:
+                overflowed.append(solver)
+            return outcome
+
+        def recorded_choose(solver, tau, pair_index):
+            if dropped(solver):
+                late.append(("choose_root", pair_index))
+            return choose(solver, tau, pair_index)
+
+        monkeypatch.setattr(fractional.CompositeSolver, "on_arrival",
+                            recorded_arrival)
+        monkeypatch.setattr(harness, "choose_root", recorded_choose)
+        inst = load_instance(grid(2, 2, k=3, seed=5))
+        pipeline = OnlinePipeline(inst, RunConfig(mode="edge", kappa=1.0))
+        for pair in inst.pairs:
+            pipeline.process(pair)
+        pipeline.finish()
+        assert overflowed
+        assert not dropped(pipeline.solver)
+        assert late == []
+
     def test_directed_mode_requires_directed_graph(self):
         data = grid(2, 2, k=1, seed=0)
         with pytest.raises(InstanceError):
