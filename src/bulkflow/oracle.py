@@ -4,8 +4,10 @@ Three independent routes to ground truth:
 
 * ``offline_opt`` enumerates bought-edge subsets (branch and bound on the
   buy cost) and routes every pair on its shortest length-path inside the
-  subset. A connectivity prune skips every subtree whose upper set (chosen
-  plus undecided purchases) already cuts some pair off.
+  subset. It keeps each pair's route inside the upper set (chosen plus
+  undecided purchases); the upper sets along a branch are nested, so a
+  route stays exact until its own purchase is excluded. Only then is the
+  pair searched again, and a subtree that cuts some pair off is skipped.
 * ``ss_offline_opt`` solves single-sink instances exactly with a
   terminal-subset dynamic program over collection points, which scales to
   graphs far beyond the subset-enumeration budget (layered expansions).
@@ -31,7 +33,7 @@ from scipy.optimize import linprog
 
 from .errors import BudgetExceeded
 from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
-                    Unreachable, plain_sum, reachable_from, shortest_path)
+                    Unreachable, plain_sum, shortest_path)
 
 VALUE_TOL = 1e-9
 # multi-weight Dijkstra: labels closer than this count as equal
@@ -57,83 +59,96 @@ def _purchase_keys(graph: TwoMetricGraph) -> List[int]:
     return sorted({graph.purchase_key(e) for e in range(graph.m)})
 
 
-def _route_in_subset(graph: TwoMetricGraph, key_of: Sequence[int],
-                     chosen: Set[int], s: int,
-                     t: int) -> Optional[Tuple[Tuple[int, ...], float]]:
-    allowed = lambda e: key_of[e] in chosen
-    try:
-        return shortest_path(graph, graph.l.__getitem__, s, t, allowed=allowed)
-    except Unreachable:
-        return None
-
-
 def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
                 budget: OracleBudget = DEFAULT_BUDGET) -> Tuple[float, SolutionLedger]:
     """Global optimum by exhaustive subset search with buy-cost pruning.
 
     Inside a candidate subset the buying cost is already sunk, so each pair
     routes along its shortest length-path; the candidate's value uses only
-    the purchases those routes actually touch. A subtree is skipped when its
-    upper set (chosen plus undecided purchases) already disconnects a pair:
-    no subset below it can route every pair.
+    the purchases those routes actually touch. The search keeps every pair's
+    route inside its upper set (chosen plus undecided purchases). Along one
+    branch the upper sets are nested, and the search returns the least
+    (length, arc ids) path over the arcs it may use, so a route stays the
+    answer in every smaller upper set that still holds it. Excluding a
+    purchase therefore searches again only for the pairs whose routes use it,
+    and skips the subtree once one of them is cut off; a leaf's upper set is
+    its subset, so its routes are the kept ones.
     """
+    pairs = [p for p in pairs if p.s != p.t]
+    if not pairs:
+        return 0.0, SolutionLedger()
     keys = _purchase_keys(graph)
     if len(keys) > budget.max_edges:
         raise BudgetExceeded(
             f"{len(keys)} purchases exceed the subset budget {budget.max_edges}",
             required=len(keys))
-    pairs = [p for p in pairs if p.s != p.t]
-    if not pairs:
-        return 0.0, SolutionLedger()
 
     key_of = [graph.purchase_key(e) for e in range(graph.m)]
-    full = set(keys)
+    arcs_of: Dict[int, List[int]] = {key: [] for key in keys}
+    for e, key in enumerate(key_of):
+        arcs_of[key].append(e)
+    live = bytearray([1]) * graph.m  # the upper set's arcs
+    allowed = live.__getitem__
+    length = graph.l.__getitem__
+
+    def route(p: TerminalPair) -> Optional[Tuple[Tuple[int, ...], Set[int]]]:
+        """``p``'s shortest length-path over the live arcs and the
+        purchases it uses, or None when they cut ``p`` off."""
+        try:
+            path, _ = shortest_path(graph, length, p.s, p.t, allowed=allowed)
+        except Unreachable:
+            return None
+        return path, {key_of[e] for e in path}
+
+    routes = []
     for p in pairs:
-        if _route_in_subset(graph, key_of, full, p.s, p.t) is None:
+        found = route(p)
+        if found is None:
             raise InfeasibleInstance(f"pair {p.index} ({p.s}->{p.t}) is unreachable")
+        routes.append(found)
 
-    def evaluate(chosen: Set[int]) -> Optional[Tuple[float, SolutionLedger]]:
+    def routed_ledger() -> SolutionLedger:
         ledger = SolutionLedger()
-        for p in pairs:
-            routed = _route_in_subset(graph, key_of, chosen, p.s, p.t)
-            if routed is None:
-                return None
-            ledger.add_path(graph, p.index, routed[0])
-        return ledger.total, ledger
+        for p, (path, _) in zip(pairs, routes):
+            ledger.add_path(graph, p.index, path)
+        return ledger
 
-    best_value, best_ledger = evaluate(full)  # feasible seed bound
+    best_ledger = routed_ledger()  # feasible seed bound
+    best_value = best_ledger.total
     # descending buy cost lets the accumulated-cost prune bite early
     order = sorted(keys, key=lambda key: (-graph.c[key], key))
-    sinks_of: Dict[int, Set[int]] = {}
-    for p in pairs:
-        sinks_of.setdefault(p.s, set()).add(p.t)
-    excluded: Set[int] = set()
-    in_upper = lambda e: key_of[e] not in excluded
 
-    def upper_connects() -> bool:
-        return all(sinks <= reachable_from(graph, s, in_upper)
-                   for s, sinks in sinks_of.items())
-
-    def search(i: int, chosen: Set[int], buy_acc: float) -> None:
+    def search(i: int, buy_acc: float) -> None:
         nonlocal best_value, best_ledger
         if buy_acc >= best_value - VALUE_TOL:
             return
         if i == len(order):
-            result = evaluate(chosen)
-            if result is not None and result[0] < best_value - VALUE_TOL:
-                best_value, best_ledger = result
+            ledger = routed_ledger()
+            if ledger.total < best_value - VALUE_TOL:
+                best_value, best_ledger = ledger.total, ledger
             return
         key = order[i]
-        excluded.add(key)
-        if upper_connects():  # exclude first: cheap subsets early
-            search(i + 1, chosen, buy_acc)
-        excluded.discard(key)
-        # including keeps the parent's upper set, which connects every pair
-        chosen.add(key)
-        search(i + 1, chosen, buy_acc + graph.c[key])
-        chosen.discard(key)
+        arcs = arcs_of[key]
+        for e in arcs:
+            live[e] = 0
+        replaced = []
+        for j, p in enumerate(pairs):
+            if key in routes[j][1]:
+                replaced.append((j, routes[j]))
+                found = route(p)
+                if found is None:
+                    break
+                routes[j] = found
+        else:  # every pair still connects: exclude first, cheap subsets early
+            search(i + 1, buy_acc)
+        for j, kept in replaced:
+            routes[j] = kept
+        for e in arcs:
+            live[e] = 1
+        # including keeps the parent's upper set and its routes
+        search(i + 1, buy_acc + graph.c[key])
 
-    search(0, set(), 0.0)
+    search(0, 0.0)
     return best_value, best_ledger
 
 

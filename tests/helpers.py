@@ -58,6 +58,20 @@ def random_two_metric(rng: random.Random, n: int, m: int,
     return g.freeze()
 
 
+def tie_heavy_graph(rng: random.Random, n: int, m: int,
+                    directed: bool) -> TwoMetricGraph:
+    """Zero lengths, repeated costs and parallel twins, so every tie-break
+    shows; the values are not dyadic, so a changed sum order shows too."""
+    g = TwoMetricGraph(n, directed=directed)
+    for _ in range(m):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v, rng.choice([0.0, 0.1, 0.7, 0.7, 1.3]),
+                   rng.choice([0.0, 0.3, 0.3, 0.1]))
+        if rng.random() < 0.25:
+            g.add_edge(u, v, 0.7, rng.choice([0.0, 0.3]))
+    return g.freeze()
+
+
 def enumerate_simple_paths(adjacency: Dict[int, List[Tuple[int, float]]],
                            start: int, goal: int) -> List[Tuple[List[int], float]]:
     """All simple paths with their weights (vertex-weight style callers

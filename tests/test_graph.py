@@ -10,7 +10,7 @@ from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, shortest_path,
                             shortest_paths, solution_cost, split_node_weights)
 from bulkflow.instance import load_instance
-from helpers import brute_min_node_cost_path, build_graph
+from helpers import brute_min_node_cost_path, build_graph, tie_heavy_graph
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -417,3 +417,68 @@ class TestShortestPaths:
                                    backward=True),
                     shortest_paths(rev, lambda e: g.c[e], 3, goal=goal,
                                    allowed=lambda e: e != banned))
+
+
+def _length_route(g, s, t, live):
+    """``shortest_path`` on lengths over the arcs ``live`` marks, with its
+    weight's bits, or None when ``t`` is cut off."""
+    try:
+        path, w = shortest_path(g, g.l.__getitem__, s, t,
+                                allowed=live.__getitem__)
+    except Unreachable:
+        return None
+    return path, w.hex()
+
+
+def _simple_routes(g, s, t, live):
+    """(left-fold length, arc ids) of every simple path from ``s`` to ``t``
+    over the arcs ``live`` marks."""
+    found = []
+
+    def walk(v, seen, path, w):
+        if v == t:
+            found.append((w, path))
+            return
+        for e in g.out_arcs[v]:
+            if live[e] and g.head[e] not in seen:
+                walk(g.head[e], seen | {g.head[e]}, path + (e,), w + g.l[e])
+
+    walk(s, {s}, (), 0.0)
+    return found
+
+
+class TestRestrictionToASubset:
+    def test_a_route_is_the_answer_in_every_smaller_set_that_holds_it(self):
+        """Purchases leave the arc set one at a time, as they do along one
+        branch of the exact subset search: while the route found in a
+        larger set stays inside, the search in the smaller set returns the
+        same arcs and the same weight bits, the least (length, arc ids)
+        over its simple paths."""
+        ties = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(2, 6)
+            g = tie_heavy_graph(rng, n, rng.randint(n, 2 * n + 2),
+                                directed=seed % 2 == 0)
+            s, t = rng.sample(range(n), 2)
+            key_of = [g.purchase_key(e) for e in range(g.m)]
+            keys = sorted(set(key_of))
+            rng.shuffle(keys)
+            live = bytearray([1]) * g.m
+            route = _length_route(g, s, t, live)
+            for key in keys:
+                if route is None:
+                    break
+                for e in range(g.m):
+                    if key_of[e] == key:
+                        live[e] = 0
+                if any(key_of[e] == key for e in route[0]):
+                    route = _length_route(g, s, t, live)
+                    continue
+                assert _length_route(g, s, t, live) == route
+                simple = _simple_routes(g, s, t, live)
+                w, path = min(simple)
+                assert route == (path, w.hex())
+                ties += sum(other == w for other, _ in simple) > 1
+        # some routes were settled by the arc-id order among equal lengths
+        assert ties > 0

@@ -6,15 +6,18 @@ from dataclasses import replace
 import pytest
 
 from bulkflow import cli, oracle
+from bulkflow import graph as graph_module
 from bulkflow.errors import BudgetExceeded
 from bulkflow.generate import grid, random_digraph, with_penalties
-from bulkflow.graph import TerminalPair, TwoMetricGraph, solution_cost
+from bulkflow.graph import (SolutionLedger, TerminalPair, TwoMetricGraph,
+                            solution_cost)
 from bulkflow.instance import load_instance
 from bulkflow.oracle import (InfeasibleInstance, OracleBudget, exact_opt,
                              junction_opt, lp_lower_bound, offline_opt,
                              offline_opt_prize, ss_offline_opt)
 from helpers import (build_graph, random_two_metric, reference_junction_opt,
-                     reference_offline_opt, reference_ss_offline_opt)
+                     reference_offline_opt, reference_ss_offline_opt,
+                     tie_heavy_graph)
 from test_invariants import ORACLE_PIN_RUNS
 
 # repr of lp_lower_bound on the instances of the penalty-free oracle pin runs
@@ -78,6 +81,20 @@ class TestOfflineOpt:
         with pytest.raises(BudgetExceeded) as exc:
             offline_opt(g, [TerminalPair(0, 0, 1)], OracleBudget(max_edges=4))
         assert exc.value.required > 4
+
+    def test_pairs_with_equal_ends_are_dropped_before_the_budget(self, tmp_path,
+                                                                  capsys):
+        """24 purchases are past the subset budget, but no pair needs any."""
+        data = grid(4, 4, k=1, seed=0)
+        data["pairs"] = [{"s": 3, "t": 3}, {"s": 5, "t": 5}]
+        inst = load_instance(data)
+        assert len({inst.graph.purchase_key(e) for e in range(inst.graph.m)}) == 24
+        assert offline_opt(inst.graph, inst.pairs) == (0.0, SolutionLedger())
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["oracle", "--instance", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "opt": 0.0, "junction_opt": 0.0, "lp_lb": 0.0}
 
     def test_invariant_under_pair_reordering_and_edge_relabeling(self):
         rng = random.Random(4)
@@ -269,19 +286,6 @@ class TestPrizeOracle:
         assert offline_opt_prize(g, pairs) == pytest.approx(1.1 + 2.0)
 
 
-def tie_heavy_graph(rng, n, m, directed):
-    """Zero lengths, repeated costs and parallel twins, so every tie-break
-    shows; the values are not dyadic, so a changed sum order shows too."""
-    g = TwoMetricGraph(n, directed=directed)
-    for _ in range(m):
-        u, v = rng.sample(range(n), 2)
-        g.add_edge(u, v, rng.choice([0.0, 0.1, 0.7, 0.7, 1.3]),
-                   rng.choice([0.0, 0.3, 0.3, 0.1]))
-        if rng.random() < 0.25:
-            g.add_edge(u, v, 0.7, rng.choice([0.0, 0.3]))
-    return g.freeze()
-
-
 def outcome(fn, *args, **kwargs):
     """A result, with ledgers as (value, bought, paths), or the refusal."""
     try:
@@ -392,18 +396,27 @@ class TestPrunedSearchesMatchReference:
 
 
 def test_oracle_work_is_bounded(monkeypatch):
-    """Disconnected subsets are skipped and DP tables are shared: on this
-    instance the unpruned searches make 5,241 route searches and 488
-    Dijkstra runs."""
+    """Each pair's route is kept through the subset search, and DP tables are
+    shared: on this instance the unpruned searches make 5,241 route searches
+    and 488 Dijkstra runs, and a search that tests every excluded purchase
+    for connectivity makes 688 route searches and 809 reachability walks."""
     calls = {"shortest_path": 0, "_multi_weight_dijkstra": 0}
     for name in calls:
         def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(oracle, name, counted)
+    # every reachability walk, however reachable_from is imported
+    calls["walks"] = 0
+    walk = graph_module._traverse
+
+    def counted_walk(*args):
+        calls["walks"] += 1
+        return walk(*args)
+    monkeypatch.setattr(graph_module, "_traverse", counted_walk)
     inst = load_instance(random_digraph(6, 12, 4, seed=3))
     offline_opt(inst.graph, inst.pairs)
-    assert calls["shortest_path"] <= 1000
+    assert calls["shortest_path"] + calls["walks"] <= 400
     junction_opt(inst.graph, inst.pairs)
     # one table per non-empty sub-multiset of the sources and of the sinks
     k = len(inst.pairs)
