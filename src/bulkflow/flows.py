@@ -15,6 +15,13 @@ growth step reads; ``min_cost_flow`` and ``max_flow`` return a
 ``FlowResult``, priced by one rule (the plain sum of ``cost * flow`` over its
 flow dict), whose ``validate`` checks capacities, conservation and cost.
 
+``path_delta`` is ``max_delta`` for two sides that are each one simple path,
+in closed form and with no network: on one path the curve has one
+augmenting path and makes at most one segment, so each side's reachable
+value is its bottleneck cut to the value cap and the budget over its unit
+length, and every arc of a side carries ``delta``. It returns
+``max_delta``'s bits.
+
 A network is built once from its arc columns; afterwards only its
 capacities change (``update_capacities``, which checks each entry as it
 writes a copy and keeps the copy only once all have passed), so a caller
@@ -467,3 +474,67 @@ def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
         sides.append(segments)
     delta = best if best > 0.0 else 0.0
     return delta, _assemble(sides[0], delta), _assemble(sides[1], delta)
+
+
+def _path_amount(capacity: Sequence[float], length: float,
+                 budget: float) -> float:
+    """The value ``cheapest_flow_curve(net, s, t, value_cap=1.0,
+    cost_cap=budget)`` reaches when ``net`` is one simple s-t path with these
+    arc capacities (in any order) and unit length; 0.0 when it makes no
+    segment.
+
+    The path is the only augmenting path, and it exists while every
+    residual is open: the reverse slots lead back towards the source. So the
+    curve makes at most one segment. Its amount is the bottleneck, cut to
+    the value cap and to the budget over the unit length, with the curve's
+    guards and in its order of operations. A bottleneck amount closes its
+    arc, and a value-capped one reaches the cap. A budget-capped one
+    ``budget / length`` below 1 leaves at most about ``2**-52 * budget`` of
+    the budget, which over the length is about ``2**-52`` at most: if the
+    loop runs again, its amount is below ``EPS_CAP`` and it stops.
+    """
+    if not 0.0 < budget - EPS_CAP:
+        return 0.0
+    amount = math.inf
+    for r in capacity:
+        if r <= EPS_CAP:
+            return 0.0
+        if r < amount:
+            amount = r
+    if 1.0 < amount:
+        amount = 1.0
+    if length > FEAS_TOL:
+        rest = budget / length
+        if rest < amount:
+            amount = rest
+    return amount if amount > EPS_CAP else 0.0
+
+
+def path_delta(up_path: Sequence[int], up_caps: Sequence[float],
+               up_len: float, down_path: Sequence[int],
+               down_caps: Sequence[float], down_len: float, budget: float
+               ) -> Tuple[float, Dict[int, float], Dict[int, float]]:
+    """``max_delta`` for two sides that are each one simple path: the same
+    ``(delta, up_rates, down_rates)``, bit for bit, with no network.
+
+    Each side is its arc labels in route order, their capacities in any
+    order and the path's unit length, the left fold of its arc lengths in
+    route order (the sum the residual search forms). An empty path is a side
+    already at its destination: it never binds and carries no flow. Each
+    side's curve is one segment at most (see ``_path_amount``) of at least
+    ``delta``, so ``_assemble`` takes ``delta`` from it: every arc of a path
+    carries ``delta``, keyed in route order.
+    """
+    if not budget >= 0:
+        raise FlowError(f"budget {budget} is negative or NaN")
+    best = 1.0
+    for path, caps, length in ((up_path, up_caps, up_len),
+                               (down_path, down_caps, down_len)):
+        if path:
+            reachable = _path_amount(caps, length, budget)
+            if reachable < best:
+                best = reachable
+    delta = best if best > 0.0 else 0.0
+    if delta <= EPS_CAP:
+        return delta, {}, {}
+    return delta, dict.fromkeys(up_path, delta), dict.fromkeys(down_path, delta)

@@ -44,10 +44,13 @@ State layout: each side's ``_Side`` holds the capacities ``x`` per root,
 starting at ``v0`` on every arc a ball can hold and at 0 on the rest;
 ``CompositeSolver.routes[pair][root]`` is a ``_Route`` holding ``z`` and one
 ``_Funnel`` per side (in ``sides`` order): the arcs of the ball the pair may
-use through the root, its flow on them and their flow network. The network
-holds the rate capacities of a full step for the whole arrival, and a step
+use through the root, its flow on them and their step capacities. Those are
+the rate capacities of a full step for the whole arrival, and a step
 recomputes only the arcs the previous committed step touched (found tight or
-grew), since no other arc's ``x``, flow or tightness moved. Only the pair
+grew), since no other arc's ``x``, flow or tightness moved. A route each of
+whose balls is one simple path (a path route) keeps them in plain lists and
+is solved by ``flows.path_delta``; every other route keeps them in a flow
+network per side and is solved by ``flows.max_delta``. Only the pair
 whose arrival is running steps: an arrival runs to its end before the next
 pair registers, so no other pair's step moves the ``x`` its funnels read.
 A side caches its unfiltered root distances for the epoch, so pairs share
@@ -55,9 +58,9 @@ the ball searches of their roots and of their terminals (the owner rule of
 prize mode searches per pair).
 
 A step solves every root first, since its length depends on every root's
-rate: per root side, the tight set, the dirty capacities (checked by
-``update_capacities`` before any is written) and the joint solve, whose
-networks are labelled by edge id so its flows are the rates. It then
+rate: per root side, the tight set, the dirty capacities (all checked before
+any is written) and the joint solve, whose flows are keyed by edge id, so
+they are the rates. It then
 commits in place, per root and side: the grown ``x`` over
 ``tight | set(rates)``, the set the funnel keeps as its next dirty set, then
 the flows, then ``z``. That set's iteration order fixes the order of the
@@ -100,6 +103,11 @@ ABOVE_CAP_TOL = 1e-9
 # invariant checks: flows against x and conservation at the recorded value
 FLOW_TOL = 1e-7
 INIT_EXPONENT = 5  # starting value of every variable is n ** -INIT_EXPONENT
+# the largest n whose start value n ** -INIT_EXPONENT stays above
+# flows.EPS_CAP (251): at a start value z <= EPS_CAP the joint solve's cost
+# guard (cost below z - EPS_CAP) already fails, every rate is 0 and no pair
+# is ever covered
+MAX_N_SCALE = math.floor(flows.EPS_CAP ** (-1.0 / INIT_EXPONENT))
 MAX_STEPS = 10 ** 6  # growth steps per arrival before it counts as stuck
 
 
@@ -252,13 +260,20 @@ def _growth_factor(c: float, dt: float) -> float:
 
 class _Funnel:
     """A pair's routing through one root on one side: the arcs it may use in
-    id order, its sparse flow on them, and the flow network over them
-    (network arc ``a`` is funnel arc ``a``), built once per epoch: lengths
-    and costs are fixed within an epoch, so each step only updates capacities.
+    id order, its sparse flow on them and the step capacities of those arcs.
 
-    The network's capacities are the step state of the pair's arrival: the
-    rate capacities for a full step of length ``dmax``. An arc's capacity
-    depends only on its own ``x``, flow, tightness and growth factor, and a
+    On a network route the capacities live in a flow network over the arcs
+    (network arc ``a`` is funnel arc ``a``), built once per epoch: lengths
+    and costs are fixed within an epoch, so each step only updates
+    capacities. On a path route, where each funnel of the route is one
+    simple path, no network is built (``net`` is None): ``path`` holds the
+    arcs in route order, ``caps`` their capacities in id order and
+    ``length`` the path's unit length, and ``flows.path_delta`` solves the
+    route.
+
+    The capacities are the step state of the pair's arrival: the rate
+    capacities for a full step of length ``dmax``. An arc's capacity depends
+    only on its own ``x``, flow, tightness and growth factor, and a
     committed step changes ``x`` and the flow only on the edges it found
     tight or grew, so ``dirty`` holds those edges and the next step
     recomputes only their arcs. It holds every arc at first; no other
@@ -266,22 +281,46 @@ class _Funnel:
     """
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float,
-                 ends: Tuple[int, int], flow: Dict[int, float]):
+                 ends: Tuple[int, int], flow: Dict[int, float],
+                 path: Optional[Sequence[int]]):
         self.arcs = arcs
         self.ends = ends  # (source, sink) of the pair's routing
         self.flow = flow  # edge -> flow, confined to the arcs
         self.index = {e: a for a, e in enumerate(arcs)}
-        graph = side.graph
-        # labelled by edge id, so solves return flows keyed by edge
-        self.net = FlowNetwork(graph.n, [graph.tail[e] for e in arcs],
-                               [graph.head[e] for e in arcs],
-                               [0.0] * len(arcs), [side.l[e] for e in arcs],
-                               arcs)
+        self.path = path
+        self.net: Optional[FlowNetwork] = None
+        self.caps: List[float] = []
+        self.length = 0.0
+        if path is not None:
+            self.caps = [0.0] * len(arcs)
+            for e in path:  # a loop, not sum(): see graph.plain_sum
+                self.length += side.l[e]
+        else:
+            graph = side.graph
+            # labelled by edge id, so solves return flows keyed by edge
+            self.net = FlowNetwork(graph.n, [graph.tail[e] for e in arcs],
+                                   [graph.head[e] for e in arcs],
+                                   [0.0] * len(arcs),
+                                   [side.l[e] for e in arcs], arcs)
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
         # replaced, never changed in place: a committed step hands over the
         # set it wrote over
         self.dirty: Set[int] = set(arcs)
+
+    def update_capacities(self, arcs: List[int], caps: List[float]) -> None:
+        """Set the capacity of each funnel arc in ``arcs`` to the entry at
+        the same position of ``caps``; every entry is checked before any is
+        written, so a refused update changes nothing."""
+        if self.net is not None:
+            self.net.update_capacities(arcs, caps)
+            return
+        for cap in caps:
+            if not cap >= 0:
+                raise flows.FlowError(f"capacity {cap} is negative or NaN")
+        path_caps = self.caps
+        for a, cap in zip(arcs, caps):
+            path_caps[a] = cap
 
     def tight(self, x: List[float]) -> Set[int]:
         """Edges whose capacity variable in ``x`` is met by the flow."""
@@ -314,6 +353,10 @@ class CompositeSolver:
                                  f"got {value!r}")
         if n_scale < 2:
             raise ValueError("n_scale must be at least 2")
+        if n_scale > MAX_N_SCALE:
+            raise ValueError(f"n_scale must be at most {MAX_N_SCALE}, got "
+                             f"{n_scale}: a larger one starts every variable "
+                             f"at or below flows.EPS_CAP")
         self.kappa = kappa
         self.dmax = dmax
         self.v0 = float(n_scale) ** (-INIT_EXPONENT)
@@ -380,7 +423,10 @@ class CompositeSolver:
         The seed routes ``v0``
         units along a hop-shortest path inside each funnel, so flows start
         equal to their ``z`` and the inner LP is feasible from the first
-        moment.
+        moment. Every ball arc lies on some route, so a ball that holds no
+        more arcs than its seed path is that path; a route whose balls all
+        are is a path route, kept with its paths in route order and no flow
+        network (see ``_Funnel``).
 
         Returns the eligible root ids, or ``None`` when no root is reachable
         on both sides at all (an empty list: some root is, but the ball holds
@@ -422,6 +468,8 @@ class CompositeSolver:
                 balls.append((side, arcs, ends, path))
             if len(balls) < len(self.sides):
                 continue
+            # a ball as large as its seed path is that path
+            one_path = all(len(path) == len(arcs) for _, arcs, _, path in balls)
             funnels = []
             for side, arcs, ends, path in balls:
                 # a shortest path is simple: each of its arcs carries v0 once
@@ -432,21 +480,21 @@ class CompositeSolver:
                 x = side.x[spec.root_id]
                 if any(f > x[e] + TIGHT_TOL for e, f in flow.items()):
                     raise AssertionError("seed flow exceeded capacity variable")
-                funnels.append(_Funnel(side, arcs, self.dmax, ends, flow))
+                funnels.append(_Funnel(side, arcs, self.dmax, ends, flow,
+                                       path if one_path else None))
             routes[spec.root_id] = _Route(self.v0, tuple(funnels))
         return list(routes) if reachable else None
 
-    def _aux_network(self, side: _Side, rid: int, funnel: _Funnel,
-                     tight: Set[int]) -> FlowNetwork:
-        """The funnel's network with the integrated rate capacities of a full
-        step; network arc ``a`` is funnel arc ``a``.
+    def _step_capacities(self, side: _Side, rid: int, funnel: _Funnel,
+                         tight: Set[int]) -> None:
+        """Bring the funnel's capacities to the integrated rate capacities
+        of a full step.
 
         An edge's admissible flow increment over ``dmax`` is its current
         headroom plus the growth of ``x`` while riding the boundary; the rate
         capacity is that integral divided by ``dmax``. Currently tight edges
         have no headroom and ride from the start. Only the funnel's dirty
-        arcs are recomputed, and ``update_capacities`` checks them all before
-        it writes any.
+        arcs are recomputed, and all are checked before any is written.
         """
         dirty = funnel.dirty
         if dirty:
@@ -468,24 +516,30 @@ class CompositeSolver:
                     if headroom > 0.0:
                         room = headroom
                 caps.append((room + xe * (grow - 1.0)) / dmax)
-            funnel.net.update_capacities(arcs, caps)
+            funnel.update_capacities(arcs, caps)
             funnel.dirty = set()
-        return funnel.net
 
     def _solve_root(self, rid: int, route: _Route
                     ) -> Tuple[float, Tuple[Dict[int, float], ...],
                                Tuple[Set[int], ...]]:
         """Max joint growth rate, per-side flow rates and per-side tight
-        sets for one root; the funnel networks are labelled by edge id, so
-        the flows are the rates."""
+        sets for one root; both solves key their flows by edge id, so the
+        flows are the rates."""
         up, down = self.sides
         up_funnel, down_funnel = route.funnels
         up_tight = up_funnel.tight(up.x[rid])
         down_tight = down_funnel.tight(down.x[rid])
-        delta, up_rates, down_rates = flows.max_delta(
-            self._aux_network(up, rid, up_funnel, up_tight), *up_funnel.ends,
-            self._aux_network(down, rid, down_funnel, down_tight),
-            *down_funnel.ends, route.z)
+        self._step_capacities(up, rid, up_funnel, up_tight)
+        self._step_capacities(down, rid, down_funnel, down_tight)
+        if up_funnel.path is not None:  # a path route: both sides are paths
+            delta, up_rates, down_rates = flows.path_delta(
+                up_funnel.path, up_funnel.caps, up_funnel.length,
+                down_funnel.path, down_funnel.caps, down_funnel.length,
+                route.z)
+        else:
+            delta, up_rates, down_rates = flows.max_delta(
+                up_funnel.net, *up_funnel.ends, down_funnel.net,
+                *down_funnel.ends, route.z)
         return delta, (up_rates, down_rates), (up_tight, down_tight)
 
     def growth_step(self, *, covered: Optional[float] = None) -> float:

@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import BudgetExceeded, InstanceError
-from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
-                         SideGraph)
+from .fractional import (INIT_EXPONENT, MAX_N_SCALE, ArrivalOutcome,
+                         CompositeSolver, PairSpec, RootSpec, SideGraph)
 from .graph import (SolutionLedger, TerminalPair, Unreachable, plain_sum,
                     shortest_path, solution_cost)
 from .instance import Instance, as_int, load_instance
@@ -191,6 +191,12 @@ class OnlinePipeline:
         self.config = config
         self.base = instance.graph
         self.n_scale = max(2, self.base.n)
+        if self.n_scale > MAX_N_SCALE:
+            raise InstanceError(f"the base graph has {self.base.n} vertices; "
+                                f"the online solver runs at most "
+                                f"{MAX_N_SCALE}, since its start value "
+                                f"n ** -{INIT_EXPONENT} must stay above the "
+                                f"flow tolerance")
         self.kappa = (config.kappa if config.kappa is not None
                       else default_kappa(self.n_scale))
         self.k = max(1, len(instance.pairs))

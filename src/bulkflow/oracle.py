@@ -28,9 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-from scipy.optimize import linprog
-
 from .errors import BudgetExceeded
 from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
                     Unreachable, plain_sum, shortest_path)
@@ -381,6 +378,11 @@ def lp_lower_bound(graph: TwoMetricGraph, pairs: Sequence[TerminalPair]) -> floa
     pairs = [p for p in pairs if p.s != p.t]
     if not pairs:
         return 0.0
+    # loaded here, not at import: scipy.optimize alone takes most of a
+    # second and half the memory of a run that never asks for this bound
+    import numpy as np
+    from scipy.optimize import linprog
+
     keys = _purchase_keys(graph)
     key_index = {key: i for i, key in enumerate(keys)}
     nk, m, np_ = len(keys), graph.m, len(pairs)

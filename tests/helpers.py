@@ -1057,12 +1057,26 @@ class ReferenceGrowthStep:
 
 class ReferenceStepSolver(CompositeSolver):
     """``CompositeSolver`` with the reference growth step and arrival loop,
-    in which any registered pair may step."""
+    in which any registered pair may step. Every funnel, one path or not,
+    gets a flow network of its own over its arcs in id order, so the
+    reference reads nothing of the solver's own step state but ``dirty``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # the pair whose funnels keep their step state (see _Funnel)
         self._stepping: Optional[int] = None
+        # funnel -> its reference network (network arc a is funnel arc a)
+        self._nets: Dict[_Funnel, FlowNetwork] = {}
+
+    def _reference_network(self, side: _Side, funnel: _Funnel) -> FlowNetwork:
+        net = self._nets.get(funnel)
+        if net is None:
+            graph, arcs = side.graph, funnel.arcs
+            net = self._nets[funnel] = FlowNetwork(
+                graph.n, [graph.tail[e] for e in arcs],
+                [graph.head[e] for e in arcs], [0.0] * len(arcs),
+                [side.l[e] for e in arcs])
+        return net
 
     def _hold_step_state(self, pair_index: int) -> None:
         """Let ``pair_index``'s funnels keep step state; the previous pair's
@@ -1101,9 +1115,10 @@ class ReferenceStepSolver(CompositeSolver):
                     if headroom > 0.0:
                         room = headroom
                 changes.append((a, (room + x[e] * (grow - 1.0)) / dmax))
-        reference_step_update_capacities(funnel.net, changes)
+        net = self._reference_network(side, funnel)
+        reference_step_update_capacities(net, changes)
         funnel.dirty.clear()
-        return funnel.net
+        return net
 
     def _solve_root(self, rid: int, route: _Route) -> ReferenceRootStep:
         """Max joint growth rate and flow pattern for one root."""

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 import bulkflow.flows as flows
 from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, FlowResult,
                             InfeasibleFlow, cheapest_flow_curve, max_delta,
-                            max_flow, min_cost_flow)
+                            max_flow, min_cost_flow, path_delta)
 from bulkflow.generate import grid
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
@@ -229,9 +229,9 @@ class TestReplay:
         assert len(curve_bits(reused, 0, 2, 2.0, math.inf)) == 2
 
     def test_replay_skips_most_searches_on_a_default_run(self, monkeypatch):
-        counts = {"searches": 0, "augmentations": 0}
+        counts = {"searches": 0, "augmentations": 0, "path segments": 0}
         search = flows.FlowNetwork._shortest_path
-        curve = flows.cheapest_flow_curve
+        curve, path_amount = flows.cheapest_flow_curve, flows._path_amount
 
         def counted_search(self, *args):
             counts["searches"] += 1
@@ -242,12 +242,20 @@ class TestReplay:
             counts["augmentations"] += len(segments)
             return segments
 
+        def counted_path_amount(*args):
+            amount = path_amount(*args)
+            counts["path segments"] += amount > 0.0  # one segment at most
+            return amount
+
         monkeypatch.setattr(flows.FlowNetwork, "_shortest_path",
                             counted_search)
         monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
+        monkeypatch.setattr(flows, "_path_amount", counted_path_amount)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
+        # path routes augment without a network; the rest search
+        assert counts["augmentations"] == 1075
+        assert counts["augmentations"] + counts["path segments"] == 1439
         # without replay every augmentation needs its own search
-        assert counts["augmentations"] == 1439
         assert counts["searches"] * 10 < counts["augmentations"]
 
 
@@ -407,7 +415,7 @@ class TestEndpoints:
         # in a child process, since an unchecked -1 indexes the last node
         # and the walk back to the source may never end; flows.py and the
         # graph.py it imports are loaded without the package's __init__
-        # (which imports scipy) and the child's memory is capped, so a loop
+        # (and all it imports) and the child's memory is capped, so a loop
         # ends in a failure
         code = "\n".join([
             "import resource, sys, types",
@@ -770,14 +778,22 @@ class TestFusedSolve:
             self, monkeypatch):
         # the per-layer counters read these seams: flows.curves counts
         # cheapest_flow_curve calls, flows.augmentations their segments
-        curves, solves, made = [], [], []
+        # path routes go through path_delta and _path_amount instead, which
+        # make no FlowSegment and one segment per side at most
+        curves, path_curves, solves, made = [], [], [], []
         curve, solve, segment = (flows.cheapest_flow_curve, flows.max_delta,
                                  flows.FlowSegment)
+        path_amount, path_solve = flows._path_amount, flows.path_delta
 
         def counted_curve(net, source, sink, **caps):
             segments = curve(net, source, sink, **caps)
             curves.append((source, sink, len(segments)))
             return segments
+
+        def counted_path_amount(*args):
+            amount = path_amount(*args)
+            path_curves.append(int(amount > 0.0))
+            return amount
 
         def counted_solve(*args):
             before = len(curves)
@@ -786,18 +802,139 @@ class TestFusedSolve:
             solves.append((len(curves) - before, moving))
             return result
 
+        def counted_path_solve(*args):
+            before = len(path_curves)
+            result = path_solve(*args)
+            moving = bool(args[0]) + bool(args[3])
+            solves.append((len(path_curves) - before, moving))
+            return result
+
         def counted_segment(*args):
             made.append(args)
             return segment(*args)
 
         monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
+        monkeypatch.setattr(flows, "_path_amount", counted_path_amount)
         monkeypatch.setattr(flows, "FlowSegment", counted_segment)
         monkeypatch.setattr(flows, "max_delta", counted_solve)
+        monkeypatch.setattr(flows, "path_delta", counted_path_solve)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
-        assert solves and all(calls == moving for calls, moving in solves)
+        assert curves and path_curves
+        assert all(calls == moving for calls, moving in solves)
         assert all(source != sink for source, sink, _ in curves)
         # one segment per augmentation, and none dropped
-        assert sum(count for _, _, count in curves) == len(made) == 1439
+        assert sum(count for _, _, count in curves) == len(made) == 1075
+        assert len(made) + sum(path_curves) == 1439
+
+
+PATH_CAPACITIES = [0.0, EPS_CAP / 2, EPS_CAP, 2 * EPS_CAP, 1e-6, 0.25, 0.5,
+                   1.0, 1.5, math.inf, math.inf, 2.0]
+PATH_LENGTHS = [0.0, flows.FEAS_TOL / 4, 0.1, 0.75]
+PATH_BUDGETS = [0.0, EPS_CAP / 2, EPS_CAP, 2 * EPS_CAP, 0.3, 1.0, 2.5,
+                math.inf]
+
+
+def path_side(rng: random.Random, hops: int, length_scale: float = 1.0):
+    """One simple path as a network over its arcs in id order, labelled, and
+    ``path_delta``'s view of it: labels in route order, capacities in id
+    order and the left fold of the lengths in route order. Neither the route
+    vertices nor the labels are in id order; zero hops is an empty side."""
+    nodes = rng.sample(range(2 * hops + 2), hops + 1)
+    labels = rng.sample(range(10 * hops + 10), hops)
+    caps = [rng.choice(PATH_CAPACITIES) for _ in labels]
+    lengths = [rng.choice(PATH_LENGTHS) * length_scale for _ in labels]
+    by_id = sorted(range(hops), key=labels.__getitem__)
+    net = FlowNetwork(2 * hops + 2, [nodes[i] for i in by_id],
+                      [nodes[i + 1] for i in by_id], [caps[i] for i in by_id],
+                      [lengths[i] for i in by_id], [labels[i] for i in by_id])
+    length = 0.0
+    for piece in lengths:
+        length += piece
+    return (net, (nodes[0], nodes[-1]),
+            (labels, [caps[i] for i in by_id], length))
+
+
+class TestPathDelta:
+    """``path_delta`` returns ``max_delta``'s bits on sides that are each
+    one simple path, with no network."""
+
+    def test_matches_max_delta_on_path_networks_bit_for_bit(self):
+        seen = dict.fromkeys(["zero", "one", "budget binds", "capacity binds",
+                              "empty side", "short length"], 0)
+        for seed in range(3000):
+            rng = random.Random(seed)
+            # one run in three has long paths and a budget that binds near
+            # their length, where a float residue of the budget can bring
+            # the curve's loop round again
+            scale = 1.0 if seed % 3 else rng.uniform(1e4, 1e6)
+            sides = [path_side(rng, rng.choice([0, 1, 1, 2, 3]), scale)
+                     for _ in range(2)]
+            budget = (rng.choice(PATH_BUDGETS) if seed % 3
+                      else rng.uniform(0.05, 0.75) * scale)
+            (up_net, up_ends, up), (down_net, down_ends, down) = sides
+            delta, up_rates, down_rates = path_delta(*up, *down, budget)
+            ref_delta, ref_up, ref_down = max_delta(
+                up_net, *up_ends, down_net, *down_ends, budget)
+            assert delta.hex() == ref_delta.hex()
+            assert rate_bits(up_rates) == rate_bits(ref_up)
+            assert rate_bits(down_rates) == rate_bits(ref_down)
+            for net, (s, t), (labels, caps, length) in sides:
+                if not labels:
+                    seen["empty side"] += 1
+                    continue
+                # the curve makes one segment at most, of _path_amount's value
+                segments = cheapest_flow_curve(net, s, t, value_cap=1.0,
+                                               cost_cap=budget)
+                amount = flows._path_amount(caps, length, budget)
+                assert [seg.amount.hex() for seg in segments] == (
+                    [amount.hex()] if amount > 0.0 else [])
+                seen["short length"] += 0.0 < length <= flows.FEAS_TOL
+            if delta in (0.0, 1.0):
+                seen["zero" if delta == 0.0 else "one"] += 1
+            elif any(labels and length > flows.FEAS_TOL
+                     and delta == budget / length
+                     for _, _, (labels, _, length) in sides):
+                seen["budget binds"] += 1
+            else:
+                seen["capacity binds"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_a_budget_residue_brings_the_loop_round_without_a_segment(self):
+        # the one segment spends the budget but for a float residue above
+        # EPS_CAP, so the curve searches again; the residue over the length
+        # is below EPS_CAP, so it makes no second segment
+        length, budget = 328033.351, 202676.415
+        assert length * (budget / length) < budget - EPS_CAP
+        searches = []
+        net = FlowNetwork(2, [0], [1], [math.inf], [length])
+        search = net._shortest_path
+        net._shortest_path = lambda *args: searches.append(1) or search(*args)
+        segments = cheapest_flow_curve(net, 0, 1, value_cap=1.0,
+                                       cost_cap=budget)
+        assert len(searches) == 2 and len(segments) == 1
+        free = FlowNetwork(2, [0], [1], [math.inf], [0.0])
+        delta, up_rates, down_rates = path_delta([7], [math.inf], length,
+                                                 [3], [math.inf], 0.0, budget)
+        ref_delta, *ref_rates = max_delta(net, 0, 1, free, 0, 1, budget)
+        assert delta.hex() == ref_delta.hex() == (budget / length).hex()
+        assert up_rates == {7: delta} and down_rates == {3: delta}
+        assert [list(rates.values()) for rates in ref_rates] == [[delta]] * 2
+
+    def test_a_side_at_its_destination_never_binds(self):
+        rng = random.Random(5)
+        net, ends, (labels, caps, length) = path_side(rng, 2)
+        caps[:] = [0.5, 0.75]  # in id order, as the network's arcs
+        net.update_capacities([0, 1], caps)
+        for budget in (0.0, 1.0):
+            assert path_delta([], [], 0.0, labels, caps, length, budget) == (
+                max_delta(FlowNetwork(1, [], [], [], []), 0, 0, net, *ends,
+                          budget))
+        assert path_delta([], [], 0.0, [], [], 0.0, 0.0) == (1.0, {}, {})
+
+    def test_negative_or_nan_budget_is_refused(self):
+        for budget in (-1.0, -math.inf, math.nan):
+            with pytest.raises(FlowError, match="negative or NaN"):
+                path_delta([1], [1.0], 0.5, [2], [1.0], 0.5, budget)
 
 
 def trail_bits(net: FlowNetwork):

@@ -1,4 +1,4 @@
-import itertools
+import hashlib
 import math
 import os
 import random
@@ -414,6 +414,61 @@ class TestSinglePathCalibration:
         assert t == pytest.approx(L * math.log(1 / z0), rel=0.05)
 
 
+class TestPathRoutes:
+    """A route whose funnels are each one simple path keeps its capacities
+    in a list and is solved by ``flows.path_delta``, without a network."""
+
+    def test_single_path_route_has_no_network(self):
+        up, down, roots, pair = single_path_instance(n_edges=3)
+        solver = make_solver(up, down, roots,
+                             guess=route_cost(up, down, *roots, pair))
+        solver.arrival_init(pair)
+        funnels = solver.routes[0][0].funnels
+        assert [f.net for f in funnels] == [None, None]
+        assert [list(f.path) for f in funnels] == [[0, 1, 2], [0]]
+        # the unit length is the left fold along the route
+        l = solver.up.l
+        assert funnels[0].length == (l[0] + l[1]) + l[2]
+        assert funnels[1].length == solver.down.l[0]
+
+    def test_refused_capacities_change_nothing(self):
+        up, down, roots, pair = single_path_instance(n_edges=3)
+        solver = make_solver(up, down, roots,
+                             guess=route_cost(up, down, *roots, pair))
+        solver.arrival_init(pair)
+        funnel = solver.routes[0][0].funnels[0]
+        funnel.update_capacities([0, 2], [0.5, 0.25])
+        assert funnel.caps == [0.5, 0.0, 0.25]
+        for bad in (-1.0, math.nan):
+            with pytest.raises(flows.FlowError, match="negative or NaN"):
+                funnel.update_capacities([1, 0], [0.75, bad])
+            assert funnel.caps == [0.5, 0.0, 0.25]
+
+    # sha256 of the report, LP trace and assignment trace of the h = 1 edge
+    # run below, as the solve through two flow networks per root gave them
+    H1_EDGE_DIGESTS = (
+        "914af3ff136449d4744c726a7ebcf3f1f8c317cb60c3d1c47a5ab7f43dd6b6e5",
+        "16700a63d820104579b1a65eb26653517afdcd2f54eae1af29089823f543f0b0",
+        "573d6404791cb08914f52834b05d6f1dee8269b220567055373e7e1df6ace195")
+
+    def test_h1_edge_run_builds_no_flow_network(self, monkeypatch):
+        # at h = 1 every ball is one layer arc, so every route is a path
+        # route: no network is built, and the reports keep their bits
+        built, solved = [], []
+        network, path_delta = fractional.FlowNetwork, flows.path_delta
+        monkeypatch.setattr(fractional, "FlowNetwork",
+                            lambda *args: built.append(args) or network(*args))
+        monkeypatch.setattr(flows, "path_delta",
+                            lambda *args: solved.append(args)
+                            or path_delta(*args))
+        report = run_online(load_instance(grid(2, 3, k=4, seed=11)),
+                            RunConfig(mode="edge", seed=0, h=1, dmax=0.4))
+        assert solved and not built
+        assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+            report.to_csv(), report.lp_trace_csv(),
+            report.assignment_trace_csv())) == self.H1_EDGE_DIGESTS
+
+
 class TestPipelineShapes:
     def test_strongly_connected_base_makes_every_root_eligible(self):
         from bulkflow.layering import build_layered
@@ -530,17 +585,30 @@ class TestFunnel:
             eligible = solver.arrival_init(pair)
             assert eligible == list(ball)
             routes = solver.routes[index]
-            for rid, i in itertools.product(eligible, range(2)):
-                side, arcs = solver.sides[i], ball[rid][i]
-                funnel = routes[rid].funnels[i]
-                assert funnel.arcs == arcs
-                assert funnel.net.m == len(arcs)
-                # the seed is the hop-shortest path inside the ball
-                path, _ = shortest_path(side.graph, lambda e: 1.0,
-                                        *funnel.ends, set(arcs).__contains__)
-                assert funnel.flow == dict.fromkeys(path, solver.v0)
-                compared += 1
-                shrunk += len(arcs) < len(usable_arcs(side, pair))
+            for rid in eligible:
+                paths = []
+                for i, funnel in enumerate(routes[rid].funnels):
+                    side, arcs = solver.sides[i], ball[rid][i]
+                    assert funnel.arcs == arcs
+                    # the seed is the hop-shortest path inside the ball
+                    path, _ = shortest_path(side.graph, lambda e: 1.0,
+                                            *funnel.ends,
+                                            set(arcs).__contains__)
+                    assert funnel.flow == dict.fromkeys(path, solver.v0)
+                    paths.append(path)
+                    compared += 1
+                    shrunk += len(arcs) < len(usable_arcs(side, pair))
+                # a route each of whose balls is its seed path has no
+                # network; every other route has one per side
+                one_path = all(len(path) == len(funnel.arcs) for path, funnel
+                               in zip(paths, routes[rid].funnels))
+                for path, funnel in zip(paths, routes[rid].funnels):
+                    if one_path:
+                        assert funnel.net is None and funnel.path == path
+                        assert len(funnel.caps) == len(funnel.arcs)
+                    else:
+                        assert funnel.path is None
+                        assert funnel.net.m == len(funnel.arcs)
         assert shrunk and compared
 
     def test_directed_funnels_stay_in_their_root_tree(self):
@@ -638,21 +706,24 @@ class TestStepState:
     ])
     def test_step_capacities_match_a_fresh_recomputation(self, mode, make,
                                                          monkeypatch):
-        aux = CompositeSolver._aux_network
+        step_capacities = CompositeSolver._step_capacities
         checked = []
 
-        def checked_aux(self, side, rid, funnel, tight):
-            net = aux(self, side, rid, funnel, tight)
+        def checked_step_capacities(self, side, rid, funnel, tight):
+            step_capacities(self, side, rid, funnel, tight)
             expected = reference_step_capacities(side, rid, funnel, tight,
                                                  self.dmax)
-            assert ([cap.hex() for cap in net.capacity]
+            # a path funnel keeps its capacities in a list, in id order
+            capacity = funnel.caps if funnel.net is None else funnel.net.capacity
+            assert ([cap.hex() for cap in capacity]
                     == [cap.hex() for cap in expected])
-            checked.append(len(net.capacity))
-            return net
+            checked.append(funnel.net is None)
 
-        monkeypatch.setattr(CompositeSolver, "_aux_network", checked_aux)
+        monkeypatch.setattr(CompositeSolver, "_step_capacities",
+                            checked_step_capacities)
         run_online(load_instance(make()), RunConfig(mode=mode))
         assert len(checked) > 100
+        assert any(checked)  # some funnels are paths, with no network
 
     @pytest.mark.parametrize("seed", range(5))
     def test_mixed_steps_match_a_solver_that_recomputes_every_arc(self, seed):

@@ -2,14 +2,19 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import bulkflow
 from bulkflow import cli, fractional, harness
 from bulkflow.errors import InstanceError
+from bulkflow.flows import EPS_CAP
 from bulkflow.generate import (adversarial_order, generate, grid,
                                random_digraph, star_of_paths, with_penalties,
                                _greedy_dispatch_cost)
@@ -20,7 +25,7 @@ from bulkflow.instance import dump_instance, load_instance
 from bulkflow.prize import settle
 from bulkflow.rounding import Assignment
 from bulkflow.single_sink import GreedySingleSink
-from helpers import assert_forest_routes_cross_their_root
+from helpers import assert_forest_routes_cross_their_root, build_graph
 
 
 def run(data, mode="edge", seed=0, **kw):
@@ -425,6 +430,67 @@ class TestExperiment(object):
         assert errors[3] == "g: seed must be an integer, got 1.7"
         assert errors[4] == "g: oracle must be true or false, got 'false'"
         assert errors[5] == "g: dmax must be a finite number > 0, got '0.4'"
+
+
+class TestVertexLimit:
+    """Past ``fractional.MAX_N_SCALE`` base vertices the start value is a
+    saturated rate and no pair would ever be covered, so such an instance
+    is refused before any expansion is built."""
+
+    def test_the_limit_is_the_last_n_whose_start_value_is_open(self):
+        limit = fractional.MAX_N_SCALE
+        assert limit == 251
+        exponent = -fractional.INIT_EXPONENT
+        assert float(limit) ** exponent > EPS_CAP >= float(limit + 1) ** exponent
+
+    def test_252_vertices_are_refused_at_once_and_251_run(self, monkeypatch):
+        built = []
+        build = harness.build_expansions
+        monkeypatch.setattr(harness, "build_expansions",
+                            lambda *args: built.append(args) or build(*args))
+        config = RunConfig(mode="edge", h=1, dmax=0.4)
+        start = time.perf_counter()
+        with pytest.raises(InstanceError, match="at most 251"):
+            OnlinePipeline(load_instance(random_digraph(252, 756, 1, seed=3)),
+                           config)
+        assert time.perf_counter() - start < 1.0 and not built
+        report = run(random_digraph(251, 753, 1, seed=3), h=1, dmax=0.4)
+        assert [a.outcome for a in report.arrivals] == [Assignment.ASSIGNED]
+
+    def test_solver_refuses_a_larger_scale(self):
+        side = fractional.SideGraph(build_graph(2, [(0, 1, 1.0, 1.0)]),
+                                    upward=True)
+        with pytest.raises(ValueError, match="at most 251"):
+            fractional.CompositeSolver(side, side, [], 252, 1.0, 1.0, 0.05)
+
+    def test_cli_exit_code_2(self, tmp_path):
+        inst = tmp_path / "big.json"
+        dump_instance(random_digraph(252, 756, 1, seed=3), inst)
+        result = subprocess.run(
+            [sys.executable, "-m", "bulkflow.cli", "run", "--instance",
+             str(inst), "--mode", "edge", "--h", "1"],
+            capture_output=True, text=True)
+        assert result.returncode == 2
+        assert "at most 251" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_run_does_not_load_the_lp_solver(tmp_path):
+    # scipy.optimize serves only the LP bound of ``bulkflow oracle``
+    inst = tmp_path / "inst.json"
+    dump_instance(grid(2, 2, k=2, seed=1), inst)
+    script = textwrap.dedent(f"""
+        import sys
+        import bulkflow
+        from bulkflow import cli
+        status = cli.main(["run", "--instance", {str(inst)!r}, "--mode",
+                           "edge", "--oracle", "-o", {str(tmp_path / "r.csv")!r}])
+        print(status, "scipy.optimize" in sys.modules)
+    """)
+    src = str(Path(bulkflow.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.split() == ["0", "False"], result.stderr
 
 
 class TestCli:
