@@ -15,20 +15,18 @@ growth step reads; ``min_cost_flow`` and ``max_flow`` return a
 ``FlowResult``, priced by one rule (the plain sum of ``cost * flow`` over its
 flow dict), whose ``validate`` checks capacities, conservation and cost.
 
-``path_delta`` is ``max_delta`` for two sides that are each one simple path,
-in closed form and with no network: on one path the curve has one
-augmenting path and makes at most one segment, so each side's reachable
-value is its bottleneck cut to the value cap and the budget over its unit
-length, and every arc of a side carries ``delta``. It returns
-``max_delta``'s bits.
+Each side of ``max_delta`` is a ``FlowNetwork`` or a ``FlowPath`` (one
+simple path). On one path the curve makes at most one segment, so a path
+side's value is its bottleneck cut to the value cap and the budget over its
+unit length, and every arc carries ``delta``: the curve's bits, written down.
 
-A network is built once from its arc columns; afterwards only its
-capacities change (``update_capacities``, which checks each entry as it
-writes a copy and keeps the copy only once all have passed), so a caller
-that solves the same arcs repeatedly builds nothing per solve. Arcs may
-carry labels, which key the segments and flows a solve returns, so a
-caller whose arcs stand for other ids reads its flows without a rebuild.
-Its residual slots are built with it, over its own node numbering: the nodes that end some arc, numbered
+A network or path is built once from its arcs; afterwards only its
+capacities change (``update_capacities``, which checks every entry before
+it writes any in place), so a caller that solves the same arcs repeatedly
+builds nothing per solve. Arcs may carry labels, which key the segments and
+flows a solve returns, so a caller whose arcs stand for other ids reads its
+flows without a rebuild. A network's residual slots are built with it, over
+its own node numbering: the nodes that end some arc, numbered
 ``0..k-1`` in id order. The numbering keeps the id order, so the search's
 heap ties and adjacency order are those of the ids, and a search touches
 only the nodes of the network's arcs, however large the id range. A source
@@ -152,24 +150,16 @@ class FlowNetwork:
     def update_capacities(self, arcs: Sequence[int],
                           capacities: Sequence[float]) -> None:
         """Set the capacity of each arc in ``arcs`` to the one at the same
-        position of ``capacities``; the other arcs keep theirs. Each entry is
-        checked as it is written to a copy, which replaces the capacities
-        only once all have passed, so a refused update changes nothing."""
-        if len(arcs) != len(capacities):
-            raise FlowError(f"{len(arcs)} arcs but {len(capacities)} "
-                            f"capacities")
-        capacity, closed = self.capacity[:], self._closed
-        m = len(capacity)
+        position of ``capacities``; the other arcs keep theirs. Every entry
+        is checked before any is written, so a refused update changes
+        nothing."""
+        capacity, closed = self.capacity, self._closed
+        _check_update(arcs, capacities, len(capacity))
         for a, cap in zip(arcs, capacities):
-            if not 0 <= a < m:
-                raise FlowError(f"arc {a} out of range")
-            if not cap >= 0:
-                raise FlowError(f"capacity {cap} is negative or NaN")
             # an arc that opens or closes changes the replay's first key
             if closed is not None and (capacity[a] <= EPS_CAP) != (cap <= EPS_CAP):
                 closed = None
             capacity[a] = float(cap)
-        self.capacity = capacity
         self._closed = closed
 
     def closed_arcs(self) -> Tuple[int, ...]:
@@ -226,6 +216,52 @@ class FlowNetwork:
         for s in path:
             unit_cost += cost[s]
         return path, unit_cost
+
+
+class FlowPath:
+    """A nonempty simple path of arc labels ``route``, in route order, with
+    their unit costs; ``max_delta`` solves it in closed form. ``length`` is
+    the left fold of the costs in route order (the residual search's sum).
+    ``capacity[a]`` (zero at first) is that of the ``a``-th label in
+    increasing order (a funnel's id order); only ``update_capacities``
+    changes it.
+    """
+
+    def __init__(self, route: Sequence[int], cost: Sequence[float]):
+        if not route or not len(set(route)) == len(route) == len(cost):
+            raise FlowError(f"a flow path needs distinct labels, at least "
+                            f"one, and a cost each: got {len(route)} labels "
+                            f"and {len(cost)} costs")
+        length = 0.0  # a loop, not sum(): see graph.plain_sum
+        for c in cost:
+            if not 0 <= c < math.inf:
+                raise FlowError(f"unit cost {c} is negative or not finite")
+            length += c
+        self.route: Tuple[int, ...] = tuple(route)
+        self.m = len(route)
+        self.capacity: List[float] = [0.0] * self.m
+        self.length = length
+
+    def update_capacities(self, arcs: Sequence[int],
+                          capacities: Sequence[float]) -> None:
+        """``FlowNetwork.update_capacities`` for the path's arcs."""
+        capacity = self.capacity
+        _check_update(arcs, capacities, len(capacity))
+        for a, cap in zip(arcs, capacities):
+            capacity[a] = float(cap)
+
+
+def _check_update(arcs: Sequence[int], capacities: Sequence[float],
+                  m: int) -> None:
+    """Refuse a capacity update of ``m`` arcs unless every entry is valid."""
+    if len(arcs) != len(capacities):
+        raise FlowError(f"{len(arcs)} arcs but {len(capacities)} capacities")
+    for a in arcs:
+        if not 0 <= a < m:
+            raise FlowError(f"arc {a} out of range")
+    for cap in capacities:
+        if not cap >= 0:
+            raise FlowError(f"capacity {cap} is negative or NaN")
 
 
 @dataclass(slots=True)
@@ -440,16 +476,22 @@ def max_flow(net: FlowNetwork, source: int, sink: int,
     return _priced(net, value, _assemble(segments, value))
 
 
-def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
-              down_net: FlowNetwork, down_source: int, down_sink: int,
-              budget: float) -> Tuple[float, Dict[int, float], Dict[int, float]]:
+def max_delta(up_net: FlowNetwork | FlowPath, up_source: int, up_sink: int,
+              down_net: FlowNetwork | FlowPath, down_source: int,
+              down_sink: int, budget: float
+              ) -> Tuple[float, Dict[int, float], Dict[int, float]]:
     """Largest common value routable on both sides within the length budget.
 
-    Finds the maximum ``delta`` in [0, 1] such that each network admits a
+    Finds the maximum ``delta`` in [0, 1] such that each side admits a
     flow of value ``delta`` whose cheapest cost is at most ``budget``, and
     returns ``(delta, up_flow, down_flow)``: the two certifying cheapest
     flows, keyed by arc label. Disconnected sides yield ``delta = 0`` with
     empty flows.
+
+    A network side runs the curve and ``_assemble``. A ``FlowPath`` side
+    (its ends are not read) takes the curve's one segment in closed form,
+    and ``_assemble`` would take ``delta`` from it for each arc in route
+    order.
     """
     if not budget >= 0:
         raise FlowError(f"budget {budget} is negative or NaN")
@@ -457,23 +499,33 @@ def max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
     sides = []
     for net, s, t in ((up_net, up_source, up_sink),
                       (down_net, down_source, down_sink)):
-        if s == t:  # a side that is already at its destination never binds
+        if isinstance(net, FlowPath):
+            reachable = _path_amount(net.capacity, net.length, budget)
+            sides.append(net)
+        elif s == t:  # a side already at its destination never binds
             _check_ends(net, s, t)
             sides.append([])
             continue
-        segments = cheapest_flow_curve(net, s, t, value_cap=1.0, cost_cap=budget)
-        # The curve caps each amount at (budget - cost so far) / unit_cost,
-        # so every segment fits the budget whole and the value reachable
-        # within it is the plain sum of the amounts (a loop: see
-        # graph.plain_sum).
-        reachable = 0.0
-        for seg in segments:
-            reachable += seg.amount
+        else:
+            segments = cheapest_flow_curve(net, s, t, value_cap=1.0,
+                                           cost_cap=budget)
+            # each amount is capped to fit the budget: a plain sum (a loop,
+            # see graph.plain_sum) is the value reachable within it
+            reachable = 0.0
+            for seg in segments:
+                reachable += seg.amount
+            sides.append(segments)
         if reachable < best:
             best = reachable
-        sides.append(segments)
     delta = best if best > 0.0 else 0.0
-    return delta, _assemble(sides[0], delta), _assemble(sides[1], delta)
+    if delta <= EPS_CAP:  # _assemble takes nothing
+        return delta, {}, {}
+    up, down = sides
+    return (delta,
+            dict.fromkeys(up.route, delta) if isinstance(up, FlowPath)
+            else _assemble(up, delta),
+            dict.fromkeys(down.route, delta) if isinstance(down, FlowPath)
+            else _assemble(down, delta))
 
 
 def _path_amount(capacity: Sequence[float], length: float,
@@ -509,32 +561,3 @@ def _path_amount(capacity: Sequence[float], length: float,
             amount = rest
     return amount if amount > EPS_CAP else 0.0
 
-
-def path_delta(up_path: Sequence[int], up_caps: Sequence[float],
-               up_len: float, down_path: Sequence[int],
-               down_caps: Sequence[float], down_len: float, budget: float
-               ) -> Tuple[float, Dict[int, float], Dict[int, float]]:
-    """``max_delta`` for two sides that are each one simple path: the same
-    ``(delta, up_rates, down_rates)``, bit for bit, with no network.
-
-    Each side is its arc labels in route order, their capacities in any
-    order and the path's unit length, the left fold of its arc lengths in
-    route order (the sum the residual search forms). An empty path is a side
-    already at its destination: it never binds and carries no flow. Each
-    side's curve is one segment at most (see ``_path_amount``) of at least
-    ``delta``, so ``_assemble`` takes ``delta`` from it: every arc of a path
-    carries ``delta``, keyed in route order.
-    """
-    if not budget >= 0:
-        raise FlowError(f"budget {budget} is negative or NaN")
-    best = 1.0
-    for path, caps, length in ((up_path, up_caps, up_len),
-                               (down_path, down_caps, down_len)):
-        if path:
-            reachable = _path_amount(caps, length, budget)
-            if reachable < best:
-                best = reachable
-    delta = best if best > 0.0 else 0.0
-    if delta <= EPS_CAP:
-        return delta, {}, {}
-    return delta, dict.fromkeys(up_path, delta), dict.fromkeys(down_path, delta)

@@ -47,12 +47,12 @@ starting at ``v0`` on every arc a ball can hold and at 0 on the rest;
 use through the root, its flow on them and their step capacities. Those are
 the rate capacities of a full step for the whole arrival, and a step
 recomputes only the arcs the previous committed step touched (found tight or
-grew), since no other arc's ``x``, flow or tightness moved. A route each of
-whose balls is one simple path (a path route) keeps them in plain lists and
-is solved by ``flows.path_delta``; every other route keeps them in a flow
-network per side and is solved by ``flows.max_delta``. Only the pair
-whose arrival is running steps: an arrival runs to its end before the next
-pair registers, so no other pair's step moves the ``x`` its funnels read.
+grew), since no other arc's ``x``, flow or tightness moved. A funnel keeps
+them in a ``flows.FlowPath`` when its ball is one simple path and in a flow
+network otherwise, and ``flows.max_delta`` solves every route, choosing the
+closed form per side. Only the pair whose arrival is running steps: an
+arrival runs to its end before the next pair registers, so no other pair's
+step moves the ``x`` its funnels read.
 A side caches its unfiltered root distances for the epoch, so pairs share
 the ball searches of their roots and of their terminals (the owner rule of
 prize mode searches per pair).
@@ -81,7 +81,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import flows
 from .errors import StepLimitExceeded
-from .flows import FlowNetwork
+from .flows import FlowNetwork, FlowPath
 from .graph import (TwoMetricGraph, Unreachable, plain_sum, shortest_path,
                     shortest_paths)
 
@@ -262,14 +262,13 @@ class _Funnel:
     """A pair's routing through one root on one side: the arcs it may use in
     id order, its sparse flow on them and the step capacities of those arcs.
 
-    On a network route the capacities live in a flow network over the arcs
-    (network arc ``a`` is funnel arc ``a``), built once per epoch: lengths
-    and costs are fixed within an epoch, so each step only updates
-    capacities. On a path route, where each funnel of the route is one
-    simple path, no network is built (``net`` is None): ``path`` holds the
-    arcs in route order, ``caps`` their capacities in id order and
-    ``length`` the path's unit length, and ``flows.path_delta`` solves the
-    route.
+    The capacities live in ``net``, built once per epoch over the arcs
+    (its arc ``a`` is funnel arc ``a``): lengths and costs are fixed within
+    an epoch, so each step only updates capacities. Every ball arc lies on
+    some route, so a ball no larger than its seed path is that path; ``net``
+    is then a ``flows.FlowPath`` along it, which ``flows.max_delta`` solves
+    in closed form, and a ``FlowNetwork`` otherwise (a side whose terminal
+    is its root has an empty seed path and a network).
 
     The capacities are the step state of the pair's arrival: the rate
     capacities for a full step of length ``dmax``. An arc's capacity depends
@@ -282,19 +281,14 @@ class _Funnel:
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float,
                  ends: Tuple[int, int], flow: Dict[int, float],
-                 path: Optional[Sequence[int]]):
+                 path: List[int]):
         self.arcs = arcs
         self.ends = ends  # (source, sink) of the pair's routing
         self.flow = flow  # edge -> flow, confined to the arcs
         self.index = {e: a for a, e in enumerate(arcs)}
-        self.path = path
-        self.net: Optional[FlowNetwork] = None
-        self.caps: List[float] = []
-        self.length = 0.0
-        if path is not None:
-            self.caps = [0.0] * len(arcs)
-            for e in path:  # a loop, not sum(): see graph.plain_sum
-                self.length += side.l[e]
+        self.net: FlowPath | FlowNetwork
+        if path and len(path) == len(arcs):
+            self.net = FlowPath(path, [side.l[e] for e in path])
         else:
             graph = side.graph
             # labelled by edge id, so solves return flows keyed by edge
@@ -307,20 +301,6 @@ class _Funnel:
         # replaced, never changed in place: a committed step hands over the
         # set it wrote over
         self.dirty: Set[int] = set(arcs)
-
-    def update_capacities(self, arcs: List[int], caps: List[float]) -> None:
-        """Set the capacity of each funnel arc in ``arcs`` to the entry at
-        the same position of ``caps``; every entry is checked before any is
-        written, so a refused update changes nothing."""
-        if self.net is not None:
-            self.net.update_capacities(arcs, caps)
-            return
-        for cap in caps:
-            if not cap >= 0:
-                raise flows.FlowError(f"capacity {cap} is negative or NaN")
-        path_caps = self.caps
-        for a, cap in zip(arcs, caps):
-            path_caps[a] = cap
 
     def tight(self, x: List[float]) -> Set[int]:
         """Edges whose capacity variable in ``x`` is met by the flow."""
@@ -424,9 +404,9 @@ class CompositeSolver:
         units along a hop-shortest path inside each funnel, so flows start
         equal to their ``z`` and the inner LP is feasible from the first
         moment. Every ball arc lies on some route, so a ball that holds no
-        more arcs than its seed path is that path; a route whose balls all
-        are is a path route, kept with its paths in route order and no flow
-        network (see ``_Funnel``).
+        more arcs than its seed path is that path, and its funnel keeps a
+        ``flows.FlowPath`` along it instead of a flow network (see
+        ``_Funnel``).
 
         Returns the eligible root ids, or ``None`` when no root is reachable
         on both sides at all (an empty list: some root is, but the ball holds
@@ -468,8 +448,6 @@ class CompositeSolver:
                 balls.append((side, arcs, ends, path))
             if len(balls) < len(self.sides):
                 continue
-            # a ball as large as its seed path is that path
-            one_path = all(len(path) == len(arcs) for _, arcs, _, path in balls)
             funnels = []
             for side, arcs, ends, path in balls:
                 # a shortest path is simple: each of its arcs carries v0 once
@@ -481,7 +459,7 @@ class CompositeSolver:
                 if any(f > x[e] + TIGHT_TOL for e, f in flow.items()):
                     raise AssertionError("seed flow exceeded capacity variable")
                 funnels.append(_Funnel(side, arcs, self.dmax, ends, flow,
-                                       path if one_path else None))
+                                       path))
             routes[spec.root_id] = _Route(self.v0, tuple(funnels))
         return list(routes) if reachable else None
 
@@ -516,7 +494,7 @@ class CompositeSolver:
                     if headroom > 0.0:
                         room = headroom
                 caps.append((room + xe * (grow - 1.0)) / dmax)
-            funnel.update_capacities(arcs, caps)
+            funnel.net.update_capacities(arcs, caps)
             funnel.dirty = set()
 
     def _solve_root(self, rid: int, route: _Route
@@ -531,36 +509,33 @@ class CompositeSolver:
         down_tight = down_funnel.tight(down.x[rid])
         self._step_capacities(up, rid, up_funnel, up_tight)
         self._step_capacities(down, rid, down_funnel, down_tight)
-        if up_funnel.path is not None:  # a path route: both sides are paths
-            delta, up_rates, down_rates = flows.path_delta(
-                up_funnel.path, up_funnel.caps, up_funnel.length,
-                down_funnel.path, down_funnel.caps, down_funnel.length,
-                route.z)
-        else:
-            delta, up_rates, down_rates = flows.max_delta(
-                up_funnel.net, *up_funnel.ends, down_funnel.net,
-                *down_funnel.ends, route.z)
+        # unpacked here: a starred call costs more, once per root solve
+        (up_s, up_t), (down_s, down_t) = up_funnel.ends, down_funnel.ends
+        delta, up_rates, down_rates = flows.max_delta(
+            up_funnel.net, up_s, up_t, down_funnel.net, down_s, down_t,
+            route.z)
         return delta, (up_rates, down_rates), (up_tight, down_tight)
 
-    def growth_step(self, *, covered: Optional[float] = None) -> float:
+    def growth_step(self) -> float:
         """Take one discretized step of the continuous dynamics for the
         arriving pair, the one ``arrival_init`` registered last, and return
         its length.
 
         The step length is the configured maximum unless the remaining
         coverage gap truncates it (rates are scaled down so coverage lands
-        exactly at 1). ``covered`` is the pair's ``z_total``, if the caller
-        has it; it is keyword-only, so that a caller still passing a pair
-        index is refused. Every root is solved before any state moves, since
+        exactly at 1). Every root is solved before any state moves, since
         the length depends on every root's rate; the step is then committed.
+        The coverage is summed in the solve loop, over the same routes in
+        the same order as ``z_total``, so it has its bits.
         """
         pair_index = self._arriving
         if pair_index is None:
             raise ValueError("no pair has arrived")
-        routes = self.routes[pair_index]
         solved = []
         total_delta = 0.0
-        for rid, route in routes.items():
+        covered = 0.0
+        for rid, route in self.routes[pair_index].items():
+            covered += route.z
             if route.z >= VAR_CAP - COVER_TOL:
                 continue  # this root is already fully selected
             delta, rates, tight = self._solve_root(rid, route)
@@ -570,8 +545,6 @@ class CompositeSolver:
         # "if b < a: a = b" is a = min(a, b), and "if a < b: a = b" is
         # a = max(a, b), NaN included
         dt = self.dmax
-        if covered is None:
-            covered = self.z_total(pair_index)
         if total_delta > RATE_TOL:
             limit = (1.0 - covered) / total_delta
             if limit < dt:
@@ -656,7 +629,7 @@ class CompositeSolver:
             steps += 1
             if steps > MAX_STEPS:
                 raise StepLimitExceeded(pair.index, MAX_STEPS)
-            self.growth_step(covered=covered)
+            self.growth_step()
             if self._objective > self.kappa:
                 return ArrivalOutcome.EPOCH_OVERFLOW
             covered = self.z_total(pair.index)

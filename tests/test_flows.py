@@ -9,9 +9,9 @@ import pytest
 from scipy.optimize import linprog
 
 import bulkflow.flows as flows
-from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, FlowResult,
-                            InfeasibleFlow, cheapest_flow_curve, max_delta,
-                            max_flow, min_cost_flow, path_delta)
+from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, FlowPath,
+                            FlowResult, InfeasibleFlow, cheapest_flow_curve,
+                            max_delta, max_flow, min_cost_flow)
 from bulkflow.generate import grid
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
@@ -252,8 +252,8 @@ class TestReplay:
         monkeypatch.setattr(flows, "cheapest_flow_curve", counted_curve)
         monkeypatch.setattr(flows, "_path_amount", counted_path_amount)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
-        # path routes augment without a network; the rest search
-        assert counts["augmentations"] == 1075
+        # path sides augment without a network; the rest search
+        assert counts["augmentations"] == 821
         assert counts["augmentations"] + counts["path segments"] == 1439
         # without replay every augmentation needs its own search
         assert counts["searches"] * 10 < counts["augmentations"]
@@ -271,8 +271,9 @@ class TestCapacityUpdate:
             with pytest.raises(FlowError):
                 update(net, changes)
             assert net.capacity == [1.0, 1.0]
+        capacity = net.capacity
         net.update_capacities([1, 0], [math.inf, 0.0])
-        assert net.capacity == [0.0, math.inf]
+        assert net.capacity is capacity == [0.0, math.inf]
         assert net.closed_arcs() == (0,)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -777,13 +778,13 @@ class TestFusedSolve:
     def test_one_curve_per_moving_side_and_one_segment_per_augmentation(
             self, monkeypatch):
         # the per-layer counters read these seams: flows.curves counts
-        # cheapest_flow_curve calls, flows.augmentations their segments
-        # path routes go through path_delta and _path_amount instead, which
-        # make no FlowSegment and one segment per side at most
+        # cheapest_flow_curve calls, flows.augmentations their segments;
+        # a FlowPath side goes through _path_amount instead, which makes no
+        # FlowSegment and one segment at most
         curves, path_curves, solves, made = [], [], [], []
         curve, solve, segment = (flows.cheapest_flow_curve, flows.max_delta,
                                  flows.FlowSegment)
-        path_amount, path_solve = flows._path_amount, flows.path_delta
+        path_amount = flows._path_amount
 
         def counted_curve(net, source, sink, **caps):
             segments = curve(net, source, sink, **caps)
@@ -796,17 +797,13 @@ class TestFusedSolve:
             return amount
 
         def counted_solve(*args):
-            before = len(curves)
+            before = len(curves), len(path_curves)
             result = solve(*args)
-            moving = (args[1] != args[2]) + (args[4] != args[5])
-            solves.append((len(curves) - before, moving))
-            return result
-
-        def counted_path_solve(*args):
-            before = len(path_curves)
-            result = path_solve(*args)
-            moving = bool(args[0]) + bool(args[3])
-            solves.append((len(path_curves) - before, moving))
+            paths = [isinstance(net, FlowPath) for net in args[0::3]]
+            moving = sum(not path and s != t for path, s, t in zip(
+                paths, args[1::3], args[2::3]))
+            solves.append(((len(curves) - before[0], moving),
+                           (len(path_curves) - before[1], sum(paths))))
             return result
 
         def counted_segment(*args):
@@ -817,13 +814,12 @@ class TestFusedSolve:
         monkeypatch.setattr(flows, "_path_amount", counted_path_amount)
         monkeypatch.setattr(flows, "FlowSegment", counted_segment)
         monkeypatch.setattr(flows, "max_delta", counted_solve)
-        monkeypatch.setattr(flows, "path_delta", counted_path_solve)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
         assert curves and path_curves
-        assert all(calls == moving for calls, moving in solves)
+        assert all(calls == sides for solve in solves for calls, sides in solve)
         assert all(source != sink for source, sink, _ in curves)
         # one segment per augmentation, and none dropped
-        assert sum(count for _, _, count in curves) == len(made) == 1075
+        assert sum(count for _, _, count in curves) == len(made) == 821
         assert len(made) + sum(path_curves) == 1439
 
 
@@ -835,10 +831,10 @@ PATH_BUDGETS = [0.0, EPS_CAP / 2, EPS_CAP, 2 * EPS_CAP, 0.3, 1.0, 2.5,
 
 
 def path_side(rng: random.Random, hops: int, length_scale: float = 1.0):
-    """One simple path as a network over its arcs in id order, labelled, and
-    ``path_delta``'s view of it: labels in route order, capacities in id
-    order and the left fold of the lengths in route order. Neither the route
-    vertices nor the labels are in id order; zero hops is an empty side."""
+    """One simple path of at least one arc as a network over its arcs in id
+    order, labelled, with its ends, and as a ``FlowPath`` along its route
+    with the same capacities. Neither the route vertices nor the labels are
+    in id order."""
     nodes = rng.sample(range(2 * hops + 2), hops + 1)
     labels = rng.sample(range(10 * hops + 10), hops)
     caps = [rng.choice(PATH_CAPACITIES) for _ in labels]
@@ -847,53 +843,64 @@ def path_side(rng: random.Random, hops: int, length_scale: float = 1.0):
     net = FlowNetwork(2 * hops + 2, [nodes[i] for i in by_id],
                       [nodes[i + 1] for i in by_id], [caps[i] for i in by_id],
                       [lengths[i] for i in by_id], [labels[i] for i in by_id])
-    length = 0.0
-    for piece in lengths:
-        length += piece
-    return (net, (nodes[0], nodes[-1]),
-            (labels, [caps[i] for i in by_id], length))
+    path = FlowPath(labels, lengths)
+    path.update_capacities(range(hops), [caps[i] for i in by_id])
+    return net, (nodes[0], nodes[-1]), path
 
 
-class TestPathDelta:
-    """``path_delta`` returns ``max_delta``'s bits on sides that are each
-    one simple path, with no network."""
+def solve_bits(up, up_ends, down, down_ends, budget):
+    """``max_delta``'s result as exact bits, its rates in key order."""
+    delta, up_rates, down_rates = max_delta(up, *up_ends, down, *down_ends,
+                                            budget)
+    return delta.hex(), rate_bits(up_rates), rate_bits(down_rates)
+
+
+class TestFlowPath:
+    """A ``FlowPath`` side of ``max_delta`` gives the bits of the same path
+    as a ``FlowNetwork`` side, with no network."""
 
     def test_matches_max_delta_on_path_networks_bit_for_bit(self):
         seen = dict.fromkeys(["zero", "one", "budget binds", "capacity binds",
-                              "empty side", "short length"], 0)
+                              "infinite capacity", "side at destination",
+                              "short length"], 0)
+        at_destination = (FlowNetwork(1, [], [], [], []), (0, 0))
         for seed in range(3000):
             rng = random.Random(seed)
             # one run in three has long paths and a budget that binds near
             # their length, where a float residue of the budget can bring
             # the curve's loop round again
             scale = 1.0 if seed % 3 else rng.uniform(1e4, 1e6)
-            sides = [path_side(rng, rng.choice([0, 1, 1, 2, 3]), scale)
+            sides = [path_side(rng, rng.choice([1, 1, 2, 3]), scale)
                      for _ in range(2)]
             budget = (rng.choice(PATH_BUDGETS) if seed % 3
                       else rng.uniform(0.05, 0.75) * scale)
             (up_net, up_ends, up), (down_net, down_ends, down) = sides
-            delta, up_rates, down_rates = path_delta(*up, *down, budget)
-            ref_delta, ref_up, ref_down = max_delta(
-                up_net, *up_ends, down_net, *down_ends, budget)
-            assert delta.hex() == ref_delta.hex()
-            assert rate_bits(up_rates) == rate_bits(ref_up)
-            assert rate_bits(down_rates) == rate_bits(ref_down)
-            for net, (s, t), (labels, caps, length) in sides:
-                if not labels:
-                    seen["empty side"] += 1
-                    continue
+            ref = solve_bits(up_net, up_ends, down_net, down_ends, budget)
+            # a path on either side or both
+            assert solve_bits(up, up_ends, down_net, down_ends, budget) == ref
+            assert solve_bits(up_net, up_ends, down, down_ends, budget) == ref
+            assert solve_bits(up, (0, 0), down, (0, 0), budget) == ref
+            if seed % 7 == 0:  # the other side is already at its destination
+                assert (solve_bits(*at_destination, down, down_ends, budget)
+                        == solve_bits(*at_destination, down_net, down_ends,
+                                      budget))
+                seen["side at destination"] += 1
+            for net, (s, t), path in sides:
                 # the curve makes one segment at most, of _path_amount's value
                 segments = cheapest_flow_curve(net, s, t, value_cap=1.0,
                                                cost_cap=budget)
-                amount = flows._path_amount(caps, length, budget)
+                amount = flows._path_amount(path.capacity, path.length,
+                                            budget)
                 assert [seg.amount.hex() for seg in segments] == (
                     [amount.hex()] if amount > 0.0 else [])
-                seen["short length"] += 0.0 < length <= flows.FEAS_TOL
+                seen["short length"] += 0.0 < path.length <= flows.FEAS_TOL
+                seen["infinite capacity"] += math.inf in path.capacity
+            delta = float.fromhex(ref[0])
             if delta in (0.0, 1.0):
                 seen["zero" if delta == 0.0 else "one"] += 1
-            elif any(labels and length > flows.FEAS_TOL
-                     and delta == budget / length
-                     for _, _, (labels, _, length) in sides):
+            elif any(path.length > flows.FEAS_TOL
+                     and delta == budget / path.length
+                     for _, _, path in sides):
                 seen["budget binds"] += 1
             else:
                 seen["capacity binds"] += 1
@@ -913,28 +920,46 @@ class TestPathDelta:
                                        cost_cap=budget)
         assert len(searches) == 2 and len(segments) == 1
         free = FlowNetwork(2, [0], [1], [math.inf], [0.0])
-        delta, up_rates, down_rates = path_delta([7], [math.inf], length,
-                                                 [3], [math.inf], 0.0, budget)
+        up, down = FlowPath([7], [length]), FlowPath([3], [0.0])
+        for path in (up, down):
+            path.update_capacities([0], [math.inf])
+        delta, up_rates, down_rates = max_delta(up, 0, 1, down, 0, 1, budget)
         ref_delta, *ref_rates = max_delta(net, 0, 1, free, 0, 1, budget)
         assert delta.hex() == ref_delta.hex() == (budget / length).hex()
         assert up_rates == {7: delta} and down_rates == {3: delta}
         assert [list(rates.values()) for rates in ref_rates] == [[delta]] * 2
 
-    def test_a_side_at_its_destination_never_binds(self):
-        rng = random.Random(5)
-        net, ends, (labels, caps, length) = path_side(rng, 2)
-        caps[:] = [0.5, 0.75]  # in id order, as the network's arcs
-        net.update_capacities([0, 1], caps)
-        for budget in (0.0, 1.0):
-            assert path_delta([], [], 0.0, labels, caps, length, budget) == (
-                max_delta(FlowNetwork(1, [], [], [], []), 0, 0, net, *ends,
-                          budget))
-        assert path_delta([], [], 0.0, [], [], 0.0, 0.0) == (1.0, {}, {})
+    def test_length_is_the_left_fold_of_the_costs_in_route_order(self):
+        costs = [0.1, 0.2, 0.3]
+        path = FlowPath([5, 2, 9], costs)
+        assert path.route == (5, 2, 9) and path.m == 3
+        assert path.length == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert path.capacity == [0.0] * 3
+
+    def test_empty_or_bad_route_is_refused(self):
+        for route, costs in (([], []), ([1, 1], [0.5, 0.5]), ([1, 2], [0.5]),
+                             ([1], [-1.0]), ([1], [math.nan]),
+                             ([1], [math.inf])):
+            with pytest.raises(FlowError):
+                FlowPath(route, costs)
+
+    def test_refused_update_changes_nothing(self):
+        path = FlowPath([4, 1, 3], [0.1, 0.1, 0.1])
+        path.update_capacities([0, 2], [0.5, math.inf])
+        assert path.capacity == [0.5, 0.0, math.inf]
+        for arcs, caps in (([1, 0], [0.75, -1.0]), ([1, 0], [0.75, math.nan]),
+                           ([1, 3], [0.75, 1.0]), ([1, -1], [0.75, 1.0]),
+                           ([1], [0.75, 1.0])):
+            with pytest.raises(FlowError):
+                path.update_capacities(arcs, caps)
+            assert path.capacity == [0.5, 0.0, math.inf]
 
     def test_negative_or_nan_budget_is_refused(self):
+        path = FlowPath([1], [0.5])
+        path.update_capacities([0], [1.0])
         for budget in (-1.0, -math.inf, math.nan):
             with pytest.raises(FlowError, match="negative or NaN"):
-                path_delta([1], [1.0], 0.5, [2], [1.0], 0.5, budget)
+                max_delta(path, 0, 1, path, 0, 1, budget)
 
 
 def trail_bits(net: FlowNetwork):

@@ -415,8 +415,9 @@ class TestSinglePathCalibration:
 
 
 class TestPathRoutes:
-    """A route whose funnels are each one simple path keeps its capacities
-    in a list and is solved by ``flows.path_delta``, without a network."""
+    """A funnel whose ball is one simple path keeps its capacities in a
+    ``flows.FlowPath``, which ``flows.max_delta`` solves without a
+    network."""
 
     def test_single_path_route_has_no_network(self):
         up, down, roots, pair = single_path_instance(n_edges=3)
@@ -424,25 +425,54 @@ class TestPathRoutes:
                              guess=route_cost(up, down, *roots, pair))
         solver.arrival_init(pair)
         funnels = solver.routes[0][0].funnels
-        assert [f.net for f in funnels] == [None, None]
-        assert [list(f.path) for f in funnels] == [[0, 1, 2], [0]]
+        assert all(isinstance(f.net, flows.FlowPath) for f in funnels)
+        assert [f.net.route for f in funnels] == [(0, 1, 2), (0,)]
         # the unit length is the left fold along the route
         l = solver.up.l
-        assert funnels[0].length == (l[0] + l[1]) + l[2]
-        assert funnels[1].length == solver.down.l[0]
+        assert funnels[0].net.length == (l[0] + l[1]) + l[2]
+        assert funnels[1].net.length == solver.down.l[0]
 
     def test_refused_capacities_change_nothing(self):
         up, down, roots, pair = single_path_instance(n_edges=3)
         solver = make_solver(up, down, roots,
                              guess=route_cost(up, down, *roots, pair))
         solver.arrival_init(pair)
-        funnel = solver.routes[0][0].funnels[0]
-        funnel.update_capacities([0, 2], [0.5, 0.25])
-        assert funnel.caps == [0.5, 0.0, 0.25]
+        path = solver.routes[0][0].funnels[0].net
+        path.update_capacities([0, 2], [0.5, 0.25])
+        assert path.capacity == [0.5, 0.0, 0.25]
         for bad in (-1.0, math.nan):
             with pytest.raises(flows.FlowError, match="negative or NaN"):
-                funnel.update_capacities([1, 0], [0.75, bad])
-            assert funnel.caps == [0.5, 0.0, 0.25]
+                path.update_capacities([1, 0], [0.75, bad])
+            assert path.capacity == [0.5, 0.0, 0.25]
+
+    def test_every_root_solve_goes_through_max_delta(self, monkeypatch):
+        # perfbench's flows.* counters wrap flows.max_delta and
+        # flows.cheapest_flow_curve by name: every root solve is one
+        # max_delta call, and only a network side that moves runs a curve
+        solved, calls = [], {"max_delta": 0, "curve": 0}
+        solve_root = CompositeSolver._solve_root
+
+        def counted_solve_root(self, rid, route):
+            solved.append(route.funnels)
+            return solve_root(self, rid, route)
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(CompositeSolver, "_solve_root", counted_solve_root)
+        monkeypatch.setattr(flows, "max_delta",
+                            counted("max_delta", flows.max_delta))
+        monkeypatch.setattr(flows, "cheapest_flow_curve",
+                            counted("curve", flows.cheapest_flow_curve))
+        run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
+        sides = [funnel for funnels in solved for funnel in funnels]
+        moving = [f for f in sides
+                  if isinstance(f.net, FlowNetwork) and f.ends[0] != f.ends[1]]
+        assert calls == {"max_delta": len(solved), "curve": len(moving)}
+        assert moving and any(isinstance(f.net, flows.FlowPath) for f in sides)
 
     # sha256 of the report, LP trace and assignment trace of the h = 1 edge
     # run below, as the solve through two flow networks per root gave them
@@ -452,15 +482,14 @@ class TestPathRoutes:
         "573d6404791cb08914f52834b05d6f1dee8269b220567055373e7e1df6ace195")
 
     def test_h1_edge_run_builds_no_flow_network(self, monkeypatch):
-        # at h = 1 every ball is one layer arc, so every route is a path
-        # route: no network is built, and the reports keep their bits
+        # at h = 1 every ball is one layer arc, so every funnel is a path:
+        # no network is built, and the reports keep their bits
         built, solved = [], []
-        network, path_delta = fractional.FlowNetwork, flows.path_delta
+        network, solve = fractional.FlowNetwork, flows.max_delta
         monkeypatch.setattr(fractional, "FlowNetwork",
                             lambda *args: built.append(args) or network(*args))
-        monkeypatch.setattr(flows, "path_delta",
-                            lambda *args: solved.append(args)
-                            or path_delta(*args))
+        monkeypatch.setattr(flows, "max_delta",
+                            lambda *args: solved.append(args) or solve(*args))
         report = run_online(load_instance(grid(2, 3, k=4, seed=11)),
                             RunConfig(mode="edge", seed=0, h=1, dmax=0.4))
         assert solved and not built
@@ -598,17 +627,15 @@ class TestFunnel:
                     paths.append(path)
                     compared += 1
                     shrunk += len(arcs) < len(usable_arcs(side, pair))
-                # a route each of whose balls is its seed path has no
-                # network; every other route has one per side
-                one_path = all(len(path) == len(funnel.arcs) for path, funnel
-                               in zip(paths, routes[rid].funnels))
+                # a funnel whose ball is its seed path is a FlowPath along
+                # it; every other funnel has a network
                 for path, funnel in zip(paths, routes[rid].funnels):
-                    if one_path:
-                        assert funnel.net is None and funnel.path == path
-                        assert len(funnel.caps) == len(funnel.arcs)
+                    assert funnel.net.m == len(funnel.arcs)
+                    if path and len(path) == len(funnel.arcs):
+                        assert funnel.net.route == tuple(path)
                     else:
-                        assert funnel.path is None
-                        assert funnel.net.m == len(funnel.arcs)
+                        assert isinstance(funnel.net, FlowNetwork)
+                        assert funnel.net.labels == funnel.arcs
         assert shrunk and compared
 
     def test_directed_funnels_stay_in_their_root_tree(self):
@@ -713,11 +740,10 @@ class TestStepState:
             step_capacities(self, side, rid, funnel, tight)
             expected = reference_step_capacities(side, rid, funnel, tight,
                                                  self.dmax)
-            # a path funnel keeps its capacities in a list, in id order
-            capacity = funnel.caps if funnel.net is None else funnel.net.capacity
-            assert ([cap.hex() for cap in capacity]
+            # a path funnel keeps its capacities in id order too
+            assert ([cap.hex() for cap in funnel.net.capacity]
                     == [cap.hex() for cap in expected])
-            checked.append(funnel.net is None)
+            checked.append(isinstance(funnel.net, flows.FlowPath))
 
         monkeypatch.setattr(CompositeSolver, "_step_capacities",
                             checked_step_capacities)
@@ -778,6 +804,8 @@ class TestStepState:
         solver.arrival_init(PairSpec(0, 0, 1))
         with pytest.raises(TypeError):  # a pair index is no longer taken
             solver.growth_step(0)
+        with pytest.raises(TypeError):  # nor the pair's coverage
+            solver.growth_step(covered=0.0)
         # the ball at guess 1 holds no root: nothing truncates the step
         assert solver.growth_step() == solver.dmax
 
