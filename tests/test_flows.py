@@ -855,7 +855,7 @@ def solve_bits(up, up_ends, down, down_ends, budget):
     return delta.hex(), rate_bits(up_rates), rate_bits(down_rates)
 
 
-class TestFlowPath:
+class TestPathDelta:
     """A ``FlowPath`` side of ``max_delta`` gives the bits of the same path
     as a ``FlowNetwork`` side, with no network."""
 
@@ -905,6 +905,26 @@ class TestFlowPath:
             else:
                 seen["capacity binds"] += 1
         assert min(seen.values()) >= 10, seen
+
+    def test_a_side_at_its_destination_never_binds(self):
+        rng = random.Random(5)
+        net, ends, path = path_side(rng, 2)
+        for side in (net, path):
+            side.update_capacities([0, 1], [0.5, 0.75])
+        at_destination = FlowNetwork(1, [], [], [], [])
+        for budget in (0.0, 1.0):
+            ref = solve_bits(at_destination, (0, 0), net, ends, budget)
+            assert solve_bits(at_destination, (0, 0), path, ends,
+                              budget) == ref
+            assert solve_bits(path, ends, at_destination, (0, 0),
+                              budget) == (ref[0], ref[2], ref[1])
+        assert max_delta(at_destination, 0, 0, at_destination, 0, 0,
+                         0.0) == (1.0, {}, {})
+
+
+class TestFlowPath:
+    """A ``FlowPath`` is one simple route, checked like a network, and
+    solved in closed form inside ``max_delta``."""
 
     def test_a_budget_residue_brings_the_loop_round_without_a_segment(self):
         # the one segment spends the budget but for a float residue above
