@@ -21,9 +21,12 @@ side's value is its bottleneck cut to the value cap and the budget over its
 unit length, and every arc carries ``delta``: the curve's bits, written down.
 
 A network or path is built once from its arcs; afterwards only its
-capacities change (``update_capacities``, which checks every entry before
-it writes any in place), so a caller that solves the same arcs repeatedly
-builds nothing per solve. Arcs may carry labels, which key the segments and
+capacities change, so a caller that solves the same arcs repeatedly builds
+nothing per solve. A network changes some arcs in place
+(``update_capacities``); a path takes a whole new capacity list
+(``set_capacities``), since its caller recomputes every arc of the route.
+Both check every entry before they install any, so a refused change leaves
+the capacities as they were. Arcs may carry labels, which key the segments and
 flows a solve returns, so a caller whose arcs stand for other ids reads its
 flows without a rebuild. A network's residual slots are built with it, over
 its own node numbering: the nodes that end some arc, numbered
@@ -154,7 +157,15 @@ class FlowNetwork:
         is checked before any is written, so a refused update changes
         nothing."""
         capacity, closed = self.capacity, self._closed
-        _check_update(arcs, capacities, len(capacity))
+        if len(arcs) != len(capacities):
+            raise FlowError(f"{len(arcs)} arcs but {len(capacities)} "
+                            f"capacities")
+        for a in arcs:
+            if not 0 <= a < len(capacity):
+                raise FlowError(f"arc {a} out of range")
+        for cap in capacities:
+            if not cap >= 0:
+                raise FlowError(f"capacity {cap} is negative or NaN")
         for a, cap in zip(arcs, capacities):
             # an arc that opens or closes changes the replay's first key
             if closed is not None and (capacity[a] <= EPS_CAP) != (cap <= EPS_CAP):
@@ -223,8 +234,8 @@ class FlowPath:
     their unit costs; ``max_delta`` solves it in closed form. ``length`` is
     the left fold of the costs in route order (the residual search's sum).
     ``capacity[a]`` (zero at first) is that of the ``a``-th label in
-    increasing order (a funnel's id order); only ``update_capacities``
-    changes it.
+    increasing order (a funnel's id order); only ``set_capacities``
+    replaces it.
     """
 
     def __init__(self, route: Sequence[int], cost: Sequence[float]):
@@ -242,26 +253,17 @@ class FlowPath:
         self.capacity: List[float] = [0.0] * self.m
         self.length = length
 
-    def update_capacities(self, arcs: Sequence[int],
-                          capacities: Sequence[float]) -> None:
-        """``FlowNetwork.update_capacities`` for the path's arcs."""
-        capacity = self.capacity
-        _check_update(arcs, capacities, len(capacity))
-        for a, cap in zip(arcs, capacities):
-            capacity[a] = float(cap)
-
-
-def _check_update(arcs: Sequence[int], capacities: Sequence[float],
-                  m: int) -> None:
-    """Refuse a capacity update of ``m`` arcs unless every entry is valid."""
-    if len(arcs) != len(capacities):
-        raise FlowError(f"{len(arcs)} arcs but {len(capacities)} capacities")
-    for a in arcs:
-        if not 0 <= a < m:
-            raise FlowError(f"arc {a} out of range")
-    for cap in capacities:
-        if not cap >= 0:
-            raise FlowError(f"capacity {cap} is negative or NaN")
+    def set_capacities(self, capacities: List[float]) -> None:
+        """Make ``capacities``, one per arc in id order, the path's capacity
+        list; the list is installed, not copied. It is refused unless it has
+        one entry per arc and every entry is ``>= 0`` (``inf`` allowed, NaN
+        not), so a refused list changes nothing."""
+        if len(capacities) != self.m:
+            raise FlowError(f"{self.m} arcs but {len(capacities)} capacities")
+        for cap in capacities:
+            if not cap >= 0:
+                raise FlowError(f"capacity {cap} is negative or NaN")
+        self.capacity = capacities
 
 
 @dataclass(slots=True)

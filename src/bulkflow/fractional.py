@@ -45,26 +45,27 @@ starting at ``v0`` on every arc a ball can hold and at 0 on the rest;
 ``CompositeSolver.routes[pair][root]`` is a ``_Route`` holding ``z`` and one
 ``_Funnel`` per side (in ``sides`` order): the arcs of the ball the pair may
 use through the root, its flow on them and their step capacities. Those are
-the rate capacities of a full step for the whole arrival, and a step
-recomputes only the arcs the previous committed step touched (found tight or
-grew), since no other arc's ``x``, flow or tightness moved. A funnel keeps
-them in a ``flows.FlowPath`` when its ball is one simple path and in a flow
-network otherwise, and ``flows.max_delta`` solves every route, choosing the
-closed form per side. Only the pair whose arrival is running steps: an
-arrival runs to its end before the next pair registers, so no other pair's
-step moves the ``x`` its funnels read.
+the rate capacities of a full step for the whole arrival. A funnel keeps
+them in a ``flows.FlowPath`` when its ball is one simple path, and each step
+recomputes the whole route; otherwise it keeps them in a flow network, and a
+step recomputes only the arcs the previous committed step touched (found
+tight or grew), since no other arc's ``x``, flow or tightness moved.
+``flows.max_delta`` solves every route, choosing the closed form per side.
+Only the pair whose arrival is running steps: an arrival runs to its end
+before the next pair registers, so no other pair's step moves the ``x`` its
+funnels read.
 A side caches its unfiltered root distances for the epoch, so pairs share
 the ball searches of their roots and of their terminals (the owner rule of
 prize mode searches per pair).
 
 A step solves every root first, since its length depends on every root's
-rate: per root side, the tight set, the dirty capacities (all checked before
-any is written) and the joint solve, whose flows are keyed by edge id, so
-they are the rates. It then
-commits in place, per root and side: the grown ``x`` over
-``tight | set(rates)``, the set the funnel keeps as its next dirty set, then
-the flows, then ``z``. That set's iteration order fixes the order of the
-objective's sum.
+rate: per root side, the tight set and the step capacities (all checked
+before any is written; a network recomputes its dirty arcs, a path every
+arc in one pass over its flow), then the joint solve, whose flows are keyed
+by edge id, so they are the rates. It then commits in place, per root and
+side: the grown ``x`` over ``tight | set(rates)`` (a network funnel's next
+dirty set), then the flows, then ``z``. That set's iteration order fixes
+the order of the objective's sum.
 
 All variables are nondecreasing within an epoch. An epoch ends at the first
 step whose commit takes its objective past ``kappa``; the caller then
@@ -274,9 +275,13 @@ class _Funnel:
     capacities for a full step of length ``dmax``. An arc's capacity depends
     only on its own ``x``, flow, tightness and growth factor, and a
     committed step changes ``x`` and the flow only on the edges it found
-    tight or grew, so ``dirty`` holds those edges and the next step
-    recomputes only their arcs. It holds every arc at first; no other
-    pair steps while this one's arrival runs, so nothing else moves them.
+    tight or grew. On a network ``dirty`` holds those edges and the next
+    step recomputes only their arcs; no other pair steps while this one's
+    arrival runs, so nothing else moves them. ``dirty`` holds every arc at
+    first, and a path funnel never changes it: a step that moves a path
+    touches every arc, and one that does not moves no capacity's inputs, so
+    each step recomputes the whole route in one pass over the flow, which
+    holds it in route order (``CompositeSolver._path_capacities``).
     """
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float,
@@ -298,8 +303,8 @@ class _Funnel:
                                    [side.l[e] for e in arcs], arcs)
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
-        # replaced, never changed in place: a committed step hands over the
-        # set it wrote over
+        # on a network, replaced, never changed in place: a committed step
+        # hands over the set it wrote over
         self.dirty: Set[int] = set(arcs)
 
     def tight(self, x: List[float]) -> Set[int]:
@@ -465,8 +470,8 @@ class CompositeSolver:
 
     def _step_capacities(self, side: _Side, rid: int, funnel: _Funnel,
                          tight: Set[int]) -> None:
-        """Bring the funnel's capacities to the integrated rate capacities
-        of a full step.
+        """Bring a network funnel's capacities to the integrated rate
+        capacities of a full step.
 
         An edge's admissible flow increment over ``dmax`` is its current
         headroom plus the growth of ``x`` while riding the boundary; the rate
@@ -497,6 +502,32 @@ class CompositeSolver:
             funnel.net.update_capacities(arcs, caps)
             funnel.dirty = set()
 
+    def _path_capacities(self, side: _Side, rid: int,
+                         funnel: _Funnel) -> Set[int]:
+        """``_Funnel.tight`` and ``_step_capacities`` on every arc of a path
+        funnel, in one pass over its flow: the tight set is built in
+        ``tight``'s order, so it iterates as that does, and the capacities
+        go into a fresh list in id order, which the path checks and
+        installs."""
+        x, dmax, inf = side.x[rid], self.dmax, math.inf
+        index, full_growth = funnel.index, funnel.full_growth
+        tight: Set[int] = set()
+        caps = [0.0] * len(full_growth)
+        for e, f in funnel.flow.items():
+            a = index[e]
+            xe = x[e]
+            room = 0.0
+            if xe <= f + TIGHT_TOL:
+                tight.add(e)
+            else:  # max(0.0, headroom), NaN included
+                headroom = xe - f
+                if headroom > 0.0:
+                    room = headroom
+            grow = full_growth[a]
+            caps[a] = inf if grow == inf else (room + xe * (grow - 1.0)) / dmax
+        funnel.net.set_capacities(caps)
+        return tight
+
     def _solve_root(self, rid: int, route: _Route
                     ) -> Tuple[float, Tuple[Dict[int, float], ...],
                                Tuple[Set[int], ...]]:
@@ -505,10 +536,16 @@ class CompositeSolver:
         flows are the rates."""
         up, down = self.sides
         up_funnel, down_funnel = route.funnels
-        up_tight = up_funnel.tight(up.x[rid])
-        down_tight = down_funnel.tight(down.x[rid])
-        self._step_capacities(up, rid, up_funnel, up_tight)
-        self._step_capacities(down, rid, down_funnel, down_tight)
+        if isinstance(up_funnel.net, FlowPath):
+            up_tight = self._path_capacities(up, rid, up_funnel)
+        else:
+            up_tight = up_funnel.tight(up.x[rid])
+            self._step_capacities(up, rid, up_funnel, up_tight)
+        if isinstance(down_funnel.net, FlowPath):
+            down_tight = self._path_capacities(down, rid, down_funnel)
+        else:
+            down_tight = down_funnel.tight(down.x[rid])
+            self._step_capacities(down, rid, down_funnel, down_tight)
         # unpacked here: a starred call costs more, once per root solve
         (up_s, up_t), (down_s, down_t) = up_funnel.ends, down_funnel.ends
         delta, up_rates, down_rates = flows.max_delta(
@@ -570,9 +607,16 @@ class CompositeSolver:
             for side, funnel, side_tight, g_side in zip(
                     sides, route.funnels, tight, rates):
                 arr, c = side.x[rid], side.c
-                flow_get = funnel.flow.get
+                flow = funnel.flow
+                flow_get = flow.get
                 grow_get = g_side.get
                 full_growth, index = funnel.full_growth, funnel.index
+                on_path = isinstance(funnel.net, FlowPath)
+                if on_path:
+                    # a path's flow holds every arc it may touch, and its
+                    # rates are delta on every arc or on none: its
+                    # increment, taken once
+                    step = delta * dt if g_side else 0.0
                 # the layout of set(tight) | set(g_side), whose iteration
                 # order is the order of the d_obj sum
                 touched = side_tight | set(g_side)
@@ -587,7 +631,10 @@ class CompositeSolver:
                         else:
                             y = old * grow
                             new = y if y < VAR_CAP else VAR_CAP
-                    f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt
+                    if on_path:
+                        f_new = flow[e] + step
+                    else:
+                        f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt
                     if f_new > new:
                         new = f_new if f_new < VAR_CAP else VAR_CAP
                         if c[e] <= 0:
@@ -595,9 +642,10 @@ class CompositeSolver:
                     if new > old:
                         arr[e] = new
                         d_obj += c[e] * (new - old)
-                # the edges whose x or flow may move; the solve emptied the
-                # dirty set
-                funnel.dirty = touched
+                if not on_path:
+                    # the edges whose x or flow may move; the solve emptied
+                    # the dirty set
+                    funnel.dirty = touched
             for side, funnel, g_side in zip(sides, route.funnels, rates):
                 l, flow = side.l, funnel.flow
                 flow_get = flow.get

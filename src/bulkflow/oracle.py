@@ -69,7 +69,9 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     answer in every smaller upper set that still holds it. Excluding a
     purchase therefore searches again only for the pairs whose routes use it,
     and skips the subtree once one of them is cut off; a leaf's upper set is
-    its subset, so its routes are the kept ones.
+    its subset, so its routes are the kept ones. A leaf prices them with the
+    ledger's two sums in the ledger's order, and builds the ledger only when
+    it beats the best value.
     """
     pairs = [p for p in pairs if p.s != p.t]
     if not pairs:
@@ -110,6 +112,21 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
             ledger.add_path(graph, p.index, path)
         return ledger
 
+    def routed_total() -> float:
+        """``routed_ledger().total``, bit for bit: each purchase's ``c`` at
+        its first use and every arc's ``l``, over the routes in pair order."""
+        c, l = graph.c, graph.l
+        bought: Set[int] = set()
+        buy_cost = length_cost = 0.0
+        for path, _ in routes:
+            for e in path:
+                key = key_of[e]
+                if key not in bought:
+                    bought.add(key)
+                    buy_cost += c[key]
+                length_cost += l[e]
+        return buy_cost + length_cost
+
     best_ledger = routed_ledger()  # feasible seed bound
     best_value = best_ledger.total
     # descending buy cost lets the accumulated-cost prune bite early
@@ -120,9 +137,9 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
         if buy_acc >= best_value - VALUE_TOL:
             return
         if i == len(order):
-            ledger = routed_ledger()
-            if ledger.total < best_value - VALUE_TOL:
-                best_value, best_ledger = ledger.total, ledger
+            total = routed_total()
+            if total < best_value - VALUE_TOL:
+                best_value, best_ledger = total, routed_ledger()
             return
         key = order[i]
         arcs = arcs_of[key]

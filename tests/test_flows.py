@@ -844,7 +844,7 @@ def path_side(rng: random.Random, hops: int, length_scale: float = 1.0):
                       [nodes[i + 1] for i in by_id], [caps[i] for i in by_id],
                       [lengths[i] for i in by_id], [labels[i] for i in by_id])
     path = FlowPath(labels, lengths)
-    path.update_capacities(range(hops), [caps[i] for i in by_id])
+    path.set_capacities([caps[i] for i in by_id])
     return net, (nodes[0], nodes[-1]), path
 
 
@@ -909,8 +909,8 @@ class TestPathDelta:
     def test_a_side_at_its_destination_never_binds(self):
         rng = random.Random(5)
         net, ends, path = path_side(rng, 2)
-        for side in (net, path):
-            side.update_capacities([0, 1], [0.5, 0.75])
+        net.update_capacities([0, 1], [0.5, 0.75])
+        path.set_capacities([0.5, 0.75])
         at_destination = FlowNetwork(1, [], [], [], [])
         for budget in (0.0, 1.0):
             ref = solve_bits(at_destination, (0, 0), net, ends, budget)
@@ -942,7 +942,7 @@ class TestFlowPath:
         free = FlowNetwork(2, [0], [1], [math.inf], [0.0])
         up, down = FlowPath([7], [length]), FlowPath([3], [0.0])
         for path in (up, down):
-            path.update_capacities([0], [math.inf])
+            path.set_capacities([math.inf])
         delta, up_rates, down_rates = max_delta(up, 0, 1, down, 0, 1, budget)
         ref_delta, *ref_rates = max_delta(net, 0, 1, free, 0, 1, budget)
         assert delta.hex() == ref_delta.hex() == (budget / length).hex()
@@ -964,19 +964,25 @@ class TestFlowPath:
                 FlowPath(route, costs)
 
     def test_refused_update_changes_nothing(self):
+        # set_capacities installs a whole list, or refuses it and keeps the
+        # installed one
         path = FlowPath([4, 1, 3], [0.1, 0.1, 0.1])
-        path.update_capacities([0, 2], [0.5, math.inf])
-        assert path.capacity == [0.5, 0.0, math.inf]
-        for arcs, caps in (([1, 0], [0.75, -1.0]), ([1, 0], [0.75, math.nan]),
-                           ([1, 3], [0.75, 1.0]), ([1, -1], [0.75, 1.0]),
-                           ([1], [0.75, 1.0])):
-            with pytest.raises(FlowError):
-                path.update_capacities(arcs, caps)
+        installed = [0.5, 0.0, math.inf]
+        path.set_capacities(installed)
+        assert path.capacity is installed
+        for caps, message in (([0.75, 1.0], "3 arcs but 2 capacities"),
+                              ([0.75, 1.0, 0.0, 2.0], "3 arcs but 4"),
+                              ([0.75, -1.0, 1.0], "negative or NaN"),
+                              ([0.75, 1.0, math.nan], "negative or NaN"),
+                              ([-math.inf, 1.0, 1.0], "negative or NaN")):
+            with pytest.raises(FlowError, match=message):
+                path.set_capacities(caps)
+            assert path.capacity is installed
             assert path.capacity == [0.5, 0.0, math.inf]
 
     def test_negative_or_nan_budget_is_refused(self):
         path = FlowPath([1], [0.5])
-        path.update_capacities([0], [1.0])
+        path.set_capacities([1.0])
         for budget in (-1.0, -math.inf, math.nan):
             with pytest.raises(FlowError, match="negative or NaN"):
                 max_delta(path, 0, 1, path, 0, 1, budget)

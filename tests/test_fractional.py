@@ -438,12 +438,32 @@ class TestPathRoutes:
                              guess=route_cost(up, down, *roots, pair))
         solver.arrival_init(pair)
         path = solver.routes[0][0].funnels[0].net
-        path.update_capacities([0, 2], [0.5, 0.25])
-        assert path.capacity == [0.5, 0.0, 0.25]
-        for bad in (-1.0, math.nan):
-            with pytest.raises(flows.FlowError, match="negative or NaN"):
-                path.update_capacities([1, 0], [0.75, bad])
+        path.set_capacities([0.5, 0.0, 0.25])
+        for bad in ([0.75, 0.5], [0.75, -1.0, 0.5], [0.75, math.nan, 0.5]):
+            with pytest.raises(flows.FlowError):
+                path.set_capacities(bad)
             assert path.capacity == [0.5, 0.0, 0.25]
+
+    def test_a_nan_capacity_variable_stops_the_step(self):
+        # the path pass computes a NaN capacity for the arc, and the path
+        # refuses the whole list: no capacity and no state moves
+        up, down, roots, pair = single_path_instance(n_edges=3)
+        solver = make_solver(up, down, roots,
+                             guess=route_cost(up, down, *roots, pair))
+        solver.arrival_init(pair)
+        solver.growth_step()
+        path = solver.routes[0][0].funnels[0].net
+        assert isinstance(path, flows.FlowPath)
+        installed = path.capacity
+        bits = [cap.hex() for cap in installed]
+        assert all(cap > 0.0 for cap in installed)
+        solver.up.x[0][path.route[1]] = math.nan
+        state = solver_state(solver)
+        with pytest.raises(flows.FlowError, match="negative or NaN"):
+            solver.growth_step()
+        assert path.capacity is installed
+        assert [cap.hex() for cap in path.capacity] == bits
+        assert solver_state(solver) == state
 
     def test_every_root_solve_goes_through_max_delta(self, monkeypatch):
         # perfbench's flows.* counters wrap flows.max_delta and
@@ -722,8 +742,10 @@ def solver_state(solver):
 
 
 class TestStepState:
-    """Funnels keep their step capacities for the pair's arrival and a step
-    recomputes only the arcs the previous committed step touched."""
+    """Funnels keep their step capacities for the pair's arrival. A network
+    funnel's step recomputes only the arcs the previous committed step
+    touched, and a path funnel's step recomputes its whole route in one
+    pass."""
 
     @pytest.mark.parametrize("mode, make", [
         ("edge", lambda: grid(2, 2, k=3, seed=5)),
@@ -733,11 +755,14 @@ class TestStepState:
     ])
     def test_step_capacities_match_a_fresh_recomputation(self, mode, make,
                                                          monkeypatch):
+        # both step-state seams: the network's dirty recomputation and the
+        # path's one pass, whose tight set must also be a fresh scan's,
+        # element for element and in iteration order
         step_capacities = CompositeSolver._step_capacities
+        path_capacities = CompositeSolver._path_capacities
         checked = []
 
-        def checked_step_capacities(self, side, rid, funnel, tight):
-            step_capacities(self, side, rid, funnel, tight)
+        def check(self, side, rid, funnel, tight):
             expected = reference_step_capacities(side, rid, funnel, tight,
                                                  self.dmax)
             # a path funnel keeps its capacities in id order too
@@ -745,8 +770,23 @@ class TestStepState:
                     == [cap.hex() for cap in expected])
             checked.append(isinstance(funnel.net, flows.FlowPath))
 
+        def checked_step_capacities(self, side, rid, funnel, tight):
+            step_capacities(self, side, rid, funnel, tight)
+            check(self, side, rid, funnel, tight)
+
+        def checked_path_capacities(self, side, rid, funnel):
+            x = side.x[rid]
+            fresh = {e for e, f in funnel.flow.items()
+                     if x[e] <= f + fractional.TIGHT_TOL}
+            tight = path_capacities(self, side, rid, funnel)
+            assert tight == fresh and list(tight) == list(fresh)
+            check(self, side, rid, funnel, tight)
+            return tight
+
         monkeypatch.setattr(CompositeSolver, "_step_capacities",
                             checked_step_capacities)
+        monkeypatch.setattr(CompositeSolver, "_path_capacities",
+                            checked_path_capacities)
         run_online(load_instance(make()), RunConfig(mode=mode))
         assert len(checked) > 100
         assert any(checked)  # some funnels are paths, with no network

@@ -144,6 +144,46 @@ def test_default_configuration_invariants(mode):
             == DEFAULT_CONFIG_TRACE_DIGESTS[mode])
 
 
+PATH_FUNNEL_RUNS = {
+    "default": [(lambda: grid(2, 2, k=3, seed=5), RunConfig(mode="edge")),
+                (lambda: star_of_paths(3, 2, k=4, seed=2),
+                 RunConfig(mode="edge")),
+                (DEFAULT_CONFIG_INSTANCES["prize"], RunConfig(mode="prize"))],
+    "h1": [(lambda: grid(2, 3, k=4, seed=11),
+            RunConfig(mode="edge", h=1, dmax=0.4)),
+           (lambda: random_digraph(6, 12, 4, seed=3),
+            RunConfig(mode="edge", h=1)),
+           (DEFAULT_CONFIG_INSTANCES["prize"], RunConfig(mode="prize", h=1))],
+}
+
+
+@pytest.mark.parametrize("runs", sorted(PATH_FUNNEL_RUNS))
+def test_path_funnel_flows_follow_their_route(runs, monkeypatch):
+    """After every growth step, every path funnel's flow holds its route's
+    arcs in route order, each at its route's ``z``, bit for bit: the one
+    pass over the flow visits the route in order, and a path's rates are
+    ``delta`` on every arc or on none."""
+    checks = []
+    step = CompositeSolver.growth_step
+
+    def checked_step(self):
+        dt = step(self)
+        for routes in self.routes.values():
+            for route in routes.values():
+                for funnel in route.funnels:
+                    if isinstance(funnel.net, flows.FlowPath):
+                        assert tuple(funnel.flow) == funnel.net.route
+                        assert all(f.hex() == route.z.hex()
+                                   for f in funnel.flow.values())
+                        checks.append(funnel)
+        return dt
+
+    monkeypatch.setattr(CompositeSolver, "growth_step", checked_step)
+    for make, config in PATH_FUNNEL_RUNS[runs]:
+        run_online(load_instance(make()), config)
+    assert len(checks) > 1000
+
+
 # sha256 of one directed run at h = 3, whose funnels hold 4 to 24 arcs of
 # a forest of 9,364 vertices
 DIRECTED_H3_DIGEST = (

@@ -423,6 +423,31 @@ def test_oracle_work_is_bounded(monkeypatch):
     assert calls["_multi_weight_dijkstra"] <= 2 * (2 ** k - 1)
 
 
+def test_offline_opt_builds_a_ledger_only_for_an_improvement(monkeypatch):
+    """A leaf prices its routes without a ledger and builds one only when it
+    beats the best value, so every ledger after the seed bound's is an
+    improvement. On this instance a ledger per leaf makes 171."""
+    made = []
+
+    def counted(*args, **kwargs):
+        ledger = SolutionLedger(*args, **kwargs)
+        made.append(ledger)
+        return ledger
+
+    monkeypatch.setattr(oracle, "SolutionLedger", counted)
+    inst = load_instance(random_digraph(6, 12, 4, seed=3))
+    value, ledger = offline_opt(inst.graph, inst.pairs)
+    totals = [built.total for built in made]
+    improvements = sum(later < earlier - oracle.VALUE_TOL
+                       for earlier, later in zip(totals, totals[1:]))
+    assert improvements >= 1
+    assert len(made) <= 1 + improvements
+    assert ledger is made[-1] and value == ledger.total
+    monkeypatch.undo()
+    assert outcome(offline_opt, inst.graph, inst.pairs) == outcome(
+        reference_offline_opt, inst.graph, inst.pairs)
+
+
 def test_exact_opt_dispatches_on_mode_and_penalties():
     g = build_graph(2, [(0, 1, 10, 1)])
     priced = [TerminalPair(0, 0, 1, penalty=3.0)]
