@@ -275,13 +275,13 @@ class _Funnel:
     capacities for a full step of length ``dmax``. An arc's capacity depends
     only on its own ``x``, flow, tightness and growth factor, and a
     committed step changes ``x`` and the flow only on the edges it found
-    tight or grew. On a network ``dirty`` holds those edges and the next
-    step recomputes only their arcs; no other pair steps while this one's
-    arrival runs, so nothing else moves them. ``dirty`` holds every arc at
-    first, and a path funnel never changes it: a step that moves a path
-    touches every arc, and one that does not moves no capacity's inputs, so
-    each step recomputes the whole route in one pass over the flow, which
-    holds it in route order (``CompositeSolver._path_capacities``).
+    tight or grew. A network funnel's ``dirty`` holds those edges (every
+    arc at first) and the next step recomputes only their arcs; no other
+    pair steps while this one's arrival runs, so nothing else moves them. A
+    path funnel has no ``dirty``: a step that moves a path touches every
+    arc, and one that does not moves no capacity's inputs, so each step
+    recomputes the whole route in one pass over the flow, which holds it in
+    route order (``CompositeSolver._path_capacities``).
     """
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float,
@@ -301,11 +301,11 @@ class _Funnel:
                                    [graph.head[e] for e in arcs],
                                    [0.0] * len(arcs),
                                    [side.l[e] for e in arcs], arcs)
+            # replaced, never changed in place: a committed step hands over
+            # the set it wrote over
+            self.dirty: Set[int] = set(arcs)
         # exp(dmax / c) of each arc: the growth over a full step
         self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
-        # on a network, replaced, never changed in place: a committed step
-        # hands over the set it wrote over
-        self.dirty: Set[int] = set(arcs)
 
     def tight(self, x: List[float]) -> Set[int]:
         """Edges whose capacity variable in ``x`` is met by the flow."""

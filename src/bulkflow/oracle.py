@@ -13,7 +13,9 @@ Three independent routes to ground truth:
   graphs far beyond the subset-enumeration budget (layered expansions).
   Its tables depend only on the terminal multiset, so ``junction_opt``
   shares one per sub-multiset and direction across all roots and
-  assignments, and searches the assignments depth first on prefix sums.
+  assignments. It searches the assignments depth first on prefix sums,
+  with blocks of pairs as bitmasks, and reads a block's rooted costs from
+  the tables once, into a row over every root per direction.
 * ``lp_lower_bound`` solves the flow LP relaxation, penalties priced in,
   with an off-the-shelf LP solver.
 
@@ -47,6 +49,7 @@ class OracleBudget:
     max_vertices: int = 8      # junction root enumeration
     max_pairs: int = 5         # junction assignment enumeration
     max_ss_terminals: int = 10  # terminal-subset DP width
+    max_drop_pairs: int = 10   # prize drop-set enumeration
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -263,6 +266,23 @@ def _rooted_cost(graph: TwoMetricGraph, terminals: Tuple[int, ...], root: int,
     return value
 
 
+def _root_row(graph: TwoMetricGraph, terms: Tuple[int, ...],
+              tables: Dict[Tuple[int, ...], List[float]]) -> List[float]:
+    """``_rooted_cost`` of the sorted multiset ``terms`` toward every root,
+    ``inf`` where some terminal cannot reach it. A root's own copies are
+    removed, so each multiset read is part of ``terms`` and shares
+    ``tables``; the caller checks the DP budget."""
+    row = []
+    for r in range(graph.n):
+        rest = tuple(t for t in terms if t != r) if r in terms else terms
+        if not rest:
+            row.append(0.0)
+            continue
+        value = _collection_costs(graph, rest, tables)[r]
+        row.append(value if math.isfinite(value) else math.inf)
+    return row
+
+
 def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
                  budget: OracleBudget = DEFAULT_BUDGET) -> float:
     """Best decomposition into per-root single-sink plus single-source solutions.
@@ -273,6 +293,15 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     instead be dropped at its ``q``, so on prize instances the value is the
     best split into dropped and routed pairs. Edge copies appearing in
     several rooted solutions are deliberately paid once per solution.
+
+    A block is a bitmask over the pairs; the lowest pair left joins each
+    submask of the rest, high to low. The first time the search meets a
+    block it reads two rows over the roots from the shared DP tables: the
+    sink cost of the block's sources and the source cost of its sinks (see
+    ``_root_row``). Every assignment adds its blocks lowest pair first,
+    sink then source, and costs are ``>= 0``, so the prunes skip only
+    totals at or above the best, and the value is the plain search's
+    minimum, bit for bit.
     """
     pairs = [p for p in pairs if p.s != p.t]
     if not pairs:
@@ -295,56 +324,60 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
             f"{width} terminals exceed the DP budget {budget.max_ss_terminals}",
             required=width)
 
-    sides = {"sink": (graph, {}), "source": (graph.reversed_view(), {})}
-    cache: Dict[Tuple[int, str, Tuple[int, ...]], float] = {}
-
-    def rooted_cost(r: int, terminals: Tuple[int, ...], direction: str) -> float:
-        key = (r, direction, terminals)
-        if key not in cache:
-            side_graph, tables = sides[direction]
-            try:
-                cache[key] = _rooted_cost(side_graph, terminals, r, budget,
-                                          tables)
-            except InfeasibleInstance:
-                cache[key] = math.inf
-        return cache[key]
-
+    reverse = graph.reversed_view()
+    sink_tables: Dict[Tuple[int, ...], List[float]] = {}
+    source_tables: Dict[Tuple[int, ...], List[float]] = {}
+    n = graph.n
+    penalties = [p.penalty for p in pairs]
+    # block (a bitmask over the pairs) -> its sink row and its source row
+    rows: Dict[int, Tuple[List[float], List[float]]] = {}
     best = math.inf
-    used: Set[int] = set()
+    used = [False] * n
 
-    def place(left: Tuple[int, ...], partial: float) -> None:
-        """Blocks for the pairs ``left``: the lowest joins a subset of the
-        rest on an unused root, or is dropped at its penalty; totals add
-        sink then source block by block."""
+    def place(left: int, partial: float) -> None:
+        """Blocks for the pairs in the bitmask ``left``: the lowest joins a
+        subset of the rest on an unused root, or is dropped at its penalty;
+        totals add sink then source block by block."""
         nonlocal best
         if not left:
             best = min(best, partial)
             return
-        rest = left[1:]
-        penalty = pairs[left[0]].penalty
+        low = left & -left
+        rest = left ^ low
+        penalty = penalties[low.bit_length() - 1]
         if penalty is not None and partial + penalty < best:
             place(rest, partial + penalty)
-        full = (1 << len(rest)) - 1
-        for mask in range(full, -1, -1):
-            block = (left[0],) + _pick(rest, mask)
-            others = _pick(rest, full ^ mask)
-            # multiset: shared terminals pay length per pair
-            srcs = tuple(sorted(pairs[i].s for i in block))
-            snks = tuple(sorted(pairs[i].t for i in block))
-            for r in range(graph.n):
-                if r in used:
+        sub = rest
+        while True:  # the submasks of rest, high to low
+            block = low | sub
+            row = rows.get(block)
+            if row is None:
+                members = [p for i, p in enumerate(pairs) if block >> i & 1]
+                # multisets: shared terminals pay length per pair
+                row = rows[block] = (
+                    _root_row(graph, tuple(sorted(p.s for p in members)),
+                              sink_tables),
+                    _root_row(reverse, tuple(sorted(p.t for p in members)),
+                              source_tables))
+            sink, source = row
+            others = rest ^ sub
+            for r in range(n):
+                if used[r]:
                     continue
-                total = partial + rooted_cost(r, srcs, "sink")
+                total = partial + sink[r]
                 if total >= best:
                     continue
-                total += rooted_cost(r, snks, "source")
+                total += source[r]
                 if total >= best:
                     continue
-                used.add(r)
+                used[r] = True
                 place(others, total)
-                used.discard(r)
+                used[r] = False
+            if not sub:
+                break
+            sub = (sub - 1) & rest
 
-    place(tuple(range(len(pairs))), 0.0)
+    place((1 << len(pairs)) - 1, 0.0)
     if not math.isfinite(best):
         raise InfeasibleInstance("no junction assignment connects every pair")
     return best
@@ -352,17 +385,23 @@ def junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
 
 def offline_opt_prize(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
                       budget: OracleBudget = DEFAULT_BUDGET) -> float:
-    """Prize-collecting optimum: best split into dropped and routed pairs."""
+    """Prize-collecting optimum: best split into dropped and routed pairs.
+
+    Only pairs with a penalty may be dropped, so the drop sets are the
+    subsets of those pairs, in the order of the masks over all pairs.
+    """
+    penalized = [i for i, p in enumerate(pairs) if p.penalty is not None]
+    if len(penalized) > budget.max_drop_pairs:
+        raise BudgetExceeded(
+            f"{len(penalized)} penalized pairs exceed the drop budget "
+            f"{budget.max_drop_pairs}", required=len(penalized))
     best = math.inf
-    indexed = list(pairs)
-    for mask in range(1 << len(indexed)):
-        dropped = [p for i, p in enumerate(indexed) if mask >> i & 1]
-        if any(p.penalty is None for p in dropped):
-            continue
-        kept = [p for i, p in enumerate(indexed) if not mask >> i & 1]
-        penalty = plain_sum(p.penalty for p in dropped)
+    for mask in range(1 << len(penalized)):
+        drop = [i for j, i in enumerate(penalized) if mask >> j & 1]
+        penalty = plain_sum(pairs[i].penalty for i in drop)
         if penalty >= best:
             continue
+        kept = [p for i, p in enumerate(pairs) if i not in drop]
         try:
             value, _ = offline_opt(graph, kept, budget)
         except InfeasibleInstance:

@@ -27,8 +27,8 @@ from bulkflow.junction import (DEFAULT_NODE_BUDGET, GroupSteinerInstance,
                                root_links_on_path)
 from bulkflow.layering import WEIGHT_CAP, LayeredGraph, _blend_weight
 from bulkflow.oracle import (DEFAULT_BUDGET, VALUE_TOL, InfeasibleInstance,
-                             OracleBudget, _multi_weight_dijkstra,
-                             _purchase_keys)
+                             OracleBudget, _multi_weight_dijkstra, _pick,
+                             _purchase_keys, _rooted_cost, offline_opt)
 from bulkflow.prize import VIRTUAL_ROOT_ID
 
 
@@ -267,6 +267,106 @@ def reference_junction_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
         best = min(best, total)
     if not math.isfinite(best):
         raise InfeasibleInstance("no junction assignment connects every pair")
+    return best
+
+
+def reference_block_junction_opt(graph: TwoMetricGraph,
+                                 pairs: Sequence[TerminalPair],
+                                 budget: OracleBudget = DEFAULT_BUDGET
+                                 ) -> float:
+    """The block search of ``junction_opt`` over pair tuples, with a rooted
+    cost per (root, direction, sorted multiset) cached as it is met: blocks
+    in the order of their lowest pair, each on its own root, and a pair
+    with a penalty may be dropped at its ``q`` first."""
+    pairs = [p for p in pairs if p.s != p.t]
+    if not pairs:
+        return 0.0
+    if len(pairs) > budget.max_pairs:
+        raise BudgetExceeded(
+            f"{len(pairs)} pairs exceed the junction budget {budget.max_pairs}",
+            required=len(pairs))
+    if graph.n > budget.max_vertices:
+        raise BudgetExceeded(
+            f"{graph.n} vertices exceed the junction budget {budget.max_vertices}",
+            required=graph.n)
+    width = max((max(sum(p.s != r for p in pairs), sum(p.t != r for p in pairs))
+                 for r in range(graph.n)), default=0)
+    if width > budget.max_ss_terminals:
+        raise BudgetExceeded(
+            f"{width} terminals exceed the DP budget {budget.max_ss_terminals}",
+            required=width)
+
+    sides = {"sink": (graph, {}), "source": (graph.reversed_view(), {})}
+    cache: Dict[Tuple[int, str, Tuple[int, ...]], float] = {}
+
+    def rooted_cost(r: int, terminals: Tuple[int, ...], direction: str) -> float:
+        key = (r, direction, terminals)
+        if key not in cache:
+            side_graph, tables = sides[direction]
+            try:
+                cache[key] = _rooted_cost(side_graph, terminals, r, budget,
+                                          tables)
+            except InfeasibleInstance:
+                cache[key] = math.inf
+        return cache[key]
+
+    best = math.inf
+    used: Set[int] = set()
+
+    def place(left: Tuple[int, ...], partial: float) -> None:
+        nonlocal best
+        if not left:
+            best = min(best, partial)
+            return
+        rest = left[1:]
+        penalty = pairs[left[0]].penalty
+        if penalty is not None and partial + penalty < best:
+            place(rest, partial + penalty)
+        full = (1 << len(rest)) - 1
+        for mask in range(full, -1, -1):
+            block = (left[0],) + _pick(rest, mask)
+            others = _pick(rest, full ^ mask)
+            srcs = tuple(sorted(pairs[i].s for i in block))
+            snks = tuple(sorted(pairs[i].t for i in block))
+            for r in range(graph.n):
+                if r in used:
+                    continue
+                total = partial + rooted_cost(r, srcs, "sink")
+                if total >= best:
+                    continue
+                total += rooted_cost(r, snks, "source")
+                if total >= best:
+                    continue
+                used.add(r)
+                place(others, total)
+                used.discard(r)
+
+    place(tuple(range(len(pairs))), 0.0)
+    if not math.isfinite(best):
+        raise InfeasibleInstance("no junction assignment connects every pair")
+    return best
+
+
+def reference_offline_opt_prize(graph: TwoMetricGraph,
+                                pairs: Sequence[TerminalPair]) -> float:
+    """Every drop mask over all pairs, skipping those that drop a pair with
+    no penalty, with no drop budget."""
+    best = math.inf
+    for mask in range(1 << len(pairs)):
+        dropped = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        if any(p.penalty is None for p in dropped):
+            continue
+        kept = [p for i, p in enumerate(pairs) if not mask >> i & 1]
+        penalty = plain_sum(p.penalty for p in dropped)
+        if penalty >= best:
+            continue
+        try:
+            value, _ = offline_opt(graph, kept)
+        except InfeasibleInstance:
+            continue
+        best = min(best, penalty + value)
+    if not math.isfinite(best):
+        raise InfeasibleInstance("no feasible drop/route split")
     return best
 
 
@@ -1058,8 +1158,9 @@ class ReferenceGrowthStep:
 class ReferenceStepSolver(CompositeSolver):
     """``CompositeSolver`` with the reference growth step and arrival loop,
     in which any registered pair may step. Every funnel, one path or not,
-    gets a flow network of its own over its arcs in id order, so the
-    reference reads nothing of the solver's own step state but ``dirty``."""
+    gets a flow network of its own over its arcs in id order and a set of
+    the arcs to recompute, so the reference reads nothing of the solver's
+    own step state."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1067,6 +1168,8 @@ class ReferenceStepSolver(CompositeSolver):
         self._stepping: Optional[int] = None
         # funnel -> its reference network (network arc a is funnel arc a)
         self._nets: Dict[_Funnel, FlowNetwork] = {}
+        # funnel -> the edges whose capacities its next solve recomputes
+        self._dirty: Dict[_Funnel, Set[int]] = {}
 
     def _reference_network(self, side: _Side, funnel: _Funnel) -> FlowNetwork:
         net = self._nets.get(funnel)
@@ -1085,7 +1188,7 @@ class ReferenceStepSolver(CompositeSolver):
         if pair_index != self._stepping:
             for route in self.routes.get(self._stepping, {}).values():
                 for funnel in route.funnels:
-                    funnel.dirty = set(funnel.arcs)
+                    self._dirty[funnel] = set(funnel.arcs)
             self._stepping = pair_index
 
     def _aux_network(self, side: _Side, rid: int, funnel: _Funnel,
@@ -1102,8 +1205,9 @@ class ReferenceStepSolver(CompositeSolver):
         x, dmax, inf = side.x[rid], self.dmax, math.inf
         flows_get = funnel.flow.get
         index, full_growth = funnel.index, funnel.full_growth
+        dirty = self._dirty.setdefault(funnel, set(funnel.arcs))
         changes = []
-        for e in funnel.dirty:
+        for e in dirty:
             a = index[e]
             grow = full_growth[a]
             if grow == inf:
@@ -1117,7 +1221,7 @@ class ReferenceStepSolver(CompositeSolver):
                 changes.append((a, (room + x[e] * (grow - 1.0)) / dmax))
         net = self._reference_network(side, funnel)
         reference_step_update_capacities(net, changes)
-        funnel.dirty.clear()
+        dirty.clear()
         return net
 
     def _solve_root(self, rid: int, route: _Route) -> ReferenceRootStep:
@@ -1217,8 +1321,9 @@ class ReferenceStepSolver(CompositeSolver):
             route = routes[rid]
             for funnel, tight, g_side in zip(route.funnels, sol.tight,
                                              sol.grow):
-                funnel.dirty.update(tight)
-                funnel.dirty.update(g_side)
+                dirty = self._dirty[funnel]
+                dirty.update(tight)
+                dirty.update(g_side)
                 flow = funnel.flow
                 for e, g in g_side.items():
                     flow[e] = flow.get(e, 0.0) + g * step.dt

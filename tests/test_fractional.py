@@ -815,6 +815,10 @@ class TestStepState:
             for solver in (kept, fresh):
                 solver.arrival_init(PairSpec(index, *ends))
             assert kept.routes[index]
+            # only a network funnel keeps a set of arcs to recompute
+            for _, funnel in side_funnels(kept):
+                assert (hasattr(funnel, "dirty")
+                        == isinstance(funnel.net, FlowNetwork))
             if index == 1:
                 # both pairs share their terminals, so pair 1's funnels read
                 # the x that pair 0's steps moved
@@ -827,7 +831,9 @@ class TestStepState:
                 if kept.z_total(index) >= 1.0 - fractional.COVER_TOL:
                     break
                 for _, funnel in side_funnels(fresh):
-                    funnel.dirty = set(funnel.arcs)  # recompute every arc
+                    # recompute every arc; a path funnel always does
+                    if isinstance(funnel.net, FlowNetwork):
+                        funnel.dirty = set(funnel.arcs)
                 dt = kept.growth_step()
                 assert dt.hex() == fresh.growth_step().hex()
                 truncated += dt < kept.dmax

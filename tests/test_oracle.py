@@ -15,9 +15,10 @@ from bulkflow.instance import load_instance
 from bulkflow.oracle import (InfeasibleInstance, OracleBudget, exact_opt,
                              junction_opt, lp_lower_bound, offline_opt,
                              offline_opt_prize, ss_offline_opt)
-from helpers import (build_graph, random_two_metric, reference_junction_opt,
-                     reference_offline_opt, reference_ss_offline_opt,
-                     tie_heavy_graph)
+from helpers import (build_graph, random_two_metric,
+                     reference_block_junction_opt, reference_junction_opt,
+                     reference_offline_opt, reference_offline_opt_prize,
+                     reference_ss_offline_opt, tie_heavy_graph)
 from test_invariants import ORACLE_PIN_RUNS
 
 # repr of lp_lower_bound on the instances of the penalty-free oracle pin runs
@@ -285,6 +286,52 @@ class TestPrizeOracle:
         # route the cheap pair, drop the one that needs the pricey edge
         assert offline_opt_prize(g, pairs) == pytest.approx(1.1 + 2.0)
 
+    def test_drop_sets_are_the_subsets_of_the_penalized_pairs(self,
+                                                              monkeypatch):
+        """Only penalized pairs are dropped, so the search routes 2**q drop
+        sets, and its bits are those of the loop over every drop mask."""
+        routed = []
+
+        def counted(graph, pairs, *args):
+            routed.append(len(pairs))
+            return offline_opt(graph, pairs, *args)
+        # the reference calls offline_opt as imported, uncounted
+        monkeypatch.setattr(oracle, "offline_opt", counted)
+        for seed in range(6):
+            inst = small_instance("prize", seed)
+            # the first pair may no longer be dropped
+            pairs = [replace(inst.pairs[0], penalty=None), *inst.pairs[1:]]
+            for case in (inst.pairs, pairs):
+                routed.clear()
+                assert (outcome(offline_opt_prize, inst.graph, case)
+                        == outcome(reference_offline_opt_prize, inst.graph,
+                                   case))
+                charged = sum(p.penalty is not None for p in case)
+                assert 1 <= len(routed) <= 2 ** charged
+                # every routed set holds the pairs that pay no penalty
+                assert min(routed) >= len(case) - charged
+
+    def test_more_penalized_pairs_than_the_drop_budget_are_refused(
+            self, tmp_path, capsys):
+        g = build_graph(2, [(0, 1, 1.0, 0.5)])
+        pairs = [TerminalPair(i, 0, 1, penalty=2.0) for i in range(11)]
+        with pytest.raises(BudgetExceeded) as exc:
+            offline_opt_prize(g, pairs)
+        assert exc.value.required == 11
+        three = pairs[:3] + [TerminalPair(3, 0, 1)]
+        with pytest.raises(BudgetExceeded) as exc:
+            offline_opt_prize(g, three, OracleBudget(max_drop_pairs=2))
+        assert exc.value.required == 3
+        assert (offline_opt_prize(g, three, OracleBudget(max_drop_pairs=3))
+                == reference_offline_opt_prize(g, three))
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({
+            "n": 2, "mode": "prize",
+            "edges": [{"tail": 0, "head": 1, "c": 1, "l": 0.5}],
+            "pairs": [{"s": 0, "t": 1, "q": 2}] * 11}))
+        assert cli.main(["oracle", "--instance", str(path)]) == cli.EXIT_BUDGET
+        assert "drop budget" in capsys.readouterr().err
+
 
 def outcome(fn, *args, **kwargs):
     """A result, with ledgers as (value, bought, paths), or the refusal."""
@@ -328,6 +375,32 @@ class TestPrunedSearchesMatchReference:
             assert got == outcome(reference_junction_opt, g, pairs)
             outcomes.add(got == "infeasible")
         assert outcomes == {True, False}
+
+    def test_junction_opt_bit_equal_to_the_block_search_with_penalties(self):
+        """The product loop has no penalty branch; the tuple block search
+        does, and the bitmask search must return its bits."""
+        seen = set()
+        for rng, g, pairs in tie_heavy_cases(900, 200):
+            pairs = [replace(p, penalty=rng.choice((None, None, 0.0, 0.3,
+                                                     0.7, 2.1)))
+                     for p in pairs]
+            got = outcome(junction_opt, g, pairs)
+            assert got == outcome(reference_block_junction_opt, g, pairs)
+            routed = outcome(junction_opt, g,
+                             [replace(p, penalty=None) for p in pairs])
+            seen.add("infeasible" if got == "infeasible"
+                     else "drop" if routed == "infeasible" or got < routed
+                     else "route")
+            if any(p.s == p.t for p in pairs):
+                seen.add("loop")
+            ends = [v for p in pairs if p.s != p.t for v in (p.s, p.t)]
+            if len(ends) > len(set(ends)):
+                seen.add("shared")
+        assert seen == {"infeasible", "drop", "route", "loop", "shared"}
+        for seed in range(10):
+            inst = small_instance("prize", seed)
+            assert (junction_opt(inst.graph, inst.pairs)
+                    == reference_block_junction_opt(inst.graph, inst.pairs))
 
     def test_junction_opt_dp_budget_refusal_is_order_free(self):
         """A DP budget below the pair count: junction_opt refuses whenever
@@ -396,11 +469,12 @@ class TestPrunedSearchesMatchReference:
 
 
 def test_oracle_work_is_bounded(monkeypatch):
-    """Each pair's route is kept through the subset search, and DP tables are
-    shared: on this instance the unpruned searches make 5,241 route searches
-    and 488 Dijkstra runs, and a search that tests every excluded purchase
-    for connectivity makes 688 route searches and 809 reachability walks."""
-    calls = {"shortest_path": 0, "_multi_weight_dijkstra": 0}
+    """Each pair's route is kept through the subset search, DP tables are
+    shared and each block's root rows are built once: on this instance the
+    unpruned searches make 5,241 route searches and 488 Dijkstra runs, and a
+    search that tests every excluded purchase for connectivity makes 688
+    route searches and 809 reachability walks."""
+    calls = {"shortest_path": 0, "_multi_weight_dijkstra": 0, "_root_row": 0}
     for name in calls:
         def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -418,9 +492,11 @@ def test_oracle_work_is_bounded(monkeypatch):
     offline_opt(inst.graph, inst.pairs)
     assert calls["shortest_path"] + calls["walks"] <= 400
     junction_opt(inst.graph, inst.pairs)
-    # one table per non-empty sub-multiset of the sources and of the sinks
+    # one table per non-empty sub-multiset of the sources and of the sinks,
+    # and a sink row and a source row per block (a non-empty pair subset)
     k = len(inst.pairs)
     assert calls["_multi_weight_dijkstra"] <= 2 * (2 ** k - 1)
+    assert 0 < calls["_root_row"] <= 2 * (2 ** k - 1)
 
 
 def test_offline_opt_builds_a_ledger_only_for_an_improvement(monkeypatch):
