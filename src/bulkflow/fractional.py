@@ -185,11 +185,11 @@ class SideGraph:
         owner = self.owner
         return lambda e: owner.get(e) is None or owner.get(e) == pair_index
 
-    def near(self, pair: PairSpec, weight: Callable[[int], float]
+    def near(self, pair: PairSpec, weight: Sequence[float]
              ) -> Dict[int, float]:
-        """``weight`` distance over the pair's allowed arcs from its source
-        to each vertex it reaches upstairs, or into its sink from each vertex
-        reaching it downstairs."""
+        """Distance under ``weight`` (indexed by arc id) over the pair's
+        allowed arcs from its source to each vertex it reaches upstairs, or
+        into its sink from each vertex reaching it downstairs."""
         found = shortest_paths(self.graph, weight, self.terminal(pair),
                                allowed=self.allowed(pair.index),
                                backward=not self.upward)
@@ -208,6 +208,8 @@ class _Side:
         self.l = [graph.l[e] / guess for e in range(graph.m)]
         # rescaled c + l of each arc: the metric of the distance ball
         self.w = [c + l for c, l in zip(self.c, self.l)]
+        # the hop metric of each arrival's seed path
+        self.unit = [1.0] * graph.m
         # per-root capacity variables, dense over edge ids: an arc dearer
         # than the ball's bound is on no funnel, and its x stays 0, so it
         # spends nothing of the epoch's cap
@@ -226,7 +228,7 @@ class _Side:
         key = (vertex, into)
         if allowed is None and key in self._distances:
             return self._distances[key]
-        found = shortest_paths(self.graph, self.w.__getitem__, vertex,
+        found = shortest_paths(self.graph, self.w, vertex,
                                allowed=allowed, backward=into)
         dist = {v: d for v, (_, d) in found.items()}
         if allowed is None:
@@ -446,7 +448,7 @@ class CompositeSolver:
                 arcs = side.ball(before, after, to_root[1 - i], allow)
                 ends = side.side_graph.ends(pair, spec)
                 try:
-                    path, _ = shortest_path(side.graph, lambda e: 1.0, *ends,
+                    path, _ = shortest_path(side.graph, side.unit, *ends,
                                             set(arcs).__contains__)
                 except Unreachable:
                     break  # rounding at the bound cut the cheapest route

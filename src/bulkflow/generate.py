@@ -131,13 +131,9 @@ def _greedy_dispatch_cost(graph: TwoMetricGraph, pairs: Sequence[dict]) -> float
     """
     bought: Set[int] = set()
     total = 0.0
-
-    def marginal(e: int) -> float:
-        if graph.purchase_key(e) in bought:
-            return graph.l[e]
-        return graph.c[e] + graph.l[e]
-
     for pr in pairs:
+        marginal = [l if graph.purchase_key(e) in bought else c + l
+                    for e, (c, l) in enumerate(zip(graph.c, graph.l))]
         best: Optional[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = None
         # every vertex is a candidate root; one search reaches them all
         up = shortest_paths(graph, marginal, pr["s"])

@@ -264,29 +264,40 @@ def solution_cost(graph: TwoMetricGraph,
     return buy, length, buy + length
 
 
-def shortest_paths(graph: TwoMetricGraph, weight: Callable[[int], float],
+def shortest_paths(graph: TwoMetricGraph, weight: Sequence[float],
                    start: int, goal: Optional[int] = None,
                    allowed: Optional[Callable[[int], bool]] = None,
                    backward: bool = False) -> Dict[int, Tuple[Tuple[int, ...], float]]:
     """Minimum-weight paths from ``start``: ``{vertex: (arc-id path, weight)}``.
 
+    ``weight[e]`` is arc ``e``'s weight; weights must be nonnegative.
     Covers every vertex reachable along ``allowed`` arcs (``start`` itself
     with the empty path at weight 0), or stops once ``goal`` is settled.
-    Ties go to the smallest lexicographic arc-id sequence (among simple
-    paths), so each entry equals the point-to-point answer. Weights must be
-    nonnegative. ``backward`` walks against the arcs and finds paths into
-    ``start``, listed from its end as the search on ``reversed_view()`` does.
+    The entries are listed in settle order. Ties go to the smallest
+    lexicographic arc-id sequence (among simple paths), so each entry
+    equals the point-to-point answer. ``backward`` walks against the arcs
+    and finds paths into ``start``, listed from its end as the search on
+    ``reversed_view()`` does.
+
+    A label is pushed only if it is no larger than the least one pushed
+    for its vertex so far. That is exact: a strictly larger label pops
+    after the smaller one has settled its vertex, and would be skipped.
+    Equal labels are pushed, since the path tuple breaks their tie. The
+    heap's entries are distinct, so it pops the same entries in the same
+    order as without the rule, and every path and weight bit is the same.
     """
     if not (0 <= start < graph.n and (goal is None or 0 <= goal < graph.n)):
         raise GraphError("endpoints outside graph")
     arcs_at, far_end = ((graph.in_arcs, graph.tail) if backward
                         else (graph.out_arcs, graph.head))
     # heap entries carry the full arc-id tuple so equal-weight paths settle
-    # in lexicographic order; graphs here are small enough for this to be cheap
+    # in lexicographic order; the rule above keeps the heap small
     heap: List[Tuple[float, Tuple[int, ...], int]] = [(0.0, (), start)]
     settled: Dict[int, Tuple[Tuple[int, ...], float]] = {}
+    best = [math.inf] * graph.n  # least label pushed per vertex
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        dist, path, v = heapq.heappop(heap)
+        dist, path, v = pop(heap)
         if v in settled:
             continue
         settled[v] = (path, dist)
@@ -295,16 +306,19 @@ def shortest_paths(graph: TwoMetricGraph, weight: Callable[[int], float],
         for e in arcs_at[v]:
             if allowed is not None and not allowed(e):
                 continue
-            w = weight(e)
+            w = weight[e]
             if w < 0:
                 raise GraphError(f"negative weight on {graph.describe_arc(e)}")
             u = far_end[e]
             if u not in settled:
-                heapq.heappush(heap, (dist + w, path + (e,), u))
+                label = dist + w
+                if label <= best[u]:
+                    best[u] = label
+                    push(heap, (label, path + (e,), u))
     return settled
 
 
-def shortest_path(graph: TwoMetricGraph, weight: Callable[[int], float],
+def shortest_path(graph: TwoMetricGraph, weight: Sequence[float],
                   start: int, goal: int,
                   allowed: Optional[Callable[[int], bool]] = None) -> Tuple[Tuple[int, ...], float]:
     """The ``shortest_paths`` entry for ``goal``; raises ``Unreachable``."""

@@ -32,7 +32,7 @@ from .layering import (LayeredGraph, build_expansions, default_height,
                        pull_back)
 from .oracle import InfeasibleInstance, exact_opt, junction_opt
 from .prize import augment, settle
-from .rounding import Assignment, choose_root, draw_thresholds
+from .rounding import Assignment, LazyThresholds, choose_root
 from .single_sink import GreedySingleSink
 
 MODES = ("edge", "node", "directed", "prize")
@@ -190,6 +190,8 @@ class OnlinePipeline:
         self.instance = instance
         self.config = config
         self.base = instance.graph
+        # c + l of each base arc: the metric of the direct fallback route
+        self._base_weight = [c + l for c, l in zip(self.base.c, self.base.l)]
         self.n_scale = max(2, self.base.n)
         if self.n_scale > MAX_N_SCALE:
             raise InstanceError(f"the base graph has {self.base.n} vertices; "
@@ -269,8 +271,7 @@ class OnlinePipeline:
         alone: the distance ball depends on the guess this sets."""
 
         def near(g: SideGraph) -> Dict[int, float]:
-            c, l = g.graph.c, g.graph.l
-            return g.near(spec, lambda e: c[e] + l[e])
+            return g.near(spec, [c + l for c, l in zip(g.graph.c, g.graph.l)])
 
         up, down = (side.side_graph for side in self.sides)
         up_near, down_near = near(up), near(down)
@@ -286,8 +287,8 @@ class OnlinePipeline:
         self.solver = CompositeSolver(
             *(side.side_graph for side in self.sides), self.roots,
             self.n_scale, self.lam, self.kappa, self.config.dmax)
-        self.tau = draw_thresholds(self.root_ids, self.n_scale,
-                                   f"{self.config.seed}:{self.epoch}")
+        self.tau = LazyThresholds(self.root_ids, self.n_scale,
+                                  f"{self.config.seed}:{self.epoch}")
 
     def _advance_epoch(self) -> None:
         """Double the guess, restart the fractional state, replay history."""
@@ -331,9 +332,7 @@ class OnlinePipeline:
         """Direct cheapest combined-metric path on the base graph and its
         cost, or None if the base graph has none."""
         try:
-            return shortest_path(self.base,
-                                 lambda e: self.base.c[e] + self.base.l[e],
-                                 pair.s, pair.t)
+            return shortest_path(self.base, self._base_weight, pair.s, pair.t)
         except Unreachable:
             return None
 

@@ -114,7 +114,7 @@ def build_layered(base: TwoMetricGraph, k: int, h: int,
         weights = [_blend_weight(c, l, factor) for c, l in zip(base.c, base_l)]
         for u in range(n):
             # one Dijkstra per (vertex, level); paths reused for every far end v
-            found = shortest_paths(base, weights.__getitem__, u, backward=down)
+            found = shortest_paths(base, weights, u, backward=down)
             length = {}
             for v, (path, _) in found.items():  # settle order
                 length[v] = (length[near_end[path[-1]]] + base_l[path[-1]]

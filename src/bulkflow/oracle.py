@@ -91,13 +91,12 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
         arcs_of[key].append(e)
     live = bytearray([1]) * graph.m  # the upper set's arcs
     allowed = live.__getitem__
-    length = graph.l.__getitem__
 
     def route(p: TerminalPair) -> Optional[Tuple[Tuple[int, ...], Set[int]]]:
         """``p``'s shortest length-path over the live arcs and the
         purchases it uses, or None when they cut ``p`` off."""
         try:
-            path, _ = shortest_path(graph, length, p.s, p.t, allowed=allowed)
+            path, _ = shortest_path(graph, graph.l, p.s, p.t, allowed=allowed)
         except Unreachable:
             return None
         return path, {key_of[e] for e in path}

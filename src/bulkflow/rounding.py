@@ -1,11 +1,12 @@
 """Online partial rounding of the composite LP.
 
 Only the outer assignment variables are rounded: each root draws a uniform
-threshold once per epoch and a pair is assigned to a root whose ``z`` clears
-its threshold. The inner capacity/flow variables are never rounded. Divided
-by the threshold (capped at 1) they still support a unit routing for every
-assigned pair, which ``scaled_min_cut`` certifies and the downstream
-single-sink algorithms rely on.
+threshold once per epoch, when a pair first reads it, and a pair is
+assigned to a root whose ``z`` clears its threshold. The inner
+capacity/flow variables are never rounded. Divided by the threshold (capped
+at 1) they still support a unit routing for every assigned pair, which
+``scaled_min_cut`` certifies and the downstream single-sink algorithms rely
+on.
 """
 
 from __future__ import annotations
@@ -52,8 +53,30 @@ def draw_thresholds(roots: Sequence[int], n: int,
     prize-collecting virtual root leaves every real root's draw unchanged.
     """
     lo, hi = threshold_interval(n)
-    return {rid: random.Random(f"thresholds:{seed}:{rid}").uniform(lo, hi)
-            for rid in sorted(roots)}
+    return {rid: _draw(seed, rid, lo, hi) for rid in sorted(roots)}
+
+
+def _draw(seed: object, rid: int, lo: float, hi: float) -> float:
+    return random.Random(f"thresholds:{seed}:{rid}").uniform(lo, hi)
+
+
+class LazyThresholds(dict):
+    """``draw_thresholds(roots, n, seed)``, each root's entry drawn when
+    first read: seeding a root's stream costs more than the draw, and most
+    epochs read only some roots. Reading a root outside ``roots`` raises
+    ``KeyError``, as it does on the eager dict."""
+
+    def __init__(self, roots: Sequence[int], n: int, seed: object):
+        super().__init__()
+        self._roots = frozenset(roots)
+        self._interval = threshold_interval(n)
+        self._seed = seed
+
+    def __missing__(self, rid: int) -> float:
+        if rid not in self._roots:
+            raise KeyError(rid)
+        tau = self[rid] = _draw(self._seed, rid, *self._interval)
+        return tau
 
 
 def choose_root(state: CompositeSolver, tau: Dict[int, float],

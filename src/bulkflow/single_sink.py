@@ -34,17 +34,15 @@ class GreedySingleSink:
         self.root = root
         self.direction = direction
         self.ledger = SolutionLedger()
-
-    def _marginal_weight(self, e: int) -> float:
-        if self.graph.purchase_key(e) in self.ledger.bought:
-            return self.graph.l[e]
-        return self.graph.c[e] + self.graph.l[e]
+        # marginal weight per arc: c + l, or l alone once its purchase (which
+        # a twin shares) is bought
+        self._weight = [c + l for c, l in zip(graph.c, graph.l)]
 
     def _cheapest(self, terminal: int) -> Tuple[Tuple[int, ...], float]:
         """Marginal-cheapest path for the terminal under the current ledger."""
         ends = ((terminal, self.root) if self.direction == "sink"
                 else (self.root, terminal))
-        return shortest_path(self.graph, self._marginal_weight, *ends)
+        return shortest_path(self.graph, self._weight, *ends)
 
     def marginal_cost(self, terminal: int) -> float:
         """Cost serving this terminal would add right now (no commitment)."""
@@ -55,4 +53,9 @@ class GreedySingleSink:
         as ``pair_index``'s."""
         path, _ = self._cheapest(terminal)
         self.ledger.add_path(self.graph, pair_index, path)
+        l, twin, weight = self.graph.l, self.graph.twin, self._weight
+        for e in path:
+            weight[e] = l[e]
+            if twin[e] >= 0:
+                weight[twin[e]] = l[twin[e]]
         return path

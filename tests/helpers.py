@@ -8,7 +8,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from bulkflow.errors import BudgetExceeded
 from bulkflow.flows import (EPS_CAP, FEAS_TOL, TIE_TOL, FlowError,
@@ -21,7 +21,7 @@ from bulkflow.fractional import (BALL_TOL, COVER_TOL, MAX_STEPS, MIN_DT,
                                  _Route, _Side)
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, plain_sum,
-                            shortest_path, shortest_paths)
+                            shortest_path)
 from bulkflow.junction import (DEFAULT_NODE_BUDGET, GroupSteinerInstance,
                                GstSubInstance, JunctionForest,
                                root_links_on_path)
@@ -123,7 +123,7 @@ def _reference_route(graph: TwoMetricGraph, chosen: Set[int], s: int,
                      t: int) -> Optional[Tuple[Tuple[int, ...], float]]:
     allowed = lambda e: graph.purchase_key(e) in chosen
     try:
-        return shortest_path(graph, lambda e: graph.l[e], s, t, allowed=allowed)
+        return shortest_path(graph, graph.l, s, t, allowed=allowed)
     except Unreachable:
         return None
 
@@ -510,6 +510,51 @@ def reference_step_capacities(side, rid: int, funnel, tight: Set[int],
 
 
 # ----------------------------------------------------------------------
+# Reference search: ``graph.shortest_paths`` as it was before it skipped
+# dominated labels and took its weights as a list (renamed, otherwise
+# verbatim): a callable weight, and every relaxation pushed.
+
+def reference_shortest_paths(graph: TwoMetricGraph,
+                             weight: Callable[[int], float], start: int,
+                             goal: Optional[int] = None,
+                             allowed: Optional[Callable[[int], bool]] = None,
+                             backward: bool = False
+                             ) -> Dict[int, Tuple[Tuple[int, ...], float]]:
+    """Minimum-weight paths from ``start``: ``{vertex: (arc-id path, weight)}``.
+
+    Covers every vertex reachable along ``allowed`` arcs (``start`` itself
+    with the empty path at weight 0), or stops once ``goal`` is settled.
+    Ties go to the smallest lexicographic arc-id sequence (among simple
+    paths), so each entry equals the point-to-point answer. Weights must be
+    nonnegative. ``backward`` walks against the arcs and finds paths into
+    ``start``, listed from its end as the search on ``reversed_view()`` does.
+    """
+    if not (0 <= start < graph.n and (goal is None or 0 <= goal < graph.n)):
+        raise GraphError("endpoints outside graph")
+    arcs_at, far_end = ((graph.in_arcs, graph.tail) if backward
+                        else (graph.out_arcs, graph.head))
+    heap: List[Tuple[float, Tuple[int, ...], int]] = [(0.0, (), start)]
+    settled: Dict[int, Tuple[Tuple[int, ...], float]] = {}
+    while heap:
+        dist, path, v = heapq.heappop(heap)
+        if v in settled:
+            continue
+        settled[v] = (path, dist)
+        if v == goal:
+            break
+        for e in arcs_at[v]:
+            if allowed is not None and not allowed(e):
+                continue
+            w = weight(e)
+            if w < 0:
+                raise GraphError(f"negative weight on {graph.describe_arc(e)}")
+            u = far_end[e]
+            if u not in settled:
+                heapq.heappush(heap, (dist + w, path + (e,), u))
+    return settled
+
+
+# ----------------------------------------------------------------------
 # Reference joint solve: cheapest_flow_curve, _assemble and max_delta as
 # they were before the solve walked each augmenting path once (renamed,
 # otherwise verbatim), to compare the fused solve with bit for bit.
@@ -541,7 +586,8 @@ def reference_build_layered(base: TwoMetricGraph, k: int, h: int,
         weight = lambda e, f=factor: _blend_weight(base.c[e], base.l[e], f)
         for u in range(n):
             # one Dijkstra per (vertex, level); paths reused for every far end v
-            found = shortest_paths(base, weight, u, backward=down)
+            found = reference_shortest_paths(base, weight, u,
+                                             backward=down)
             for v, (path, cost) in sorted(found.items()):
                 length = plain_sum(base.l[e] for e in path)
                 ends = (level * n + u, (level - 1) * n + v)

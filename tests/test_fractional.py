@@ -41,7 +41,8 @@ def route_cost(up, down, root, pair):
     """``c + l`` of the pair's cheapest route through ``root``: the least
     guess whose distance ball holds the root."""
     def cost(g, start, goal):
-        return shortest_path(g, lambda e: g.c[e] + g.l[e], start, goal)[1]
+        return shortest_path(g, [c + l for c, l in zip(g.c, g.l)], start,
+                             goal)[1]
     return (cost(up, pair.up_source, root.up_vertex)
             + cost(down, root.down_vertex, pair.down_sink))
 
@@ -640,7 +641,7 @@ class TestFunnel:
                     side, arcs = solver.sides[i], ball[rid][i]
                     assert funnel.arcs == arcs
                     # the seed is the hop-shortest path inside the ball
-                    path, _ = shortest_path(side.graph, lambda e: 1.0,
+                    path, _ = shortest_path(side.graph, [1.0] * side.graph.m,
                                             *funnel.ends,
                                             set(arcs).__contains__)
                     assert funnel.flow == dict.fromkeys(path, solver.v0)
@@ -1022,7 +1023,7 @@ class TestBallDistanceCache:
 
         def checked(self, vertex, allowed, into):
             found = distances(self, vertex, allowed, into)
-            fresh = shortest_paths(self.graph, self.w.__getitem__, vertex,
+            fresh = shortest_paths(self.graph, self.w, vertex,
                                    allowed=allowed, backward=into)
             assert ([(v, d.hex()) for v, d in found.items()]
                     == [(v, d.hex()) for v, (_, d) in fresh.items()])

@@ -10,7 +10,8 @@ from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, shortest_path,
                             shortest_paths, solution_cost, split_node_weights)
 from bulkflow.instance import load_instance
-from helpers import brute_min_node_cost_path, build_graph, tie_heavy_graph
+from helpers import (brute_min_node_cost_path, build_graph,
+                     reference_shortest_paths, tie_heavy_graph)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -189,7 +190,7 @@ class TestNodeSplit:
                                         [(0, 1), (1, 2)], directed=False)
         start = mapping["source_vertex"][0]
         goal = mapping["sink_vertex"][2]
-        _, cost = shortest_path(g, lambda e: g.c[e], start, goal)
+        _, cost = shortest_path(g, g.c, start, goal)
         assert cost == pytest.approx(5.0)
 
     def test_negative_weight_rejected(self):
@@ -207,7 +208,7 @@ class TestNodeSplit:
             expected = brute_min_node_cost_path(n, node_c, edges, s, t)
             g, mapping = split_node_weights(n, node_c, [0.0] * n, edges)
             try:
-                _, cost = shortest_path(g, lambda e: g.c[e],
+                _, cost = shortest_path(g, g.c,
                                         mapping["source_vertex"][s],
                                         mapping["sink_vertex"][t])
             except Unreachable:
@@ -305,17 +306,17 @@ class TestSolutionCost:
 class TestShortestPath:
     def test_start_equals_goal(self):
         g = build_graph(2, [(0, 1, 1, 0)])
-        assert shortest_path(g, lambda e: 1.0, 0, 0) == ((), 0.0)
+        assert shortest_path(g, [1.0] * g.m, 0, 0) == ((), 0.0)
 
     def test_triangle(self):
         g = build_graph(3, [(0, 1, 1, 0), (1, 2, 1, 0), (0, 2, 3, 0)])
-        path, w = shortest_path(g, lambda e: g.c[e], 0, 2)
+        path, w = shortest_path(g, g.c, 0, 2)
         assert path == (0, 1) and w == 2
 
     def test_unreachable(self):
         g = build_graph(3, [(0, 1, 1, 0)])
         with pytest.raises(Unreachable):
-            shortest_path(g, lambda e: 1.0, 0, 2)
+            shortest_path(g, [1.0] * g.m, 0, 2)
 
     def test_lexicographic_tie_break(self):
         # two weight-2 routes; the one whose arc ids compare smaller wins
@@ -325,13 +326,13 @@ class TestShortestPath:
         g.add_arc(0, 2, 1, 0)  # e2
         g.add_arc(2, 3, 1, 0)  # e3
         g.freeze()
-        path, w = shortest_path(g, lambda e: g.c[e], 0, 3)
+        path, w = shortest_path(g, g.c, 0, 3)
         assert path == (0, 1) and w == 2
 
     def test_negative_weight_rejected(self):
         g = build_graph(2, [(0, 1, 1, 0)])
         with pytest.raises(GraphError):
-            shortest_path(g, lambda e: -1.0, 0, 1)
+            shortest_path(g, [-1.0] * g.m, 0, 1)
 
 
 def _tie_break_graph():
@@ -380,7 +381,7 @@ class TestShortestPaths:
         graphs = [_tie_break_graph()] + [_tie_heavy_graph(rng)
                                          for _ in range(150)]
         for g in graphs:
-            weight = lambda e: g.c[e]
+            weight = g.c
             for s in range(g.n):
                 found = shortest_paths(g, weight, s)
                 # integer weights: sums are exact, ties are real ties
@@ -398,32 +399,82 @@ class TestShortestPaths:
 
     def test_goal_stops_early_and_allowed_filters(self):
         g = _tie_break_graph()
-        assert shortest_paths(g, lambda e: g.c[e], 0, goal=1) == {
+        assert shortest_paths(g, g.c, 0, goal=1) == {
             0: ((), 0.0), 1: ((0,), 1.0)}
-        found = shortest_paths(g, lambda e: g.c[e], 0, allowed=lambda e: e != 0)
+        found = shortest_paths(g, g.c, 0, allowed=lambda e: e != 0)
         assert found == {0: ((), 0.0), 2: ((2,), 1.0), 3: ((2, 3), 2.0)}
         # backward from 3: paths into 3, listed from 3's end
-        assert shortest_paths(g, lambda e: g.c[e], 3, goal=1,
+        assert shortest_paths(g, g.c, 3, goal=1,
                               backward=True) == {3: ((), 0.0), 1: ((1,), 1.0)}
-        found = shortest_paths(g, lambda e: g.c[e], 3, backward=True,
+        found = shortest_paths(g, g.c, 3, backward=True,
                                allowed=lambda e: e != 1)
         assert found == {3: ((), 0.0), 2: ((3,), 1.0), 0: ((3, 2), 2.0)}
         rev = g.reversed_view()
         for goal in range(g.n):
             for banned in range(-1, g.m):
                 _assert_bit_equal(
-                    shortest_paths(g, lambda e: g.c[e], 3, goal=goal,
+                    shortest_paths(g, g.c, 3, goal=goal,
                                    allowed=lambda e: e != banned,
                                    backward=True),
-                    shortest_paths(rev, lambda e: g.c[e], 3, goal=goal,
+                    shortest_paths(rev, g.c, 3, goal=goal,
                                    allowed=lambda e: e != banned))
+
+
+def _settle_order(found):
+    """(vertex, arc-id path, weight bits) in the order the search settled."""
+    return [(v, path, w.hex()) for v, (path, w) in found.items()]
+
+
+def _loopy_multigraph(rng, values):
+    """Up to 8 vertices with parallel arcs and loops, each arc's weight
+    drawn from ``values``: many equal labels for one vertex."""
+    n = rng.randint(1, 8)
+    g = TwoMetricGraph(n, directed=True)
+    for _ in range(rng.randint(0, 3 * n)):
+        g.add_arc(rng.randrange(n), rng.randrange(n), 0.0, 0.0)
+    weight = [rng.choice(values) for _ in range(g.m)]
+    return g.freeze(), weight
+
+
+class TestDominatedLabels:
+    """The search that pushes no label above the least one pushed for its
+    vertex, against the search that pushes every relaxation."""
+
+    @pytest.mark.parametrize("values", [(0.0, 1.0, 2.0, 3.0),
+                                        (0.0, 0.1, 0.7, 1.3)])
+    def test_equals_the_search_that_pushes_everything(self, values):
+        rng = random.Random(17)
+        for _ in range(300):
+            g, weight = _loopy_multigraph(rng, values)
+            keep = [rng.random() < 0.8 for _ in range(g.m)]
+            for start in range(g.n):
+                for goal in (None, rng.randrange(g.n)):
+                    for allowed in (None, keep.__getitem__):
+                        for backward in (False, True):
+                            found = shortest_paths(g, weight, start, goal,
+                                                   allowed, backward)
+                            expected = reference_shortest_paths(
+                                g, weight.__getitem__, start, goal, allowed,
+                                backward)
+                            # equal lists: same entries in settle order
+                            assert (_settle_order(found)
+                                    == _settle_order(expected))
+
+    def test_negative_weight_into_a_settled_vertex_is_refused(self):
+        g = build_graph(2, [(0, 1, 1, 0), (1, 0, 1, 0)])
+        for search, weight in ((shortest_paths, [1.0, -1.0]),
+                               (reference_shortest_paths,
+                                [1.0, -1.0].__getitem__)):
+            # arc 1 -> 0 is relaxed after 0 has settled
+            with pytest.raises(GraphError, match="negative weight"):
+                search(g, weight, 0)
 
 
 def _length_route(g, s, t, live):
     """``shortest_path`` on lengths over the arcs ``live`` marks, with its
     weight's bits, or None when ``t`` is cut off."""
     try:
-        path, w = shortest_path(g, g.l.__getitem__, s, t,
+        path, w = shortest_path(g, g.l, s, t,
                                 allowed=live.__getitem__)
     except Unreachable:
         return None

@@ -23,7 +23,7 @@ from bulkflow.harness import (OnlinePipeline, RunConfig, default_kappa,
                               run_experiment, run_online)
 from bulkflow.instance import dump_instance, load_instance
 from bulkflow.prize import settle
-from bulkflow.rounding import Assignment
+from bulkflow.rounding import Assignment, LazyThresholds, draw_thresholds
 from bulkflow.single_sink import GreedySingleSink
 from helpers import assert_forest_routes_cross_their_root, build_graph
 
@@ -38,8 +38,8 @@ def decide(monkeypatch, label, root=None):
 
 
 def base_route(inst, pair):
-    return shortest_path(inst.graph, lambda e: inst.graph.c[e] + inst.graph.l[e],
-                         pair.s, pair.t)
+    g = inst.graph
+    return shortest_path(g, [c + l for c, l in zip(g.c, g.l)], pair.s, pair.t)
 
 
 def prize_pair(penalty):
@@ -278,6 +278,42 @@ class TestServing:
         assert report.to_csv().splitlines()[1].split(",")[2:4] == ["fallback", ""]
         pair = inst.pairs[0]
         assert report.ledger.paths[pair.index] == base_route(inst, pair)[0]
+
+
+class TestThresholdDraws:
+    INSTANCES = [
+        (grid(2, 3, k=4, seed=1), "edge", {}),
+        (star_of_paths(3, 2, k=6, seed=109305), "edge", {}),
+        (with_penalties(grid(2, 2, k=4, seed=3), 3, q_range=(0.3, 4.0)),
+         "prize", {"h": 1, "dmax": 0.4}),
+        (random_digraph(4, 9, 3, 2), "directed", {"h": 2, "dmax": 0.4}),
+    ]
+
+    def test_lazy_draws_are_the_eager_ones(self, monkeypatch):
+        """Each epoch draws a root's threshold when a pair first reads it:
+        the entries read equal ``draw_thresholds``, fewer are drawn, and
+        the assignment trace is the one the eager draws give."""
+        epochs = []
+
+        class Recorded(LazyThresholds):
+            def __init__(self, roots, n, seed):
+                super().__init__(roots, n, seed)
+                epochs.append((self, draw_thresholds(roots, n, seed)))
+
+        traces = []
+        for data, mode, config in self.INSTANCES:
+            monkeypatch.setattr(harness, "LazyThresholds", Recorded)
+            lazy = run(data, mode, seed=5, **config)
+            monkeypatch.setattr(harness, "LazyThresholds", draw_thresholds)
+            eager = run(data, mode, seed=5, **config)
+            assert lazy.assignment_trace_csv() == eager.assignment_trace_csv()
+            traces.append(lazy.assignment_trace_csv())
+        assert len(epochs) > len(self.INSTANCES)  # some guess doubled
+        for drawn, expected in epochs:
+            assert drawn.items() <= expected.items()
+        assert sum(map(len, (drawn for drawn, _ in epochs))) < sum(
+            len(expected) for _, expected in epochs)
+        assert any("assigned" in trace for trace in traces)
 
 
 class TestRunConfig:

@@ -295,7 +295,7 @@ def _cheapest_route(pipeline, spec):
     up, down = (side.side_graph for side in pipeline.sides)
 
     def metric(graph):
-        return lambda e: graph.c[e] + graph.l[e]
+        return [c + l for c, l in zip(graph.c, graph.l)]
 
     from_s = shortest_paths(up.graph, metric(up.graph), spec.up_source,
                             allowed=up.allowed(spec.index))
@@ -314,7 +314,7 @@ def _assert_cheapest_routes_in_funnels(solver):
         for route in routes.values():
             for side, funnel in zip(solver.sides, route.funnels):
                 path, _ = shortest_path(
-                    side.graph, lambda e: side.c[e] + side.l[e],
+                    side.graph, [c + l for c, l in zip(side.c, side.l)],
                     *funnel.ends, side.side_graph.allowed(pi))
                 assert set(path) <= set(funnel.arcs), (pi, path, funnel.arcs)
 

@@ -56,9 +56,9 @@ class TestBuildForest:
         for _ in range(10):
             jitter = [rng.uniform(0.5, 2.0) for _ in range(forest.graph.m)]
             try:
-                path, _ = shortest_path(forest.graph,
-                                        lambda e: forest.graph.c[e] * jitter[e]
-                                        + forest.graph.l[e], s, t)
+                path, _ = shortest_path(
+                    forest.graph, [c * j + l for c, j, l in zip(
+                        forest.graph.c, jitter, forest.graph.l)], s, t)
             except Unreachable:
                 pytest.fail("terminal pair should be routable through the forest")
             assert root_links_on_path(forest, path) == 1

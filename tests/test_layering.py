@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -91,7 +92,7 @@ class TestBuildLayered:
             assert down.level_of(t) == level - 1
             factor = float(k) ** (1.0 - level / h)
             _, expected = shortest_path(
-                g, lambda a: g.c[a] + factor * g.l[a], v, u)
+                g, [c + factor * l for c, l in zip(g.c, g.l)], v, u)
             assert down.graph.c[e] == pytest.approx(expected)
             # the remembered path runs v -> u in the base graph
             back = down.back_path[e]
@@ -121,12 +122,12 @@ def _reference_up_arcs(base, k, h):
     n, arcs = base.n, []
     for level in range(h, 0, -1):
         factor = float(k) ** (1.0 - level / h)
+        weight = [min(c + factor * l, WEIGHT_CAP)
+                  for c, l in zip(base.c, base.l)]
         for u in range(n):
             for v in range(n):
                 try:
-                    path, cost = shortest_path(
-                        base, lambda e: min(base.c[e] + factor * base.l[e],
-                                            WEIGHT_CAP), u, v)
+                    path, cost = shortest_path(base, weight, u, v)
                 except Unreachable:
                     continue
                 arcs.append((level * n + u, (level - 1) * n + v,
@@ -281,6 +282,36 @@ class TestBuildExpansions:
                                       build_expansions(base, k=3, h=2)):
             assert _hex_expansion(layered) == _hex_expansion(
                 reference_build_layered(base, 3, 2, direction))
+
+
+def _expansion_digest(layered):
+    """sha256 of a layered graph's arcs (ends, ``c`` and ``l`` bits) and
+    back paths."""
+    g = layered.graph
+    text = repr((g.tail, g.head, [x.hex() for x in g.c],
+                 [x.hex() for x in g.l], layered.back_path))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestExpansionPins:
+    """The expansions that pipeline construction at n = 64 builds, pinned
+    bit for bit: a run that constructs them and processes no arrival has
+    an empty report, so no report digest sees them."""
+
+    @pytest.mark.parametrize("data,up_digest,down_digest", [
+        (grid(8, 8, k=8, seed=1),
+         "451a1edfaf967aa841832c40bc2adea880c9e7213df94b23474183db8f94a6a1",
+         "277f4d7f66c53e2966b52be27be0e72513f6789215524ba9f547efee755d89cc"),
+        (random_digraph(64, 256, 8, 1),
+         "6505a1e3ab866349e073b3fb1b8d30a5c8dba79dec5061032c8086d75b4ebfe2",
+         "33f9d9c96dd6adb550561cec914d9b1558af17037d9bbb2e4801cdc2704ad011"),
+    ], ids=["grid8x8", "digraph64"])
+    def test_n64_expansions(self, data, up_digest, down_digest):
+        base = load_instance(data).graph
+        up, down = build_expansions(base, k=8, h=default_height(base.n))
+        assert up.graph.m == down.graph.m == 6 * 64 * 64
+        assert _expansion_digest(up) == up_digest
+        assert _expansion_digest(down) == down_digest
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bulkflow.fractional import PairSpec, RootSpec
-from bulkflow.rounding import (Assignment, choose_root, draw_thresholds,
-                               scaled_min_cut, threshold_interval)
+from bulkflow.rounding import (Assignment, LazyThresholds, choose_root,
+                               draw_thresholds, scaled_min_cut,
+                               threshold_interval)
 from helpers import build_graph
 from test_fractional import make_solver, route_cost, single_path_instance
 
@@ -42,6 +43,17 @@ class TestThresholds:
         extended = draw_thresholds([-1, 0, 1, 2], 16, 7)
         for rid in (0, 1, 2):
             assert base[rid] == extended[rid]
+
+    def test_lazy_entries_are_the_eager_draws(self):
+        eager = draw_thresholds([-1, 0, 3, 5], 16, "run:2")
+        lazy = LazyThresholds([-1, 0, 3, 5], 16, "run:2")
+        assert lazy[5] == eager[5]
+        assert dict(lazy) == {5: eager[5]}  # only what was read is drawn
+        with pytest.raises(KeyError):
+            lazy[1]  # not a root
+        assert [lazy[rid] for rid in (0, -1, 3)] == [eager[0], eager[-1],
+                                                     eager[3]]
+        assert lazy == eager
 
 
 class TestAssign:

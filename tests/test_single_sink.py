@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from bulkflow.graph import TerminalPair, solution_cost
+from bulkflow.graph import TerminalPair, Unreachable, solution_cost
 from bulkflow.oracle import offline_opt
 from bulkflow.single_sink import GreedySingleSink
-from helpers import build_graph, random_two_metric
+from helpers import (build_graph, random_two_metric, reference_shortest_paths,
+                     tie_heavy_graph)
 
 
 def cost(ss):
@@ -85,3 +86,39 @@ class TestGreedySingleSink:
             opt, _ = offline_opt(g, [TerminalPair(i, t, 0)
                                      for i, t in enumerate(terms)])
             assert greedy_total <= len(terms) * opt + 1e-9
+
+
+class TestMarginalWeights:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("direction", ["sink", "source"])
+    def test_list_keeps_the_marginal_rule(self, seed, direction):
+        """After every terminal the weight list is, arc for arc, ``l`` on a
+        bought purchase (either twin) and ``c + l`` elsewhere; paths and
+        costs are those of the unpruned search under that rule."""
+        rng = random.Random(60 + seed)
+        g = tie_heavy_graph(rng, 7, 12, directed=False)
+        ss = GreedySingleSink(g, root=0, direction=direction)
+
+        def marginal(e):
+            if g.purchase_key(e) in ss.ledger.bought:
+                return g.l[e]
+            return g.c[e] + g.l[e]
+
+        used, twins_only = set(), 0
+        for index, terminal in enumerate(rng.choices(range(7), k=6)):
+            ends = (terminal, 0) if direction == "sink" else (0, terminal)
+            expected = reference_shortest_paths(g, marginal, *ends).get(ends[1])
+            if expected is None:
+                with pytest.raises(Unreachable):
+                    ss.on_terminal(terminal, pair_index=index)
+                continue
+            assert ss.marginal_cost(terminal).hex() == expected[1].hex()
+            assert ss.on_terminal(terminal, pair_index=index) == expected[0]
+            used.update(expected[0])
+            assert ([w.hex() for w in ss._weight]
+                    == [marginal(e).hex() for e in range(g.m)])
+            twins_only += sum(e not in used
+                              and g.purchase_key(e) in ss.ledger.bought
+                              for e in range(g.m))
+        # some arc went to its length through its twin's purchase alone
+        assert twins_only > 0
