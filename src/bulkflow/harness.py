@@ -33,7 +33,7 @@ from .layering import (LayeredGraph, build_expansions, default_height,
 from .oracle import InfeasibleInstance, exact_opt, junction_opt
 from .prize import augment, settle
 from .rounding import Assignment, LazyThresholds, choose_root
-from .single_sink import GreedySingleSink
+from .single_sink import GreedySingleSink, combined_weight
 
 MODES = ("edge", "node", "directed", "prize")
 
@@ -166,12 +166,19 @@ class _PipelineSide:
     side_graph: SideGraph
     expansion: Union[LayeredGraph, JunctionForest]
     single_sinks: Dict[int, GreedySingleSink] = field(default_factory=dict)
+    # the expansion's c + l list, built for the first instance and copied
+    # by every instance
+    weight: Optional[List[float]] = None
 
     def single_sink(self, root: RootSpec) -> GreedySingleSink:
         if root.root_id not in self.single_sinks:
+            graph = self.expansion.graph
+            if self.weight is None:
+                self.weight = combined_weight(graph)
             self.single_sinks[root.root_id] = GreedySingleSink(
-                self.expansion.graph, self.side_graph.root_vertex(root),
-                "sink" if self.side_graph.upward else "source")
+                graph, self.side_graph.root_vertex(root),
+                "sink" if self.side_graph.upward else "source",
+                self.weight)
         return self.single_sinks[root.root_id]
 
     def merged_ledger(self) -> SolutionLedger:
@@ -191,7 +198,7 @@ class OnlinePipeline:
         self.config = config
         self.base = instance.graph
         # c + l of each base arc: the metric of the direct fallback route
-        self._base_weight = [c + l for c, l in zip(self.base.c, self.base.l)]
+        self._base_weight = combined_weight(self.base)
         self.n_scale = max(2, self.base.n)
         if self.n_scale > MAX_N_SCALE:
             raise InstanceError(f"the base graph has {self.base.n} vertices; "
@@ -271,7 +278,7 @@ class OnlinePipeline:
         alone: the distance ball depends on the guess this sets."""
 
         def near(g: SideGraph) -> Dict[int, float]:
-            return g.near(spec, [c + l for c, l in zip(g.graph.c, g.graph.l)])
+            return g.near(spec, combined_weight(g.graph))
 
         up, down = (side.side_graph for side in self.sides)
         up_near, down_near = near(up), near(down)

@@ -2,12 +2,14 @@
 
 Three independent routes to ground truth:
 
-* ``offline_opt`` enumerates bought-edge subsets (branch and bound on the
-  buy cost) and routes every pair on its shortest length-path inside the
-  subset. It keeps each pair's route inside the upper set (chosen plus
-  undecided purchases); the upper sets along a branch are nested, so a
-  route stays exact until its own purchase is excluded. Only then is the
-  pair searched again, and a subtree that cuts some pair off is skipped.
+* ``offline_opt`` enumerates bought-edge subsets and routes every pair on
+  its shortest length-path inside the subset. It keeps each pair's route
+  inside the upper set (chosen plus undecided purchases); the upper sets
+  along a branch are nested, so a route stays exact until its own purchase
+  is excluded. Only then is the pair searched again, and a subtree that
+  cuts some pair off is skipped. Branch and bound prunes on the buy cost
+  of the chosen purchases plus the lengths of the kept routes, since no
+  leaf below routes a pair more cheaply than its kept route.
 * ``ss_offline_opt`` solves single-sink instances exactly with a
   terminal-subset dynamic program over collection points, which scales to
   graphs far beyond the subset-enumeration budget (layered expansions).
@@ -35,6 +37,18 @@ from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
                     Unreachable, plain_sum, shortest_path)
 
 VALUE_TOL = 1e-9
+# offline_opt's length bound is shrunk by a relative slack, since its
+# rounding grows with the costs and VALUE_TOL is absolute. With K
+# purchases, p pairs and m arcs (a route has at most m arcs, 40 under the
+# default max_edges), any term of the bound passes at most K + p + m + 3
+# roundings (the buy fold, a route's label and the fold of the labels, the
+# add, the factor and the product) and any term of a leaf's total at most
+# K + p * m + 1 (its buy and length folds and their add). Each rounding moves a nonnegative sum by a
+# factor within 1 +- 2**-53, so a slack of T * 2**-53 with
+# T = 2 K + (p + 1)(m + 1) + 3 keeps the bound at or below every total it
+# stands for, to first order; the unit here is doubled to cover the
+# higher-order terms.
+LENGTH_SLACK_PER_TERM = 2.0 ** -52
 # multi-weight Dijkstra: labels closer than this count as equal
 TIE_TOL = 1e-15
 
@@ -61,7 +75,7 @@ def _purchase_keys(graph: TwoMetricGraph) -> List[int]:
 
 def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
                 budget: OracleBudget = DEFAULT_BUDGET) -> Tuple[float, SolutionLedger]:
-    """Global optimum by exhaustive subset search with buy-cost pruning.
+    """Global optimum by exhaustive subset search with a cost lower bound.
 
     Inside a candidate subset the buying cost is already sunk, so each pair
     routes along its shortest length-path; the candidate's value uses only
@@ -75,6 +89,20 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     its subset, so its routes are the kept ones. A leaf prices them with the
     ledger's two sums in the ledger's order, and builds the ledger only when
     it beats the best value.
+
+    A node is pruned when its buy cost, or its buy cost plus the kept
+    routes' lengths shrunk by the rounding slack, reaches the best value
+    less ``VALUE_TOL``. The length bound keeps every bit of the plain
+    search, which prunes on the buy cost alone. Each kept route is the
+    least path in the node's upper set, so no leaf below routes a pair more
+    cheaply. A leaf whose routes leave some included purchase unused has
+    the same routes, and the same ``routed_total`` bits, as the leaf that
+    excludes that purchase instead; the search tries exclusion first, so
+    the plain search meets that leaf earlier and never accepts the later
+    one. Every leaf it accepts pays every included purchase, so its total
+    is at least the bound of each node above it, and the bound never cuts
+    an accepted leaf: the accepted leaves, the value and the ledger are the
+    plain search's.
     """
     pairs = [p for p in pairs if p.s != p.t]
     if not pairs:
@@ -92,14 +120,15 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     live = bytearray([1]) * graph.m  # the upper set's arcs
     allowed = live.__getitem__
 
-    def route(p: TerminalPair) -> Optional[Tuple[Tuple[int, ...], Set[int]]]:
-        """``p``'s shortest length-path over the live arcs and the
-        purchases it uses, or None when they cut ``p`` off."""
+    def route(p: TerminalPair) -> Optional[Tuple[Tuple[int, ...], Set[int], float]]:
+        """``p``'s shortest length-path over the live arcs, the purchases it
+        uses and its length label, or None when they cut ``p`` off."""
         try:
-            path, _ = shortest_path(graph, graph.l, p.s, p.t, allowed=allowed)
+            path, length = shortest_path(graph, graph.l, p.s, p.t,
+                                         allowed=allowed)
         except Unreachable:
             return None
-        return path, {key_of[e] for e in path}
+        return path, {key_of[e] for e in path}, length
 
     routes = []
     for p in pairs:
@@ -110,7 +139,7 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
 
     def routed_ledger() -> SolutionLedger:
         ledger = SolutionLedger()
-        for p, (path, _) in zip(pairs, routes):
+        for p, (path, _, _) in zip(pairs, routes):
             ledger.add_path(graph, p.index, path)
         return ledger
 
@@ -120,7 +149,7 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
         c, l = graph.c, graph.l
         bought: Set[int] = set()
         buy_cost = length_cost = 0.0
-        for path, _ in routes:
+        for path, _, _ in routes:
             for e in path:
                 key = key_of[e]
                 if key not in bought:
@@ -133,14 +162,17 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     best_value = best_ledger.total
     # descending buy cost lets the accumulated-cost prune bite early
     order = sorted(keys, key=lambda key: (-graph.c[key], key))
+    shrink = 1.0 - ((2 * len(keys) + (len(pairs) + 1) * (graph.m + 1) + 3)
+                    * LENGTH_SLACK_PER_TERM)
 
     def search(i: int, buy_acc: float) -> None:
         nonlocal best_value, best_ledger
-        if buy_acc >= best_value - VALUE_TOL:
+        floor = best_value - VALUE_TOL
+        if buy_acc >= floor or _length_cut(buy_acc, routes, shrink, floor):
             return
         if i == len(order):
             total = routed_total()
-            if total < best_value - VALUE_TOL:
+            if total < floor:
                 best_value, best_ledger = total, routed_ledger()
             return
         key = order[i]
@@ -166,6 +198,18 @@ def offline_opt(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
 
     search(0, 0.0)
     return best_value, best_ledger
+
+
+def _length_cut(buy_acc: float,
+                routes: Sequence[Tuple[Tuple[int, ...], Set[int], float]],
+                shrink: float, floor: float) -> bool:
+    """Whether ``offline_opt`` prunes a node on its buy cost plus its kept
+    routes' lengths, shrunk by the rounding slack: no leaf below that pays
+    each of its purchases totals less than that."""
+    lengths = 0.0
+    for route in routes:
+        lengths += route[2]
+    return (buy_acc + lengths) * shrink >= floor
 
 
 # apart from graph.shortest_paths: independent ground truth, own sum order
@@ -387,8 +431,11 @@ def offline_opt_prize(graph: TwoMetricGraph, pairs: Sequence[TerminalPair],
     """Prize-collecting optimum: best split into dropped and routed pairs.
 
     Only pairs with a penalty may be dropped, so the drop sets are the
-    subsets of those pairs, in the order of the masks over all pairs.
+    subsets of those pairs, in the order of the masks over all pairs. A pair
+    with ``s == t`` routes at cost 0 and its penalty is ``>= 0``, so it is
+    left out before the drop budget is checked, as ``offline_opt`` does.
     """
+    pairs = [p for p in pairs if p.s != p.t]
     penalized = [i for i, p in enumerate(pairs) if p.penalty is not None]
     if len(penalized) > budget.max_drop_pairs:
         raise BudgetExceeded(

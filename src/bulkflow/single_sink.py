@@ -13,9 +13,14 @@ On the junction forest each instance is a group Steiner instance on a tree
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .graph import GraphError, SolutionLedger, TwoMetricGraph, shortest_path
+
+
+def combined_weight(graph: TwoMetricGraph) -> List[float]:
+    """``c + l`` per arc: what a terminal pays on an arc nothing has bought."""
+    return [c + l for c, l in zip(graph.c, graph.l)]
 
 
 class GreedySingleSink:
@@ -27,7 +32,11 @@ class GreedySingleSink:
     """
 
     def __init__(self, graph: TwoMetricGraph, root: int,
-                 direction: str = "sink"):
+                 direction: str = "sink",
+                 weight: Optional[Sequence[float]] = None):
+        """``weight``, when given, is ``graph``'s ``c + l`` list, so that
+        instances on one graph share its construction; each instance keeps
+        its own copy."""
         if direction not in ("sink", "source"):
             raise GraphError(f"unknown direction {direction!r}")
         self.graph = graph
@@ -36,7 +45,8 @@ class GreedySingleSink:
         self.ledger = SolutionLedger()
         # marginal weight per arc: c + l, or l alone once its purchase (which
         # a twin shares) is bought
-        self._weight = [c + l for c, l in zip(graph.c, graph.l)]
+        self._weight = (combined_weight(graph) if weight is None
+                        else list(weight))
 
     def _cheapest(self, terminal: int) -> Tuple[Tuple[int, ...], float]:
         """Marginal-cheapest path for the terminal under the current ledger."""

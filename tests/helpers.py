@@ -28,7 +28,7 @@ from bulkflow.junction import (DEFAULT_NODE_BUDGET, GroupSteinerInstance,
 from bulkflow.layering import WEIGHT_CAP, LayeredGraph, _blend_weight
 from bulkflow.oracle import (DEFAULT_BUDGET, VALUE_TOL, InfeasibleInstance,
                              OracleBudget, _multi_weight_dijkstra, _pick,
-                             _purchase_keys, _rooted_cost, offline_opt)
+                             _purchase_keys, _rooted_cost)
 from bulkflow.prize import VIRTUAL_ROOT_ID
 
 
@@ -350,7 +350,8 @@ def reference_block_junction_opt(graph: TwoMetricGraph,
 def reference_offline_opt_prize(graph: TwoMetricGraph,
                                 pairs: Sequence[TerminalPair]) -> float:
     """Every drop mask over all pairs, skipping those that drop a pair with
-    no penalty, with no drop budget."""
+    no penalty, with no drop budget, each routed by the unpruned subset
+    search."""
     best = math.inf
     for mask in range(1 << len(pairs)):
         dropped = [p for i, p in enumerate(pairs) if mask >> i & 1]
@@ -361,7 +362,7 @@ def reference_offline_opt_prize(graph: TwoMetricGraph,
         if penalty >= best:
             continue
         try:
-            value, _ = offline_opt(graph, kept)
+            value, _ = reference_offline_opt(graph, kept)
         except InfeasibleInstance:
             continue
         best = min(best, penalty + value)

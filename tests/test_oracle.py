@@ -332,6 +332,32 @@ class TestPrizeOracle:
         assert cli.main(["oracle", "--instance", str(path)]) == cli.EXIT_BUDGET
         assert "drop budget" in capsys.readouterr().err
 
+    def test_pairs_with_equal_ends_are_dropped_before_the_drop_budget(
+            self, tmp_path, capsys):
+        """An ``s == t`` pair routes at cost 0 and pays a penalty ``>= 0``
+        when dropped, so it neither counts toward the drop budget nor moves
+        the value."""
+        g = build_graph(2, [(0, 1, 1.0, 0.5)])
+        pairs = [TerminalPair(i, 0, 1, penalty=2.0) for i in range(10)]
+        looped = pairs + [TerminalPair(10, 1, 1, penalty=0.5)]
+        assert exact_opt(g, pairs, "prize") == 6.0
+        assert exact_opt(g, looped, "prize") == 6.0
+        assert offline_opt_prize(g, looped) == 6.0
+        # a free loop, or the only penalty on a loop, changes nothing either
+        free_loop = TerminalPair(10, 0, 0, penalty=0.0)
+        assert offline_opt_prize(g, [*pairs, free_loop]) == 6.0
+        plain = [TerminalPair(0, 0, 1), TerminalPair(1, 1, 1, penalty=0.5)]
+        assert exact_opt(g, plain, "prize") == offline_opt(g, plain)[0] == 1.5
+        # five routed pairs (the junction budget) and six penalized loops
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({
+            "n": 2, "mode": "prize",
+            "edges": [{"tail": 0, "head": 1, "c": 1, "l": 0.5}],
+            "pairs": ([{"s": 0, "t": 1, "q": 2}] * 5
+                      + [{"s": 1, "t": 1, "q": 0.5}] * 6)}))
+        assert cli.main(["oracle", "--instance", str(path)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["opt"] == 3.5
+
 
 def outcome(fn, *args, **kwargs):
     """A result, with ledgers as (value, bought, paths), or the refusal."""
@@ -357,6 +383,34 @@ def tie_heavy_cases(seed_base, count):
         yield rng, g, pairs
 
 
+def random_weight_cases(seed_base, count):
+    """Random non-dyadic weights, directed and undirected, half of the
+    graphs with a spanning cycle; 1-5 pairs, ``s == t`` allowed."""
+    for seed in range(seed_base, seed_base + count):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        g = random_two_metric(rng, n, rng.randint(n, 2 * n),
+                              directed=seed % 2 == 0,
+                              ensure_cycle=seed % 4 < 2)
+        pairs = [TerminalPair(i, rng.randrange(n), rng.randrange(n))
+                 for i in range(rng.randint(1, 5))]
+        yield rng, g, pairs
+
+
+def count_length_cuts(monkeypatch):
+    """A one-item list counting the nodes ``offline_opt``'s length bound
+    prunes."""
+    cuts = [0]
+    cut = oracle._length_cut
+
+    def counted(*args):
+        pruned = cut(*args)
+        cuts[0] += pruned
+        return pruned
+    monkeypatch.setattr(oracle, "_length_cut", counted)
+    return cuts
+
+
 class TestPrunedSearchesMatchReference:
     """The pruned searches return the unpruned ones' exact bits."""
 
@@ -367,6 +421,35 @@ class TestPrunedSearchesMatchReference:
             assert got == outcome(reference_offline_opt, g, pairs)
             outcomes.add(got == "infeasible")
         assert outcomes == {True, False}
+
+    def test_offline_opt_bit_equal_on_random_weights(self, monkeypatch):
+        """Non-dyadic costs and lengths round, so a length bound that cut a
+        leaf the plain search accepts, or a slack too small for the
+        rounding, would show as a different value or ledger."""
+        cuts = count_length_cuts(monkeypatch)
+        seen = set()
+        for _rng, g, pairs in random_weight_cases(0, 240):
+            got = outcome(offline_opt, g, pairs)
+            assert got == outcome(reference_offline_opt, g, pairs)
+            seen.add((g.directed, got == "infeasible"))
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
+        assert cuts[0] > 0
+
+    def test_prize_optimum_bit_equal_on_random_weights(self, monkeypatch):
+        cuts = count_length_cuts(monkeypatch)
+        seen = set()
+        for rng, g, pairs in random_weight_cases(1000, 80):
+            priced = [replace(p, penalty=rng.choice((None, 0.4, 1.3, 2.9)))
+                      for p in pairs]
+            got = outcome(exact_opt, g, priced, "prize")
+            assert got == outcome(reference_offline_opt_prize, g, priced)
+            routed = outcome(offline_opt, g, pairs)
+            seen.add("infeasible" if got == "infeasible"
+                     else "drop" if routed == "infeasible" or got < routed[0]
+                     else "route")
+        assert seen == {"infeasible", "drop", "route"}
+        assert cuts[0] > 0
 
     def test_junction_opt_bit_equal(self):
         outcomes = set()
@@ -469,11 +552,13 @@ class TestPrunedSearchesMatchReference:
 
 
 def test_oracle_work_is_bounded(monkeypatch):
-    """Each pair's route is kept through the subset search, DP tables are
-    shared and each block's root rows are built once: on this instance the
-    unpruned searches make 5,241 route searches and 488 Dijkstra runs, and a
-    search that tests every excluded purchase for connectivity makes 688
-    route searches and 809 reachability walks."""
+    """Each pair's route is kept through the subset search, which prunes on
+    the kept routes' lengths, DP tables are shared and each block's root
+    rows are built once: on this instance the unpruned searches make 5,241
+    route searches and 488 Dijkstra runs, a search that tests every excluded
+    purchase for connectivity makes 688 route searches and 809 reachability
+    walks, the kept-route search pruned on the buy cost alone makes 311
+    route searches, and with the length bound it makes 35."""
     calls = {"shortest_path": 0, "_multi_weight_dijkstra": 0, "_root_row": 0}
     for name in calls:
         def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
@@ -490,7 +575,7 @@ def test_oracle_work_is_bounded(monkeypatch):
     monkeypatch.setattr(graph_module, "_traverse", counted_walk)
     inst = load_instance(random_digraph(6, 12, 4, seed=3))
     offline_opt(inst.graph, inst.pairs)
-    assert calls["shortest_path"] + calls["walks"] <= 400
+    assert calls["shortest_path"] + calls["walks"] <= 60
     junction_opt(inst.graph, inst.pairs)
     # one table per non-empty sub-multiset of the sources and of the sinks,
     # and a sink row and a source row per block (a non-empty pair subset)

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from bulkflow.generate import grid
 from bulkflow.graph import TerminalPair, Unreachable, solution_cost
+from bulkflow.harness import OnlinePipeline, RunConfig
+from bulkflow.instance import load_instance
 from bulkflow.oracle import offline_opt
-from bulkflow.single_sink import GreedySingleSink
+from bulkflow.single_sink import GreedySingleSink, combined_weight
 from helpers import (build_graph, random_two_metric, reference_shortest_paths,
                      tie_heavy_graph)
 
@@ -122,3 +125,38 @@ class TestMarginalWeights:
                               for e in range(g.m))
         # some arc went to its length through its twin's purchase alone
         assert twins_only > 0
+
+    def test_instances_sharing_a_weight_list_buy_apart(self):
+        """Instances built from one ``c + l`` list each write their own
+        copy: buying on one root's instance leaves the list and another
+        root's weights unchanged."""
+        g = tie_heavy_graph(random.Random(5), 7, 12, directed=False)
+        shared = combined_weight(g)
+        fresh = [w.hex() for w in shared]
+        first, second = (GreedySingleSink(g, root=root, weight=shared)
+                         for root in (0, 1))
+        path = first.on_terminal(3, pair_index=0)
+        assert path and any(first._weight[e] != shared[e] for e in path)
+        assert [w.hex() for w in shared] == fresh
+        assert [w.hex() for w in second._weight] == fresh
+        assert second.marginal_cost(3) == GreedySingleSink(g, 1).marginal_cost(3)
+
+    def test_pipeline_roots_keep_their_own_weights(self):
+        """After a run each side's list is still ``c + l``, and each root's
+        instance holds the marginal rule of its own purchases only."""
+        inst = load_instance(grid(2, 3, k=6, seed=2))
+        pipeline = OnlinePipeline(inst, RunConfig(mode="edge", seed=2, h=1,
+                                                  dmax=0.4))
+        pipeline.run()
+        buying_roots = 0
+        for side in pipeline.sides:
+            g = side.expansion.graph
+            assert ([w.hex() for w in side.weight]
+                    == [w.hex() for w in combined_weight(g)])
+            for ss in side.single_sinks.values():
+                bought = ss.ledger.bought
+                assert ss._weight == [
+                    g.l[e] if g.purchase_key(e) in bought else g.c[e] + g.l[e]
+                    for e in range(g.m)]
+                buying_roots += bool(bought)
+        assert buying_roots > len(pipeline.sides)
