@@ -34,11 +34,17 @@ funnels are the distance ball that bound leaves: a root is eligible when
 down side mirrored (``BALL_TOL`` absorbs float rounding). The ball is the
 only pruning: distances run over every arc the pair's owner rule admits,
 and an arc whose own rescaled ``c + l`` is above the bound lies in no ball,
-so its ``x`` stays 0 and the objective never charges it. A pair the ball
-cuts off, though it reaches some root, ends its arrival as
-``GUESS_TOO_SMALL``, and the caller doubles the guess; a root eligible at
-one guess stays eligible at every larger one. A pair that reaches no root
-is ``LP_INFEASIBLE`` at any guess.
+so its ``x`` stays 0 and the objective never charges it. The distance
+searches are ``graph.distances``, distance-only and capped at the bound,
+since a vertex farther away fails every ball test. A ball in which no two
+arcs share a tail seeds along the walk from its source; other balls are
+searched. A pair the ball cuts off, though it reaches some root, ends its
+arrival as ``GUESS_TOO_SMALL``, and the caller doubles the guess; a root
+eligible at one guess stays eligible at every larger one, so the caller
+probes further guesses (``eligible_views``) and replays only at the first
+one with an eligible root. A pair that reaches no root is
+``LP_INFEASIBLE`` at any guess; only a pair without an eligible root is
+walked for that (``SideGraph.reach``).
 
 State layout: each side's ``_Side`` holds the capacities ``x`` per root,
 starting at ``v0`` on every arc a ball can hold and at 0 on the rest;
@@ -56,7 +62,8 @@ before the next pair registers, so no other pair's step moves the ``x`` its
 funnels read.
 A side caches its unfiltered root distances for the epoch, so pairs share
 the ball searches of their roots and of their terminals (the owner rule of
-prize mode searches per pair).
+prize mode searches per pair); a solver started at a probed guess keeps the
+probe's cache.
 
 A step solves every root first, since its length depends on every root's
 rate: per root side, the tight set and the step capacities (all checked
@@ -78,13 +85,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from . import flows
 from .errors import StepLimitExceeded
 from .flows import FlowNetwork, FlowPath
-from .graph import (TwoMetricGraph, Unreachable, plain_sum, shortest_path,
-                    shortest_paths)
+from .graph import (TwoMetricGraph, Unreachable, distances, plain_sum,
+                    reachable_from, reaches, shortest_path)
 
 TIGHT_TOL = 1e-9
 VAR_CAP = 1.0
@@ -190,47 +198,62 @@ class SideGraph:
         """Distance under ``weight`` (indexed by arc id) over the pair's
         allowed arcs from its source to each vertex it reaches upstairs, or
         into its sink from each vertex reaching it downstairs."""
-        found = shortest_paths(self.graph, weight, self.terminal(pair),
-                               allowed=self.allowed(pair.index),
-                               backward=not self.upward)
-        return {v: d for v, (_, d) in found.items()}
+        return distances(self.graph, weight, self.terminal(pair),
+                         allowed=self.allowed(pair.index),
+                         backward=not self.upward)
+
+    def reach(self, pair: PairSpec) -> Set[int]:
+        """The vertices the pair's source reaches over its allowed arcs
+        upstairs, or that reach its sink downstairs: the roots it can use
+        at some guess."""
+        walk = reachable_from if self.upward else reaches
+        return walk(self.graph, self.terminal(pair), self.allowed(pair.index))
 
 
 class _Side:
     """Per-direction epoch view (metrics rescaled by the guess) and that
-    side's capacity variables ``x``."""
+    side's capacity variables ``x``, which only a solver starts: a probe
+    (``eligible_views``) prices on a view without them."""
 
-    def __init__(self, side_graph: SideGraph, guess: float,
-                 root_ids: Sequence[int], v0: float):
+    def __init__(self, side_graph: SideGraph, guess: float):
         self.side_graph = side_graph
+        self.guess = guess
         graph = self.graph = side_graph.graph
         self.c = [graph.c[e] / guess for e in range(graph.m)]
         self.l = [graph.l[e] / guess for e in range(graph.m)]
         # rescaled c + l of each arc: the metric of the distance ball
         self.w = [c + l for c, l in zip(self.c, self.l)]
-        # the hop metric of each arrival's seed path
+        # the hop metric of a seed path that is not a walk (seed_path)
         self.unit = [1.0] * graph.m
-        # per-root capacity variables, dense over edge ids: an arc dearer
-        # than the ball's bound is on no funnel, and its x stays 0, so it
-        # spends nothing of the epoch's cap
-        start = [v0 if w <= BALL_LIMIT else 0.0 for w in self.w]
-        self.x: Dict[int, List[float]] = {rid: list(start) for rid in root_ids}
+        # per-root capacity variables (start_capacities)
+        self.x: Dict[int, List[float]] = {}
         # (vertex, into) -> distances over every arc, shared by the epoch's
         # pairs; read-only once stored
         self._distances: Dict[Tuple[int, bool], Dict[int, float]] = {}
 
+    def start_capacities(self, root_ids: Sequence[int], v0: float) -> None:
+        """One ``x`` array per root, dense over edge ids and at ``v0``, but
+        at 0 on an arc dearer than the ball's bound: it is on no funnel, so
+        its ``x`` stays 0 and spends nothing of the epoch's cap."""
+        start = [v0 if w <= BALL_LIMIT else 0.0 for w in self.w]
+        self.x = {rid: list(start) for rid in root_ids}
+
     def distances(self, vertex: int, allowed: Optional[Callable[[int], bool]],
                   into: bool) -> Dict[int, float]:
         """``c + l`` distance over allowed arcs from ``vertex`` to each vertex
-        it reaches, or into ``vertex`` from each vertex reaching it. Without
-        an arc filter the result depends only on the side's weights, so it
-        is searched once per epoch; callers must not change it."""
+        it reaches within ``BALL_LIMIT``, or into ``vertex`` from each vertex
+        reaching it within that. A farther vertex fails every ball test,
+        whose terms are all ``>= 0``, so leaving it out changes no ball and
+        no eligible root; it also leaves out vertices reachable only beyond
+        the bound, so an empty ball says nothing of reachability
+        (``SideGraph.reach`` does). Without an arc filter the result depends
+        only on the side's weights, so it is searched once per epoch;
+        callers must not change it."""
         key = (vertex, into)
         if allowed is None and key in self._distances:
             return self._distances[key]
-        found = shortest_paths(self.graph, self.w, vertex,
-                               allowed=allowed, backward=into)
-        dist = {v: d for v, (_, d) in found.items()}
+        dist = distances(self.graph, self.w, vertex, allowed=allowed,
+                         backward=into, limit=BALL_LIMIT)
         if allowed is None:
             self._distances[key] = dist
         return dist
@@ -247,6 +270,100 @@ class _Side:
         return sorted(e for v, dv in before.items() for e in graph.out_arcs[v]
                       if head[e] in after and (allowed is None or allowed(e))
                       and dv + w[e] + after[head[e]] + other <= BALL_LIMIT)
+
+    def seed_path(self, arcs: List[int], ends: Tuple[int, int]
+                  ) -> Tuple[int, ...]:
+        """``shortest_path``'s hop-shortest path over ``arcs`` between
+        ``ends``; raises ``Unreachable``.
+
+        When no two of the arcs share a tail, the walk from the source is
+        the only path over them, so it is that answer, found without a
+        search: it ends at the sink, or it dead-ends or comes back to a
+        vertex first, and then no path exists. Other balls are searched.
+        """
+        tail = self.graph.tail
+        step: Dict[int, int] = {}
+        for e in arcs:
+            if tail[e] in step:
+                path, _ = shortest_path(self.graph, self.unit, *ends,
+                                        set(arcs).__contains__)
+                return path
+            step[tail[e]] = e
+        head = self.graph.head
+        v, sink = ends
+        path = []
+        while v != sink:
+            # popped, so a walk that comes back to v dead-ends there
+            e = step.pop(v, None)
+            if e is None:
+                raise Unreachable(f"no path from {ends[0]} to {sink}")
+            path.append(e)
+            v = head[e]
+        return tuple(path)
+
+
+# a pair's ball through a root on one side: (side, arcs, ends, seed path)
+_Ball = Tuple[_Side, List[int], Tuple[int, int], Tuple[int, ...]]
+
+
+def _eligible_balls(sides: Sequence[_Side], roots: Sequence[RootSpec],
+                    pair: PairSpec) -> Iterator[Tuple[RootSpec, List[_Ball]]]:
+    """Each of the pair's eligible roots, in ``roots`` order, with its
+    ball on each side.
+
+    One search from ``s`` upstairs and one into ``t`` downstairs, over
+    the arcs the pair's owner rule admits, price the roots: ``r`` passes
+    when ``d(s, r_up) + d(r_down, t)`` is at most ``BALL_LIMIT``. Only
+    then a search into ``r_up`` and one out of ``r_down`` give the ball
+    on each side (``_Side.ball``), and ``r`` is eligible when both balls
+    hold a seed path (rounding at the bound can cut the cheapest
+    route). Every search goes through ``_Side.distances``. Only the
+    guess's weights are read, never ``x``.
+    """
+    allowed = [side.side_graph.allowed(pair.index) for side in sides]
+    # d(s, .) upstairs and d(., t) downstairs
+    near = [side.distances(side.side_graph.terminal(pair), allow,
+                           into=not side.side_graph.upward)
+            for side, allow in zip(sides, allowed)]
+    for spec in roots:
+        vertices = [side.side_graph.root_vertex(spec) for side in sides]
+        if any(v not in dist for v, dist in zip(vertices, near)):
+            continue  # beyond the bound or unreachable
+        to_root = [dist[v] for v, dist in zip(vertices, near)]
+        if to_root[0] + to_root[1] > BALL_LIMIT:
+            continue
+        balls = []
+        for i, (side, allow) in enumerate(zip(sides, allowed)):
+            upward = side.side_graph.upward
+            # d(., r_up) upstairs and d(r_down, .) downstairs
+            at_root = side.distances(vertices[i], allow, into=upward)
+            before, after = ((near[i], at_root) if upward
+                             else (at_root, near[i]))
+            arcs = side.ball(before, after, to_root[1 - i], allow)
+            ends = side.side_graph.ends(pair, spec)
+            try:
+                path = side.seed_path(arcs, ends)
+            except Unreachable:
+                break  # rounding at the bound cut the cheapest route
+            balls.append((side, arcs, ends, path))
+        else:
+            yield spec, balls
+
+
+def eligible_views(up: SideGraph, down: SideGraph, roots: Sequence[RootSpec],
+                   guess: float, pair: PairSpec
+                   ) -> Optional[Tuple[_Side, _Side]]:
+    """The side views at ``guess`` when ``arrival_init`` there would find an
+    eligible root for the pair, else ``None``.
+
+    A probe of the guess: it builds no ``x`` and no solver, and stops at the
+    first eligible root. A solver at the same guess may start from the
+    views it returns (``CompositeSolver``'s ``views``), so their cached
+    searches are not made again."""
+    views = (_Side(up, guess), _Side(down, guess))
+    if next(_eligible_balls(views, roots, pair), None) is None:
+        return None
+    return views
 
 
 def _growth_factor(c: float, dt: float) -> float:
@@ -333,7 +450,8 @@ class CompositeSolver:
 
     def __init__(self, up: SideGraph, down: SideGraph,
                  roots: Sequence[RootSpec], n_scale: int, guess: float,
-                 kappa: float, dmax: float):
+                 kappa: float, dmax: float,
+                 views: Optional[Tuple[_Side, _Side]] = None):
         for name, value in (("guess", guess), ("kappa", kappa), ("dmax", dmax)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be a finite number > 0, "
@@ -349,8 +467,16 @@ class CompositeSolver:
         self.v0 = float(n_scale) ** (-INIT_EXPONENT)
         self.roots = list(roots)
         self.root_by_id = {r.root_id: r for r in self.roots}
-        self.sides = tuple(_Side(side_graph, guess, self.root_by_id, self.v0)
-                           for side_graph in (up, down))
+        if views is None:
+            views = (_Side(up, guess), _Side(down, guess))
+        elif not (views[0].side_graph is up and views[1].side_graph is down
+                  and views[0].guess == views[1].guess == guess
+                  and not views[0].x and not views[1].x):
+            raise ValueError("views must be unstarted views of up and down "
+                             "at this guess")
+        self.sides = views
+        for side in self.sides:
+            side.start_capacities(self.root_by_id, self.v0)
         self.up, self.down = self.sides
         # pair -> root id -> route, pairs as registered, roots in roots order
         self.routes: Dict[int, Dict[int, _Route]] = {}
@@ -399,62 +525,29 @@ class CompositeSolver:
     def arrival_init(self, pair: PairSpec) -> Optional[List[int]]:
         """Register a pair: find eligible roots and seed all its variables.
 
-        The funnels are the distance ball of the guess in rescaled ``c + l``.
-        One search from ``s`` upstairs and one into ``t`` downstairs, over
-        the arcs the pair's owner rule admits, price the roots: ``r`` is
-        eligible when ``d(s, r_up) + d(r_down, t)`` is at most
-        ``1 + BALL_TOL``. Only an eligible root gets a search into ``r_up``
-        and one out of ``r_down``; its funnel on a side holds the allowed
-        arcs on some route within the same bound. Every search goes through
-        ``_Side.distances``, so without owners each is made once per epoch.
-        The seed routes ``v0``
-        units along a hop-shortest path inside each funnel, so flows start
-        equal to their ``z`` and the inner LP is feasible from the first
-        moment. Every ball arc lies on some route, so a ball that holds no
-        more arcs than its seed path is that path, and its funnel keeps a
-        ``flows.FlowPath`` along it instead of a flow network (see
-        ``_Funnel``).
+        The funnels are the distance balls of the guess in rescaled
+        ``c + l`` that ``_eligible_balls`` finds: ``r`` is eligible when
+        ``d(s, r_up) + d(r_down, t)`` is at most ``1 + BALL_TOL`` and both
+        its balls hold a seed path, and its funnel on a side holds the
+        allowed arcs on some route within the same bound. Without owners
+        each search is made once per epoch. The seed routes ``v0`` units
+        along a hop-shortest path inside each funnel
+        (``_Side.seed_path``), so flows start equal to their ``z`` and the
+        inner LP is feasible from the first moment. Every ball arc lies on
+        some route, so a ball that holds no more arcs than its seed path is
+        that path, and its funnel keeps a ``flows.FlowPath`` along it
+        instead of a flow network (see ``_Funnel``).
 
         Returns the eligible root ids, or ``None`` when no root is reachable
         on both sides at all (an empty list: some root is, but the ball holds
-        none).
+        none). An eligible root is reachable, so only a pair with none is
+        walked for reachability (``SideGraph.reach``).
         """
         if pair.index in self.routes:
             raise ValueError(f"pair {pair.index} already processed")
         self._arriving = pair.index
         routes = self.routes[pair.index] = {}
-        allowed = [side.side_graph.allowed(pair.index) for side in self.sides]
-        # d(s, .) upstairs and d(., t) downstairs
-        near = [side.distances(side.side_graph.terminal(pair), allow,
-                               into=not side.side_graph.upward)
-                for side, allow in zip(self.sides, allowed)]
-        reachable = False
-        for spec in self.roots:
-            vertices = [side.side_graph.root_vertex(spec)
-                        for side in self.sides]
-            if any(v not in dist for v, dist in zip(vertices, near)):
-                continue
-            reachable = True
-            to_root = [dist[v] for v, dist in zip(vertices, near)]
-            if to_root[0] + to_root[1] > BALL_LIMIT:
-                continue
-            balls = []
-            for i, (side, allow) in enumerate(zip(self.sides, allowed)):
-                upward = side.side_graph.upward
-                # d(., r_up) upstairs and d(r_down, .) downstairs
-                at_root = side.distances(vertices[i], allow, into=upward)
-                before, after = ((near[i], at_root) if upward
-                                 else (at_root, near[i]))
-                arcs = side.ball(before, after, to_root[1 - i], allow)
-                ends = side.side_graph.ends(pair, spec)
-                try:
-                    path, _ = shortest_path(side.graph, side.unit, *ends,
-                                            set(arcs).__contains__)
-                except Unreachable:
-                    break  # rounding at the bound cut the cheapest route
-                balls.append((side, arcs, ends, path))
-            if len(balls) < len(self.sides):
-                continue
+        for spec, balls in _eligible_balls(self.sides, self.roots, pair):
             funnels = []
             for side, arcs, ends, path in balls:
                 # a shortest path is simple: each of its arcs carries v0 once
@@ -468,7 +561,14 @@ class CompositeSolver:
                 funnels.append(_Funnel(side, arcs, self.dmax, ends, flow,
                                        path))
             routes[spec.root_id] = _Route(self.v0, tuple(funnels))
-        return list(routes) if reachable else None
+        if routes:
+            return list(routes)
+        up, down = (side.side_graph.reach(pair) for side in self.sides)
+        if any(self.up.side_graph.root_vertex(spec) in up
+               and self.down.side_graph.root_vertex(spec) in down
+               for spec in self.roots):
+            return []
+        return None
 
     def _step_capacities(self, side: _Side, rid: int, funnel: _Funnel,
                          tight: Set[int]) -> None:

@@ -318,6 +318,55 @@ def shortest_paths(graph: TwoMetricGraph, weight: Sequence[float],
     return settled
 
 
+def distances(graph: TwoMetricGraph, weight: Sequence[float], start: int,
+              allowed: Optional[Callable[[int], bool]] = None,
+              backward: bool = False,
+              limit: float = math.inf) -> Dict[int, float]:
+    """``shortest_paths``' weights alone: ``{vertex: weight}`` for every
+    vertex reachable from ``start`` (into it when ``backward``) along
+    ``allowed`` arcs at a weight of at most ``limit``.
+
+    A plain ``(weight, vertex)`` heap builds no path, and pushes a label
+    only if it is below the least one pushed for its vertex so far and at
+    most ``limit`` (so never a label of ``inf``). Each settled weight is the
+    least of the same relaxations ``shortest_paths`` makes, so it has the
+    same bits; ties only settle in another order, which the entries' order
+    shows. A vertex beyond ``limit`` is left out, and so is every vertex
+    only reached through one, whose weight is no smaller.
+    """
+    if not 0 <= start < graph.n:
+        raise GraphError("endpoints outside graph")
+    arcs_at, far_end = ((graph.in_arcs, graph.tail) if backward
+                        else (graph.out_arcs, graph.head))
+    # a label is pushed when it is below its vertex's entry: the least label
+    # pushed so far, or the first float above limit
+    best = [math.nextafter(limit, math.inf)] * graph.n
+    settled: Dict[int, float] = {}
+    heap: List[Tuple[float, int]] = []
+    if 0.0 < best[start]:
+        best[start] = 0.0
+        heap.append((0.0, start))
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        dist, v = pop(heap)
+        if dist > best[v]:
+            continue  # a smaller label settled v
+        settled[v] = dist
+        for e in arcs_at[v]:
+            if allowed is not None and not allowed(e):
+                continue
+            w = weight[e]
+            if w < 0:
+                raise GraphError(f"negative weight on {graph.describe_arc(e)}")
+            u = far_end[e]
+            label = dist + w
+            # a settled u holds a label no larger than dist
+            if label < best[u]:
+                best[u] = label
+                push(heap, (label, u))
+    return settled
+
+
 def shortest_path(graph: TwoMetricGraph, weight: Sequence[float],
                   start: int, goal: int,
                   allowed: Optional[Callable[[int], bool]] = None) -> Tuple[Tuple[int, ...], float]:
@@ -353,7 +402,5 @@ def reachable_from(graph: TwoMetricGraph, start: int,
 
 def reaches(graph: TwoMetricGraph, goal: int,
             allowed: Optional[Callable[[int], bool]] = None) -> Set[int]:
-    """Vertices that can reach ``goal`` along allowed arcs (including goal).
-
-    Nothing in the package calls it; the benchmark's tracer wraps it."""
+    """Vertices that can reach ``goal`` along allowed arcs (including goal)."""
     return _traverse(graph.in_arcs, graph.tail, goal, allowed)

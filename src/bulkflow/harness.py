@@ -2,7 +2,9 @@
 
 Each arrival goes through one flow. The fractional state absorbs the pair
 (doubling the optimum guess and replaying history whenever an epoch
-overflows its spend cap). The partial rounding then decides a label and a
+overflows its spend cap or the guess's balls hold no root for the pair;
+history is replayed only at a guess where they hold one). The partial
+rounding then decides a label and a
 root: assigned to a root, declined (fallback), or dropped for its penalty;
 a pair the LP cannot route at all is dropped if it has a penalty and
 declined otherwise. The pair is served once as decided, at the root's
@@ -23,7 +25,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import BudgetExceeded, InstanceError
 from .fractional import (INIT_EXPONENT, MAX_N_SCALE, ArrivalOutcome,
-                         CompositeSolver, PairSpec, RootSpec, SideGraph)
+                         CompositeSolver, PairSpec, RootSpec, SideGraph,
+                         eligible_views)
 from .graph import (SolutionLedger, TerminalPair, Unreachable, plain_sum,
                     shortest_path, solution_cost)
 from .instance import Instance, as_int, load_instance
@@ -290,15 +293,36 @@ class OnlinePipeline:
             return 1.0
         return best
 
-    def _start_epoch(self) -> None:
+    def _start_epoch(self, views=None) -> None:
+        """A fresh solver at the current guess, from ``views`` if a probe of
+        the guess made them."""
         self.solver = CompositeSolver(
             *(side.side_graph for side in self.sides), self.roots,
-            self.n_scale, self.lam, self.kappa, self.config.dmax)
+            self.n_scale, self.lam, self.kappa, self.config.dmax, views)
         self.tau = LazyThresholds(self.root_ids, self.n_scale,
                                   f"{self.config.seed}:{self.epoch}")
 
-    def _advance_epoch(self) -> None:
-        """Double the guess, restart the fractional state, replay history."""
+    def _advance_epoch(self, pending: Optional[PairSpec] = None) -> None:
+        """Double the guess, restart the fractional state, replay history.
+
+        ``pending`` is the arriving pair when its arrival ended
+        ``GUESS_TOO_SMALL``. Each further guess is then probed for an
+        eligible root of it (``fractional.eligible_views``), and history
+        is replayed only at the first guess that has one, by a solver that
+        starts from the probe's views. That changes no report: eligibility
+        reads only the guess's balls, never ``x``, so at every skipped
+        guess the replay either overflowed or succeeded and left the pair
+        ineligible again, and either way the guess doubled once more. The
+        epoch counter, the guess and the threshold streams (seeded by the
+        epoch, drawn lazily) step as before, and the same ``InstanceError``
+        is raised past ``MAX_EPOCHS``. A replayed pair was covered at a
+        smaller guess, and a root eligible at one guess stays eligible at
+        every larger one, so no replay ends short of ``SATISFIED`` or
+        ``EPOCH_OVERFLOW`` and a skipped replay could not have raised the
+        ``RuntimeError`` below; only a skipped replay's
+        ``StepLimitExceeded`` is lost. Once eligible, the pair stays so and
+        is not probed again.
+        """
         while True:
             self.epoch += 1
             if self.epoch > MAX_EPOCHS:
@@ -306,7 +330,15 @@ class OnlinePipeline:
                     f"guess doubling did not stabilize within {MAX_EPOCHS} "
                     f"epochs; kappa={self.kappa} is too small for this instance")
             self.lam *= 2.0
-            self._start_epoch()
+            views = None
+            if pending is not None:
+                views = eligible_views(
+                    *(side.side_graph for side in self.sides), self.roots,
+                    self.lam, pending)
+                if views is None:
+                    continue
+                pending = None
+            self._start_epoch(views)
             replay_ok = True
             for old in self.arrived:
                 outcome = self.solver.on_arrival(old)
@@ -329,7 +361,9 @@ class OnlinePipeline:
                 return outcome
             if outcome == ArrivalOutcome.LP_INFEASIBLE:
                 return outcome
-            self._advance_epoch()  # the spend cap or the ball was too small
+            # the spend cap or the ball was too small
+            self._advance_epoch(spec if outcome
+                                == ArrivalOutcome.GUESS_TOO_SMALL else None)
 
     # ------------------------------------------------------------------
     # dispatch

@@ -19,6 +19,8 @@ from bulkflow.fractional import (BALL_TOL, COVER_TOL, MAX_STEPS, MIN_DT,
                                  ArrivalStats, CompositeSolver, PairSpec,
                                  RootSpec, SideGraph, _Funnel, _growth_factor,
                                  _Route, _Side)
+from bulkflow import harness
+from bulkflow.errors import InstanceError
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, plain_sum,
                             shortest_path)
@@ -488,6 +490,23 @@ def reference_ball(solver, pair: PairSpec) -> Dict[int, Tuple[List[int], ...]]:
             [e for e in down_arcs if dd[rd][down.tail[e]] + down_w[e]
              + dd[down.head[e]][t] + du[s][ru] <= limit])
     return ball
+
+
+def reference_reaches_a_root(solver, pair: PairSpec) -> bool:
+    """Whether some root is reachable on both sides over the arcs the
+    pair's owner rule admits, at any guess: from ``s`` to ``r_up`` and
+    from ``r_down`` to ``t``."""
+    dist = []
+    for side in solver.sides:
+        allowed = side.side_graph.allowed(pair.index)
+        arcs = [e for e in range(side.graph.m)
+                if allowed is None or allowed(e)]
+        dist.append(_all_pairs_distances(side.graph, arcs,
+                                         [1.0] * side.graph.m))
+    du, dd = dist
+    return any(du[pair.up_source][root.up_vertex] < math.inf
+               and dd[root.down_vertex][pair.down_sink] < math.inf
+               for root in solver.roots)
 
 
 # Reference step capacities: every arc of a funnel recomputed from scratch,
@@ -1406,3 +1425,51 @@ class ReferenceStepSolver(CompositeSolver):
                                              self.z_total(pair.index),
                                              self._objective))
         return ArrivalOutcome.SATISFIED
+
+
+# Reference guess doubling: history is replayed at every doubled guess,
+# also while the arriving pair has no eligible root there.
+
+class EveryDoublingPipeline(harness.OnlinePipeline):
+    """``OnlinePipeline`` whose arrival loop replays history at every
+    doubled guess and then retries the arriving pair, as it did before
+    guesses were probed. ``outcomes`` lists every arrival outcome of the
+    pairs as they arrived, replays left out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.outcomes: List[ArrivalOutcome] = []
+
+    def _advance_epoch(self, pending: Optional[PairSpec] = None) -> None:
+        while True:
+            self.epoch += 1
+            # read through the module, so a test's patched limit holds
+            if self.epoch > harness.MAX_EPOCHS:
+                raise InstanceError(
+                    f"guess doubling did not stabilize within "
+                    f"{harness.MAX_EPOCHS} epochs; kappa={self.kappa} is too "
+                    f"small for this instance")
+            self.lam *= 2.0
+            self._start_epoch()
+            replay_ok = True
+            for old in self.arrived:
+                outcome = self.solver.on_arrival(old)
+                if outcome == ArrivalOutcome.EPOCH_OVERFLOW:
+                    replay_ok = False
+                    break
+                if outcome != ArrivalOutcome.SATISFIED:
+                    raise RuntimeError(f"replay of pair {old.index} ended "
+                                       f"{outcome} at guess {self.lam}")
+            if replay_ok:
+                return
+
+    def _absorb(self, spec: PairSpec) -> ArrivalOutcome:
+        while True:
+            outcome = self.solver.on_arrival(spec)
+            self.outcomes.append(outcome)
+            if outcome == ArrivalOutcome.SATISFIED:
+                self.solver.check_pair(spec.index)
+                return outcome
+            if outcome == ArrivalOutcome.LP_INFEASIBLE:
+                return outcome
+            self._advance_epoch()

@@ -18,13 +18,16 @@ from bulkflow.fractional import (ArrivalOutcome, CompositeSolver, PairSpec,
                                  RootSpec, SideGraph)
 from bulkflow.generate import (grid, random_digraph, star_of_paths,
                                with_penalties)
-from bulkflow.graph import TwoMetricGraph, shortest_path, shortest_paths
+from bulkflow.graph import (TwoMetricGraph, Unreachable, shortest_path,
+                            shortest_paths)
 from bulkflow.harness import OnlinePipeline, RunConfig, run_online
 from bulkflow.instance import load_instance
 from bulkflow.junction import build_junction_forest
+from bulkflow.prize import augment
 from helpers import (ReferenceStepSolver, build_graph, random_two_metric,
-                     reference_ball, reference_step_capacities, side_funnels,
-                     z_values)
+                     reference_ball, reference_reaches_a_root,
+                     reference_step_capacities, side_funnels,
+                     tie_heavy_graph, z_values)
 
 BIG_KAPPA = 1e9
 
@@ -716,9 +719,9 @@ class TestFunnel:
         roots = [RootSpec(r, r, r) for r in range(n)]
         solver = make_solver(up, down, roots, dmax=0.2)
         calls = []
-        search = fractional.shortest_paths
+        search = fractional.distances
         monkeypatch.setattr(
-            fractional, "shortest_paths",
+            fractional, "distances",
             lambda *args, **kwargs: calls.append(args) or search(*args,
                                                                  **kwargs))
         for index in range(2):
@@ -1018,6 +1021,9 @@ class TestBallDistanceCache:
         lambda: star_of_paths(3, 2, k=6, seed=109305),
     ])
     def test_cached_distances_equal_fresh_searches(self, make, monkeypatch):
+        # the cached dict holds exactly the fresh search's vertices within
+        # BALL_LIMIT, at the same bits; its order is the settle order of
+        # the distance-only kernel, which no caller reads
         distances = fractional._Side.distances
         keys = []
 
@@ -1025,8 +1031,9 @@ class TestBallDistanceCache:
             found = distances(self, vertex, allowed, into)
             fresh = shortest_paths(self.graph, self.w, vertex,
                                    allowed=allowed, backward=into)
-            assert ([(v, d.hex()) for v, d in found.items()]
-                    == [(v, d.hex()) for v, (_, d) in fresh.items()])
+            assert ({v: d.hex() for v, d in found.items()}
+                    == {v: d.hex() for v, (_, d) in fresh.items()
+                        if d <= fractional.BALL_LIMIT})
             keys.append((id(self), vertex, into))
             return found
 
@@ -1052,29 +1059,174 @@ class TestBallDistanceCache:
 
     def test_ball_searches_once_per_root_and_epoch(self, monkeypatch):
         # every ball search, from a pair's terminal or at a root, goes
-        # through the epoch cache: at most one per side, vertex and
-        # direction in each epoch, however many pairs arrive
-        searches, inits = [], []
-        search = fractional.shortest_paths
+        # through the cache of its side view: at most one per side, guess,
+        # vertex and direction, however many pairs arrive, and a probe's
+        # views are the ones its guess's solver starts from
+        searches, made, views = [], [], []
+        search = fractional.distances
         init = CompositeSolver.arrival_init
 
         def counted_search(graph, weight, vertex, **kwargs):
-            if inits:
-                solver, made = inits[-1]
-                inits[-1] = solver, made + 1
-                searches.append((id(solver), id(graph), vertex,
-                                 kwargs["backward"]))
+            if kwargs.get("limit") == fractional.BALL_LIMIT:
+                # a view's weight list is its own; kept, so ids stay unique
+                views.append(weight)
+                searches.append((id(weight), vertex, kwargs["backward"]))
             return search(graph, weight, vertex, **kwargs)
 
         def counted_init(self, pair):
-            inits.append((self, 0))
-            return init(self, pair)
+            before = len(searches)
+            eligible = init(self, pair)
+            made.append(len(searches) - before)
+            return eligible
 
-        monkeypatch.setattr(fractional, "shortest_paths", counted_search)
+        monkeypatch.setattr(fractional, "distances", counted_search)
         monkeypatch.setattr(CompositeSolver, "arrival_init", counted_init)
         run_online(load_instance(star_of_paths(3, 2, k=6, seed=109305)),
                    RunConfig(mode="edge"))
         assert searches and len(searches) == len(set(searches))
         # a pair whose terminals an earlier pair of the epoch shares, and
         # whose roots it searched, searches nothing
-        assert any(made == 0 for _, made in inits)
+        assert 0 in made
+
+
+@pytest.fixture
+def seed_checks(monkeypatch):
+    """Checks every seed path against ``shortest_path``'s hop-metric answer
+    over the ball's arcs, ``Unreachable`` included, and counts how each was
+    found ("walk" or "search"), the balls whose ends are one vertex
+    ("same ends") and the balls that hold no path ("cut")."""
+    seen = {"walk": 0, "search": 0, "same ends": 0, "cut": 0}
+    seed_path, search = fractional._Side.seed_path, fractional.shortest_path
+    searches = []
+
+    def counted_search(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    def checked(self, arcs, ends):
+        made = len(searches)
+        try:
+            path = seed_path(self, arcs, ends)
+        except Unreachable:
+            path = None
+        seen["walk" if len(searches) == made else "search"] += 1
+        try:
+            expected, _ = search(self.graph, self.unit, *ends,
+                                 set(arcs).__contains__)
+        except Unreachable:
+            expected = None
+        assert path == expected
+        seen["same ends"] += ends[0] == ends[1]
+        if path is None:
+            seen["cut"] += 1
+            raise Unreachable("cut")
+        return path
+
+    monkeypatch.setattr(fractional, "shortest_path", counted_search)
+    monkeypatch.setattr(fractional._Side, "seed_path", checked)
+    return seen
+
+
+class TestSeedWalk:
+    """A ball in which no two arcs share a tail seeds along the walk from
+    its source, the only path in it, and any other ball is searched: either
+    way the seed is ``shortest_path``'s hop-metric path, or
+    ``Unreachable``."""
+
+    def test_pipelines(self, seed_checks):
+        for data, mode, config in (
+                (grid(2, 2, k=4, seed=2), "edge", {}),
+                (grid(2, 3, k=3, seed=4), "edge", {}),
+                (star_of_paths(3, 2, k=6, seed=109305), "edge", {}),
+                (star_of_paths(4, 1, k=4, seed=3), "edge", {}),
+                (random_digraph(5, 10, 3, seed=27), "directed",
+                 {"h": 2, "dmax": 0.4}),
+                (with_penalties(grid(2, 3, k=3, seed=31), 31,
+                                q_range=(0.3, 4.0)), "prize",
+                 {"h": 1, "dmax": 0.4})):
+            run_online(load_instance(data), RunConfig(mode=mode, **config))
+        assert seed_checks["walk"] and seed_checks["search"]
+
+    def test_tie_heavy_sides_and_a_cut_ball(self, seed_checks):
+        # a root may be a pair's terminal, so some sides have one end; the
+        # instance of the rounding test cuts its ball at the bound
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = 6
+            up = tie_heavy_side(rng, n, True)
+            down = tie_heavy_side(rng, n, False)
+            roots = [RootSpec(r, r, r) for r in range(n)]
+            for guess in (0.6, 1.0, 2.5):
+                solver = make_solver(up, down, roots, guess=guess)
+                for index in range(2):
+                    solver.arrival_init(PairSpec(index, rng.randrange(n),
+                                                 rng.randrange(n)))
+        a, b, c = 0.19150488850818106, 0.38358120866617673, 0.4249139038256424
+        up = build_graph(4, [(0, 1, a, 0.0), (1, 2, b, 0.0), (2, 3, c, 0.0)])
+        solver = make_solver(up, build_graph(1, []), [RootSpec(0, 3, 0)])
+        assert solver.arrival_init(PairSpec(0, 0, 0)) == []
+        assert all(seed_checks.values()), seed_checks
+
+
+class TestReachability:
+    """An arrival with no eligible root is ``LP_INFEASIBLE`` exactly when
+    no root is reachable under the pair's owner rule, at any guess, and
+    ``GUESS_TOO_SMALL`` otherwise."""
+
+    @staticmethod
+    def _check(make_sides, seed, counts):
+        rng = random.Random(400 + seed)
+        n = 6
+        pairs = [PairSpec(index, rng.randrange(n), rng.randrange(n),
+                          penalty=rng.choice([None, None, 0.5, 3.0]))
+                 for index in range(3)]
+        (up, down), roots = make_sides(rng, n, pairs)
+        for guess in (0.3, 1.0):
+            solver = make_solver(up, down, roots, guess=guess)
+            unfiltered = make_solver(
+                SideGraph(up.graph, upward=True),
+                SideGraph(down.graph, upward=False), roots, guess=guess)
+            for pair in pairs:
+                reachable = reference_reaches_a_root(solver, pair)
+                ball = reference_ball(solver, pair)
+                eligible = solver.arrival_init(pair)
+                assert eligible == (list(ball) if reachable else None)
+                outcome = make_solver(up, down, roots,
+                                      guess=guess).on_arrival(pair)
+                if not reachable:
+                    assert outcome == ArrivalOutcome.LP_INFEASIBLE
+                    counts["infeasible"] += 1
+                    # the arcs other pairs own cut it off
+                    counts["owned off"] += reference_reaches_a_root(
+                        unfiltered, pair)
+                elif not ball:
+                    assert outcome == ArrivalOutcome.GUESS_TOO_SMALL
+                    counts["too small"] += 1
+
+    def test_owner_filters(self):
+        def sides(rng, n, pairs):
+            # few roots, so that some pairs reach none
+            return ((tie_heavy_side(rng, n, True),
+                     tie_heavy_side(rng, n, False)),
+                    [RootSpec(r, r, r) for r in rng.sample(range(n), 2)])
+
+        counts = {"infeasible": 0, "too small": 0, "owned off": 0}
+        for seed in range(60):
+            self._check(sides, seed, counts)
+        assert all(counts.values()), counts
+
+    def test_prize_owner_filters(self):
+        # the virtual root is reachable only over the pair's own discard
+        # arcs, and a pair without a penalty has none
+        def sides(rng, n, pairs):
+            # sparse, so that some pairs reach no root
+            bare = [SideGraph(tie_heavy_graph(rng, n, n, True), upward)
+                    for upward in (True, False)]
+            augmented, virtual = augment(bare, pairs)
+            return augmented, [RootSpec(r, r, r)
+                               for r in rng.sample(range(n), 1)] + [virtual]
+
+        counts = {"infeasible": 0, "too small": 0, "owned off": 0}
+        for seed in range(80):
+            self._check(sides, seed, counts)
+        assert all(counts.values()), counts

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from bulkflow.errors import InstanceError
 from bulkflow.generate import grid, with_penalties
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
-                            TwoMetricGraph, Unreachable, shortest_path,
+                            TwoMetricGraph, Unreachable, distances,
+                            reachable_from, reaches, shortest_path,
                             shortest_paths, solution_cost, split_node_weights)
 from bulkflow.instance import load_instance
 from helpers import (brute_min_node_cost_path, build_graph,
@@ -468,6 +469,65 @@ class TestDominatedLabels:
             # arc 1 -> 0 is relaxed after 0 has settled
             with pytest.raises(GraphError, match="negative weight"):
                 search(g, weight, 0)
+
+
+class TestDistances:
+    """The distance-only kernel against ``shortest_paths``: every vertex
+    within the limit at the same bits, and nothing beyond it."""
+
+    def test_equals_the_path_search_within_the_limit(self):
+        rng = random.Random(29)
+        compared = cut = 0
+        for index in range(240):
+            directed = index % 2 == 0
+            n = rng.randint(2, 7)
+            g = tie_heavy_graph(rng, n, rng.randint(1, 3 * n), directed)
+            # c + l sums of the tie-heavy values are not dyadic
+            weight = [c + l for c, l in zip(g.c, g.l)]
+            keep = [rng.random() < 0.8 for _ in range(g.m)]
+            for start in range(g.n):
+                for allowed in (None, keep.__getitem__):
+                    for backward in (False, True):
+                        full = shortest_paths(g, weight, start,
+                                              allowed=allowed,
+                                              backward=backward)
+                        walk = reaches if backward else reachable_from
+                        unlimited = distances(g, weight, start, allowed,
+                                              backward)
+                        assert set(unlimited) == walk(g, start, allowed)
+                        # every distance found, and the float just below
+                        # it, as a limit: ties at the limit are kept
+                        limits = {math.inf, 0.0, 0.9}
+                        for _, d in full.values():
+                            limits.update((d, math.nextafter(d, -1.0)))
+                        for limit in limits:
+                            found = distances(g, weight, start, allowed,
+                                              backward, limit)
+                            expected = {v: d.hex() for v, (_, d)
+                                        in full.items() if d <= limit}
+                            assert ({v: d.hex() for v, d in found.items()}
+                                    == expected)
+                            compared += len(found)
+                            cut += len(full) - len(found)
+        assert compared > 10000 and cut > 1000
+
+    def test_negative_limit_holds_nothing(self):
+        g = build_graph(2, [(0, 1, 1, 0)])
+        assert distances(g, g.c, 0, limit=-1.0) == {}
+        assert distances(g, g.c, 0, limit=0.0) == {0: 0.0}
+
+    def test_negative_weight_is_refused(self):
+        g = build_graph(2, [(0, 1, 1, 0), (1, 0, 1, 0)])
+        # arc 1 -> 0 is relaxed after 0 has settled
+        with pytest.raises(GraphError, match="negative weight"):
+            distances(g, [1.0, -1.0], 0)
+        with pytest.raises(GraphError, match="negative weight"):
+            distances(g, [-1.0, 1.0], 0, backward=True)
+
+    def test_start_outside_the_graph_is_refused(self):
+        g = build_graph(2, [(0, 1, 1, 0)])
+        with pytest.raises(GraphError):
+            distances(g, g.c, 2)
 
 
 def _length_route(g, s, t, live):

@@ -25,7 +25,8 @@ from bulkflow.instance import dump_instance, load_instance
 from bulkflow.prize import settle
 from bulkflow.rounding import Assignment, LazyThresholds, draw_thresholds
 from bulkflow.single_sink import GreedySingleSink
-from helpers import assert_forest_routes_cross_their_root, build_graph
+from helpers import (EveryDoublingPipeline,
+                     assert_forest_routes_cross_their_root, build_graph)
 
 
 def run(data, mode="edge", seed=0, **kw):
@@ -314,6 +315,95 @@ class TestThresholdDraws:
         assert sum(map(len, (drawn for drawn, _ in epochs))) < sum(
             len(expected) for _, expected in epochs)
         assert any("assigned" in trace for trace in traces)
+
+
+def _longest_too_small_run(outcomes):
+    """The most ``GUESS_TOO_SMALL`` outcomes in a row."""
+    longest = run_length = 0
+    for outcome in outcomes:
+        run_length = (run_length + 1
+                      if outcome == fractional.ArrivalOutcome.GUESS_TOO_SMALL
+                      else 0)
+        longest = max(longest, run_length)
+    return longest
+
+
+class TestReplaySkip:
+    """After an arrival ends ``GUESS_TOO_SMALL``, history is replayed only
+    at the first doubled guess at which the pair has an eligible root: the
+    reports, epochs and guess are those of replaying at every doubling."""
+
+    # each has an arrival whose ball holds no root at two or more guesses
+    # in a row
+    INSTANCES = [
+        (grid(2, 3, k=3, seed=4), "edge", {"h": 1, "dmax": 0.4}),
+        (grid(2, 2, k=3, seed=18), "edge", {}),
+        (random_digraph(5, 10, 3, seed=27), "directed",
+         {"h": 2, "dmax": 0.4}),
+        (with_penalties(grid(2, 3, k=3, seed=31), 31, q_range=(0.3, 4.0)),
+         "prize", {"h": 1, "dmax": 0.4}),
+    ]
+
+    @staticmethod
+    def _run(cls, data, mode, config, monkeypatch):
+        """The pipeline after its run, its report and the solvers it
+        started."""
+        started = []
+        solver = fractional.CompositeSolver
+
+        def counted(*args, **kwargs):
+            started.append(args[4])  # the guess
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "CompositeSolver", counted)
+        pipeline = cls(load_instance(data),
+                       RunConfig(mode=mode, seed=3, **config))
+        return pipeline, pipeline.run(), started
+
+    @pytest.mark.parametrize("data, mode, config", INSTANCES)
+    def test_reports_equal_replaying_at_every_doubling(self, data, mode,
+                                                       config, monkeypatch):
+        ref, expected, ref_started = self._run(
+            EveryDoublingPipeline, data, mode, config, monkeypatch)
+        assert _longest_too_small_run(ref.outcomes) >= 2
+        new, report, started = self._run(OnlinePipeline, data, mode, config,
+                                         monkeypatch)
+        for csv in ("to_csv", "lp_trace_csv", "assignment_trace_csv"):
+            assert getattr(report, csv)() == getattr(expected, csv)()
+        assert report.epochs == expected.epochs
+        assert new.epoch == ref.epoch and new.lam.hex() == ref.lam.hex()
+        # every guess that started a solver started one in the reference,
+        # and some guess the reference replayed at was skipped
+        assert set(started) < set(ref_started)
+        assert len(started) < len(ref_started)
+
+    def test_same_error_past_the_epoch_limit(self, monkeypatch):
+        # every limit below the run's last epoch, so that some are passed
+        # at a guess that is probed and skipped
+        data, mode, config = self.INSTANCES[3]
+        ref, expected, ref_started = self._run(
+            EveryDoublingPipeline, data, mode, config, monkeypatch)
+        _, _, started = self._run(OnlinePipeline, data, mode, config,
+                                  monkeypatch)
+        # the reference starts one solver per epoch, in epoch order
+        assert len(ref_started) == ref.epoch + 1
+        skipped = [epoch for epoch, guess in enumerate(ref_started)
+                   if guess not in started]
+        assert skipped
+        for limit in range(ref.epoch + 1):
+            monkeypatch.setattr(harness, "MAX_EPOCHS", limit)
+            ends = []
+            for cls in (EveryDoublingPipeline, OnlinePipeline):
+                try:
+                    ends.append(self._run(cls, data, mode, config,
+                                          monkeypatch)[1].to_csv())
+                except InstanceError as exc:
+                    ends.append(str(exc))
+            assert ends[0] == ends[1]
+            if limit < ref.epoch:
+                assert f"within {limit} epochs" in ends[0]
+            else:
+                assert ends[0] == expected.to_csv()
 
 
 class TestRunConfig:

@@ -316,16 +316,20 @@ class TestExpansionPins:
 
 @pytest.fixture
 def search_starts(monkeypatch):
-    """Starts of the ``graph.shortest_paths`` calls made while in use."""
+    """Starts of the ``graph.shortest_paths`` calls, and of the solver's
+    ``graph.distances`` calls, made while in use."""
     starts = []
-    kernel = graph.shortest_paths
 
-    def counting(g, weight, start, *args, **kwargs):
-        starts.append(start)
-        return kernel(g, weight, start, *args, **kwargs)
+    def counting(kernel):
+        def counted(g, weight, start, *args, **kwargs):
+            starts.append(start)
+            return kernel(g, weight, start, *args, **kwargs)
+        return counted
 
-    for module in (graph, layering, fractional):
-        monkeypatch.setattr(module, "shortest_paths", counting)
+    search = counting(graph.shortest_paths)
+    for module in (graph, layering):
+        monkeypatch.setattr(module, "shortest_paths", search)
+    monkeypatch.setattr(fractional, "distances", counting(graph.distances))
     return starts
 
 
