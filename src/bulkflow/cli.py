@@ -2,7 +2,9 @@
 
 Subcommands: ``run`` (one online run), ``oracle`` (exact baselines for an
 instance), ``generate`` (reproducible instances), ``experiment`` (a suite of
-runs to CSV). Exit codes: 0 success, 2 infeasible/bad input, invalid run
+runs to CSV). Exit codes: 0 success, 1 internal error (an invariant check
+failed, or a flow or graph refusal was raised mid-run: a defect, reported
+as one line instead of a traceback), 2 infeasible/bad input, invalid run
 parameters or an output path that cannot be written, 3 budget refusal (an
 exponential construction or oracle, or an arrival past the growth-step
 cap).
@@ -16,13 +18,16 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceeded, InstanceError, StepLimitExceeded
+from .flows import FlowError
 from .generate import generate
+from .graph import GraphError
 from .harness import MODES, OnlinePipeline, RunConfig, run_experiment
 from .instance import dump_instance, load_instance
 from .oracle import (InfeasibleInstance, exact_opt, junction_opt,
                      lp_lower_bound)
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 
@@ -158,6 +163,14 @@ def main(argv=None) -> int:
         print(f"cannot write {exc.filename or 'output'}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (AssertionError, FlowError, GraphError) as exc:
+        # input is refused as InstanceError before the run, so these come
+        # from the program's own state: an invariant check that failed or
+        # a refusal of a value the run computed
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

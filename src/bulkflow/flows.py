@@ -19,16 +19,20 @@ Each side of ``max_delta`` is a ``FlowNetwork`` or a ``FlowPath`` (one
 simple path). On one path the curve makes at most one segment, so a path
 side's value is its bottleneck cut to the value cap and the budget over its
 unit length, and every arc carries ``delta``: the curve's bits, written down.
+When both sides are paths, ``path_delta`` gives the same ``delta`` and
+builds no flows, since a caller that knows its routes needs only that
+value.
 
 A network or path is built once from its arcs; afterwards only its
 capacities change, so a caller that solves the same arcs repeatedly builds
 nothing per solve. A network changes some arcs in place
-(``update_capacities``); a path takes a whole new capacity list
-(``set_capacities``), since its caller recomputes every arc of the route.
-Both check every entry before they install any, so a refused change leaves
-the capacities as they were. Arcs may carry labels, which key the segments and
-flows a solve returns, so a caller whose arcs stand for other ids reads its
-flows without a rebuild. A network's residual slots are built with it, over
+(``update_capacities``), checking every entry before it writes any, so a
+refused change leaves the capacities as they were. A path keeps only its
+bottleneck (``set_bottleneck``, which refuses a negative or NaN one): the
+closed form reads no other capacity, so its caller finds the bottleneck in
+its own pass over the route. Arcs may carry labels, which key the segments
+and flows a solve returns, so a caller whose arcs stand for other ids reads
+its flows without a rebuild. A network's residual slots are built with it, over
 its own node numbering: the nodes that end some arc, numbered
 ``0..k-1`` in id order. The numbering keeps the id order, so the search's
 heap ties and adjacency order are those of the ids, and a search touches
@@ -231,11 +235,11 @@ class FlowNetwork:
 
 class FlowPath:
     """A nonempty simple path of arc labels ``route``, in route order, with
-    their unit costs; ``max_delta`` solves it in closed form. ``length`` is
-    the left fold of the costs in route order (the residual search's sum).
-    ``capacity[a]`` (zero at first) is that of the ``a``-th label in
-    increasing order (a funnel's id order); only ``set_capacities``
-    replaces it.
+    their unit costs; ``max_delta`` and ``path_delta`` solve it in closed
+    form. ``length`` is the left fold of the costs in route order (the
+    residual search's sum). ``bottleneck`` (zero at first) stands for the
+    arcs' capacities: their least one, or 0.0 when any is at or below
+    ``EPS_CAP``, which closes the path. Only ``set_bottleneck`` changes it.
     """
 
     def __init__(self, route: Sequence[int], cost: Sequence[float]):
@@ -250,20 +254,16 @@ class FlowPath:
             length += c
         self.route: Tuple[int, ...] = tuple(route)
         self.m = len(route)
-        self.capacity: List[float] = [0.0] * self.m
+        self.bottleneck = 0.0
         self.length = length
 
-    def set_capacities(self, capacities: List[float]) -> None:
-        """Make ``capacities``, one per arc in id order, the path's capacity
-        list; the list is installed, not copied. It is refused unless it has
-        one entry per arc and every entry is ``>= 0`` (``inf`` allowed, NaN
-        not), so a refused list changes nothing."""
-        if len(capacities) != self.m:
-            raise FlowError(f"{self.m} arcs but {len(capacities)} capacities")
-        for cap in capacities:
-            if not cap >= 0:
-                raise FlowError(f"capacity {cap} is negative or NaN")
-        self.capacity = capacities
+    def set_bottleneck(self, bottleneck: float) -> None:
+        """Make ``bottleneck`` the path's; it is refused unless it is
+        ``>= 0`` (``inf`` allowed, NaN not), so a refused one changes
+        nothing."""
+        if not bottleneck >= 0:
+            raise FlowError(f"bottleneck {bottleneck} is negative or NaN")
+        self.bottleneck = bottleneck
 
 
 @dataclass(slots=True)
@@ -493,7 +493,7 @@ def max_delta(up_net: FlowNetwork | FlowPath, up_source: int, up_sink: int,
     A network side runs the curve and ``_assemble``. A ``FlowPath`` side
     (its ends are not read) takes the curve's one segment in closed form,
     and ``_assemble`` would take ``delta`` from it for each arc in route
-    order.
+    order. Two path sides are ``path_delta``'s, which also gives ``delta``.
     """
     if not budget >= 0:
         raise FlowError(f"budget {budget} is negative or NaN")
@@ -502,7 +502,7 @@ def max_delta(up_net: FlowNetwork | FlowPath, up_source: int, up_sink: int,
     for net, s, t in ((up_net, up_source, up_sink),
                       (down_net, down_source, down_sink)):
         if isinstance(net, FlowPath):
-            reachable = _path_amount(net.capacity, net.length, budget)
+            reachable = _path_amount(net.bottleneck, net.length, budget)
             sides.append(net)
         elif s == t:  # a side already at its destination never binds
             _check_ends(net, s, t)
@@ -530,31 +530,45 @@ def max_delta(up_net: FlowNetwork | FlowPath, up_source: int, up_sink: int,
             else _assemble(down, delta))
 
 
-def _path_amount(capacity: Sequence[float], length: float,
-                 budget: float) -> float:
+def path_delta(up: FlowPath, down: FlowPath, budget: float) -> float:
+    """``max_delta(up, ., ., down, ., ., budget)``'s ``delta`` for two path
+    sides, with the same refusal and in the same order of operations. Its
+    flows are not built: every route arc carries ``delta`` when it is above
+    ``EPS_CAP``, and none does otherwise."""
+    if not budget >= 0:
+        raise FlowError(f"budget {budget} is negative or NaN")
+    best = 1.0
+    reachable = _path_amount(up.bottleneck, up.length, budget)
+    if reachable < best:
+        best = reachable
+    reachable = _path_amount(down.bottleneck, down.length, budget)
+    if reachable < best:
+        best = reachable
+    return best if best > 0.0 else 0.0
+
+
+def _path_amount(bottleneck: float, length: float, budget: float) -> float:
     """The value ``cheapest_flow_curve(net, s, t, value_cap=1.0,
-    cost_cap=budget)`` reaches when ``net`` is one simple s-t path with these
-    arc capacities (in any order) and unit length; 0.0 when it makes no
-    segment.
+    cost_cap=budget)`` reaches when ``net`` is one simple s-t path of unit
+    length ``length`` whose capacities have this ``FlowPath.bottleneck``;
+    0.0 when it makes no segment.
 
     The path is the only augmenting path, and it exists while every
     residual is open: the reverse slots lead back towards the source. So the
     curve makes at most one segment. Its amount is the bottleneck, cut to
     the value cap and to the budget over the unit length, with the curve's
-    guards and in its order of operations. A bottleneck amount closes its
-    arc, and a value-capped one reaches the cap. A budget-capped one
-    ``budget / length`` below 1 leaves at most about ``2**-52 * budget`` of
-    the budget, which over the length is about ``2**-52`` at most: if the
+    guards and in its order of operations; an arc at or below ``EPS_CAP``
+    closes the path, and the bottleneck is then 0.0. A bottleneck amount
+    closes its arc, and a value-capped one reaches the cap. A budget-capped
+    one ``budget / length`` below 1 leaves at most about ``2**-52 * budget``
+    of the budget, which over the length is about ``2**-52`` at most: if the
     loop runs again, its amount is below ``EPS_CAP`` and it stops.
     """
     if not 0.0 < budget - EPS_CAP:
         return 0.0
-    amount = math.inf
-    for r in capacity:
-        if r <= EPS_CAP:
-            return 0.0
-        if r < amount:
-            amount = r
+    if bottleneck <= EPS_CAP:
+        return 0.0
+    amount = bottleneck
     if 1.0 < amount:
         amount = 1.0
     if length > FEAS_TOL:
@@ -562,4 +576,3 @@ def _path_amount(capacity: Sequence[float], length: float,
         if rest < amount:
             amount = rest
     return amount if amount > EPS_CAP else 0.0
-

@@ -51,12 +51,14 @@ starting at ``v0`` on every arc a ball can hold and at 0 on the rest;
 ``CompositeSolver.routes[pair][root]`` is a ``_Route`` holding ``z`` and one
 ``_Funnel`` per side (in ``sides`` order): the arcs of the ball the pair may
 use through the root, its flow on them and their step capacities. Those are
-the rate capacities of a full step for the whole arrival. A funnel keeps
-them in a ``flows.FlowPath`` when its ball is one simple path, and each step
-recomputes the whole route; otherwise it keeps them in a flow network, and a
-step recomputes only the arcs the previous committed step touched (found
-tight or grew), since no other arc's ``x``, flow or tightness moved.
-``flows.max_delta`` solves every route, choosing the closed form per side.
+the rate capacities of a full step for the whole arrival. A funnel whose
+ball is one simple path keeps only their bottleneck, in a ``flows.FlowPath``,
+and each step recomputes it in one pass over the route; otherwise it keeps
+them in a flow network, and a step recomputes only the arcs the previous
+committed step touched (found tight or grew), since no other arc's ``x``,
+flow or tightness moved. A root whose two funnels are paths is solved in
+closed form by ``flows.path_delta``; any other root by ``flows.max_delta``,
+which takes the closed form on a path side.
 Only the pair whose arrival is running steps: an arrival runs to its end
 before the next pair registers, so no other pair's step moves the ``x`` its
 funnels read.
@@ -67,12 +69,15 @@ probe's cache.
 
 A step solves every root first, since its length depends on every root's
 rate: per root side, the tight set and the step capacities (all checked
-before any is written; a network recomputes its dirty arcs, a path every
-arc in one pass over its flow), then the joint solve, whose flows are keyed
-by edge id, so they are the rates. It then commits in place, per root and
-side: the grown ``x`` over ``tight | set(rates)`` (a network funnel's next
-dirty set), then the flows, then ``z``. That set's iteration order fixes
-the order of the objective's sum.
+before any is written; a network recomputes its dirty arcs, a path finds
+its bottleneck in one pass over the route), then the joint solve. A network
+side's rates are the solve's flows, keyed by edge id; every arc of a path
+carries the same flow, so a path side's rate is ``delta`` on its whole route
+when ``delta`` is above ``flows.EPS_CAP`` and 0 otherwise. It then commits
+in place, per root and side: the grown ``x`` over ``tight | set(rates)``
+(a network funnel's next dirty set; for a path, its route set stands for
+``set(rates)``), then the flows, then ``z``. That set's iteration order
+fixes the order of the objective's sum.
 
 All variables are nondecreasing within an epoch. An epoch ends at the first
 step whose commit takes its objective past ``kappa``; the caller then
@@ -85,8 +90,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from . import flows
 from .errors import StepLimitExceeded
@@ -382,13 +387,13 @@ class _Funnel:
     """A pair's routing through one root on one side: the arcs it may use in
     id order, its sparse flow on them and the step capacities of those arcs.
 
-    The capacities live in ``net``, built once per epoch over the arcs
-    (its arc ``a`` is funnel arc ``a``): lengths and costs are fixed within
-    an epoch, so each step only updates capacities. Every ball arc lies on
-    some route, so a ball no larger than its seed path is that path; ``net``
-    is then a ``flows.FlowPath`` along it, which ``flows.max_delta`` solves
-    in closed form, and a ``FlowNetwork`` otherwise (a side whose terminal
-    is its root has an empty seed path and a network).
+    The capacities live in ``net``, built once per epoch over the arcs:
+    lengths and costs are fixed within an epoch, so each step only updates
+    capacities. Every ball arc lies on some route, so a ball no larger than
+    its seed path is that path; ``net`` is then a ``flows.FlowPath`` along
+    it, solved in closed form, and a ``FlowNetwork`` otherwise (its arc
+    ``a`` is funnel arc ``a``; a side whose terminal is its root has an
+    empty seed path and a network).
 
     The capacities are the step state of the pair's arrival: the rate
     capacities for a full step of length ``dmax``. An arc's capacity depends
@@ -399,8 +404,10 @@ class _Funnel:
     pair steps while this one's arrival runs, so nothing else moves them. A
     path funnel has no ``dirty``: a step that moves a path touches every
     arc, and one that does not moves no capacity's inputs, so each step
-    recomputes the whole route in one pass over the flow, which holds it in
-    route order (``CompositeSolver._path_capacities``).
+    recomputes the route's bottleneck in one pass over it
+    (``CompositeSolver._path_side``). Its flow holds the route in route
+    order, with the same bits on every arc: the seed puts ``v0`` on each,
+    and every step adds one rate to all of them or to none.
     """
 
     def __init__(self, side: _Side, arcs: List[int], dmax: float,
@@ -409,10 +416,19 @@ class _Funnel:
         self.arcs = arcs
         self.ends = ends  # (source, sink) of the pair's routing
         self.flow = flow  # edge -> flow, confined to the arcs
-        self.index = {e: a for a, e in enumerate(arcs)}
         self.net: FlowPath | FlowNetwork
         if path and len(path) == len(arcs):
-            self.net = FlowPath(path, [side.l[e] for e in path])
+            self.lengths = [side.l[e] for e in path]
+            self.net = FlowPath(path, self.lengths)
+            self.route = self.net.route
+            # edge -> exp(dmax / c), the growth over a full step, in route
+            # order
+            self.growth_of = {e: _growth_factor(side.c[e], dmax)
+                              for e in path}
+            # the layout of set(dict.fromkeys(route, delta)), the rates
+            # max_delta returns for a path that moves: a set's iteration
+            # order follows its layout, and it orders the objective's sum
+            self.route_set = set(dict.fromkeys(path))
         else:
             graph = side.graph
             # labelled by edge id, so solves return flows keyed by edge
@@ -423,8 +439,9 @@ class _Funnel:
             # replaced, never changed in place: a committed step hands over
             # the set it wrote over
             self.dirty: Set[int] = set(arcs)
-        # exp(dmax / c) of each arc: the growth over a full step
-        self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
+            self.index = {e: a for a, e in enumerate(arcs)}
+            # exp(dmax / c) of each arc: the growth over a full step
+            self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
 
     def tight(self, x: List[float]) -> Set[int]:
         """Edges whose capacity variable in ``x`` is met by the flow."""
@@ -536,7 +553,9 @@ class CompositeSolver:
         inner LP is feasible from the first moment. Every ball arc lies on
         some route, so a ball that holds no more arcs than its seed path is
         that path, and its funnel keeps a ``flows.FlowPath`` along it
-        instead of a flow network (see ``_Funnel``).
+        instead of a flow network (see ``_Funnel``). The seed puts the same
+        ``v0`` on every arc of a path, and each step keeps its arcs' flows
+        equal, which the path's one-pass solve and commit read as one value.
 
         Returns the eligible root ids, or ``None`` when no root is reachable
         on both sides at all (an empty list: some root is, but the ball holds
@@ -604,56 +623,75 @@ class CompositeSolver:
             funnel.net.update_capacities(arcs, caps)
             funnel.dirty = set()
 
-    def _path_capacities(self, side: _Side, rid: int,
-                         funnel: _Funnel) -> Set[int]:
-        """``_Funnel.tight`` and ``_step_capacities`` on every arc of a path
-        funnel, in one pass over its flow: the tight set is built in
-        ``tight``'s order, so it iterates as that does, and the capacities
-        go into a fresh list in id order, which the path checks and
-        installs."""
-        x, dmax, inf = side.x[rid], self.dmax, math.inf
-        index, full_growth = funnel.index, funnel.full_growth
+    def _path_side(self, side: _Side, rid: int, funnel: _Funnel) -> Set[int]:
+        """``_Funnel.tight`` and the bottleneck of ``_step_capacities`` on
+        every arc of a path funnel, in one pass over its route.
+
+        The route's arcs share one flow, read once. The tight set is built
+        in ``tight``'s order, so it iterates as that does; each capacity is
+        ``_step_capacities``'s expression, refused when negative or NaN
+        before anything is stored. Only the bottleneck goes into the path:
+        0.0 when some capacity is at or below ``EPS_CAP``, else the least.
+        """
+        x, dmax, inf, eps = side.x[rid], self.dmax, math.inf, flows.EPS_CAP
+        f = funnel.flow[funnel.route[0]]
+        level = f + TIGHT_TOL
         tight: Set[int] = set()
-        caps = [0.0] * len(full_growth)
-        for e, f in funnel.flow.items():
-            a = index[e]
+        bottleneck = inf
+        for e, grow in funnel.growth_of.items():
             xe = x[e]
             room = 0.0
-            if xe <= f + TIGHT_TOL:
+            if xe <= level:
                 tight.add(e)
             else:  # max(0.0, headroom), NaN included
                 headroom = xe - f
                 if headroom > 0.0:
                     room = headroom
-            grow = full_growth[a]
-            caps[a] = inf if grow == inf else (room + xe * (grow - 1.0)) / dmax
-        funnel.net.set_capacities(caps)
+            if grow == inf:
+                continue  # an infinite capacity bounds nothing
+            cap = (room + xe * (grow - 1.0)) / dmax
+            if not cap > eps:
+                if not cap >= 0.0:
+                    raise flows.FlowError(f"capacity {cap} is negative or "
+                                          f"NaN")
+                bottleneck = 0.0
+            elif cap < bottleneck:
+                bottleneck = cap
+        funnel.net.set_bottleneck(bottleneck)
         return tight
 
     def _solve_root(self, rid: int, route: _Route
-                    ) -> Tuple[float, Tuple[Dict[int, float], ...],
+                    ) -> Tuple[float, Tuple[Optional[Dict[int, float]], ...],
                                Tuple[Set[int], ...]]:
         """Max joint growth rate, per-side flow rates and per-side tight
-        sets for one root; both solves key their flows by edge id, so the
-        flows are the rates."""
+        sets for one root. A network side's rates are its solve's flows,
+        keyed by edge id; a path side has ``None`` (see the module
+        docstring)."""
         up, down = self.sides
         up_funnel, down_funnel = route.funnels
-        if isinstance(up_funnel.net, FlowPath):
-            up_tight = self._path_capacities(up, rid, up_funnel)
+        up_net, down_net = up_funnel.net, down_funnel.net
+        up_path = isinstance(up_net, FlowPath)
+        down_path = isinstance(down_net, FlowPath)
+        if up_path:
+            up_tight = self._path_side(up, rid, up_funnel)
         else:
             up_tight = up_funnel.tight(up.x[rid])
             self._step_capacities(up, rid, up_funnel, up_tight)
-        if isinstance(down_funnel.net, FlowPath):
-            down_tight = self._path_capacities(down, rid, down_funnel)
+        if down_path:
+            down_tight = self._path_side(down, rid, down_funnel)
         else:
             down_tight = down_funnel.tight(down.x[rid])
             self._step_capacities(down, rid, down_funnel, down_tight)
+        if up_path and down_path:
+            return (flows.path_delta(up_net, down_net, route.z),
+                    (None, None), (up_tight, down_tight))
         # unpacked here: a starred call costs more, once per root solve
         (up_s, up_t), (down_s, down_t) = up_funnel.ends, down_funnel.ends
         delta, up_rates, down_rates = flows.max_delta(
-            up_funnel.net, up_s, up_t, down_funnel.net, down_s, down_t,
-            route.z)
-        return delta, (up_rates, down_rates), (up_tight, down_tight)
+            up_net, up_s, up_t, down_net, down_s, down_t, route.z)
+        return (delta, (None if up_path else up_rates,
+                        None if down_path else down_rates),
+                (up_tight, down_tight))
 
     def growth_step(self) -> float:
         """Take one discretized step of the continuous dynamics for the
@@ -703,25 +741,48 @@ class CompositeSolver:
         # Roots and sides share no x array or flow dict, so a write never
         # moves a later read.
         d_obj = 0.0
-        inf = math.inf
+        inf, eps = math.inf, flows.EPS_CAP
         sides = self.sides
+        empty: FrozenSet[int] = frozenset()
         for rid, route, delta, rates, tight in solved:
+            # a path side moves its whole route or nothing: its increment
+            moved = delta > eps
+            step = delta * dt if moved else 0.0
             for side, funnel, side_tight, g_side in zip(
                     sides, route.funnels, tight, rates):
                 arr, c = side.x[rid], side.c
-                flow = funnel.flow
-                flow_get = flow.get
+                if g_side is None:
+                    # the route's one flow level after the step
+                    f_new = funnel.flow[funnel.route[0]] + step
+                    growth_of = funnel.growth_of
+                    # the layout of tight | set(rates), whose iteration
+                    # order is the order of the d_obj sum
+                    for e in side_tight | (funnel.route_set if moved
+                                           else empty):
+                        old = arr[e]
+                        new = old
+                        if e in side_tight:
+                            grow = (growth_of[e] if full
+                                    else _growth_factor(c[e], dt))
+                            if grow == inf:
+                                new = VAR_CAP
+                            else:
+                                y = old * grow
+                                new = y if y < VAR_CAP else VAR_CAP
+                        if f_new > new:
+                            new = f_new if f_new < VAR_CAP else VAR_CAP
+                            if c[e] <= 0:
+                                new = VAR_CAP
+                        if new > old:
+                            arr[e] = new
+                            d_obj += c[e] * (new - old)
+                    continue
+                flow_get = funnel.flow.get
                 grow_get = g_side.get
                 full_growth, index = funnel.full_growth, funnel.index
-                on_path = isinstance(funnel.net, FlowPath)
-                if on_path:
-                    # a path's flow holds every arc it may touch, and its
-                    # rates are delta on every arc or on none: its
-                    # increment, taken once
-                    step = delta * dt if g_side else 0.0
-                # the layout of set(tight) | set(g_side), whose iteration
-                # order is the order of the d_obj sum
-                touched = side_tight | set(g_side)
+                # the edges whose x or flow may move, and the next dirty set
+                # (the solve emptied it)
+                touched = funnel.dirty = side_tight | set(g_side)
                 for e in touched:
                     old = arr[e]
                     new = old
@@ -733,10 +794,7 @@ class CompositeSolver:
                         else:
                             y = old * grow
                             new = y if y < VAR_CAP else VAR_CAP
-                    if on_path:
-                        f_new = flow[e] + step
-                    else:
-                        f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt
+                    f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt
                     if f_new > new:
                         new = f_new if f_new < VAR_CAP else VAR_CAP
                         if c[e] <= 0:
@@ -744,13 +802,16 @@ class CompositeSolver:
                     if new > old:
                         arr[e] = new
                         d_obj += c[e] * (new - old)
-                if not on_path:
-                    # the edges whose x or flow may move; the solve emptied
-                    # the dirty set
-                    funnel.dirty = touched
             for side, funnel, g_side in zip(sides, route.funnels, rates):
-                l, flow = side.l, funnel.flow
-                flow_get = flow.get
+                flow = funnel.flow
+                if g_side is None:
+                    if moved:
+                        f_path = flow[funnel.route[0]] + step
+                        for e, l in zip(funnel.route, funnel.lengths):
+                            flow[e] = f_path
+                            d_obj += l * delta * dt
+                    continue
+                l, flow_get = side.l, flow.get
                 for e, g in g_side.items():
                     flow[e] = flow_get(e, 0.0) + g * dt
                     d_obj += l[e] * g * dt

@@ -1224,9 +1224,10 @@ class ReferenceGrowthStep:
 class ReferenceStepSolver(CompositeSolver):
     """``CompositeSolver`` with the reference growth step and arrival loop,
     in which any registered pair may step. Every funnel, one path or not,
-    gets a flow network of its own over its arcs in id order and a set of
-    the arcs to recompute, so the reference reads nothing of the solver's
-    own step state."""
+    gets a flow network of its own over its arcs in id order, its own
+    full-step growth factors and a set of the arcs to recompute, so the
+    reference reads nothing of the solver's own step state: of a funnel,
+    only its arcs, ends and flow, which are LP state."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1234,6 +1235,8 @@ class ReferenceStepSolver(CompositeSolver):
         self._stepping: Optional[int] = None
         # funnel -> its reference network (network arc a is funnel arc a)
         self._nets: Dict[_Funnel, FlowNetwork] = {}
+        # funnel -> edge -> exp(dmax / c), the growth over a full step
+        self._full_growth: Dict[_Funnel, Dict[int, float]] = {}
         # funnel -> the edges whose capacities its next solve recomputes
         self._dirty: Dict[_Funnel, Set[int]] = {}
 
@@ -1245,6 +1248,8 @@ class ReferenceStepSolver(CompositeSolver):
                 graph.n, [graph.tail[e] for e in arcs],
                 [graph.head[e] for e in arcs], [0.0] * len(arcs),
                 [side.l[e] for e in arcs])
+            self._full_growth[funnel] = {
+                e: _growth_factor(side.c[e], self.dmax) for e in arcs}
         return net
 
     def _hold_step_state(self, pair_index: int) -> None:
@@ -1270,12 +1275,14 @@ class ReferenceStepSolver(CompositeSolver):
         """
         x, dmax, inf = side.x[rid], self.dmax, math.inf
         flows_get = funnel.flow.get
-        index, full_growth = funnel.index, funnel.full_growth
+        net = self._reference_network(side, funnel)
+        full_growth = self._full_growth[funnel]
+        index = {e: a for a, e in enumerate(funnel.arcs)}
         dirty = self._dirty.setdefault(funnel, set(funnel.arcs))
         changes = []
         for e in dirty:
             a = index[e]
-            grow = full_growth[a]
+            grow = full_growth[e]
             if grow == inf:
                 changes.append((a, inf))
             else:
@@ -1285,7 +1292,6 @@ class ReferenceStepSolver(CompositeSolver):
                     if headroom > 0.0:
                         room = headroom
                 changes.append((a, (room + x[e] * (grow - 1.0)) / dmax))
-        net = self._reference_network(side, funnel)
         reference_step_update_capacities(net, changes)
         dirty.clear()
         return net
@@ -1349,13 +1355,13 @@ class ReferenceStepSolver(CompositeSolver):
                 arr, c = side.x[rid], side.c
                 flow_get = funnel.flow.get
                 grow_get = g_side.get
-                full_growth, index = funnel.full_growth, funnel.index
+                full_growth = self._full_growth[funnel]
                 touched = set(tight) | set(g_side)
                 for e in touched:
                     old = arr[e]
                     new = old
                     if e in tight:
-                        grow = (full_growth[index[e]] if full
+                        grow = (full_growth[e] if full
                                 else _growth_factor(c[e], dt))
                         if grow == inf:
                             new = VAR_CAP

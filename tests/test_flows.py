@@ -780,11 +780,12 @@ class TestFusedSolve:
         # the per-layer counters read these seams: flows.curves counts
         # cheapest_flow_curve calls, flows.augmentations their segments;
         # a FlowPath side goes through _path_amount instead, which makes no
-        # FlowSegment and one segment at most
+        # FlowSegment and one segment at most, inside max_delta or, when
+        # both sides are paths, inside path_delta
         curves, path_curves, solves, made = [], [], [], []
         curve, solve, segment = (flows.cheapest_flow_curve, flows.max_delta,
                                  flows.FlowSegment)
-        path_amount = flows._path_amount
+        path_amount, path_solve = flows._path_amount, flows.path_delta
 
         def counted_curve(net, source, sink, **caps):
             segments = curve(net, source, sink, **caps)
@@ -806,6 +807,13 @@ class TestFusedSolve:
                            (len(path_curves) - before[1], sum(paths))))
             return result
 
+        def counted_path_solve(up, down, budget):
+            before = len(curves), len(path_curves)
+            delta = path_solve(up, down, budget)
+            solves.append(((len(curves) - before[0], 0),
+                           (len(path_curves) - before[1], 2)))
+            return delta
+
         def counted_segment(*args):
             made.append(args)
             return segment(*args)
@@ -814,8 +822,13 @@ class TestFusedSolve:
         monkeypatch.setattr(flows, "_path_amount", counted_path_amount)
         monkeypatch.setattr(flows, "FlowSegment", counted_segment)
         monkeypatch.setattr(flows, "max_delta", counted_solve)
+        monkeypatch.setattr(flows, "path_delta", counted_path_solve)
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
         assert curves and path_curves
+        # every curve and every path amount is made inside one solve
+        curves_made = sum(made for (made, _), _ in solves)
+        amounts_made = sum(made for _, (made, _) in solves)
+        assert (curves_made, amounts_made) == (len(curves), len(path_curves))
         assert all(calls == sides for solve in solves for calls, sides in solve)
         assert all(source != sink for source, sink, _ in curves)
         # one segment per augmentation, and none dropped
@@ -830,11 +843,18 @@ PATH_BUDGETS = [0.0, EPS_CAP / 2, EPS_CAP, 2 * EPS_CAP, 0.3, 1.0, 2.5,
                 math.inf]
 
 
+def bottleneck_of(capacities):
+    """``FlowPath.bottleneck`` of a path with these arc capacities."""
+    if any(cap <= EPS_CAP for cap in capacities):
+        return 0.0
+    return min(capacities)
+
+
 def path_side(rng: random.Random, hops: int, length_scale: float = 1.0):
     """One simple path of at least one arc as a network over its arcs in id
     order, labelled, with its ends, and as a ``FlowPath`` along its route
-    with the same capacities. Neither the route vertices nor the labels are
-    in id order."""
+    with the bottleneck of the same capacities. Neither the route vertices
+    nor the labels are in id order."""
     nodes = rng.sample(range(2 * hops + 2), hops + 1)
     labels = rng.sample(range(10 * hops + 10), hops)
     caps = [rng.choice(PATH_CAPACITIES) for _ in labels]
@@ -844,7 +864,7 @@ def path_side(rng: random.Random, hops: int, length_scale: float = 1.0):
                       [nodes[i + 1] for i in by_id], [caps[i] for i in by_id],
                       [lengths[i] for i in by_id], [labels[i] for i in by_id])
     path = FlowPath(labels, lengths)
-    path.set_capacities([caps[i] for i in by_id])
+    path.set_bottleneck(bottleneck_of(caps))
     return net, (nodes[0], nodes[-1]), path
 
 
@@ -857,7 +877,8 @@ def solve_bits(up, up_ends, down, down_ends, budget):
 
 class TestPathDelta:
     """A ``FlowPath`` side of ``max_delta`` gives the bits of the same path
-    as a ``FlowNetwork`` side, with no network."""
+    as a ``FlowNetwork`` side, with no network, and ``path_delta`` gives
+    its ``delta`` when both sides are paths."""
 
     def test_matches_max_delta_on_path_networks_bit_for_bit(self):
         seen = dict.fromkeys(["zero", "one", "budget binds", "capacity binds",
@@ -880,6 +901,7 @@ class TestPathDelta:
             assert solve_bits(up, up_ends, down_net, down_ends, budget) == ref
             assert solve_bits(up_net, up_ends, down, down_ends, budget) == ref
             assert solve_bits(up, (0, 0), down, (0, 0), budget) == ref
+            assert flows.path_delta(up, down, budget).hex() == ref[0]
             if seed % 7 == 0:  # the other side is already at its destination
                 assert (solve_bits(*at_destination, down, down_ends, budget)
                         == solve_bits(*at_destination, down_net, down_ends,
@@ -889,12 +911,12 @@ class TestPathDelta:
                 # the curve makes one segment at most, of _path_amount's value
                 segments = cheapest_flow_curve(net, s, t, value_cap=1.0,
                                                cost_cap=budget)
-                amount = flows._path_amount(path.capacity, path.length,
+                amount = flows._path_amount(path.bottleneck, path.length,
                                             budget)
                 assert [seg.amount.hex() for seg in segments] == (
                     [amount.hex()] if amount > 0.0 else [])
                 seen["short length"] += 0.0 < path.length <= flows.FEAS_TOL
-                seen["infinite capacity"] += math.inf in path.capacity
+                seen["infinite capacity"] += math.inf in net.capacity
             delta = float.fromhex(ref[0])
             if delta in (0.0, 1.0):
                 seen["zero" if delta == 0.0 else "one"] += 1
@@ -910,7 +932,7 @@ class TestPathDelta:
         rng = random.Random(5)
         net, ends, path = path_side(rng, 2)
         net.update_capacities([0, 1], [0.5, 0.75])
-        path.set_capacities([0.5, 0.75])
+        path.set_bottleneck(0.5)
         at_destination = FlowNetwork(1, [], [], [], [])
         for budget in (0.0, 1.0):
             ref = solve_bits(at_destination, (0, 0), net, ends, budget)
@@ -924,7 +946,7 @@ class TestPathDelta:
 
 class TestFlowPath:
     """A ``FlowPath`` is one simple route, checked like a network, and
-    solved in closed form inside ``max_delta``."""
+    solved in closed form inside ``max_delta`` and by ``path_delta``."""
 
     def test_a_budget_residue_brings_the_loop_round_without_a_segment(self):
         # the one segment spends the budget but for a float residue above
@@ -942,8 +964,9 @@ class TestFlowPath:
         free = FlowNetwork(2, [0], [1], [math.inf], [0.0])
         up, down = FlowPath([7], [length]), FlowPath([3], [0.0])
         for path in (up, down):
-            path.set_capacities([math.inf])
+            path.set_bottleneck(math.inf)
         delta, up_rates, down_rates = max_delta(up, 0, 1, down, 0, 1, budget)
+        assert flows.path_delta(up, down, budget).hex() == delta.hex()
         ref_delta, *ref_rates = max_delta(net, 0, 1, free, 0, 1, budget)
         assert delta.hex() == ref_delta.hex() == (budget / length).hex()
         assert up_rates == {7: delta} and down_rates == {3: delta}
@@ -954,7 +977,7 @@ class TestFlowPath:
         path = FlowPath([5, 2, 9], costs)
         assert path.route == (5, 2, 9) and path.m == 3
         assert path.length == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
-        assert path.capacity == [0.0] * 3
+        assert path.bottleneck == 0.0
 
     def test_empty_or_bad_route_is_refused(self):
         for route, costs in (([], []), ([1, 1], [0.5, 0.5]), ([1, 2], [0.5]),
@@ -964,28 +987,25 @@ class TestFlowPath:
                 FlowPath(route, costs)
 
     def test_refused_update_changes_nothing(self):
-        # set_capacities installs a whole list, or refuses it and keeps the
-        # installed one
+        # set_bottleneck takes any value >= 0, inf and 0.0 included, or
+        # refuses it and keeps the one it has
         path = FlowPath([4, 1, 3], [0.1, 0.1, 0.1])
-        installed = [0.5, 0.0, math.inf]
-        path.set_capacities(installed)
-        assert path.capacity is installed
-        for caps, message in (([0.75, 1.0], "3 arcs but 2 capacities"),
-                              ([0.75, 1.0, 0.0, 2.0], "3 arcs but 4"),
-                              ([0.75, -1.0, 1.0], "negative or NaN"),
-                              ([0.75, 1.0, math.nan], "negative or NaN"),
-                              ([-math.inf, 1.0, 1.0], "negative or NaN")):
-            with pytest.raises(FlowError, match=message):
-                path.set_capacities(caps)
-            assert path.capacity is installed
-            assert path.capacity == [0.5, 0.0, math.inf]
+        for installed in (math.inf, 0.0, 0.5):
+            path.set_bottleneck(installed)
+            assert path.bottleneck == installed
+        for bad in (-1.0, -EPS_CAP, math.nan, -math.inf):
+            with pytest.raises(FlowError, match="negative or NaN"):
+                path.set_bottleneck(bad)
+            assert path.bottleneck == 0.5
 
     def test_negative_or_nan_budget_is_refused(self):
         path = FlowPath([1], [0.5])
-        path.set_capacities([1.0])
+        path.set_bottleneck(1.0)
         for budget in (-1.0, -math.inf, math.nan):
             with pytest.raises(FlowError, match="negative or NaN"):
                 max_delta(path, 0, 1, path, 0, 1, budget)
+            with pytest.raises(FlowError, match="negative or NaN"):
+                flows.path_delta(path, path, budget)
 
 
 def trail_bits(net: FlowNetwork):

@@ -419,9 +419,10 @@ class TestSinglePathCalibration:
 
 
 class TestPathRoutes:
-    """A funnel whose ball is one simple path keeps its capacities in a
-    ``flows.FlowPath``, which ``flows.max_delta`` solves without a
-    network."""
+    """A funnel whose ball is one simple path keeps its capacities'
+    bottleneck in a ``flows.FlowPath``, solved without a network: by
+    ``flows.path_delta`` when both sides are paths, inside
+    ``flows.max_delta`` otherwise."""
 
     def test_single_path_route_has_no_network(self):
         up, down, roots, pair = single_path_instance(n_edges=3)
@@ -442,15 +443,26 @@ class TestPathRoutes:
                              guess=route_cost(up, down, *roots, pair))
         solver.arrival_init(pair)
         path = solver.routes[0][0].funnels[0].net
-        path.set_capacities([0.5, 0.0, 0.25])
-        for bad in ([0.75, 0.5], [0.75, -1.0, 0.5], [0.75, math.nan, 0.5]):
-            with pytest.raises(flows.FlowError):
-                path.set_capacities(bad)
-            assert path.capacity == [0.5, 0.0, 0.25]
+        path.set_bottleneck(0.25)
+        for bad in (-1.0, -math.inf, math.nan):
+            with pytest.raises(flows.FlowError, match="negative or NaN"):
+                path.set_bottleneck(bad)
+            assert path.bottleneck == 0.25
 
     def test_a_nan_capacity_variable_stops_the_step(self):
-        # the path pass computes a NaN capacity for the arc, and the path
-        # refuses the whole list: no capacity and no state moves
+        # the path pass computes a NaN capacity for the arc and refuses it
+        # before it stores anything: neither the bottleneck nor any state
+        # moves
+        self.assert_refused(1, math.nan)
+
+    @pytest.mark.parametrize("arc, value", [(0, math.nan), (2, math.nan),
+                                            (0, -0.5), (2, -0.5)])
+    def test_a_negative_or_nan_capacity_anywhere_stops_the_step(self, arc,
+                                                                value):
+        self.assert_refused(arc, value)
+
+    @staticmethod
+    def assert_refused(arc, value):
         up, down, roots, pair = single_path_instance(n_edges=3)
         solver = make_solver(up, down, roots,
                              guess=route_cost(up, down, *roots, pair))
@@ -458,27 +470,31 @@ class TestPathRoutes:
         solver.growth_step()
         path = solver.routes[0][0].funnels[0].net
         assert isinstance(path, flows.FlowPath)
-        installed = path.capacity
-        bits = [cap.hex() for cap in installed]
-        assert all(cap > 0.0 for cap in installed)
-        solver.up.x[0][path.route[1]] = math.nan
+        bits = path.bottleneck.hex()
+        assert path.bottleneck > 0.0
+        solver.up.x[0][path.route[arc]] = value
         state = solver_state(solver)
         with pytest.raises(flows.FlowError, match="negative or NaN"):
             solver.growth_step()
-        assert path.capacity is installed
-        assert [cap.hex() for cap in path.capacity] == bits
+        assert path.bottleneck.hex() == bits
         assert solver_state(solver) == state
 
-    def test_every_root_solve_goes_through_max_delta(self, monkeypatch):
+    def test_every_root_solve_is_one_max_delta_or_path_delta_call(
+            self, monkeypatch):
         # perfbench's flows.* counters wrap flows.max_delta and
-        # flows.cheapest_flow_curve by name: every root solve is one
-        # max_delta call, and only a network side that moves runs a curve
-        solved, calls = [], {"max_delta": 0, "curve": 0}
+        # flows.cheapest_flow_curve by name: a root solve with a network
+        # side is exactly one max_delta call, one whose sides are both
+        # paths exactly one path_delta call, and only a network side that
+        # moves runs a curve
+        solved, calls = [], {"max_delta": 0, "path_delta": 0, "curve": 0}
         solve_root = CompositeSolver._solve_root
 
         def counted_solve_root(self, rid, route):
-            solved.append(route.funnels)
-            return solve_root(self, rid, route)
+            before = dict(calls)
+            result = solve_root(self, rid, route)
+            made = {name: calls[name] - before[name] for name in calls}
+            solved.append((route.funnels, made))
+            return result
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -487,16 +503,22 @@ class TestPathRoutes:
             return wrapper
 
         monkeypatch.setattr(CompositeSolver, "_solve_root", counted_solve_root)
-        monkeypatch.setattr(flows, "max_delta",
-                            counted("max_delta", flows.max_delta))
-        monkeypatch.setattr(flows, "cheapest_flow_curve",
-                            counted("curve", flows.cheapest_flow_curve))
+        for name, attr in (("max_delta", "max_delta"),
+                           ("path_delta", "path_delta"),
+                           ("curve", "cheapest_flow_curve")):
+            monkeypatch.setattr(flows, attr,
+                                counted(name, getattr(flows, attr)))
         run_online(load_instance(grid(2, 2, k=3, seed=5)), RunConfig(mode="edge"))
-        sides = [funnel for funnels in solved for funnel in funnels]
-        moving = [f for f in sides
-                  if isinstance(f.net, FlowNetwork) and f.ends[0] != f.ends[1]]
-        assert calls == {"max_delta": len(solved), "curve": len(moving)}
-        assert moving and any(isinstance(f.net, flows.FlowPath) for f in sides)
+        kinds = set()
+        for funnels, made in solved:
+            paths = [isinstance(f.net, flows.FlowPath) for f in funnels]
+            moving = sum(not path and f.ends[0] != f.ends[1]
+                         for path, f in zip(paths, funnels))
+            both = all(paths)
+            assert made == {"max_delta": int(not both),
+                            "path_delta": int(both), "curve": moving}
+            kinds.add(sum(paths))
+        assert kinds == {0, 1, 2}  # network, mixed and path-only roots
 
     # sha256 of the report, LP trace and assignment trace of the h = 1 edge
     # run below, as the solve through two flow networks per root gave them
@@ -507,16 +529,21 @@ class TestPathRoutes:
 
     def test_h1_edge_run_builds_no_flow_network(self, monkeypatch):
         # at h = 1 every ball is one layer arc, so every funnel is a path:
-        # no network is built, and the reports keep their bits
-        built, solved = [], []
+        # no network is built, every root is solved by path_delta, and the
+        # reports keep their bits
+        built, solved, path_solved = [], [], []
         network, solve = fractional.FlowNetwork, flows.max_delta
+        path_solve = flows.path_delta
         monkeypatch.setattr(fractional, "FlowNetwork",
                             lambda *args: built.append(args) or network(*args))
         monkeypatch.setattr(flows, "max_delta",
                             lambda *args: solved.append(args) or solve(*args))
+        monkeypatch.setattr(
+            flows, "path_delta",
+            lambda *args: path_solved.append(args) or path_solve(*args))
         report = run_online(load_instance(grid(2, 3, k=4, seed=11)),
                             RunConfig(mode="edge", seed=0, h=1, dmax=0.4))
-        assert solved and not built
+        assert path_solved and not solved and not built
         assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
             report.to_csv(), report.lp_trace_csv(),
             report.assignment_trace_csv())) == self.H1_EDGE_DIGESTS
@@ -705,10 +732,18 @@ class TestFunnel:
                 for _ in range(3):
                     solver.growth_step()
             for side, funnel in side_funnels(solver):
-                assert ([g.hex() for g in funnel.full_growth]
+                # a path funnel keeps them by edge in route order, a
+                # network funnel in id order
+                if isinstance(funnel.net, flows.FlowPath):
+                    arcs = list(funnel.growth_of)
+                    assert arcs == list(funnel.route)
+                    growth = funnel.growth_of.values()
+                else:
+                    arcs, growth = funnel.arcs, funnel.full_growth
+                assert ([g.hex() for g in growth]
                         == [fractional._growth_factor(side.c[e], dmax).hex()
-                            for e in funnel.arcs])
-                compared += len(funnel.arcs)
+                            for e in arcs])
+                compared += len(arcs)
         assert compared
 
     @pytest.mark.parametrize("seed", range(4))
@@ -761,36 +796,37 @@ class TestStepState:
                                                          monkeypatch):
         # both step-state seams: the network's dirty recomputation and the
         # path's one pass, whose tight set must also be a fresh scan's,
-        # element for element and in iteration order
+        # element for element and in iteration order, and whose bottleneck
+        # must be that of the fresh capacities
         step_capacities = CompositeSolver._step_capacities
-        path_capacities = CompositeSolver._path_capacities
+        path_side = CompositeSolver._path_side
         checked = []
-
-        def check(self, side, rid, funnel, tight):
-            expected = reference_step_capacities(side, rid, funnel, tight,
-                                                 self.dmax)
-            # a path funnel keeps its capacities in id order too
-            assert ([cap.hex() for cap in funnel.net.capacity]
-                    == [cap.hex() for cap in expected])
-            checked.append(isinstance(funnel.net, flows.FlowPath))
 
         def checked_step_capacities(self, side, rid, funnel, tight):
             step_capacities(self, side, rid, funnel, tight)
-            check(self, side, rid, funnel, tight)
+            expected = reference_step_capacities(side, rid, funnel, tight,
+                                                 self.dmax)
+            assert ([cap.hex() for cap in funnel.net.capacity]
+                    == [cap.hex() for cap in expected])
+            checked.append(False)
 
-        def checked_path_capacities(self, side, rid, funnel):
+        def checked_path_side(self, side, rid, funnel):
             x = side.x[rid]
             fresh = {e for e, f in funnel.flow.items()
                      if x[e] <= f + fractional.TIGHT_TOL}
-            tight = path_capacities(self, side, rid, funnel)
+            tight = path_side(self, side, rid, funnel)
             assert tight == fresh and list(tight) == list(fresh)
-            check(self, side, rid, funnel, tight)
+            expected = reference_step_capacities(side, rid, funnel, tight,
+                                                 self.dmax)
+            bottleneck = (0.0 if any(cap <= flows.EPS_CAP for cap in expected)
+                          else min(expected))
+            assert funnel.net.bottleneck.hex() == bottleneck.hex()
+            checked.append(True)
             return tight
 
         monkeypatch.setattr(CompositeSolver, "_step_capacities",
                             checked_step_capacities)
-        monkeypatch.setattr(CompositeSolver, "_path_capacities",
-                            checked_path_capacities)
+        monkeypatch.setattr(CompositeSolver, "_path_side", checked_path_side)
         run_online(load_instance(make()), RunConfig(mode=mode))
         assert len(checked) > 100
         assert any(checked)  # some funnels are paths, with no network
@@ -1010,6 +1046,150 @@ class TestStepMatchesReference:
                 assert solver_state(new) == solver_state(ref)
             assert new.z_total(index) >= 1.0 - fractional.COVER_TOL
         assert truncated >= 2
+
+
+def path_heavy_sides(rng, n=7, depth=None, pad=0):
+    """Two sides over one random tree on ``n`` vertices, arcs away from
+    vertex 0 upstairs and towards it downstairs, plus two stray arcs per
+    side, so that most balls are one simple path; costs and lengths repeat,
+    some costs are 0. A vertex's parent is among the ``depth`` before it
+    (any of them by default). Before each arc come up to ``pad`` arcs too
+    dear for any ball, so that ball arcs have large, spread ids, whose sets
+    iterate out of id order."""
+    parent = [None] + [rng.randrange(max(0, v - (depth or v)), v)
+                       for v in range(1, n)]
+    sides = []
+    for upward in (True, False):
+        g = TwoMetricGraph(n, directed=True)
+        arcs = [(parent[v], v) for v in range(1, n)]
+        arcs += [tuple(rng.sample(range(n), 2)) for _ in range(2)]
+        for u, v in arcs:
+            for _ in range(rng.randrange(pad + 1)):
+                g.add_arc(*rng.sample(range(n), 2), 100.0, 0.5)
+            if not upward:
+                u, v = v, u
+            g.add_arc(u, v, rng.choice([0.0, 0.25, 0.25, 0.5]),
+                      rng.choice([0.0, 0.25, 0.5]))
+        sides.append(SideGraph(g.freeze(), upward=upward))
+    return sides, [RootSpec(r, r, r) for r in range(n)]
+
+
+class TestPathKernel:
+    """The one-pass path solve and the scalar path commit give the bits of
+    ``helpers.ReferenceStepSolver``, which solves every funnel as a flow
+    network, on every step of tie-heavy instances whose balls are mostly
+    simple paths."""
+
+    FORCED = 0.5 * flows.EPS_CAP
+
+    # shallow trees, and deep ones at a larger guess, whose balls hold
+    # routes of up to 8 arcs with ids up to about 150
+    @pytest.mark.parametrize("n, depth, pad, guess", [(7, None, 0, 3.0),
+                                                      (12, 2, 20, 6.0)])
+    def test_path_steps_match_the_reference(self, monkeypatch, n, depth,
+                                            pad, guess):
+        seen = dict.fromkeys(["path-only", "tiny delta", "truncated",
+                              "zero cost"], 0)
+        # A path-only root's delta is 0 or above EPS_CAP, since each side's
+        # amount is; so every fifth path-only solve that moves has its
+        # delta replaced by FORCED in both solvers, where z moves and the
+        # flows do not
+        forced: list = []
+        path_delta, path_side = flows.path_delta, CompositeSolver._path_side
+        ref_solve_root = ReferenceStepSolver._solve_root
+        counts = {"new": 0, "ref": 0}
+
+        def force(who, delta):
+            if delta > 0.0:
+                counts[who] += 1
+                return counts[who] % 5 == 2
+            return False
+
+        def counted_path_delta(up, down, budget):
+            delta = path_delta(up, down, budget)
+            assert delta == 0.0 or delta > flows.EPS_CAP
+            seen["path-only"] += 1
+            if force("new", delta):
+                forced.append((up, down))
+                return self.FORCED
+            return delta
+
+        def checked_path_side(solver, side, rid, funnel):
+            tight = path_side(solver, side, rid, funnel)
+            seen["zero cost"] += any(funnel.growth_of[e] == math.inf
+                                     for e in tight)
+            return tight
+
+        def forced_ref_solve_root(solver, rid, route):
+            sol = ref_solve_root(solver, rid, route)
+            if (all(isinstance(f.net, flows.FlowPath) for f in route.funnels)
+                    and force("ref", sol.delta)):
+                return type(sol)(self.FORCED, ({}, {}), sol.tight)
+            return sol
+
+        monkeypatch.setattr(flows, "path_delta", counted_path_delta)
+        monkeypatch.setattr(CompositeSolver, "_path_side", checked_path_side)
+        monkeypatch.setattr(ReferenceStepSolver, "_solve_root",
+                            forced_ref_solve_root)
+        for seed in range(12):
+            rng = random.Random(900 + seed)
+            (up, down), roots = path_heavy_sides(rng, n, depth, pad)
+            dmax = rng.choice([0.05, 0.2, 0.5]) / guess
+            new, ref = (make_solver(up, down, roots, guess=guess, dmax=dmax,
+                                    cls=cls)
+                        for cls in (CompositeSolver, ReferenceStepSolver))
+            # the second pair shares the first's terminals, so its funnels
+            # read the x that the first one's steps moved
+            ends = rng.randrange(3), rng.randrange(3)
+            for index, (s, t) in enumerate([ends, ends, (0, 0)]):
+                pair = PairSpec(index, s, t)
+                if not new.arrival_init(pair):
+                    assert not ref.arrival_init(pair)
+                    continue
+                ref.arrival_init(pair)
+                for _ in range(400):
+                    if new.z_total(index) >= 1.0 - fractional.COVER_TOL:
+                        break
+                    forced.clear()
+                    before = {id(route): (route.z, [dict(f.flow)
+                                                    for f in route.funnels])
+                              for route in new.routes[index].values()}
+                    solved = seen["path-only"]
+                    dt, reference = new.growth_step(), ref.growth_step(index)
+                    assert dt.hex() == reference.dt.hex()
+                    ref.apply(reference)
+                    assert solver_state(new) == solver_state(ref)
+                    seen["truncated"] += (dt < dmax
+                                          and seen["path-only"] > solved)
+                    for route in new.routes[index].values():
+                        if tuple(f.net for f in route.funnels) in forced:
+                            z, flow = before[id(route)]
+                            assert route.z > z
+                            assert [f.flow for f in route.funnels] == flow
+                            seen["tiny delta"] += 1
+                assert new.z_total(index) >= 1.0 - fractional.COVER_TOL
+        assert min(seen.values()) >= 1, seen
+
+    @pytest.mark.parametrize("arc", range(3))
+    @pytest.mark.parametrize("value", [0.0, 1e-22])
+    def test_an_arc_at_or_below_eps_cap_closes_the_path(self, arc, value):
+        # an x this small gives its arc a capacity at or below EPS_CAP, so
+        # the path's bottleneck is 0.0 and its root does not move, as a
+        # network with that arc closed would have it
+        up, down, roots, pair = single_path_instance(n_edges=3)
+        guess = route_cost(up, down, *roots, pair)
+        new, ref = (make_solver(up, down, roots, guess=guess, cls=cls)
+                    for cls in (CompositeSolver, ReferenceStepSolver))
+        for solver in (new, ref):
+            solver.arrival_init(pair)
+            solver.up.x[0][solver.routes[0][0].funnels[0].route[arc]] = value
+        z = new.routes[0][0].z
+        dt, reference = new.growth_step(), ref.growth_step(0)
+        ref.apply(reference)
+        assert dt.hex() == reference.dt.hex()
+        assert solver_state(new) == solver_state(ref)
+        assert new.routes[0][0].funnels[0].net.bottleneck == 0.0
+        assert new.routes[0][0].z == z
 
 
 class TestBallDistanceCache:

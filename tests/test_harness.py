@@ -848,6 +848,50 @@ class TestCli:
             "growth steps\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("when", ["at-start", "after-arrival"])
+    def test_nan_capacity_variable_is_an_internal_error_exit_code_1(
+            self, tmp_path, capsys, monkeypatch, when):
+        # a NaN in x is a defect of the run, not of its input: the growth
+        # step refuses the capacity it computes from it (FlowError), or the
+        # pair check after the arrival fails (AssertionError); either is one
+        # line on stderr, no traceback, and nothing is written
+        if when == "at-start":
+            start = fractional._Side.start_capacities
+
+            def poisoned(side, root_ids, v0):
+                start(side, root_ids, v0)
+                for x in side.x.values():
+                    x[:] = [math.nan] * len(x)
+
+            monkeypatch.setattr(fractional._Side, "start_capacities",
+                                poisoned)
+            expected = ("internal error: FlowError: capacity nan is negative "
+                        "or NaN\n")
+        else:
+            arrive = fractional.CompositeSolver.on_arrival
+
+            def poisoned(solver, pair):
+                outcome = arrive(solver, pair)
+                for rid, route in solver.routes[pair.index].items():
+                    for side, funnel in zip(solver.sides, route.funnels):
+                        for e in funnel.flow:
+                            side.x[rid][e] = math.nan
+                return outcome
+
+            monkeypatch.setattr(fractional.CompositeSolver, "on_arrival",
+                                poisoned)
+            expected = "internal error: AssertionError: flow "
+        inst = tmp_path / "g.json"
+        dump_instance(grid(2, 2, k=2, seed=1), inst)
+        out = tmp_path / "out.csv"
+        code = cli.main(["run", "--instance", str(inst), "--mode", "edge",
+                         "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INTERNAL == 1
+        assert err.startswith(expected) and err.count("\n") == 1
+        assert "above capacity nan" in err or when == "at-start"
+        assert not out.exists()
+
     @pytest.mark.parametrize("block, index, field", [
         ("edges", 1, "tail"), ("edges", 0, "head"), ("edges", 2, "l"),
         ("pairs", 1, "t"), ("node_costs", 2, "c")])
