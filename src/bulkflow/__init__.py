@@ -1,8 +1,7 @@
 """Online multicommodity buy-at-bulk network design toolkit."""
 
 from .errors import BudgetExceeded, InstanceError, StepLimitExceeded
-from .flows import (FlowNetwork, FlowResult, InfeasibleFlow, max_delta,
-                    max_flow, min_cost_flow)
+from .flows import FlowNetwork, max_delta
 from .fractional import (ArrivalOutcome, CompositeSolver, PairSpec, RootSpec,
                          SideGraph)
 from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
@@ -10,7 +9,7 @@ from .graph import (GraphError, SolutionLedger, TerminalPair, TwoMetricGraph,
                     split_node_weights)
 from .harness import RunConfig, RunReport, run_experiment, run_online
 from .instance import Instance, dump_instance, load_instance
-from .junction import (JunctionForest, build_junction_forest, map_to_gst,
+from .junction import (JunctionForest, build_junction_forest,
                        pull_forest_ledger)
 from .layering import (LayeredGraph, build_expansions, build_layered,
                        default_height, pull_back)

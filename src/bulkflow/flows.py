@@ -10,18 +10,16 @@ search. The curve caps each amount at the budget left over its unit cost,
 so the value reachable within the budget is the plain sum of the curve's
 amounts, and each augmenting path is walked once: one pass finds its
 bottleneck, augments it and collects the slots it closed. ``max_delta``
-returns its value and the two flows as plain dicts, which is all the
-growth step reads; ``min_cost_flow`` and ``max_flow`` return a
-``FlowResult``, priced by one rule (the plain sum of ``cost * flow`` over its
-flow dict), whose ``validate`` checks capacities, conservation and cost.
+returns its value and each network side's flow as a plain dict, which is
+all the growth step reads.
 
 Each side of ``max_delta`` is a ``FlowNetwork`` or a ``FlowPath`` (one
 simple path). On one path the curve makes at most one segment, so a path
 side's value is its bottleneck cut to the value cap and the budget over its
-unit length, and every arc carries ``delta``: the curve's bits, written down.
-When both sides are paths, ``path_delta`` gives the same ``delta`` and
-builds no flows, since a caller that knows its routes needs only that
-value.
+unit length, and every arc carries ``delta``: the curve's bits. A path
+side's flow is not built, since a caller that knows its route needs only
+that value; when both sides are paths, ``path_delta`` gives the same
+``delta``.
 
 A network or path is built once from its arcs; afterwards only its
 capacities change, so a caller that solves the same arcs repeatedly builds
@@ -67,8 +65,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import plain_sum
-
 FEAS_TOL = 1e-9
 # residual capacities below this are treated as saturated
 EPS_CAP = 1e-12
@@ -84,10 +80,6 @@ _Search = Tuple[tuple, Optional[List[int]], float,
 
 class FlowError(ValueError):
     """Invalid flow-network input."""
-
-
-class InfeasibleFlow(Exception):
-    """The requested flow value exceeds the maximum flow."""
 
 
 class FlowNetwork:
@@ -267,40 +259,6 @@ class FlowPath:
 
 
 @dataclass(slots=True)
-class FlowResult:
-    """A feasible flow: value, per-arc flow map, and its total cost."""
-
-    value: float
-    flow: Dict[int, float]
-    total_cost: float
-
-    def validate(self, net: FlowNetwork, source: int, sink: int,
-                 tol: float = FEAS_TOL) -> None:
-        """Assert conservation, capacity bounds, and cost consistency."""
-        balance = [0.0] * net.n
-        cost = 0.0
-        arc = dict(zip(net.labels, range(net.m)))
-        for label, f in self.flow.items():
-            a = arc[label]
-            if f < -tol or f > net.capacity[a] + tol:
-                raise FlowError(f"arc {a} flow {f} outside [0, {net.capacity[a]}]")
-            balance[net.tail[a]] -= f
-            balance[net.head[a]] += f
-            cost += net.cost[a] * f
-        for v in range(net.n):
-            expected = 0.0
-            if v == source:
-                expected = -self.value
-            elif v == sink:
-                expected = self.value
-            if abs(balance[v] - expected) > tol:
-                raise FlowError(f"node {v} violates conservation by "
-                                f"{balance[v] - expected}")
-        if abs(cost - self.total_cost) > tol:
-            raise FlowError(f"cost mismatch {cost} vs {self.total_cost}")
-
-
-@dataclass(slots=True)
 class FlowSegment:
     amount: float
     unit_cost: float
@@ -439,49 +397,11 @@ def _assemble(segments: List[FlowSegment], value: float) -> Dict[int, float]:
     return flow
 
 
-def _priced(net: FlowNetwork, value: float,
-            flow: Dict[int, float]) -> FlowResult:
-    """The flow with its cost: the plain sum of ``cost * flow`` over the
-    flow dict, in its order."""
-    cost = dict(zip(net.labels, net.cost))
-    total = 0.0  # a loop, not sum(): see graph.plain_sum
-    for a, f in flow.items():
-        total += cost[a] * f
-    return FlowResult(value, flow, total)
-
-
-def min_cost_flow(net: FlowNetwork, source: int, sink: int,
-                  target_value: float) -> FlowResult:
-    """Cheapest flow of exactly ``target_value``; raises when short of it."""
-    if not target_value >= 0:
-        raise FlowError(f"target value {target_value} is negative or NaN")
-    if target_value == 0:
-        _check_ends(net, source, sink)
-        return FlowResult(0.0, {}, 0.0)
-    segments = cheapest_flow_curve(net, source, sink, value_cap=target_value)
-    achieved = plain_sum(seg.amount for seg in segments)
-    if achieved < target_value - FEAS_TOL:
-        raise InfeasibleFlow(
-            f"max flow {achieved} below requested {target_value}")
-    return _priced(net, target_value, _assemble(segments, target_value))
-
-
-def max_flow(net: FlowNetwork, source: int, sink: int,
-             value_cap: float = math.inf) -> FlowResult:
-    """Maximum flow (cost-blind) up to ``value_cap``."""
-    zero_cost = net
-    if any(c != 0.0 for c in net.cost):
-        zero_cost = FlowNetwork(net.n, net.tail, net.head, net.capacity,
-                                [0.0] * net.m, net.labels)
-    segments = cheapest_flow_curve(zero_cost, source, sink, value_cap=value_cap)
-    value = plain_sum(seg.amount for seg in segments)
-    return _priced(net, value, _assemble(segments, value))
-
-
 def max_delta(up_net: FlowNetwork | FlowPath, up_source: int, up_sink: int,
               down_net: FlowNetwork | FlowPath, down_source: int,
               down_sink: int, budget: float
-              ) -> Tuple[float, Dict[int, float], Dict[int, float]]:
+              ) -> Tuple[float, Optional[Dict[int, float]],
+                         Optional[Dict[int, float]]]:
     """Largest common value routable on both sides within the length budget.
 
     Finds the maximum ``delta`` in [0, 1] such that each side admits a
@@ -491,9 +411,10 @@ def max_delta(up_net: FlowNetwork | FlowPath, up_source: int, up_sink: int,
     empty flows.
 
     A network side runs the curve and ``_assemble``. A ``FlowPath`` side
-    (its ends are not read) takes the curve's one segment in closed form,
-    and ``_assemble`` would take ``delta`` from it for each arc in route
-    order. Two path sides are ``path_delta``'s, which also gives ``delta``.
+    (its ends are not read) takes the curve's one segment in closed form;
+    its flow is ``None``, since ``_assemble`` would only put ``delta`` on
+    each arc of its route, and none when ``delta <= EPS_CAP``. Two path
+    sides are ``path_delta``'s, which also gives ``delta``.
     """
     if not budget >= 0:
         raise FlowError(f"budget {budget} is negative or NaN")
@@ -520,14 +441,11 @@ def max_delta(up_net: FlowNetwork | FlowPath, up_source: int, up_sink: int,
         if reachable < best:
             best = reachable
     delta = best if best > 0.0 else 0.0
-    if delta <= EPS_CAP:  # _assemble takes nothing
-        return delta, {}, {}
     up, down = sides
+    # _assemble takes nothing at delta <= EPS_CAP
     return (delta,
-            dict.fromkeys(up.route, delta) if isinstance(up, FlowPath)
-            else _assemble(up, delta),
-            dict.fromkeys(down.route, delta) if isinstance(down, FlowPath)
-            else _assemble(down, delta))
+            None if isinstance(up, FlowPath) else _assemble(up, delta),
+            None if isinstance(down, FlowPath) else _assemble(down, delta))
 
 
 def path_delta(up: FlowPath, down: FlowPath, budget: float) -> float:

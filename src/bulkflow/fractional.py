@@ -425,9 +425,9 @@ class _Funnel:
             # order
             self.growth_of = {e: _growth_factor(side.c[e], dmax)
                               for e in path}
-            # the layout of set(dict.fromkeys(route, delta)), the rates
-            # max_delta returns for a path that moves: a set's iteration
-            # order follows its layout, and it orders the objective's sum
+            # built from a dict, as a network side's set(rates) is: a
+            # set's iteration order follows its layout, and it orders the
+            # objective's sum
             self.route_set = set(dict.fromkeys(path))
         else:
             graph = side.graph
@@ -689,9 +689,7 @@ class CompositeSolver:
         (up_s, up_t), (down_s, down_t) = up_funnel.ends, down_funnel.ends
         delta, up_rates, down_rates = flows.max_delta(
             up_net, up_s, up_t, down_net, down_s, down_t, route.z)
-        return (delta, (None if up_path else up_rates,
-                        None if down_path else down_rates),
-                (up_tight, down_tight))
+        return delta, (up_rates, down_rates), (up_tight, down_tight)
 
     def growth_step(self) -> float:
         """Take one discretized step of the continuous dynamics for the

@@ -31,8 +31,8 @@ from .graph import (SolutionLedger, TerminalPair, Unreachable, plain_sum,
                     shortest_path, solution_cost)
 from .instance import Instance, as_int, load_instance
 from .junction import JunctionForest, build_junction_forest
-from .layering import (LayeredGraph, build_expansions, default_height,
-                       pull_back)
+from .layering import (WEIGHT_CAP, LayeredGraph, build_expansions,
+                       default_height, pull_back)
 from .oracle import InfeasibleInstance, exact_opt, junction_opt
 from .prize import augment, settle
 from .rounding import Assignment, LazyThresholds, choose_root
@@ -220,6 +220,15 @@ class OnlinePipeline:
             raise InstanceError(f"mode {self.mode!r} cannot run a "
                                 f"{instance.mode!r} instance: prize instances "
                                 f"run only in prize mode and vice versa")
+        # every blend factor is at most k, so this bounds every layer arc's
+        # cost; past the cap layering clamps costs, and the committed cost
+        # would understate the pulled-back one
+        bound = plain_sum(self.base.c) + self.k * plain_sum(self.base.l)
+        if not bound <= WEIGHT_CAP:
+            raise InstanceError(
+                f"arc weights too large: sum(c) + k * sum(l) over the base "
+                f"arcs is {bound:g} for k = {self.k} pairs, above the layer "
+                f"weight limit layering.WEIGHT_CAP = {WEIGHT_CAP:g}")
 
         self.forest: Optional[JunctionForest] = None
         self.up_layer: Optional[LayeredGraph] = None

@@ -1,19 +1,20 @@
-"""Tree-like preprocessing of directed instances and the group Steiner view.
+"""Tree-like preprocessing of directed instances.
 
 Directed instances are rewritten over a forest of per-root tuple trees: the
 up tree of root ``r`` has one vertex per path signature ``(r, v1, ..., vi)``
 and inherits the layered-expansion edges, so every source-to-sink route is
 forced through exactly one zero-cost root link. Single-sink sub-instances of
-this forest are literally group Steiner tree instances: the unique tree path
-makes lengths collapse into one dangling arc per terminal attachment.
+this forest are group Steiner tree instances, since the unique tree path
+makes lengths collapse into one dangling arc per terminal attachment; that
+is how the analysis bounds them, and the pipeline solves them with
+``single_sink.GreedySingleSink`` without building that view.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
 from .graph import GraphError, SolutionLedger, TwoMetricGraph
@@ -159,155 +160,6 @@ def pull_forest_ledger(forest: JunctionForest,
     name stays for the benchmark's tracer, which wraps it.
     """
     return pull_back(forest, ledger)
-
-
-@dataclass
-class GroupSteinerInstance:
-    """Rooted tree with arc weights and leaf groups to be connected.
-
-    ``parent_arc[v]`` gives (parent vertex, weight) for every non-root
-    vertex; groups map a group id to its member vertices.
-    """
-
-    root: int
-    parent_arc: Dict[int, Tuple[int, float]]
-    groups: Dict[int, Tuple[int, ...]]
-
-    def root_path(self, v: int) -> List[Tuple[int, int, float]]:
-        """Arcs (child, parent, weight) from v up to the root."""
-        path = []
-        while v != self.root:
-            if v not in self.parent_arc:
-                raise GraphError(f"vertex {v} has no path to the root")
-            parent, w = self.parent_arc[v]
-            path.append((v, parent, w))
-            v = parent
-        return path
-
-
-@dataclass
-class GstSubInstance:
-    """A single-sink sub-instance of the forest viewed as group Steiner.
-
-    Internal vertices are forest vertex ids; dangling vertices get fresh ids
-    past the forest's. ``dangling[d] = (terminal index, leaf vertex, hookup
-    arc)`` identifies what each dangling arc stands for.
-    """
-
-    forest: JunctionForest
-    side: str
-    root: int
-    junction: int
-    instance: GroupSteinerInstance
-    dangling: Dict[int, Tuple[int, int, int]]
-    tree_arc_id: Dict[Tuple[int, int], int]
-    infeasible_terminals: Tuple[int, ...]
-
-    def solution_weight(self, connections: Dict[int, int]) -> float:
-        """Weight of the canonical solution connecting the chosen members."""
-        arcs: Set[Tuple[int, int]] = set()
-        total = 0.0
-        for gid, member in connections.items():
-            for child, parent, w in self.instance.root_path(member):
-                if (child, parent) not in arcs:
-                    arcs.add((child, parent))
-                    total += w
-        return total
-
-    def to_forest_ledger(self, connections: Dict[int, int]) -> SolutionLedger:
-        """Forest-graph ledger of a group Steiner solution (equal objective)."""
-        ledger = SolutionLedger()
-        for gid, member in connections.items():
-            hookup = self.dangling[member][2]
-            # hookup, then the tree arcs from the leaf to the junction: forest
-            # order on the up side, reversed on the down side
-            path = [hookup] + [self.tree_arc_id[(child, parent)]
-                               for child, parent, _w
-                               in self.instance.root_path(member)[1:]]
-            if self.side == "down":
-                path.reverse()
-            ledger.add_path(self.forest.graph, gid, tuple(path))
-        return ledger
-
-
-def map_to_gst(forest: JunctionForest, side: str, root: int,
-               terminals: Sequence[int],
-               junction: Optional[int] = None) -> GstSubInstance:
-    """View the subtree under a junction vertex as a group Steiner instance.
-
-    Internal arcs keep their buy cost; each terminal hookup at leaf ``u``
-    becomes a dangling arc weighing the tree path's total length, because a
-    terminal routed through ``u`` pays exactly that length. Terminal i's
-    group collects its dangling vertices; an empty group marks the terminal
-    infeasible for this sub-instance.
-    """
-    if side not in ("up", "down"):
-        raise GraphError(f"unknown side {side!r}")
-    g = forest.graph
-    # child arcs enter a tuple on the up side and leave it on the down side;
-    # hookups run terminal -> leaf up and leaf -> terminal down
-    if side == "up":
-        roots, terminal_vertex = forest.up_root, forest.source_vertex
-        child_arcs, child_end = g.in_arcs, g.tail
-        hook_arcs, leaf_end = g.out_arcs, g.head
-    else:
-        roots, terminal_vertex = forest.down_root, forest.sink_vertex
-        child_arcs, child_end = g.out_arcs, g.head
-        hook_arcs, leaf_end = g.in_arcs, g.tail
-    if root not in roots:
-        raise GraphError(f"root {root} is not a base vertex")
-    junction = roots[root] if junction is None else junction
-    if junction not in forest.tuple_of:
-        raise GraphError(f"junction {junction} is not a tuple vertex")
-    if forest.tuple_of[junction][:2] != (side, root):
-        raise GraphError("junction vertex does not belong to the requested tree")
-
-    parent_arc: Dict[int, Tuple[int, float]] = {}
-    tree_arc_id: Dict[Tuple[int, int], int] = {}
-    path_length: Dict[int, float] = {junction: 0.0}
-    leaves: Set[int] = set()
-
-    # walk the subtree; below a non-leaf tuple every child arc is a tree arc
-    stack = [junction]
-    while stack:
-        v = stack.pop()
-        if len(forest.tuple_of[v][2]) == forest.h:
-            leaves.add(v)
-            continue
-        for a in child_arcs[v]:
-            child = child_end[a]
-            parent_arc[child] = (v, g.c[a])
-            tree_arc_id[(child, v)] = a
-            path_length[child] = path_length[v] + g.l[a]
-            stack.append(child)
-
-    next_id = itertools.count(g.n)
-    dangling: Dict[int, Tuple[int, int, int]] = {}
-    groups: Dict[int, List[int]] = {}
-    for ti, term in enumerate(terminals):
-        members = groups[ti] = []
-        tvert = terminal_vertex.get(term)
-        for a in hook_arcs[tvert] if tvert is not None else ():
-            leaf = leaf_end[a]
-            if leaf in leaves:
-                d = next(next_id)
-                dangling[d] = (ti, leaf, a)
-                parent_arc[d] = (leaf, path_length[leaf])
-                members.append(d)
-
-    infeasible = tuple(t for t, members in groups.items() if not members)
-    instance = GroupSteinerInstance(
-        root=junction, parent_arc=parent_arc,
-        groups={gid: tuple(members) for gid, members in groups.items()})
-    return GstSubInstance(forest=forest, side=side, root=root,
-                          junction=junction, instance=instance,
-                          dangling=dangling, tree_arc_id=tree_arc_id,
-                          infeasible_terminals=infeasible)
-
-
-def root_links_on_path(forest: JunctionForest, path: Sequence[int]) -> int:
-    """How many root-link arcs a forest path crosses (must be exactly 1)."""
-    return sum(1 for a in path if forest.is_root_link(a))
 
 
 def dump_forest_edges(forest: JunctionForest) -> List[Dict]:

@@ -15,8 +15,9 @@ import math
 import random
 from typing import Dict, Optional, Sequence, Tuple
 
-from .flows import FlowNetwork, max_flow
+from .flows import FlowNetwork, cheapest_flow_curve
 from .fractional import CompositeSolver
+from .graph import plain_sum
 
 # a collapsed threshold interval keeps this relative width above 1/(2n)
 MIN_REL_WIDTH = 1e-12
@@ -106,6 +107,8 @@ def scaled_min_cut(state: CompositeSolver, tau: Dict[int, float],
 
     For an assigned pair this certifies that the scaled inner solution still
     dominates a unit routing: the cut value must be (numerically) at least 1.
+    Every arc costs nothing, so the cheapest-flow curve is a maximum flow and
+    its value the plain sum of its amounts.
     """
     positions = {"up": 0, "down": 1}
     if side not in positions:
@@ -119,4 +122,5 @@ def scaled_min_cut(state: CompositeSolver, tau: Dict[int, float],
                       [0.0] * len(flows))
     if source == sink:
         return 1.0
-    return max_flow(net, source, sink, value_cap=2.0).value
+    return plain_sum(seg.amount for seg in
+                     cheapest_flow_curve(net, source, sink, value_cap=2.0))

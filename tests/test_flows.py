@@ -10,13 +10,13 @@ from scipy.optimize import linprog
 
 import bulkflow.flows as flows
 from bulkflow.flows import (EPS_CAP, FlowError, FlowNetwork, FlowPath,
-                            FlowResult, InfeasibleFlow, cheapest_flow_curve,
-                            max_delta, max_flow, min_cost_flow)
+                            cheapest_flow_curve, max_delta)
 from bulkflow.generate import grid
 from bulkflow.harness import RunConfig, run_online
 from bulkflow.instance import load_instance
 
-from helpers import (ReferenceTopology, reference_assemble, reference_curve,
+from helpers import (ReferenceTopology, check_flow, curve_value,
+                     min_cost_flow, reference_assemble, reference_curve,
                      reference_max_delta)
 
 
@@ -72,17 +72,6 @@ def network(n: int, arcs, capacities) -> FlowNetwork:
 def update(net: FlowNetwork, changes) -> None:
     """Apply ``(arc, capacity)`` changes through ``update_capacities``."""
     net.update_capacities([a for a, _ in changes], [cap for _, cap in changes])
-
-
-def validate_rates(net: FlowNetwork, rates, source: int, sink: int,
-                   value: float) -> None:
-    """Check one side's ``max_delta`` flow, keyed by arc label, against the
-    arc capacities and for conservation at ``value``."""
-    arc = dict(zip(net.labels, range(net.m)))
-    cost = 0.0
-    for label, f in rates.items():
-        cost += net.cost[arc[label]] * f
-    FlowResult(value, rates, cost).validate(net, source, sink)
 
 
 def rate_bits(rates):
@@ -385,20 +374,16 @@ class TestConstruction:
             for ref_side, new_side in zip(ref[1:], new[1:]):
                 assert ([(labels[a], f.hex()) for a, f in ref_side.items()]
                         == rate_bits(new_side))
-            validate_rates(labelled, new[1], 0, n - 1, delta)
-            validate_rates(labelled, new[2], 1, n - 2, delta)
+            check_flow(labelled, new[1], 0, n - 1, delta)
+            check_flow(labelled, new[2], 1, n - 2, delta)
             # the labelled costs: min_cost_flow at the same value
             for ends in ((0, n - 1), (1, n - 2)):
-                ref_side = min_cost_flow(plain, *ends, delta)
-                new_side = min_cost_flow(labelled, *ends, delta)
-                assert ([(labels[a], f.hex()) for a, f in ref_side.flow.items()]
-                        == rate_bits(new_side.flow))
-                assert new_side.total_cost.hex() == ref_side.total_cost.hex()
-                new_side.validate(labelled, *ends)
-        ref, new = max_flow(plain, 0, n - 1), max_flow(labelled, 0, n - 1)
-        assert ([(labels[a], f.hex()) for a, f in ref.flow.items()]
-                == [(a, f.hex()) for a, f in new.flow.items()])
-        assert (new.value, new.total_cost) == (ref.value, ref.total_cost)
+                ref_flow, ref_cost = min_cost_flow(plain, *ends, delta)
+                new_flow, new_cost = min_cost_flow(labelled, *ends, delta)
+                assert ([(labels[a], f.hex()) for a, f in ref_flow.items()]
+                        == rate_bits(new_flow))
+                assert new_cost.hex() == ref_cost.hex()
+                check_flow(labelled, new_flow, *ends, delta)
 
     def test_an_end_that_touches_no_arc_is_unreachable(self):
         net = network(5, [(1, 3, 1.0)], [1.0])
@@ -406,7 +391,6 @@ class TestConstruction:
             flows.FlowSegment(1.0, 1.0, ((0, 1),))]
         for source, sink in ((0, 3), (1, 4), (0, 4), (3, 1)):
             assert cheapest_flow_curve(net, source, sink) == []
-            assert max_flow(net, source, sink).value == 0.0
 
 
 class TestEndpoints:
@@ -445,9 +429,6 @@ class TestEndpoints:
         other = network(2, [(0, 1, 1.0)], [1.0])
         calls = [lambda: cheapest_flow_curve(net, 0, 3, value_cap=1.0),
                  lambda: cheapest_flow_curve(net, 3, 0, value_cap=1.0),
-                 lambda: min_cost_flow(net, 0, 7, 0.5),
-                 lambda: min_cost_flow(net, 0, 7, 0.0),
-                 lambda: max_flow(net, 3, 0),
                  lambda: max_delta(net, 0, 2, other, 0, 2, 1.0),
                  lambda: max_delta(net, 0, 2, other, 5, 5, 1.0)]
         for call in calls:
@@ -462,11 +443,7 @@ class TestEndpoints:
         with pytest.raises(FlowError):
             max_delta(net, 0, 1, other, 0, 1, math.nan)
         with pytest.raises(FlowError):
-            min_cost_flow(net, 0, 1, math.nan)
-        with pytest.raises(FlowError):
             max_delta(net, 0, 1, other, 0, 1, -1.0)
-        with pytest.raises(FlowError):
-            max_flow(net, 0, 1, value_cap=math.nan)
         for caps in ({"value_cap": math.nan}, {"cost_cap": math.nan},
                      {"value_cap": -1.0}, {"cost_cap": -1.0},
                      {"value_cap": -math.inf}, {"cost_cap": -math.inf}):
@@ -480,22 +457,22 @@ class TestEndpoints:
 class TestMinCostFlow:
     def test_zero_target(self):
         net = network(2, [(0, 1, 1)], [1])
-        result = min_cost_flow(net, 0, 1, 0)
-        assert result.value == 0 and result.total_cost == 0
+        assert cheapest_flow_curve(net, 0, 1, value_cap=0) == []
+        assert min_cost_flow(net, 0, 1, 0) == ({}, 0.0)
 
     def test_parallel_arc_split(self):
         net = network(2, [(0, 1, 1), (0, 1, 5)], [1, 1])
         # oracle: enumerate split fractions f on the cheap arc
         oracle = min(f * 1 + (1.5 - f) * 5
                      for f in [x / 100 for x in range(0, 101)])
-        result = min_cost_flow(net, 0, 1, 1.5)
-        assert result.total_cost == pytest.approx(oracle, abs=1e-9)
-        result.validate(net, 0, 1)
+        flow, cost = min_cost_flow(net, 0, 1, 1.5)
+        assert cost == pytest.approx(oracle, abs=1e-9)
+        check_flow(net, flow, 0, 1, 1.5)
 
     def test_infeasible_target(self):
+        # the curve stops at the maximum flow, short of the target
         net = network(2, [(0, 1, 1)], [1])
-        with pytest.raises(InfeasibleFlow):
-            min_cost_flow(net, 0, 1, 2)
+        assert curve_value(net, 0, 1, value_cap=2) == 1.0
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(FlowError):
@@ -513,75 +490,28 @@ class TestMinCostFlow:
         while checked < 25 and trials < 300:
             trials += 1
             net = random_network(rng)
-            try:
-                full = max_flow(net, 0, net.n - 1)
-            except FlowError:
+            full = curve_value(net, 0, net.n - 1)
+            if full < 1e-6:
                 continue
-            if full.value < 1e-6:
-                continue
-            target = rng.uniform(0.1, 1.0) * full.value
+            target = rng.uniform(0.1, 1.0) * full
             expected = linprog_min_cost(net, 0, net.n - 1, target)
-            result = min_cost_flow(net, 0, net.n - 1, target)
-            result.validate(net, 0, net.n - 1)
-            assert result.total_cost == pytest.approx(expected, abs=1e-7)
+            flow, cost = min_cost_flow(net, 0, net.n - 1, target)
+            check_flow(net, flow, 0, net.n - 1, target)
+            assert cost == pytest.approx(expected, abs=1e-7)
             checked += 1
         assert checked >= 25
-
-    def test_cost_is_the_sum_over_the_flow_dict(self):
-        # min_cost_flow and max_flow price their flow by one rule: cost
-        # times flow, summed left to right over the flow dict
-        rng = random.Random(23)
-        priced = 0
-        for _ in range(60):
-            plain = random_network(rng)
-            labels = rng.sample(range(100), plain.m)
-            net = FlowNetwork(plain.n, plain.tail, plain.head, plain.capacity,
-                              plain.cost, labels)
-            cost = dict(zip(labels, net.cost))
-            full = max_flow(net, 0, net.n - 1)
-            results = [full]
-            if full.value > 1e-6:
-                results.append(min_cost_flow(net, 0, net.n - 1,
-                                             rng.uniform(0.1, 1.0) * full.value))
-            for result in results:
-                total = 0.0
-                for a, f in result.flow.items():
-                    total += cost[a] * f
-                assert result.total_cost.hex() == total.hex()
-                priced += bool(result.flow)
-        assert priced >= 40
 
 
 class TestMaxFlow:
     def test_simple_cut(self):
         net = network(3, [(0, 1, 0), (1, 2, 0)], [2, 1.5])
-        assert max_flow(net, 0, 2).value == pytest.approx(1.5)
+        assert curve_value(net, 0, 2) == pytest.approx(1.5)
 
     def test_unbounded_guard(self):
         net = network(2, [(0, 1, 0)], [math.inf])
-        with pytest.raises(FlowError):
-            max_flow(net, 0, 1)
-        assert max_flow(net, 0, 1, value_cap=3.0).value == pytest.approx(3.0)
-
-    def test_zero_cost_network_is_solved_in_place(self, monkeypatch):
-        rng = random.Random(4)
-        arcs = [(u, v, 0.0) for u, v, _ in tie_heavy_arcs(rng, 5, 12)]
-        capacities = [rng.choice([0.0, 0.25, 1.0]) for _ in arcs]
-        priced = network(5, [(u, v, 1.0) for u, v, _ in arcs], capacities)
-        net = network(5, arcs, capacities)
-        builds, init = [], FlowNetwork.__init__
-
-        def counted_init(self, *args):
-            builds.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(FlowNetwork, "__init__", counted_init)
-        expected = max_flow(priced, 0, 4)  # solved on a zero-cost copy
-        assert len(builds) == 1 and builds[0][4] == [0.0] * len(arcs)
-        builds.clear()
-        result = max_flow(net, 0, 4)
-        assert builds == []
-        assert (result.value, result.flow) == (expected.value, expected.flow)
+        with pytest.raises(FlowError, match="unbounded"):
+            curve_value(net, 0, 1)
+        assert curve_value(net, 0, 1, value_cap=3.0) == pytest.approx(3.0)
 
 
 class TestMaxDelta:
@@ -596,8 +526,8 @@ class TestMaxDelta:
         delta, up_rates, down_rates = max_delta(up, 0, 2, down, 0, 1, 0.5)
         # up: min(cap 0.1, budget 0.5 / length 2); down: 0.5 / 1
         assert delta == pytest.approx(0.1, abs=1e-8)
-        validate_rates(up, up_rates, 0, 2, delta)
-        validate_rates(down, down_rates, 0, 1, delta)
+        check_flow(up, up_rates, 0, 2, delta)
+        check_flow(down, down_rates, 0, 1, delta)
 
     def test_budget_bound_both_sides(self):
         up = network(2, [(0, 1, 4.0)], [math.inf])
@@ -628,8 +558,8 @@ class TestMaxDelta:
             down_len = sum(down.cost[a] * f for a, f in down_rates.items())
             assert up_len <= budget + 1e-9
             assert down_len <= budget + 1e-9
-            validate_rates(up, up_rates, 0, up.n - 1, delta)
-            validate_rates(down, down_rates, 0, down.n - 1, delta)
+            check_flow(up, up_rates, 0, up.n - 1, delta)
+            check_flow(down, down_rates, 0, down.n - 1, delta)
 
     def test_monotone_in_budget_and_capacity(self):
         rng = random.Random(6)
@@ -734,7 +664,7 @@ class TestFusedSolve:
                     if s == t:  # a side at its destination carries nothing
                         assert rates == {}
                     else:
-                        validate_rates(net, rates, s, t, delta)
+                        check_flow(net, rates, s, t, delta)
                 if delta in (0.0, 1.0):
                     seen["zero" if delta == 0.0 else "one"] += 1
                 elif any(math.isclose(side.total_cost, budget)
@@ -869,10 +799,21 @@ def path_side(rng: random.Random, hops: int, length_scale: float = 1.0):
 
 
 def solve_bits(up, up_ends, down, down_ends, budget):
-    """``max_delta``'s result as exact bits, its rates in key order."""
-    delta, up_rates, down_rates = max_delta(up, *up_ends, down, *down_ends,
-                                            budget)
-    return delta.hex(), rate_bits(up_rates), rate_bits(down_rates)
+    """``max_delta``'s result as exact bits, its rates in key order. A path
+    side's rates, which ``max_delta`` leaves ``None``, are taken as
+    ``delta`` on each arc of its route in route order when ``delta`` is
+    above ``EPS_CAP``, and none otherwise: compared with the same path's
+    network side, that checks every route arc of the network carries
+    ``delta``."""
+    delta, *rates = max_delta(up, *up_ends, down, *down_ends, budget)
+    bits = [delta.hex()]
+    for net, side_rates in zip((up, down), rates):
+        if isinstance(net, FlowPath):
+            assert side_rates is None
+            side_rates = dict.fromkeys(net.route if delta > EPS_CAP else (),
+                                       delta)
+        bits.append(rate_bits(side_rates))
+    return tuple(bits)
 
 
 class TestPathDelta:
@@ -969,7 +910,7 @@ class TestFlowPath:
         assert flows.path_delta(up, down, budget).hex() == delta.hex()
         ref_delta, *ref_rates = max_delta(net, 0, 1, free, 0, 1, budget)
         assert delta.hex() == ref_delta.hex() == (budget / length).hex()
-        assert up_rates == {7: delta} and down_rates == {3: delta}
+        assert up_rates is None and down_rates is None
         assert [list(rates.values()) for rates in ref_rates] == [[delta]] * 2
 
     def test_length_is_the_left_fold_of_the_costs_in_route_order(self):

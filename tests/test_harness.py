@@ -936,6 +936,31 @@ class TestCli:
                               "than 10**4299 vertices")
         assert "(required: 1" in err
 
+    @pytest.mark.parametrize("mode", ["edge", "directed"])
+    def test_weights_past_the_layer_weight_cap_refused(self, tmp_path,
+                                                       capsys, mode):
+        # layering clamps a layer cost at WEIGHT_CAP, so past it the
+        # committed cost would understate the pulled-back one
+        def path(c, l):
+            return {"n": 4, "directed": mode == "directed", "edges": [
+                {"id": v, "tail": v, "head": v + 1, "c": c, "l": l}
+                for v in range(3)], "pairs": [{"s": 0, "t": 3},
+                                              {"s": 1, "t": 3}]}
+
+        inst, out = tmp_path / "path.json", tmp_path / "out.csv"
+        run = ["run", "--instance", str(inst), "--mode", mode, "-o", str(out)]
+        dump_instance(path(1e18, 1e17), inst)
+        assert cli.main(run) == cli.EXIT_INFEASIBLE == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible or invalid input: arc weights too "
+                              "large") and err.count("\n") == 1
+        assert "layering.WEIGHT_CAP = 1e+18" in err
+        assert not out.exists()
+        # the same shape scaled to fit under the limit runs
+        dump_instance(path(1e17, 1e16), inst)
+        assert cli.main(run) == cli.EXIT_OK
+        assert out.exists()
+
     def test_experiment_subcommand(self, tmp_path):
         inst = tmp_path / "g.json"
         dump_instance(grid(2, 2, k=1, seed=2), inst)

@@ -6,15 +6,14 @@ import pytest
 
 from bulkflow.errors import BudgetExceeded
 from bulkflow.generate import random_digraph
-from bulkflow.graph import (GraphError, SolutionLedger, Unreachable,
-                            shortest_path, solution_cost)
+from bulkflow.graph import (SolutionLedger, Unreachable, shortest_path,
+                            solution_cost)
 from bulkflow.instance import load_instance
 from bulkflow.junction import (build_junction_forest, dump_forest_edges,
-                               map_to_gst, pull_forest_ledger,
-                               root_links_on_path)
+                               pull_forest_ledger)
 from bulkflow.oracle import ss_offline_opt
-from helpers import (build_graph, random_two_metric,
-                     reference_build_junction_forest, reference_map_to_gst)
+from helpers import (build_graph, map_to_gst, random_two_metric,
+                     reference_build_junction_forest)
 
 
 def cycle_graph(n=3, c=1.0, l=0.2):
@@ -61,7 +60,7 @@ class TestBuildForest:
                         forest.graph.c, jitter, forest.graph.l)], s, t)
             except Unreachable:
                 pytest.fail("terminal pair should be routable through the forest")
-            assert root_links_on_path(forest, path) == 1
+            assert sum(map(forest.is_root_link, path)) == 1
 
     def test_node_budget_refusal_reports_requirement(self):
         g = cycle_graph(4)
@@ -213,8 +212,6 @@ class TestPullForestLedger:
 FOREST_FIELDS = ("graph.n", "graph.tail", "graph.head", "graph.c", "graph.l",
                  "layered_edge", "tuple_of", "up_root", "down_root",
                  "source_vertex", "sink_vertex", "root_link_arc", "back_path")
-GST_FIELDS = ("junction", "instance.groups", "instance.parent_arc", "dangling",
-              "tree_arc_id", "infeasible_terminals")
 
 
 def differing(ours, theirs, fields):
@@ -237,42 +234,14 @@ def seeded_forest_cases():
 
 
 class TestReferenceEquivalence:
-    """The one-path-per-side builder and ``map_to_gst`` number and map
-    everything exactly as the side-by-side code before them did."""
+    """The one-path-per-side builder numbers and maps everything exactly as
+    the side-by-side code before it did."""
 
-    def test_forests_and_group_steiner_views_match(self):
+    def test_forests_match(self):
         for g, h, sources, sinks in seeded_forest_cases():
             forest = build_junction_forest(g, 2, h, sources, sinks)
             ref = reference_build_junction_forest(g, 2, h, sources, sinks)
             assert differing(forest, ref, FOREST_FIELDS) == []
-            level1 = [v for v, (_s, _r, tup) in forest.tuple_of.items()
-                      if len(tup) == 1]
-            for side, terminals in (("up", sources), ("down", sinks)):
-                terminals = terminals + [g.n - 1]
-                junctions = [(r, None) for r in range(g.n)] + [
-                    (forest.tuple_of[v][1], v) for v in level1
-                    if forest.tuple_of[v][0] == side]
-                for root, junction in junctions:
-                    sub = map_to_gst(forest, side, root, terminals, junction)
-                    want = reference_map_to_gst(ref, side, root, terminals,
-                                                junction)
-                    assert differing(sub, want, GST_FIELDS) == [], \
-                        (side, root, junction)
-
-
-class TestMapToGstRefusals:
-    def test_bad_junction_and_root_raise_graph_error(self):
-        g = cycle_graph(3)
-        forest = build_junction_forest(g, k=1, h=2, sources=[0], sinks=[2])
-        with pytest.raises(GraphError, match="not a tuple vertex"):
-            map_to_gst(forest, "up", 0, terminals=[0],
-                       junction=forest.source_vertex[0])
-        with pytest.raises(GraphError, match="not a tuple vertex"):
-            map_to_gst(forest, "down", 0, terminals=[2],
-                       junction=forest.graph.n)
-        for root in (3, -1):
-            with pytest.raises(GraphError, match="not a base vertex"):
-                map_to_gst(forest, "down", root, terminals=[2])
 
 
 def test_dump_labels_name_tuples_and_terminals():
