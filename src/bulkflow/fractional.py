@@ -74,10 +74,12 @@ its bottleneck in one pass over the route), then the joint solve. A network
 side's rates are the solve's flows, keyed by edge id; every arc of a path
 carries the same flow, so a path side's rate is ``delta`` on its whole route
 when ``delta`` is above ``flows.EPS_CAP`` and 0 otherwise. It then commits
-in place, per root and side: the grown ``x`` over ``tight | set(rates)``
-(a network funnel's next dirty set; for a path, its route set stands for
-``set(rates)``), then the flows, then ``z``. That set's iteration order
-fixes the order of the objective's sum.
+in place, per root and side: first the step's flows, then, in one loop for
+both funnel kinds, the grown ``x`` over ``tight | set(rates)`` (a network
+funnel's next dirty set; for a path, its route set stands for
+``set(rates)``), each reading its edge's new flow; after both sides, the
+flows' objective terms, then ``z``. That set's iteration order fixes the
+order of the objective's sum.
 
 All variables are nondecreasing within an epoch. An epoch ends at the first
 step whose commit takes its objective past ``kappa``; the caller then
@@ -397,7 +399,8 @@ class _Funnel:
 
     The capacities are the step state of the pair's arrival: the rate
     capacities for a full step of length ``dmax``. An arc's capacity depends
-    only on its own ``x``, flow, tightness and growth factor, and a
+    only on its own ``x``, flow, tightness and full-step growth factor (in
+    ``growth_of`` on both kinds, which the commit reads too), and a
     committed step changes ``x`` and the flow only on the edges it found
     tight or grew. A network funnel's ``dirty`` holds those edges (every
     arc at first) and the next step recomputes only their arcs; no other
@@ -417,14 +420,15 @@ class _Funnel:
         self.ends = ends  # (source, sink) of the pair's routing
         self.flow = flow  # edge -> flow, confined to the arcs
         self.net: FlowPath | FlowNetwork
-        if path and len(path) == len(arcs):
+        on_path = bool(path) and len(path) == len(arcs)
+        # edge -> exp(dmax / c), the growth over a full step: in route order
+        # on a path, whose one-pass solve walks it, else in id order
+        self.growth_of = {e: _growth_factor(side.c[e], dmax)
+                          for e in (path if on_path else arcs)}
+        if on_path:
             self.lengths = [side.l[e] for e in path]
             self.net = FlowPath(path, self.lengths)
             self.route = self.net.route
-            # edge -> exp(dmax / c), the growth over a full step, in route
-            # order
-            self.growth_of = {e: _growth_factor(side.c[e], dmax)
-                              for e in path}
             # built from a dict, as a network side's set(rates) is: a
             # set's iteration order follows its layout, and it orders the
             # objective's sum
@@ -440,8 +444,6 @@ class _Funnel:
             # the set it wrote over
             self.dirty: Set[int] = set(arcs)
             self.index = {e: a for a, e in enumerate(arcs)}
-            # exp(dmax / c) of each arc: the growth over a full step
-            self.full_growth = [_growth_factor(side.c[e], dmax) for e in arcs]
 
     def tight(self, x: List[float]) -> Set[int]:
         """Edges whose capacity variable in ``x`` is met by the flow."""
@@ -604,12 +606,11 @@ class CompositeSolver:
         if dirty:
             x, dmax, inf = side.x[rid], self.dmax, math.inf
             flows_get = funnel.flow.get
-            index, full_growth = funnel.index, funnel.full_growth
+            index, growth_of = funnel.index, funnel.growth_of
             arcs, caps = [], []
             for e in dirty:
-                a = index[e]
-                arcs.append(a)
-                grow = full_growth[a]
+                arcs.append(index[e])
+                grow = growth_of[e]
                 if grow == inf:
                     caps.append(inf)
                     continue
@@ -734,65 +735,49 @@ class CompositeSolver:
         # a full step reads each funnel's cached exp(dmax / c)
         full = dt == self.dmax
 
-        # commit: x rides to max(exp growth if tight, new flow level);
-        # "y if y < VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included.
-        # Roots and sides share no x array or flow dict, so a write never
-        # moves a later read.
+        # commit, per root and side: the step's flows, then x over the edges
+        # that may move, then (after both sides) the flows' objective terms.
+        # x rides to max(exp growth if tight, new flow level); "y if y <
+        # VAR_CAP else VAR_CAP" is min(VAR_CAP, y), NaN included. Roots and
+        # sides share no x array or flow dict, so a write never moves a
+        # later read.
         d_obj = 0.0
         inf, eps = math.inf, flows.EPS_CAP
         sides = self.sides
         empty: FrozenSet[int] = frozenset()
         for rid, route, delta, rates, tight in solved:
-            # a path side moves its whole route or nothing: its increment
+            # a path side moves its whole route or nothing
             moved = delta > eps
-            step = delta * dt if moved else 0.0
             for side, funnel, side_tight, g_side in zip(
                     sides, route.funnels, tight, rates):
-                arr, c = side.x[rid], side.c
+                flow = funnel.flow
                 if g_side is None:
-                    # the route's one flow level after the step
-                    f_new = funnel.flow[funnel.route[0]] + step
-                    growth_of = funnel.growth_of
-                    # the layout of tight | set(rates), whose iteration
-                    # order is the order of the d_obj sum
-                    for e in side_tight | (funnel.route_set if moved
-                                           else empty):
-                        old = arr[e]
-                        new = old
-                        if e in side_tight:
-                            grow = (growth_of[e] if full
-                                    else _growth_factor(c[e], dt))
-                            if grow == inf:
-                                new = VAR_CAP
-                            else:
-                                y = old * grow
-                                new = y if y < VAR_CAP else VAR_CAP
-                        if f_new > new:
-                            new = f_new if f_new < VAR_CAP else VAR_CAP
-                            if c[e] <= 0:
-                                new = VAR_CAP
-                        if new > old:
-                            arr[e] = new
-                            d_obj += c[e] * (new - old)
-                    continue
-                flow_get = funnel.flow.get
-                grow_get = g_side.get
-                full_growth, index = funnel.full_growth, funnel.index
-                # the edges whose x or flow may move, and the next dirty set
-                # (the solve emptied it)
-                touched = funnel.dirty = side_tight | set(g_side)
+                    if moved:
+                        flow.update(dict.fromkeys(
+                            funnel.route, flow[funnel.route[0]] + delta * dt))
+                    # the route set stands for set(rates), in its layout:
+                    # this set's iteration order orders the d_obj sum
+                    touched = side_tight | (funnel.route_set if moved
+                                            else empty)
+                else:
+                    flow_get = flow.get
+                    for e, g in g_side.items():
+                        flow[e] = flow_get(e, 0.0) + g * dt
+                    # also the next dirty set (the solve emptied it)
+                    touched = funnel.dirty = side_tight | set(g_side)
+                arr, c, growth_of = side.x[rid], side.c, funnel.growth_of
                 for e in touched:
                     old = arr[e]
                     new = old
                     if e in side_tight:
-                        grow = (full_growth[index[e]] if full
+                        grow = (growth_of[e] if full
                                 else _growth_factor(c[e], dt))
                         if grow == inf:
                             new = VAR_CAP
                         else:
                             y = old * grow
                             new = y if y < VAR_CAP else VAR_CAP
-                    f_new = flow_get(e, 0.0) + grow_get(e, 0.0) * dt
+                    f_new = flow[e]
                     if f_new > new:
                         new = f_new if f_new < VAR_CAP else VAR_CAP
                         if c[e] <= 0:
@@ -801,17 +786,13 @@ class CompositeSolver:
                         arr[e] = new
                         d_obj += c[e] * (new - old)
             for side, funnel, g_side in zip(sides, route.funnels, rates):
-                flow = funnel.flow
                 if g_side is None:
                     if moved:
-                        f_path = flow[funnel.route[0]] + step
-                        for e, l in zip(funnel.route, funnel.lengths):
-                            flow[e] = f_path
+                        for l in funnel.lengths:
                             d_obj += l * delta * dt
                     continue
-                l, flow_get = side.l, flow.get
+                l = side.l
                 for e, g in g_side.items():
-                    flow[e] = flow_get(e, 0.0) + g * dt
                     d_obj += l[e] * g * dt
             # dt is capped per root, so z stays at or below 1 up to float noise;
             # clamping would desynchronize z from its certifying flow value

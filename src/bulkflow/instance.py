@@ -13,7 +13,9 @@ Schema::
 
 Node-weighted inputs are split immediately (vertex v becomes an internal
 arc ``v_in -> v_out``); terminals map to ``v_out`` for sources and ``v_in``
-for sinks. Demands other than 1 are rejected.
+for sinks, except that both ends of a pair with ``s == t`` map to ``v_out``.
+A pair with ``s == t`` is trivial in every mode: it is served at cost 0.
+Demands other than 1 are rejected.
 """
 
 from __future__ import annotations
@@ -162,10 +164,13 @@ def _parse(data: dict, name: str) -> Instance:
         edge_list = [(int(ed["tail"]), int(ed["head"])) for ed in edges]
         graph, mapping = split_node_weights(n, node_c, node_l, edge_list,
                                             directed=directed)
-        pairs = [TerminalPair(index=i,
-                              s=mapping["source_vertex"][int(pr["s"])],
-                              t=mapping["sink_vertex"][int(pr["t"])])
-                 for i, pr in enumerate(raw_pairs)]
+        source, sink = mapping["source_vertex"], mapping["sink_vertex"]
+        pairs = []
+        for i, pr in enumerate(raw_pairs):
+            s, t = int(pr["s"]), int(pr["t"])
+            # both ends on one split vertex: trivial, as in edge mode
+            pairs.append(TerminalPair(index=i, s=source[s],
+                                      t=source[s] if s == t else sink[t]))
         # the split graph is always directed, whatever the input edges were
         return Instance(graph=graph, pairs=pairs, mode=mode, directed=True,
                         display_n=n, name=name)

@@ -732,15 +732,14 @@ class TestFunnel:
                 for _ in range(3):
                     solver.growth_step()
             for side, funnel in side_funnels(solver):
-                # a path funnel keeps them by edge in route order, a
-                # network funnel in id order
+                # every funnel keeps them by edge: a path funnel in route
+                # order, a network funnel in id order
+                arcs = list(funnel.growth_of)
                 if isinstance(funnel.net, flows.FlowPath):
-                    arcs = list(funnel.growth_of)
                     assert arcs == list(funnel.route)
-                    growth = funnel.growth_of.values()
                 else:
-                    arcs, growth = funnel.arcs, funnel.full_growth
-                assert ([g.hex() for g in growth]
+                    assert arcs == funnel.arcs == sorted(arcs)
+                assert ([g.hex() for g in funnel.growth_of.values()]
                         == [fractional._growth_factor(side.c[e], dmax).hex()
                             for e in arcs])
                 compared += len(arcs)

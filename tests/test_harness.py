@@ -975,3 +975,43 @@ class TestCli:
         summary = json.loads(result.stdout)
         assert summary["failures"] == 1
         assert [e.split(":")[0] for e in summary["errors"]] == ["missing"]
+
+
+def _node_instance(n, edges, pairs, node_c):
+    """A node-mode instance with unit node lengths."""
+    return {"n": n, "directed": False, "mode": "node",
+            "edges": [{"id": i, "tail": u, "head": v}
+                      for i, (u, v) in enumerate(edges)],
+            "pairs": [{"s": s, "t": t} for s, t in pairs],
+            "node_costs": [{"v": v, "c": c, "l": 1.0}
+                           for v, c in enumerate(node_c)]}
+
+
+class TestNodeModeSelfPair:
+    """A node-mode pair whose two ends are one vertex is trivial, as it is
+    in edge mode: it costs nothing and the oracles leave it out."""
+
+    def test_self_pair_adds_nothing_on_a_path(self):
+        def path(pairs):
+            return _node_instance(3, [(0, 1), (1, 2)], pairs, (1.0, 5.0, 1.0))
+
+        inst = load_instance(path([(0, 0), (0, 2)]))
+        assert inst.pairs[0].s == inst.pairs[0].t
+        both = run(path([(0, 0), (0, 2)]), mode="node", oracle=True)
+        alone = run(path([(0, 2)]), mode="node", oracle=True)
+        assert both.arrivals[0].outcome == "trivial"
+        assert both.ledger.paths[0] == ()
+        assert (both.online_total, both.opt) == (6.0, 6.0)
+        assert (alone.online_total, alone.opt) == (6.0, 6.0)
+
+    def test_self_pair_on_an_isolated_vertex(self, tmp_path, capsys):
+        inst = tmp_path / "lone.json"
+        dump_instance(_node_instance(2, [], [(1, 1)], (1.0, 1.0)), inst)
+        assert cli.main(["run", "--instance", str(inst), "--mode",
+                         "node"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "0,0,trivial,,0,0.0,0,0.0,0.0"
+        assert "infeasible,0" in lines and "online_total,0.0" in lines
+        assert cli.main(["oracle", "--instance", str(inst)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            "opt": 0.0, "junction_opt": 0.0, "lp_lb": 0.0}
